@@ -106,6 +106,17 @@ func (in *Injector) At(op Op, tag string) (act Action, dead bool) {
 	return Action{}, false
 }
 
+// Fired reports whether rule i (in New's argument order) has fired — what a
+// test waits on before acting "while the stall holds" instead of sleeping.
+func (in *Injector) Fired(i int) bool {
+	if in == nil {
+		return false
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.fired[i]
+}
+
 // Dead reports whether a Kill (or torn write) has fired.
 func (in *Injector) Dead() bool {
 	if in == nil {

@@ -40,18 +40,33 @@
 // callers that mutate a bound tree directly:
 //
 //   - after changing v.Length, call InvalidateEdge(v);
-//   - after changing the composition of a subtree rooted at n (e.g. an
-//     NNIMove.Apply around edge n), call InvalidateNode(n);
-//   - after mutations you cannot describe edge by edge, call InvalidateAll
-//     (or Refresh, which also recomputes immediately). Both are always safe.
+//   - after reassigning the children of n among nodes that were already
+//     inside n.Parent's subtree (an NNIMove.Apply around edge n does exactly
+//     that), call InvalidateNode(n);
+//   - after any other mutation — a subtree grafted from elsewhere, or one
+//     you cannot describe edge by edge — call InvalidateAll (or Refresh,
+//     which also recomputes immediately). Both are always safe.
+//
+// The invalidations are path-exact. The outer vector of w reads the down
+// vector and length of w's sibling and the outer vector and length of w's
+// parent — nothing inside w's subtree, and not w.Length — so a change at the
+// edge above x stales the down vectors of x's strict ancestors and every
+// outer vector EXCEPT those on the root-to-x path (for InvalidateNode(n):
+// root-to-n.Parent), which stay valid and are not recomputed. Traversals
+// settle only what a read needs: optimizing one edge recomputes the stale
+// part of its root path and the sibling subtrees that part reads, and leaves
+// the dirty ancestors to the next LogLikelihood.
 //
 // OptimizeBranch, OptimizeAllBranches, OptimizeLocal and the search
 // invalidate their own updates; plain read-only evaluation needs nothing.
 // Because every conditional vector is a deterministic function of its
 // inputs, incremental results are byte-identical to a from-scratch Refresh
-// (asserted exactly by the property tests in incremental_test.go).
-// OptimizeLocal re-optimizes only the branches around a rearranged edge,
-// which is what makes per-candidate NNI cost independent of taxon count.
+// (asserted exactly by the property tests in incremental_test.go, down to
+// every vector the engine claims is current).
+// OptimizeLocal re-optimizes only the branches around a rearranged edge at
+// about one newview and one outer-vector kernel per branch, plus one settle
+// of the root path for the likelihood it returns, which is what makes
+// per-candidate NNI cost independent of taxon count.
 //
 // # CLV storage layout
 //

@@ -20,14 +20,22 @@ package phylo
 //     dirty nodes, so the lazy computeDown can skip clean subtrees without
 //     scanning them.
 //
-//   - out vectors: out[v] depends on down[sibling(v)], sibling(v).Length,
-//     out[parent(v)] and parent(v).Length, so a single change near the root
-//     transitively stales out vectors across most of the tree — but a branch
-//     optimization only ever reads out[v] for the one edge it is optimizing.
-//     Instead of eagerly repairing everything, each node carries an epoch
-//     stamp; every materialized change bumps the engine's tree epoch, and
-//     ensureOut recomputes just the root-to-edge path whose stamps are stale.
-//     Within one epoch, repeat visits to the same region are free.
+//   - out vectors: out[w] reads exactly four things — down[sibling(w)],
+//     sibling(w).Length, out[parent(w)] and parent(w).Length — so nothing
+//     inside subtree(w), and not w.Length, can change it. A change to the
+//     edge above x therefore leaves the out vectors on the root-to-x path
+//     (x included) valid and stales every other one. Each node carries an
+//     epoch stamp; a materialized change advances the engine's tree epoch
+//     and carries the stamps on that path forward with it, and ensureOut
+//     recomputes just the stale part of the root-to-edge path it is asked
+//     for. Optimizing the handful of branches around one edge thus costs
+//     about one out-vector kernel per branch, not one per level of depth.
+//
+//   - on the serial path the down vectors are settled on demand as well:
+//     ensureOut(v) settles only the subtrees it reads — v's own and the
+//     sibling subtree of every path node it recomputes — and leaves the
+//     dirty ancestors of v to the closing LogLikelihood. Only whole subtrees
+//     are ever cleaned, so the dirty set stays upward-closed.
 //
 // Because each conditional vector is a deterministic function of its inputs,
 // skipping the recomputation of a vector whose inputs did not change yields
@@ -92,28 +100,44 @@ func (e *Engine) InvalidateAll() {
 
 // InvalidateEdge records that the length of the edge above v changed: v's
 // strict ancestors' down vectors are stale (each folds v's subtree through
-// P(v.Length)), and every out vector computed before the change may read the
-// old length, so the tree epoch advances unconditionally. Site-repeat classes
-// depend only on subtree composition, so they stay valid.
+// P(v.Length)), and so is every out vector except those on the root-to-v path
+// (v included), which read neither v.Length nor anything below v. Site-repeat
+// classes depend only on subtree composition, so they stay valid.
 func (e *Engine) InvalidateEdge(v *Node) {
 	if e.lastTree == nil || v == nil || v.Parent == nil {
 		return
 	}
-	e.treeEpoch++
+	e.advanceEpoch(v)
 	e.markAncestors(v.Parent, false)
 }
 
-// InvalidateNode records that the subtree composition of n changed (its
-// children were reassigned, e.g. by an NNI rearrangement): n's own down
-// vector and those of all its ancestors are stale — along with their
-// site-repeat class vectors, which are composition-derived — and all out
-// stamps are pushed into the past by the epoch bump.
+// InvalidateNode records that the children of n were reassigned among nodes
+// that were already inside n.Parent's subtree — what NNIMove.Apply does, and
+// the only composition change this call covers (after grafting a subtree from
+// elsewhere, use InvalidateAll). n's own down vector and those of all its
+// ancestors are stale, along with their site-repeat class vectors, which are
+// composition-derived. Everything that moved lies inside subtree(n.Parent),
+// so the out vectors on the root-to-n.Parent path stay valid and all others
+// are stale; when n is the root no out vector survives.
 func (e *Engine) InvalidateNode(n *Node) {
 	if e.lastTree == nil || n == nil {
 		return
 	}
-	e.treeEpoch++
+	e.advanceEpoch(n.Parent)
 	e.markAncestors(n, true)
+}
+
+// advanceEpoch stales every out stamp except the current ones on the
+// root-to-keep path (keep included), which move to the new epoch. A nil keep
+// stales them all.
+func (e *Engine) advanceEpoch(keep *Node) {
+	old := e.treeEpoch
+	e.treeEpoch++
+	for n := keep; n != nil && n.Parent != nil; n = n.Parent {
+		if e.outEpoch[n.ID] == old {
+			e.outEpoch[n.ID] = e.treeEpoch
+		}
+	}
 }
 
 // markAncestors marks n and its ancestors down-dirty (and, for composition
@@ -150,12 +174,18 @@ func (e *Engine) downWalk(n *Node) {
 	e.downDirty[n.ID] = false
 }
 
-// ensureOut makes out[v] (and the out vectors of v's ancestors it depends on)
-// valid for the current tree state: it settles the down vectors first, then
-// recomputes the root-to-v path top-down, skipping nodes whose stamp is
-// already from the current epoch.
+// ensureOut makes out[v], down[v] and the out vectors of v's ancestors valid
+// for the current tree state — everything a branch optimization of the edge
+// above v reads. It walks the root-to-v path top-down and recomputes only the
+// nodes whose stamp is stale, settling the sibling subtree each of them reads
+// first. Under a work-sharing executor the down vectors are instead settled
+// all at once by the leveled sweep (wavefront.go).
 func (e *Engine) ensureOut(t *Tree, v *Node) {
-	e.computeDown(t)
+	e.bindTree(t)
+	wave := e.useWavefront()
+	if wave {
+		e.computeDown(t)
+	}
 	e.pathBuf = e.pathBuf[:0]
 	for n := v; n.Parent != nil; n = n.Parent {
 		e.pathBuf = append(e.pathBuf, n)
@@ -164,31 +194,23 @@ func (e *Engine) ensureOut(t *Tree, v *Node) {
 	for i := len(e.pathBuf) - 1; i >= 0; i-- {
 		n := e.pathBuf[i]
 		if e.outEpoch[n.ID] != e.treeEpoch {
+			if !wave {
+				e.downWalk(n.Sibling())
+			}
 			e.computeOutOne(n.Parent, n)
 			e.outEpoch[n.ID] = e.treeEpoch
 		}
 	}
+	if !wave {
+		e.downWalk(v)
+	}
 }
 
 // computeOutOne refreshes the outer vector of one child v of u. The caller
-// must have set e.outA.freqs and ensured the down vectors and out[u] are
+// must have set e.outA.freqs and ensured down[sibling(v)] and out[u] are
 // current.
 func (e *Engine) computeOutOne(u, v *Node) {
-	a := &e.outA
-	if u.Parent != nil {
-		a.pup = e.transitionFlat(u.Length, 1)
-		a.uv = e.outVec(u.ID)
-		a.uscale = e.outScaleVec(u.ID)
-	} else {
-		a.pup = nil
-		a.uv = nil
-		a.uscale = nil
-	}
-	sib := v.Sibling()
-	a.sv, a.sscale = e.childVector(sib)
-	a.psib = e.transitionFlat(sib.Length, 0)
-	a.dst = e.outVec(v.ID)
-	a.scale = e.outScaleVec(v.ID)
+	e.setOutArgs(&e.outA, u, v)
 	e.par(e.nPat, e.outFn)
 }
 
@@ -270,7 +292,8 @@ func (e *Engine) optimizeEdges(t *Tree, edges []*Node, rounds int) float64 {
 // the edge above v — the local re-optimization step of lazy tree search:
 // after an NNI rearrangement the move only perturbs a constant-size
 // neighborhood, so re-optimizing the ~5 incident branches (radius 1) is
-// enough to score the candidate, at O(depth) traversal cost per branch
+// enough to score the candidate, at a constant number of kernels per branch
+// plus one O(depth) settle of the root path for the returned likelihood,
 // instead of the O(taxa) of OptimizeAllBranches. It runs up to the given
 // number of smoothing rounds over the local set (stopping early once the
 // lengths converge) and returns the tree's log-likelihood.

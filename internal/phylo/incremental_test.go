@@ -1,7 +1,9 @@
 package phylo
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -288,5 +290,190 @@ func TestSearchIncrementalAndFullRefreshBothClimb(t *testing.T) {
 				t.Errorf("reported likelihood %v != from-scratch recomputation %v", res.LogLikelihood, got)
 			}
 		})
+	}
+}
+
+// caterpillarTree builds the maximally deep tree over the taxa,
+// ((((t0,t1),t2),t3)...), with every branch at the given length: tip i sits
+// at depth len(names)-i (tip 0 shares the deepest cherry with tip 1).
+func caterpillarTree(names []string, length float64) *Tree {
+	t := &Tree{Taxa: names}
+	for i, name := range names {
+		t.Nodes = append(t.Nodes, &Node{ID: i, Name: name, Taxon: i, Length: length})
+	}
+	cur := t.Nodes[0]
+	for i := 1; i < len(names); i++ {
+		in := &Node{ID: len(t.Nodes), Taxon: -1, Length: length, Children: []*Node{cur, t.Nodes[i]}}
+		cur.Parent, t.Nodes[i].Parent = in, in
+		t.Nodes = append(t.Nodes, in)
+		cur = in
+	}
+	t.Root = cur
+	return t
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+// TestStampsAndCleanMarksAreSound pins what the path-exact invalidation
+// promises: whatever mix of length changes, NNI apply/revert and local
+// optimization the engine has seen, every out vector whose stamp is current
+// and every down vector marked clean holds exactly the bits (values and
+// scalers) a fresh engine computes for the tree as it stands. The check reads
+// the engine's state without settling anything, so vectors left stale by the
+// on-demand traversals stay stale across steps. The tree is deep enough for
+// the vectors near the root to rescale.
+func TestStampsAndCleanMarksAreSound(t *testing.T) {
+	for _, cfg := range incrementalConfigs(t) {
+		t.Run(cfg.name, func(t *testing.T) {
+			_, aln, err := Simulate(SimulateOptions{Taxa: 170, Length: 40, Seed: 31, MeanBranchLength: 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := Compress(aln)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc, err := NewEngine(data, cfg.model, cfg.rates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree := caterpillarTree(data.Names, 1.2)
+			rng := rand.New(rand.NewSource(17))
+
+			var outChecked, downChecked int
+			rescaled := false
+			check := func(step int, op string) {
+				t.Helper()
+				fresh, err := NewEngine(data, cfg.model, cfg.rates)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh.Refresh(tree)
+				for _, n := range tree.Nodes {
+					id := n.ID
+					if n.Parent != nil && inc.outEpoch[id] == inc.treeEpoch {
+						outChecked++
+						if !sameBits(inc.outVec(id), fresh.outVec(id)) || !sameBits(inc.outScaleVec(id), fresh.outScaleVec(id)) {
+							t.Fatalf("step %d (%s): out vector of node %d carries a current stamp but differs from a fresh engine's", step, op, id)
+						}
+					}
+					if !n.IsTip() && !inc.downDirty[id] {
+						downChecked++
+						if !sameBits(inc.downVec(id), fresh.downVec(id)) || !sameBits(inc.downScaleVec(id), fresh.downScaleVec(id)) {
+							t.Fatalf("step %d (%s): down vector of node %d is marked clean but differs from a fresh engine's", step, op, id)
+						}
+					}
+				}
+				for _, s := range fresh.sclOut {
+					rescaled = rescaled || s != 0
+				}
+			}
+
+			inc.LogLikelihood(tree)
+			check(0, "initial")
+			for step := 1; step <= 60; step++ {
+				var op string
+				switch rng.Intn(5) {
+				case 0:
+					edges := tree.Edges()
+					n := edges[rng.Intn(len(edges))]
+					n.Length = MinBranchLength + rng.Float64()*1.5
+					inc.InvalidateEdge(n)
+					op = "length"
+				case 1:
+					moves := tree.NNIMoves()
+					m := moves[rng.Intn(len(moves))]
+					m.Apply()
+					inc.InvalidateNode(m.Edge)
+					op = "nni"
+				case 2:
+					// One search candidate, rejected: apply, score the
+					// neighborhood, revert topology and lengths.
+					moves := tree.NNIMoves()
+					m := moves[rng.Intn(len(moves))]
+					m.Apply()
+					inc.InvalidateNode(m.Edge)
+					inc.snapshotLengths(inc.collectLocalEdges(tree, m.Edge, nniRadius))
+					inc.optimizeEdges(tree, inc.savedNodes, 2)
+					m.Apply()
+					inc.InvalidateNode(m.Edge)
+					inc.restoreLengths()
+					op = "candidate-rejected"
+				case 3:
+					edges := tree.Edges()
+					inc.optimizeEdges(tree, inc.collectLocalEdges(tree, edges[rng.Intn(len(edges))], nniRadius), 2)
+					op = "optimize-local"
+				default:
+					// Optimize one edge and stop there: the root path stays
+					// dirty, the stamps on it stay current.
+					edges := tree.Edges()
+					inc.optimizeEdge(tree, edges[rng.Intn(len(edges))])
+					op = "optimize-edge"
+				}
+				check(step, op)
+			}
+			if outChecked == 0 || downChecked == 0 {
+				t.Fatalf("vacuous run: %d current out vectors and %d clean down vectors checked", outChecked, downChecked)
+			}
+			if !rescaled {
+				t.Error("the tree was not deep enough to rescale any out vector")
+			}
+		})
+	}
+}
+
+// TestOptimizeLocalWorkIndependentOfDepth is the work bound the partial
+// traversals exist for: re-optimizing the branches around a rearranged edge
+// costs a constant number of conditional-vector kernels per branch, however
+// far below the root the edge sits.
+func TestOptimizeLocalWorkIndependentOfDepth(t *testing.T) {
+	_, aln, err := Simulate(SimulateOptions{Taxa: 30, Length: 200, Seed: 9, MeanBranchLength: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := Compress(aln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(data, NewJC69(), SingleRate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := caterpillarTree(data.Names, 0.1)
+	eng.OptimizeAllBranches(tree, 1)
+	for _, depth := range []int{6, 14, 26} {
+		// The inner node at that depth: walk down the spine from the root.
+		v := tree.Root
+		for d := 0; d < depth; d++ {
+			v = v.Children[0]
+		}
+		// The state the search meets: the neighborhood was just visited,
+		// then the candidate rearrangement is applied.
+		eng.OptimizeLocal(tree, v, nniRadius, 1)
+		move := NNIMove{Edge: v, ChildIndex: 0}
+		move.Apply()
+		eng.InvalidateNode(v)
+		edges := len(eng.collectLocalEdges(tree, v, nniRadius))
+		before := eng.Stats
+		eng.OptimizeLocal(tree, v, nniRadius, 1)
+		out := eng.Stats.OutviewCalls - before.OutviewCalls
+		down := eng.Stats.NewviewCalls - before.NewviewCalls
+		if edges != 5 {
+			t.Fatalf("depth %d: local set has %d edges, want the 5 of the NNI quartet", depth, edges)
+		}
+		// One out vector per stale edge, one down vector per edge whose
+		// subtree changed, plus the closing LogLikelihood's root path.
+		if out > 2*edges {
+			t.Errorf("depth %d: %d out-vector kernels for %d edges", depth, out, edges)
+		}
+		if down > 2*edges+depth+1 {
+			t.Errorf("depth %d: %d newview kernels for %d edges at that depth", depth, down, edges)
+		}
+		move.Apply() // back to the caterpillar for the next depth
+		eng.InvalidateNode(v)
 	}
 }

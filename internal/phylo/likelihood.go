@@ -40,12 +40,17 @@ const tipStates = 1 << NumStates
 // KernelStats counts invocations of the three likelihood kernels — the
 // functions the paper off-loads to SPEs. The native runtime and the workload
 // calibration read them. RepeatsCopied counts per-pattern kernel evaluations
-// the site-repeat machinery replaced with a vector copy.
+// the site-repeat machinery replaced with a vector copy. OutviewCalls counts
+// outer-vector kernels and DerivEvals the per-edge passes over the patterns
+// (edgeDerivatives and edgeLogLik) — the work inside a makenewz visit that
+// the partial traversals exist to keep constant per edge.
 type KernelStats struct {
 	NewviewCalls  int
 	EvaluateCalls int
 	MakenewzCalls int
 	RepeatsCopied int
+	OutviewCalls  int
+	DerivEvals    int
 }
 
 // Engine evaluates and optimizes the likelihood of trees over one
@@ -181,7 +186,7 @@ type Engine struct {
 	downDirty []bool   // down vector of n needs recomputation
 	anyDirty  bool     // fast path: false means every down vector is current
 	treeEpoch uint64   // bumped on every materialized change to the tree
-	outEpoch  []uint64 // epoch at which the out vector of n was last computed
+	outEpoch  []uint64 // == treeEpoch: the out vector of n is valid for the current tree
 	visitGen  uint64   // generation counter for the scratch marks below
 	visitMark []uint64 // node-visited marks for collectLocalEdges
 	edgeMark  []uint64 // edge-collected marks for collectLocalEdges
@@ -750,13 +755,14 @@ func (e *Engine) computeOutKernel(a *computeOutArgs, lo, hi int) {
 	}
 }
 
-// computeOutNode refreshes the outer vectors of u's children.
+// setOutArgs fills a with the outer-vector kernel arguments for child v of u
+// (everything but freqs) and counts the kernel invocation it prepares. The
+// parent matrices cycle through transition slot 1, the sibling's through
+// slot 0.
 //
 //cellmg:hotpath
-func (e *Engine) computeOutNode(u *Node) {
-	a := &e.outA
-	// The parent matrices depend only on u, not on the child: fill slot 1
-	// once (the per-sibling matrices cycle through slot 0 inside the loop).
+func (e *Engine) setOutArgs(a *computeOutArgs, u, v *Node) {
+	e.Stats.OutviewCalls++
 	if u.Parent != nil {
 		a.pup = e.transitionFlat(u.Length, 1)
 		a.uv = e.outVec(u.ID)
@@ -766,12 +772,19 @@ func (e *Engine) computeOutNode(u *Node) {
 		a.uv = nil
 		a.uscale = nil
 	}
+	sib := v.Sibling()
+	a.sv, a.sscale = e.childVector(sib)
+	a.psib = e.transitionFlat(sib.Length, 0)
+	a.dst = e.outVec(v.ID)
+	a.scale = e.outScaleVec(v.ID)
+}
+
+// computeOutNode refreshes the outer vectors of u's children.
+//
+//cellmg:hotpath
+func (e *Engine) computeOutNode(u *Node) {
 	for _, v := range u.Children {
-		sib := v.Sibling()
-		a.sv, a.sscale = e.childVector(sib)
-		a.psib = e.transitionFlat(sib.Length, 0)
-		a.dst = e.outVec(v.ID)
-		a.scale = e.outScaleVec(v.ID)
+		e.setOutArgs(&e.outA, u, v)
 		e.par(e.nPat, e.outFn)
 		e.outEpoch[v.ID] = e.treeEpoch
 	}
@@ -885,12 +898,15 @@ func (e *Engine) LogLikelihood(t *Tree) float64 {
 	return e.evaluateAtRoot(t)
 }
 
-// edgeDerivatives returns the log-likelihood and its first and second
-// derivatives with respect to the length of the edge above node v, using the
-// current down/out vectors.
+// edgeDerivatives returns the first and second derivatives of the
+// log-likelihood with respect to the length of the edge above node v, using
+// the current down/out vectors, and with wantLL the log-likelihood itself —
+// one math.Log per pattern, which only Newton iterate 0 has a use for (ll is
+// 0 without it; the derivative sums do not read it).
 //
 //cellmg:hotpath
-func (e *Engine) edgeDerivatives(v *Node, b float64) (ll, d1, d2 float64) {
+func (e *Engine) edgeDerivatives(v *Node, b float64, wantLL bool) (ll, d1, d2 float64) {
+	e.Stats.DerivEvals++
 	dv, dscale := e.childVector(v)
 	ov := e.outVec(v.ID)
 	oscale := e.outScaleVec(v.ID)
@@ -930,32 +946,89 @@ func (e *Engine) edgeDerivatives(v *Node, b float64) (ll, d1, d2 float64) {
 			l0 = math.SmallestNonzeroFloat64
 		}
 		w := weights[i]
-		sc := 0.0
-		if dscale != nil {
-			sc += dscale[i]
+		if wantLL {
+			sc := 0.0
+			if dscale != nil {
+				sc += dscale[i]
+			}
+			sc += oscale[i]
+			ll += w * (math.Log(l0) + sc)
 		}
-		sc += oscale[i]
-		ll += w * (math.Log(l0) + sc)
 		d1 += w * (l1 / l0)
 		d2 += w * ((l2*l0 - l1*l1) / (l0 * l0))
 	}
 	return ll, d1, d2
 }
 
+// edgeLogLik returns the log-likelihood of the tree with the edge above v set
+// to length b — edgeDerivatives' first result, bit for bit, at a third of the
+// mat-vec work: it performs the same per-pattern operations in the same order
+// on the same transitionDerivFlat(b).p and simply leaves the two derivative
+// sums out.
+//
+//cellmg:hotpath
+func (e *Engine) edgeLogLik(v *Node, b float64) float64 {
+	e.Stats.DerivEvals++
+	dv, dscale := e.childVector(v)
+	ov := e.outVec(v.ID)
+	oscale := e.outScaleVec(v.ID)
+	weights := e.Data.Weights
+	catWeight := 1.0 / float64(e.nCat)
+	p := e.transitionDerivFlat(b).p
+	nCat, stride := e.nCat, e.stride
+
+	var ll float64
+	for i := 0; i < e.nPat; i++ {
+		base := i * stride
+		var l0 float64
+		for r := 0; r < nCat; r++ {
+			off := base + r*NumStates
+			m := r * flatMatSize
+			pm := p[m : m+flatMatSize : m+flatMatSize]
+			v0, v1, v2, v3 := dv[off], dv[off+1], dv[off+2], dv[off+3]
+			for s := 0; s < NumStates; s++ {
+				os := ov[off+s]
+				if os == 0 {
+					continue
+				}
+				k := s * NumStates
+				s0 := pm[k]*v0 + pm[k+1]*v1 + pm[k+2]*v2 + pm[k+3]*v3
+				l0 += os * s0
+			}
+		}
+		l0 *= catWeight
+		if l0 <= 0 {
+			l0 = math.SmallestNonzeroFloat64
+		}
+		sc := 0.0
+		if dscale != nil {
+			sc += dscale[i]
+		}
+		sc += oscale[i]
+		ll += weights[i] * (math.Log(l0) + sc)
+	}
+	return ll
+}
+
 // Makenewz optimizes the length of the edge above node v with Newton-Raphson
 // iterations — the paper's makenewz() kernel. It requires up-to-date down and
 // out vectors (OptimizeAllBranches and OptimizeBranch arrange that) and
-// returns the optimized length.
+// returns the optimized length together with the log-likelihood at iterate 0,
+// which the first derivative pass computes anyway: that is the likelihood at
+// v.Length itself unless v.Length lies below MinBranchLength and was clamped.
 //
 //cellmg:hotpath
-func (e *Engine) makenewz(v *Node) float64 {
+func (e *Engine) makenewz(v *Node) (b, ll0 float64) {
 	e.Stats.MakenewzCalls++
-	b := v.Length
+	b = v.Length
 	if b < MinBranchLength {
 		b = MinBranchLength
 	}
 	for iter := 0; iter < newtonMaxIter; iter++ {
-		_, d1, d2 := e.edgeDerivatives(v, b)
+		ll, d1, d2 := e.edgeDerivatives(v, b, iter == 0)
+		if iter == 0 {
+			ll0 = ll
+		}
 		var step float64
 		if d2 < 0 {
 			step = -d1 / d2
@@ -976,28 +1049,34 @@ func (e *Engine) makenewz(v *Node) float64 {
 		}
 		b = nb
 	}
-	return b
+	return b, ll0
 }
 
 // MakenewzEdge exposes the makenewz() kernel on its own: it Newton-optimizes
 // the edge above v against the current down/out vectors and returns the
 // optimized length without mutating the tree. Refresh must have run first;
 // calibration uses it to time the kernel in isolation.
-func (e *Engine) MakenewzEdge(v *Node) float64 { return e.makenewz(v) }
+func (e *Engine) MakenewzEdge(v *Node) float64 {
+	nb, _ := e.makenewz(v)
+	return nb
+}
 
 // optimizeEdge settles the conditional vectors the edge above v depends on
-// (a partial traversal: only stale down vectors and the root-to-v out path
-// are recomputed) and Newton-optimizes its length, keeping the new length
-// only if it genuinely improves the likelihood (which, with settled vectors,
-// makes every accepted update monotone). An accepted change invalidates the
-// ancestor path so later traversals see it. It reports whether the length
-// changed materially.
+// (a partial traversal: only the stale part of the root-to-v out path and the
+// down vectors it reads are recomputed) and Newton-optimizes its length,
+// keeping the new length only if it genuinely improves the likelihood (which,
+// with settled vectors, makes every accepted update monotone). An accepted
+// change invalidates what reads the length so later traversals see it. It
+// reports whether the length changed materially.
 func (e *Engine) optimizeEdge(t *Tree, v *Node) bool {
 	e.ensureOut(t, v)
-	before, _, _ := e.edgeDerivatives(v, v.Length)
 	old := v.Length
-	nb := e.makenewz(v)
-	after, _, _ := e.edgeDerivatives(v, nb)
+	nb, before := e.makenewz(v)
+	if old < MinBranchLength {
+		// Newton started from the clamped length, not from old.
+		before = e.edgeLogLik(v, old)
+	}
+	after := e.edgeLogLik(v, nb)
 	if after <= before {
 		return false
 	}

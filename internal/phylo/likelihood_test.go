@@ -328,3 +328,48 @@ func TestEngineValidation(t *testing.T) {
 		t.Errorf("NumPatterns mismatch")
 	}
 }
+
+// TestEdgeLogLikMatchesDerivativesBitForBit pins the contract the fused
+// Newton step rests on: the likelihood-only kernel returns exactly the bits
+// of edgeDerivatives' first result, on tip and inner edges, at the edge's own
+// length, at the bounds, and below MinBranchLength (where optimizeEdge falls
+// back to it for the unclamped "before"). Each call is one DerivEvals pass.
+func TestEdgeLogLikMatchesDerivativesBitForBit(t *testing.T) {
+	for _, cfg := range incrementalConfigs(t) {
+		t.Run(cfg.name, func(t *testing.T) {
+			_, aln, err := Simulate(SimulateOptions{Taxa: 11, Length: 300, Seed: 23, MeanBranchLength: 0.15})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := Compress(aln)
+			eng, err := NewEngine(data, cfg.model, cfg.rates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, _ := NewRandomTree(data.Names, rand.New(rand.NewSource(4)))
+			eng.Refresh(tree)
+			var tips, inner int
+			for _, v := range tree.Edges() {
+				if v.IsTip() {
+					tips++
+				} else {
+					inner++
+				}
+				for _, b := range []float64{v.Length, 0, 1e-9, MinBranchLength, 0.37, MaxBranchLength} {
+					before := eng.Stats.DerivEvals
+					want, _, _ := eng.edgeDerivatives(v, b, true)
+					got := eng.edgeLogLik(v, b)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("edge above node %d at length %g: edgeLogLik %v != edgeDerivatives %v", v.ID, b, got, want)
+					}
+					if n := eng.Stats.DerivEvals - before; n != 2 {
+						t.Errorf("two passes counted as %d DerivEvals", n)
+					}
+				}
+			}
+			if tips == 0 || inner == 0 {
+				t.Fatalf("covered %d tip and %d inner edges", tips, inner)
+			}
+		})
+	}
+}

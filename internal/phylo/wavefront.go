@@ -342,20 +342,7 @@ func (e *Engine) computeOutWave(t *Tree) {
 //
 //cellmg:hotpath
 func (e *Engine) prepareOutKernel(a *computeOutArgs, u, v *Node) {
-	if u.Parent != nil {
-		a.pup = e.transitionFlat(u.Length, 1)
-		a.uv = e.outVec(u.ID)
-		a.uscale = e.outScaleVec(u.ID)
-	} else {
-		a.pup = nil
-		a.uv = nil
-		a.uscale = nil
-	}
-	sib := v.Sibling()
-	a.sv, a.sscale = e.childVector(sib)
-	a.psib = e.transitionFlat(sib.Length, 0)
-	a.dst = e.outVec(v.ID)
-	a.scale = e.outScaleVec(v.ID)
+	e.setOutArgs(a, u, v)
 	a.freqs = e.outA.freqs
 	e.outEpoch[v.ID] = e.treeEpoch
 }

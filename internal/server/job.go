@@ -323,12 +323,16 @@ func (j *Job) Status(now time.Time) JobStatus {
 	return st
 }
 
-// clearData releases the input alignment once the job is terminal; the spec
-// still describes how to rebuild it.
-func (j *Job) clearData() {
+// release drops what nothing reads again once the job is terminal: the
+// compressed alignment, the inline sequences it was built from (the WAL keeps
+// the accepted spec for as long as it needs it), and the run context's
+// registration as a child of the server's base context.
+func (j *Job) release() {
 	j.mu.Lock()
 	j.data = nil
+	j.Spec.Sequences = nil
 	j.mu.Unlock()
+	j.cancel()
 }
 
 // runDuration returns how long the job ran (0 if it never started or has not

@@ -7,17 +7,24 @@ package server
 // Retry-After at the admission boundary, bounded shutdown, zero lost jobs.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cellmg/internal/faultinject"
+	"cellmg/internal/phylo"
 )
 
-// mediumSpec runs for a few seconds — long enough to drain-abort mid-search.
+// mediumSpec is a four-task job whose searches each run several sweeps, so
+// every task writes more than one checkpoint.
 func mediumSpec(seed int64) JobSpec {
 	return JobSpec{
 		Seed:       seed,
@@ -265,10 +272,19 @@ func TestDrainTimeoutCheckpointsAndResumes(t *testing.T) {
 	refRun := referenceResult(t, specRun)
 	refQueued := referenceResult(t, specQueued)
 
+	// The running job is held inside its SECOND checkpoint append for longer
+	// than the drain lasts, so it is mid-search with a checkpoint on record
+	// when the drain aborts it, however fast the engine is.
+	const timeout = 150 * time.Millisecond
+	inj := faultinject.New(
+		faultinject.Rule{Op: faultinject.OpWALAppend, Tag: "checkpoint", After: 1,
+			Action: faultinject.Action{Stall: 10 * timeout}},
+	)
 	dir := t.TempDir()
 	srv, err := Open(Options{
 		Workers: 4, MaxConcurrent: 1,
 		DataDir: dir, WALSyncInterval: time.Millisecond,
+		FaultInjector: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,14 +297,13 @@ func TestDrainTimeoutCheckpointsAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the running job get past its first checkpoint before pulling the
-	// plug, so the resume actually has something to resume from.
-	for a.State() != StateRunning {
+	for deadline := time.Now().Add(time.Minute); !inj.Fired(0); {
+		if time.Now().After(deadline) {
+			t.Fatal("the running job never reached its second checkpoint")
+		}
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(300 * time.Millisecond)
 
-	const timeout = 150 * time.Millisecond
 	start := time.Now()
 	srv.Drain(timeout)
 	if took := time.Since(start); took > timeout+5*time.Second {
@@ -311,6 +326,9 @@ func TestDrainTimeoutCheckpointsAndResumes(t *testing.T) {
 	d := srv2.Metrics().Durability
 	if d.RecoveredJobs != 2 {
 		t.Fatalf("recovered %d jobs, want both (running + queued)", d.RecoveredJobs)
+	}
+	if d.RecoveredCheckpoints < 1 {
+		t.Fatal("the aborted job left no checkpoint to resume from")
 	}
 	waitAllTerminal(t, srv2, 2*time.Minute)
 	for id, want := range map[string][]byte{a.ID: refRun, bJob.ID: refQueued} {
@@ -436,4 +454,104 @@ func TestCancelCancelledJobConflicts(t *testing.T) {
 		t.Fatalf("second cancel: status %d, want 409", code)
 	}
 	del(long.ID) // free the runner before cleanup
+}
+
+// sseEvents reads a finished job's whole event stream, resuming after the
+// given event id when it is positive, and returns the "id: " lines.
+func sseEvents(t *testing.T, base, id string, after int) []string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after > 0 {
+		req.Header.Set("Last-Event-ID", strconv.Itoa(after))
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ids []string
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		if strings.HasPrefix(sc.Text(), "id: ") {
+			ids = append(ids, sc.Text())
+		}
+	}
+	return ids
+}
+
+// TestTerminalJobReleasesInputs: a finished job keeps only what is read
+// again — its inline sequences and its run context are released at retire —
+// and everything a client can still ask of it answers as before: the status,
+// an SSE replay resumed with Last-Event-ID, and the job restored from the WAL
+// by the next incarnation.
+func TestTerminalJobReleasesInputs(t *testing.T) {
+	_, aln, err := phylo.Simulate(phylo.SimulateOptions{Taxa: 6, Length: 120, Seed: 5, MeanBranchLength: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Seed: 3, Inferences: 1, Bootstraps: 1,
+		Search: SearchSpec{SmoothingRounds: 2, MaxRounds: 2, Epsilon: 0.05}}
+	for i, name := range aln.Names {
+		spec.Sequences = append(spec.Sequences, SequenceSpec{Name: name, Seq: string(aln.Seqs[i])})
+	}
+	want := referenceResult(t, spec)
+
+	dir := t.TempDir()
+	open := func() (*Server, *httptest.Server) {
+		srv, err := Open(Options{Workers: 2, MaxConcurrent: 1, DataDir: dir, WALSyncInterval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, httptest.NewServer(srv.Handler())
+	}
+	srv, ts := open()
+	id := submit(t, ts.URL, spec).ID
+	st := waitTerminal(t, ts.URL, id, time.Minute)
+	if st.State != StateDone {
+		t.Fatalf("job finished %s: %s", st.State, st.Error)
+	}
+	// The terminal state is visible a moment before retire runs; the run
+	// context's cancellation is the last thing retire's release does.
+	j, _ := srv.Job(id)
+	select {
+	case <-j.runCtx.Done():
+	case <-time.After(time.Minute):
+		t.Fatal("done job's run context is still registered with the server's base context")
+	}
+	j.mu.Lock()
+	seqs, data := j.Spec.Sequences, j.data
+	j.mu.Unlock()
+	if seqs != nil || data != nil {
+		t.Errorf("done job still holds its input: %d inline sequences, alignment %v", len(seqs), data != nil)
+	}
+
+	if got := resultJSON(t, j); !bytes.Equal(got, want) {
+		t.Error("status result of the released job differs from the reference run")
+	}
+	all := sseEvents(t, ts.URL, id, 0)
+	if len(all) < 3 {
+		t.Fatalf("event replay of the released job has %d events", len(all))
+	}
+	if got := sseEvents(t, ts.URL, id, 2); !slices.Equal(got, all[2:]) {
+		t.Errorf("replay after event 2 = %v, want %v", got, all[2:])
+	}
+	ts.Close()
+	srv.Close()
+
+	srv2, ts2 := open()
+	defer srv2.Close()
+	defer ts2.Close()
+	st2 := getStatus(t, ts2.URL, id)
+	enc, err := json.Marshal(st2.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.State != StateDone || !bytes.Equal(enc, want) {
+		t.Errorf("job restored from the WAL: state %s, result equal to reference: %v", st2.State, bytes.Equal(enc, want))
+	}
+	if j2, _ := srv2.Job(id); j2.Spec.Sequences != nil {
+		t.Error("job restored from the WAL holds its inline sequences again")
+	}
 }

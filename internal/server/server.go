@@ -396,6 +396,7 @@ func (s *Server) restoreTerminal(r *recoveredJob, state State, errMsg string, re
 	j.runCtx = s.baseCtx
 	s.jobs[r.id] = j
 	j.finish(state, result, errMsg)
+	j.release()
 	s.finished = append(s.finished, r.id)
 	s.prom.recoveredJobsVec.With("terminal").Inc()
 }
@@ -609,11 +610,11 @@ func (s *Server) finishJob(j *Job, state State, result *Result, errMsg string) b
 }
 
 // retire accounts a job that just reached a terminal state: its tenant
-// metrics are folded in, its input alignment is released, and the table of
-// finished jobs is trimmed to MaxFinishedJobs (oldest evicted first).
+// metrics are folded in, its inputs and run context are released, and the
+// table of finished jobs is trimmed to MaxFinishedJobs (oldest evicted first).
 func (s *Server) retire(j *Job) {
 	s.metrics.jobFinished(j)
-	j.clearData()
+	j.release()
 	s.mu.Lock()
 	s.finished = append(s.finished, j.ID)
 	for len(s.finished) > s.opts.MaxFinishedJobs {
