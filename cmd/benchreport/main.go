@@ -19,9 +19,8 @@
 // registers with `go test -bench`, so this record can never silently
 // measure different semantics than the test suite: the three paper kernels
 // (Newview, Evaluate, Makenewz) on the 42-taxon/1167-site 42_SC-shaped
-// input, the incremental dirty-path evaluation, the 50-taxon NNI search
-// in both the incremental and the full-refresh (baseline) modes, and the
-// flight-recorder overhead pairs (the same work-shared workloads with the
+// input, the incremental dirty-path evaluation, the 50-taxon NNI search, and
+// the flight-recorder overhead pairs (the same work-shared workloads with the
 // recorder on vs off).
 //
 // Long-running benchmarks (the full NNI searches take hundreds of
@@ -216,15 +215,7 @@ func main() {
 		{"EvaluateFullSweep", 0, benchfix.EvaluateFullSweep(phylo.SingleRate())},
 		{"EvaluateIncremental", 0, benchfix.EvaluateIncremental()},
 		{"Makenewz", 0, benchfix.Makenewz(phylo.NewJC69(), phylo.SingleRate())},
-		{"SearchNNI/incremental", searchIters, benchfix.SearchNNI(false)},
-		{"SearchNNI/fullrefresh", searchIters, benchfix.SearchNNI(true)},
-		// Parallel-axis pairs (PR 9): speculative candidate windows and
-		// wavefront sweeps. Deterministic reduction makes their logL bits
-		// equal to the serial entries; on a host without spare hardware
-		// threads these measure dispatch overhead, not speedup.
-		{"SearchNNI/spec2", searchIters, benchfix.SearchNNISpeculative(2)},
-		{"SearchNNI/spec4", searchIters, benchfix.SearchNNISpeculative(4)},
-		{"EvaluateWavefront/w4", 0, benchfix.EvaluateWavefront(4)},
+		{"SearchNNI/incremental", searchIters, benchfix.SearchNNI()},
 		// Recorder-overhead pairs (PR 7): the same workload on a native
 		// runtime with the flight recorder on vs off; traced must stay
 		// within a few percent of off.

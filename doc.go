@@ -14,7 +14,11 @@
 // real likelihood kernels — newview(), evaluate(), makenewz() — under the
 // same EDTLP / static-LLP / MGPS policies on a goroutine worker pool, with a
 // per-engine transition-matrix cache and allocation-free kernel loops so the
-// scheduled unit of work is arithmetic, not garbage collection. Experiment
+// scheduled unit of work is arithmetic, not garbage collection. It has the
+// paper's two grains and no others — one task per worker, and per-pattern
+// loops work-shared through a single ParallelFor; README.md, "Verdict on
+// intra-search parallelism", records why a search has no further axis.
+// Experiment
 // E11 (internal/experiments) ties the halves together by timing the real
 // kernels and re-running the scheduler comparison on the measured costs.
 //

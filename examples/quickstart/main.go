@@ -5,11 +5,6 @@
 // policy (one worker per task) and once with MGPS, which notices that three
 // task streams cannot fill eight workers and starts work-sharing the loops.
 //
-// The companion example examples/parallel_search applies the same multigrain
-// idea INSIDE one tree inference: speculative NNI scoring plus wavefront CLV
-// sweeps on a real likelihood engine, with the SetParallel/Speculation knobs
-// end to end.
-//
 //	go run ./examples/quickstart
 package main
 

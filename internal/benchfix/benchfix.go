@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"cellmg/internal/phylo"
@@ -94,15 +93,13 @@ func SearchAlignment() (*phylo.PatternAlignment, error) {
 	return data, nil
 }
 
-// SearchNNIOptions are the search settings of the incremental-vs-full
-// comparison; fullRefresh selects the pre-incremental baseline mode.
-func SearchNNIOptions(fullRefresh bool) phylo.SearchOptions {
+// SearchNNIOptions are the search settings of the SearchNNI benchmarks.
+func SearchNNIOptions() phylo.SearchOptions {
 	return phylo.SearchOptions{
 		SmoothingRounds: 2,
 		MaxRounds:       2,
 		Epsilon:         0.01,
 		Seed:            7,
-		FullRefresh:     fullRefresh,
 	}
 }
 
@@ -221,7 +218,7 @@ func SearchEngine() (*phylo.Engine, *phylo.Tree, *phylo.TreeSnapshot, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rng := rand.New(rand.NewSource(SearchNNIOptions(false).Seed))
+	rng := rand.New(rand.NewSource(SearchNNIOptions().Seed))
 	tree, err := phylo.NewRandomTree(data.Names, rng)
 	if err != nil {
 		return nil, nil, nil, err
@@ -229,9 +226,8 @@ func SearchEngine() (*phylo.Engine, *phylo.Tree, *phylo.TreeSnapshot, error) {
 	return eng, tree, tree.CaptureTopology(), nil
 }
 
-// SearchNNI benchmarks the 50-taxon NNI search; fullRefresh selects the
-// pre-incremental baseline against which the incremental mode must show its
-// speedup. The final log-likelihood is reported as the "logL" metric.
+// SearchNNI benchmarks the 50-taxon NNI search. The final log-likelihood is
+// reported as the "logL" metric.
 //
 // The engine, the tree and the result struct live outside the timed loop and
 // every iteration restores the same starting topology and invalidates the
@@ -239,13 +235,13 @@ func SearchEngine() (*phylo.Engine, *phylo.Tree, *phylo.TreeSnapshot, error) {
 // allocation-free steady state the search path guarantees (a cold warmup run
 // precedes the timer so N=1 measurements are not dominated by slab and
 // scratch growth).
-func SearchNNI(fullRefresh bool) func(b *testing.B) {
+func SearchNNI() func(b *testing.B) {
 	return func(b *testing.B) {
 		eng, tree, snap, err := SearchEngine()
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := SearchNNIOptions(fullRefresh)
+		opts := SearchNNIOptions()
 		var res phylo.SearchResult
 		run := func() {
 			if err := snap.Restore(tree); err != nil {
@@ -265,72 +261,3 @@ func SearchNNI(fullRefresh bool) func(b *testing.B) {
 		}
 	}
 }
-
-// GoParallel returns the plainest concurrent ParallelFor: split [0,n) into
-// one chunk per worker and run the chunks on fresh goroutines. The parallel
-// engine benchmarks use it so they measure the engine's dispatch structure,
-// not the native runtime (which has its own benchmark set); on a
-// single-hardware-thread host it degrades to serial execution plus
-// goroutine-handoff overhead.
-func GoParallel(workers int) phylo.ParallelFor {
-	return func(n int, body func(lo, hi int)) {
-		if n <= 1 || workers <= 1 {
-			body(0, n)
-			return
-		}
-		chunk := (n + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				body(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-}
-
-// SearchNNISpeculative is SearchNNI(false) with a speculation window of
-// `workers` NNI candidates scored concurrently (one on the master, workers-1
-// on pool replicas). The deterministic ordered reduction guarantees the
-// result — reported as the "logL" metric, like SearchNNI — is byte-identical
-// to the serial search, so any delta between this number and
-// SearchNNI/incremental is pure scheduling, not different work.
-func SearchNNISpeculative(workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		eng, tree, snap, err := SearchEngine()
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer eng.ReleaseSpeculation()
-		opts := SearchNNIOptions(false)
-		opts.Speculation = workers
-		var res phylo.SearchResult
-		run := func() {
-			if err := snap.Restore(tree); err != nil {
-				b.Fatal(err)
-			}
-			eng.InvalidateAll()
-			if err := eng.SearchInto(context.Background(), tree, opts, &res); err != nil {
-				b.Fatal(err)
-			}
-		}
-		run() // build the replica pool and warm both sides' scratch
-		run()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run()
-			b.ReportMetric(res.LogLikelihood, "logL")
-		}
-	}
-}
-
-// EvaluateWavefront lives in flightbench.go: it dispatches through a native
-// runtime's allocation-free executors, so the 0 allocs/op record covers the
-// wavefront path end to end.

@@ -25,7 +25,7 @@ func CheckpointWrite() func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := SearchNNIOptions(false)
+		opts := SearchNNIOptions()
 		var ckpt *phylo.Checkpoint
 		opts.Checkpoint = func(c *phylo.Checkpoint) { ckpt = c }
 		var res phylo.SearchResult

@@ -82,7 +82,7 @@ func SearchNNIFlight(traced bool) func(b *testing.B) {
 		b.ReportAllocs()
 		err = sub.Offload(func(tc *native.TaskContext) {
 			eng.SetParallel(tc.ParallelFor)
-			opts := SearchNNIOptions(false)
+			opts := SearchNNIOptions()
 			var res phylo.SearchResult
 			run := func() float64 {
 				if err := snap.Restore(tree); err != nil {
@@ -98,45 +98,6 @@ func SearchNNIFlight(traced bool) func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.ReportMetric(run(), "logL")
-			}
-			b.StopTimer()
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// EvaluateWavefront is EvaluateFullSweep with the wavefront dispatch engaged
-// at the given width on a native runtime: dirty nodes are batched into
-// dependency levels and each level's Newview/computeOut work is spread over
-// the task's worker group — node grain through the unit-claiming
-// ParallelForHeavy, pattern grain through the ordinary ParallelFor. Both
-// executors are allocation-free, so this entry's allocs/op measures the
-// engine's wavefront machinery itself. Compare against EvaluateFullSweep to
-// read the fine-grain axis of the multigrain scheme.
-func EvaluateWavefront(width int) func(b *testing.B) {
-	return func(b *testing.B) {
-		rt := native.New(native.Options{
-			Workers:     width,
-			Policy:      native.StaticLLP,
-			SPEsPerLoop: width,
-		})
-		defer rt.Close()
-		eng, tree, err := KernelEngine(phylo.NewJC69(), phylo.SingleRate())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		err = rt.NewSubmitter().Offload(func(tc *native.TaskContext) {
-			eng.SetParallel(tc.ParallelFor)
-			eng.SetParallelNode(tc.ParallelForHeavy)
-			eng.SetParallelWidth(tc.GroupSize())
-			eng.LogLikelihood(tree) // warm buffers, caches, and the wave scratch
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.InvalidateAll()
-				eng.LogLikelihood(tree)
 			}
 			b.StopTimer()
 		})

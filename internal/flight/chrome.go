@@ -161,14 +161,6 @@ func appendChromeArgs(buf []byte, ev Event, labels map[uint64]string) []byte {
 		kv(false, "tasks", ev.A)
 		buf = append(buf, `,"outcome":`...)
 		buf = appendJSONString(buf, outcomeName(ev.B))
-	case KindSpec:
-		kv(false, "window", ev.A>>32)
-		kv(true, "accepted_pos", (ev.A&0xffffffff)-1)
-		kv(true, "first_move", ev.B)
-	case KindWave:
-		kv(false, "nodes", ev.A)
-		kv(true, "levels", ev.B>>32)
-		kv(true, "node_grain_levels", ev.B&0xffffffff)
 	default:
 		kv(false, "a", ev.A)
 		kv(true, "b", ev.B)
@@ -182,7 +174,7 @@ func appendChromeArgs(buf []byte, ev Event, labels map[uint64]string) []byte {
 
 func isSpanKind(k Kind) bool {
 	switch k {
-	case KindQueue, KindKernel, KindLoop, KindJobQueued, KindJobRun, KindSpec, KindWave:
+	case KindQueue, KindKernel, KindLoop, KindJobQueued, KindJobRun:
 		return true
 	}
 	return false

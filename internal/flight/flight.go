@@ -46,13 +46,6 @@ const (
 	KindJobRun
 	// KindMark is a free-form instant for ad-hoc annotation (A, B caller-defined).
 	KindMark
-	// KindSpec is a span: one speculative NNI scoring window on the search
-	// master's lane (A = window<<32 | accepted position+1 (0: rejected),
-	// B = index of the window's first move).
-	KindSpec
-	// KindWave is a span: one wavefront conditional-vector sweep
-	// (A = nodes recomputed, B = levels<<32 | node-grain dispatches).
-	KindWave
 
 	numKinds
 )
@@ -68,8 +61,6 @@ var kindNames = [numKinds]string{
 	KindJobQueued: "job-queued",
 	KindJobRun:    "job-run",
 	KindMark:      "mark",
-	KindSpec:      "spec-window",
-	KindWave:      "wavefront",
 }
 
 // String returns the stable exporter-facing name of the kind.

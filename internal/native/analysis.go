@@ -258,13 +258,8 @@ func RunAnalysisContext(ctx context.Context, rt *Runtime, data *phylo.PatternAli
 					return
 				}
 				// Loop-level parallelism: the engine's pattern loops run on
-				// the task's worker group — grain-sized claiming for the
-				// pattern loops, unit-grain claiming for the wavefront's
-				// node-level dispatch. The width tells the engine how many
-				// workers back the executor so it can pick the grain.
+				// the task's worker group.
 				eng.SetParallel(tc.ParallelFor)
-				eng.SetParallelNode(tc.ParallelForHeavy)
-				eng.SetParallelWidth(tc.GroupSize())
 				so := opts.Search
 				so.Seed = seed
 				id := TaskID{Bootstrap: j.bootstrap, Index: j.index}
@@ -274,17 +269,7 @@ func RunAnalysisContext(ctx context.Context, rt *Runtime, data *phylo.PatternAli
 				if opts.ResumeSearch != nil {
 					so.Resume = opts.ResumeSearch(id)
 				}
-				if so.Speculation > 1 {
-					// Speculative candidate scoring spawns replica engines
-					// (goroutines of this task, not pool workers); release
-					// them with the task so an analysis of many searches
-					// does not accumulate idle replica pools.
-					defer eng.ReleaseSpeculation()
-				}
 				if rec := rt.Flight(); rec != nil {
-					// Speculation windows and wavefront sweeps become spans
-					// on the master's lane, tagged with this analysis's flow.
-					eng.SetFlight(rec, rec.WorkerLane(tc.Master()), opts.FlightID)
 					// Each sweep becomes an instant on the master's lane:
 					// the search's logL trajectory and NNI accept/reject
 					// counts, tagged with the analysis's flow id. The
@@ -309,7 +294,6 @@ func RunAnalysisContext(ctx context.Context, rt *Runtime, data *phylo.PatternAli
 					}
 					return
 				}
-				tc.AddSpecTasks(sr.SpecScored)
 				results[ji] = outcome{job: j, tree: sr.Tree, loglik: sr.LogLikelihood}
 				report(j, sr.LogLikelihood, sr.Tree, false)
 			})

@@ -1,11 +1,11 @@
 package native
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"cellmg/internal/phylo"
-	"cellmg/internal/stats"
 )
 
 // testData builds a small synthetic pattern alignment shared by the analysis
@@ -114,6 +114,49 @@ func TestParallelAnalysisWithLLPExercisesWorkSharing(t *testing.T) {
 	if s.LoopsWorkShared == 0 {
 		t.Errorf("likelihood loops should have been work-shared, stats = %+v", s)
 	}
+
+	// GTR x Gamma4 on a few-pattern alignment (short loops, where a coarser
+	// dispatch grain would be tempting) with a real worker group: every node's
+	// pattern loop goes through the one ParallelFor, there is no other grain,
+	// and the result is the serial one bit for bit.
+	gtr, err := phylo.NewGTR([6]float64{1.3, 3.2, 0.9, 1.1, 4.1, 1.0}, phylo.Frequencies{0.31, 0.19, 0.24, 0.26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma, err := phylo.DiscreteGamma(0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data.NumPatterns() >= 2048 {
+		t.Fatalf("fixture has %d patterns, want a short pattern loop", data.NumPatterns())
+	}
+	opts.Model, opts.Rates = gtr, gamma
+	serial, err := phylo.RunAnalysis(data, gtr, gamma, phylo.AnalysisOptions{
+		Inferences: opts.Inferences,
+		Search:     opts.Search,
+		Seed:       opts.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{2, 4} {
+		rt := New(Options{Workers: 4, Policy: StaticLLP, SPEsPerLoop: width})
+		res, err := RunAnalysis(rt, data, opts)
+		s := rt.Stats()
+		rt.Close()
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		sameTree := bytes.Equal(phylo.AppendTreeBinary(nil, res.BestTree), phylo.AppendTreeBinary(nil, serial.BestTree))
+		if res.BestLogLik != serial.BestLogLik || !sameTree {
+			t.Errorf("width %d: logL %v, serial %v; tree bits equal: %v", width,
+				res.BestLogLik, serial.BestLogLik, sameTree)
+		}
+		if s.LoopsWorkShared == 0 || s.LoopsHeavy != 0 {
+			t.Errorf("width %d: work-shared loops %d (want > 0), heavy loops %d (want 0)",
+				width, s.LoopsWorkShared, s.LoopsHeavy)
+		}
+	}
 }
 
 func TestAnalysisSupportValuesWellFormed(t *testing.T) {
@@ -152,47 +195,5 @@ func TestAnalysisDefaults(t *testing.T) {
 	}
 	if res.Support != nil {
 		t.Errorf("no bootstraps -> no support values")
-	}
-}
-
-// TestAnalysisSpeculativeMatchesSerial drives the multigrain stack end to
-// end: speculative candidate scoring inside each task, the wavefront
-// dispatch over the task's worker group, and the SpecTasks accounting in the
-// off-load events. The likelihoods must still match the serial reference
-// exactly — the deterministic-reduction guarantee composed with task-level
-// scheduling.
-func TestAnalysisSpeculativeMatchesSerial(t *testing.T) {
-	data := testData(t)
-	opts := analysisOpts()
-
-	serial, err := phylo.RunAnalysis(data, phylo.NewJC69(), phylo.SingleRate(), phylo.AnalysisOptions{
-		Inferences: opts.Inferences,
-		Bootstraps: opts.Bootstraps,
-		Search:     opts.Search,
-		Seed:       opts.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rt := New(Options{Workers: 4, Policy: StaticLLP, SPEsPerLoop: 2})
-	defer rt.Close()
-	var sink stats.OffloadCollector
-	opts.Search.Speculation = 3
-	opts.Sink = &sink
-	res, err := RunAnalysis(rt, data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.InferenceLogs {
-		if res.InferenceLogs[i] != serial.InferenceLogs[i] {
-			t.Errorf("inference %d: speculative %v vs serial %v", i, res.InferenceLogs[i], serial.InferenceLogs[i])
-		}
-	}
-	if res.BestLogLik != serial.BestLogLik {
-		t.Errorf("best log-likelihood: speculative %v vs serial %v", res.BestLogLik, serial.BestLogLik)
-	}
-	if sum := sink.Summary(); sum.SpecTasks == 0 {
-		t.Errorf("no speculative work accounted, summary = %+v", sum)
 	}
 }

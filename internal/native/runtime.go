@@ -87,7 +87,7 @@ type Stats struct {
 	TasksRun        int64
 	LoopsWorkShared int64
 	LoopsSerial     int64
-	LoopsHeavy      int64 // unit-grain ParallelForHeavy dispatches (intra-job tasks)
+	LoopsHeavy      int64 // always zero; retained for bench/, goes when it next revises its metric list
 	Switches        int   // MGPS decision changes
 	Evaluations     int   // MGPS windows evaluated
 	WorkerBusy      []time.Duration
@@ -111,7 +111,6 @@ type Runtime struct {
 	tasksRun        int64
 	loopsWorkShared int64
 	loopsSerial     int64
-	loopsHeavy      int64
 }
 
 type worker struct {
@@ -221,7 +220,6 @@ func (r *Runtime) Stats() Stats {
 		TasksRun:        atomic.LoadInt64(&r.tasksRun),
 		LoopsWorkShared: atomic.LoadInt64(&r.loopsWorkShared),
 		LoopsSerial:     atomic.LoadInt64(&r.loopsSerial),
-		LoopsHeavy:      atomic.LoadInt64(&r.loopsHeavy),
 	}
 	if r.mgps != nil {
 		s.Switches = r.mgps.Switches()
@@ -294,17 +292,7 @@ type TaskContext struct {
 	loopGrain int64        // iterations claimed per grab
 	loopNext  atomic.Int64 // next unclaimed iteration index
 	runner    func()       // persistent worker-side runner
-
-	specTasks atomic.Int64 // task-reported speculative units (see AddSpecTasks)
 }
-
-// AddSpecTasks credits the task with n speculatively executed work units —
-// for a tree search, the NNI candidates scored on replica goroutines beside
-// the master. The runtime cannot observe those (replicas are the engine's
-// goroutines, not pool workers), so the task body reports them and the total
-// is carried into the task's stats.OffloadEvent. Safe to call from any
-// goroutine of the task.
-func (tc *TaskContext) AddSpecTasks(n int) { tc.specTasks.Add(int64(n)) }
 
 // Grain sizing for the adaptive loop scheduler: the shared-pool iterations
 // are split into about grainsPerWorker grains per group slot (enough slack
@@ -487,7 +475,6 @@ func (s *Submitter) OffloadContext(ctx context.Context, fn func(tc *TaskContext)
 			Run:        time.Since(granted),
 			Workers:    len(group),
 			WorkShared: len(group) > 1,
-			SpecTasks:  int(tc.specTasks.Load()),
 		})
 	}
 	return nil
@@ -562,49 +549,4 @@ func (tc *TaskContext) ParallelFor(n int, body func(lo, hi int)) {
 	tc.loopBody = nil
 	r.flight.Span(r.flight.WorkerLane(tc.master), flight.KindLoop, tc.flow, loopStart,
 		int64(n), int64(launch+1)<<32|int64(grain))
-}
-
-// ParallelForHeavy is ParallelFor for loops whose every index is a heavy,
-// self-contained unit of work — a whole likelihood kernel rather than a strip
-// of patterns. The pattern-loop grain sizing (minLoopGrain and the master
-// bonus) would lump most of a short heavy loop onto one worker, so here
-// units are claimed one at a time from the shared index: the per-claim
-// atomic is noise against a kernel-sized body, and a level of irregular
-// units self-balances across the group. The phylo engine plugs this in as
-// its node-grain executor (Engine.SetParallelNode); dispatches are counted
-// separately (Stats.LoopsHeavy) as the runtime's intra-job task stream.
-//
-//cellmg:hotpath
-func (tc *TaskContext) ParallelForHeavy(n int, body func(lo, hi int)) {
-	r := tc.rt
-	if n <= 0 {
-		return
-	}
-	if len(tc.group) <= 1 || n == 1 {
-		atomic.AddInt64(&r.loopsSerial, 1)
-		body(0, n)
-		return
-	}
-	atomic.AddInt64(&r.loopsHeavy, 1)
-	loopStart := r.flight.Now()
-	tc.loopBody = body
-	tc.loopN = int64(n)
-	tc.loopGrain = 1
-	// The master takes unit 0 inline and then joins the pool, so wake at
-	// most one worker per remaining unit.
-	tc.loopNext.Store(1)
-	launch := n - 1
-	if launch > len(tc.group)-1 {
-		launch = len(tc.group) - 1
-	}
-	tc.loopWG.Add(launch)
-	for i := 1; i <= launch; i++ {
-		r.workers[tc.group[i]].jobs <- tc.runner
-	}
-	body(0, 1)
-	tc.runShared()
-	tc.loopWG.Wait()
-	tc.loopBody = nil
-	r.flight.Span(r.flight.WorkerLane(tc.master), flight.KindLoop, tc.flow, loopStart,
-		int64(n), int64(launch+1)<<32|1)
 }

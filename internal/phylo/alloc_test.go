@@ -97,7 +97,7 @@ func TestSearchAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := benchfix.SearchNNIOptions(false)
+	opts := benchfix.SearchNNIOptions()
 	ctx := context.Background()
 	var res phylo.SearchResult
 	run := func() {
@@ -116,43 +116,5 @@ func TestSearchAllocationFree(t *testing.T) {
 	run()
 	if avg := testing.AllocsPerRun(3, run); avg != 0 {
 		t.Errorf("full NNI search allocates %v per run in steady state, want 0", avg)
-	}
-}
-
-// TestSpeculativeSearchAllocationFree extends the search guard to the
-// replica-pool path (PR 9): a speculative search replays the same windows,
-// the same replica assignments and the same Newton length streams every run,
-// so once the pool's engines and result buffers are warm a full search must
-// allocate nothing — on the master goroutine AND on the replica goroutines
-// (AllocsPerRun counts mallocs process-wide, so replica-side escapes fail
-// this test too).
-func TestSpeculativeSearchAllocationFree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full NNI searches are slow; skipped in -short mode")
-	}
-	eng, tree, snap, err := benchfix.SearchEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.ReleaseSpeculation()
-	opts := benchfix.SearchNNIOptions(false)
-	opts.Speculation = 4
-	ctx := context.Background()
-	var res phylo.SearchResult
-	run := func() {
-		if err := snap.Restore(tree); err != nil {
-			t.Fatal(err)
-		}
-		eng.InvalidateAll()
-		if err := eng.SearchInto(ctx, tree, opts, &res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// First run builds the pool (three replica engines and goroutines), the
-	// second settles every scratch high-water mark on both sides.
-	run()
-	run()
-	if avg := testing.AllocsPerRun(3, run); avg != 0 {
-		t.Errorf("speculative NNI search allocates %v per run in steady state, want 0", avg)
 	}
 }

@@ -134,23 +134,13 @@ func BenchmarkBootstrapResample(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchNNI measures a 50-taxon NNI search in the incremental mode
-// (dirty-path partial traversals + local re-optimization per candidate,
-// the default) against the FullRefresh baseline (every candidate re-optimizes
-// all branches — the pre-incremental search structure). The incremental mode
-// must be at least 2x faster; the equivalence tests in incremental_test.go
-// prove the likelihoods it reports are byte-identical to full recomputation.
-// The spec* variants run the same incremental search with a speculation
-// window of 2 and 4 NNI candidates scored concurrently (replica pool); the
-// deterministic reduction makes their logL metric byte-identical to
-// incremental, so the delta is pure scheduling. They only show a speedup
-// when spare hardware threads exist — on a single-CPU host they measure the
-// speculation overhead instead.
+// BenchmarkSearchNNI measures a 50-taxon NNI search (dirty-path partial
+// traversals + local re-optimization per candidate); the equivalence tests in
+// incremental_test.go prove the likelihoods it reports are byte-identical to
+// full recomputation. The sub-benchmark keeps the name the committed
+// BENCH_PR*.json records use.
 func BenchmarkSearchNNI(b *testing.B) {
-	b.Run("incremental", benchfix.SearchNNI(false))
-	b.Run("fullrefresh", benchfix.SearchNNI(true))
-	b.Run("spec2", benchfix.SearchNNISpeculative(2))
-	b.Run("spec4", benchfix.SearchNNISpeculative(4))
+	b.Run("incremental", benchfix.SearchNNI())
 }
 
 // BenchmarkCheckpointWrite measures encoding one search checkpoint into a
@@ -159,16 +149,6 @@ func BenchmarkSearchNNI(b *testing.B) {
 // allocation-free (alloc_test-style guard lives in checkpoint_test.go).
 func BenchmarkCheckpointWrite(b *testing.B) {
 	benchfix.CheckpointWrite()(b)
-}
-
-// BenchmarkEvaluateWavefront measures the fine-grain axis of the multigrain
-// scheme: full-sweep evaluation with dirty nodes batched into dependency
-// levels and dispatched across a goroutine executor. Compare with
-// BenchmarkEvaluate (serial traversal) — again only meaningful with real
-// hardware parallelism.
-func BenchmarkEvaluateWavefront(b *testing.B) {
-	b.Run("w2", benchfix.EvaluateWavefront(2))
-	b.Run("w4", benchfix.EvaluateWavefront(4))
 }
 
 // BenchmarkSmallSearch measures a complete small tree search — the unit of

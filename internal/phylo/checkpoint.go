@@ -48,13 +48,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // aliases the engine's alignment names — read-only.
 type Checkpoint struct {
 	// Round counts completed NNI sweeps; the resumed search continues at
-	// round Round. NNIEvaluated/NNIAccepted/SpecScored/SpecWasted are the
-	// SearchResult counters at the boundary.
+	// round Round. NNIEvaluated/NNIAccepted are the SearchResult counters at
+	// the boundary.
 	Round        int
 	NNIEvaluated int
 	NNIAccepted  int
-	SpecScored   int
-	SpecWasted   int
 	// StartLogLik and Best are the log-likelihood after the initial
 	// branch-length optimization and at this boundary, bit-exact.
 	StartLogLik float64
@@ -94,14 +92,10 @@ type Checkpoint struct {
 // c's slices — no allocation in steady state (AllocsPerRun-guarded by
 // TestCheckpointEmissionAllocationFree).
 func (e *Engine) fillCheckpoint(c *Checkpoint, tree *Tree, opts *SearchOptions, res *SearchResult,
-	best float64, smoothConverged, lastImproved bool, pool *specPool) {
+	best float64, smoothConverged, lastImproved bool) {
 	c.Round = res.Rounds
 	c.NNIEvaluated = res.NNIEvaluated
 	c.NNIAccepted = res.NNIAccepted
-	c.SpecScored, c.SpecWasted = 0, 0
-	if pool != nil {
-		c.SpecScored, c.SpecWasted = pool.scored, pool.wasted
-	}
 	c.StartLogLik = res.StartLogLik
 	c.Best = best
 	c.SmoothConverged = smoothConverged
@@ -134,11 +128,11 @@ func (e *Engine) fillCheckpoint(c *Checkpoint, tree *Tree, opts *SearchOptions, 
 // emitCheckpoint invokes the Checkpoint hook, if any, with the engine-owned
 // checkpoint refreshed to the current sweep boundary.
 func (e *Engine) emitCheckpoint(opts *SearchOptions, res *SearchResult, tree *Tree,
-	best float64, smoothConverged, lastImproved bool, pool *specPool) {
+	best float64, smoothConverged, lastImproved bool) {
 	if opts.Checkpoint == nil {
 		return
 	}
-	e.fillCheckpoint(&e.ckpt, tree, opts, res, best, smoothConverged, lastImproved, pool)
+	e.fillCheckpoint(&e.ckpt, tree, opts, res, best, smoothConverged, lastImproved)
 	opts.Checkpoint(&e.ckpt)
 }
 
@@ -292,8 +286,9 @@ func (c *Checkpoint) AppendBinary(dst []byte) []byte {
 	dst = appendUvarint(dst, uint64(c.Round))
 	dst = appendUvarint(dst, uint64(c.NNIEvaluated))
 	dst = appendUvarint(dst, uint64(c.NNIAccepted))
-	dst = appendUvarint(dst, uint64(c.SpecScored))
-	dst = appendUvarint(dst, uint64(c.SpecWasted))
+	// Two reserved slots (layout v1 stored speculation counters here).
+	dst = appendUvarint(dst, 0)
+	dst = appendUvarint(dst, 0)
 	dst = appendF64(dst, c.StartLogLik)
 	dst = appendF64(dst, c.Best)
 	dst = appendBool(dst, c.SmoothConverged)
@@ -464,8 +459,10 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c.Round = int(d.uvarint())
 	c.NNIEvaluated = int(d.uvarint())
 	c.NNIAccepted = int(d.uvarint())
-	c.SpecScored = int(d.uvarint())
-	c.SpecWasted = int(d.uvarint())
+	// Reserved: a checkpoint written by a speculative search of an earlier
+	// binary carries its counters here; they never influenced the search.
+	d.uvarint()
+	d.uvarint()
 	c.StartLogLik = d.f64()
 	c.Best = d.f64()
 	c.SmoothConverged = d.bool()

@@ -8,10 +8,13 @@ package phylo
 // that emission on the search hot path allocates nothing in steady state.
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -233,24 +236,29 @@ func TestTreeBinaryRoundTrip(t *testing.T) {
 // shared — from EACH boundary and require the final tree (topology and
 // branch-length bits), log-likelihood bits and move counters to be identical
 // to the uninterrupted run.
+//
+// The legacy case adds one more boundary to resume from: a layout-v1
+// checkpoint written before speculative scoring was removed, by this very
+// search run at speculation width 4 (round 1 of 3; 29 replica-scored, 28
+// wasted). Its two counter slots are now reserved, so it must decode, match,
+// resume to the same bits as the serial run, and re-encode with zeros there.
 func TestSearchResumeByteIdentical(t *testing.T) {
 	data := checkpointAlignment(t)
 	for _, cfg := range []struct {
 		name                string
 		gtr, gamma, repeats bool
-		speculation         int
+		legacy              string
 	}{
-		{"jc69_single_repeats", false, false, true, 0},
-		{"gtr_gamma_norepeats", true, true, false, 0},
-		{"jc69_single_speculative", false, false, true, 3},
+		{"jc69_single_repeats", false, false, true, ""},
+		{"gtr_gamma_norepeats", true, true, false, ""},
+		{"jc69_single_speculative", false, false, true, "testdata/checkpoint_v1_spec4_round1.hex"},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			eng := newCheckpointEngine(t, data, cfg.gtr, cfg.gamma, cfg.repeats)
 			var boundaries [][]byte
 			opts := SearchOptions{
 				SmoothingRounds: 3, MaxRounds: 8, Epsilon: 0.01, Seed: 9,
-				Speculation: cfg.speculation,
-				Checkpoint:  func(c *Checkpoint) { boundaries = append(boundaries, c.AppendBinary(nil)) },
+				Checkpoint: func(c *Checkpoint) { boundaries = append(boundaries, c.AppendBinary(nil)) },
 			}
 			ref, err := eng.Search(opts)
 			if err != nil {
@@ -261,6 +269,9 @@ func TestSearchResumeByteIdentical(t *testing.T) {
 			}
 			var refSnap TreeSnapshot
 			ref.Tree.CaptureTopologyInto(&refSnap)
+			if cfg.legacy != "" {
+				boundaries = append(boundaries, legacyCheckpoint(t, cfg.legacy, boundaries))
+			}
 
 			for i, enc := range boundaries {
 				c, err := DecodeCheckpoint(enc)
@@ -293,10 +304,6 @@ func TestSearchResumeByteIdentical(t *testing.T) {
 						res.Rounds, res.NNIEvaluated, res.NNIAccepted,
 						ref.Rounds, ref.NNIEvaluated, ref.NNIAccepted)
 				}
-				if res.SpecScored != ref.SpecScored || res.SpecWasted != ref.SpecWasted {
-					t.Errorf("boundary %d: speculation counters (%d,%d) != (%d,%d)", i,
-						res.SpecScored, res.SpecWasted, ref.SpecScored, ref.SpecWasted)
-				}
 				var snap TreeSnapshot
 				res.Tree.CaptureTopologyInto(&snap)
 				if !snapshotsEqual(&snap, &refSnap) {
@@ -305,6 +312,54 @@ func TestSearchResumeByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// legacyCheckpoint loads a hex-encoded checkpoint written by an earlier binary
+// and checks the reserved-slot contract against the serial run's boundaries:
+// the stored record carries nonzero counters in the two reserved slots, and
+// decoding then re-encoding it yields exactly the record the serial search
+// emits at the same round (zeros there, valid CRC).
+func legacyCheckpoint(t *testing.T, path string, serial [][]byte) []byte {
+	t.Helper()
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := hex.DecodeString(string(bytes.ReplaceAll(text, []byte("\n"), nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DecodeCheckpoint(enc)
+	if err != nil {
+		t.Fatalf("legacy checkpoint: %v", err)
+	}
+	if c.Round <= 0 || c.Round >= len(serial)-1 {
+		t.Fatalf("legacy checkpoint is at round %d of %d, not mid-search", c.Round, len(serial)-1)
+	}
+	if scored, wasted := reservedSlots(enc); scored == 0 || wasted == 0 {
+		t.Fatalf("legacy checkpoint has reserved slots (%d,%d), want nonzero speculation counters", scored, wasted)
+	}
+	again := c.AppendBinary(nil)
+	if scored, wasted := reservedSlots(again); scored != 0 || wasted != 0 {
+		t.Errorf("re-encoded reserved slots are (%d,%d), want zeros", scored, wasted)
+	}
+	if !bytes.Equal(again, serial[c.Round]) {
+		t.Errorf("re-encoded legacy checkpoint differs from the serial run's round-%d boundary", c.Round)
+	}
+	return enc
+}
+
+// reservedSlots reads the two reserved body varints of an encoded checkpoint
+// (they follow version, round, NNIEvaluated and NNIAccepted).
+func reservedSlots(enc []byte) (a, b uint64) {
+	pos := len(checkpointMagic)
+	var v [6]uint64
+	for i := range v {
+		n := 0
+		v[i], n = binary.Uvarint(enc[pos:])
+		pos += n
+	}
+	return v[4], v[5]
 }
 
 // TestSearchResumeRejectsMismatch pins the compatibility gate: resuming under
@@ -360,7 +415,7 @@ func TestCheckpointEmissionAllocationFree(t *testing.T) {
 	// snapshot arrays) and the encode buffer; from here on fill+encode must
 	// be allocation-free.
 	avg := testing.AllocsPerRun(100, func() {
-		eng.fillCheckpoint(&eng.ckpt, tree, &opts, res, res.LogLikelihood, true, false, nil)
+		eng.fillCheckpoint(&eng.ckpt, tree, &opts, res, res.LogLikelihood, true, false)
 		buf = eng.ckpt.AppendBinary(buf[:0])
 	})
 	if avg != 0 {

@@ -117,46 +117,15 @@
 // siterepeats_test.go across models, rate categories and mid-sequence
 // toggling).
 //
-// # Multigrain parallelism inside one inference
+// # Loop-level parallelism
 //
-// Beyond the per-pattern ParallelFor loops, a single tree search exposes two
-// coarser grains (the PR 9 analogue of the paper's multigrain scheme applied
-// WITHIN one inference instead of across inferences):
-//
-// Speculative NNI scoring (replica.go; SearchOptions.Speculation = w > 1):
-// each sweep scores windows of w candidate rearrangements concurrently — one
-// on the engine itself, w-1 on a pool of persistent replica engines. The
-// sharing contract: replicas share the parent's immutable inputs (pattern
-// data, tip conditionals, Model, Rates) and own everything mutable — CLV
-// blocks, scratch, site-repeat state and their transition caches (caches are
-// mutated on miss, so sharing them across goroutines would be unsound). The
-// reduction is ordered first-improvement: the window's scores are inspected
-// in serial candidate order and the first improvement wins, so the accepted
-// move sequence — and therefore every likelihood bit and SearchResult
-// counter except SpecScored/SpecWasted — is identical to the serial search.
-// Replica trees follow the master by construction (rebase at sweep start,
-// broadcast after every accepted move), so adopting a winner never
-// recomputes its score. ReleaseSpeculation tears the pool down; a finalizer
-// backstop covers engines dropped without it.
-//
-// Wavefront sweeps (wavefront.go; on by default, engaged when SetParallel
-// has an executor and SetParallelWidth(w > 1) declares real width): the
-// dirty-node traversals of computeDown/computeOut batch their work into
-// dependency levels — all nodes whose children are already settled form one
-// level — and dispatch each level through the executor. The multigrain
-// switch: with few patterns the per-node pattern loops are too shallow to
-// split, so whole nodes become the work unit (node grain, one kernel per
-// executor unit via SetParallelNode's unit-claiming loop); with many
-// patterns each node's pattern loop is work-shared as usual (pattern grain).
-// Cache inserts, repeat-class maintenance and Stats accounting happen in the
-// serial prepare step; the parallel bodies touch only disjoint destination
-// vectors and per-slot scratch. Every sweep is byte-identical to the serial
-// traversal (parallel_test.go) because recompute ORDER within a level is
-// free — the PR 5 property again.
-//
-// Both SetParallel/SetParallelNode/SetParallelWidth apply through a staged
-// atomic swap at the next evaluation boundary, so they are safe to call from
-// any goroutine while a search runs.
+// The engine has one parallel grain: the per-pattern loops of newview,
+// evaluate and the outer-vector kernel go through the installed ParallelFor
+// (the paper's LLP); traversals and the NNI sweep are serial. SetParallel is
+// a plain field write with a call-before-evaluation contract: install the
+// executor on the engine's goroutine before the evaluation or search it
+// should serve, never while one runs. Results are byte-identical under any
+// executor, because each pattern's output depends only on settled inputs.
 //
 // # Checkpointing
 //
@@ -182,4 +151,7 @@
 // decode as "no checkpoint" and recompute from scratch rather than resume
 // from ambiguous state. Old-version checkpoints are thereby abandoned, not
 // misread: durability degrades to recomputation, never to wrong results.
+// Layout v1 has two reserved varint slots (written 0, read and discarded)
+// where earlier binaries stored speculation counters; those checkpoints still
+// decode and resume to the same bits.
 package phylo

@@ -178,14 +178,9 @@ func (e *Engine) downWalk(n *Node) {
 // for the current tree state — everything a branch optimization of the edge
 // above v reads. It walks the root-to-v path top-down and recomputes only the
 // nodes whose stamp is stale, settling the sibling subtree each of them reads
-// first. Under a work-sharing executor the down vectors are instead settled
-// all at once by the leveled sweep (wavefront.go).
+// first.
 func (e *Engine) ensureOut(t *Tree, v *Node) {
 	e.bindTree(t)
-	wave := e.useWavefront()
-	if wave {
-		e.computeDown(t)
-	}
 	e.pathBuf = e.pathBuf[:0]
 	for n := v; n.Parent != nil; n = n.Parent {
 		e.pathBuf = append(e.pathBuf, n)
@@ -194,24 +189,38 @@ func (e *Engine) ensureOut(t *Tree, v *Node) {
 	for i := len(e.pathBuf) - 1; i >= 0; i-- {
 		n := e.pathBuf[i]
 		if e.outEpoch[n.ID] != e.treeEpoch {
-			if !wave {
-				e.downWalk(n.Sibling())
-			}
+			e.downWalk(n.Sibling())
 			e.computeOutOne(n.Parent, n)
-			e.outEpoch[n.ID] = e.treeEpoch
 		}
 	}
-	if !wave {
-		e.downWalk(v)
-	}
+	e.downWalk(v)
 }
 
-// computeOutOne refreshes the outer vector of one child v of u. The caller
-// must have set e.outA.freqs and ensured down[sibling(v)] and out[u] are
-// current.
+// computeOutOne refreshes the outer vector of one child v of u and stamps it
+// with the current tree epoch. The caller must have set e.outA.freqs and
+// ensured down[sibling(v)] and out[u] are current. The parent matrices cycle
+// through transition slot 1, the sibling's through slot 0.
+//
+//cellmg:hotpath
 func (e *Engine) computeOutOne(u, v *Node) {
-	e.setOutArgs(&e.outA, u, v)
+	e.Stats.OutviewCalls++
+	a := &e.outA
+	if u.Parent != nil {
+		a.pup = e.transitionFlat(u.Length, 1)
+		a.uv = e.outVec(u.ID)
+		a.uscale = e.outScaleVec(u.ID)
+	} else {
+		a.pup = nil
+		a.uv = nil
+		a.uscale = nil
+	}
+	sib := v.Sibling()
+	a.sv, a.sscale = e.childVector(sib)
+	a.psib = e.transitionFlat(sib.Length, 0)
+	a.dst = e.outVec(v.ID)
+	a.scale = e.outScaleVec(v.ID)
 	e.par(e.nPat, e.outFn)
+	e.outEpoch[v.ID] = e.treeEpoch
 }
 
 // collectLocalEdges gathers into e.edgeBuf every node whose edge (to its

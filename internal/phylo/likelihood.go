@@ -4,9 +4,6 @@ package phylo
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
-
-	"cellmg/internal/flight"
 )
 
 // ParallelFor executes body over the index range [0, n), possibly splitting
@@ -92,39 +89,6 @@ type Engine struct {
 	nCat   int
 	stride int // nCat * NumStates values per pattern
 	vecLen int // nPat * stride: one conditional-likelihood vector
-
-	// Staged executor swap: SetParallel/SetParallelWidth may be called from
-	// any goroutine, including while a sweep is in flight on the engine's
-	// goroutine; the new setting is parked here and applied by syncParallel
-	// at the next evaluation boundary, so the kernel bodies only ever read a
-	// plain field that the engine goroutine itself wrote.
-	parStage   atomic.Pointer[parSetting]
-	nodeStage  atomic.Pointer[parSetting]
-	widthStage atomic.Int64
-	parWidth   int         // worker-group width hint, applied; 1 = serial
-	parNode    ParallelFor // node-grain executor, applied; nil = use par
-
-	// Wavefront sweep state (wavefront.go): dependency-leveled dispatch of
-	// computeDown/computeOut with per-slot kernel argument blocks.
-	waveOn     bool
-	waveNodes  []*Node // collection + leveled order scratch
-	waveSorted []*Node
-	waveLevel  []int32 // per node ID: dependency level of the current build
-	waveOff    []int32 // CSR level boundaries into waveSorted
-	waveCursor []int32
-	waveMax    int32
-	waveKerns  []nodeKernel
-	waveDownFn func(lo, hi int)
-	waveOutFn  func(lo, hi int)
-
-	// Flight-recorder hook (SetFlight): speculation windows and wavefront
-	// sweeps record spans on the search master's lane. nil rec disables.
-	rec     *flight.Recorder
-	recLane int
-	recFlow uint64
-
-	// Speculative NNI scoring pool (replica.go).
-	pool *specPool
 
 	// SoA conditional-likelihood storage: one flat block per vector family,
 	// indexed by node ID (tipBlk by taxon index). The accessors below
@@ -222,15 +186,6 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	if rates.Count() == 0 {
 		rates = SingleRate()
 	}
-	e := newEngineShell(data, model, rates, nil)
-	return e, nil
-}
-
-// newEngineShell builds an engine around an existing (or freshly built) tip
-// block. It is the shared constructor of NewEngine and the speculation
-// replicas (replica.go): the tip conditional vectors are read-only after
-// construction, so replicas alias the parent's block instead of rebuilding it.
-func newEngineShell(data *PatternAlignment, model Model, rates RateCategories, tipBlk []float64) *Engine {
 	e := &Engine{
 		Data:   data,
 		Model:  model,
@@ -240,15 +195,9 @@ func newEngineShell(data *PatternAlignment, model Model, rates RateCategories, t
 		nCat:   rates.Count(),
 		stride: rates.Count() * NumStates,
 		repOn:  true,
-		waveOn: true,
 	}
-	e.parWidth = 1
 	e.vecLen = e.nPat * e.stride
-	if tipBlk != nil {
-		e.tipBlk = tipBlk
-	} else {
-		e.buildTipVectors()
-	}
+	e.buildTipVectors()
 	e.initCache()
 	e.tipTab[0] = make([]float64, e.nCat*tipStates*NumStates)
 	e.tipTab[1] = make([]float64, e.nCat*tipStates*NumStates)
@@ -256,78 +205,17 @@ func newEngineShell(data *PatternAlignment, model Model, rates RateCategories, t
 	e.outFn = e.computeOutBody
 	e.evalFn = e.evaluateBody
 	e.outVisit = e.computeOutNode
-	e.waveDownFn = e.waveDownBody
-	e.waveOutFn = e.waveOutBody
-	return e
+	return e, nil
 }
 
-// parSetting is one staged SetParallel swap (see Engine.parStage).
-type parSetting struct {
-	fn ParallelFor
-}
-
-// SetParallel installs a loop executor; nil restores serial execution. The
-// swap is staged and takes effect at the engine's next evaluation boundary
-// (the top of the next traversal), never in the middle of a sweep — so it is
-// safe to call from any goroutine while the engine is evaluating.
+// SetParallel installs a loop executor; nil restores serial execution. It is
+// a plain field write: call it on the engine's goroutine before the evaluation
+// or search it should apply to, never while one is running.
 func (e *Engine) SetParallel(p ParallelFor) {
 	if p == nil {
 		p = serialFor
 	}
-	e.parStage.Store(&parSetting{fn: p})
-}
-
-// SetParallelNode installs a separate executor for node-grain dispatches
-// (whole likelihood kernels per index, wavefront.go); nil falls back to the
-// pattern-loop executor. The native runtime plugs TaskContext.ParallelForHeavy
-// in here: its unit-grain claiming suits loops whose every iteration is a
-// full kernel, where the pattern-loop grain sizing would lump most of a small
-// level onto one worker. Staged like SetParallel.
-func (e *Engine) SetParallelNode(p ParallelFor) {
-	e.nodeStage.Store(&parSetting{fn: p})
-}
-
-// SetParallelWidth records the worker-group width behind the installed
-// ParallelFor — the hint the wavefront dispatch uses to choose between
-// node-grain and pattern-grain (wavefront.go). Width <= 1 means serial.
-// Like SetParallel, the new width lands at the next evaluation boundary.
-func (e *Engine) SetParallelWidth(w int) {
-	if w < 1 {
-		w = 1
-	}
-	e.widthStage.Store(int64(w))
-}
-
-// SetWavefront toggles the dependency-leveled (wavefront) form of the
-// conditional-vector sweeps. On by default; it only changes the dispatch
-// shape when a parallel executor with width > 1 is installed, and the
-// computed vectors are byte-identical either way (parallel_test.go).
-func (e *Engine) SetWavefront(on bool) { e.waveOn = on }
-
-// SetFlight attaches a flight-recorder lane to the engine: speculative
-// scoring windows and wavefront sweeps are recorded as spans tagged with the
-// flow id. A nil recorder (the default) disables recording; the flight API is
-// nil-safe, so the hot paths carry no extra branching of their own.
-func (e *Engine) SetFlight(rec *flight.Recorder, laneIdx int, flow uint64) {
-	e.rec = rec
-	e.recLane = laneIdx
-	e.recFlow = flow
-}
-
-// syncParallel applies any staged executor/width swap. It runs on the
-// engine's own goroutine at evaluation boundaries (ensureBuffers), so the
-// plain par/parWidth fields the kernels read are only ever written between
-// sweeps, never during one.
-func (e *Engine) syncParallel() {
-	if s := e.parStage.Swap(nil); s != nil {
-		e.par = s.fn
-	}
-	if s := e.nodeStage.Swap(nil); s != nil {
-		e.parNode = s.fn
-	}
-	if w := int(e.widthStage.Load()); w != 0 && w != e.parWidth {
-		e.parWidth = w
-	}
+	e.par = p
 }
 
 // NumPatterns returns the number of site patterns (the trip count of every
@@ -396,7 +284,6 @@ func (e *Engine) buildTipVectors() {
 // existing vectors over (the layout is node-major in both blocks), so resizing
 // never invalidates settled state.
 func (e *Engine) ensureBuffers(t *Tree) {
-	e.syncParallel()
 	n := len(t.Nodes)
 	if n <= e.nodeCap && cap(e.siteBuf) >= e.nPat {
 		return
@@ -477,16 +364,7 @@ type newviewArgs struct {
 //
 //cellmg:hotpath
 func (e *Engine) newviewBody(lo, hi int) {
-	e.newviewKernel(&e.nvA, lo, hi)
-}
-
-// newviewKernel is newviewBody parameterized by its argument block, so the
-// wavefront dispatch (wavefront.go) can run many per-node instances of the
-// kernel concurrently, each reading a private args slot instead of the shared
-// e.nvA.
-//
-//cellmg:hotpath
-func (e *Engine) newviewKernel(a *newviewArgs, lo, hi int) {
+	a := &e.nvA
 	lv, rv := a.lv, a.rv
 	lst, rst := a.lstates, a.rstates
 	ltab, rtab := a.ltab, a.rtab
@@ -649,20 +527,13 @@ func (e *Engine) Newview(n *Node) {
 // post-order traversal: the dirty set (incremental.go) is upward-closed, so
 // the walk descends only into dirty subtrees and clean regions cost nothing.
 // After a full invalidation (bindTree, Refresh, InvalidateAll) this is the
-// classic whole-tree Newview sweep. With a work-sharing executor installed the
-// dirty set is instead batched into dependency levels and each level is
-// dispatched through ParallelFor (wavefront.go); both forms compute
-// byte-identical vectors.
+// classic whole-tree Newview sweep.
 func (e *Engine) computeDown(t *Tree) {
 	e.bindTree(t)
 	if !e.anyDirty {
 		return
 	}
-	if e.useWavefront() {
-		e.computeDownWave(t)
-	} else {
-		e.downWalk(t.Root)
-	}
+	e.downWalk(t.Root)
 	e.anyDirty = false
 }
 
@@ -680,14 +551,7 @@ type computeOutArgs struct {
 //
 //cellmg:hotpath
 func (e *Engine) computeOutBody(lo, hi int) {
-	e.computeOutKernel(&e.outA, lo, hi)
-}
-
-// computeOutKernel is computeOutBody parameterized by its argument block (see
-// newviewKernel).
-//
-//cellmg:hotpath
-func (e *Engine) computeOutKernel(a *computeOutArgs, lo, hi int) {
+	a := &e.outA
 	sv, psib := a.sv, a.psib
 	pup, uv := a.pup, a.uv
 	dst, scale := a.dst, a.scale
@@ -755,38 +619,12 @@ func (e *Engine) computeOutKernel(a *computeOutArgs, lo, hi int) {
 	}
 }
 
-// setOutArgs fills a with the outer-vector kernel arguments for child v of u
-// (everything but freqs) and counts the kernel invocation it prepares. The
-// parent matrices cycle through transition slot 1, the sibling's through
-// slot 0.
-//
-//cellmg:hotpath
-func (e *Engine) setOutArgs(a *computeOutArgs, u, v *Node) {
-	e.Stats.OutviewCalls++
-	if u.Parent != nil {
-		a.pup = e.transitionFlat(u.Length, 1)
-		a.uv = e.outVec(u.ID)
-		a.uscale = e.outScaleVec(u.ID)
-	} else {
-		a.pup = nil
-		a.uv = nil
-		a.uscale = nil
-	}
-	sib := v.Sibling()
-	a.sv, a.sscale = e.childVector(sib)
-	a.psib = e.transitionFlat(sib.Length, 0)
-	a.dst = e.outVec(v.ID)
-	a.scale = e.outScaleVec(v.ID)
-}
-
 // computeOutNode refreshes the outer vectors of u's children.
 //
 //cellmg:hotpath
 func (e *Engine) computeOutNode(u *Node) {
 	for _, v := range u.Children {
-		e.setOutArgs(&e.outA, u, v)
-		e.par(e.nPat, e.outFn)
-		e.outEpoch[v.ID] = e.treeEpoch
+		e.computeOutOne(u, v)
 	}
 }
 
@@ -800,10 +638,6 @@ func (e *Engine) computeOutNode(u *Node) {
 //cellmg:hotpath
 func (e *Engine) computeOut(t *Tree) {
 	e.outA.freqs = e.Model.Frequencies()
-	if e.useWavefront() {
-		e.computeOutWave(t)
-		return
-	}
 	PreOrder(t.Root, e.outVisit)
 }
 

@@ -23,20 +23,6 @@ type SearchOptions struct {
 	// (and once before the first). It must be cheap; it runs on the search's
 	// goroutine (under the native runtime, that is the task's master worker).
 	Progress func(SearchProgress)
-	// FullRefresh disables incremental candidate evaluation: every NNI
-	// candidate is scored by re-optimizing all branches of the tree (the
-	// pre-incremental search structure), returning per-candidate cost to
-	// O(taxa). It exists as the baseline for the incremental benchmarks and
-	// as a safety fallback; leave it false for normal use.
-	FullRefresh bool
-	// Speculation is the number of NNI candidates scored concurrently per
-	// window: 0 or 1 keeps the serial sweep; w > 1 scores one candidate on
-	// the search goroutine and w-1 on persistent scoring replicas
-	// (replica.go), with a deterministic ordered reduction that makes the
-	// result byte-identical to the serial sweep. Typically set to the
-	// worker-group width. Ignored (serial) under FullRefresh, whose
-	// whole-tree candidate scoring is the explicit non-incremental baseline.
-	Speculation int
 	// Checkpoint, when non-nil, is invoked at every sweep boundary (once
 	// after the initial branch-length optimization, then after each completed
 	// sweep's consolidation smoothing) with the search's restartable state.
@@ -95,11 +81,7 @@ type SearchResult struct {
 	NNIAccepted   int
 	NNIEvaluated  int
 	Rounds        int
-	// SpecScored and SpecWasted count replica-side candidate evaluations and
-	// the subset discarded because an earlier move in the window was accepted
-	// (speculation efficiency diagnostics; zero for serial searches). They
-	// are the only fields allowed to differ between a serial and a
-	// speculative run of the same search.
+	// Always zero; retained for bench/, go when it next revises its metric list.
 	SpecScored int
 	SpecWasted int
 }
@@ -113,8 +95,8 @@ type SearchResult struct {
 // rearranged edge's ancestor path, scoring re-optimizes only the ~5 branches
 // around the edge (OptimizeLocal), and the full-tree branch optimization runs
 // only when a move is accepted — per-candidate cost is O(1) likelihood
-// kernels plus an O(depth) partial traversal instead of the O(taxa) full
-// refresh of the pre-incremental search (see SearchOptions.FullRefresh).
+// kernels plus an O(depth) partial traversal instead of an O(taxa) full
+// refresh.
 func (e *Engine) Search(opts SearchOptions) (*SearchResult, error) {
 	return e.SearchContext(context.Background(), opts)
 }
@@ -160,9 +142,8 @@ func (e *Engine) SearchFromContext(ctx context.Context, tree *Tree, opts SearchO
 // engine's search scratch. A rejected rearrangement must leave no trace: the
 // candidate evaluation re-optimizes branch lengths, and keeping those for a
 // reverted topology would poison subsequent comparisons. Only the branches
-// the evaluation actually touches are snapshotted — the local neighborhood in
-// the incremental mode, every edge under FullRefresh — into buffers reused
-// across all moves of the whole search.
+// the evaluation actually touches (the local neighborhood) are snapshotted,
+// into buffers reused across all moves of the whole search.
 func (e *Engine) snapshotLengths(nodes []*Node) {
 	e.savedNodes = append(e.savedNodes[:0], nodes...)
 	e.savedLens = e.savedLens[:0]
@@ -328,39 +309,42 @@ func (e *Engine) SearchInto(ctx context.Context, tree *Tree, opts SearchOptions,
 	}
 	reportProgress(&opts, res, best)
 
-	// Window-parallel candidate scoring (replica.go): active only in the
-	// incremental mode, where candidate evaluation is the self-contained
-	// apply/score/restore unit the replicas replay.
-	var pool *specPool
-	if opts.Speculation > 1 && !opts.FullRefresh {
-		pool = e.ensureSpecPool(opts.Speculation-1, tree)
-		pool.scored, pool.wasted = 0, 0
-		if c := opts.Resume; c != nil {
-			pool.scored, pool.wasted = c.SpecScored, c.SpecWasted
-		}
-	}
-
 	if opts.Resume == nil {
 		// The round-0 boundary: starting tree built and smoothed, no sweep
 		// yet. Persisting it means a crash during the first sweep resumes
 		// from here instead of re-deriving the starting tree.
-		e.emitCheckpoint(&opts, res, tree, best, smoothConverged, false, pool)
+		e.emitCheckpoint(&opts, res, tree, best, smoothConverged, false)
 	}
 
 	for round := startRound; cont && round < opts.MaxRounds; round++ {
 		res.Rounds++
+		improvedThisRound := false
 		e.movesBuf = tree.AppendNNIMoves(e.movesBuf[:0])
-		var improvedThisRound bool
-		var err error
-		if pool != nil {
-			improvedThisRound, err = e.sweepSpeculative(ctx, tree, &opts, res, pool, &best)
-		} else {
-			improvedThisRound, err = e.sweepSerial(ctx, tree, &opts, res, &best)
+		for _, move := range e.movesBuf {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			res.NNIEvaluated++
+			move.Apply()
+			e.InvalidateNode(move.Edge)
+			// Local re-optimization: the move only perturbed a constant-size
+			// neighborhood, so re-optimizing the branches around the
+			// rearranged edge is enough to score it. Candidates get the same
+			// smoothing budget as the incumbent so the comparison is fair;
+			// the optimizers stop early once the branch lengths converge.
+			e.snapshotLengths(e.collectLocalEdges(tree, move.Edge, nniRadius))
+			candidate := e.optimizeEdges(tree, e.savedNodes, opts.SmoothingRounds)
+			if candidate > best+opts.Epsilon {
+				best = candidate
+				res.NNIAccepted++
+				improvedThisRound = true
+			} else {
+				move.Apply() // revert the topology...
+				e.InvalidateNode(move.Edge)
+				e.restoreLengths()
+			}
 		}
-		if err != nil {
-			return err
-		}
-		if improvedThisRound && !opts.FullRefresh {
+		if improvedThisRound {
 			// One full smoothing pass per sweep consolidates the accepted
 			// rearrangements (every edge update is monotone, so this can
 			// only raise the score) — the RAxML pattern: local optimization
@@ -371,62 +355,18 @@ func (e *Engine) SearchInto(ctx context.Context, tree *Tree, opts SearchOptions,
 		reportProgress(&opts, res, best)
 		lastSweepImproved = improvedThisRound
 		cont = improvedThisRound
-		e.emitCheckpoint(&opts, res, tree, best, smoothConverged, improvedThisRound, pool)
+		e.emitCheckpoint(&opts, res, tree, best, smoothConverged, improvedThisRound)
 	}
-	// Final thorough smoothing — skipped in the incremental mode only when
-	// it would be a deterministic repeat: the tree sits in the state of a
-	// full smoothing pass that *converged* (the final sweep accepted
-	// nothing and restored every rejected candidate byte-exactly). When the
-	// last smoothing instead stopped at the SmoothingRounds cap while still
-	// improving, or fresh accepts arrived in the final sweep, this pass
-	// continues the smoothing — worth whole logL units on 50-taxon
-	// searches — matching the polish the baseline mode always gets.
-	if opts.FullRefresh || lastSweepImproved || !smoothConverged {
+	// Final thorough smoothing — skipped only when it would be a
+	// deterministic repeat: the tree sits in the state of a full smoothing
+	// pass that *converged* (the final sweep accepted nothing and restored
+	// every rejected candidate byte-exactly). When the last smoothing instead
+	// stopped at the SmoothingRounds cap while still improving, or fresh
+	// accepts arrived in the final sweep, this pass continues the smoothing —
+	// worth whole logL units on 50-taxon searches.
+	if lastSweepImproved || !smoothConverged {
 		best = e.OptimizeAllBranches(tree, opts.SmoothingRounds)
 	}
 	res.LogLikelihood = best
-	if pool != nil {
-		res.SpecScored = pool.scored
-		res.SpecWasted = pool.wasted
-	}
 	return nil
-}
-
-// sweepSerial runs one NNI sweep in move order on the search goroutine — the
-// reference semantics sweepSpeculative reproduces bit for bit. It reports
-// whether any move was accepted.
-func (e *Engine) sweepSerial(ctx context.Context, tree *Tree, opts *SearchOptions, res *SearchResult, best *float64) (bool, error) {
-	improved := false
-	for _, move := range e.movesBuf {
-		if err := ctx.Err(); err != nil {
-			return improved, err
-		}
-		res.NNIEvaluated++
-		move.Apply()
-		e.InvalidateNode(move.Edge)
-		// Candidates get the same smoothing budget as the incumbent so the
-		// comparison is fair; the optimizers stop early once the branch
-		// lengths converge.
-		var candidate float64
-		if opts.FullRefresh {
-			e.snapshotLengths(tree.Nodes)
-			candidate = e.OptimizeAllBranches(tree, opts.SmoothingRounds)
-		} else {
-			// Local re-optimization: the move only perturbed a constant-size
-			// neighborhood, so re-optimizing the branches around the
-			// rearranged edge is enough to score it.
-			e.snapshotLengths(e.collectLocalEdges(tree, move.Edge, nniRadius))
-			candidate = e.optimizeEdges(tree, e.savedNodes, opts.SmoothingRounds)
-		}
-		if candidate > *best+opts.Epsilon {
-			*best = candidate
-			res.NNIAccepted++
-			improved = true
-		} else {
-			move.Apply() // revert the topology...
-			e.InvalidateNode(move.Edge)
-			e.restoreLengths()
-		}
-	}
-	return improved, nil
 }

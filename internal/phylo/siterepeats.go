@@ -147,15 +147,13 @@ func (e *Engine) rebuildClasses(n *Node) {
 // repCopy materializes the full destination vector from the representatives:
 // every duplicate pattern copies the conditional vector and scaler of its
 // class representative, walking the duplicate list built by rebuildClasses
-// (cost proportional to the copies actually made, not to nPat). It runs after
-// the kernel pass over the representatives (slots are disjoint, copies read
-// settled data) — on the engine goroutine in the pattern-grain path, inside a
-// node-grain dispatch body in the wavefront path, which is why it must not
-// touch shared engine state such as Stats (the callers account RepeatsCopied
-// on the serial side).
+// (cost proportional to the copies actually made, not to nPat). Runs serially
+// after the parallel kernel pass (representative slots are disjoint, copies
+// read settled data).
 //
 //cellmg:hotpath
-func (e *Engine) repCopy(n *Node, a *newviewArgs) {
+func (e *Engine) repCopy(n *Node) {
+	a := &e.nvA
 	dst, scale := a.dst, a.scale
 	id := n.ID
 	src := e.repSrcVec(id)
@@ -180,6 +178,7 @@ func (e *Engine) repCopy(n *Node, a *newviewArgs) {
 			scale[i] = scale[si]
 		}
 	}
+	e.Stats.RepeatsCopied += ndup
 }
 
 // newviewRepeats is the site-repeat path of Newview: rebuild n's classes if
@@ -198,45 +197,33 @@ func (e *Engine) repCopy(n *Node, a *newviewArgs) {
 //
 //cellmg:hotpath
 func (e *Engine) newviewRepeats(n *Node) {
-	e.maintainRepeats(n)
-	cnt := int(e.repCnt[n.ID])
+	id := n.ID
+	if e.repDirty[id] {
+		l, r := n.Children[0], n.Children[1]
+		var lv, rv uint64
+		if !l.IsTip() {
+			lv = e.repVer[l.ID]
+		}
+		if !r.IsTip() {
+			rv = e.repVer[r.ID]
+		}
+		if int32(l.ID) != e.repBuiltL[id] || int32(r.ID) != e.repBuiltR[id] ||
+			lv != e.repBuiltLV[id] || rv != e.repBuiltRV[id] {
+			e.rebuildClasses(n)
+			e.repVer[id]++
+			e.repBuiltL[id], e.repBuiltR[id] = int32(l.ID), int32(r.ID)
+			e.repBuiltLV[id], e.repBuiltRV[id] = lv, rv
+		}
+		e.repDirty[id] = false
+	}
+	cnt := int(e.repCnt[id])
 	a := &e.nvA
 	if cnt >= e.nPat {
 		e.par(e.nPat, e.nvFn)
 		return
 	}
-	a.uniq = e.repUniq[n.ID*e.nPat : n.ID*e.nPat+cnt]
+	a.uniq = e.repUniq[id*e.nPat : id*e.nPat+cnt]
 	e.par(cnt, e.nvFn)
 	a.uniq = nil
-	e.repCopy(n, a)
-	e.Stats.RepeatsCopied += e.nPat - cnt
-}
-
-// maintainRepeats brings n's repeat classes up to date (the head of
-// newviewRepeats, shared with the wavefront prepare phase, which must run all
-// class maintenance serially before the parallel dispatch: rebuildClasses
-// writes the engine-wide pair-table scratch).
-//
-//cellmg:hotpath
-func (e *Engine) maintainRepeats(n *Node) {
-	id := n.ID
-	if !e.repDirty[id] {
-		return
-	}
-	l, r := n.Children[0], n.Children[1]
-	var lv, rv uint64
-	if !l.IsTip() {
-		lv = e.repVer[l.ID]
-	}
-	if !r.IsTip() {
-		rv = e.repVer[r.ID]
-	}
-	if int32(l.ID) != e.repBuiltL[id] || int32(r.ID) != e.repBuiltR[id] ||
-		lv != e.repBuiltLV[id] || rv != e.repBuiltRV[id] {
-		e.rebuildClasses(n)
-		e.repVer[id]++
-		e.repBuiltL[id], e.repBuiltR[id] = int32(l.ID), int32(r.ID)
-		e.repBuiltLV[id], e.repBuiltRV[id] = lv, rv
-	}
-	e.repDirty[id] = false
+	e.repCopy(n)
 }

@@ -131,9 +131,6 @@ func (e *Engine) InvalidateTransitions() {
 	e.probSlab.swap()
 	e.derivSlab.swap()
 	e.InvalidateAll()
-	// Speculation replicas share the (mutated) Model; their private caches
-	// are stale for the same reason this engine's were (replica.go).
-	e.forwardInvalidateTransitions()
 }
 
 // CachedTransitions returns the number of distinct branch lengths currently

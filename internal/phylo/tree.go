@@ -506,8 +506,8 @@ func (t *Tree) CaptureTopology() *TreeSnapshot {
 
 // CaptureTopologyInto is CaptureTopology writing into a caller-provided
 // snapshot, reusing its slices when they are large enough — the
-// allocation-free form for callers (the speculative search) that re-capture
-// into the same snapshot every sweep.
+// allocation-free form for callers (the per-sweep checkpoint emission) that
+// re-capture into the same snapshot every sweep.
 func (t *Tree) CaptureTopologyInto(s *TreeSnapshot) {
 	n := len(t.Nodes)
 	if cap(s.parent) < n {

@@ -188,6 +188,10 @@ func TestPrometheusAndJSONAgree(t *testing.T) {
 	if err := json.Unmarshal(jb, &snap); err != nil {
 		t.Fatal(err)
 	}
+	// The two surfaces dropped the heavy-loop counter together.
+	if strings.Contains(text, "loops_heavy") || strings.Contains(string(jb), "loops_heavy") {
+		t.Errorf("loops_heavy is still exported by /metrics or /v1/metrics")
+	}
 	for key, wantCount := range map[string]uint64{
 		"job_run":            1,
 		"job_queue_wait":     1,

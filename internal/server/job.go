@@ -70,15 +70,11 @@ type SearchSpec struct {
 	SmoothingRounds int     `json:"smoothing_rounds,omitempty"`
 	MaxRounds       int     `json:"max_rounds,omitempty"`
 	Epsilon         float64 `json:"epsilon,omitempty"`
-	// Speculation scores that many NNI candidates concurrently per window
-	// (1 master + speculation-1 replica engines per task); results are
-	// byte-identical to the serial search. Capped at maxSpeculation so one
-	// job cannot multiply its goroutine footprint arbitrarily.
+	// Speculation is accepted for compatibility and has no effect: results
+	// were byte-identical at every width by construction, and clients and
+	// stored specs that carry the field must keep decoding.
 	Speculation int `json:"speculation,omitempty"`
 }
-
-// maxSpeculation bounds the per-task replica-engine count a job may request.
-const maxSpeculation = 8
 
 // JobSpec is the body of POST /v1/jobs: one full analysis request. Exactly
 // one of Simulate or Sequences provides the alignment.
@@ -164,9 +160,6 @@ func (s *JobSpec) analysisOptions() (native.AnalysisOptions, error) {
 	}
 	if s.Search.Epsilon > 0 {
 		search.Epsilon = s.Search.Epsilon
-	}
-	if s.Search.Speculation > 0 {
-		search.Speculation = min(s.Search.Speculation, maxSpeculation)
 	}
 	return native.AnalysisOptions{
 		Inferences: s.Inferences,

@@ -32,7 +32,6 @@ type RuntimeMetrics struct {
 	Decision        string `json:"decision"`
 	TasksRun        int64  `json:"tasks_run"`
 	LoopsWorkShared int64  `json:"loops_work_shared"`
-	LoopsHeavy      int64  `json:"loops_heavy"`
 	LoopsSerial     int64  `json:"loops_serial"`
 	Switches        int    `json:"policy_switches"`
 	Evaluations     int    `json:"policy_evaluations"`

@@ -92,8 +92,6 @@ func newPromMetrics(s *Server) *promMetrics {
 		func() float64 { return float64(s.rt.Stats().TasksRun) })
 	reg.NewCounterFunc("cellmg_loops_workshared_total", "ParallelFor loops executed work-shared.",
 		func() float64 { return float64(s.rt.Stats().LoopsWorkShared) })
-	reg.NewCounterFunc("cellmg_loops_heavy_total", "Unit-grain ParallelForHeavy dispatches (intra-job tasks).",
-		func() float64 { return float64(s.rt.Stats().LoopsHeavy) })
 	reg.NewCounterFunc("cellmg_loops_serial_total", "ParallelFor loops executed serially.",
 		func() float64 { return float64(s.rt.Stats().LoopsSerial) })
 	reg.NewCounterFunc("cellmg_policy_evaluations_total", "MGPS windows evaluated.",

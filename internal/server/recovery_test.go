@@ -109,10 +109,15 @@ func waitAllTerminal(t *testing.T, s *Server, timeout time.Duration) {
 // the uninterrupted results bit for bit. Each subtest arms a deterministic
 // kill at the first record of one type, runs a workload that emits all six
 // types, "restarts" on the same dir, and compares results.
+//
+// Job A's accepted spec carries the retired search.speculation field, as the
+// stores of earlier binaries do: it must replay, resume and finish with the
+// result of the same spec without the field.
 func TestCrashRecoveryKillAtEveryRecordType(t *testing.T) {
 	specA, specB := smallSpec(71), smallSpec(72)
 	refA := referenceResult(t, specA)
 	refB := referenceResult(t, specB)
+	specA.Search.Speculation = 4
 
 	for _, tag := range []string{
 		"job_accepted", "job_started", "checkpoint",

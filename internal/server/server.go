@@ -687,7 +687,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 			Decision:        s.rt.Decision().String(),
 			TasksRun:        rs.TasksRun,
 			LoopsWorkShared: rs.LoopsWorkShared,
-			LoopsHeavy:      rs.LoopsHeavy,
 			LoopsSerial:     rs.LoopsSerial,
 			Switches:        rs.Switches,
 			Evaluations:     rs.Evaluations,

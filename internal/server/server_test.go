@@ -112,11 +112,16 @@ func waitTerminal(t *testing.T, base, id string, timeout time.Duration) JobStatu
 
 // TestTwoConcurrentJobsMatchSerial is the determinism acceptance criterion:
 // two jobs interleaved on one shared (MGPS) runtime must produce results
-// byte-identical to the same specs run serially via native.RunAnalysis.
+// byte-identical to the same specs run serially via native.RunAnalysis. The
+// third spec is the first one plus the retired search.speculation field: the
+// strict decoder must still accept it (202) and its result must equal the
+// first job's byte for byte.
 func TestTwoConcurrentJobsMatchSerial(t *testing.T) {
 	_, ts := startServer(t, Options{Workers: 4, Policy: native.MGPS, MaxConcurrent: 2})
 
-	specs := []JobSpec{smallSpec(101), smallSpec(202)}
+	specs := []JobSpec{smallSpec(101), smallSpec(202), smallSpec(101)}
+	specs[2].Search.Speculation = 4
+	results := make([][]byte, len(specs))
 	ids := make([]string, len(specs))
 	var wg sync.WaitGroup
 	for i, spec := range specs {
@@ -162,6 +167,10 @@ func TestTwoConcurrentJobsMatchSerial(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("job %d: shared-runtime result differs from serial reference\n got: %s\nwant: %s", i, got, want)
 		}
+		results[i] = got
+	}
+	if !bytes.Equal(results[2], results[0]) {
+		t.Errorf("search.speculation changed the result\n with: %s\nwithout: %s", results[2], results[0])
 	}
 }
 

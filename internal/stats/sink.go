@@ -25,10 +25,6 @@ type OffloadEvent struct {
 	// WorkShared reports whether the decision in force granted the task
 	// loop-level parallelism (more than one worker).
 	WorkShared bool
-	// SpecTasks counts speculative work units the task body reported (NNI
-	// candidates scored on engine replica goroutines) — parallelism the
-	// runtime does not see in Workers because replicas are not pool workers.
-	SpecTasks int
 }
 
 // OffloadSink receives one event per completed off-load. Implementations must
@@ -46,7 +42,6 @@ type OffloadSummary struct {
 	QueueWaitMax   time.Duration `json:"queue_wait_max_ns"`
 	RunTotal       time.Duration `json:"run_total_ns"`
 	WorkersGranted int           `json:"workers_granted"`
-	SpecTasks      int           `json:"spec_tasks"`
 }
 
 // QueueWaitMean returns the mean queue wait per off-load; an empty summary
@@ -77,7 +72,6 @@ func (s *OffloadSummary) Merge(o OffloadSummary) {
 	}
 	s.RunTotal += o.RunTotal
 	s.WorkersGranted += o.WorkersGranted
-	s.SpecTasks += o.SpecTasks
 }
 
 // OffloadCollector is a concurrency-safe OffloadSink that aggregates events
@@ -100,7 +94,6 @@ func (c *OffloadCollector) RecordOffload(ev OffloadEvent) {
 	}
 	c.sum.RunTotal += ev.Run
 	c.sum.WorkersGranted += ev.Workers
-	c.sum.SpecTasks += ev.SpecTasks
 	c.mu.Unlock()
 }
 
