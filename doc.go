@@ -4,8 +4,9 @@
 //
 // The repository contains no importable code at the module root; the library
 // lives under internal/, the executables under cmd/, runnable examples under
-// examples/, and the benchmark harness that regenerates every table and
-// figure of the paper in bench_test.go next to this file.
+// examples/, and the repository's benchmark — a module of its own, declared
+// by BENCHMARK.json — under bench/. cmd/experiments regenerates every table
+// and figure of the paper.
 //
 // The reproduction has two halves. The simulation half (internal/sim,
 // internal/cellsim, internal/workload, internal/sched, internal/policy)
@@ -17,8 +18,10 @@
 // scheduled unit of work is arithmetic, not garbage collection. It has the
 // paper's two grains and no others — one task per worker, and per-pattern
 // loops work-shared through a single ParallelFor; README.md, "Verdict on
-// intra-search parallelism", records why a search has no further axis.
-// Experiment
+// intra-search parallelism", records why a search has no further axis. An
+// analysis has one task body (phylo.RunTask) behind both drivers — the serial
+// reference phylo.RunAnalysis and native.RunAnalysis, which off-loads each
+// task — and one way to watch it, native.TaskObserver. Experiment
 // E11 (internal/experiments) ties the halves together by timing the real
 // kernels and re-running the scheduler comparison on the measured costs.
 //

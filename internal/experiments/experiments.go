@@ -6,9 +6,9 @@
 // and checks the paper's qualitative claims, reporting each as a pass/fail
 // Claim.
 //
-// The cmd/experiments binary runs everything and emits EXPERIMENTS.md;
-// bench_test.go at the repository root exposes each experiment as a
-// testing.B benchmark.
+// The cmd/experiments binary runs everything and emits EXPERIMENTS.md; this
+// package's tests assert every claim, and the benchmark's sim_sweep workload
+// (bench/) times the simulator underneath.
 package experiments
 
 import (

@@ -21,10 +21,11 @@
 // The record path (Now, Span, Instant) is nil-safe and annotated
 // //cellmg:hotpath-safe: a disabled recorder is a nil *Recorder, and every
 // record call compiles down to a nil check. With the recorder enabled the
-// path is 0 allocs/op (guarded by testing.AllocsPerRun in flight_test.go) and
-// adds <2% to the tier-1 EvaluateFullSweep/SearchNNI benchmarks (see
-// BenchmarkEvaluateFlight / BenchmarkSearchNNIFlight and the
-// "EvaluateFullSweep/flight", "SearchNNI/flight" rows of BENCH_PR7.json).
+// path is 0 allocs/op (guarded by testing.AllocsPerRun in flight_test.go).
+// Its cost relative to a traced workload is the benchmark's
+// flight.overhead_ratio (bench/, --trace 1); it was under the noise floor
+// when recorded at 251e336 and 2-8% once the kernels got faster (3f937be,
+// 02a9e70).
 //
 // # Clock discipline
 //

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -134,6 +135,21 @@ func (v *CounterVec) With(value string) *Counter {
 		v.m.series[value] = c
 	}
 	return c
+}
+
+// Sum returns the total of the series with the given label values — of every
+// series when none is given — without creating any. It is how a JSON surface
+// quotes the counters Prometheus scrapes instead of keeping its own.
+func (v *CounterVec) Sum(values ...string) float64 {
+	v.m.mu.Lock()
+	defer v.m.mu.Unlock()
+	var total float64
+	for value, c := range v.m.series {
+		if len(values) == 0 || slices.Contains(values, value) {
+			total += c.Value()
+		}
+	}
+	return total
 }
 
 // NewGaugeFunc registers a gauge whose value is read at scrape time.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"cellmg/internal/flight"
@@ -26,10 +25,6 @@ type AnalysisOptions struct {
 	// Model and Rates default to JC69 with a single rate category.
 	Model phylo.Model
 	Rates phylo.RateCategories
-	// Progress, when non-nil, is invoked once per completed task (inference
-	// or bootstrap). Calls are serialized by the driver, so the callback
-	// needs no locking of its own.
-	Progress func(AnalysisProgress)
 	// Sink, when non-nil, receives one stats.OffloadEvent per off-loaded
 	// task (queue wait, run time, granted workers) — the hook the job server
 	// uses to account shared-runtime work to individual jobs.
@@ -38,77 +33,41 @@ type AnalysisOptions struct {
 	// spans, NNI sweep instants) so traces of a shared runtime can be
 	// filtered per job. Only meaningful when the runtime has a recorder.
 	FlightID uint64
-
-	// The four hooks below are the durability surface RunAnalysisContext
-	// offers the job store. Every task's seed is derived from (Seed, task id)
-	// alone, so a task can be skipped, resumed or re-run in any order without
-	// perturbing any other task — which is what makes replicate-granular
-	// crash recovery byte-identical by construction.
-
-	// SkipTask, when non-nil, is consulted once per task before it is
-	// submitted: returning ok=true means the task already completed in a
-	// previous incarnation and its recorded outcome is used verbatim —
-	// nothing is recomputed. Skipped tasks still count in Progress but are
-	// not re-announced through OnTaskDone.
-	SkipTask func(TaskID) (TaskOutcome, bool)
-	// ResumeSearch, when non-nil, may return a checkpoint for a task that was
-	// mid-search when the previous incarnation stopped; the task's search
-	// resumes from it (phylo.SearchOptions.Resume) instead of starting over.
-	// Returning nil runs the task from scratch.
-	ResumeSearch func(TaskID) *phylo.Checkpoint
-	// Checkpoint, when non-nil, receives each task's sweep-boundary
-	// checkpoints (phylo.SearchOptions.Checkpoint with the task identity
-	// bound). Calls arrive concurrently from different tasks but always from
-	// the emitting task's own goroutine; the *phylo.Checkpoint is engine-owned
-	// and must be encoded inside the callback. Overrides any Checkpoint set
-	// on Search.
-	Checkpoint func(TaskID, *phylo.Checkpoint)
-	// OnTaskDone, when non-nil, is invoked once per task completed in THIS
-	// run (skipped tasks are not re-announced), serialized with Progress.
-	// The job store appends the outcome to its log so the next incarnation
-	// can SkipTask it.
-	OnTaskDone func(TaskOutcome)
+	// Observer, when non-nil, watches the analysis task by task — progress
+	// reporting and the job store's durability surface in one value.
+	Observer TaskObserver
 }
 
-// TaskID identifies one task of an analysis: inference i or bootstrap
-// replicate j. The zero Index is valid; the pair is stable across runs
-// because tasks are indexed, not ordered by completion.
-type TaskID struct {
-	Bootstrap bool
-	Index     int
-}
+// The task identity, the per-task outcome and the result are phylo's: the
+// serial reference and this driver run the same task body (phylo.RunTask) and
+// the same assembly (phylo.AssembleAnalysis).
+type (
+	TaskID         = phylo.TaskID
+	TaskOutcome    = phylo.TaskOutcome
+	AnalysisResult = phylo.AnalysisResult
+)
 
-// TaskOutcome is one task's completed result, the unit of replicate-granular
-// recovery. Tree is the search's final tree with exact branch-length bits
-// (persist it with phylo.AppendTreeBinary, never Newick, to keep recovery
-// byte-identical).
-type TaskOutcome struct {
-	Task   TaskID
-	LogLik float64
-	Tree   *phylo.Tree
-}
-
-// AnalysisProgress is a snapshot handed to AnalysisOptions.Progress after a
-// task completes.
-type AnalysisProgress struct {
-	// Completed counts finished tasks; Total is Inferences+Bootstraps.
-	Completed int
-	Total     int
-	// Bootstrap and Index identify the task that just finished.
-	Bootstrap bool
-	Index     int
-	// LogLik is the task's final log-likelihood.
-	LogLik float64
-}
-
-// AnalysisResult mirrors phylo.AnalysisResult; the parallel driver must
-// produce the same content as the serial reference.
-type AnalysisResult struct {
-	BestTree      *phylo.Tree
-	BestLogLik    float64
-	InferenceLogs []float64
-	Replicates    []*phylo.Tree
-	Support       map[string]float64
+// TaskObserver is the one way to watch a running analysis. Every task's seed
+// is derived from (Seed, task id) alone, so a task can be recalled, resumed
+// or re-run in any order without perturbing any other task — which is what
+// makes replicate-granular crash recovery byte-identical by construction.
+type TaskObserver interface {
+	// Recall is consulted once per task, in task-list order, before the task
+	// is submitted. A non-nil outcome means the task already completed in a
+	// previous incarnation: it is used verbatim and nothing is recomputed.
+	// Otherwise a non-nil checkpoint resumes the task's search mid-way
+	// (phylo.SearchOptions.Resume); nil, nil runs the task from scratch.
+	Recall(TaskID) (*TaskOutcome, *phylo.Checkpoint)
+	// Checkpoint receives each running task's sweep-boundary checkpoints.
+	// Calls arrive concurrently from different tasks but always from the
+	// emitting task's own goroutine; the *phylo.Checkpoint is engine-owned
+	// and must be encoded inside the call.
+	Checkpoint(TaskID, *phylo.Checkpoint)
+	// TaskDone receives every finished task with the analysis's completed
+	// and total task counts. Calls are serialized by the driver. recalled
+	// marks an outcome that came from Recall rather than from this run: it
+	// counts as progress but must not be logged a second time.
+	TaskDone(out TaskOutcome, completed, total int, recalled bool)
 }
 
 // RunAnalysis executes the analysis on the runtime: every inference and every
@@ -131,144 +90,71 @@ func RunAnalysis(rt *Runtime, data *phylo.PatternAlignment, opts AnalysisOptions
 // within one task quantum. The first real failure (not a cancellation it
 // caused) is the returned error.
 //
-// Results are a pure function of (data, opts): every task's randomness is
-// derived with phylo.DeriveSeed from the analysis seed and the task's own
-// index, so concurrent analyses interleaved on one shared runtime produce
-// bit-identical results to serial runs.
+// Results are a pure function of (data, opts): the task body is
+// phylo.RunTask, whose randomness depends only on the analysis seed and the
+// task's own index, so concurrent analyses interleaved on one shared runtime
+// produce bit-identical results to serial runs.
 func RunAnalysisContext(ctx context.Context, rt *Runtime, data *phylo.PatternAlignment, opts AnalysisOptions) (*AnalysisResult, error) {
-	if opts.Inferences <= 0 {
-		opts.Inferences = 1
+	if opts.Model == nil {
+		opts.Model = phylo.NewJC69()
 	}
-	model := opts.Model
-	if model == nil {
-		model = phylo.NewJC69()
+	if opts.Rates.Count() == 0 {
+		opts.Rates = phylo.SingleRate()
 	}
-	rates := opts.Rates
-	if rates.Count() == 0 {
-		rates = phylo.SingleRate()
+	popts := phylo.AnalysisOptions{
+		Inferences: opts.Inferences,
+		Bootstraps: opts.Bootstraps,
+		Search:     opts.Search,
+		Seed:       opts.Seed,
 	}
-
-	type job struct {
-		bootstrap bool
-		index     int
-	}
-	type outcome struct {
-		job    job
-		tree   *phylo.Tree
-		loglik float64
-		err    error
-	}
-
-	var jobs []job
-	for i := 0; i < opts.Inferences; i++ {
-		jobs = append(jobs, job{bootstrap: false, index: i})
-	}
-	for b := 0; b < opts.Bootstraps; b++ {
-		jobs = append(jobs, job{bootstrap: true, index: b})
-	}
+	tasks := popts.Tasks()
 
 	// A failing task cancels every other task of this analysis promptly
-	// instead of letting them run to completion; the cause distinguishes a
-	// real failure from an external cancellation.
+	// instead of letting them run to completion. The first cause sticks, so
+	// afterwards it tells a real failure from an external cancellation; a
+	// task that stopped because ctx was already cancelled is not a failure.
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	var failOnce sync.Once
-	var firstErr error
 	fail := func(err error) {
-		failOnce.Do(func() {
-			firstErr = err
-			cancel(err)
-		})
+		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			cancel(fmt.Errorf("native: task failed: %w", err))
+		}
 	}
 
-	var progressMu sync.Mutex
+	outcomes := make([]TaskOutcome, len(tasks))
+	var doneMu sync.Mutex
 	completed := 0
-	// report serializes the completion-side hooks: Progress counts every
-	// finished task (skipped or live), OnTaskDone announces only live ones —
-	// a recovered run must not re-log outcomes the store already has.
-	report := func(j job, loglik float64, tree *phylo.Tree, skipped bool) {
-		if opts.Progress == nil && opts.OnTaskDone == nil {
+	// done stores a task's outcome and announces it, serialized.
+	done := func(ti int, out TaskOutcome, recalled bool) {
+		outcomes[ti] = out
+		if opts.Observer == nil {
 			return
 		}
-		progressMu.Lock()
-		defer progressMu.Unlock()
+		doneMu.Lock()
+		defer doneMu.Unlock()
 		completed++
-		if opts.Progress != nil {
-			opts.Progress(AnalysisProgress{
-				Completed: completed,
-				Total:     len(jobs),
-				Bootstrap: j.bootstrap,
-				Index:     j.index,
-				LogLik:    loglik,
-			})
-		}
-		if !skipped && opts.OnTaskDone != nil {
-			opts.OnTaskDone(TaskOutcome{
-				Task:   TaskID{Bootstrap: j.bootstrap, Index: j.index},
-				LogLik: loglik,
-				Tree:   tree,
-			})
-		}
+		opts.Observer.TaskDone(out, completed, len(tasks), recalled)
 	}
 
-	results := make([]outcome, len(jobs))
 	var wg sync.WaitGroup
-	for ji, j := range jobs {
-		ji, j := ji, j
-		if opts.SkipTask != nil {
-			if out, ok := opts.SkipTask(TaskID{Bootstrap: j.bootstrap, Index: j.index}); ok {
-				results[ji] = outcome{job: j, tree: out.Tree, loglik: out.LogLik}
-				report(j, out.LogLik, out.Tree, true)
+	for ti, id := range tasks {
+		var resume *phylo.Checkpoint
+		var checkpoint func(*phylo.Checkpoint)
+		if opts.Observer != nil {
+			var out *TaskOutcome
+			if out, resume = opts.Observer.Recall(id); out != nil {
+				done(ti, *out, true)
 				continue
 			}
+			checkpoint = func(c *phylo.Checkpoint) { opts.Observer.Checkpoint(id, c) }
 		}
-		var sub *Submitter
-		if opts.Sink != nil {
-			sub = rt.NewSubmitterWithSink(opts.Sink)
-		} else {
-			sub = rt.NewSubmitter()
-		}
+		sub := rt.NewSubmitterWithSink(opts.Sink)
 		sub.SetFlow(opts.FlightID)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := sub.OffloadContext(ctx, func(tc *TaskContext) {
-				taskData := data
-				var seed int64
-				if j.bootstrap {
-					// The replicate's resample is a pure function of
-					// (analysis seed, replicate index) — no generator is
-					// shared across tasks, so completion order is irrelevant.
-					wrng := rand.New(rand.NewSource(phylo.DeriveSeed(opts.Seed, phylo.SeedStreamBootstrapWeights, j.index)))
-					var werr error
-					taskData, werr = data.WithWeights(phylo.BootstrapWeights(data, wrng))
-					if werr != nil {
-						results[ji] = outcome{job: j, err: werr}
-						fail(werr)
-						return
-					}
-					seed = phylo.DeriveSeed(opts.Seed, phylo.SeedStreamBootstrapSearch, j.index)
-				} else {
-					seed = phylo.DeriveSeed(opts.Seed, phylo.SeedStreamInference, j.index)
-				}
-				eng, err := phylo.NewEngine(taskData, model, rates)
-				if err != nil {
-					results[ji] = outcome{job: j, err: err}
-					fail(err)
-					return
-				}
-				// Loop-level parallelism: the engine's pattern loops run on
-				// the task's worker group.
-				eng.SetParallel(tc.ParallelFor)
-				so := opts.Search
-				so.Seed = seed
-				id := TaskID{Bootstrap: j.bootstrap, Index: j.index}
-				if opts.Checkpoint != nil {
-					so.Checkpoint = func(c *phylo.Checkpoint) { opts.Checkpoint(id, c) }
-				}
-				if opts.ResumeSearch != nil {
-					so.Resume = opts.ResumeSearch(id)
-				}
+			fail(sub.OffloadContext(ctx, func(tc *TaskContext) {
+				topts := popts
 				if rec := rt.Flight(); rec != nil {
 					// Each sweep becomes an instant on the master's lane:
 					// the search's logL trajectory and NNI accept/reject
@@ -276,8 +162,8 @@ func RunAnalysisContext(ctx context.Context, rt *Runtime, data *phylo.PatternAli
 					// recorder stamps the time; no clock is read here, so
 					// the determinism contract of this file holds.
 					lane := rec.WorkerLane(tc.Master())
-					prev := so.Progress
-					so.Progress = func(p phylo.SearchProgress) {
+					prev := topts.Search.Progress
+					topts.Search.Progress = func(p phylo.SearchProgress) {
 						rec.Instant(lane, flight.KindSweep, opts.FlightID,
 							int64(p.NNIAccepted)<<32|int64(p.NNIEvaluated),
 							int64(math.Float64bits(p.LogLikelihood)))
@@ -286,50 +172,21 @@ func RunAnalysisContext(ctx context.Context, rt *Runtime, data *phylo.PatternAli
 						}
 					}
 				}
-				sr, err := eng.SearchContext(ctx, so)
+				// Loop-level parallelism: the engine's pattern loops run on
+				// the task's worker group.
+				out, err := phylo.RunTask(ctx, data, opts.Model, opts.Rates, topts, id, tc.ParallelFor, resume, checkpoint)
 				if err != nil {
-					results[ji] = outcome{job: j, err: err}
-					if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-						fail(err)
-					}
+					fail(err)
 					return
 				}
-				results[ji] = outcome{job: j, tree: sr.Tree, loglik: sr.LogLikelihood}
-				report(j, sr.LogLikelihood, sr.Tree, false)
-			})
-			if err != nil && results[ji].err == nil {
-				results[ji] = outcome{job: j, err: err}
-			}
+				done(ti, out, false)
+			}))
 		}()
 	}
 	wg.Wait()
 
-	if firstErr != nil {
-		return nil, fmt.Errorf("native: task failed: %w", firstErr)
-	}
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
-
-	res := &AnalysisResult{BestLogLik: math.Inf(-1)}
-	res.InferenceLogs = make([]float64, opts.Inferences)
-	res.Replicates = make([]*phylo.Tree, opts.Bootstraps)
-	for _, out := range results {
-		if out.err != nil {
-			return nil, fmt.Errorf("native: task failed: %w", out.err)
-		}
-		if out.job.bootstrap {
-			res.Replicates[out.job.index] = out.tree
-			continue
-		}
-		res.InferenceLogs[out.job.index] = out.loglik
-		if out.loglik > res.BestLogLik {
-			res.BestLogLik = out.loglik
-			res.BestTree = out.tree
-		}
-	}
-	if res.BestTree != nil && len(res.Replicates) > 0 {
-		res.Support = phylo.SupportValues(res.BestTree, res.Replicates)
-	}
-	return res, nil
+	return phylo.AssembleAnalysis(outcomes), nil
 }

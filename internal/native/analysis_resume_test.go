@@ -23,9 +23,18 @@ func treeBytes(t *phylo.Tree) string {
 }
 
 func TestAnalysisResumeByteIdentical(t *testing.T) {
-	data := testData(t)
 	opts := analysisOpts()
 	opts.Search.MaxRounds = 6
+	t.Run("jc69_3i4b", func(t *testing.T) { testAnalysisResume(t, opts, nil) })
+	// The pinned analyses take the same trip: the recovery run must land on
+	// the fixture's bytes, not merely on the bytes of the run before it.
+	for _, spec := range goldenSpecs(t) {
+		t.Run(spec.name, func(t *testing.T) { testAnalysisResume(t, spec.opts, &spec) })
+	}
+}
+
+func testAnalysisResume(t *testing.T, opts AnalysisOptions, golden *goldenSpec) {
+	data := testData(t)
 
 	// Uninterrupted reference run, recording everything a job store would:
 	// completed-task outcomes (round-tripped through the tree codec, exactly
@@ -39,17 +48,22 @@ func TestAnalysisResumeByteIdentical(t *testing.T) {
 		rt := New(Options{Workers: 4, Policy: EDTLP})
 		defer rt.Close()
 		o := opts
-		o.Checkpoint = func(id TaskID, c *phylo.Checkpoint) {
-			enc := c.AppendBinary(nil)
-			mu.Lock()
-			checkpoints[id] = append(checkpoints[id], enc)
-			mu.Unlock()
-		}
-		o.OnTaskDone = func(out TaskOutcome) {
-			mu.Lock()
-			outcomes[out.Task] = phylo.AppendTreeBinary(nil, out.Tree)
-			logliks[out.Task] = out.LogLik
-			mu.Unlock()
+		o.Observer = &fakeObserver{
+			checkpoint: func(id TaskID, c *phylo.Checkpoint) {
+				enc := c.AppendBinary(nil)
+				mu.Lock()
+				checkpoints[id] = append(checkpoints[id], enc)
+				mu.Unlock()
+			},
+			taskDone: func(out TaskOutcome, _, _ int, recalled bool) {
+				if recalled {
+					t.Errorf("task %+v reported as recalled in a run that recalls nothing", out.Task)
+				}
+				mu.Lock()
+				outcomes[out.Task] = phylo.AppendTreeBinary(nil, out.Tree)
+				logliks[out.Task] = out.LogLik
+				mu.Unlock()
+			},
 		}
 		res, err := RunAnalysis(rt, data, o)
 		if err != nil {
@@ -60,7 +74,7 @@ func TestAnalysisResumeByteIdentical(t *testing.T) {
 
 	total := opts.Inferences + opts.Bootstraps
 	if len(outcomes) != total {
-		t.Fatalf("OnTaskDone announced %d tasks, want %d", len(outcomes), total)
+		t.Fatalf("TaskDone announced %d tasks, want %d", len(outcomes), total)
 	}
 	for id, cs := range checkpoints {
 		if len(cs) < 1 {
@@ -69,9 +83,9 @@ func TestAnalysisResumeByteIdentical(t *testing.T) {
 	}
 
 	// Recovery run on a fresh runtime: inference 0 and bootstrap 1 replay as
-	// completed (SkipTask), every other task resumes from a mid-search
-	// checkpoint when one exists. Tasks announced by OnTaskDone must be
-	// exactly the non-skipped ones.
+	// completed (Recall returns their outcome), every other task resumes from
+	// a mid-search checkpoint when one exists. Tasks announced as live by
+	// TaskDone must be exactly the non-recalled ones.
 	skip := map[TaskID]bool{
 		{Bootstrap: false, Index: 0}: true,
 		{Bootstrap: true, Index: 1}:  true,
@@ -80,48 +94,51 @@ func TestAnalysisResumeByteIdentical(t *testing.T) {
 	rt := New(Options{Workers: 4, Policy: EDTLP})
 	defer rt.Close()
 	o := opts
-	o.SkipTask = func(id TaskID) (TaskOutcome, bool) {
-		if !skip[id] {
-			return TaskOutcome{}, false
-		}
-		tree, err := phylo.DecodeTreeBinary(outcomes[id])
-		if err != nil {
-			t.Errorf("task %+v: stored tree does not decode: %v", id, err)
-			return TaskOutcome{}, false
-		}
-		return TaskOutcome{Task: id, LogLik: logliks[id], Tree: tree}, true
+	var lastCompleted, lastTotal int
+	o.Observer = &fakeObserver{
+		recall: func(id TaskID) (*TaskOutcome, *phylo.Checkpoint) {
+			if skip[id] {
+				tree, err := phylo.DecodeTreeBinary(outcomes[id])
+				if err != nil {
+					t.Errorf("task %+v: stored tree does not decode: %v", id, err)
+					return nil, nil
+				}
+				return &TaskOutcome{Task: id, LogLik: logliks[id], Tree: tree}, nil
+			}
+			cs := checkpoints[id]
+			c, err := phylo.DecodeCheckpoint(cs[len(cs)/2])
+			if err != nil {
+				t.Errorf("task %+v: stored checkpoint does not decode: %v", id, err)
+				return nil, nil
+			}
+			return nil, c
+		},
+		taskDone: func(out TaskOutcome, completed, total int, recalled bool) {
+			lastCompleted, lastTotal = completed, total
+			if !recalled {
+				announced[out.Task] = true
+			}
+		},
 	}
-	o.ResumeSearch = func(id TaskID) *phylo.Checkpoint {
-		cs := checkpoints[id]
-		c, err := phylo.DecodeCheckpoint(cs[len(cs)/2])
-		if err != nil {
-			t.Errorf("task %+v: stored checkpoint does not decode: %v", id, err)
-			return nil
-		}
-		return c
-	}
-	o.OnTaskDone = func(out TaskOutcome) {
-		mu.Lock()
-		announced[out.Task] = true
-		mu.Unlock()
-	}
-	var lastProgress AnalysisProgress
-	o.Progress = func(p AnalysisProgress) { lastProgress = p }
 	res, err := RunAnalysis(rt, data, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if lastProgress.Completed != total || lastProgress.Total != total {
-		t.Errorf("progress reached %d/%d, want %d/%d", lastProgress.Completed, lastProgress.Total, total, total)
+	if lastCompleted != total || lastTotal != total {
+		t.Errorf("progress reached %d/%d, want %d/%d", lastCompleted, lastTotal, total, total)
 	}
 	for id := range skip {
 		if announced[id] {
-			t.Errorf("skipped task %+v was re-announced through OnTaskDone", id)
+			t.Errorf("recalled task %+v was re-announced as live through TaskDone", id)
 		}
 	}
 	if len(announced) != total-len(skip) {
-		t.Errorf("OnTaskDone announced %d tasks in the recovery run, want %d", len(announced), total-len(skip))
+		t.Errorf("TaskDone announced %d live tasks in the recovery run, want %d", len(announced), total-len(skip))
+	}
+	if golden != nil {
+		checkGolden(t, *golden, "uninterrupted run with an observer", ref)
+		checkGolden(t, *golden, "skip-and-resume run", res)
 	}
 
 	if math.Float64bits(res.BestLogLik) != math.Float64bits(ref.BestLogLik) {

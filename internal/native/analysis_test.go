@@ -2,7 +2,9 @@ package native
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"os"
 	"testing"
 
 	"cellmg/internal/phylo"
@@ -29,6 +31,95 @@ func analysisOpts() AnalysisOptions {
 		Bootstraps: 4,
 		Search:     phylo.SearchOptions{SmoothingRounds: 2, MaxRounds: 3, Epsilon: 0.05},
 		Seed:       29,
+	}
+}
+
+// fakeObserver is the test stand-in for the job server's TaskObserver: each
+// method forwards to its func field when one is set.
+type fakeObserver struct {
+	recall     func(TaskID) (*TaskOutcome, *phylo.Checkpoint)
+	checkpoint func(TaskID, *phylo.Checkpoint)
+	taskDone   func(out TaskOutcome, completed, total int, recalled bool)
+}
+
+func (f *fakeObserver) Recall(id TaskID) (*TaskOutcome, *phylo.Checkpoint) {
+	if f.recall == nil {
+		return nil, nil
+	}
+	return f.recall(id)
+}
+
+func (f *fakeObserver) Checkpoint(id TaskID, c *phylo.Checkpoint) {
+	if f.checkpoint != nil {
+		f.checkpoint(id, c)
+	}
+}
+
+func (f *fakeObserver) TaskDone(out TaskOutcome, completed, total int, recalled bool) {
+	if f.taskDone != nil {
+		f.taskDone(out, completed, total, recalled)
+	}
+}
+
+// goldenSpec is one analysis pinned by testdata/analysis_golden.json. The
+// fixture was written at the last commit where the serial and the parallel
+// driver each had their own task body (796ba26), from native.RunAnalysis
+// through server.ResultFromAnalysis; now that both drivers call
+// phylo.RunTask, "serial == parallel" cannot notice a changed seed stream or
+// task order, and the stored bytes can.
+type goldenSpec struct {
+	name string
+	opts AnalysisOptions
+}
+
+func goldenSpecs(t *testing.T) []goldenSpec {
+	t.Helper()
+	gtr, err := phylo.NewGTR([6]float64{1.3, 3.2, 0.9, 1.1, 4.1, 1.0}, phylo.Frequencies{0.31, 0.19, 0.24, 0.26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma, err := phylo.DiscreteGamma(0.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := phylo.SearchOptions{SmoothingRounds: 2, MaxRounds: 4, Epsilon: 0.05}
+	return []goldenSpec{
+		{"jc69_single_2i3b", AnalysisOptions{Inferences: 2, Bootstraps: 3, Search: search, Seed: 29,
+			Model: phylo.NewJC69(), Rates: phylo.SingleRate()}},
+		{"gtr_gamma4_1i2b", AnalysisOptions{Inferences: 1, Bootstraps: 2, Search: search, Seed: 31,
+			Model: gtr, Rates: gamma}},
+	}
+}
+
+// checkGolden compares a result on testData, rendered in the wire shape of
+// server.Result (which this package cannot import), with the fixture's bytes.
+func checkGolden(t *testing.T, spec goldenSpec, run string, res *phylo.AnalysisResult) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/analysis_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	wire := struct {
+		BestLogLik    float64            `json:"best_log_lik"`
+		BestTree      string             `json:"best_tree"`
+		InferenceLogs []float64          `json:"inference_logs"`
+		Replicates    []string           `json:"replicates,omitempty"`
+		Support       map[string]float64 `json:"support,omitempty"`
+	}{BestLogLik: res.BestLogLik, BestTree: res.BestTree.Newick(), InferenceLogs: res.InferenceLogs, Support: res.Support}
+	for _, rep := range res.Replicates {
+		wire.Replicates = append(wire.Replicates, rep.Newick())
+	}
+	got, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden[spec.name]) {
+		t.Errorf("%s, %s: result differs from testdata/analysis_golden.json\n got %s\nwant %s",
+			spec.name, run, got, golden[spec.name])
 	}
 }
 
@@ -73,6 +164,24 @@ func TestParallelAnalysisMatchesSerialReference(t *testing.T) {
 		if rep == nil {
 			t.Errorf("replicate %d missing", i)
 		}
+	}
+
+	for _, spec := range goldenSpecs(t) {
+		serial, err := phylo.RunAnalysis(data, spec.opts.Model, spec.opts.Rates, phylo.AnalysisOptions{
+			Inferences: spec.opts.Inferences,
+			Bootstraps: spec.opts.Bootstraps,
+			Search:     spec.opts.Search,
+			Seed:       spec.opts.Seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, spec, "phylo.RunAnalysis", serial)
+		parallel, err := RunAnalysis(rt, data, spec.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, spec, "native EDTLP", parallel)
 	}
 }
 
@@ -156,6 +265,16 @@ func TestParallelAnalysisWithLLPExercisesWorkSharing(t *testing.T) {
 			t.Errorf("width %d: work-shared loops %d (want > 0), heavy loops %d (want 0)",
 				width, s.LoopsWorkShared, s.LoopsHeavy)
 		}
+	}
+
+	rt2 := New(Options{Workers: 4, Policy: StaticLLP, SPEsPerLoop: 2})
+	defer rt2.Close()
+	for _, spec := range goldenSpecs(t) {
+		res, err := RunAnalysis(rt2, data, spec.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, spec, "native StaticLLP width 2", res)
 	}
 }
 

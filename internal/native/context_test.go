@@ -147,10 +147,17 @@ func TestRunAnalysisProgressAndSink(t *testing.T) {
 	rt := New(Options{Workers: 4, Policy: MGPS})
 	defer rt.Close()
 
-	var events []AnalysisProgress
+	type progress struct {
+		Completed, Total int
+		Bootstrap        bool
+		Index            int
+	}
+	var events []progress
 	var collector stats.OffloadCollector
 	opts := analysisOpts()
-	opts.Progress = func(p AnalysisProgress) { events = append(events, p) }
+	opts.Observer = &fakeObserver{taskDone: func(out TaskOutcome, completed, total int, _ bool) {
+		events = append(events, progress{completed, total, out.Task.Bootstrap, out.Task.Index})
+	}}
 	opts.Sink = &collector
 
 	if _, err := RunAnalysis(rt, data, opts); err != nil {

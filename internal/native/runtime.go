@@ -17,8 +17,12 @@
 //   - MGPS            -> policy.MGPS observing off-load completions and
 //     choosing between one worker per task and ⌊workers/T⌋ workers per task
 //
-// The package is exercised end to end by the phylogenetic analysis driver in
-// analysis.go, the examples, and the E10 benchmarks.
+// analysis.go is the parallel analysis driver. It owns only what is native —
+// a Submitter per task, OffloadContext, cancellation on the first failure,
+// the flight sweep instants — around the task body, assembly and types it
+// shares with the serial reference (phylo.RunTask, phylo.AssembleAnalysis).
+// One optional TaskObserver on AnalysisOptions is the way to watch a run;
+// the job server holds its one implementation.
 package native
 
 import (

@@ -3,16 +3,13 @@ package phylo_test
 // This file is the allocation-regression guard for the likelihood hot path:
 // the three paper kernels must stay allocation-free in steady state (warm
 // buffers, warm transition cache), so a future change that reintroduces a
-// per-call escape fails CI instead of silently eroding the PR 1 work. It
-// lives in the external test package so the fixtures come from
-// internal/benchfix — the same workloads the benchmarks and BENCH_PR*.json
-// measure.
+// per-call escape fails CI instead of silently eroding the PR 1 work. The
+// fixtures (fixtures_test.go) are the workloads the micro-benchmarks time.
 
 import (
 	"context"
 	"testing"
 
-	"cellmg/internal/benchfix"
 	"cellmg/internal/phylo"
 )
 
@@ -20,7 +17,7 @@ import (
 // buffer sized and the transition caches warm.
 func allocEngine(t *testing.T) (*phylo.Engine, *phylo.Tree) {
 	t.Helper()
-	eng, tree, err := benchfix.KernelEngine(phylo.NewJC69(), phylo.SingleRate())
+	eng, tree, err := kernelEngine(phylo.NewJC69(), phylo.SingleRate())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +27,7 @@ func allocEngine(t *testing.T) (*phylo.Engine, *phylo.Tree) {
 
 func TestNewviewAllocationFree(t *testing.T) {
 	eng, tree := allocEngine(t)
-	node := benchfix.KernelInternalNode(tree)
+	node := kernelInternalNode(tree)
 	if node == nil {
 		t.Fatal("tree has no internal non-root node")
 	}
@@ -65,7 +62,7 @@ func TestIncrementalEvaluationAllocationFree(t *testing.T) {
 	eng, tree := allocEngine(t)
 	edge := tree.Edges()[len(tree.Edges())/3]
 	eng.LogLikelihood(tree)
-	lengths := benchfix.EdgeFlipLengths
+	lengths := edgeFlipLengths
 	// Warm both branch-length cache entries the flip cycle touches.
 	for _, l := range lengths {
 		edge.Length = l
@@ -93,11 +90,11 @@ func TestSearchAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full NNI searches are slow; skipped in -short mode")
 	}
-	eng, tree, snap, err := benchfix.SearchEngine()
+	eng, tree, snap, err := searchEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := benchfix.SearchNNIOptions()
+	opts := searchNNIOptions()
 	ctx := context.Background()
 	var res phylo.SearchResult
 	run := func() {

@@ -1,18 +1,16 @@
 package phylo_test
 
-// The tier-1 benchmark set — fixtures AND timed loop bodies — is defined in
-// internal/benchfix and shared with cmd/benchreport, which writes the
-// committed BENCH_PR*.json record; the benchmarks here are thin named
-// wrappers, so the two can never drift apart. Only the cache-ablation
-// (NoCache) variants, which exist solely in the test suite, keep local
-// bodies. This file lives in the external test package so it can import
-// benchfix without a cycle.
+// The go-test micro-benchmarks that guard kernel cost and the 0-alloc
+// contract where the kernels live. The fixtures come from fixtures_test.go;
+// the repo's benchmark proper — end-to-end workloads and per-layer metrics
+// (including checkpoint encoding, WAL appends and flight-recorder overhead) —
+// is the bench/ module.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
-	"cellmg/internal/benchfix"
 	"cellmg/internal/phylo"
 )
 
@@ -21,7 +19,10 @@ import (
 // what the transition cache exists to amortize.
 func benchGTR(b *testing.B) *phylo.GTR {
 	b.Helper()
-	g, err := benchfix.BenchGTR()
+	g, err := phylo.NewGTR(
+		[6]float64{1.5, 3, 0.7, 1.2, 4, 1},
+		phylo.Frequencies{0.28, 0.22, 0.24, 0.26},
+	)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func benchGTR(b *testing.B) *phylo.GTR {
 
 func benchGamma4(b *testing.B) phylo.RateCategories {
 	b.Helper()
-	rates, err := benchfix.BenchGamma4()
+	rates, err := phylo.DiscreteGamma(0.8, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,13 +41,28 @@ func benchGamma4(b *testing.B) phylo.RateCategories {
 // BenchmarkNewview measures one conditional-likelihood-vector update — the
 // paper's dominant off-loaded kernel (76.8% of sequential time).
 func BenchmarkNewview(b *testing.B) {
-	benchfix.Newview(phylo.NewJC69(), phylo.SingleRate())(b)
+	benchNewview(b, phylo.NewJC69(), phylo.SingleRate())
+}
+
+func benchNewview(b *testing.B, model phylo.Model, rates phylo.RateCategories) {
+	eng, tree, err := kernelEngine(model, rates)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.LogLikelihood(tree) // populate buffers and the transition cache
+	node := kernelInternalNode(tree)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		//cellmg:allow invalidation -- kernel microbenchmark; inputs unchanged, recomputed vector is bit-identical
+		eng.Newview(node)
+	}
 }
 
 // BenchmarkNewviewGamma4 is the same update with four discrete-Gamma rate
 // categories (4x the arithmetic and cache footprint per pattern).
 func BenchmarkNewviewGamma4(b *testing.B) {
-	benchfix.Newview(phylo.NewJC69(), benchGamma4(b))(b)
+	benchNewview(b, phylo.NewJC69(), benchGamma4(b))
 }
 
 // BenchmarkNewviewGTRGamma4 and its NoCache counterpart quantify what the
@@ -54,17 +70,17 @@ func BenchmarkNewviewGamma4(b *testing.B) {
 // cache disabled every Newview recomputes eight eigen-exponential matrices
 // (two children x four rate categories).
 func BenchmarkNewviewGTRGamma4(b *testing.B) {
-	benchfix.Newview(benchGTR(b), benchGamma4(b))(b)
+	benchNewview(b, benchGTR(b), benchGamma4(b))
 }
 
 func BenchmarkNewviewGTRGamma4NoCache(b *testing.B) {
-	eng, tree, err := benchfix.KernelEngine(benchGTR(b), benchGamma4(b))
+	eng, tree, err := kernelEngine(benchGTR(b), benchGamma4(b))
 	if err != nil {
 		b.Fatal(err)
 	}
 	eng.SetTransitionCache(false)
 	eng.LogLikelihood(tree)
-	node := benchfix.KernelInternalNode(tree)
+	node := kernelInternalNode(tree)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,41 +89,88 @@ func BenchmarkNewviewGTRGamma4NoCache(b *testing.B) {
 }
 
 // BenchmarkEvaluate measures one full log-likelihood evaluation (a post-order
-// newview sweep plus the root evaluation) in steady state; every iteration
-// invalidates everything so the whole tree really recomputes.
+// newview sweep plus the root evaluation) in steady state; InvalidateAll
+// defeats the incremental skip so every iteration really recomputes the
+// whole tree.
 func BenchmarkEvaluate(b *testing.B) {
-	benchfix.EvaluateFullSweep(phylo.SingleRate())(b)
+	benchEvaluate(b, phylo.SingleRate())
+}
+
+func benchEvaluate(b *testing.B, rates phylo.RateCategories) {
+	eng, tree, err := kernelEngine(phylo.NewJC69(), rates)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.LogLikelihood(tree)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.InvalidateAll()
+		eng.LogLikelihood(tree)
+	}
 }
 
 // BenchmarkEvaluateGamma4 is the same with four discrete-Gamma rate
 // categories (the memory- and compute-heavier configuration real analyses
 // use).
 func BenchmarkEvaluateGamma4(b *testing.B) {
-	benchfix.EvaluateFullSweep(benchGamma4(b))(b)
+	benchEvaluate(b, benchGamma4(b))
 }
 
 // BenchmarkEvaluateIncremental measures the partial-traversal path the tree
 // search lives on: invalidate one edge, re-evaluate — the per-candidate cost
-// model of the incremental NNI search.
+// model of the incremental NNI search. Only the edge's ancestor path is
+// recomputed (O(depth) Newview calls instead of O(taxa)).
 func BenchmarkEvaluateIncremental(b *testing.B) {
-	benchfix.EvaluateIncremental()(b)
+	eng, tree, err := kernelEngine(phylo.NewJC69(), phylo.SingleRate())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.LogLikelihood(tree)
+	edge := tree.Edges()[len(tree.Edges())/2]
+	for _, l := range edgeFlipLengths { // warm both cache entries
+		edge.Length = l
+		eng.InvalidateEdge(edge)
+		eng.LogLikelihood(tree)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edge.Length = edgeFlipLengths[i%2]
+		eng.InvalidateEdge(edge)
+		eng.LogLikelihood(tree)
+	}
 }
 
 // BenchmarkMakenewz measures one branch-length optimization (Newton-Raphson
 // on one edge), the paper's second hottest kernel, in steady state.
 func BenchmarkMakenewz(b *testing.B) {
-	benchfix.Makenewz(phylo.NewJC69(), phylo.SingleRate())(b)
+	benchMakenewz(b, phylo.NewJC69(), phylo.SingleRate())
+}
+
+func benchMakenewz(b *testing.B, model phylo.Model, rates phylo.RateCategories) {
+	eng, tree, err := kernelEngine(model, rates)
+	if err != nil {
+		b.Fatal(err)
+	}
+	edge := tree.Edges()[len(tree.Edges())/2]
+	eng.OptimizeBranch(tree, edge) // converge the edge and warm the caches
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.OptimizeBranch(tree, edge)
+	}
 }
 
 // BenchmarkMakenewzGTRGamma4 and its NoCache counterpart measure the Newton
 // kernel under the expensive model family; with the cache disabled every
 // Newton iteration recomputes its twelve derivative matrices from the model.
 func BenchmarkMakenewzGTRGamma4(b *testing.B) {
-	benchfix.Makenewz(benchGTR(b), benchGamma4(b))(b)
+	benchMakenewz(b, benchGTR(b), benchGamma4(b))
 }
 
 func BenchmarkMakenewzGTRGamma4NoCache(b *testing.B) {
-	eng, tree, err := benchfix.KernelEngine(benchGTR(b), benchGamma4(b))
+	eng, tree, err := kernelEngine(benchGTR(b), benchGamma4(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -137,18 +200,39 @@ func BenchmarkBootstrapResample(b *testing.B) {
 // BenchmarkSearchNNI measures a 50-taxon NNI search (dirty-path partial
 // traversals + local re-optimization per candidate); the equivalence tests in
 // incremental_test.go prove the likelihoods it reports are byte-identical to
-// full recomputation. The sub-benchmark keeps the name the committed
-// BENCH_PR*.json records use.
+// full recomputation. The final log-likelihood is reported as "logL".
+//
+// The engine, the tree and the result struct live outside the timed loop and
+// every iteration restores the same starting topology and invalidates the
+// engine, so each op is one full search over identical work — the
+// allocation-free steady state the search path guarantees (a cold warmup run
+// precedes the timer so N=1 measurements are not dominated by slab and
+// scratch growth).
 func BenchmarkSearchNNI(b *testing.B) {
-	b.Run("incremental", benchfix.SearchNNI())
-}
-
-// BenchmarkCheckpointWrite measures encoding one search checkpoint into a
-// reused buffer — the cost SearchOptions.Checkpoint adds at every sweep
-// boundary before the bytes reach the write-ahead log. Must be
-// allocation-free (alloc_test-style guard lives in checkpoint_test.go).
-func BenchmarkCheckpointWrite(b *testing.B) {
-	benchfix.CheckpointWrite()(b)
+	b.Run("incremental", func(b *testing.B) {
+		eng, tree, snap, err := searchEngine()
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := searchNNIOptions()
+		var res phylo.SearchResult
+		run := func() {
+			if err := snap.Restore(tree); err != nil {
+				b.Fatal(err)
+			}
+			eng.InvalidateAll()
+			if err := eng.SearchInto(context.Background(), tree, opts, &res); err != nil {
+				b.Fatal(err)
+			}
+		}
+		run() // warm scratch, slabs and the transition cache
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+			b.ReportMetric(res.LogLikelihood, "logL")
+		}
+	})
 }
 
 // BenchmarkSmallSearch measures a complete small tree search — the unit of
@@ -164,19 +248,4 @@ func BenchmarkSmallSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkEvaluateFlight measures the full-sweep evaluation with its loops
-// work-shared on a native runtime, with the flight recorder on ("traced")
-// and off ("off"). The PR 7 acceptance bound is traced within 2% of off.
-func BenchmarkEvaluateFlight(b *testing.B) {
-	b.Run("traced", benchfix.EvaluateFullSweepFlight(true))
-	b.Run("off", benchfix.EvaluateFullSweepFlight(false))
-}
-
-// BenchmarkSearchNNIFlight is the same recorder-overhead pair on the 50-taxon
-// NNI search — the loop-densest workload, so the worst case for tracing cost.
-func BenchmarkSearchNNIFlight(b *testing.B) {
-	b.Run("traced", benchfix.SearchNNIFlight(true))
-	b.Run("off", benchfix.SearchNNIFlight(false))
 }

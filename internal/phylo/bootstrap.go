@@ -2,6 +2,7 @@
 package phylo
 
 import (
+	"context"
 	"math"
 	"math/rand"
 )
@@ -90,7 +91,26 @@ type AnalysisOptions struct {
 	Seed       int64
 }
 
-// AnalysisResult is the outcome of RunAnalysis.
+// TaskID identifies one task of an analysis: inference i or bootstrap
+// replicate j — the paper's unit of task-level parallelism. The zero Index
+// is valid; the pair is stable across runs because tasks are indexed, not
+// ordered by completion.
+type TaskID struct {
+	Bootstrap bool
+	Index     int
+}
+
+// TaskOutcome is one task's completed result, the unit of replicate-granular
+// recovery. Tree is the search's final tree with exact branch-length bits
+// (persist it with AppendTreeBinary, never Newick, to keep recovery
+// byte-identical).
+type TaskOutcome struct {
+	Task   TaskID
+	LogLik float64
+	Tree   *Tree
+}
+
+// AnalysisResult is the outcome of an analysis, serial or parallel.
 type AnalysisResult struct {
 	BestTree      *Tree
 	BestLogLik    float64
@@ -99,60 +119,98 @@ type AnalysisResult struct {
 	Support       map[string]float64
 }
 
-// RunAnalysis performs the analysis serially. The native runtime provides the
-// parallel version (each inference/bootstrap is an independent task, exactly
-// the task-level parallelism the paper exploits); this serial implementation
-// is the reference the parallel one is checked against.
+// Tasks returns the analysis's task list in its canonical order: every
+// inference by index (at least one), then every bootstrap by index.
+// AssembleAnalysis expects outcomes in this order.
+func (o AnalysisOptions) Tasks() []TaskID {
+	inferences := max(o.Inferences, 1)
+	tasks := make([]TaskID, 0, inferences+o.Bootstraps)
+	for i := 0; i < inferences; i++ {
+		tasks = append(tasks, TaskID{Index: i})
+	}
+	for b := 0; b < o.Bootstraps; b++ {
+		tasks = append(tasks, TaskID{Bootstrap: true, Index: b})
+	}
+	return tasks
+}
+
+// RunTask is the one task body behind every analysis driver: derive the
+// task's seeds, resample the pattern weights if it is a bootstrap, build the
+// engine and run the search. par is the loop-level executor for the engine's
+// pattern loops (nil = serial); resume, when non-nil, restarts the search
+// from that sweep-boundary checkpoint; checkpoint, when non-nil, receives
+// every sweep-boundary checkpoint (engine-owned: encode it inside the call).
 //
-// Every replicate's randomness — the inference starting trees, the bootstrap
-// column resamples, and the bootstrap starting trees — is seeded by
-// DeriveSeed(opts.Seed, stream, index), so replicate b is a pure function of
-// (seed, b) with no shared generator state. The parallel driver derives the
-// same seeds, which is what makes its results independent of interleaving.
-func RunAnalysis(data *PatternAlignment, model Model, rates RateCategories, opts AnalysisOptions) (*AnalysisResult, error) {
-	if opts.Inferences <= 0 {
-		opts.Inferences = 1
+// All of the task's randomness — an inference's starting tree, a bootstrap's
+// column resample and starting tree — is seeded by DeriveSeed(opts.Seed,
+// stream, id.Index), so the outcome is a pure function of (data, model,
+// rates, opts, id): tasks can run, be skipped or be resumed in any order and
+// on any executor without perturbing each other.
+func RunTask(ctx context.Context, data *PatternAlignment, model Model, rates RateCategories,
+	opts AnalysisOptions, id TaskID, par ParallelFor, resume *Checkpoint, checkpoint func(*Checkpoint)) (TaskOutcome, error) {
+	so := opts.Search
+	so.Resume, so.Checkpoint = resume, checkpoint
+	if id.Bootstrap {
+		rng := rand.New(rand.NewSource(DeriveSeed(opts.Seed, SeedStreamBootstrapWeights, id.Index)))
+		var err error
+		if data, err = Bootstrap(data, rng); err != nil {
+			return TaskOutcome{}, err
+		}
+		so.Seed = DeriveSeed(opts.Seed, SeedStreamBootstrapSearch, id.Index)
+	} else {
+		so.Seed = DeriveSeed(opts.Seed, SeedStreamInference, id.Index)
 	}
+	eng, err := NewEngine(data, model, rates)
+	if err != nil {
+		return TaskOutcome{}, err
+	}
+	eng.SetParallel(par)
+	sr, err := eng.SearchContext(ctx, so)
+	if err != nil {
+		return TaskOutcome{}, err
+	}
+	return TaskOutcome{Task: id, LogLik: sr.LogLikelihood, Tree: sr.Tree}, nil
+}
+
+// AssembleAnalysis folds the outcomes of every task, in Tasks() order, into
+// the analysis result: the per-inference log-likelihoods, the best inference
+// (first wins a tie), the bootstrap replicate trees and — when there are
+// replicates — their support for the best tree's bipartitions.
+func AssembleAnalysis(outcomes []TaskOutcome) *AnalysisResult {
 	res := &AnalysisResult{BestLogLik: negInf()}
-	for i := 0; i < opts.Inferences; i++ {
-		eng, err := NewEngine(data, model, rates)
-		if err != nil {
-			return nil, err
+	for _, out := range outcomes {
+		if out.Task.Bootstrap {
+			res.Replicates = append(res.Replicates, out.Tree)
+			continue
 		}
-		so := opts.Search
-		so.Seed = DeriveSeed(opts.Seed, SeedStreamInference, i)
-		sr, err := eng.Search(so)
-		if err != nil {
-			return nil, err
+		res.InferenceLogs = append(res.InferenceLogs, out.LogLik)
+		if out.LogLik > res.BestLogLik {
+			res.BestLogLik = out.LogLik
+			res.BestTree = out.Tree
 		}
-		res.InferenceLogs = append(res.InferenceLogs, sr.LogLikelihood)
-		if sr.LogLikelihood > res.BestLogLik {
-			res.BestLogLik = sr.LogLikelihood
-			res.BestTree = sr.Tree
-		}
-	}
-	for b := 0; b < opts.Bootstraps; b++ {
-		rng := rand.New(rand.NewSource(DeriveSeed(opts.Seed, SeedStreamBootstrapWeights, b)))
-		rep, err := Bootstrap(data, rng)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := NewEngine(rep, model, rates)
-		if err != nil {
-			return nil, err
-		}
-		so := opts.Search
-		so.Seed = DeriveSeed(opts.Seed, SeedStreamBootstrapSearch, b)
-		sr, err := eng.Search(so)
-		if err != nil {
-			return nil, err
-		}
-		res.Replicates = append(res.Replicates, sr.Tree)
 	}
 	if res.BestTree != nil && len(res.Replicates) > 0 {
 		res.Support = SupportValues(res.BestTree, res.Replicates)
 	}
-	return res, nil
+	return res
+}
+
+// RunAnalysis performs the analysis serially: every task of the list runs
+// inline through RunTask, then the outcomes are assembled. The native runtime
+// provides the parallel version (each task off-loaded, exactly the task-level
+// parallelism the paper exploits) over the same two functions; this driver is
+// the reference the parallel one is checked against.
+func RunAnalysis(data *PatternAlignment, model Model, rates RateCategories, opts AnalysisOptions) (*AnalysisResult, error) {
+	tasks := opts.Tasks()
+	outcomes := make([]TaskOutcome, len(tasks))
+	for i, id := range tasks {
+		out, err := RunTask(context.Background(), data, model, rates, opts, id, nil, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		outcomes[i] = out
+	}
+	return AssembleAnalysis(outcomes), nil
 }
 
 // negInf is the identity of the best-logL comparisons above: any real search

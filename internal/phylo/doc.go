@@ -15,7 +15,11 @@
 //     length optimization);
 //   - a hill-climbing tree search (randomized stepwise addition followed by
 //     nearest-neighbour-interchange rounds), multiple inferences and
-//     non-parametric bootstrapping;
+//     non-parametric bootstrapping — as an analysis of independent tasks
+//     (TaskID: inference i or bootstrap j) with exactly one task body, RunTask
+//     (seed derivation, bootstrap weights, NewEngine, SearchContext), and one
+//     assembly step, AssembleAnalysis; RunAnalysis is the serial driver over
+//     the two and package native the parallel one;
 //   - a sequence simulator used to generate synthetic alignments for tests,
 //     examples and benchmarks.
 //

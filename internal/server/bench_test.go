@@ -1,8 +1,7 @@
 package server
 
-// BenchmarkWALAppend is a thin wrapper over WALAppendBench, the shared loop
-// body cmd/benchreport also times — see walbench.go for why the fixture is
-// exported from the package instead of living in internal/benchfix.
+// BenchmarkWALAppend is a thin wrapper over WALAppendBench, the loop body the
+// bench/ module also times (server.wal_append_us) — see walbench.go.
 
 import "testing"
 

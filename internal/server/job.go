@@ -97,6 +97,14 @@ type JobSpec struct {
 	Sequences []SequenceSpec `json:"sequences,omitempty"`
 }
 
+// tenant returns the tenant the job is accounted to.
+func (s *JobSpec) tenant() string {
+	if s.Tenant == "" {
+		return "default"
+	}
+	return s.Tenant
+}
+
 // tasks returns the number of off-loaded tasks the job will generate.
 func (s *JobSpec) tasks() int {
 	inf := s.Inferences
@@ -140,8 +148,8 @@ func (s *JobSpec) buildAlignment() (*phylo.PatternAlignment, error) {
 }
 
 // analysisOptions converts the spec to the native driver's options. The
-// server fills Progress and Sink; everything else must be derived from the
-// spec alone so that re-running the spec elsewhere reproduces the job.
+// server fills Sink, FlightID and Observer; everything else must be derived
+// from the spec alone so that re-running the spec elsewhere reproduces the job.
 func (s *JobSpec) analysisOptions() (native.AnalysisOptions, error) {
 	rates := phylo.SingleRate()
 	if s.Gamma > 0 {
@@ -241,8 +249,8 @@ type Job struct {
 	// prior incarnations, skipTasks holds completed-task outcomes to replay,
 	// and resumes holds the latest encoded checkpoint per unfinished task.
 	attempts  int
-	skipTasks map[taskKey]storedTask
-	resumes   map[taskKey][]byte
+	skipTasks map[native.TaskID]storedTask
+	resumes   map[native.TaskID][]byte
 
 	mu        sync.Mutex
 	state     State
@@ -353,39 +361,42 @@ func (j *Job) queueWait() time.Duration {
 	return j.started.Sub(j.submitted)
 }
 
-// transition atomically moves the job from one state to another; it reports
-// whether the job was in the expected state.
-func (j *Job) transition(from, to State) bool {
+// start moves a queued job to running; it reports false if the job was
+// cancelled first.
+func (j *Job) start() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != from {
+	if j.state != StateQueued {
 		return false
 	}
-	j.state = to
-	switch to {
-	case StateRunning:
-		j.started = time.Now()
-	case StateDone, StateFailed, StateCancelled:
-		j.finished = time.Now()
-	}
+	j.state = StateRunning
+	j.started = time.Now()
 	return true
 }
 
-// finish moves a running (or, for cancellation, queued) job into a terminal
-// state, records its outcome, emits the terminal event, and closes the event
-// stream. It is a no-op if the job is already terminal.
-func (j *Job) finish(state State, result *Result, errMsg string) bool {
+// settle moves a running (or, for cancellation, queued) job into a terminal
+// state and records its outcome. It reports false, changing nothing, if the
+// job is already terminal. The caller announces the transition afterwards —
+// once whatever must be durable before anyone can observe the end is.
+func (j *Job) settle(state State, result *Result, errMsg string) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return false
 	}
 	j.state = state
 	j.finished = time.Now()
 	j.result = result
 	j.errMsg = errMsg
-	j.mu.Unlock()
+	return true
+}
 
+// announce publishes a settled job's end: the terminal event, the end of the
+// event stream, and Done().
+func (j *Job) announce() {
+	j.mu.Lock()
+	state, result, errMsg := j.state, j.result, j.errMsg
+	j.mu.Unlock()
 	switch state {
 	case StateDone:
 		j.events.Append(EventDone, map[string]any{"best_log_lik": result.BestLogLik})
@@ -396,24 +407,63 @@ func (j *Job) finish(state State, result *Result, errMsg string) bool {
 	}
 	j.events.Close()
 	close(j.done)
-	return true
 }
 
-// noteProgress records task completion counts and emits a progress event.
-func (j *Job) noteProgress(p native.AnalysisProgress) {
+// jobObserver is the server's native.TaskObserver, one per run of a job: the
+// single place a running analysis meets its job. It keeps the job's progress
+// counts and event stream current and — when the server has a job store —
+// streams completed tasks and sweep-boundary checkpoints into the WAL and
+// recalls what a previous incarnation already logged.
+type jobObserver struct {
+	job   *Job
+	store *jobStore // nil without Options.DataDir
+}
+
+// Recall replays a task the WAL holds as completed, or hands back its latest
+// checkpoint. An undecodable record is not fatal: the task recomputes (from
+// its checkpoint if that decodes, else from scratch).
+func (o *jobObserver) Recall(task native.TaskID) (*native.TaskOutcome, *phylo.Checkpoint) {
+	if done, ok := o.job.skipTasks[task]; ok {
+		if tree, err := phylo.DecodeTreeBinary(done.tree); err == nil {
+			return &native.TaskOutcome{Task: task, LogLik: done.logLik, Tree: tree}, nil
+		}
+	}
+	if enc, ok := o.job.resumes[task]; ok {
+		if c, err := phylo.DecodeCheckpoint(enc); err == nil {
+			return nil, c
+		}
+	}
+	return nil, nil
+}
+
+// Checkpoint appends a task's sweep-boundary checkpoint to the WAL.
+func (o *jobObserver) Checkpoint(task native.TaskID, c *phylo.Checkpoint) {
+	if o.store != nil {
+		o.store.checkpoint(o.job.ID, task, c.AppendBinary(nil))
+	}
+}
+
+// TaskDone records task completion counts, emits a progress event and logs
+// the outcome of a task this run computed.
+func (o *jobObserver) TaskDone(out native.TaskOutcome, completed, total int, recalled bool) {
+	j := o.job
 	j.mu.Lock()
-	j.completed = p.Completed
-	j.total = p.Total
+	j.completed = completed
 	j.mu.Unlock()
 	kind := "inference"
-	if p.Bootstrap {
+	if out.Task.Bootstrap {
 		kind = "bootstrap"
 	}
 	j.events.Append(EventProgress, map[string]any{
-		"completed": p.Completed,
-		"total":     p.Total,
+		"completed": completed,
+		"total":     total,
 		"kind":      kind,
-		"index":     p.Index,
-		"log_lik":   p.LogLik,
+		"index":     out.Task.Index,
+		"log_lik":   out.LogLik,
 	})
+	if o.store != nil && !recalled {
+		// Exact float64 bits (phylo's binary tree codec, not Newick): the
+		// recovered run must reproduce the clean run byte for byte.
+		o.store.taskDone(j.ID, out.Task, out.LogLik, phylo.AppendTreeBinary(nil, out.Tree))
+	}
 }

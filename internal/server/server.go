@@ -163,13 +163,6 @@ type Server struct {
 	draining        atomic.Bool
 	drainRetryAfter atomic.Int64
 
-	// Durability counters mirrored into /v1/metrics (the Prometheus side
-	// lives in promMetrics).
-	walErrors      atomic.Int64
-	recoveredJobs  atomic.Int64
-	recoveredTasks atomic.Int64
-	recoveredCkpts atomic.Int64
-
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	finished []string // terminal job ids, oldest first, for bounded retention
@@ -230,10 +223,7 @@ func Open(opts Options) (*Server, error) {
 			segmentMaxBytes: opts.WALSegmentBytes,
 			syncInterval:    opts.WALSyncInterval,
 			inj:             opts.FaultInjector,
-			onError: func(op string) {
-				s.walErrors.Add(1)
-				s.prom.walErrors.With(op).Inc()
-			},
+			onError:         func(op string) { s.prom.walErrors.With(op).Inc() },
 		})
 		if err != nil {
 			s.rt.Close()
@@ -273,62 +263,32 @@ func (s *Server) recoverJobs(recovered map[string]*recoveredJob) {
 			s.nextID = n
 		}
 		if !r.incomplete() {
-			s.restoreTerminal(r, r.state, r.errMsg, r.result)
+			s.restoreTerminal(r, r.state, r.errMsg, r.result, "terminal")
 			continue
 		}
-		s.recoveredJobs.Add(1)
-		if r.attempts >= s.opts.MaxJobAttempts {
-			// Poison job: it has crashed the server MaxJobAttempts times.
-			msg := fmt.Sprintf("job crashed the server %d times; giving up", r.attempts)
-			s.store.jobFinished(r.id, StateFailed, msg, nil)
-			s.restoreTerminal(r, StateFailed, msg, nil)
-			s.prom.recoveredJobsVec.With("failed").Inc()
-			continue
+		var data *phylo.PatternAlignment
+		var err error
+		if r.attempts >= s.opts.MaxJobAttempts { // a poison job
+			err = fmt.Errorf("job crashed the server %d times; giving up", r.attempts)
+		} else {
+			data, err = r.spec.buildAlignment() // validated when first accepted
 		}
-		data, err := r.spec.buildAlignment() // validated when first accepted
 		if err != nil {
 			s.store.jobFinished(r.id, StateFailed, err.Error(), nil)
-			s.restoreTerminal(r, StateFailed, err.Error(), nil)
-			s.prom.recoveredJobsVec.With("failed").Inc()
+			s.restoreTerminal(r, StateFailed, err.Error(), nil, "failed")
 			continue
 		}
-		tenant := r.spec.Tenant
-		if tenant == "" {
-			tenant = "default"
-		}
-		prio, _ := ParsePriority(r.spec.Priority)
-		ctx, cancel := context.WithCancel(s.baseCtx)
-		j := &Job{
-			ID:        r.id,
-			Tenant:    tenant,
-			Priority:  prio,
-			Spec:      r.spec,
-			data:      data,
-			events:    NewEventLog(),
-			collector: &stats.OffloadCollector{},
-			cancel:    cancel,
-			done:      make(chan struct{}),
-			state:     StateQueued,
-			submitted: time.Now(),
-			total:     r.spec.tasks(),
-			attempts:  r.attempts,
-			skipTasks: r.tasks,
-			resumes:   r.ckpts,
-		}
-		j.runCtx = ctx
-		s.recoveredTasks.Add(int64(len(r.tasks)))
-		s.recoveredCkpts.Add(int64(len(r.ckpts)))
-		for range r.tasks {
-			s.prom.recoveredTasksVec.With("done").Inc()
-		}
-		for range r.ckpts {
-			s.prom.recoveredTasksVec.With("checkpoint").Inc()
-		}
+		j := s.newJob(r.id, r.spec, data)
+		j.attempts = r.attempts
+		j.skipTasks = r.tasks
+		j.resumes = r.ckpts
+		s.prom.recoveredTasksVec.With("done").Add(float64(len(r.tasks)))
+		s.prom.recoveredTasksVec.With("checkpoint").Add(float64(len(r.ckpts)))
 		s.jobs[r.id] = j
-		s.metrics.jobSubmitted(tenant)
+		s.metrics.jobSubmitted(j.Tenant)
 		j.events.Append(EventQueued, map[string]any{
-			"tenant":    tenant,
-			"priority":  prio.String(),
+			"tenant":    j.Tenant,
+			"priority":  j.Priority.String(),
 			"tasks":     j.total,
 			"recovered": true,
 			"attempt":   r.attempts + 1,
@@ -371,34 +331,40 @@ func (s *Server) enqueueRecovered(j *Job) {
 	}()
 }
 
-// restoreTerminal rebuilds a finished job's queryable record from the log.
-func (s *Server) restoreTerminal(r *recoveredJob, state State, errMsg string, result *Result) {
-	j := &Job{
-		ID:       r.id,
-		Tenant:   r.spec.Tenant,
-		Priority: PriorityInteractive,
-		Spec:     r.spec,
-		events:   NewEventLog(),
-		// No live collector data survives a restart; the summary is empty.
+// restoreTerminal rebuilds a finished job's queryable record from the log
+// and counts it under the given recovery outcome. No live collector data
+// survives a restart; the job's off-load summary is empty.
+func (s *Server) restoreTerminal(r *recoveredJob, state State, errMsg string, result *Result, outcome string) {
+	j := s.newJob(r.id, r.spec, nil)
+	s.jobs[r.id] = j
+	j.settle(state, result, errMsg)
+	j.announce()
+	j.release()
+	s.finished = append(s.finished, r.id)
+	s.prom.recoveredJobsVec.With(outcome).Inc()
+}
+
+// newJob builds a queued job on a run context derived from the server's.
+// The spec was validated at admission; should a stored spec's priority no
+// longer parse, the job is interactive.
+func (s *Server) newJob(id string, spec JobSpec, data *phylo.PatternAlignment) *Job {
+	prio, _ := ParsePriority(spec.Priority)
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	return &Job{
+		ID:        id,
+		Tenant:    spec.tenant(),
+		Priority:  prio,
+		Spec:      spec,
+		data:      data,
+		events:    NewEventLog(),
 		collector: &stats.OffloadCollector{},
-		cancel:    func() {},
+		runCtx:    ctx,
+		cancel:    cancel,
 		done:      make(chan struct{}),
 		state:     StateQueued,
 		submitted: time.Now(),
-		total:     r.spec.tasks(),
+		total:     spec.tasks(),
 	}
-	if j.Tenant == "" {
-		j.Tenant = "default"
-	}
-	if p, err := ParsePriority(r.spec.Priority); err == nil {
-		j.Priority = p
-	}
-	j.runCtx = s.baseCtx
-	s.jobs[r.id] = j
-	j.finish(state, result, errMsg)
-	j.release()
-	s.finished = append(s.finished, r.id)
-	s.prom.recoveredJobsVec.With("terminal").Inc()
 }
 
 // Handler returns the HTTP API.
@@ -469,55 +435,47 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // rejected submission counts as submitted+rejected in the tenant's metrics,
 // whatever the reason, so misbehaving clients are visible in /v1/metrics.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	tenant := spec.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
-	reject := func(code int, msg string) (*Job, error) {
+	tenant := spec.tenant()
+	reject := func(code int, msg string) *admissionError {
 		s.metrics.jobSubmitted(tenant)
 		s.metrics.jobRejected(tenant)
-		return nil, &admissionError{code: code, msg: msg}
+		return &admissionError{code: code, msg: msg}
 	}
-	prio, err := ParsePriority(spec.Priority)
-	if err != nil {
-		return reject(http.StatusBadRequest, err.Error())
+	if _, err := ParsePriority(spec.Priority); err != nil {
+		return nil, reject(http.StatusBadRequest, err.Error())
 	}
 	// Shed load before the expensive part of admission: a draining or
 	// closing server or a full queue rejects without simulating/compressing
 	// an alignment. The capacity check here is advisory (Push re-checks
 	// authoritatively).
 	if s.draining.Load() {
-		s.metrics.jobSubmitted(tenant)
-		s.metrics.jobRejected(tenant)
-		return nil, &admissionError{
-			code:       http.StatusServiceUnavailable,
-			msg:        "server is draining",
-			retryAfter: int(s.drainRetryAfter.Load()),
-		}
+		e := reject(http.StatusServiceUnavailable, "server is draining")
+		e.retryAfter = int(s.drainRetryAfter.Load())
+		return nil, e
 	}
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return reject(http.StatusServiceUnavailable, "server is shutting down")
+		return nil, reject(http.StatusServiceUnavailable, "server is shutting down")
 	}
 	if s.queue.Len() >= s.opts.QueueCapacity {
-		return reject(http.StatusTooManyRequests, ErrQueueFull.Error())
+		return nil, reject(http.StatusTooManyRequests, ErrQueueFull.Error())
 	}
 	if n := spec.tasks(); n > s.opts.MaxTasksPerJob {
-		return reject(http.StatusUnprocessableEntity,
+		return nil, reject(http.StatusUnprocessableEntity,
 			fmt.Sprintf("job has %d tasks, limit is %d", n, s.opts.MaxTasksPerJob))
 	}
 	data, err := spec.buildAlignment()
 	if err != nil {
-		return reject(http.StatusBadRequest, err.Error())
+		return nil, reject(http.StatusBadRequest, err.Error())
 	}
 	if cells := data.NumTaxa() * data.SiteLength; cells > s.opts.MaxAlignmentCells {
-		return reject(http.StatusUnprocessableEntity,
+		return nil, reject(http.StatusUnprocessableEntity,
 			fmt.Sprintf("alignment has %d cells, limit is %d", cells, s.opts.MaxAlignmentCells))
 	}
 	if _, err := spec.analysisOptions(); err != nil {
-		return reject(http.StatusBadRequest, err.Error())
+		return nil, reject(http.StatusBadRequest, err.Error())
 	}
 
 	s.mu.Lock()
@@ -527,22 +485,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("j-%06d", s.nextID)
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j := &Job{
-		ID:        id,
-		Tenant:    tenant,
-		Priority:  prio,
-		Spec:      spec,
-		data:      data,
-		events:    NewEventLog(),
-		collector: &stats.OffloadCollector{},
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		state:     StateQueued,
-		submitted: time.Now(),
-		total:     spec.tasks(),
-	}
-	j.runCtx = ctx
+	j := s.newJob(id, spec, data)
 	if s.flight != nil {
 		// The submission counter doubles as the flow id: unique per job,
 		// stable across the trace endpoints.
@@ -568,7 +511,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	// "queued" in the stream.
 	j.events.Append(EventQueued, map[string]any{
 		"tenant":   tenant,
-		"priority": prio.String(),
+		"priority": j.Priority.String(),
 		"tasks":    j.total,
 	})
 	if err := s.queue.Push(j); err != nil {
@@ -576,7 +519,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.mu.Lock()
 		delete(s.jobs, id)
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		if s.store != nil {
 			// The accepted record is already durable; neutralize it so the
 			// next replay does not resurrect a job the client saw rejected.
@@ -593,9 +536,12 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 
 // finishJob moves a job to a terminal state, mirrors the outcome into the
 // job store, and retires it — the single path every terminal transition
-// funnels through so the WAL can never miss one.
+// funnels through so the WAL can never miss one. The order is fixed: win the
+// transition, append the record, and only then let Done() and the event
+// stream say so — whoever sees the job end can rely on its record having
+// been handed to the log.
 func (s *Server) finishJob(j *Job, state State, result *Result, errMsg string) bool {
-	if !j.finish(state, result, errMsg) {
+	if !j.settle(state, result, errMsg) {
 		return false
 	}
 	if s.store != nil {
@@ -605,6 +551,7 @@ func (s *Server) finishJob(j *Job, state State, result *Result, errMsg string) b
 			s.store.jobFinished(j.ID, state, errMsg, result)
 		}
 	}
+	j.announce()
 	s.retire(j)
 	return true
 }
@@ -672,10 +619,10 @@ func (s *Server) Metrics() MetricsSnapshot {
 			DataDir:              s.opts.DataDir,
 			Draining:             s.draining.Load(),
 			Degraded:             s.store.wal.isDegraded(),
-			WALErrors:            s.walErrors.Load(),
-			RecoveredJobs:        s.recoveredJobs.Load(),
-			RecoveredTasks:       s.recoveredTasks.Load(),
-			RecoveredCheckpoints: s.recoveredCkpts.Load(),
+			WALErrors:            int64(s.prom.walErrors.Sum()),
+			RecoveredJobs:        int64(s.prom.recoveredJobsVec.Sum("requeued", "failed")),
+			RecoveredTasks:       int64(s.prom.recoveredTasksVec.Sum("done")),
+			RecoveredCheckpoints: int64(s.prom.recoveredTasksVec.Sum("checkpoint")),
 		}
 	}
 	return MetricsSnapshot{
@@ -715,7 +662,7 @@ func (s *Server) runner() {
 }
 
 func (s *Server) runJob(j *Job) {
-	if !j.transition(StateQueued, StateRunning) {
+	if !j.start() {
 		return // cancelled between Pop and here
 	}
 	// The admission wait becomes a span on the jobs lane the moment it ends.
@@ -752,14 +699,11 @@ func (s *Server) runJob(j *Job) {
 		finish(StateFailed, nil, err.Error())
 		return
 	}
-	opts.Progress = j.noteProgress
 	// The per-job collector and the global off-load histograms see the same
 	// event stream; the flow id keys this job's spans in the shared trace.
 	opts.Sink = stats.TeeSink{j.collector, offloadSink{p: s.prom}}
 	opts.FlightID = j.flightID
-	if s.store != nil {
-		s.wireDurability(j, &opts)
-	}
+	opts.Observer = &jobObserver{job: j, store: s.store}
 
 	res, err := native.RunAnalysisContext(j.runCtx, s.rt, j.data, opts)
 	switch {
@@ -775,59 +719,6 @@ func (s *Server) runJob(j *Job) {
 		finish(StateCancelled, nil, "")
 	default:
 		finish(StateFailed, nil, err.Error())
-	}
-}
-
-// wireDurability attaches the job store to one run's analysis: completed
-// tasks and sweep-boundary checkpoints stream into the WAL as they happen,
-// and tasks the store already has are skipped or resumed.
-func (s *Server) wireDurability(j *Job, opts *native.AnalysisOptions) {
-	id := j.ID
-	opts.OnTaskDone = func(out native.TaskOutcome) {
-		// Exact float64 bits (phylo's binary tree codec, not Newick): the
-		// recovered run must reproduce the clean run byte for byte.
-		s.store.taskDone(id, out, phylo.AppendTreeBinary(nil, out.Tree))
-	}
-	// Each task's checkpoint encodes into its own reused buffer: emissions
-	// from different tasks are concurrent, but per task they are serial.
-	bufs := map[native.TaskID]*[]byte{}
-	var bufMu sync.Mutex
-	opts.Checkpoint = func(task native.TaskID, c *phylo.Checkpoint) {
-		bufMu.Lock()
-		buf := bufs[task]
-		if buf == nil {
-			buf = new([]byte)
-			bufs[task] = buf
-		}
-		bufMu.Unlock()
-		*buf = c.AppendBinary((*buf)[:0])
-		s.store.checkpoint(id, task, *buf)
-	}
-	if len(j.skipTasks) > 0 {
-		opts.SkipTask = func(task native.TaskID) (native.TaskOutcome, bool) {
-			done, ok := j.skipTasks[taskKey{bootstrap: task.Bootstrap, index: task.Index}]
-			if !ok {
-				return native.TaskOutcome{}, false
-			}
-			tree, err := phylo.DecodeTreeBinary(done.tree)
-			if err != nil {
-				return native.TaskOutcome{}, false // recompute instead
-			}
-			return native.TaskOutcome{Task: task, LogLik: done.logLik, Tree: tree}, true
-		}
-	}
-	if len(j.resumes) > 0 {
-		opts.ResumeSearch = func(task native.TaskID) *phylo.Checkpoint {
-			enc, ok := j.resumes[taskKey{bootstrap: task.Bootstrap, index: task.Index}]
-			if !ok {
-				return nil
-			}
-			c, err := phylo.DecodeCheckpoint(enc)
-			if err != nil {
-				return nil // corrupt checkpoint: restart the search
-			}
-			return c
-		}
 	}
 }
 

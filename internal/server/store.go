@@ -28,12 +28,6 @@ import (
 	"cellmg/internal/native"
 )
 
-// taskKey identifies one task of a job in the store's maps.
-type taskKey struct {
-	bootstrap bool
-	index     int
-}
-
 // storedTask is a completed task replayed from the log.
 type storedTask struct {
 	logLik float64
@@ -49,8 +43,8 @@ type recoveredJob struct {
 	state    State // terminal state, or StateQueued if incomplete
 	errMsg   string
 	result   *Result
-	tasks    map[taskKey]storedTask
-	ckpts    map[taskKey][]byte // latest encoded phylo.Checkpoint per task
+	tasks    map[native.TaskID]storedTask
+	ckpts    map[native.TaskID][]byte // latest encoded phylo.Checkpoint per task
 }
 
 // incomplete reports whether the job still has work to recover.
@@ -103,8 +97,8 @@ func replayJobRecords(records []walRecord) (map[string]*recoveredJob, error) {
 			}
 			j = &recoveredJob{
 				id: id, seq: i, state: StateQueued,
-				tasks: map[taskKey]storedTask{},
-				ckpts: map[taskKey][]byte{},
+				tasks: map[native.TaskID]storedTask{},
+				ckpts: map[native.TaskID][]byte{},
 			}
 			if err := json.Unmarshal(d.bytes(), &j.spec); err != nil {
 				return nil, fmt.Errorf("wal: job %s spec: %v", id, err)
@@ -119,13 +113,13 @@ func replayJobRecords(records []walRecord) (map[string]*recoveredJob, error) {
 		case recJobStarted:
 			j.attempts = int(d.uvarint())
 		case recCheckpoint:
-			key := taskKey{bootstrap: d.bool(), index: int(d.uvarint())}
+			key := native.TaskID{Bootstrap: d.bool(), Index: int(d.uvarint())}
 			enc := d.bytes()
 			if d.err == nil {
 				j.ckpts[key] = enc
 			}
 		case recTaskDone:
-			key := taskKey{bootstrap: d.bool(), index: int(d.uvarint())}
+			key := native.TaskID{Bootstrap: d.bool(), Index: int(d.uvarint())}
 			logLik := math.Float64frombits(d.u64())
 			tree := d.bytes()
 			if d.err == nil {
@@ -169,10 +163,10 @@ func (st *jobStore) compact(jobs map[string]*recoveredJob) error {
 			st.jobStarted(j.id, j.attempts)
 		}
 		for key, task := range j.tasks {
-			st.appendTaskDone(j.id, key, task.logLik, task.tree)
+			st.taskDone(j.id, key, task.logLik, task.tree)
 		}
 		for key, enc := range j.ckpts {
-			st.checkpoint(j.id, native.TaskID{Bootstrap: key.bootstrap, Index: key.index}, enc)
+			st.checkpoint(j.id, key, enc)
 		}
 	}
 	if err := st.wal.sync(); err != nil {
@@ -231,15 +225,11 @@ func (st *jobStore) checkpoint(id string, task native.TaskID, enc []byte) {
 }
 
 // taskDone records a completed task with its exact tree bits.
-func (st *jobStore) taskDone(id string, out native.TaskOutcome, treeBytes []byte) {
-	st.appendTaskDone(id, taskKey{bootstrap: out.Task.Bootstrap, index: out.Task.Index}, out.LogLik, treeBytes)
-}
-
-func (st *jobStore) appendTaskDone(id string, key taskKey, logLik float64, treeBytes []byte) {
+func (st *jobStore) taskDone(id string, task native.TaskID, logLik float64, treeBytes []byte) {
 	var p []byte
 	p = appendStr(p, id)
-	p = appendBool(p, key.bootstrap)
-	p = binary.AppendUvarint(p, uint64(key.index))
+	p = appendBool(p, task.Bootstrap)
+	p = binary.AppendUvarint(p, uint64(task.Index))
 	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(logLik))
 	p = appendLenBytes(p, treeBytes)
 	_ = st.wal.append(recTaskDone, p)

@@ -55,7 +55,7 @@ func TestJobStoreReplayAndCompaction(t *testing.T) {
 	}
 	st.jobStarted("j-000003", 2)
 	st.checkpoint("j-000003", taskI0, []byte("ckpt-i0"))
-	st.taskDone("j-000003", native.TaskOutcome{Task: taskI0, LogLik: -42.5}, []byte("tree-i0"))
+	st.taskDone("j-000003", taskI0, -42.5, []byte("tree-i0"))
 	st.checkpoint("j-000003", taskB0, []byte("ckpt-b0-old"))
 	st.checkpoint("j-000003", taskB0, []byte("ckpt-b0-new"))
 	if err := st.Close(); err != nil {
@@ -74,14 +74,14 @@ func TestJobStoreReplayAndCompaction(t *testing.T) {
 		if c == nil || c.incomplete() != true || c.attempts != 2 {
 			t.Fatalf("job C replayed wrong: %+v", c)
 		}
-		done, ok := c.tasks[taskKey{bootstrap: false, index: 0}]
+		done, ok := c.tasks[native.TaskID{Bootstrap: false, Index: 0}]
 		if !ok || done.logLik != -42.5 || !bytes.Equal(done.tree, []byte("tree-i0")) {
 			t.Fatalf("job C task_done replayed wrong: %+v", done)
 		}
-		if _, ok := c.ckpts[taskKey{bootstrap: false, index: 0}]; ok {
+		if _, ok := c.ckpts[native.TaskID{Bootstrap: false, Index: 0}]; ok {
 			t.Fatal("completed task's checkpoint was not subsumed")
 		}
-		if got := c.ckpts[taskKey{bootstrap: true, index: 0}]; !bytes.Equal(got, []byte("ckpt-b0-new")) {
+		if got := c.ckpts[native.TaskID{Bootstrap: true, Index: 0}]; !bytes.Equal(got, []byte("ckpt-b0-new")) {
 			t.Fatalf("latest checkpoint did not win: %q", got)
 		}
 		if c.spec.Seed != specC.Seed {
@@ -107,10 +107,10 @@ func TestJobStoreReplayAndCompaction(t *testing.T) {
 	if c == nil || !c.incomplete() || c.attempts != 2 {
 		t.Fatalf("job C lost by compaction: %+v", c)
 	}
-	if got := c.ckpts[taskKey{bootstrap: true, index: 0}]; !bytes.Equal(got, []byte("ckpt-b0-new")) {
+	if got := c.ckpts[native.TaskID{Bootstrap: true, Index: 0}]; !bytes.Equal(got, []byte("ckpt-b0-new")) {
 		t.Fatal("compaction dropped the live checkpoint")
 	}
-	if _, ok := c.tasks[taskKey{bootstrap: false, index: 0}]; !ok {
+	if _, ok := c.tasks[native.TaskID{Bootstrap: false, Index: 0}]; !ok {
 		t.Fatal("compaction dropped the completed task")
 	}
 }

@@ -1,10 +1,10 @@
 package server
 
 // WALAppendBench is the shared loop body behind BenchmarkWALAppend (this
-// package's bench_test.go) and cmd/benchreport's WALAppend entry. The log
-// type is unexported, so the benchfix single-definition rule is satisfied by
-// exporting the fixture from here instead: both surfaces time exactly this
-// function, only the temp-dir plumbing differs.
+// package's bench_test.go) and the bench/ module's server.wal_append_us
+// metric. The log type is unexported, so the fixture is exported from here:
+// both surfaces time exactly this function, only the temp-dir plumbing
+// differs.
 
 import (
 	"testing"
