@@ -12,10 +12,10 @@
 //     call functions that are themselves //cellmg:hotpath, are declared
 //     //cellmg:hotpath-safe, or live in the whitelist (math, math/bits,
 //     sync, sync/atomic). The likelihood kernels (Newview, computeOut,
-//     evaluate, edgeDerivatives, makenewz in internal/phylo) and the
-//     ParallelFor runner (internal/native) carry the annotation; the
-//     testing.AllocsPerRun guards in alloc_test.go verify the same property
-//     dynamically.
+//     evaluate, and makenewz with its buildSumTable, sumDerivatives and
+//     sumLogLik loops in internal/phylo) and the ParallelFor runner
+//     (internal/native) carry the annotation; the testing.AllocsPerRun
+//     guards in alloc_test.go verify the same property dynamically.
 //
 //   - determinism: a file annotated //cellmg:deterministic (above its
 //     package clause) may not call global math/rand top-level functions,

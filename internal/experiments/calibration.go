@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"cellmg/internal/sched"
+	"cellmg/internal/sim"
 	"cellmg/internal/stats"
 	"cellmg/internal/workload"
 )
@@ -18,13 +19,14 @@ import (
 //
 // The claims are deliberately shape-based rather than absolute (the measured
 // times depend on the machine running the suite): kernel ordering, workload
-// validity, and the parallel-throughput gain of scheduling many bootstraps.
+// validity, and the parallel-throughput gain of scheduling many bootstraps,
+// evaluated with the host's absolute speed taken out.
 func NativeCalibration(cfg Config) Report {
 	o := workload.CalibrateOptions{}
 	if cfg.Quick {
 		// A smaller input keeps the quick suite fast; the kernels scale
 		// linearly in patterns, so the shape conclusions are unchanged.
-		o = workload.CalibrateOptions{Taxa: 16, Length: 400, Rounds: 1}
+		o = workload.CalibrateOptions{Taxa: 16, Length: 400}
 	}
 	rep := Report{ID: "E11", Title: "Native kernel calibration — measured Go kernels drive the scheduler model"}
 
@@ -71,17 +73,23 @@ func NativeCalibration(cfg Config) Report {
 	// Throughput gain of running 16 concurrent bootstraps vs one at a time
 	// under EDTLP on 8 workers. What the model supports is a direction, not
 	// a constant: every off-load costs the PPE a fixed ~1.5 us context switch
-	// plus signalling, whatever the kernel behind it costs, so the gain is a
-	// rising function of the measured off-load length — about 1.2x at a
-	// 10 us mean off-load, 2.5x at 24 us, 6.6x at the ~100 us of the full
-	// 42_SC input — and every kernel speed-up (site repeats, tip tables,
-	// path-exact traversals) moves this host down that curve. The quick
-	// input's ~20 us off-loads now sit at 1.8-2.0x, so a ">= 2x" bar tested
-	// the host's speed, not the model. 1.5x still separates "tasks overlap"
-	// from the 1.0x of a model that serializes them.
-	e1 := results[1].edtlp.PaperSeconds
-	e16 := results[16].edtlp.PaperSeconds
-	gain := 16 * e1 / e16
+	// plus signalling, whatever the kernel behind it costs, so the gain rises
+	// with the off-load length — about 2.4x at a 24 us mean off-load, 4.1x at
+	// 47 us, 6.5x at the ~95 us of 42_SC — and every kernel speed-up moves
+	// this host down that curve. A bar at the measured speed tests the host,
+	// not the model, so the claims use the measured kernel ratios and trip
+	// counts rescaled to three fixed mean off-loads up to 42_SC's own. 1.5x
+	// there separates "tasks overlap" from a model that serializes them.
+	edtlpGain := func(w *workload.Config) float64 {
+		return 16 * runScheduler("EDTLP", w, 1, 1).PaperSeconds / runScheduler("EDTLP", w, 16, 1).PaperSeconds
+	}
+	paperMean := workload.RAxML42SC().MeanSPETime()
+	var gains [3]float64 // at 1/4, 1/2 and 1x the 42_SC mean off-load
+	rising := true
+	for i := range gains {
+		gains[i] = edtlpGain(rescaled(wl, paperMean>>(2-i)))
+		rising = rising && (i == 0 || gains[i] >= gains[i-1])
+	}
 
 	rep.Claims = []Claim{
 		claim("all three kernels measure a positive steady-state cost",
@@ -98,13 +106,30 @@ func NativeCalibration(cfg Config) Report {
 			"evaluate=%v newview=%v makenewz=%v", evCall, nvCall, mzCall),
 		claim("the calibrated workload is internally consistent",
 			validErr == nil, "Validate: %v", validErr),
-		claim("EDTLP turns 16 concurrent bootstraps into >=1.5x throughput on 8 SPEs",
-			gain >= 1.5, "throughput gain %.2fx at a %v mean off-load (1 bootstrap %.2fs, 16 bootstraps %.2fs)",
-			gain, wl.MeanSPETime(), e1, e16),
+		claim("EDTLP's modeled gain from 16 concurrent bootstraps does not fall as the off-load grows",
+			rising, "throughput gain %.2fx, %.2fx, %.2fx at 1/4, 1/2 and 1x the %v mean off-load of 42_SC",
+			gains[0], gains[1], gains[2], paperMean),
+		claim("EDTLP turns 16 concurrent bootstraps into >=1.5x throughput on 8 SPEs at the 42_SC off-load length",
+			gains[2] >= 1.5, "throughput gain %.2fx at a %v mean off-load; %.2fx at this host's measured %v",
+			gains[2], paperMean, 16*results[1].edtlp.PaperSeconds/results[16].edtlp.PaperSeconds, wl.MeanSPETime()),
 	}
 	rep.Notes = []string{
 		"Per-function durations and loop trip counts come from timing this repository's Go kernels; the PPE/SPE and naive/optimized ratios, DMA payloads and call mix are inherited from the paper's 42_SC parameterization.",
 		"Absolute seconds in this table are machine-dependent by design; the paper-shape claims (hybrid vs EDTLP crossover etc.) are checked on the fixed 42_SC model in E2-E7.",
 	}
 	return rep
+}
+
+// rescaled returns the workload with every duration multiplied so that its
+// mean off-load lasts mean: ratios, call mix and trip counts stay.
+func rescaled(wl *workload.Config, mean sim.Duration) *workload.Config {
+	k := float64(mean) / float64(wl.MeanSPETime())
+	out := wl.Clone()
+	for _, f := range out.Functions {
+		f.SPETime = sim.Duration(float64(f.SPETime) * k)
+		f.NaiveSPETime = sim.Duration(float64(f.NaiveSPETime) * k)
+		f.PPETime = sim.Duration(float64(f.PPETime) * k)
+	}
+	out.MeanPPEGap = sim.Duration(float64(out.MeanPPEGap) * k)
+	return out
 }

@@ -66,7 +66,11 @@ func (f *fakeObserver) TaskDone(out TaskOutcome, completed, total int, recalled 
 // driver each had their own task body (796ba26), from native.RunAnalysis
 // through server.ResultFromAnalysis; now that both drivers call
 // phylo.RunTask, "serial == parallel" cannot notice a changed seed stream or
-// task order, and the stored bytes can.
+// task order, and the stored bytes can. One number has been rewritten since:
+// the sum-table Newton iteration (PR 17) rounds differently inside makenewz
+// and moved jc69_single_2i3b's best logL by one ulp (-2516.5581597124255 to
+// -2516.558159712425); every Newick string and the other spec are the
+// original bytes.
 type goldenSpec struct {
 	name string
 	opts AnalysisOptions

@@ -14,10 +14,15 @@ import (
 )
 
 // allocEngine builds the shared paper-sized kernel workload with every
-// buffer sized and the transition caches warm.
+// buffer sized and the transition cache warm.
 func allocEngine(t *testing.T) (*phylo.Engine, *phylo.Tree) {
 	t.Helper()
-	eng, tree, err := kernelEngine(phylo.NewJC69(), phylo.SingleRate())
+	return allocEngineFor(t, phylo.NewJC69(), phylo.SingleRate())
+}
+
+func allocEngineFor(t *testing.T, model phylo.Model, rates phylo.RateCategories) (*phylo.Engine, *phylo.Tree) {
+	t.Helper()
+	eng, tree, err := kernelEngine(model, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,15 +48,25 @@ func TestEvaluateRootAllocationFree(t *testing.T) {
 	}
 }
 
+// TestMakenewzEdgeAllocationFree covers the sum-table build and the Newton
+// passes over it. Neither touches the transition cache, so there is nothing
+// to warm beyond the buffers Refresh sized.
 func TestMakenewzEdgeAllocationFree(t *testing.T) {
-	eng, tree := allocEngine(t)
-	edge := tree.Edges()[len(tree.Edges())/2]
-	// One warm-up pass caches the derivative matrices of every Newton
-	// iterate; MakenewzEdge does not mutate the tree, so repeat calls walk
-	// the identical iterate sequence and hit the cache throughout.
-	eng.MakenewzEdge(edge)
-	if avg := testing.AllocsPerRun(20, func() { eng.MakenewzEdge(edge) }); avg != 0 {
-		t.Errorf("MakenewzEdge allocates %v per call in steady state, want 0", avg)
+	for _, cfg := range []struct {
+		name  string
+		model phylo.Model
+		rates phylo.RateCategories
+	}{
+		{"JC69_single", phylo.NewJC69(), phylo.SingleRate()},
+		{"GTR_gamma4", benchGTR(t), benchGamma4(t)},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			eng, tree := allocEngineFor(t, cfg.model, cfg.rates)
+			edge := tree.Edges()[len(tree.Edges())/2]
+			if avg := testing.AllocsPerRun(20, func() { eng.MakenewzEdge(edge) }); avg != 0 {
+				t.Errorf("MakenewzEdge allocates %v per call in steady state, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,9 @@ package phylo_test
 // contract where the kernels live. The fixtures come from fixtures_test.go;
 // the repo's benchmark proper — end-to-end workloads and per-layer metrics
 // (including checkpoint encoding, WAL appends and flight-recorder overhead) —
-// is the bench/ module.
+// is the bench/ module. BenchmarkOutview{,Gamma4}, the outer-vector kernel on
+// the same input, lives in likelihood_test.go because that kernel has no
+// exported entry point.
 
 import (
 	"context"
@@ -17,7 +19,7 @@ import (
 // benchGTR returns a GTR model with non-trivial exchange rates, the
 // configuration whose transition matrices cost an eigen-exponential each —
 // what the transition cache exists to amortize.
-func benchGTR(b *testing.B) *phylo.GTR {
+func benchGTR(b testing.TB) *phylo.GTR {
 	b.Helper()
 	g, err := phylo.NewGTR(
 		[6]float64{1.5, 3, 0.7, 1.2, 4, 1},
@@ -29,7 +31,7 @@ func benchGTR(b *testing.B) *phylo.GTR {
 	return g
 }
 
-func benchGamma4(b *testing.B) phylo.RateCategories {
+func benchGamma4(b testing.TB) phylo.RateCategories {
 	b.Helper()
 	rates, err := phylo.DiscreteGamma(0.8, 4)
 	if err != nil {
@@ -162,9 +164,10 @@ func benchMakenewz(b *testing.B, model phylo.Model, rates phylo.RateCategories) 
 	}
 }
 
-// BenchmarkMakenewzGTRGamma4 and its NoCache counterpart measure the Newton
-// kernel under the expensive model family; with the cache disabled every
-// Newton iteration recomputes its twelve derivative matrices from the model.
+// BenchmarkMakenewzGTRGamma4 measures the same visit under the expensive
+// model family. The Newton passes read no transition matrices, so its NoCache
+// counterpart now measures only what the probability cache saves the partial
+// traversal and the closing evaluation around them.
 func BenchmarkMakenewzGTRGamma4(b *testing.B) {
 	benchMakenewz(b, benchGTR(b), benchGamma4(b))
 }

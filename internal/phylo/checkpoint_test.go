@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -60,8 +61,9 @@ func newCheckpointEngine(t *testing.T, data *PatternAlignment, gtr bool, gamma b
 	return eng
 }
 
-// snapshotsEqual compares two topology snapshots bit-exactly.
-func snapshotsEqual(a, b *TreeSnapshot) bool {
+// topologiesEqual compares the parent/child structure of two snapshots and
+// leaves the branch lengths out.
+func topologiesEqual(a, b *TreeSnapshot) bool {
 	if len(a.parent) != len(b.parent) || a.root != b.root {
 		return false
 	}
@@ -74,6 +76,14 @@ func snapshotsEqual(a, b *TreeSnapshot) bool {
 		if a.child[i] != b.child[i] {
 			return false
 		}
+	}
+	return true
+}
+
+// snapshotsEqual compares two topology snapshots bit-exactly.
+func snapshotsEqual(a, b *TreeSnapshot) bool {
+	if !topologiesEqual(a, b) {
+		return false
 	}
 	for i := range a.length {
 		if math.Float64bits(a.length[i]) != math.Float64bits(b.length[i]) {
@@ -237,11 +247,18 @@ func TestTreeBinaryRoundTrip(t *testing.T) {
 // branch-length bits), log-likelihood bits and move counters to be identical
 // to the uninterrupted run.
 //
-// The legacy case adds one more boundary to resume from: a layout-v1
-// checkpoint written before speculative scoring was removed, by this very
-// search run at speculation width 4 (round 1 of 3; 29 replica-scored, 28
-// wasted). Its two counter slots are now reserved, so it must decode, match,
-// resume to the same bits as the serial run, and re-encode with zeros there.
+// The legacy case adds one more checkpoint to resume from: a layout-v1 record
+// written before speculative scoring was removed, by this very search run at
+// speculation width 4 (round 1 of 3; 29 replica-scored, 28 wasted). Its two
+// counter slots are now reserved, so it must decode and re-encode to its own
+// bytes with zeros there. Its branch-length bits were written by the Newton
+// arithmetic of its day (a P/dP/d²P mat-vec per iterate); the sum-table
+// iteration rounds differently in the last place, so the file no longer
+// equals this run's round-1 boundary and a resume from it cannot be held to
+// bit-identity with a run it was not cut from. It is held to what a stored
+// checkpoint owes a newer binary: the same topology and move counters and a
+// log-likelihood within 1e-9 relative. Boundaries this binary writes stay
+// bit-exact.
 func TestSearchResumeByteIdentical(t *testing.T) {
 	data := checkpointAlignment(t)
 	for _, cfg := range []struct {
@@ -269,45 +286,62 @@ func TestSearchResumeByteIdentical(t *testing.T) {
 			}
 			var refSnap TreeSnapshot
 			ref.Tree.CaptureTopologyInto(&refSnap)
-			if cfg.legacy != "" {
-				boundaries = append(boundaries, legacyCheckpoint(t, cfg.legacy, boundaries))
-			}
 
-			for i, enc := range boundaries {
+			// resume finishes the search on a fresh engine from one encoded
+			// checkpoint and checks what every resume owes: the move counters.
+			resume := func(label string, enc []byte) (*SearchResult, *TreeSnapshot) {
 				c, err := DecodeCheckpoint(enc)
 				if err != nil {
-					t.Fatalf("boundary %d: %v", i, err)
+					t.Fatalf("%s: %v", label, err)
 				}
 				model, err := c.BuildModel()
 				if err != nil {
-					t.Fatalf("boundary %d: %v", i, err)
+					t.Fatalf("%s: %v", label, err)
 				}
 				fresh, err := NewEngine(data, model, c.BuildRates())
 				if err != nil {
-					t.Fatalf("boundary %d: %v", i, err)
+					t.Fatalf("%s: %v", label, err)
 				}
 				ropts := opts
 				ropts.Checkpoint = nil
 				ropts.Resume = c
 				res, err := fresh.Search(ropts)
 				if err != nil {
-					t.Fatalf("resume from boundary %d: %v", i, err)
-				}
-				if math.Float64bits(res.LogLikelihood) != math.Float64bits(ref.LogLikelihood) {
-					t.Errorf("boundary %d: logL %v != uninterrupted %v", i, res.LogLikelihood, ref.LogLikelihood)
-				}
-				if math.Float64bits(res.StartLogLik) != math.Float64bits(ref.StartLogLik) {
-					t.Errorf("boundary %d: StartLogLik differs", i)
+					t.Fatalf("resume from %s: %v", label, err)
 				}
 				if res.Rounds != ref.Rounds || res.NNIEvaluated != ref.NNIEvaluated || res.NNIAccepted != ref.NNIAccepted {
-					t.Errorf("boundary %d: counters (%d,%d,%d) != uninterrupted (%d,%d,%d)", i,
+					t.Errorf("%s: counters (%d,%d,%d) != uninterrupted (%d,%d,%d)", label,
 						res.Rounds, res.NNIEvaluated, res.NNIAccepted,
 						ref.Rounds, ref.NNIEvaluated, ref.NNIAccepted)
 				}
 				var snap TreeSnapshot
 				res.Tree.CaptureTopologyInto(&snap)
-				if !snapshotsEqual(&snap, &refSnap) {
-					t.Errorf("boundary %d: final tree is not bit-identical to the uninterrupted run", i)
+				return res, &snap
+			}
+
+			for i, enc := range boundaries {
+				label := fmt.Sprintf("boundary %d", i)
+				res, snap := resume(label, enc)
+				if math.Float64bits(res.LogLikelihood) != math.Float64bits(ref.LogLikelihood) {
+					t.Errorf("%s: logL %v != uninterrupted %v", label, res.LogLikelihood, ref.LogLikelihood)
+				}
+				if math.Float64bits(res.StartLogLik) != math.Float64bits(ref.StartLogLik) {
+					t.Errorf("%s: StartLogLik differs", label)
+				}
+				if !snapshotsEqual(snap, &refSnap) {
+					t.Errorf("%s: final tree is not bit-identical to the uninterrupted run", label)
+				}
+			}
+			if cfg.legacy != "" {
+				res, snap := resume("legacy checkpoint", legacyCheckpoint(t, cfg.legacy, len(boundaries)-1))
+				if math.Abs(res.LogLikelihood-ref.LogLikelihood) > 1e-9*math.Abs(ref.LogLikelihood) {
+					t.Errorf("legacy checkpoint: logL %v, uninterrupted %v", res.LogLikelihood, ref.LogLikelihood)
+				}
+				if math.Abs(res.StartLogLik-ref.StartLogLik) > 1e-9*math.Abs(ref.StartLogLik) {
+					t.Errorf("legacy checkpoint: StartLogLik %v, uninterrupted %v", res.StartLogLik, ref.StartLogLik)
+				}
+				if !topologiesEqual(snap, &refSnap) {
+					t.Error("legacy checkpoint: final topology differs from the uninterrupted run")
 				}
 			}
 		})
@@ -315,11 +349,11 @@ func TestSearchResumeByteIdentical(t *testing.T) {
 }
 
 // legacyCheckpoint loads a hex-encoded checkpoint written by an earlier binary
-// and checks the reserved-slot contract against the serial run's boundaries:
-// the stored record carries nonzero counters in the two reserved slots, and
-// decoding then re-encoding it yields exactly the record the serial search
-// emits at the same round (zeros there, valid CRC).
-func legacyCheckpoint(t *testing.T, path string, serial [][]byte) []byte {
+// and checks the reserved-slot contract: the stored record sits mid-search
+// (before the given last round) with nonzero counters in the two reserved
+// slots, and decoding then re-encoding it yields its own bytes with zeros
+// there and a valid CRC.
+func legacyCheckpoint(t *testing.T, path string, lastRound int) []byte {
 	t.Helper()
 	text, err := os.ReadFile(path)
 	if err != nil {
@@ -333,33 +367,36 @@ func legacyCheckpoint(t *testing.T, path string, serial [][]byte) []byte {
 	if err != nil {
 		t.Fatalf("legacy checkpoint: %v", err)
 	}
-	if c.Round <= 0 || c.Round >= len(serial)-1 {
-		t.Fatalf("legacy checkpoint is at round %d of %d, not mid-search", c.Round, len(serial)-1)
+	if c.Round <= 0 || c.Round >= lastRound {
+		t.Fatalf("legacy checkpoint is at round %d of %d, not mid-search", c.Round, lastRound)
 	}
-	if scored, wasted := reservedSlots(enc); scored == 0 || wasted == 0 {
+	start, end, scored, wasted := reservedSlots(enc)
+	if scored == 0 || wasted == 0 {
 		t.Fatalf("legacy checkpoint has reserved slots (%d,%d), want nonzero speculation counters", scored, wasted)
 	}
-	again := c.AppendBinary(nil)
-	if scored, wasted := reservedSlots(again); scored != 0 || wasted != 0 {
-		t.Errorf("re-encoded reserved slots are (%d,%d), want zeros", scored, wasted)
-	}
-	if !bytes.Equal(again, serial[c.Round]) {
-		t.Errorf("re-encoded legacy checkpoint differs from the serial run's round-%d boundary", c.Round)
+	want := append(append(append([]byte(nil), enc[:start]...), 0, 0), enc[end:]...)
+	refreshFrameCRC(want)
+	if again := c.AppendBinary(nil); !bytes.Equal(again, want) {
+		t.Error("re-encoded legacy checkpoint is not its own bytes with the reserved slots zeroed")
 	}
 	return enc
 }
 
 // reservedSlots reads the two reserved body varints of an encoded checkpoint
-// (they follow version, round, NNIEvaluated and NNIAccepted).
-func reservedSlots(enc []byte) (a, b uint64) {
+// (they follow version, round, NNIEvaluated and NNIAccepted) and reports the
+// byte range [start, end) they occupy.
+func reservedSlots(enc []byte) (start, end int, a, b uint64) {
 	pos := len(checkpointMagic)
 	var v [6]uint64
 	for i := range v {
+		if i == 4 {
+			start = pos
+		}
 		n := 0
 		v[i], n = binary.Uvarint(enc[pos:])
 		pos += n
 	}
-	return v[4], v[5]
+	return start, pos, v[4], v[5]
 }
 
 // TestSearchResumeRejectsMismatch pins the compatibility gate: resuming under

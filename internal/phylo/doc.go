@@ -7,8 +7,9 @@
 //     per-pattern weights (42 taxa x 1167 nucleotides compresses to the 228
 //     patterns the paper's parallel loops iterate over);
 //   - reversible nucleotide substitution models (Jukes-Cantor, HKY85 and GTR,
-//     the latter two through an eigendecomposition of the rate matrix) with
-//     optional discrete-Gamma rate heterogeneity;
+//     the latter two through an eigendecomposition of the rate matrix; every
+//     model exposes its decomposition as Spectrum) with optional
+//     discrete-Gamma rate heterogeneity;
 //   - the three likelihood kernels the paper off-loads to SPEs: Newview
 //     (conditional likelihood vectors via Felsenstein pruning), Evaluate
 //     (the log-likelihood at a branch) and Makenewz (Newton-Raphson branch
@@ -30,11 +31,25 @@
 //
 // The kernels are engineered to be allocation-free in steady state: a
 // per-engine transition-matrix cache keyed by branch length (transcache.go)
-// serves flattened probability and derivative matrices to stride-indexed,
-// fully unrolled loop bodies that are created once per engine and fed
-// engine-owned argument blocks. SetTransitionCache(false) selects the
-// recompute-always reference path, which the equivalence tests hold the
-// cached path to exactly.
+// serves flattened probability matrices to stride-indexed, fully unrolled
+// loop bodies that are created once per engine and fed engine-owned argument
+// blocks. SetTransitionCache(false) selects the recompute-always reference
+// path, which the equivalence tests hold the cached path to exactly.
+//
+// # Makenewz
+//
+// Makenewz is RAxML's two loops. One pass per edge visit (buildSumTable,
+// RAxML's sumGAMMA) moves down[v] and out[v] into the model's eigenbasis,
+// where P(b) = V·diag(exp(λ·r·b))·V⁻¹ is diagonal, and stores
+//
+//	A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t])
+//
+// next to the per-pattern log scaler. Every Newton iterate, the clamped-start
+// re-evaluation and the acceptance check then cost a dozen multiply-adds per
+// pattern and category (sumDerivatives / sumLogLik, RAxML's coreGTRGAMMA):
+// Σ A·e, Σ A·λr·e and Σ A·(λr)²·e with e = exp(λ_k·r·b). The formulation this
+// replaced — a P(b) mat-vec per pattern, from Model.Transition alone — is the
+// test-only reference in likelihood_test.go.
 //
 // # Incremental evaluation
 //
@@ -74,10 +89,10 @@
 //
 // # CLV storage layout
 //
-// All conditional likelihood vectors live in flat engine-owned blocks — tip
-// conditionals, downward CLVs and scalers, outward CLVs and scalers — indexed
-// by node ID (tips by taxon index): a structure-of-arrays layout instead of
-// the former per-node slice-of-slices. The layout contract:
+// All conditional likelihood vectors live in flat engine-owned blocks —
+// downward CLVs and scalers, outward CLVs and scalers — indexed by node ID: a
+// structure-of-arrays layout instead of the former per-node slice-of-slices.
+// The layout contract:
 //
 //   - a node's vector occupies [id*vecLen, (id+1)*vecLen) of its block, where
 //     vecLen = nPat * stride and stride = nCat * NumStates; scaler vectors
@@ -93,12 +108,12 @@
 //     must re-fetch their subslices per call, which they do via the argument
 //     blocks.
 //
-// The Newview kernel never reads a tip's 0/1 indicator vector (those exist
-// in the tip block for the outward/evaluate paths): a tip child's transition
-// matrix is instead expanded once per Newview call into a nCat x 16 x 4
-// lookup table (fillTipTable), so the kernel's four dot products collapse to
-// a single table-row read indexed by the tip's 4-bit observed state set —
-// RAxML's tip-case specialization.
+// Tips have no vectors. No kernel reads a tip's 0/1 indicator vector: in
+// Newview and the outer-vector kernel a tip's transition matrix is expanded
+// once per call into a nCat x 16 x 4 lookup table (fillTipTable), so the four
+// dot products collapse to a single table-row read indexed by the tip's 4-bit
+// observed state set — RAxML's tip-case specialization — and the sum table of
+// a tip edge reads a constant 16-row table of V⁻¹ column sums (tipInv).
 //
 // # Site repeats
 //
@@ -124,8 +139,9 @@
 // # Loop-level parallelism
 //
 // The engine has one parallel grain: the per-pattern loops of newview,
-// evaluate and the outer-vector kernel go through the installed ParallelFor
-// (the paper's LLP); traversals and the NNI sweep are serial. SetParallel is
+// evaluate, the outer-vector kernel and the sum-table build go through the
+// installed ParallelFor (the paper's LLP); the Newton reductions over the sum
+// table, traversals and the NNI sweep are serial. SetParallel is
 // a plain field write with a call-before-evaluation contract: install the
 // executor on the engine's goroutine before the evaluation or search it
 // should serve, never while one runs. Results are byte-identical under any
@@ -157,5 +173,7 @@
 // misread: durability degrades to recomputation, never to wrong results.
 // Layout v1 has two reserved varint slots (written 0, read and discarded)
 // where earlier binaries stored speculation counters; those checkpoints still
-// decode and resume to the same bits.
+// decode and resume — bit-identically on arithmetic they were cut from, and
+// to the same topology with logL equal to rounding since the sum table
+// replaced the per-iterate mat-vecs of their day.
 package phylo

@@ -215,8 +215,14 @@ func (e *Engine) computeOutOne(u, v *Node) {
 		a.uscale = nil
 	}
 	sib := v.Sibling()
-	a.sv, a.sscale = e.childVector(sib)
 	a.psib = e.transitionFlat(sib.Length, 0)
+	a.sstates, a.sv, a.sscale = nil, nil, nil
+	if sib.IsTip() {
+		e.fillTipTable(e.tipTab[0], a.psib)
+		a.sstates = e.Data.States[sib.Taxon]
+	} else {
+		a.sv, a.sscale = e.downVec(sib.ID), e.downScaleVec(sib.ID)
+	}
 	a.dst = e.outVec(v.ID)
 	a.scale = e.outScaleVec(v.ID)
 	e.par(e.nPat, e.outFn)

@@ -38,9 +38,9 @@ const tipStates = 1 << NumStates
 // functions the paper off-loads to SPEs. The native runtime and the workload
 // calibration read them. RepeatsCopied counts per-pattern kernel evaluations
 // the site-repeat machinery replaced with a vector copy. OutviewCalls counts
-// outer-vector kernels and DerivEvals the per-edge passes over the patterns
-// (edgeDerivatives and edgeLogLik) — the work inside a makenewz visit that
-// the partial traversals exist to keep constant per edge.
+// outer-vector kernels and DerivEvals the passes over the sum table
+// (sumDerivatives and sumLogLik) — the work inside a makenewz visit that the
+// partial traversals exist to keep constant per edge.
 type KernelStats struct {
 	NewviewCalls  int
 	EvaluateCalls int
@@ -60,8 +60,10 @@ type KernelStats struct {
 //
 // The hot path is allocation-free in steady state: transition matrices are
 // served from a per-engine slab-backed cache keyed by branch length (see
-// transcache.go), the kernel loop bodies are persistent closures created once
-// at construction, and every per-pattern buffer is engine-owned and reused.
+// transcache.go), branch-length optimization reads none (one eigenbasis sum
+// table per edge visit, see buildSumTable), the kernel loop bodies are
+// persistent closures created once at construction, and every per-pattern
+// buffer is engine-owned and reused.
 // The whole tree search rides on the same contract (SearchInto is 0 allocs/op
 // after warmup, guarded by alloc_test.go). Mutating Model or Rates in place
 // requires InvalidateTransitions.
@@ -91,10 +93,10 @@ type Engine struct {
 	vecLen int // nPat * stride: one conditional-likelihood vector
 
 	// SoA conditional-likelihood storage: one flat block per vector family,
-	// indexed by node ID (tipBlk by taxon index). The accessors below
-	// (tipVec/downVec/outVec/...) carve full-capacity subslices, so the
-	// kernels' bounds checks resolve against the per-node vector length.
-	tipBlk  []float64    // nTaxa * vecLen: tip conditional likelihoods
+	// indexed by node ID. The accessors below (downVec/outVec/...) carve
+	// full-capacity subslices, so the kernels' bounds checks resolve against
+	// the per-node vector length. Tips have no vectors: every kernel reads a
+	// tip's observed state sets through a lookup table (tipTab, tipInv).
 	clvDown []float64    // nodeCap * vecLen: subtree conditionals
 	sclDown []float64    // nodeCap * nPat: per-pattern log scalers
 	clvOut  []float64    // nodeCap * vecLen: conditionals of everything outside the subtree
@@ -106,11 +108,19 @@ type Engine struct {
 	// Transition cache (transcache.go).
 	cacheOn      bool
 	probs        map[float64][]float64
-	derivs       map[float64]derivTriple
 	probSlab     transSlab
-	derivSlab    transSlab
 	transScratch [2][]float64
-	derivScratch derivTriple
+
+	// Spectral constants of Model × Rates (initSpectrum) and the per-edge sum
+	// table the Newton iterates of Makenewz run against (buildSumTable).
+	specV    Matrix                         // V[state][k]
+	specInv  Matrix                         // V⁻¹[k][state]
+	tipInv   [tipStates * NumStates]float64 // per observed state set: Σ_{t in set} V⁻¹[k][t]
+	lamRate  []float64                      // stride: eigen[k]·rate[r]
+	expTab   []float64                      // nCat*expRow: the diagonals of the current Newton iterate (fillExpTab)
+	sumTab   []float64                      // vecLen: A[i,r,k]
+	sumScale []float64                      // nPat: down + out log scalers of the edge
+	sumNode  *Node                          // the edge buildSumTable is folding
 
 	// Site-repeat compression (siterepeats.go).
 	repOn      bool
@@ -137,6 +147,7 @@ type Engine struct {
 	nvFn   func(lo, hi int)
 	outFn  func(lo, hi int)
 	evalFn func(lo, hi int)
+	sumFn  func(lo, hi int)
 	nvA    newviewArgs
 	outA   computeOutArgs
 	evalA  evaluateArgs
@@ -197,13 +208,14 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 		repOn:  true,
 	}
 	e.vecLen = e.nPat * e.stride
-	e.buildTipVectors()
 	e.initCache()
+	e.initSpectrum()
 	e.tipTab[0] = make([]float64, e.nCat*tipStates*NumStates)
 	e.tipTab[1] = make([]float64, e.nCat*tipStates*NumStates)
 	e.nvFn = e.newviewBody
 	e.outFn = e.computeOutBody
 	e.evalFn = e.evaluateBody
+	e.sumFn = e.sumTableBody
 	e.outVisit = e.computeOutNode
 	return e, nil
 }
@@ -221,14 +233,6 @@ func (e *Engine) SetParallel(p ParallelFor) {
 // NumPatterns returns the number of site patterns (the trip count of every
 // parallel loop; 228 for the paper's 42_SC input).
 func (e *Engine) NumPatterns() int { return e.nPat }
-
-// tipVec returns the conditional likelihood vector of a tip.
-//
-//cellmg:hotpath
-func (e *Engine) tipVec(taxon int) []float64 {
-	o := taxon * e.vecLen
-	return e.tipBlk[o : o+e.vecLen : o+e.vecLen]
-}
 
 // downVec returns the subtree conditional vector of a node.
 //
@@ -260,24 +264,6 @@ func (e *Engine) outVec(id int) []float64 {
 func (e *Engine) outScaleVec(id int) []float64 {
 	o := id * e.nPat
 	return e.sclOut[o : o+e.nPat : o+e.nPat]
-}
-
-func (e *Engine) buildTipVectors() {
-	e.tipBlk = make([]float64, e.Data.NumTaxa()*e.vecLen)
-	for taxon := 0; taxon < e.Data.NumTaxa(); taxon++ {
-		v := e.tipVec(taxon)
-		for i := 0; i < e.nPat; i++ {
-			bits := e.Data.States[taxon][i]
-			for r := 0; r < e.nCat; r++ {
-				base := i*e.stride + r*NumStates
-				for s := 0; s < NumStates; s++ {
-					if bits&(1<<uint(s)) != 0 {
-						v[base+s] = 1
-					}
-				}
-			}
-		}
-	}
 }
 
 // ensureBuffers sizes the per-node SoA blocks for the tree. Growth copies the
@@ -318,22 +304,13 @@ func (e *Engine) ensureBuffers(t *Tree) {
 		e.repFirst = make([]int32, e.nPat)
 	}
 	e.nodeCap = n
-	// Size the reduction buffer here, outside any parallel region, so no
-	// work-shared chunk ever observes it growing.
+	// Size the reduction buffer and the sum table here, outside any parallel
+	// region, so no work-shared chunk ever observes them growing.
 	if cap(e.siteBuf) < e.nPat {
 		e.siteBuf = make([]float64, e.nPat)
+		e.sumTab = make([]float64, e.vecLen)
+		e.sumScale = make([]float64, e.nPat)
 	}
-}
-
-// childVector returns the conditional likelihood vector and scaler slice of a
-// node viewed as a child (tips read the precomputed tip vectors).
-//
-//cellmg:hotpath
-func (e *Engine) childVector(n *Node) ([]float64, []float64) {
-	if n.IsTip() {
-		return e.tipVec(n.Taxon), nil
-	}
-	return e.downVec(n.ID), e.downScaleVec(n.ID)
 }
 
 // newviewArgs is the argument block of the Newview loop body. A side is
@@ -411,27 +388,7 @@ func (e *Engine) newviewBody(lo, hi int) {
 				sr2 = qm[8]*r0 + qm[9]*r1 + qm[10]*r2 + qm[11]*r3
 				sr3 = qm[12]*r0 + qm[13]*r1 + qm[14]*r2 + qm[15]*r3
 			}
-			d := dst[off : off+NumStates : off+NumStates]
-			v0 := sl0 * sr0
-			d[0] = v0
-			if v0 > maxV {
-				maxV = v0
-			}
-			v1 := sl1 * sr1
-			d[1] = v1
-			if v1 > maxV {
-				maxV = v1
-			}
-			v2 := sl2 * sr2
-			d[2] = v2
-			if v2 > maxV {
-				maxV = v2
-			}
-			v3 := sl3 * sr3
-			d[3] = v3
-			if v3 > maxV {
-				maxV = v3
-			}
+			maxV = store4(dst[off:off+NumStates:off+NumStates], maxV, sl0*sr0, sl1*sr1, sl2*sr2, sl3*sr3)
 		}
 		sc := 0.0
 		if lscale != nil {
@@ -450,6 +407,27 @@ func (e *Engine) newviewBody(lo, hi int) {
 		}
 		scale[i] = sc
 	}
+}
+
+// store4 writes one category's four conditional likelihoods into d and
+// returns the running per-pattern maximum that decides rescaling.
+//
+//cellmg:hotpath
+func store4(d []float64, maxV, v0, v1, v2, v3 float64) float64 {
+	d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+	if v0 > maxV {
+		maxV = v0
+	}
+	if v1 > maxV {
+		maxV = v1
+	}
+	if v2 > maxV {
+		maxV = v2
+	}
+	if v3 > maxV {
+		maxV = v3
+	}
+	return maxV
 }
 
 // fillTipTable expands the flattened transition matrices p into the tip
@@ -537,9 +515,12 @@ func (e *Engine) computeDown(t *Tree) {
 	e.anyDirty = false
 }
 
-// computeOutArgs is the argument block of the outer-vector loop body.
+// computeOutArgs is the argument block of the outer-vector loop body. The
+// sibling is either an inner node (sv + sscale + psib) or a tip (sstates, read
+// through tipTab[0]: the lookup-table specialization newviewArgs describes).
 type computeOutArgs struct {
-	sv, sscale []float64 // sibling conditional vector and scalers
+	sv, sscale []float64 // sibling conditional vector and scalers (nil for a tip)
+	sstates    []uint8   // tip sibling's observed state sets (nil for an inner sibling)
 	psib       []float64 // flattened sibling transition matrices
 	pup        []float64 // flattened parent transition matrices (nil at root)
 	uv, uscale []float64 // parent outer vector and scalers
@@ -547,12 +528,16 @@ type computeOutArgs struct {
 	freqs      Frequencies
 }
 
-// computeOutBody is the per-pattern loop of the outer-vector kernel.
+// computeOutBody is the per-pattern loop of the outer-vector kernel: the
+// sibling subtree seen from the parent u (four row products, or one tip-table
+// row) times everything outside u's subtree — the root prior when u is the
+// root, otherwise u's outer vector folded down the parent edge (four column
+// products). Unrolled and hoisted like newviewBody, in the plain loop's order.
 //
 //cellmg:hotpath
 func (e *Engine) computeOutBody(lo, hi int) {
 	a := &e.outA
-	sv, psib := a.sv, a.psib
+	sv, sst, stab, psib := a.sv, a.sstates, e.tipTab[0], a.psib
 	pup, uv := a.pup, a.uv
 	dst, scale := a.dst, a.scale
 	sscale, uscale := a.sscale, a.uscale
@@ -564,42 +549,31 @@ func (e *Engine) computeOutBody(lo, hi int) {
 		for r := 0; r < nCat; r++ {
 			off := base + r*NumStates
 			m := r * flatMatSize
-			sm := psib[m : m+flatMatSize : m+flatMatSize]
-			s0, s1, s2, s3 := sv[off], sv[off+1], sv[off+2], sv[off+3]
-			var um []float64
-			var u0, u1, u2, u3 float64
+			var b0, b1, b2, b3 float64
+			if sst != nil {
+				o := (m + int(sst[i])) * NumStates
+				t := stab[o : o+NumStates : o+NumStates]
+				b0, b1, b2, b3 = t[0], t[1], t[2], t[3]
+			} else {
+				sm := psib[m : m+flatMatSize : m+flatMatSize]
+				sw := sv[off : off+NumStates : off+NumStates]
+				s0, s1, s2, s3 := sw[0], sw[1], sw[2], sw[3]
+				b0 = sm[0]*s0 + sm[1]*s1 + sm[2]*s2 + sm[3]*s3
+				b1 = sm[4]*s0 + sm[5]*s1 + sm[6]*s2 + sm[7]*s3
+				b2 = sm[8]*s0 + sm[9]*s1 + sm[10]*s2 + sm[11]*s3
+				b3 = sm[12]*s0 + sm[13]*s1 + sm[14]*s2 + sm[15]*s3
+			}
+			r0, r1, r2, r3 := f0, f1, f2, f3
 			if pup != nil {
-				um = pup[m : m+flatMatSize : m+flatMatSize]
-				u0, u1, u2, u3 = uv[off], uv[off+1], uv[off+2], uv[off+3]
+				um := pup[m : m+flatMatSize : m+flatMatSize]
+				uw := uv[off : off+NumStates : off+NumStates]
+				u0, u1, u2, u3 := uw[0], uw[1], uw[2], uw[3]
+				r0 = u0*um[0] + u1*um[4] + u2*um[8] + u3*um[12]
+				r1 = u0*um[1] + u1*um[5] + u2*um[9] + u3*um[13]
+				r2 = u0*um[2] + u1*um[6] + u2*um[10] + u3*um[14]
+				r3 = u0*um[3] + u1*um[7] + u2*um[11] + u3*um[15]
 			}
-			for s := 0; s < NumStates; s++ {
-				k := s * NumStates
-				// Contribution of the sibling subtree, seen from u.
-				sibSum := sm[k]*s0 + sm[k+1]*s1 + sm[k+2]*s2 + sm[k+3]*s3
-				var rest float64
-				if pup == nil {
-					// u is the root: the prior lives here.
-					switch s {
-					case 0:
-						rest = f0
-					case 1:
-						rest = f1
-					case 2:
-						rest = f2
-					default:
-						rest = f3
-					}
-				} else {
-					// Everything outside u's subtree, folded from the
-					// grandparent down to u (column s of the parent matrix).
-					rest = u0*um[s] + u1*um[NumStates+s] + u2*um[2*NumStates+s] + u3*um[3*NumStates+s]
-				}
-				v := sibSum * rest
-				dst[off+s] = v
-				if v > maxV {
-					maxV = v
-				}
-			}
+			maxV = store4(dst[off:off+NumStates:off+NumStates], maxV, b0*r0, b1*r1, b2*r2, b3*r3)
 		}
 		sc := 0.0
 		if sscale != nil {
@@ -732,134 +706,197 @@ func (e *Engine) LogLikelihood(t *Tree) float64 {
 	return e.evaluateAtRoot(t)
 }
 
-// edgeDerivatives returns the first and second derivatives of the
-// log-likelihood with respect to the length of the edge above node v, using
-// the current down/out vectors, and with wantLL the log-likelihood itself —
-// one math.Log per pattern, which only Newton iterate 0 has a use for (ll is
-// 0 without it; the derivative sums do not read it).
+// initSpectrum reads the model's eigendecomposition into the constants the
+// sum-table kernels index: V, V⁻¹, the per-state-set column sums of V⁻¹ that
+// stand in for a tip's down vector (summed in ascending state order, as
+// fillTipTable does), and eigen[k]·rate[r] for every category.
+func (e *Engine) initSpectrum() {
+	var eigen [NumStates]float64
+	eigen, e.specV, e.specInv = e.Model.Spectrum()
+	for bits := 0; bits < tipStates; bits++ {
+		for k := 0; k < NumStates; k++ {
+			var sum float64
+			for t := 0; t < NumStates; t++ {
+				if bits&(1<<uint(t)) != 0 {
+					sum += e.specInv[k][t]
+				}
+			}
+			e.tipInv[bits*NumStates+k] = sum
+		}
+	}
+	e.lamRate = make([]float64, e.stride)
+	e.expTab = make([]float64, e.nCat*expRow)
+	for r, rate := range e.Rates.Rates {
+		for k := 0; k < NumStates; k++ {
+			e.lamRate[r*NumStates+k] = eigen[k] * rate
+		}
+	}
+}
+
+// sumTableBody is the per-pattern loop of buildSumTable — RAxML's sumGAMMA:
+// the conditional vectors at the two ends of the edge above sumNode move into
+// the model's eigenbasis and are multiplied there,
+// A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t]). A tip's second
+// factor is one row of tipInv, the same for every category.
 //
 //cellmg:hotpath
-func (e *Engine) edgeDerivatives(v *Node, b float64, wantLL bool) (ll, d1, d2 float64) {
-	e.Stats.DerivEvals++
-	dv, dscale := e.childVector(v)
-	ov := e.outVec(v.ID)
-	oscale := e.outScaleVec(v.ID)
-	weights := e.Data.Weights
-	catWeight := 1.0 / float64(e.nCat)
-	d := e.transitionDerivFlat(b)
+func (e *Engine) sumTableBody(lo, hi int) {
+	n := e.sumNode
+	ov, oscale := e.outVec(n.ID), e.outScaleVec(n.ID)
+	var dv, dscale []float64
+	var st []uint8
+	if n.IsTip() {
+		st = e.Data.States[n.Taxon]
+	} else {
+		dv, dscale = e.downVec(n.ID), e.downScaleVec(n.ID)
+	}
+	tab, scale := e.sumTab, e.sumScale
+	v, w, tip := &e.specV, &e.specInv, &e.tipInv
 	nCat, stride := e.nCat, e.stride
+	for i := lo; i < hi; i++ {
+		base := i * stride
+		var r0, r1, r2, r3 float64
+		if st != nil {
+			o := int(st[i]&(tipStates-1)) * NumStates
+			r0, r1, r2, r3 = tip[o], tip[o+1], tip[o+2], tip[o+3]
+		}
+		for r := 0; r < nCat; r++ {
+			off := base + r*NumStates
+			if st == nil {
+				dw := dv[off : off+NumStates : off+NumStates]
+				d0, d1, d2, d3 := dw[0], dw[1], dw[2], dw[3]
+				r0 = w[0][0]*d0 + w[0][1]*d1 + w[0][2]*d2 + w[0][3]*d3
+				r1 = w[1][0]*d0 + w[1][1]*d1 + w[1][2]*d2 + w[1][3]*d3
+				r2 = w[2][0]*d0 + w[2][1]*d1 + w[2][2]*d2 + w[2][3]*d3
+				r3 = w[3][0]*d0 + w[3][1]*d1 + w[3][2]*d2 + w[3][3]*d3
+			}
+			ow := ov[off : off+NumStates : off+NumStates]
+			o0, o1, o2, o3 := ow[0], ow[1], ow[2], ow[3]
+			t := tab[off : off+NumStates : off+NumStates]
+			t[0] = (o0*v[0][0] + o1*v[1][0] + o2*v[2][0] + o3*v[3][0]) * r0
+			t[1] = (o0*v[0][1] + o1*v[1][1] + o2*v[2][1] + o3*v[3][1]) * r1
+			t[2] = (o0*v[0][2] + o1*v[1][2] + o2*v[2][2] + o3*v[3][2]) * r2
+			t[3] = (o0*v[0][3] + o1*v[1][3] + o2*v[2][3] + o3*v[3][3]) * r3
+		}
+		sc := 0.0
+		if dscale != nil {
+			sc += dscale[i]
+		}
+		scale[i] = sc + oscale[i]
+	}
+}
 
+// buildSumTable folds down[v] and out[v], which must be current (ensureOut,
+// or Refresh), into the sum table of the edge above v. Every pattern writes
+// its own slots, so the loop runs under the engine's ParallelFor like the
+// vector kernels and work-sharing cannot change a bit.
+//
+//cellmg:hotpath
+func (e *Engine) buildSumTable(v *Node) {
+	e.sumNode = v
+	e.par(e.nPat, e.sumFn)
+}
+
+// expRow is the number of expTab entries per rate category: the diagonal
+// exp(λ_k·r·b)/nCat for the four k, then its λ_k·r and (λ_k·r)² multiples.
+const expRow = 3 * NumStates
+
+// fillExpTab sets the diagonals for branch length b.
+//
+//cellmg:hotpath
+func (e *Engine) fillExpTab(b float64) []float64 {
+	ex := e.expTab
+	catWeight := 1.0 / float64(e.nCat)
+	for j, lr := range e.lamRate {
+		o := j/NumStates*expRow + j%NumStates
+		x := catWeight * math.Exp(lr*b)
+		ex[o], ex[o+NumStates], ex[o+2*NumStates] = x, lr*x, lr*lr*x
+	}
+	return ex
+}
+
+// sumDerivatives returns the first and second derivatives of the
+// log-likelihood in the length of the edge whose sum table is loaded, at
+// length b — RAxML's coreGTRGAMMA: per pattern and category a dozen
+// multiply-adds against the three diagonals. With wantLL it also returns the
+// log-likelihood: one math.Log per pattern, which only Newton iterate 0 uses.
+//
+//cellmg:hotpath
+func (e *Engine) sumDerivatives(b float64, wantLL bool) (ll, d1, d2 float64) {
+	e.Stats.DerivEvals++
+	ex := e.fillExpTab(b)
+	tab, scale, weights := e.sumTab, e.sumScale, e.Data.Weights
+	nCat, stride := e.nCat, e.stride
 	for i := 0; i < e.nPat; i++ {
 		base := i * stride
 		var l0, l1, l2 float64
 		for r := 0; r < nCat; r++ {
 			off := base + r*NumStates
-			m := r * flatMatSize
-			pm := d.p[m : m+flatMatSize : m+flatMatSize]
-			dm := d.dp[m : m+flatMatSize : m+flatMatSize]
-			d2m := d.d2p[m : m+flatMatSize : m+flatMatSize]
-			v0, v1, v2, v3 := dv[off], dv[off+1], dv[off+2], dv[off+3]
-			for s := 0; s < NumStates; s++ {
-				os := ov[off+s]
-				if os == 0 {
-					continue
-				}
-				k := s * NumStates
-				s0 := pm[k]*v0 + pm[k+1]*v1 + pm[k+2]*v2 + pm[k+3]*v3
-				s1 := dm[k]*v0 + dm[k+1]*v1 + dm[k+2]*v2 + dm[k+3]*v3
-				s2 := d2m[k]*v0 + d2m[k+1]*v1 + d2m[k+2]*v2 + d2m[k+3]*v3
-				l0 += os * s0
-				l1 += os * s1
-				l2 += os * s2
-			}
+			a := tab[off : off+NumStates : off+NumStates]
+			x := ex[r*expRow : (r+1)*expRow : (r+1)*expRow]
+			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+			l0 += a0*x[0] + a1*x[1] + a2*x[2] + a3*x[3]
+			l1 += a0*x[4] + a1*x[5] + a2*x[6] + a3*x[7]
+			l2 += a0*x[8] + a1*x[9] + a2*x[10] + a3*x[11]
 		}
-		l0 *= catWeight
-		l1 *= catWeight
-		l2 *= catWeight
 		if l0 <= 0 {
 			l0 = math.SmallestNonzeroFloat64
 		}
 		w := weights[i]
 		if wantLL {
-			sc := 0.0
-			if dscale != nil {
-				sc += dscale[i]
-			}
-			sc += oscale[i]
-			ll += w * (math.Log(l0) + sc)
+			ll += w * (math.Log(l0) + scale[i])
 		}
-		d1 += w * (l1 / l0)
-		d2 += w * ((l2*l0 - l1*l1) / (l0 * l0))
+		inv := 1 / l0
+		g := l1 * inv
+		d1 += w * g
+		d2 += w * (l2*inv - g*g)
 	}
 	return ll, d1, d2
 }
 
-// edgeLogLik returns the log-likelihood of the tree with the edge above v set
-// to length b — edgeDerivatives' first result, bit for bit, at a third of the
-// mat-vec work: it performs the same per-pattern operations in the same order
-// on the same transitionDerivFlat(b).p and simply leaves the two derivative
-// sums out.
+// sumLogLik returns the log-likelihood with the edge whose sum table is
+// loaded set to length b — sumDerivatives' first result, bit for bit (same
+// diagonal, same accumulation order), without the derivative sums.
 //
 //cellmg:hotpath
-func (e *Engine) edgeLogLik(v *Node, b float64) float64 {
+func (e *Engine) sumLogLik(b float64) float64 {
 	e.Stats.DerivEvals++
-	dv, dscale := e.childVector(v)
-	ov := e.outVec(v.ID)
-	oscale := e.outScaleVec(v.ID)
-	weights := e.Data.Weights
-	catWeight := 1.0 / float64(e.nCat)
-	p := e.transitionDerivFlat(b).p
+	ex := e.fillExpTab(b)
+	tab, scale, weights := e.sumTab, e.sumScale, e.Data.Weights
 	nCat, stride := e.nCat, e.stride
-
 	var ll float64
 	for i := 0; i < e.nPat; i++ {
 		base := i * stride
 		var l0 float64
 		for r := 0; r < nCat; r++ {
 			off := base + r*NumStates
-			m := r * flatMatSize
-			pm := p[m : m+flatMatSize : m+flatMatSize]
-			v0, v1, v2, v3 := dv[off], dv[off+1], dv[off+2], dv[off+3]
-			for s := 0; s < NumStates; s++ {
-				os := ov[off+s]
-				if os == 0 {
-					continue
-				}
-				k := s * NumStates
-				s0 := pm[k]*v0 + pm[k+1]*v1 + pm[k+2]*v2 + pm[k+3]*v3
-				l0 += os * s0
-			}
+			a := tab[off : off+NumStates : off+NumStates]
+			x := ex[r*expRow : r*expRow+NumStates : r*expRow+NumStates]
+			l0 += a[0]*x[0] + a[1]*x[1] + a[2]*x[2] + a[3]*x[3]
 		}
-		l0 *= catWeight
 		if l0 <= 0 {
 			l0 = math.SmallestNonzeroFloat64
 		}
-		sc := 0.0
-		if dscale != nil {
-			sc += dscale[i]
-		}
-		sc += oscale[i]
-		ll += weights[i] * (math.Log(l0) + sc)
+		ll += weights[i] * (math.Log(l0) + scale[i])
 	}
 	return ll
 }
 
-// Makenewz optimizes the length of the edge above node v with Newton-Raphson
-// iterations — the paper's makenewz() kernel. It requires up-to-date down and
-// out vectors (OptimizeAllBranches and OptimizeBranch arrange that) and
-// returns the optimized length together with the log-likelihood at iterate 0,
-// which the first derivative pass computes anyway: that is the likelihood at
-// v.Length itself unless v.Length lies below MinBranchLength and was clamped.
+// makenewz Newton-Raphson-optimizes the length of the edge whose sum table is
+// loaded, starting from start — the iteration of the paper's makenewz()
+// kernel. It returns the optimized length and the log-likelihood at iterate
+// 0, which the first derivative pass computes anyway: the likelihood at start
+// itself unless start lies below MinBranchLength and was clamped.
 //
 //cellmg:hotpath
-func (e *Engine) makenewz(v *Node) (b, ll0 float64) {
+func (e *Engine) makenewz(start float64) (b, ll0 float64) {
 	e.Stats.MakenewzCalls++
-	b = v.Length
+	b = start
 	if b < MinBranchLength {
 		b = MinBranchLength
 	}
 	for iter := 0; iter < newtonMaxIter; iter++ {
-		ll, d1, d2 := e.edgeDerivatives(v, b, iter == 0)
+		ll, d1, d2 := e.sumDerivatives(b, iter == 0)
 		if iter == 0 {
 			ll0 = ll
 		}
@@ -886,31 +923,33 @@ func (e *Engine) makenewz(v *Node) (b, ll0 float64) {
 	return b, ll0
 }
 
-// MakenewzEdge exposes the makenewz() kernel on its own: it Newton-optimizes
-// the edge above v against the current down/out vectors and returns the
-// optimized length without mutating the tree. Refresh must have run first;
-// calibration uses it to time the kernel in isolation.
+// MakenewzEdge exposes the makenewz() kernel on its own: it builds the sum
+// table of the edge above v from the current down/out vectors and returns the
+// Newton-optimized length without mutating the tree. Refresh must have run
+// first; calibration uses it to time the kernel in isolation.
 func (e *Engine) MakenewzEdge(v *Node) float64 {
-	nb, _ := e.makenewz(v)
+	e.buildSumTable(v)
+	nb, _ := e.makenewz(v.Length)
 	return nb
 }
 
 // optimizeEdge settles the conditional vectors the edge above v depends on
 // (a partial traversal: only the stale part of the root-to-v out path and the
-// down vectors it reads are recomputed) and Newton-optimizes its length,
-// keeping the new length only if it genuinely improves the likelihood (which,
-// with settled vectors, makes every accepted update monotone). An accepted
-// change invalidates what reads the length so later traversals see it. It
-// reports whether the length changed materially.
+// down vectors it reads are recomputed), folds them into the edge's sum table
+// and Newton-optimizes the length against it, keeping the new length only if
+// it genuinely improves the likelihood (which, with settled vectors, makes
+// every accepted update monotone). An accepted change invalidates what reads
+// the length. It reports whether the length changed materially.
 func (e *Engine) optimizeEdge(t *Tree, v *Node) bool {
 	e.ensureOut(t, v)
+	e.buildSumTable(v)
 	old := v.Length
-	nb, before := e.makenewz(v)
+	nb, before := e.makenewz(old)
 	if old < MinBranchLength {
 		// Newton started from the clamped length, not from old.
-		before = e.edgeLogLik(v, old)
+		before = e.sumLogLik(old)
 	}
-	after := e.edgeLogLik(v, nb)
+	after := e.sumLogLik(nb)
 	if after <= before {
 		return false
 	}

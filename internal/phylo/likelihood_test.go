@@ -330,10 +330,11 @@ func TestEngineValidation(t *testing.T) {
 }
 
 // TestEdgeLogLikMatchesDerivativesBitForBit pins the contract the fused
-// Newton step rests on: the likelihood-only kernel returns exactly the bits
-// of edgeDerivatives' first result, on tip and inner edges, at the edge's own
-// length, at the bounds, and below MinBranchLength (where optimizeEdge falls
-// back to it for the unclamped "before"). Each call is one DerivEvals pass.
+// Newton step rests on: the likelihood-only pass over the sum table returns
+// exactly the bits of the derivative pass's first result, on tip and inner
+// edges, at the edge's own length, at the bounds, and below MinBranchLength
+// (where optimizeEdge falls back to it for the unclamped "before"). Each call
+// is one DerivEvals pass.
 func TestEdgeLogLikMatchesDerivativesBitForBit(t *testing.T) {
 	for _, cfg := range incrementalConfigs(t) {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -355,12 +356,13 @@ func TestEdgeLogLikMatchesDerivativesBitForBit(t *testing.T) {
 				} else {
 					inner++
 				}
+				eng.buildSumTable(v)
 				for _, b := range []float64{v.Length, 0, 1e-9, MinBranchLength, 0.37, MaxBranchLength} {
 					before := eng.Stats.DerivEvals
-					want, _, _ := eng.edgeDerivatives(v, b, true)
-					got := eng.edgeLogLik(v, b)
+					want, _, _ := eng.sumDerivatives(b, true)
+					got := eng.sumLogLik(b)
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("edge above node %d at length %g: edgeLogLik %v != edgeDerivatives %v", v.ID, b, got, want)
+						t.Errorf("edge above node %d at length %g: sumLogLik %v != sumDerivatives %v", v.ID, b, got, want)
 					}
 					if n := eng.Stats.DerivEvals - before; n != 2 {
 						t.Errorf("two passes counted as %d DerivEvals", n)
@@ -371,5 +373,210 @@ func TestEdgeLogLikMatchesDerivativesBitForBit(t *testing.T) {
 				t.Fatalf("covered %d tip and %d inner edges", tips, inner)
 			}
 		})
+	}
+}
+
+// refSiteLikelihoods is the test-only reference the sum-table path is held
+// to: the per-pattern likelihoods of the tree with the edge above v set to
+// length b, formed the plain way — a P(b·rate) mat-vec per pattern and
+// category — from nothing but Model.Transition and the engine's current
+// down/out vectors. The per-pattern scalers are left out (they do not depend
+// on b); refEdgeLogLik adds them.
+func refSiteLikelihoods(e *Engine, v *Node, b float64) []float64 {
+	ov := e.outVec(v.ID)
+	site := make([]float64, e.nPat)
+	for r, rate := range e.Rates.Rates {
+		p := e.Model.Transition(b * rate)
+		for i := range site {
+			off := i*e.stride + r*NumStates
+			for s := 0; s < NumStates; s++ {
+				var sum float64
+				for t := 0; t < NumStates; t++ {
+					if v.IsTip() {
+						if e.Data.States[v.Taxon][i]&(1<<uint(t)) != 0 {
+							sum += p[s][t]
+						}
+					} else {
+						sum += p[s][t] * e.downVec(v.ID)[off+t]
+					}
+				}
+				site[i] += ov[off+s] * sum / float64(e.nCat)
+			}
+		}
+	}
+	return site
+}
+
+// refEdgeLogLik is the reference log-likelihood of the edge above v at length b.
+func refEdgeLogLik(e *Engine, v *Node, b float64) float64 {
+	var ll float64
+	for i, l := range refSiteLikelihoods(e, v, b) {
+		sc := e.outScaleVec(v.ID)[i]
+		if !v.IsTip() {
+			sc += e.downScaleVec(v.ID)[i]
+		}
+		ll += e.Data.Weights[i] * (math.Log(l) + sc)
+	}
+	return ll
+}
+
+// checkSumTableAgainstReference holds every edge of the tree, at the bounds
+// and three lengths in between, to the reference: log-likelihood within 1e-10
+// relative, and both derivatives within 1e-6 of central (five-point)
+// differences of the reference's per-pattern likelihoods — L'/L and
+// L”/L − (L'/L)², summed with the pattern weights; the tolerance is relative
+// to the sums of the absolute per-pattern terms, so cancellation between
+// patterns neither loosens nor tightens it. The differences are taken per
+// pattern because differencing the total log-likelihood loses |logL|·ε to
+// rounding. A second difference resolves L” against the ε-sized rounding of
+// P's entries only with a step near 1e-3, so it is skipped at MinBranchLength,
+// where the stencil (which cannot reach below length 0) is a million times
+// narrower. It also asserts that no per-pattern likelihood reaches the
+// non-positive clamp.
+func checkSumTableAgainstReference(t *testing.T, eng *Engine, tree *Tree) {
+	t.Helper()
+	weights := eng.Data.Weights
+	for _, v := range tree.Edges() {
+		eng.buildSumTable(v)
+		for _, b := range []float64{MinBranchLength, 1e-3, 0.1, 1, MaxBranchLength} {
+			want := refEdgeLogLik(eng, v, b)
+			got, d1, d2 := eng.sumDerivatives(b, true)
+			if math.Abs(got-want) > 1e-10*math.Abs(want) {
+				t.Errorf("node %d b=%g: sum-table logL %v, reference %v", v.ID, b, got, want)
+			}
+			ex := eng.fillExpTab(b)
+			for i := 0; i < eng.nPat; i++ {
+				var l0 float64
+				for j, a := range eng.sumTab[i*eng.stride : (i+1)*eng.stride] {
+					l0 += a * ex[j/NumStates*expRow+j%NumStates]
+				}
+				if l0 <= 0 {
+					t.Fatalf("node %d b=%g pattern %d: l0 = %v reaches the clamp", v.ID, b, i, l0)
+				}
+			}
+			h := math.Min(1e-3, b/2)
+			var f [5][]float64
+			for k := range f {
+				f[k] = refSiteLikelihoods(eng, v, b+float64(k-2)*h)
+			}
+			var fd1, fd2, abs1, abs2 float64
+			for i, l := range f[2] {
+				g := (f[0][i] - 8*f[1][i] + 8*f[3][i] - f[4][i]) / (12 * h * l)
+				c := (-f[0][i] + 16*f[1][i] - 30*l + 16*f[3][i] - f[4][i]) / (12 * h * h * l)
+				fd1 += weights[i] * g
+				fd2 += weights[i] * (c - g*g)
+				abs1 += weights[i] * math.Abs(g)
+				abs2 += weights[i] * (math.Abs(c) + g*g)
+			}
+			if math.Abs(d1-fd1) > 1e-6*math.Max(1, abs1) {
+				t.Errorf("node %d b=%g: d1 %v, finite difference %v", v.ID, b, d1, fd1)
+			}
+			if b > MinBranchLength && math.Abs(d2-fd2) > 1e-6*math.Max(1, abs2) {
+				t.Errorf("node %d b=%g: d2 %v, finite difference %v", v.ID, b, d2, fd2)
+			}
+		}
+	}
+}
+
+// TestSumTableMatchesTransitionReference is the property test of the Newton
+// path: on random trees, under every model family, on tip and inner edges,
+// the eigenbasis sum table reproduces the reference formulation.
+func TestSumTableMatchesTransitionReference(t *testing.T) {
+	skewed, err := NewGTR([6]float64{0.4, 6, 0.9, 1.7, 9, 1}, Frequencies{0.45, 0.08, 0.12, 0.35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma, err := DiscreteGamma(0.5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []struct {
+		name  string
+		model Model
+		rates RateCategories
+	}{
+		{"JC69_single", NewJC69(), SingleRate()},
+		{"JC69_gamma4", NewJC69(), gamma},
+		{"GTR_skewed_gamma4", skewed, gamma},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				_, aln, err := Simulate(SimulateOptions{Taxa: 9 + 3*int(seed), Length: 200, Seed: seed, MeanBranchLength: 0.12})
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, _ := Compress(aln)
+				eng, err := NewEngine(data, cfg.model, cfg.rates)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree, _ := NewRandomTree(data.Names, rand.New(rand.NewSource(seed)))
+				eng.Refresh(tree)
+				checkSumTableAgainstReference(t, eng, tree)
+			}
+		})
+	}
+	t.Run("rescaled_240_taxa", func(t *testing.T) {
+		_, aln, err := Simulate(SimulateOptions{Taxa: 240, Length: 40, Seed: 9, MeanBranchLength: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := Compress(aln)
+		eng, err := NewEngine(data, skewed, gamma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, _ := NewRandomTree(data.Names, rand.New(rand.NewSource(3)))
+		eng.Refresh(tree)
+		rescaled := false
+		for _, sc := range eng.sclDown {
+			rescaled = rescaled || sc != 0
+		}
+		if !rescaled {
+			t.Fatal("the deep tree never triggered rescaling; the case covers nothing")
+		}
+		checkSumTableAgainstReference(t, eng, tree)
+	})
+}
+
+// BenchmarkOutview measures one outer-vector kernel on the 42_SC-sized input
+// of the kernel micro-benchmarks (bench_test.go), cycling over every edge so
+// tip and inner siblings and the root's prior all take their share. Each
+// out[v] reads only vectors Refresh settled, so recomputing it in any order
+// reproduces its bits.
+func BenchmarkOutview(b *testing.B) { benchOutview(b, SingleRate()) }
+
+func BenchmarkOutviewGamma4(b *testing.B) {
+	rates, err := DiscreteGamma(0.8, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchOutview(b, rates)
+}
+
+func benchOutview(b *testing.B, rates RateCategories) {
+	_, aln, err := Simulate(SimulateOptions{Taxa: 42, Length: 1167, Seed: 42, MeanBranchLength: 0.08})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := Compress(aln)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := NewEngine(data, NewJC69(), rates)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := NewRandomTree(data.Names, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.Refresh(tree)
+	edges := tree.Edges()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := edges[i%len(edges)]
+		eng.computeOutOne(v.Parent, v)
 	}
 }

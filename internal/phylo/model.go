@@ -43,14 +43,15 @@ type Matrix [NumStates][NumStates]float64
 
 // Model is a reversible nucleotide substitution model. Transition returns the
 // probability matrix P(t) = exp(Qt) for branch length t (expected
-// substitutions per site), and TransitionDeriv returns P(t) together with its
-// first and second derivatives with respect to t, which Makenewz needs for
-// Newton-Raphson branch-length optimization.
+// substitutions per site). Spectrum returns the decomposition behind it,
+// P(t) = V·diag(exp(eigen·t))·V⁻¹: Makenewz folds the conditional vectors at
+// the two ends of a branch into that eigenbasis once, after which the
+// likelihood and its derivatives in t are sums against exp(eigen_k·t).
 type Model interface {
 	Name() string
 	Frequencies() Frequencies
 	Transition(t float64) Matrix
-	TransitionDeriv(t float64) (p, dp, d2p Matrix)
+	Spectrum() (eigen [NumStates]float64, v, vInv Matrix)
 }
 
 // --- Jukes-Cantor (JC69) ---
@@ -89,25 +90,12 @@ func (JC69) Transition(t float64) Matrix {
 	return m
 }
 
-func (JC69) TransitionDeriv(t float64) (p, dp, d2p Matrix) {
-	if t < 0 {
-		t = 0
-	}
-	const lambda = -4.0 / 3.0
-	e := math.Exp(lambda * t)
-	p = JC69{}.Transition(t)
-	for i := 0; i < NumStates; i++ {
-		for j := 0; j < NumStates; j++ {
-			if i == j {
-				dp[i][j] = 0.75 * lambda * e
-				d2p[i][j] = 0.75 * lambda * lambda * e
-			} else {
-				dp[i][j] = -0.25 * lambda * e
-				d2p[i][j] = -0.25 * lambda * lambda * e
-			}
-		}
-	}
-	return p, dp, d2p
+// Spectrum returns JC69's eigenvalues {0, -4/3, -4/3, -4/3} with the ±½
+// Hadamard basis, which is its own inverse and exact in binary.
+func (JC69) Spectrum() (eigen [NumStates]float64, v, vInv Matrix) {
+	const h = 0.5
+	v = Matrix{{h, h, h, h}, {h, -h, h, -h}, {h, h, -h, -h}, {h, -h, -h, h}}
+	return [NumStates]float64{0, -4.0 / 3.0, -4.0 / 3.0, -4.0 / 3.0}, v, v
 }
 
 // --- General time-reversible (GTR) family via eigendecomposition ---
@@ -245,50 +233,29 @@ func (g *GTR) Frequencies() Frequencies { return g.freqs }
 func (g *GTR) ExchangeRates() [6]float64 { return g.rates }
 
 // Transition returns P(t) = V diag(exp(eigen*t)) V^-1.
-func (g *GTR) Transition(t float64) Matrix {
-	p, _, _ := g.transition(t, 0)
-	return p
-}
-
-// TransitionDeriv returns P(t) and its first two derivatives with respect to
-// the branch length.
-func (g *GTR) TransitionDeriv(t float64) (p, dp, d2p Matrix) {
-	p, dp, d2p = g.transition(t, 2)
-	return p, dp, d2p
-}
-
-func (g *GTR) transition(t float64, derivs int) (p, dp, d2p Matrix) {
+func (g *GTR) Transition(t float64) (p Matrix) {
 	if t < 0 {
 		t = 0
 	}
-	var e, de, d2e [NumStates]float64
+	var e [NumStates]float64
 	for k := 0; k < NumStates; k++ {
-		ex := math.Exp(g.eigen[k] * t)
-		e[k] = ex
-		if derivs > 0 {
-			de[k] = g.eigen[k] * ex
-			d2e[k] = g.eigen[k] * g.eigen[k] * ex
-		}
+		e[k] = math.Exp(g.eigen[k] * t)
 	}
 	for i := 0; i < NumStates; i++ {
 		for j := 0; j < NumStates; j++ {
-			var s0, s1, s2 float64
+			var s float64
 			for k := 0; k < NumStates; k++ {
-				vv := g.v[i][k] * g.vInv[k][j]
-				s0 += vv * e[k]
-				if derivs > 0 {
-					s1 += vv * de[k]
-					s2 += vv * d2e[k]
-				}
+				s += g.v[i][k] * g.vInv[k][j] * e[k]
 			}
-			p[i][j] = s0
-			if derivs > 0 {
-				dp[i][j] = s1
-				d2p[i][j] = s2
-			}
+			p[i][j] = s
 		}
 	}
-	return p, dp, d2p
+	return p
+}
+
+// Spectrum returns the decomposition computed at construction.
+func (g *GTR) Spectrum() (eigen [NumStates]float64, v, vInv Matrix) {
+	return g.eigen, g.v, g.vInv
 }
 
 // jacobiEigen diagonalizes a symmetric 4x4 matrix with cyclic Jacobi

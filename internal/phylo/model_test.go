@@ -1,6 +1,7 @@
 package phylo
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -151,32 +152,30 @@ func TestModelValidation(t *testing.T) {
 	}
 }
 
-func TestTransitionDerivMatchesFiniteDifferences(t *testing.T) {
-	models := []Model{NewJC69()}
-	if g, err := NewGTR([6]float64{1.5, 3, 0.7, 1.2, 4, 1}, Frequencies{0.28, 0.22, 0.24, 0.26}); err == nil {
-		models = append(models, g)
-	} else {
+// TestSpectrumReconstructsTransition holds both models' Spectrum to the two
+// identities the sum table rests on: V·V⁻¹ = I and
+// V·diag(exp(eigen·t))·V⁻¹ = Transition(t).
+func TestSpectrumReconstructsTransition(t *testing.T) {
+	g, err := NewGTR([6]float64{1.5, 3, 0.7, 1.2, 4, 1}, Frequencies{0.28, 0.22, 0.24, 0.26})
+	if err != nil {
 		t.Fatal(err)
 	}
-	const h = 1e-6
-	for _, m := range models {
-		for _, bl := range []float64{0.05, 0.3, 1.0} {
-			p, dp, d2p := m.TransitionDeriv(bl)
-			pPlus := m.Transition(bl + h)
-			pMinus := m.Transition(bl - h)
-			matricesClose(t, p, m.Transition(bl), 1e-12, m.Name()+" P consistency")
+	for _, m := range []Model{NewJC69(), g} {
+		eigen, v, vInv := m.Spectrum()
+		rebuild := func(bl float64) (p Matrix) {
 			for i := 0; i < NumStates; i++ {
 				for j := 0; j < NumStates; j++ {
-					fd1 := (pPlus[i][j] - pMinus[i][j]) / (2 * h)
-					fd2 := (pPlus[i][j] - 2*p[i][j] + pMinus[i][j]) / (h * h)
-					if math.Abs(fd1-dp[i][j]) > 1e-5 {
-						t.Errorf("%s dP/dt[%d][%d] at %v: analytic %v vs numeric %v", m.Name(), i, j, bl, dp[i][j], fd1)
-					}
-					if math.Abs(fd2-d2p[i][j]) > 1e-3 {
-						t.Errorf("%s d2P/dt2[%d][%d] at %v: analytic %v vs numeric %v", m.Name(), i, j, bl, d2p[i][j], fd2)
+					for k := 0; k < NumStates; k++ {
+						p[i][j] += v[i][k] * math.Exp(eigen[k]*bl) * vInv[k][j]
 					}
 				}
 			}
+			return p
+		}
+		identity := Matrix{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}}
+		matricesClose(t, rebuild(0), identity, 1e-12, m.Name()+" V·V⁻¹")
+		for _, bl := range []float64{MinBranchLength, 0.05, 0.3, 1.0, MaxBranchLength} {
+			matricesClose(t, rebuild(bl), m.Transition(bl), 1e-12, fmt.Sprintf("%s spectrum at t=%g", m.Name(), bl))
 		}
 	}
 }

@@ -4,13 +4,13 @@ package phylo
 // This file implements the Engine's transition-matrix cache: the flattened
 // storage for P(b·rate) across all rate categories, keyed by branch length.
 //
-// Motivation: the three likelihood kernels walk the same tree over and over —
+// Motivation: the vector kernels walk the same tree over and over —
 // computeDown/computeOut traversals revisit every branch once per smoothing
-// pass, and Makenewz re-evaluates the same few branch lengths across Newton
-// iterations and rounds. Recomputing exp(Q·b·rate) (an eigen-exponential for
-// GTR) per visit made matrix construction, not the per-pattern loops, the
-// dominant cost. Caching by branch length makes repeat visits free and keeps
-// the steady-state kernel loops allocation-free.
+// pass. Recomputing exp(Q·b·rate) (an eigen-exponential for GTR) per visit
+// made matrix construction, not the per-pattern loops, the dominant cost.
+// Caching by branch length makes repeat visits free and keeps the steady-state
+// kernel loops allocation-free. (Makenewz needs no matrices: its Newton
+// iterates run against the per-edge sum table, see likelihood.go.)
 //
 // Layout: one flat []float64 of nCat*flatMatSize entries per branch length;
 // category r occupies [r*flatMatSize, (r+1)*flatMatSize), row-major [from*4+to].
@@ -22,12 +22,12 @@ package phylo
 // clears the map (clear keeps the buckets, so refilling to the previous size
 // never grows them) and swaps the slab's arena sets, so all retired entries
 // become reusable at once while the handful of entry slices a kernel is
-// holding across the clear (Newview's left/right matrices, Makenewz's
-// derivative triple) stay valid — they live in the other arena set, which is
-// not carved again until the NEXT overflow, thousands of inserts away. The
-// result: a search whose length stream replays (the steady state of the
-// benchmark and alloc-guard loops) allocates nothing, no matter how many
-// overflow cycles it goes through.
+// holding across the clear (Newview's left/right matrices, the outer-vector
+// kernel's sibling/parent pair) stay valid — they live in the other arena
+// set, which is not carved again until the NEXT overflow, thousands of
+// inserts away. The result: a search whose length stream replays (the steady
+// state of the benchmark and alloc-guard loops) allocates nothing, no matter
+// how many overflow cycles it goes through.
 //
 // Invalidation: a branch length is the key, so changing a length simply stops
 // hitting its old entry — no explicit invalidation is needed for branch
@@ -37,11 +37,10 @@ package phylo
 // flatMatSize is the number of entries of one flattened 4x4 matrix.
 const flatMatSize = NumStates * NumStates
 
-// maxCacheEntries bounds each cache map. A long tree search touches a stream
-// of distinct Newton-iterate branch lengths; when the bound is hit the whole
-// map is dropped (the working set — the tree's current branch lengths — is
-// rebuilt within one traversal). 4096 entries of a 4-category model are about
-// 2 MB per cache.
+// maxCacheEntries bounds the cache map. A long tree search touches a stream
+// of distinct accepted branch lengths; when the bound is hit the whole map is
+// dropped (the working set — the tree's current branch lengths — is rebuilt
+// within one traversal). 4096 entries of a 4-category model are about 2 MB.
 const maxCacheEntries = 4096
 
 // slabBlockEntries is the number of entries each slab arena block holds.
@@ -81,30 +80,14 @@ func (s *transSlab) swap() {
 	s.used = 0
 }
 
-// derivTriple holds P(b), dP/db and d²P/db² for every rate category, in the
-// same flattened layout the kernels use. The chain-rule factors (rate, rate²)
-// are already folded in, so dp/d2p are derivatives with respect to the branch
-// length b itself. It is a value type: the cache map stores the three slice
-// headers inline, so a miss costs three slab carves and no box allocation.
-type derivTriple struct {
-	p, dp, d2p []float64
-}
-
-// initCache sets up the cache maps, the entry slabs and the scratch buffers
+// initCache sets up the cache map, the entry slab and the scratch buffers
 // used when the cache is disabled.
 func (e *Engine) initCache() {
 	e.cacheOn = true
 	e.probs = make(map[float64][]float64)
-	e.derivs = make(map[float64]derivTriple)
 	e.probSlab = transSlab{entry: e.nCat * flatMatSize}
-	e.derivSlab = transSlab{entry: e.nCat * flatMatSize}
 	e.transScratch[0] = make([]float64, e.nCat*flatMatSize)
 	e.transScratch[1] = make([]float64, e.nCat*flatMatSize)
-	e.derivScratch = derivTriple{
-		p:   make([]float64, e.nCat*flatMatSize),
-		dp:  make([]float64, e.nCat*flatMatSize),
-		d2p: make([]float64, e.nCat*flatMatSize),
-	}
 }
 
 // SetTransitionCache toggles the transition-matrix cache. Disabling it forces
@@ -119,17 +102,16 @@ func (e *Engine) SetTransitionCache(on bool) {
 	e.InvalidateTransitions()
 }
 
-// InvalidateTransitions drops every cached transition matrix and marks every
-// conditional vector stale. It must be called after mutating e.Model or
+// InvalidateTransitions drops every cached transition matrix, re-reads the
+// model's spectrum and marks every conditional vector stale. It must be called after mutating e.Model or
 // e.Rates in place: the conditional vectors were computed through the old
 // model's matrices, so the lazy traversals must not keep serving them
 // (branch-length changes, by contrast, need no invalidation because the
 // length itself is the cache key and optimizeEdge invalidates its updates).
 func (e *Engine) InvalidateTransitions() {
 	clear(e.probs)
-	clear(e.derivs)
 	e.probSlab.swap()
-	e.derivSlab.swap()
+	e.initSpectrum()
 	e.InvalidateAll()
 }
 
@@ -177,45 +159,4 @@ func (e *Engine) transitionFlat(b float64, slot int) []float64 {
 	dst := e.transScratch[slot]
 	e.fillTransition(dst, b)
 	return dst
-}
-
-// fillTransitionDeriv writes P, dP/db and d²P/db² for branch length b into d,
-// folding the per-category chain-rule factors in.
-func (e *Engine) fillTransitionDeriv(d *derivTriple, b float64) {
-	for r, rate := range e.Rates.Rates {
-		p, dp, d2p := e.Model.TransitionDeriv(b * rate)
-		o := r * flatMatSize
-		for i := 0; i < NumStates; i++ {
-			for j := 0; j < NumStates; j++ {
-				k := o + i*NumStates + j
-				d.p[k] = p[i][j]
-				// Chain rule: d/db exp(Q·rate·b) = rate · Q·exp(...).
-				d.dp[k] = dp[i][j] * rate
-				d.d2p[k] = d2p[i][j] * rate * rate
-			}
-		}
-	}
-}
-
-// transitionDerivFlat is the derivative-set analogue of transitionFlat; the
-// Newton iterations of Makenewz revisit the same branch lengths, so in steady
-// state every lookup hits.
-//
-//cellmg:hotpath-safe -- allocates only while the cache slab grows cold; steady state guarded by alloc_test.go
-func (e *Engine) transitionDerivFlat(b float64) derivTriple {
-	if e.cacheOn {
-		if d, ok := e.derivs[b]; ok {
-			return d
-		}
-		if len(e.derivs) >= maxCacheEntries {
-			clear(e.derivs)
-			e.derivSlab.swap()
-		}
-		d := derivTriple{p: e.derivSlab.alloc(), dp: e.derivSlab.alloc(), d2p: e.derivSlab.alloc()}
-		e.fillTransitionDeriv(&d, b)
-		e.derivs[b] = d
-		return d
-	}
-	e.fillTransitionDeriv(&e.derivScratch, b)
-	return e.derivScratch
 }

@@ -38,7 +38,7 @@ type CalibrateOptions struct {
 // KernelTiming is the measured steady-state cost of one likelihood kernel.
 type KernelTiming struct {
 	Class    FunctionClass
-	MeanCall time.Duration // mean wall-clock time of one invocation
+	MeanCall time.Duration // mean wall-clock time of one invocation in the fastest sweep
 	Calls    int           // invocations measured
 }
 
@@ -103,8 +103,8 @@ func CalibrateNative(o CalibrateOptions) (*Calibration, error) {
 	// dirty tracking entirely — every timed call does real per-pattern work
 	// even though the tree never changes. The calibration deliberately times
 	// the SHIPPED kernel configuration (site repeats and tip tables on):
-	// faster off-loaded kernels shift the modeled EDTLP gains downward via
-	// Amdahl's law, and E11's claims are calibrated to that reality.
+	// faster kernels shift the modeled EDTLP gains downward via Amdahl's law,
+	// which is why E11 makes its claims at fixed, rescaled off-load lengths.
 	eng.Refresh(tree)
 
 	cal := &Calibration{Patterns: eng.NumPatterns(), Taxa: o.Taxa, Length: o.Length}
@@ -155,17 +155,20 @@ const minMeasureWindow = 2 * time.Millisecond
 
 // timeKernel runs sweep (which reports how many kernel calls it made) at
 // least minRounds times and until minMeasureWindow has elapsed, returning the
-// per-call mean.
+// per-call mean of the fastest sweep, so that a sweep preempted on a loaded
+// host cannot skew the kernel ratios the derived workload is built from.
 func timeKernel(class FunctionClass, minRounds int, sweep func() int) KernelTiming {
 	calls := 0
-	start := time.Now()
-	for r := 0; ; r++ {
-		calls += sweep()
-		if r+1 >= minRounds && time.Since(start) >= minMeasureWindow {
-			break
+	var best time.Duration
+	for r, start := 0, time.Now(); r < minRounds || time.Since(start) < minMeasureWindow; r++ {
+		t0 := time.Now()
+		n := sweep()
+		if d := time.Since(t0) / time.Duration(n); r == 0 || d < best {
+			best = d
 		}
+		calls += n
 	}
-	return KernelTiming{class, time.Since(start) / time.Duration(calls), calls}
+	return KernelTiming{class, best, calls}
 }
 
 // Config derives a workload configuration from the measured kernels: the
