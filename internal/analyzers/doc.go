@@ -13,9 +13,12 @@
 //     //cellmg:hotpath-safe, or live in the whitelist (math, math/bits,
 //     sync, sync/atomic). The likelihood kernels (Newview, computeOut,
 //     evaluate, and makenewz with its buildSumTable, sumDerivatives and
-//     sumLogLik loops in internal/phylo) and the ParallelFor runner
-//     (internal/native) carry the annotation; the testing.AllocsPerRun
-//     guards in alloc_test.go verify the same property dynamically.
+//     sumLogLik loops in internal/phylo), the ParallelFor runner
+//     (internal/native) and the simulator's event path (internal/sim:
+//     schedule, RunUntil, the heap sifts, Delay, Sleep, block, Queue.Put/Get,
+//     Resource.Acquire/Release, Signal.FireValue/Wait) carry the annotation;
+//     the testing.AllocsPerRun guards in each package's alloc_test.go verify
+//     the same property dynamically.
 //
 //   - determinism: a file annotated //cellmg:deterministic (above its
 //     package clause) may not call global math/rand top-level functions,

@@ -128,6 +128,7 @@ func checkHotpathCall(pass *framework.Pass, fa *funcAnnotations, fn *types.Func,
 		checkBoxingArgs(pass, fn, call)
 		return
 	}
+	callee = callee.Origin() // annotations sit on the generic declaration, not on its instances
 	path := funcPkgPath(callee)
 	switch {
 	case callee.Pkg() == pass.Pkg:

@@ -109,14 +109,15 @@ func TestSPESubmitRunsFIFOAndSignalsCompletion(t *testing.T) {
 	eng, m := newTestMachine(t, 1)
 	spe := m.SPE(0)
 	var order []string
-	d1 := spe.Submit("a", func(c *SPEContext) {
+	d1, d2 := sim.NewSignal(eng), sim.NewSignal(eng)
+	spe.Submit(func(c *SPEContext) {
 		c.Compute(10 * sim.Microsecond)
 		order = append(order, "a")
-	})
-	d2 := spe.Submit("b", func(c *SPEContext) {
+	}, d1)
+	spe.Submit(func(c *SPEContext) {
 		c.Compute(5 * sim.Microsecond)
 		order = append(order, "b")
-	})
+	}, d2)
 	var doneAt [2]sim.Time
 	eng.Spawn("waiter", func(p *sim.Proc) {
 		d1.Wait(p)
@@ -145,8 +146,8 @@ func TestSPEBusyReflectsQueueAndExecution(t *testing.T) {
 	if spe.Busy() {
 		t.Fatalf("fresh SPE should be idle")
 	}
-	spe.Submit("t", func(c *SPEContext) { c.Compute(10 * sim.Microsecond) })
-	spe.Submit("t2", func(c *SPEContext) { c.Compute(10 * sim.Microsecond) })
+	spe.Submit(func(c *SPEContext) { c.Compute(10 * sim.Microsecond) }, nil)
+	spe.Submit(func(c *SPEContext) { c.Compute(10 * sim.Microsecond) }, nil)
 	if !spe.Busy() || spe.QueueLength() != 2 {
 		t.Errorf("SPE with queued work should be busy (queue=%d)", spe.QueueLength())
 	}
@@ -161,25 +162,25 @@ func TestLoadModuleCachingAndCapacity(t *testing.T) {
 	spe := m.SPE(0)
 	moduleSize := 117 * 1024
 	var firstLoad, secondLoad sim.Duration
-	spe.Submit("load1", func(c *SPEContext) {
+	spe.Submit(func(c *SPEContext) {
 		start := c.Now()
 		if err := c.LoadModule("ml-kernels", moduleSize); err != nil {
 			t.Errorf("LoadModule: %v", err)
 		}
 		firstLoad = c.Now().Sub(start)
-	})
-	spe.Submit("load2", func(c *SPEContext) {
+	}, nil)
+	spe.Submit(func(c *SPEContext) {
 		start := c.Now()
 		if err := c.LoadModule("ml-kernels", moduleSize); err != nil {
 			t.Errorf("LoadModule: %v", err)
 		}
 		secondLoad = c.Now().Sub(start)
-	})
-	spe.Submit("toobig", func(c *SPEContext) {
+	}, nil)
+	spe.Submit(func(c *SPEContext) {
 		if err := c.LoadModule("huge", 300*1024); err == nil {
 			t.Errorf("loading a module larger than the local store should fail")
 		}
-	})
+	}, nil)
 	eng.Run()
 	if firstLoad == 0 {
 		t.Errorf("first module load should cost DMA time")
@@ -198,11 +199,11 @@ func TestLoadModuleCachingAndCapacity(t *testing.T) {
 func TestModuleReplacementChargesAgain(t *testing.T) {
 	eng, m := newTestMachine(t, 1)
 	spe := m.SPE(0)
-	spe.Submit("seq", func(c *SPEContext) {
+	spe.Submit(func(c *SPEContext) {
 		c.LoadModule("serial", 100*1024)
 		c.LoadModule("parallel", 120*1024)
 		c.LoadModule("serial", 100*1024)
-	})
+	}, nil)
 	eng.Run()
 	if spe.ModuleLoads() != 3 {
 		t.Errorf("module loads = %d, want 3 (switching versions re-ships code)", spe.ModuleLoads())
@@ -299,7 +300,8 @@ func TestEIBLimitsConcurrentDMA(t *testing.T) {
 	var lastDone sim.Time
 	done := make([]*sim.Signal, 4)
 	for i := 0; i < 4; i++ {
-		done[i] = m.SPE(i).Submit("dma", func(c *SPEContext) { c.DMAGet(size) })
+		done[i] = sim.NewSignal(eng)
+		m.SPE(i).Submit(func(c *SPEContext) { c.DMAGet(size) }, done[i])
 	}
 	eng.Spawn("join", func(p *sim.Proc) {
 		for _, d := range done {
@@ -319,24 +321,25 @@ func TestNotifyPPEAndSendPassLatencies(t *testing.T) {
 	sigPPE := sim.NewSignal(eng)
 	sigSPE := sim.NewSignal(eng)
 	var speDoneAt, ppeSawAt, passSeenAt sim.Time
-	done := m.SPE(0).Submit("notify", func(c *SPEContext) {
+	done := sim.NewSignal(eng)
+	m.SPE(0).Submit(func(c *SPEContext) {
 		c.Compute(10 * sim.Microsecond)
 		c.NotifyPPEValue(sigPPE, "result")
 		c.SendPassValue(sigSPE, 42)
 		speDoneAt = c.Now()
-	})
+	}, done)
 	eng.Spawn("ppe-waiter", func(p *sim.Proc) {
 		if v := sigPPE.Wait(p); v != "result" {
 			t.Errorf("PPE received %v, want result", v)
 		}
 		ppeSawAt = p.Now()
 	})
-	m.SPE(1).Submit("pass-waiter", func(c *SPEContext) {
+	m.SPE(1).Submit(func(c *SPEContext) {
 		if v := c.WaitSignal(sigSPE); v != 42 {
 			t.Errorf("worker SPE received %v, want 42", v)
 		}
 		passSeenAt = c.Now()
-	})
+	}, nil)
 	eng.Spawn("join", func(p *sim.Proc) { done.Wait(p) })
 	eng.Run()
 	if speDoneAt != sim.Time(10*sim.Microsecond) {
@@ -354,7 +357,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	eng, m := newTestMachine(t, 1)
 	// SPE 0 busy for 30us; let the clock advance to 60us; SPE 0 should be
 	// ~50% utilized, others 0.
-	m.SPE(0).Submit("work", func(c *SPEContext) { c.Compute(30 * sim.Microsecond) })
+	m.SPE(0).Submit(func(c *SPEContext) { c.Compute(30 * sim.Microsecond) }, nil)
 	eng.Spawn("clock", func(p *sim.Proc) { p.Sleep(60 * sim.Microsecond) })
 	eng.Run()
 	u := m.Utilization()

@@ -15,6 +15,11 @@
 // documentation; every one of them can be overridden, which is how the
 // ablation experiments sweep them.
 //
+// Each SPE is one sim process serving its command queue forever, so whoever
+// builds a Machine closes its engine when the run is over (sim.Engine.Close).
+// Component names ("cellC.speS", "cellC.ppe") are built once per component;
+// with Machine.Trace unset an activity interval costs nothing beyond its Delay.
+//
 // The hardware substrate exposed here is policy-free: packages offload and
 // sched implement the off-load runtime and the EDTLP/LLP/MGPS schedulers on
 // top of it.

@@ -14,6 +14,7 @@ import (
 type PPE struct {
 	machine *Machine
 	cell    *Cell
+	name    string // "cellC.ppe", the component name in trace streams
 
 	contexts *sim.Resource // SMT hardware contexts
 	active   int           // contexts currently executing Compute
@@ -24,10 +25,12 @@ type PPE struct {
 }
 
 func newPPE(m *Machine, cell *Cell) *PPE {
+	name := fmt.Sprintf("cell%d.ppe", cell.Index)
 	return &PPE{
 		machine:  m,
 		cell:     cell,
-		contexts: sim.NewResource(m.Eng, fmt.Sprintf("cell%d.ppe", cell.Index), m.Cost.PPEContexts),
+		name:     name,
+		contexts: sim.NewResource(m.Eng, name, m.Cost.PPEContexts),
 	}
 }
 
@@ -76,7 +79,7 @@ func (p *PPE) Compute(proc *sim.Proc, d sim.Duration) {
 	start := proc.Now()
 	proc.Delay(stretched)
 	p.active--
-	p.machine.emit(fmt.Sprintf("cell%d.ppe", p.cell.Index), start, proc.Now(), "compute")
+	p.machine.emit(p.name, start, proc.Now(), "compute")
 }
 
 // ContextSwitch charges the cost of one voluntary user-level context switch

@@ -23,8 +23,9 @@ type SPE struct {
 	Index  int
 	Global int
 
+	name    string // "cellC.speS", the component name in trace streams
 	cmds    *sim.Queue[speCommand]
-	proc    *sim.Proc
+	ctx     SPEContext // the one context every work item runs with
 	running bool
 
 	busy         sim.Duration
@@ -36,7 +37,6 @@ type SPE struct {
 }
 
 type speCommand struct {
-	name string
 	fn   func(c *SPEContext)
 	done *sim.Signal
 }
@@ -48,16 +48,18 @@ func newSPE(m *Machine, cell *Cell, index int) *SPE {
 		Index:   index,
 		Global:  cell.Index*SPEsPerCell + index,
 	}
-	s.cmds = sim.NewQueue[speCommand](m.Eng, fmt.Sprintf("cell%d.spe%d.cmds", cell.Index, index))
-	s.proc = m.Eng.Spawn(fmt.Sprintf("cell%d.spe%d", cell.Index, index), s.run)
+	s.name = fmt.Sprintf("cell%d.spe%d", cell.Index, index)
+	s.cmds = sim.NewQueue[speCommand](m.Eng, s.name+".cmds")
+	m.Eng.Spawn(s.name, s.run)
 	return s
 }
 
 func (s *SPE) run(p *sim.Proc) {
+	s.ctx = SPEContext{spe: s, proc: p}
 	for {
 		cmd := s.cmds.Get(p)
 		s.running = true
-		cmd.fn(&SPEContext{spe: s, proc: p})
+		cmd.fn(&s.ctx)
 		s.running = false
 		s.tasksRun++
 		if cmd.done != nil {
@@ -72,13 +74,11 @@ func (s *SPE) Cell() *Cell { return s.cell }
 // Machine returns the blade this SPE belongs to.
 func (s *SPE) Machine() *Machine { return s.machine }
 
-// Submit enqueues a work item for the SPE and returns a signal that fires
-// when it completes. The closure runs on the SPE's own simulated process and
-// may use every SPEContext primitive.
-func (s *SPE) Submit(name string, fn func(c *SPEContext)) *sim.Signal {
-	done := sim.NewSignal(s.machine.Eng)
-	s.cmds.Put(speCommand{name: name, fn: fn, done: done})
-	return done
+// Submit enqueues a work item for the SPE; done, when non-nil, fires the
+// moment the item completes. The closure runs on the SPE's own simulated
+// process and may use every SPEContext primitive.
+func (s *SPE) Submit(fn func(c *SPEContext), done *sim.Signal) {
+	s.cmds.Put(speCommand{fn: fn, done: done})
 }
 
 // Busy reports whether the SPE is currently executing a work item or has
@@ -131,7 +131,7 @@ func (c *SPEContext) Compute(d sim.Duration) {
 	start := c.proc.Now()
 	c.spe.busy += d
 	c.proc.Delay(d)
-	c.spe.machine.emit(c.spe.traceName(), start, c.proc.Now(), "compute")
+	c.spe.machine.emit(c.spe.name, start, c.proc.Now(), "compute")
 }
 
 // dma charges one MFC transfer of size bytes, competing for an EIB slot.
@@ -148,12 +148,7 @@ func (c *SPEContext) dma(size int) {
 	c.spe.bytesDMA += int64(size)
 	c.proc.Delay(d)
 	eib.Release(1)
-	c.spe.machine.emit(c.spe.traceName(), start, c.proc.Now(), "dma")
-}
-
-// traceName is the component name used in trace streams.
-func (s *SPE) traceName() string {
-	return fmt.Sprintf("cell%d.spe%d", s.cell.Index, s.Index)
+	c.spe.machine.emit(c.spe.name, start, c.proc.Now(), "dma")
 }
 
 // DMAGet models fetching size bytes from main memory (or another local
@@ -194,8 +189,7 @@ func (c *SPEContext) LoadModule(name string, size int) error {
 // SPE->PPE signalling latency. The SPE does not stall: the message travels
 // while the SPE moves on (the runtime uses a mailbox write).
 func (c *SPEContext) NotifyPPE(sig *sim.Signal) {
-	eng := c.spe.machine.Eng
-	eng.After(c.spe.machine.Cost.SPEToPPESignal, sig.Fire)
+	sig.FireAfter(c.spe.machine.Cost.SPEToPPESignal)
 }
 
 // NotifyPPEValue is NotifyPPE carrying a value for the waiter.
@@ -210,8 +204,7 @@ func (c *SPEContext) NotifyPPEValue(sig *sim.Signal, v any) {
 // sending SPE is occupied only for the DMA issue; delivery happens after the
 // SPE-to-SPE signalling latency.
 func (c *SPEContext) SendPass(target *sim.Signal) {
-	eng := c.spe.machine.Eng
-	eng.After(c.spe.machine.Cost.SPEToSPESignal, target.Fire)
+	target.FireAfter(c.spe.machine.Cost.SPEToSPESignal)
 }
 
 // SendPassValue is SendPass carrying a payload value.

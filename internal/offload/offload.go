@@ -112,14 +112,14 @@ func (r *Runtime) moduleSize(name string) int {
 // process until every SPE has the module resident.
 func (r *Runtime) Preload(p *sim.Proc, spes []*cellsim.SPE, module string) {
 	size := r.moduleSize(module)
-	signals := make([]*sim.Signal, 0, len(spes))
-	for _, spe := range spes {
-		spe := spe
-		signals = append(signals, spe.Submit("preload:"+module, func(c *cellsim.SPEContext) {
+	signals := make([]*sim.Signal, len(spes))
+	for i, spe := range spes {
+		signals[i] = sim.NewSignal(r.Machine.Eng)
+		spe.Submit(func(c *cellsim.SPEContext) {
 			if err := c.LoadModule(module, size); err != nil {
 				panic(fmt.Sprintf("offload: preload failed: %v", err))
 			}
-		}))
+		}, signals[i])
 	}
 	for _, s := range signals {
 		s.Wait(p)
@@ -157,7 +157,7 @@ func (r *Runtime) OffloadSerial(spe *cellsim.SPE, fn *workload.FunctionSpec, sca
 	compute := r.speTime(fn, scale)
 	size := r.moduleSize(SerialModule)
 	done := sim.NewSignal(r.Machine.Eng)
-	spe.Submit("offload:"+fn.Name, func(c *cellsim.SPEContext) {
+	spe.Submit(func(c *cellsim.SPEContext) {
 		if err := c.LoadModule(SerialModule, size); err != nil {
 			panic(fmt.Sprintf("offload: %v", err))
 		}
@@ -166,7 +166,7 @@ func (r *Runtime) OffloadSerial(spe *cellsim.SPE, fn *workload.FunctionSpec, sca
 		c.Compute(compute)
 		c.DMAPut(fn.OutputBytes)
 		c.NotifyPPE(done)
-	})
+	}, nil)
 	return done
 }
 
@@ -243,8 +243,7 @@ func (r *Runtime) OffloadWorkShared(master *cellsim.SPE, workers []*cellsim.SPE,
 		workerOutput = fn.OutputBytes / (len(workers) + 1)
 	}
 	for i, w := range workers {
-		i, w := i, w
-		w.Submit("llp-worker:"+fn.Name, func(c *cellsim.SPEContext) {
+		w.Submit(func(c *cellsim.SPEContext) {
 			if err := c.LoadModule(ParallelModule, size); err != nil {
 				panic(fmt.Sprintf("offload: %v", err))
 			}
@@ -253,12 +252,12 @@ func (r *Runtime) OffloadWorkShared(master *cellsim.SPE, workers []*cellsim.SPE,
 			c.Compute(sim.Duration(workerIters) * iterTime)
 			c.DMAPut(workerOutput)
 			c.SendPass(results[i])
-		})
+		}, nil)
 	}
 
 	// Master side: distribute, compute own (larger) share, join, reduce,
 	// commit, notify the PPE.
-	master.Submit("llp-master:"+fn.Name, func(c *cellsim.SPEContext) {
+	master.Submit(func(c *cellsim.SPEContext) {
 		if err := c.LoadModule(ParallelModule, size); err != nil {
 			panic(fmt.Sprintf("offload: %v", err))
 		}
@@ -276,7 +275,7 @@ func (r *Runtime) OffloadWorkShared(master *cellsim.SPE, workers []*cellsim.SPE,
 		}
 		c.DMAPut(fn.OutputBytes - workerOutput*len(workers))
 		c.NotifyPPE(done)
-	})
+	}, nil)
 	return done
 }
 

@@ -145,7 +145,7 @@ type cellRun struct {
 	persistentGroups bool
 }
 
-func newRun(name string, opt Options) *run {
+func newRun(opt Options) *run {
 	opt = opt.withDefaults()
 	if opt.Workload == nil {
 		panic("sched: Options.Workload is required")
@@ -172,12 +172,21 @@ func newRun(name string, opt Options) *run {
 			static:  policy.Decision{UseLLP: false, SPEsPerLoop: 1},
 		})
 	}
-	_ = name
 	return r
 }
 
 // cellFor assigns bootstrap processes to Cells round-robin.
 func (r *run) cellFor(procID int) *cellRun { return r.cells[procID%len(r.cells)] }
+
+// complete runs the simulation to its end, reads the Result off the machine
+// and shuts the engine down: the SPE servers (and the kernel dispatchers) wait
+// for work forever, and only Close releases them and everything they pin.
+func (r *run) complete(name string) Result {
+	r.eng.Run()
+	res := r.result(name)
+	r.eng.Close()
+	return res
+}
 
 // result gathers counters into a Result once the simulation has finished.
 func (r *run) result(name string) Result {
@@ -225,35 +234,32 @@ func (r *run) result(name string) Result {
 // all): the starting point of the Section 5.1 optimization story. Processes
 // are time-shared over the PPE contexts by the kernel scheduler.
 func RunPPEOnly(opt Options) Result {
-	r := newRun("ppe-only", opt)
+	r := newRun(opt)
 	procs := opt.Workload.Job(r.opt.Bootstraps)
 	runKernelScheduled(r, procs, true)
-	r.eng.Run()
-	return r.result("PPE-only")
+	return r.complete("PPE-only")
 }
 
 // RunLinux executes the workload with off-loading but under the native
 // kernel scheduler: one MPI process per PPE context at a time, a 10 ms
 // quantum, and spin-waiting on off-load completion (Table 1, third column).
 func RunLinux(opt Options) Result {
-	r := newRun("linux", opt)
+	r := newRun(opt)
 	procs := opt.Workload.Job(r.opt.Bootstraps)
 	runKernelScheduled(r, procs, false)
-	r.eng.Run()
-	return r.result("Linux")
+	return r.complete("Linux")
 }
 
 // RunEDTLP executes the workload under the event-driven task-level
 // parallelism scheduler (Table 1, second column; the EDTLP curves of Figures
 // 7-9).
 func RunEDTLP(opt Options) Result {
-	r := newRun("edtlp", opt)
+	r := newRun(opt)
 	for _, c := range r.cells {
 		c.static = policy.Decision{UseLLP: false, SPEsPerLoop: 1}
 	}
 	r.spawnEventDriven()
-	r.eng.Run()
-	return r.result("EDTLP")
+	return r.complete("EDTLP")
 }
 
 // RunStaticHybrid executes the workload under the static EDTLP-LLP scheme:
@@ -263,19 +269,18 @@ func RunStaticHybrid(opt Options) Result {
 	if opt.SPEsPerLoop <= 0 {
 		opt.SPEsPerLoop = 2
 	}
-	r := newRun("edtlp-llp", opt)
+	r := newRun(opt)
 	for _, c := range r.cells {
 		c.static = policy.StaticLLPDecision(r.opt.SPEsPerLoop)
 		c.persistentGroups = c.static.UseLLP
 	}
 	r.spawnEventDriven()
-	r.eng.Run()
-	return r.result(fmt.Sprintf("EDTLP-LLP(%d)", r.opt.SPEsPerLoop))
+	return r.complete(fmt.Sprintf("EDTLP-LLP(%d)", r.opt.SPEsPerLoop))
 }
 
 // RunMGPS executes the workload under the adaptive multigrain scheduler.
 func RunMGPS(opt Options) Result {
-	r := newRun("mgps", opt)
+	r := newRun(opt)
 	for _, c := range r.cells {
 		cfg := r.opt.MGPS
 		if cfg.NumSPEs == 0 {
@@ -284,6 +289,5 @@ func RunMGPS(opt Options) Result {
 		c.mgps = policy.NewMGPS(cfg)
 	}
 	r.spawnEventDriven()
-	r.eng.Run()
-	return r.result("MGPS")
+	return r.complete("MGPS")
 }

@@ -1,6 +1,10 @@
 package sched
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"runtime"
 	"testing"
 
 	"cellmg/internal/offload"
@@ -292,4 +296,71 @@ func TestDefaultsApplied(t *testing.T) {
 		}
 	}()
 	RunEDTLP(Options{})
+}
+
+// sweepResults is what testdata/sweep_golden.json pins: the benchmark's
+// sim_sweep grid ({1,2,4,8,16} bootstraps of RAxML42SC under EDTLP,
+// EDTLP-LLP(4) and MGPS) with the Linux baseline beside it, the PPE-only
+// baseline, and one dual-Cell MGPS run — every field of every Result.
+func sweepResults() []Result {
+	cfg := workload.RAxML42SC()
+	var rows []Result
+	for _, b := range []int{1, 2, 4, 8, 16} {
+		opt := Options{Workload: cfg, Bootstraps: b, SPEsPerLoop: 4}
+		rows = append(rows, RunEDTLP(opt), RunStaticHybrid(opt), RunMGPS(opt), RunLinux(opt))
+	}
+	return append(rows,
+		RunPPEOnly(Options{Workload: cfg, Bootstraps: 3}),
+		RunMGPS(Options{Workload: cfg, Bootstraps: 6, NumCells: 2}))
+}
+
+// TestSweepMatchesGolden compares the sweep with testdata/sweep_golden.json,
+// byte for byte at encoding/json's round-trip float precision. The fixture
+// was written by this function at 23bf8dd, the last commit where simulated
+// processes were goroutines handing off over channels; the simulator is
+// deterministic, so a difference in any makespan, finish time, counter or
+// utilisation is a change of the simulation, never noise.
+func TestSweepMatchesGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/sweep_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []json.RawMessage
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	got := sweepResults()
+	if len(got) != len(want) {
+		t.Fatalf("%d results, fixture has %d", len(got), len(want))
+	}
+	for i, r := range got {
+		enc, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, want[i]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, compact.Bytes()) {
+			t.Errorf("%s at %d bootstraps differs from testdata/sweep_golden.json\n got %s\nwant %s",
+				r.Scheduler, r.Bootstraps, enc, compact.Bytes())
+		}
+	}
+}
+
+// TestSimulationLeavesNoGoroutines: a finished run must release its simulated
+// processes. The eight SPE servers of every Cell never return on their own —
+// they wait for the next command — so without an explicit engine shutdown each
+// run strands them, and everything they reference, for the life of the
+// program.
+func TestSimulationLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	opt := Options{Workload: fastConfig(), Bootstraps: 3, SPEsPerLoop: 4}
+	for _, run := range []func(Options) Result{RunEDTLP, RunStaticHybrid, RunMGPS, RunLinux, RunPPEOnly} {
+		run(opt)
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("%d goroutines before the run, %d after it", before, after)
+		}
+	}
 }

@@ -1,0 +1,149 @@
+package sim
+
+import (
+	"runtime"
+	"testing"
+)
+
+// steadyStateAllocs runs step in a process that first warms up (heap, rings
+// and the other processes reach their peak sizes) and then measures it with
+// testing.AllocsPerRun from inside the simulation; *measuring turns false when
+// it is done, which is what the rival processes loop on.
+func steadyStateAllocs(eng *Engine, measuring *bool, step func(p *Proc)) float64 {
+	defer eng.Close()
+	var avg float64
+	*measuring = true
+	eng.Spawn("measured", func(p *Proc) {
+		for i := 0; i < 64; i++ {
+			step(p)
+		}
+		avg = testing.AllocsPerRun(200, func() { step(p) })
+		*measuring = false
+	})
+	eng.Run()
+	return avg
+}
+
+// TestEventPathAllocationFree is the dynamic half of the //cellmg:hotpath
+// annotations in this package: in steady state a timed wake-up (queued behind
+// another process's event, so it takes the heap and a coroutine switch, not
+// the inline advance), a queue hand-off, a contended Resource.Use and a signal
+// fired by a scheduled event allocate nothing.
+func TestEventPathAllocationFree(t *testing.T) {
+	var measuring bool
+	t.Run("delay", func(t *testing.T) {
+		eng := NewEngine()
+		eng.Spawn("other", func(p *Proc) {
+			for measuring {
+				p.Delay(3)
+			}
+		})
+		if avg := steadyStateAllocs(eng, &measuring, func(p *Proc) { p.Delay(2) }); avg != 0 {
+			t.Errorf("Delay allocates %.1f objects per call", avg)
+		}
+	})
+	t.Run("queue", func(t *testing.T) {
+		eng := NewEngine()
+		in, out := NewQueue[int](eng, "in"), NewQueue[int](eng, "out")
+		eng.Spawn("echo", func(p *Proc) {
+			for {
+				out.Put(in.Get(p))
+			}
+		})
+		step := func(p *Proc) {
+			in.Put(1)
+			out.Get(p)
+		}
+		if avg := steadyStateAllocs(eng, &measuring, step); avg != 0 {
+			t.Errorf("a queue round trip allocates %.1f objects", avg)
+		}
+	})
+	t.Run("resource", func(t *testing.T) {
+		eng := NewEngine()
+		res := NewResource(eng, "res", 1)
+		for i := 0; i < 3; i++ {
+			eng.Spawn("rival", func(p *Proc) {
+				for measuring {
+					res.Use(p, 1, 2)
+				}
+			})
+		}
+		if avg := steadyStateAllocs(eng, &measuring, func(p *Proc) { res.Use(p, 1, 2) }); avg != 0 {
+			t.Errorf("a contended Resource.Use allocates %.1f objects", avg)
+		}
+	})
+	t.Run("signal", func(t *testing.T) {
+		eng := NewEngine()
+		signals := make([]Signal, 64+201) // warm-up + AllocsPerRun's own warm-up + 200 runs
+		next := 0
+		step := func(p *Proc) {
+			s := &signals[next]
+			s.eng = eng
+			next++
+			s.FireAfter(5)
+			s.Wait(p)
+		}
+		if avg := steadyStateAllocs(eng, &measuring, step); avg != 0 {
+			t.Errorf("a signal fire/wait allocates %.1f objects", avg)
+		}
+	})
+}
+
+// TestCloseStopsSuspendedProcesses: Close unwinds every process that has not
+// returned — blocked forever, asleep, or never started — running its deferred
+// functions, leaves no coroutine behind, is idempotent, and makes Spawn panic.
+func TestCloseStopsSuspendedProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	eng := NewEngine()
+	q := NewQueue[int](eng, "never")
+	unwound := 0
+	eng.Spawn("server", func(p *Proc) {
+		defer func() { unwound++ }()
+		for {
+			q.Get(p)
+		}
+	})
+	eng.Spawn("sleeper", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Delay(Second)
+	})
+	eng.RunUntil(10)
+	eng.Spawn("unstarted", func(p *Proc) { t.Error("a process spawned after the last RunUntil must never run") })
+	if eng.Live() != 3 {
+		t.Fatalf("live = %d before Close, want 3", eng.Live())
+	}
+	eng.Close()
+	eng.Close()
+	if unwound != 2 || eng.Live() != 0 || len(eng.Blocked()) != 0 {
+		t.Errorf("after Close: %d bodies unwound (want 2), live = %d, blocked = %v", unwound, eng.Live(), eng.Blocked())
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines before the simulation, %d after Close", before, after)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Spawn on a closed engine should panic")
+		}
+	}()
+	eng.Spawn("late", func(p *Proc) {})
+}
+
+// TestProcessPanicSurfacesInRun: a failure in a process body is not swallowed
+// by the wrapper that recovers Close's private unwinding value; it reaches the
+// goroutine that called Run, where it can be recovered.
+func TestProcessPanicSurfacesInRun(t *testing.T) {
+	eng := NewEngine()
+	defer eng.Close()
+	eng.Spawn("bystander", func(p *Proc) { p.Delay(Second) })
+	eng.Spawn("faulty", func(p *Proc) {
+		p.Delay(5)
+		panic("model bug")
+	})
+	defer func() {
+		if r := recover(); r != "model bug" {
+			t.Errorf("Run's caller recovered %v, want the process's own panic value", r)
+		}
+	}()
+	eng.Run()
+	t.Errorf("Run returned although a process panicked")
+}

@@ -1,15 +1,31 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation engine.
 //
-// The engine advances a virtual clock and executes simulated processes.
-// Each process runs in its own goroutine, but the engine guarantees that at
-// most one process executes at any instant: a process runs until it blocks on
-// a simulation primitive (Delay, Queue.Get, Resource.Acquire, Signal.Wait,
-// ...), at which point control returns to the engine, which advances the
-// clock to the next pending event and resumes the corresponding process.
-// Events scheduled for the same virtual time are dispatched in FIFO order of
-// their creation, and all waiter queues are FIFO, so a simulation given the
-// same inputs always produces exactly the same schedule.
+// The engine advances a virtual clock and executes simulated processes. Each
+// process is a coroutine of the engine (iter.Pull): a process runs until it
+// blocks on a simulation primitive (Delay, Queue.Get, Resource.Acquire,
+// Signal.Wait, ...), at which point control switches straight back to the
+// engine, which advances the clock to the next pending event and switches to
+// the corresponding process. A switch is the only way control moves, so
+// exactly one of them executes at any instant, on one host thread's worth of
+// CPU, and neither process code nor the primitives need host-level
+// synchronization. Events scheduled for the same virtual time are dispatched
+// in FIFO order of their creation, and all waiter queues are FIFO, so a
+// simulation given the same inputs always produces exactly the same schedule.
+//
+// One wake-up never reaches the event queue. When a process calls Delay or
+// Sleep and nothing is queued at or before the time it asks for (and that
+// time is within RunUntil's limit), its own wake-up is necessarily the next
+// event the engine would dispatch: the clock is advanced in place, the
+// sequence number the event would have taken is spent, and the process keeps
+// running. An event already queued for that same instant was created earlier
+// and must go first, so then the wake-up is queued like any other — the
+// shortcut changes what the host does, never the order of the simulation.
+//
+// A process that waits forever by design (a server looping on Queue.Get) is a
+// suspended coroutine that pins its stack and the engine. Engine.Close stops
+// every such process and drops the event queue; call it when the simulation
+// is over. A panic in a process body surfaces in the caller of Run.
 //
 // The package is the substrate for the Cell Broadband Engine machine model in
 // package cellsim and the scheduler models in package sched, but it is fully
@@ -18,6 +34,7 @@
 // Typical use:
 //
 //	eng := sim.NewEngine()
+//	defer eng.Close()
 //	done := sim.NewSignal(eng)
 //	eng.Spawn("worker", func(p *sim.Proc) {
 //		p.Delay(5 * sim.Microsecond)

@@ -2,8 +2,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 )
@@ -62,77 +62,48 @@ func DurationOf(seconds float64) Duration {
 	return Duration(math.Round(seconds * float64(Second)))
 }
 
-// event is a single entry in the engine's pending-event queue. Fired and
-// cancelled events are recycled through the engine's free list — a simulation
-// dispatches hundreds of thousands of events, and recycling removes the
-// dominant allocation of the hot loop. The generation counter guards recycled
-// storage: an EventHandle captures the generation at scheduling time, so a
-// handle kept past its event's dispatch can never affect the event that later
-// reuses the same slot.
+// event is one entry of the pending-event heap, held by value: the wake-up
+// of a process, the firing of a signal, or a callback. Only a callback can be
+// cancelled, so only a callback has storage outside the heap.
 type event struct {
-	at        Time
-	seq       uint64
-	gen       uint64
-	proc      *Proc  // process to resume (nil for callback events)
-	fn        func() // callback to run inline (nil for process events)
-	cancelled bool
-	index     int // heap index, -1 when not queued
+	at   Time
+	seq  uint64
+	proc *Proc     // process to resume, or
+	sig  *Signal   // signal to fire (Signal.FireAfter), or
+	cb   *callback // function to run inline
 }
 
-// EventHandle identifies a scheduled callback or wake-up and allows it to be
-// cancelled before it fires.
-type EventHandle struct {
-	ev  *event
-	gen uint64
-}
+// callback holds a scheduled function until it runs or is cancelled; either
+// way fn becomes nil.
+type callback struct{ fn func() }
 
-// live reports whether the handle still refers to the scheduled event (and
-// not a recycled reincarnation of its storage).
-func (h EventHandle) live() bool { return h.ev != nil && h.ev.gen == h.gen }
+// EventHandle identifies a scheduled callback and allows it to be cancelled
+// before it fires.
+type EventHandle struct{ cb *callback }
+
+// Pending reports whether the event has not yet fired nor been cancelled.
+//
+//cellmg:hotpath
+func (h EventHandle) Pending() bool { return h.cb != nil && h.cb.fn != nil }
 
 // Cancel prevents the event from firing. Cancelling an event that already
 // fired (or was already cancelled) is a no-op. Cancel reports whether the
 // event was still pending.
+//
+//cellmg:hotpath
 func (h EventHandle) Cancel() bool {
-	if !h.live() || h.ev.cancelled || h.ev.index < 0 {
-		return false
+	pending := h.Pending()
+	if pending {
+		h.cb.fn = nil
 	}
-	h.ev.cancelled = true
-	return true
+	return pending
 }
 
-// Pending reports whether the event has not yet fired nor been cancelled.
-func (h EventHandle) Pending() bool {
-	return h.live() && !h.ev.cancelled && h.ev.index >= 0
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+// before is the dispatch order: by time, then by scheduling order.
+//
+//cellmg:hotpath
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine owns the virtual clock, the event queue and all simulated processes.
@@ -141,67 +112,94 @@ func (q *eventQueue) Pop() any {
 // before Run is called or from within simulated processes and callbacks.
 type Engine struct {
 	now    Time
+	limit  Time // the running RunUntil's limit
 	seq    uint64
-	queue  eventQueue
-	free   []*event      // recycled event storage (see event)
-	yield  chan struct{} // signalled by the running process when it blocks or exits
+	queue  []event // binary min-heap ordered by event.before
 	procs  []*Proc
 	live   int
 	nextID int
 	closed bool
-
-	// Tracing hook; when non-nil it is invoked for every dispatched event.
-	// Used by tests and by the trace package.
-	OnDispatch func(t Time, p *Proc)
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
-func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// schedule enqueues an event at the given absolute time and returns it.
-func (e *Engine) schedule(at Time, p *Proc, fn func()) *event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (at=%v now=%v)", at, e.now))
+// schedule enqueues ev, stamped with the next sequence number.
+//
+//cellmg:hotpath
+func (e *Engine) schedule(ev event) {
+	if ev.at < e.now {
+		//cellmg:allow hotpathalloc -- formats on the way to a panic
+		panic(fmt.Sprintf("sim: scheduling event in the past (at=%v now=%v)", ev.at, e.now))
 	}
 	e.seq++
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.proc, ev.fn, ev.cancelled, ev.index = at, e.seq, p, fn, false, -1
-	} else {
-		ev = &event{at: at, seq: e.seq, proc: p, fn: fn, index: -1}
-	}
-	heap.Push(&e.queue, ev)
-	return ev
+	ev.seq = e.seq
+	e.queue = append(e.queue, ev) //cellmg:allow hotpathalloc -- grows to the peak of pending events, then never again
+	e.siftUp(len(e.queue) - 1)
 }
 
-// recycle returns a dequeued event's storage to the free list, bumping its
-// generation so stale EventHandles go dead.
-func (e *Engine) recycle(ev *event) {
-	ev.gen++
-	ev.proc = nil
-	ev.fn = nil
-	e.free = append(e.free, ev)
+//cellmg:hotpath
+func (e *Engine) siftUp(i int) {
+	q := e.queue
+	ev := q[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+}
+
+// pop removes and returns the earliest event.
+//
+//cellmg:hotpath
+func (e *Engine) pop() event {
+	q := e.queue
+	top, n := q[0], len(q)-1
+	ev := q[n]
+	q[n] = event{}
+	e.queue = q[:n]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && q[child+1].before(&q[child]) {
+			child++
+		}
+		if !q[child].before(&ev) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	if n > 0 {
+		q[i] = ev
+	}
+	return top
 }
 
 // At schedules fn to run inline at the absolute virtual time t. The callback
 // must not block on simulation primitives.
 func (e *Engine) At(t Time, fn func()) EventHandle {
-	ev := e.schedule(t, nil, fn)
-	return EventHandle{ev: ev, gen: ev.gen}
+	cb := &callback{fn: fn}
+	e.schedule(event{at: t, cb: cb})
+	return EventHandle{cb}
 }
 
 // After schedules fn to run inline d after the current time.
-func (e *Engine) After(d Duration, fn func()) EventHandle {
-	return e.At(e.now.Add(d), fn)
-}
+func (e *Engine) After(d Duration, fn func()) EventHandle { return e.At(e.now.Add(d), fn) }
+
+// stopped is what a suspended process panics with when Close ends it; the
+// wrapper installed by Spawn recovers it, and nothing else.
+type stopped struct{}
 
 // Spawn creates a new process executing fn. The process starts at the current
 // virtual time, after all previously scheduled events for this instant.
@@ -213,41 +211,56 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		panic("sim: Spawn after engine shut down")
 	}
 	e.nextID++
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		id:     e.nextID,
-		resume: make(chan struct{}),
-		state:  stateNew,
-	}
+	p := &Proc{eng: e, name: name, id: e.nextID}
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.state = stateDone
+			e.live--
+			if r := recover(); r != nil && r != (stopped{}) {
+				panic(r) // a real failure: iter.Pull re-raises it in Run's caller
+			}
+		}()
+		fn(p)
+	})
 	e.procs = append(e.procs, p)
 	e.live++
-	e.schedule(e.now, p, nil)
-	go p.run(fn)
+	e.schedule(event{at: e.now, proc: p})
 	return p
+}
+
+// Close ends the simulation and releases what the engine holds. Every process
+// that has not returned is stopped where it is suspended: its pending
+// primitive panics with a private value that unwinds the body (deferred
+// functions run, and must not touch simulation primitives), which Spawn's
+// wrapper recovers. Close is idempotent and must not be called from inside a
+// process or a callback; a closed engine can be read (Now, Live) but not run.
+func (e *Engine) Close() {
+	e.closed = true
+	for _, p := range e.procs {
+		if p.state != stateDone {
+			p.stop()
+			if p.state != stateDone { // never started: the wrapper did not run
+				p.state = stateDone
+				e.live--
+			}
+		}
+	}
+	e.procs, e.queue = nil, nil
 }
 
 // wake schedules p to resume at the current virtual time (FIFO after events
 // already scheduled for this instant). It is the mechanism used by queues,
 // resources and signals to hand control back to a blocked process.
+//
+//cellmg:hotpath
 func (e *Engine) wake(p *Proc, reason any) {
 	if p.state != stateBlocked {
-		panic(fmt.Sprintf("sim: waking process %q which is not blocked (state=%d)", p.name, p.state))
+		p.statePanic("woken while not blocked")
 	}
 	p.state = stateReady
 	p.wakeReason = reason
-	e.schedule(e.now, p, nil)
-}
-
-// wakeAt schedules p to resume at the absolute time t.
-func (e *Engine) wakeAt(t Time, p *Proc, reason any) EventHandle {
-	if p.state != stateBlocked {
-		panic(fmt.Sprintf("sim: waking process %q which is not blocked (state=%d)", p.name, p.state))
-	}
-	p.state = stateReady
-	p.wakeReason = reason
-	ev := e.schedule(t, p, nil)
-	return EventHandle{ev: ev, gen: ev.gen}
+	e.schedule(event{at: e.now, proc: p})
 }
 
 // Run executes events until the queue drains or every process has terminated.
@@ -256,38 +269,31 @@ func (e *Engine) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil executes events with timestamps not exceeding limit. If the event
 // queue drains earlier, the clock stops at the last dispatched event;
-// otherwise the clock is left at limit.
+// otherwise the clock is left at limit. A panic in a process body surfaces
+// here, in the caller's goroutine.
+//
+//cellmg:hotpath
 func (e *Engine) RunUntil(limit Time) Time {
+	e.limit = limit
 	for len(e.queue) > 0 {
-		ev := e.queue[0]
-		if ev.at > limit {
+		if e.queue[0].at > limit {
 			e.now = limit
 			return e.now
 		}
-		heap.Pop(&e.queue)
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		// Detach the payload and recycle the storage before dispatching:
-		// the callback may schedule new events, which may then reuse this
-		// very slot.
-		fn, p := ev.fn, ev.proc
-		e.recycle(ev)
+		ev := e.pop()
 		switch {
-		case fn != nil:
+		case ev.proc != nil:
+			e.now = ev.at
+			ev.proc.state = stateRunning
+			ev.proc.resume()
+		case ev.sig != nil:
+			e.now = ev.at
+			ev.sig.Fire()
+		case ev.cb.fn != nil: // nil: cancelled, and the clock does not move
+			fn := ev.cb.fn
+			ev.cb.fn = nil
+			e.now = ev.at
 			fn()
-		case p != nil:
-			if p.state == stateDone {
-				continue
-			}
-			if e.OnDispatch != nil {
-				e.OnDispatch(e.now, p)
-			}
-			p.state = stateRunning
-			p.resume <- struct{}{}
-			<-e.yield
 		}
 	}
 	return e.now

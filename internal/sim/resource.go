@@ -11,7 +11,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []resWaiter
+	waiters  ring[resWaiter]
 
 	// Utilization accounting.
 	lastChange Time
@@ -41,8 +41,9 @@ func (r *Resource) InUse() int { return r.inUse }
 func (r *Resource) Available() int { return r.capacity - r.inUse }
 
 // Waiting returns the number of processes blocked in Acquire.
-func (r *Resource) Waiting() int { return len(r.waiters) }
+func (r *Resource) Waiting() int { return r.waiters.n }
 
+//cellmg:hotpath
 func (r *Resource) account() {
 	now := r.eng.now
 	r.busyArea += float64(r.inUse) * float64(now-r.lastChange)
@@ -64,19 +65,22 @@ func (r *Resource) Utilization() float64 {
 // Acquire blocks the calling process until n units are available, then holds
 // them. Requests are honoured strictly in FIFO order, so a large request is
 // not starved by a stream of smaller ones.
+//
+//cellmg:hotpath
 func (r *Resource) Acquire(p *Proc, n int) {
 	if n <= 0 {
 		return
 	}
 	if n > r.capacity {
+		//cellmg:allow hotpathalloc -- formats on the way to a panic
 		panic(fmt.Sprintf("sim: acquiring %d units from resource %q with capacity %d", n, r.name, r.capacity))
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.n == 0 && r.inUse+n <= r.capacity {
 		r.account()
 		r.inUse += n
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
+	r.waiters.pushBack(resWaiter{p: p, n: n})
 	p.block()
 	// The releaser has already accounted and reserved our units.
 }
@@ -86,7 +90,7 @@ func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 {
 		return true
 	}
-	if len(r.waiters) > 0 || r.inUse+n > r.capacity {
+	if r.waiters.n > 0 || r.inUse+n > r.capacity {
 		return false
 	}
 	r.account()
@@ -96,21 +100,20 @@ func (r *Resource) TryAcquire(n int) bool {
 
 // Release returns n units to the resource and admits as many FIFO waiters as
 // now fit. It may be called from processes and engine callbacks.
+//
+//cellmg:hotpath
 func (r *Resource) Release(n int) {
 	if n <= 0 {
 		return
 	}
 	if n > r.inUse {
+		//cellmg:allow hotpathalloc -- formats on the way to a panic
 		panic(fmt.Sprintf("sim: releasing %d units to resource %q with only %d in use", n, r.name, r.inUse))
 	}
 	r.account()
 	r.inUse -= n
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		if r.inUse+w.n > r.capacity {
-			break
-		}
-		r.waiters = r.waiters[1:]
+	for r.waiters.n > 0 && r.inUse+r.waiters.at(0).n <= r.capacity {
+		w := r.waiters.popFront()
 		r.inUse += w.n
 		r.eng.wake(w.p, nil)
 	}

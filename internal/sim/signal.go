@@ -6,10 +6,13 @@ package sim
 // callers. It models completion notifications (a DMA transfer finished, an
 // off-loaded task completed).
 type Signal struct {
-	eng     *Engine
-	fired   bool
-	value   any
-	waiters []*Proc
+	eng   *Engine
+	fired bool
+	value any
+	// Nearly every signal has exactly one waiter, which lives in the signal
+	// itself; only the others cost a slice.
+	first *Proc
+	more  []*Proc
 }
 
 // NewSignal creates an unfired signal.
@@ -23,29 +26,46 @@ func (s *Signal) Value() any { return s.value }
 
 // Fire marks the signal as fired and wakes every waiting process. Calling
 // Fire more than once is a no-op.
+//
+//cellmg:hotpath
 func (s *Signal) Fire() { s.FireValue(nil) }
+
+// FireAfter fires the signal d from now: After(d, s.Fire) without a closure,
+// a callback or a handle.
+func (s *Signal) FireAfter(d Duration) { s.eng.schedule(event{at: s.eng.now.Add(d), sig: s}) }
 
 // FireValue fires the signal carrying a value that waiters can retrieve with
 // Value.
+//
+//cellmg:hotpath
 func (s *Signal) FireValue(v any) {
 	if s.fired {
 		return
 	}
 	s.fired = true
 	s.value = v
-	for _, p := range s.waiters {
+	if s.first != nil {
+		s.eng.wake(s.first, v)
+	}
+	for _, p := range s.more {
 		s.eng.wake(p, v)
 	}
-	s.waiters = nil
+	s.first, s.more = nil, nil
 }
 
 // Wait blocks the calling process until the signal fires. If it has already
 // fired, Wait returns immediately.
+//
+//cellmg:hotpath
 func (s *Signal) Wait(p *Proc) any {
-	if s.fired {
+	switch {
+	case s.fired:
 		return s.value
+	case s.first == nil:
+		s.first = p
+	default:
+		s.more = append(s.more, p) //cellmg:allow hotpathalloc -- the rare second waiter of a broadcast
 	}
-	s.waiters = append(s.waiters, p)
 	return p.block()
 }
 
@@ -55,40 +75,35 @@ func (s *Signal) Wait(p *Proc) any {
 // never latches.
 type Condition struct {
 	eng     *Engine
-	waiters []*Proc
+	waiters ring[*Proc]
 }
 
 // NewCondition creates a condition with no waiters.
 func NewCondition(eng *Engine) *Condition { return &Condition{eng: eng} }
 
 // Waiting returns the number of processes currently blocked in Wait.
-func (c *Condition) Waiting() int { return len(c.waiters) }
+func (c *Condition) Waiting() int { return c.waiters.n }
 
 // Wait blocks the calling process until the next Notify or NotifyOne that
 // includes it.
 func (c *Condition) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.waiters.pushBack(p)
 	p.block()
 }
 
 // Notify wakes every process currently waiting.
 func (c *Condition) Notify() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
-		c.eng.wake(p, nil)
+	for c.NotifyOne() {
 	}
 }
 
 // NotifyOne wakes the oldest waiting process, if any, and reports whether a
 // process was woken.
 func (c *Condition) NotifyOne() bool {
-	if len(c.waiters) == 0 {
+	if c.waiters.n == 0 {
 		return false
 	}
-	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.eng.wake(p, nil)
+	c.eng.wake(c.waiters.popFront(), nil)
 	return true
 }
 

@@ -91,11 +91,11 @@ func TestIntegrationWithCellsimHook(t *testing.T) {
 	m := cellsim.NewMachine(eng, cellsim.DefaultCostModel(), 1)
 	tl := New()
 	m.Trace = tl.Record
-	m.SPE(0).Submit("work", func(c *cellsim.SPEContext) {
+	m.SPE(0).Submit(func(c *cellsim.SPEContext) {
 		c.DMAGet(4096)
 		c.Compute(20 * sim.Microsecond)
 		c.DMAPut(4096)
-	})
+	}, nil)
 	eng.Spawn("ppe", func(p *sim.Proc) {
 		m.Cells[0].PPE.AcquireContext(p)
 		m.Cells[0].PPE.Compute(p, 5*sim.Microsecond)
