@@ -46,6 +46,15 @@ import (
 	"cellmg/internal/server"
 )
 
+// Connection limits against slow or abandoned clients: a peer gets
+// readHeaderTimeout to finish its request headers, and a keep-alive connection
+// is closed after idleTimeout without a request. There is no write timeout:
+// /v1/jobs/{id}/events streams for as long as its job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
@@ -64,16 +73,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var pol native.PolicyKind
-	switch *policyName {
-	case "edtlp":
-		pol = native.EDTLP
-	case "llp":
-		pol = native.StaticLLP
-	case "mgps":
-		pol = native.MGPS
-	default:
-		fmt.Fprintf(os.Stderr, "cellmg-serve: unknown policy %q\n", *policyName)
+	pol, err := native.ParsePolicy(*policyName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cellmg-serve: %v\n", err)
 		os.Exit(1)
 	}
 
@@ -112,7 +114,12 @@ func main() {
 		log.Printf("cellmg-serve: job log at %s (recovered %d jobs, %d tasks, %d checkpoints)",
 			*dataDir, d.RecoveredJobs, d.RecoveredTasks, d.RecoveredCheckpoints)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	go func() {
 		log.Printf("cellmg-serve: listening on %s (%d workers, %v policy, queue %d, %d concurrent jobs)",

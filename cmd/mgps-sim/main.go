@@ -48,20 +48,9 @@ func main() {
 		SPEsPerLoop: *spesPerLoop,
 	}
 
-	var res sched.Result
-	switch *scheduler {
-	case "ppe-only":
-		res = sched.RunPPEOnly(opt)
-	case "linux":
-		res = sched.RunLinux(opt)
-	case "edtlp":
-		res = sched.RunEDTLP(opt)
-	case "hybrid", "edtlp-llp":
-		res = sched.RunStaticHybrid(opt)
-	case "mgps":
-		res = sched.RunMGPS(opt)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scheduler %q\n", *scheduler)
+	res, err := sched.Run(*scheduler, opt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

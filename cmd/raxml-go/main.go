@@ -51,16 +51,9 @@ func main() {
 	fmt.Printf("alignment: %d taxa x %d sites, %d distinct patterns\n",
 		data.NumTaxa(), data.SiteLength, data.NumPatterns())
 
-	var pol native.PolicyKind
-	switch *policyName {
-	case "edtlp":
-		pol = native.EDTLP
-	case "llp":
-		pol = native.StaticLLP
-	case "mgps":
-		pol = native.MGPS
-	default:
-		fail(fmt.Errorf("unknown policy %q", *policyName))
+	pol, err := native.ParsePolicy(*policyName)
+	if err != nil {
+		fail(err)
 	}
 	var rec *flight.Recorder
 	if *traceOut != "" {

@@ -11,9 +11,11 @@
 //     literals, no closures, no go/defer, no interface boxing — and may only
 //     call functions that are themselves //cellmg:hotpath, are declared
 //     //cellmg:hotpath-safe, or live in the whitelist (math, math/bits,
-//     sync, sync/atomic). The likelihood kernels (Newview, computeOut,
-//     evaluate, and makenewz with its buildSumTable, sumDerivatives and
-//     sumLogLik loops in internal/phylo), the ParallelFor runner
+//     sync, sync/atomic). The likelihood kernels in internal/phylo
+//     (newviewBody with its two set-ups — Newview for down vectors,
+//     computeOutOne for out vectors, both through downSide — evaluate, and
+//     makenewz with its buildSumTable, sumDerivatives and sumLogLik loops),
+//     the ParallelFor runner
 //     (internal/native) and the simulator's event path (internal/sim:
 //     schedule, RunUntil, the heap sifts, Delay, Sleep, block, Queue.Put/Get,
 //     Resource.Acquire/Release, Signal.FireValue/Wait) carry the annotation;

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"cellmg/internal/offload"
 	"cellmg/internal/sched"
 	"cellmg/internal/stats"
@@ -177,21 +175,11 @@ func Table2(cfg Config) Report {
 	}
 }
 
-// runScheduler is a small dispatch helper used by the figure sweeps.
+// runScheduler runs the scheduler a figure's series is named after.
 func runScheduler(name string, wl *workload.Config, n, cells int) sched.Result {
-	opt := sched.Options{Workload: wl, Bootstraps: n, NumCells: cells}
-	switch name {
-	case "EDTLP":
-		return sched.RunEDTLP(opt)
-	case "EDTLP-LLP(2)":
-		opt.SPEsPerLoop = 2
-		return sched.RunStaticHybrid(opt)
-	case "EDTLP-LLP(4)":
-		opt.SPEsPerLoop = 4
-		return sched.RunStaticHybrid(opt)
-	case "MGPS":
-		return sched.RunMGPS(opt)
-	default:
-		panic(fmt.Sprintf("experiments: unknown scheduler %q", name))
+	res, err := sched.Run(name, sched.Options{Workload: wl, Bootstraps: n, NumCells: cells})
+	if err != nil {
+		panic(err)
 	}
+	return res
 }

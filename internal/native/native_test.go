@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"cellmg/internal/policy"
 )
 
 func TestRuntimeDefaultsAndClose(t *testing.T) {
@@ -245,6 +243,14 @@ func TestPolicyKindString(t *testing.T) {
 	if PolicyKind(42).String() == "" {
 		t.Errorf("unknown policy should still render")
 	}
+	for name, want := range map[string]PolicyKind{"edtlp": EDTLP, "llp": StaticLLP, "mgps": MGPS} {
+		if got, err := ParsePolicy(name); err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParsePolicy("MGPS "); err == nil {
+		t.Errorf("ParsePolicy accepted a name no command documents")
+	}
 }
 
 func TestOptionsClamping(t *testing.T) {
@@ -253,8 +259,7 @@ func TestOptionsClamping(t *testing.T) {
 	if d := rt.Decision(); d.SPEsPerLoop != 2 {
 		t.Errorf("SPEsPerLoop should be clamped to the worker count, got %d", d.SPEsPerLoop)
 	}
-	cfg := policy.MGPSConfig{NumSPEs: 2, Window: 2, UThreshold: 1}
-	rt2 := New(Options{Workers: 2, Policy: MGPS, MGPS: cfg})
+	rt2 := New(Options{Workers: 2, Policy: MGPS})
 	defer rt2.Close()
 	if rt2.Decision().UseLLP {
 		t.Errorf("MGPS starts in EDTLP mode")

@@ -64,6 +64,21 @@ func (p PolicyKind) String() string {
 	}
 }
 
+// ParsePolicy maps the policy names the commands take on their -policy flag
+// ("edtlp", "llp", "mgps") to a PolicyKind.
+func ParsePolicy(name string) (PolicyKind, error) {
+	switch name {
+	case "edtlp":
+		return EDTLP, nil
+	case "llp":
+		return StaticLLP, nil
+	case "mgps":
+		return MGPS, nil
+	default:
+		return 0, fmt.Errorf("unknown policy %q (want edtlp, llp or mgps)", name)
+	}
+}
+
 // Options configures a Runtime.
 type Options struct {
 	// Workers is the pool size; it defaults to 8 (the number of SPEs on a
@@ -73,13 +88,6 @@ type Options struct {
 	Policy PolicyKind
 	// SPEsPerLoop is the fixed group size for StaticLLP (default 4).
 	SPEsPerLoop int
-	// MGPS overrides the adaptive controller configuration; the zero value
-	// uses the paper's defaults for the worker count.
-	MGPS policy.MGPSConfig
-	// MasterShareBonus is the extra fraction of loop iterations given to the
-	// master slice of a work-shared loop to compensate for worker wake-up
-	// latency (default 0.05).
-	MasterShareBonus float64
 	// Flight, when non-nil, records the runtime's off-load lifecycle (queue
 	// waits, kernel runs, work-shared loops) and MGPS policy decisions into
 	// the flight recorder. Nil disables recording at nil-check cost.
@@ -138,9 +146,6 @@ func New(opts Options) *Runtime {
 	if opts.SPEsPerLoop > opts.Workers {
 		opts.SPEsPerLoop = opts.Workers
 	}
-	if opts.MasterShareBonus <= 0 {
-		opts.MasterShareBonus = 0.05
-	}
 	r := &Runtime{
 		opts:   opts,
 		alloc:  policy.NewSPEAllocator(opts.Workers),
@@ -151,11 +156,7 @@ func New(opts Options) *Runtime {
 	case StaticLLP:
 		r.static = policy.StaticLLPDecision(opts.SPEsPerLoop)
 	case MGPS:
-		cfg := opts.MGPS
-		if cfg.NumSPEs == 0 {
-			cfg = policy.DefaultMGPSConfig(opts.Workers)
-		}
-		r.mgps = policy.NewMGPS(cfg)
+		r.mgps = policy.NewMGPS(policy.DefaultMGPSConfig(opts.Workers))
 	default:
 		r.static = policy.Decision{UseLLP: false, SPEsPerLoop: 1}
 	}
@@ -302,10 +303,13 @@ type TaskContext struct {
 // are split into about grainsPerWorker grains per group slot (enough slack
 // for expensive grains to be compensated by cheap ones) but never fewer than
 // minLoopGrain iterations per grab (bounding the atomic-op overhead on the
-// paper-scale 228-pattern loops).
+// paper-scale 228-pattern loops). masterShareBonus is the extra fraction of
+// a work-shared loop's iterations its master takes up front, to cover the
+// workers' wake-up latency.
 const (
-	grainsPerWorker = 4
-	minLoopGrain    = 4
+	grainsPerWorker  = 4
+	minLoopGrain     = 4
+	masterShareBonus = 0.05
 )
 
 // initLoopRunners builds the persistent runner closure shared by the
@@ -511,7 +515,7 @@ func (tc *TaskContext) ParallelFor(n int, body func(lo, hi int)) {
 	// Master bonus: the master executes its share inline without a channel
 	// round trip, so give it a slightly larger slice (the paper's purposeful
 	// load unbalancing).
-	masterShare := int(float64(n)/float64(workers)*(1+r.opts.MasterShareBonus)) + 1
+	masterShare := int(float64(n)/float64(workers)*(1+masterShareBonus)) + 1
 	if masterShare > n {
 		masterShare = n
 	}

@@ -67,27 +67,11 @@ func BenchmarkNewviewGamma4(b *testing.B) {
 	benchNewview(b, phylo.NewJC69(), benchGamma4(b))
 }
 
-// BenchmarkNewviewGTRGamma4 and its NoCache counterpart quantify what the
-// transition-matrix cache buys under the expensive model family: with the
-// cache disabled every Newview recomputes eight eigen-exponential matrices
-// (two children x four rate categories).
+// BenchmarkNewviewGTRGamma4 is the update under the expensive model family,
+// whose matrices cost an eigen-exponential each on a cache miss; the timed
+// loop runs on hits.
 func BenchmarkNewviewGTRGamma4(b *testing.B) {
 	benchNewview(b, benchGTR(b), benchGamma4(b))
-}
-
-func BenchmarkNewviewGTRGamma4NoCache(b *testing.B) {
-	eng, tree, err := kernelEngine(benchGTR(b), benchGamma4(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.SetTransitionCache(false)
-	eng.LogLikelihood(tree)
-	node := kernelInternalNode(tree)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Newview(node)
-	}
 }
 
 // BenchmarkEvaluate measures one full log-likelihood evaluation (a post-order
@@ -165,26 +149,10 @@ func benchMakenewz(b *testing.B, model phylo.Model, rates phylo.RateCategories) 
 }
 
 // BenchmarkMakenewzGTRGamma4 measures the same visit under the expensive
-// model family. The Newton passes read no transition matrices, so its NoCache
-// counterpart now measures only what the probability cache saves the partial
-// traversal and the closing evaluation around them.
+// model family. The Newton passes read no transition matrices; the partial
+// traversal and the closing evaluation around them do.
 func BenchmarkMakenewzGTRGamma4(b *testing.B) {
 	benchMakenewz(b, benchGTR(b), benchGamma4(b))
-}
-
-func BenchmarkMakenewzGTRGamma4NoCache(b *testing.B) {
-	eng, tree, err := kernelEngine(benchGTR(b), benchGamma4(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.SetTransitionCache(false)
-	edge := tree.Edges()[len(tree.Edges())/2]
-	eng.OptimizeBranch(tree, edge)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.OptimizeBranch(tree, edge)
-	}
 }
 
 // BenchmarkBootstrapResample measures drawing one bootstrap replicate's

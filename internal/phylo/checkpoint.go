@@ -6,11 +6,12 @@ package phylo
 // topology, branch lengths, model parameters and counters — never the O(taxa ×
 // sites) conditional-likelihood vectors, which Refresh recomputes on load).
 //
-// The contract that makes exact resume possible is the one PR 5 and PR 8
-// property-tested: conditional likelihoods recomputed from scratch off a tree
-// are byte-identical to the ones maintained incrementally, and every piece of
-// search state that influences the remaining computation is either in the
-// checkpoint or a pure function of it. A search resumed from a checkpoint
+// The contract that makes exact resume possible is the one the property tests
+// of incremental_test.go and siterepeats_test.go assert: conditional
+// likelihoods recomputed from scratch off a tree are byte-identical to the
+// ones maintained incrementally, and every piece of search state that
+// influences the remaining computation is either in the checkpoint or a pure
+// function of it. A search resumed from a checkpoint
 // therefore produces bit-identical results — tree topology, branch-length
 // bits, log-likelihood bits, move counters — to the uninterrupted run.
 //
@@ -66,9 +67,6 @@ type Checkpoint struct {
 	// so the seed plus the captured topology IS the stream position: nothing
 	// after the checkpoint draws from the generator.
 	Seed int64
-	// SiteRepeats records the engine's site-repeat-compression toggle; resume
-	// restores it before recomputing the conditional vectors.
-	SiteRepeats bool
 
 	// Model self-description: JC69, or a GTR-family model given by its six
 	// exchange rates and base frequencies (the eigendecomposition is
@@ -101,7 +99,6 @@ func (e *Engine) fillCheckpoint(c *Checkpoint, tree *Tree, opts *SearchOptions, 
 	c.SmoothConverged = smoothConverged
 	c.LastSweepImproved = lastImproved
 	c.Seed = opts.Seed
-	c.SiteRepeats = e.repOn
 	switch m := e.Model.(type) {
 	case JC69:
 		c.ModelGTR = false
@@ -115,8 +112,8 @@ func (e *Engine) fillCheckpoint(c *Checkpoint, tree *Tree, opts *SearchOptions, 
 		c.GTRFreqs = m.Frequencies()
 	default:
 		// Unknown model implementations cannot be round-tripped; mark the
-		// checkpoint so Matches/BuildModel reject it instead of resuming a
-		// search under the wrong model.
+		// checkpoint so Matches rejects it instead of resuming a search under
+		// the wrong model.
 		c.ModelGTR = false
 		c.ModelName = ""
 	}
@@ -168,40 +165,6 @@ func (c *Checkpoint) Matches(e *Engine) error {
 		}
 	}
 	return nil
-}
-
-// BuildModel reconstructs the substitution model the checkpoint was taken
-// under. The stored exchange rates and frequencies are installed verbatim —
-// NOT re-normalized, which could shift frequency bits — and the
-// eigendecomposition recomputed; it is a deterministic function of them, so
-// transition matrices agree bit for bit with the original model's.
-func (c *Checkpoint) BuildModel() (Model, error) {
-	if !c.ModelGTR {
-		if c.ModelName != (JC69{}).Name() {
-			return nil, fmt.Errorf("phylo: checkpoint model %q is not resumable", c.ModelName)
-		}
-		return NewJC69(), nil
-	}
-	for i, r := range c.GTRRates {
-		if !(r > 0) {
-			return nil, fmt.Errorf("phylo: checkpoint GTR exchange rate %d is %v", i, r)
-		}
-	}
-	for i, f := range c.GTRFreqs {
-		if !(f > 0) {
-			return nil, fmt.Errorf("phylo: checkpoint GTR frequency %d is %v", i, f)
-		}
-	}
-	g := &GTR{name: c.ModelName, freqs: c.GTRFreqs, rates: c.GTRRates}
-	if err := g.decompose(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// BuildRates reconstructs the rate categories bit-exactly.
-func (c *Checkpoint) BuildRates() RateCategories {
-	return RateCategories{Rates: append([]float64(nil), c.Rates...)}
 }
 
 // BuildTree materializes the checkpointed topology as a fresh Tree.
@@ -294,7 +257,7 @@ func (c *Checkpoint) AppendBinary(dst []byte) []byte {
 	dst = appendBool(dst, c.SmoothConverged)
 	dst = appendBool(dst, c.LastSweepImproved)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Seed))
-	dst = appendBool(dst, c.SiteRepeats)
+	dst = appendBool(dst, true) // reserved: layout v1's site-repeat flag, which changes no result bit
 	dst = appendBool(dst, c.ModelGTR)
 	dst = appendString(dst, c.ModelName)
 	for _, r := range c.GTRRates {
@@ -468,7 +431,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c.SmoothConverged = d.bool()
 	c.LastSweepImproved = d.bool()
 	c.Seed = int64(d.u64())
-	c.SiteRepeats = d.bool()
+	d.bool() // reserved: the site-repeat setting of the writing engine
 	c.ModelGTR = d.bool()
 	c.ModelName = d.string(1 << 10)
 	for i := range c.GTRRates {

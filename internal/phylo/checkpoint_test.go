@@ -57,8 +57,43 @@ func newCheckpointEngine(t *testing.T, data *PatternAlignment, gtr bool, gamma b
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetSiteRepeats(repeats)
+	eng.setSiteRepeats(repeats)
 	return eng
+}
+
+// BuildModel reconstructs the substitution model the checkpoint was taken
+// under; only the tests need it, because production resumes on an engine
+// built from the job's own spec and gates it with Matches. The stored exchange rates and frequencies are installed verbatim —
+// NOT re-normalized, which could shift frequency bits — and the
+// eigendecomposition recomputed; it is a deterministic function of them, so
+// transition matrices agree bit for bit with the original model's.
+func (c *Checkpoint) BuildModel() (Model, error) {
+	if !c.ModelGTR {
+		if c.ModelName != (JC69{}).Name() {
+			return nil, fmt.Errorf("phylo: checkpoint model %q is not resumable", c.ModelName)
+		}
+		return NewJC69(), nil
+	}
+	for i, r := range c.GTRRates {
+		if !(r > 0) {
+			return nil, fmt.Errorf("phylo: checkpoint GTR exchange rate %d is %v", i, r)
+		}
+	}
+	for i, f := range c.GTRFreqs {
+		if !(f > 0) {
+			return nil, fmt.Errorf("phylo: checkpoint GTR frequency %d is %v", i, f)
+		}
+	}
+	g := &GTR{name: c.ModelName, freqs: c.GTRFreqs, rates: c.GTRRates}
+	if err := g.decompose(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// BuildRates reconstructs the rate categories bit-exactly.
+func (c *Checkpoint) BuildRates() RateCategories {
+	return RateCategories{Rates: append([]float64(nil), c.Rates...)}
 }
 
 // topologiesEqual compares the parent/child structure of two snapshots and
@@ -129,8 +164,8 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 				if err := c.Matches(eng); err != nil {
 					t.Fatalf("checkpoint %d does not match its own engine: %v", i, err)
 				}
-				if c.SiteRepeats != cfg.repeats || c.ModelGTR != cfg.gtr {
-					t.Fatalf("checkpoint %d lost configuration flags", i)
+				if c.ModelGTR != cfg.gtr {
+					t.Fatalf("checkpoint %d lost its model family", i)
 				}
 				tree, err := c.BuildTree()
 				if err != nil {
@@ -433,8 +468,8 @@ func TestSearchResumeRejectsMismatch(t *testing.T) {
 
 // TestCheckpointEmissionAllocationFree pins the acceptance criterion: filling
 // the engine-owned checkpoint and encoding it into a reused buffer allocates
-// nothing in steady state, so per-sweep emission cannot erode the PR 8
-// zero-alloc search.
+// nothing in steady state, so per-sweep emission cannot erode the zero-alloc
+// search.
 func TestCheckpointEmissionAllocationFree(t *testing.T) {
 	data := checkpointAlignment(t)
 	eng := newCheckpointEngine(t, data, false, false, true)

@@ -11,9 +11,10 @@
 //     model exposes its decomposition as Spectrum) with optional
 //     discrete-Gamma rate heterogeneity;
 //   - the three likelihood kernels the paper off-loads to SPEs: Newview
-//     (conditional likelihood vectors via Felsenstein pruning), Evaluate
-//     (the log-likelihood at a branch) and Makenewz (Newton-Raphson branch
-//     length optimization);
+//     (conditional likelihood vectors via Felsenstein pruning, in both
+//     orientations — see "One vector kernel" below), Evaluate (the
+//     log-likelihood at a branch) and Makenewz (Newton-Raphson branch length
+//     optimization);
 //   - a hill-climbing tree search (randomized stepwise addition followed by
 //     nearest-neighbour-interchange rounds), multiple inferences and
 //     non-parametric bootstrapping — as an analysis of independent tasks
@@ -30,11 +31,31 @@
 // parallelism across SPEs.
 //
 // The kernels are engineered to be allocation-free in steady state: a
-// per-engine transition-matrix cache keyed by branch length (transcache.go)
-// serves flattened probability matrices to stride-indexed, fully unrolled
-// loop bodies that are created once per engine and fed engine-owned argument
-// blocks. SetTransitionCache(false) selects the recompute-always reference
-// path, which the equivalence tests hold the cached path to exactly.
+// per-engine transition-matrix cache keyed by branch length (transCache,
+// transcache.go) serves flattened probability matrices to stride-indexed,
+// fully unrolled loop bodies that are created once per engine and fed
+// engine-owned argument blocks. Every entry the cache hands out equals a
+// fresh fill from the model bit for bit (transcache_test.go).
+//
+// # One vector kernel
+//
+// As in RAxML, one newview serves both orientations of a conditional vector.
+// Its loop body (newviewBody) multiplies two sides per pattern, category and
+// state; a side is either a conditional vector seen through flattened
+// matrices (four row products) or one row of a lookup table. The set-ups:
+//
+//   - down[n], Newview: both sides are n's children — an inner child's down
+//     vector through P(child.Length), or a tip child's table (downSide);
+//   - out[v], computeOutOne: the left side is v's sibling, set up the same
+//     way; the right side is everything outside the parent u's subtree —
+//     out[u] folded down u's edge, Σ_j out[u][j]·P_u[j][s], which is the
+//     kernel's row product against the TRANSPOSE of P_u (written into an
+//     engine scratch per call; the same multiplications added in the same
+//     order, so not a bit differs from a loop written for columns) — or, when
+//     u is the root, a table side whose single row is the root prior.
+//
+// KernelStats counts the two apart (NewviewCalls, OutviewCalls) because the
+// partial traversals bound them separately.
 //
 // # Makenewz
 //
@@ -83,7 +104,7 @@
 // (asserted exactly by the property tests in incremental_test.go, down to
 // every vector the engine claims is current).
 // OptimizeLocal re-optimizes only the branches around a rearranged edge at
-// about one newview and one outer-vector kernel per branch, plus one settle
+// about one down-vector and one out-vector newview per branch, plus one settle
 // of the root path for the likelihood it returns, which is what makes
 // per-candidate NNI cost independent of taxon count.
 //
@@ -108,17 +129,16 @@
 //     must re-fetch their subslices per call, which they do via the argument
 //     blocks.
 //
-// Tips have no vectors. No kernel reads a tip's 0/1 indicator vector: in
-// Newview and the outer-vector kernel a tip's transition matrix is expanded
-// once per call into a nCat x 16 x 4 lookup table (fillTipTable), so the four
+// Tips have no vectors. No kernel reads a tip's 0/1 indicator vector: for
+// the vector kernel a tip's transition matrix is expanded once per call into a nCat x 16 x 4 lookup table (fillTipTable), so the four
 // dot products collapse to a single table-row read indexed by the tip's 4-bit
 // observed state set — RAxML's tip-case specialization — and the sum table of
 // a tip edge reads a constant 16-row table of V⁻¹ column sums (tipInv).
 //
 // # Site repeats
 //
-// Site-repeat compression (siterepeats.go, on by default, SetSiteRepeats to
-// toggle) exploits that alignment patterns identical across every tip below a
+// Site-repeat compression (siterepeats.go, always on) exploits that alignment
+// patterns identical across every tip below a
 // node have bit-identical CLVs at that node regardless of branch lengths:
 // only one representative per repeat class runs the kernel, the rest are
 // copies. The invalidation rule extends the incremental contract above —
@@ -128,18 +148,17 @@
 //     cannot have);
 //   - InvalidateNode and InvalidateAll mark the affected nodes repeat-dirty,
 //     and a version-stamped check (newviewRepeats) rebuilds classes only for
-//     nodes whose children's identity or class version actually changed;
-//   - SetSiteRepeats(true) after an off period discards all class state and
-//     forces a bottom-up rebuild, because maintenance was suspended.
+//     nodes whose children's identity or class version actually changed.
 //
-// Compressed evaluation is byte-identical to uncompressed (property-tested in
-// siterepeats_test.go across models, rate categories and mid-sequence
-// toggling).
+// Compressed evaluation is byte-identical to running every pattern through
+// the kernel, which only the tests can make an engine do (property-tested in
+// siterepeats_test.go across models, rate categories and switching
+// mid-sequence).
 //
 // # Loop-level parallelism
 //
-// The engine has one parallel grain: the per-pattern loops of newview,
-// evaluate, the outer-vector kernel and the sum-table build go through the
+// The engine has one parallel grain: the per-pattern loops of newview (down
+// and out vectors alike), evaluate and the sum-table build go through the
 // installed ParallelFor (the paper's LLP); the Newton reductions over the sum
 // table, traversals and the NNI sweep are serial. SetParallel is
 // a plain field write with a call-before-evaluation contract: install the
@@ -158,10 +177,11 @@
 // likelihood bit, the final topology, all counters — is byte-identical to
 // the uninterrupted run. That identity holds because a checkpoint stores the
 // exact float64 bits of every branch length plus the full search-loop state,
-// while conditional vectors are recomputed from them (Refresh), which PR 5's
-// determinism property makes bit-exact. A checkpoint must Match the engine
-// it resumes on (alignment shape, model family and parameter bits, rate
-// categories, site-repeat setting); mismatches are rejected at Resume.
+// while conditional vectors are recomputed from them (Refresh), which is
+// bit-exact because every vector is a deterministic function of its inputs
+// (TestIncrementalMatchesFullRefresh). A checkpoint must Match the engine it
+// resumes on (alignment shape, model family and parameter bits, rate
+// categories); mismatches are rejected at Resume.
 //
 // The codec is versioned: the encoding starts with CheckpointVersion, and
 // DecodeCheckpoint rejects versions it does not know. The rule for changing
@@ -172,7 +192,9 @@
 // from ambiguous state. Old-version checkpoints are thereby abandoned, not
 // misread: durability degrades to recomputation, never to wrong results.
 // Layout v1 has two reserved varint slots (written 0, read and discarded)
-// where earlier binaries stored speculation counters; those checkpoints still
+// where earlier binaries stored speculation counters, and a reserved byte
+// (written 1) where they stored the site-repeat setting, which changes no
+// result bit; those checkpoints still
 // decode and resume — bit-identically on arithmetic they were cut from, and
 // to the same topology with logL equal to rounding since the sum table
 // replaced the per-iterate mat-vecs of their day.

@@ -185,7 +185,6 @@ func (e *Engine) ensureOut(t *Tree, v *Node) {
 	for n := v; n.Parent != nil; n = n.Parent {
 		e.pathBuf = append(e.pathBuf, n)
 	}
-	e.outA.freqs = e.Model.Frequencies()
 	for i := len(e.pathBuf) - 1; i >= 0; i-- {
 		n := e.pathBuf[i]
 		if e.outEpoch[n.ID] != e.treeEpoch {
@@ -197,36 +196,45 @@ func (e *Engine) ensureOut(t *Tree, v *Node) {
 }
 
 // computeOutOne refreshes the outer vector of one child v of u and stamps it
-// with the current tree epoch. The caller must have set e.outA.freqs and
-// ensured down[sibling(v)] and out[u] are current. The parent matrices cycle
-// through transition slot 1, the sibling's through slot 0.
+// with the current tree epoch; down[sibling(v)] and out[u] must be current.
+// out[v] = (P_sib·down[sib]) ⊙ (out[u]ᵀ·P_u) is a newview: the sibling is the
+// left side, and the right side is out[u] through the transpose of u's
+// matrices (a column product written as the kernel's row product: the same
+// multiplications, added in the same order) or, at the root, the prior.
 //
 //cellmg:hotpath
 func (e *Engine) computeOutOne(u, v *Node) {
 	e.Stats.OutviewCalls++
-	a := &e.outA
+	a := &e.nvA
 	if u.Parent != nil {
-		a.pup = e.transitionFlat(u.Length, 1)
-		a.uv = e.outVec(u.ID)
-		a.uscale = e.outScaleVec(u.ID)
+		transposeFlat(e.transT, e.trans.get(u.Length))
+		a.r = kernelSide{v: e.outVec(u.ID), scale: e.outScaleVec(u.ID), p: e.transT}
 	} else {
-		a.pup = nil
-		a.uv = nil
-		a.uscale = nil
+		prior := e.Model.Frequencies()
+		for r := 0; r < e.nCat; r++ {
+			copy(e.tipTab[1][r*tipStates*NumStates:], prior[:]) // row 0 of category r
+		}
+		a.r = kernelSide{states: e.rootStates, tab: e.tipTab[1]}
 	}
-	sib := v.Sibling()
-	a.psib = e.transitionFlat(sib.Length, 0)
-	a.sstates, a.sv, a.sscale = nil, nil, nil
-	if sib.IsTip() {
-		e.fillTipTable(e.tipTab[0], a.psib)
-		a.sstates = e.Data.States[sib.Taxon]
-	} else {
-		a.sv, a.sscale = e.downVec(sib.ID), e.downScaleVec(sib.ID)
-	}
+	e.downSide(&a.l, v.Sibling(), 0)
 	a.dst = e.outVec(v.ID)
 	a.scale = e.outScaleVec(v.ID)
-	e.par(e.nPat, e.outFn)
+	e.par(e.nPat, e.nvFn)
 	e.outEpoch[v.ID] = e.treeEpoch
+}
+
+// transposeFlat writes the per-category transposes of the flattened matrices
+// p into dst.
+//
+//cellmg:hotpath
+func transposeFlat(dst, p []float64) {
+	for m := 0; m < len(p); m += flatMatSize {
+		for i := 0; i < NumStates; i++ {
+			for j := 0; j < NumStates; j++ {
+				dst[m+j*NumStates+i] = p[m+i*NumStates+j]
+			}
+		}
+	}
 }
 
 // collectLocalEdges gathers into e.edgeBuf every node whose edge (to its
@@ -281,26 +289,28 @@ func (e *Engine) collectLocalEdges(t *Tree, v *Node, radius int) []*Node {
 	return e.edgeBuf
 }
 
-// optimizeEdges runs up to the given number of smoothing rounds over an
-// explicit edge set (each entry a node standing for the edge to its parent),
-// stopping early once the lengths converge, and returns the tree's
-// log-likelihood.
-func (e *Engine) optimizeEdges(t *Tree, edges []*Node, rounds int) float64 {
+// optimizeEdges runs up to the given number of smoothing rounds over a set of
+// nodes, each standing for the edge to its parent (a root among them is
+// skipped, so t.Nodes is the whole tree's edge set, visited without
+// allocating), and returns the tree's log-likelihood. It also reports whether
+// the smoothing converged — a full round changed no length materially —
+// rather than stopping at the rounds cap while still improving; the search
+// uses that to decide whether a final smoothing pass would repeat work or
+// continue it.
+func (e *Engine) optimizeEdges(t *Tree, edges []*Node, rounds int) (float64, bool) {
 	if rounds <= 0 {
 		rounds = 1
 	}
-	for round := 0; round < rounds; round++ {
-		changed := false
-		for _, u := range edges {
-			if e.optimizeEdge(t, u) {
-				changed = true
+	converged := false
+	for round := 0; round < rounds && !converged; round++ {
+		converged = true
+		for _, v := range edges {
+			if v.Parent != nil && e.optimizeEdge(t, v) {
+				converged = false
 			}
 		}
-		if !changed {
-			break
-		}
 	}
-	return e.LogLikelihood(t)
+	return e.LogLikelihood(t), converged
 }
 
 // OptimizeLocal Newton-optimizes only the branches within radius node-hops of
@@ -319,5 +329,6 @@ func (e *Engine) OptimizeLocal(t *Tree, v *Node, radius, rounds int) float64 {
 	if radius <= 0 {
 		radius = 1
 	}
-	return e.optimizeEdges(t, e.collectLocalEdges(t, v, radius), rounds)
+	ll, _ := e.optimizeEdges(t, e.collectLocalEdges(t, v, radius), rounds)
+	return ll
 }

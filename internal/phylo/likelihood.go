@@ -37,10 +37,11 @@ const tipStates = 1 << NumStates
 // KernelStats counts invocations of the three likelihood kernels — the
 // functions the paper off-loads to SPEs. The native runtime and the workload
 // calibration read them. RepeatsCopied counts per-pattern kernel evaluations
-// the site-repeat machinery replaced with a vector copy. OutviewCalls counts
-// outer-vector kernels and DerivEvals the passes over the sum table
-// (sumDerivatives and sumLogLik) — the work inside a makenewz visit that the
-// partial traversals exist to keep constant per edge.
+// the site-repeat machinery replaced with a vector copy. NewviewCalls counts
+// the newview calls that settle a down vector and OutviewCalls those that
+// settle an out vector (same kernel, counted apart because the partial
+// traversals bound them separately); DerivEvals counts the passes over the sum
+// table (sumDerivatives and sumLogLik) inside a makenewz visit.
 type KernelStats struct {
 	NewviewCalls  int
 	EvaluateCalls int
@@ -59,8 +60,8 @@ type KernelStats struct {
 // ParallelFor (loop-level parallelism), mirroring the paper's two layers.
 //
 // The hot path is allocation-free in steady state: transition matrices are
-// served from a per-engine slab-backed cache keyed by branch length (see
-// transcache.go), branch-length optimization reads none (one eigenbasis sum
+// served from a per-engine slab-backed cache keyed by branch length
+// (transCache), branch-length optimization reads none (one eigenbasis sum
 // table per edge visit, see buildSumTable), the kernel loop bodies are
 // persistent closures created once at construction, and every per-pattern
 // buffer is engine-owned and reused.
@@ -105,11 +106,9 @@ type Engine struct {
 	siteBuf []float64    // per-pattern scratch for reductions
 	tipTab  [2][]float64 // per-call tip lookup tables, nCat*tipStates*NumStates each
 
-	// Transition cache (transcache.go).
-	cacheOn      bool
-	probs        map[float64][]float64
-	probSlab     transSlab
-	transScratch [2][]float64
+	trans      transCache // P(b·rate) per branch length (transcache.go)
+	transT     []float64  // the parent edge's matrices transposed, nCat*flatMatSize (computeOutOne)
+	rootStates []uint8    // nPat zeros: every pattern reads row 0 of the root-prior table
 
 	// Spectral constants of Model × Rates (initSpectrum) and the per-edge sum
 	// table the Newton iterates of Makenewz run against (buildSumTable).
@@ -145,14 +144,10 @@ type Engine struct {
 	// invoking a kernel allocates nothing (a fresh closure per call would
 	// escape to the heap on every traversal step).
 	nvFn   func(lo, hi int)
-	outFn  func(lo, hi int)
 	evalFn func(lo, hi int)
 	sumFn  func(lo, hi int)
 	nvA    newviewArgs
-	outA   computeOutArgs
 	evalA  evaluateArgs
-
-	outVisit func(n *Node) // pre-order outer-vector sweep body
 
 	// Incremental state (incremental.go): dirty-node tracking for the down
 	// vectors, epoch stamps for the out vectors, and scratch buffers for the
@@ -176,8 +171,7 @@ type Engine struct {
 	savedNodes []*Node
 	savedLens  []float64
 	valStack   []*Node
-	valSeen    []uint64
-	valGen     uint64
+	valSeen    []bool
 
 	// ckpt is the reusable sweep-boundary checkpoint handed to
 	// SearchOptions.Checkpoint (checkpoint.go); its slices are refilled per
@@ -186,7 +180,7 @@ type Engine struct {
 }
 
 // NewEngine creates a likelihood engine for the alignment, model and rate
-// categories. Site-repeat compression is on by default (SetSiteRepeats).
+// categories.
 func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engine, error) {
 	if data == nil || data.NumPatterns() == 0 {
 		return nil, fmt.Errorf("phylo: engine needs a non-empty pattern alignment")
@@ -208,15 +202,15 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 		repOn:  true,
 	}
 	e.vecLen = e.nPat * e.stride
-	e.initCache()
+	e.trans.reset(model, rates.Rates)
+	e.transT = make([]float64, e.nCat*flatMatSize)
+	e.rootStates = make([]uint8, e.nPat)
 	e.initSpectrum()
 	e.tipTab[0] = make([]float64, e.nCat*tipStates*NumStates)
 	e.tipTab[1] = make([]float64, e.nCat*tipStates*NumStates)
 	e.nvFn = e.newviewBody
-	e.outFn = e.computeOutBody
 	e.evalFn = e.evaluateBody
 	e.sumFn = e.sumTableBody
-	e.outVisit = e.computeOutNode
 	return e, nil
 }
 
@@ -313,41 +307,46 @@ func (e *Engine) ensureBuffers(t *Tree) {
 	}
 }
 
-// newviewArgs is the argument block of the Newview loop body. A side is
-// either an inner child (lv/rv + lscale/rscale) or a tip child (lstates +
-// ltab: the per-pattern observed state sets and the lookup table that maps a
-// state set directly to the four per-state sums through the child's
-// transition matrix — the RAxML tip-case specialization, which replaces four
-// dot products with one table row read).
-type newviewArgs struct {
-	lv, rv         []float64 // inner-child conditional vectors (nil for tips)
-	lstates        []uint8   // tip-child observed state sets (nil for inner children)
-	rstates        []uint8
-	ltab, rtab     []float64 // tip lookup tables, nCat*tipStates*NumStates
-	lscale, rscale []float64 // child scaler vectors (nil for tips)
-	pl, pr         []float64 // flattened transition matrices
-	dst, scale     []float64 // destination vectors
-	uniq           []int32   // site-repeat representative patterns (nil: all)
+// kernelSide is one of the two factors the vector kernel multiplies per
+// pattern, category and state s. An inner side is Σ_j p[s][j]·v[j]: a
+// conditional vector seen through flattened per-category matrices. A table
+// side is one row of tab chosen by the pattern's entry in states — a tip
+// child, whose four sums depend only on its observed state set (the RAxML
+// tip-case specialization: one row read instead of four dot products), or
+// the root prior, the same row for every pattern.
+type kernelSide struct {
+	v, scale []float64 // conditional vector and its log scalers (nil for a table side)
+	p        []float64 // flattened matrices, nCat*flatMatSize
+	states   []uint8   // per-pattern row index (nil for an inner side)
+	tab      []float64 // lookup table, nCat*tipStates*NumStates
 }
 
-// newviewBody is the per-pattern loop of the newview() kernel: for every
-// pattern and rate category it forms the fused product of the left and right
-// child contributions through the flattened transition matrices. The 4-state
-// inner products are fully unrolled; slices are hoisted per category so the
-// innermost statements are bounds-check-free. When a side is a tip, the four
-// inner products collapse to one lookup-table row read. When uniq is non-nil
-// the loop runs over the site-repeat representative list instead of the full
+// newviewArgs is the argument block of the vector kernel's loop body.
+type newviewArgs struct {
+	l, r       kernelSide
+	dst, scale []float64 // destination vectors
+	uniq       []int32   // site-repeat representative patterns; nil (all) outside newviewRepeats
+}
+
+// newviewBody is the per-pattern loop of the newview() kernel, the one loop
+// every conditional vector comes out of: for every pattern and rate category
+// it multiplies the left and right sides state by state and rescales the
+// pattern when it nears underflow. Newview feeds it a node's two children;
+// computeOutOne feeds it the sibling subtree and the rest of the tree. The
+// 4-state inner products are fully unrolled; slices are hoisted per category
+// so the innermost statements are bounds-check-free. When uniq is non-nil the
+// loop runs over the site-repeat representative list instead of the full
 // pattern range (Newview copies the remaining patterns afterwards).
 //
 //cellmg:hotpath
 func (e *Engine) newviewBody(lo, hi int) {
 	a := &e.nvA
-	lv, rv := a.lv, a.rv
-	lst, rst := a.lstates, a.rstates
-	ltab, rtab := a.ltab, a.rtab
-	pl, pr := a.pl, a.pr
+	lv, rv := a.l.v, a.r.v
+	lst, rst := a.l.states, a.r.states
+	ltab, rtab := a.l.tab, a.r.tab
+	pl, pr := a.l.p, a.r.p
 	dst, scale := a.dst, a.scale
-	lscale, rscale := a.lscale, a.rscale
+	lscale, rscale := a.l.scale, a.r.scale
 	uniq := a.uniq
 	nCat, stride := e.nCat, e.stride
 	for j := lo; j < hi; j++ {
@@ -457,11 +456,26 @@ func (e *Engine) fillTipTable(dst, p []float64) {
 	}
 }
 
+// downSide makes s the subtree below c seen from c's parent: c's down vector
+// through P(c.Length), or for a tip the lookup table of its state sets,
+// expanded into tipTab[slot].
+//
+//cellmg:hotpath
+func (e *Engine) downSide(s *kernelSide, c *Node, slot int) {
+	p := e.trans.get(c.Length)
+	if c.IsTip() {
+		e.fillTipTable(e.tipTab[slot], p)
+		*s = kernelSide{states: e.Data.States[c.Taxon], tab: e.tipTab[slot]}
+		return
+	}
+	*s = kernelSide{v: e.downVec(c.ID), scale: e.downScaleVec(c.ID), p: p}
+}
+
 // Newview computes the conditional likelihood vector of an internal node from
 // its two children — the paper's newview() kernel. The children's vectors
-// must already be up to date. With site repeats on, only the representative
-// pattern of each repeat class runs through the loop body; the rest are
-// copied (siterepeats.go).
+// must already be up to date. Only the representative pattern of each
+// site-repeat class runs through the loop body; the rest are copied
+// (siterepeats.go).
 //
 //cellmg:hotpath
 func (e *Engine) Newview(n *Node) {
@@ -469,31 +483,11 @@ func (e *Engine) Newview(n *Node) {
 		return
 	}
 	e.Stats.NewviewCalls++
-	left, right := n.Children[0], n.Children[1]
 	a := &e.nvA
-	a.pl = e.transitionFlat(left.Length, 0)
-	a.pr = e.transitionFlat(right.Length, 1)
-	if left.IsTip() {
-		e.fillTipTable(e.tipTab[0], a.pl)
-		a.lstates, a.ltab = e.Data.States[left.Taxon], e.tipTab[0]
-		a.lv, a.lscale = nil, nil
-	} else {
-		a.lstates, a.ltab = nil, nil
-		a.lv = e.downVec(left.ID)
-		a.lscale = e.downScaleVec(left.ID)
-	}
-	if right.IsTip() {
-		e.fillTipTable(e.tipTab[1], a.pr)
-		a.rstates, a.rtab = e.Data.States[right.Taxon], e.tipTab[1]
-		a.rv, a.rscale = nil, nil
-	} else {
-		a.rstates, a.rtab = nil, nil
-		a.rv = e.downVec(right.ID)
-		a.rscale = e.downScaleVec(right.ID)
-	}
+	e.downSide(&a.l, n.Children[0], 0)
+	e.downSide(&a.r, n.Children[1], 1)
 	a.dst = e.downVec(n.ID)
 	a.scale = e.downScaleVec(n.ID)
-	a.uniq = nil
 	if e.repOn && e.lastTree != nil {
 		e.newviewRepeats(n)
 		return
@@ -515,104 +509,21 @@ func (e *Engine) computeDown(t *Tree) {
 	e.anyDirty = false
 }
 
-// computeOutArgs is the argument block of the outer-vector loop body. The
-// sibling is either an inner node (sv + sscale + psib) or a tip (sstates, read
-// through tipTab[0]: the lookup-table specialization newviewArgs describes).
-type computeOutArgs struct {
-	sv, sscale []float64 // sibling conditional vector and scalers (nil for a tip)
-	sstates    []uint8   // tip sibling's observed state sets (nil for an inner sibling)
-	psib       []float64 // flattened sibling transition matrices
-	pup        []float64 // flattened parent transition matrices (nil at root)
-	uv, uscale []float64 // parent outer vector and scalers
-	dst, scale []float64
-	freqs      Frequencies
-}
-
-// computeOutBody is the per-pattern loop of the outer-vector kernel: the
-// sibling subtree seen from the parent u (four row products, or one tip-table
-// row) times everything outside u's subtree — the root prior when u is the
-// root, otherwise u's outer vector folded down the parent edge (four column
-// products). Unrolled and hoisted like newviewBody, in the plain loop's order.
+// computeOut refreshes the out vector of every node below u — for each, the
+// conditional likelihood of all data outside its subtree given the state at
+// its parent — parents before children, stamping each with the current tree
+// epoch. out[u] and every down vector must be current. Branch optimization
+// does not call this: it repairs only the root-to-edge path it needs through
+// ensureOut (incremental.go).
 //
 //cellmg:hotpath
-func (e *Engine) computeOutBody(lo, hi int) {
-	a := &e.outA
-	sv, sst, stab, psib := a.sv, a.sstates, e.tipTab[0], a.psib
-	pup, uv := a.pup, a.uv
-	dst, scale := a.dst, a.scale
-	sscale, uscale := a.sscale, a.uscale
-	f0, f1, f2, f3 := a.freqs[0], a.freqs[1], a.freqs[2], a.freqs[3]
-	nCat, stride := e.nCat, e.stride
-	for i := lo; i < hi; i++ {
-		base := i * stride
-		maxV := 0.0
-		for r := 0; r < nCat; r++ {
-			off := base + r*NumStates
-			m := r * flatMatSize
-			var b0, b1, b2, b3 float64
-			if sst != nil {
-				o := (m + int(sst[i])) * NumStates
-				t := stab[o : o+NumStates : o+NumStates]
-				b0, b1, b2, b3 = t[0], t[1], t[2], t[3]
-			} else {
-				sm := psib[m : m+flatMatSize : m+flatMatSize]
-				sw := sv[off : off+NumStates : off+NumStates]
-				s0, s1, s2, s3 := sw[0], sw[1], sw[2], sw[3]
-				b0 = sm[0]*s0 + sm[1]*s1 + sm[2]*s2 + sm[3]*s3
-				b1 = sm[4]*s0 + sm[5]*s1 + sm[6]*s2 + sm[7]*s3
-				b2 = sm[8]*s0 + sm[9]*s1 + sm[10]*s2 + sm[11]*s3
-				b3 = sm[12]*s0 + sm[13]*s1 + sm[14]*s2 + sm[15]*s3
-			}
-			r0, r1, r2, r3 := f0, f1, f2, f3
-			if pup != nil {
-				um := pup[m : m+flatMatSize : m+flatMatSize]
-				uw := uv[off : off+NumStates : off+NumStates]
-				u0, u1, u2, u3 := uw[0], uw[1], uw[2], uw[3]
-				r0 = u0*um[0] + u1*um[4] + u2*um[8] + u3*um[12]
-				r1 = u0*um[1] + u1*um[5] + u2*um[9] + u3*um[13]
-				r2 = u0*um[2] + u1*um[6] + u2*um[10] + u3*um[14]
-				r3 = u0*um[3] + u1*um[7] + u2*um[11] + u3*um[15]
-			}
-			maxV = store4(dst[off:off+NumStates:off+NumStates], maxV, b0*r0, b1*r1, b2*r2, b3*r3)
-		}
-		sc := 0.0
-		if sscale != nil {
-			sc += sscale[i]
-		}
-		if uscale != nil {
-			sc += uscale[i]
-		}
-		if maxV > 0 && maxV < scalingThreshold {
-			inv := 1 / maxV
-			for k := base; k < base+stride; k++ {
-				dst[k] *= inv
-			}
-			sc += math.Log(maxV)
-		}
-		scale[i] = sc
-	}
-}
-
-// computeOutNode refreshes the outer vectors of u's children.
-//
-//cellmg:hotpath
-func (e *Engine) computeOutNode(u *Node) {
+func (e *Engine) computeOut(u *Node) {
 	for _, v := range u.Children {
 		e.computeOutOne(u, v)
 	}
-}
-
-// computeOut refreshes, for every non-root node, the conditional likelihood
-// of all data outside its subtree (given the state at its parent), with a
-// pre-order traversal, stamping every node with the current tree epoch.
-// computeDown must have run first. Branch optimization does not call this:
-// it repairs only the root-to-edge path it needs through ensureOut
-// (incremental.go).
-//
-//cellmg:hotpath
-func (e *Engine) computeOut(t *Tree) {
-	e.outA.freqs = e.Model.Frequencies()
-	PreOrder(t.Root, e.outVisit)
+	for _, v := range u.Children {
+		e.computeOut(v)
+	}
 }
 
 // Refresh recomputes every inner (down) and outer (out) conditional vector of
@@ -624,7 +535,7 @@ func (e *Engine) Refresh(t *Tree) {
 	e.bindTree(t)
 	e.markAllDirty()
 	e.computeDown(t)
-	e.computeOut(t)
+	e.computeOut(t.Root)
 }
 
 // evaluateArgs is the argument block of the root-evaluation loop body.
@@ -968,42 +879,13 @@ func (e *Engine) OptimizeBranch(t *Tree, v *Node) float64 {
 	return e.LogLikelihood(t)
 }
 
-// OptimizeAllBranches performs the given number of smoothing rounds: each
-// round Newton-optimizes every branch once, settling the conditional vectors
-// each edge depends on (a partial traversal, not a full refresh) so that
-// every accepted update improves the likelihood. It returns the final
+// OptimizeAllBranches performs up to the given number of smoothing rounds:
+// each round Newton-optimizes every branch once, settling the conditional
+// vectors each edge depends on (a partial traversal, not a full refresh) so
+// that every accepted update improves the likelihood. It returns the final
 // log-likelihood. OptimizeLocal is the constant-size-neighborhood variant
 // the tree search uses per NNI candidate.
 func (e *Engine) OptimizeAllBranches(t *Tree, rounds int) float64 {
-	ll, _ := e.optimizeAllBranches(t, rounds)
+	ll, _ := e.optimizeEdges(t, t.Nodes, rounds)
 	return ll
-}
-
-// optimizeAllBranches additionally reports whether the smoothing converged
-// (a full round changed no length materially) rather than stopping at the
-// rounds cap while still improving — the search uses this to decide whether
-// a final smoothing pass would repeat work or continue it. The edge sweep
-// iterates t.Nodes directly (the same order Tree.Edges returns) so a
-// smoothing round allocates nothing.
-func (e *Engine) optimizeAllBranches(t *Tree, rounds int) (float64, bool) {
-	if rounds <= 0 {
-		rounds = 1
-	}
-	converged := false
-	for round := 0; round < rounds; round++ {
-		changed := false
-		for _, v := range t.Nodes {
-			if v.Parent == nil {
-				continue
-			}
-			if e.optimizeEdge(t, v) {
-				changed = true
-			}
-		}
-		if !changed {
-			converged = true
-			break
-		}
-	}
-	return e.LogLikelihood(t), converged
 }

@@ -120,17 +120,6 @@ func (e *Engine) SearchContext(ctx context.Context, opts SearchOptions) (*Search
 	if err != nil {
 		return nil, err
 	}
-	return e.SearchFromContext(ctx, tree, opts)
-}
-
-// SearchFrom runs the hill-climbing search from a given starting tree (which
-// is modified in place and returned in the result).
-func (e *Engine) SearchFrom(tree *Tree, opts SearchOptions) (*SearchResult, error) {
-	return e.SearchFromContext(context.Background(), tree, opts)
-}
-
-// SearchFromContext is SearchFrom with cancellation (see SearchContext).
-func (e *Engine) SearchFromContext(ctx context.Context, tree *Tree, opts SearchOptions) (*SearchResult, error) {
 	res := &SearchResult{}
 	if err := e.SearchInto(ctx, tree, opts, res); err != nil {
 		return nil, err
@@ -174,75 +163,9 @@ func reportProgress(opts *SearchOptions, res *SearchResult, best float64) {
 	})
 }
 
-// validateTree checks the same structural invariants as Tree.Validate using
-// engine-owned, generation-stamped scratch, so the check at the top of every
-// search costs no allocation (Tree.Validate builds a map and a recursive
-// closure per call — one of the hidden per-search allocation sites this
-// engine-side variant exists to remove).
-func (e *Engine) validateTree(t *Tree) error {
-	if t.Root == nil {
-		return fmt.Errorf("phylo: tree has no root")
-	}
-	if t.Root.Parent != nil {
-		return fmt.Errorf("phylo: root has a parent")
-	}
-	if len(e.valSeen) < len(t.Taxa) {
-		e.valSeen = make([]uint64, len(t.Taxa))
-	}
-	e.valGen++
-	gen := e.valGen
-	stack := e.valStack[:0]
-	stack = append(stack, t.Root)
-	visited, tips := 0, 0
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		visited++
-		if n.IsTip() {
-			if n.Name == "" {
-				e.valStack = stack[:0]
-				return fmt.Errorf("phylo: tip %d has no name", n.ID)
-			}
-			if n.Taxon < 0 || n.Taxon >= len(t.Taxa) {
-				e.valStack = stack[:0]
-				return fmt.Errorf("phylo: tip %q has taxon index %d outside [0,%d)", n.Name, n.Taxon, len(t.Taxa))
-			}
-			if e.valSeen[n.Taxon] == gen {
-				e.valStack = stack[:0]
-				return fmt.Errorf("phylo: taxon %q appears twice", n.Name)
-			}
-			e.valSeen[n.Taxon] = gen
-			tips++
-			continue
-		}
-		if len(n.Children) != 2 {
-			e.valStack = stack[:0]
-			return fmt.Errorf("phylo: internal node %d has %d children, want 2", n.ID, len(n.Children))
-		}
-		for _, c := range n.Children {
-			if c.Parent != n {
-				e.valStack = stack[:0]
-				return fmt.Errorf("phylo: node %d has a child with a mismatched parent pointer", n.ID)
-			}
-			if c.Length < 0 {
-				e.valStack = stack[:0]
-				return fmt.Errorf("phylo: negative branch length on node %d", c.ID)
-			}
-			stack = append(stack, c)
-		}
-	}
-	e.valStack = stack[:0]
-	if tips != len(t.Taxa) {
-		return fmt.Errorf("phylo: tree covers %d taxa, want %d", tips, len(t.Taxa))
-	}
-	if visited != len(t.Nodes) {
-		return fmt.Errorf("phylo: %d nodes reachable from the root, %d allocated", visited, len(t.Nodes))
-	}
-	return nil
-}
-
-// SearchInto is SearchFromContext writing into a caller-provided result: the
-// allocation-free form of the search. Every piece of per-move and per-sweep
+// SearchInto runs the hill-climbing search from a given starting tree (which
+// is modified in place) into a caller-provided result: the allocation-free
+// form of the search. Every piece of per-move and per-sweep
 // scratch — candidate length snapshots, the move list, the local edge sets,
 // traversal stacks, validation marks — lives on the engine and is reused, so
 // a steady-state search (warm transition cache, settled scratch capacities)
@@ -255,7 +178,12 @@ func (e *Engine) SearchInto(ctx context.Context, tree *Tree, opts SearchOptions,
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 1
 	}
-	if err := e.validateTree(tree); err != nil {
+	if len(e.valSeen) < len(tree.Taxa) {
+		e.valSeen = make([]bool, len(tree.Taxa))
+	}
+	clear(e.valSeen)
+	var err error
+	if e.valStack, err = tree.validate(e.valStack, e.valSeen); err != nil {
 		return fmt.Errorf("phylo: invalid starting tree: %v", err)
 	}
 	if err := ctx.Err(); err != nil {
@@ -284,9 +212,6 @@ func (e *Engine) SearchInto(ctx context.Context, tree *Tree, opts SearchOptions,
 		if err := c.Matches(e); err != nil {
 			return err
 		}
-		if e.repOn != c.SiteRepeats {
-			e.SetSiteRepeats(c.SiteRepeats)
-		}
 		if err := c.Topo.Restore(tree); err != nil {
 			return fmt.Errorf("phylo: resume: %v", err)
 		}
@@ -304,7 +229,7 @@ func (e *Engine) SearchInto(ctx context.Context, tree *Tree, opts SearchOptions,
 		cont = c.Round == 0 || c.LastSweepImproved
 		startRound = c.Round
 	} else {
-		best, smoothConverged = e.optimizeAllBranches(tree, opts.SmoothingRounds)
+		best, smoothConverged = e.optimizeEdges(tree, tree.Nodes, opts.SmoothingRounds)
 		res.StartLogLik = best
 	}
 	reportProgress(&opts, res, best)
@@ -333,7 +258,7 @@ func (e *Engine) SearchInto(ctx context.Context, tree *Tree, opts SearchOptions,
 			// smoothing budget as the incumbent so the comparison is fair;
 			// the optimizers stop early once the branch lengths converge.
 			e.snapshotLengths(e.collectLocalEdges(tree, move.Edge, nniRadius))
-			candidate := e.optimizeEdges(tree, e.savedNodes, opts.SmoothingRounds)
+			candidate, _ := e.optimizeEdges(tree, e.savedNodes, opts.SmoothingRounds)
 			if candidate > best+opts.Epsilon {
 				best = candidate
 				res.NNIAccepted++
@@ -350,7 +275,7 @@ func (e *Engine) SearchInto(ctx context.Context, tree *Tree, opts SearchOptions,
 			// only raise the score) — the RAxML pattern: local optimization
 			// scores candidates, global optimization runs once per round
 			// rather than once per accepted move.
-			best, smoothConverged = e.optimizeAllBranches(tree, opts.SmoothingRounds)
+			best, smoothConverged = e.optimizeEdges(tree, tree.Nodes, opts.SmoothingRounds)
 		}
 		reportProgress(&opts, res, best)
 		lastSweepImproved = improvedThisRound

@@ -1,6 +1,7 @@
 package phylo
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,14 +96,48 @@ func TestSearchImprovesAndRecoversTopology(t *testing.T) {
 	}
 }
 
-func TestSearchFromValidatesInput(t *testing.T) {
+// TestInvalidTreesRejected runs one table of corrupted trees through both
+// entry points of the shared validator — Tree.Validate on fresh scratch and
+// the check at the top of SearchInto on the engine's — and both must agree
+// on every case. The engine is reused across cases, so its marks from one
+// tree must not leak into the next.
+func TestInvalidTreesRejected(t *testing.T) {
 	_, aln, _ := Simulate(SimulateOptions{Taxa: 6, Length: 200, Seed: 1})
 	data, _ := Compress(aln)
 	eng, _ := NewEngine(data, NewJC69(), SingleRate())
-	broken, _ := NewRandomTree(data.Names, rand.New(rand.NewSource(1)))
-	broken.Root.Children[0].Parent = nil // corrupt it
-	if _, err := eng.SearchFrom(broken, DefaultSearchOptions()); err == nil {
-		t.Errorf("corrupted starting tree should be rejected")
+	opts := SearchOptions{SmoothingRounds: 1, MaxRounds: 1, Epsilon: 0.01}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(tr *Tree)
+		valid   bool
+	}{
+		{"intact", func(tr *Tree) {}, true},
+		{"no root", func(tr *Tree) { tr.Root = nil }, false},
+		{"root has a parent", func(tr *Tree) { tr.Root.Parent = tr.Nodes[0] }, false},
+		{"mismatched parent pointer", func(tr *Tree) { tr.Root.Children[0].Parent = nil }, false},
+		{"negative branch length", func(tr *Tree) { tr.Nodes[2].Length = -0.1 }, false},
+		{"unnamed tip", func(tr *Tree) { tr.Nodes[1].Name = "" }, false},
+		{"taxon index out of range", func(tr *Tree) { tr.Nodes[3].Taxon = len(tr.Taxa) }, false},
+		{"negative taxon index", func(tr *Tree) { tr.Nodes[3].Taxon = -1 }, false},
+		{"taxon twice", func(tr *Tree) { tr.Nodes[4].Taxon = tr.Nodes[5].Taxon }, false},
+		{"unary internal node", func(tr *Tree) { tr.Root.Children = tr.Root.Children[:1] }, false},
+		{"unreachable node", func(tr *Tree) { tr.Nodes = append(tr.Nodes, &Node{ID: len(tr.Nodes), Taxon: -1}) }, false},
+		{"intact again", func(tr *Tree) {}, true},
+	} {
+		tree, err := NewRandomTree(data.Names, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(tree)
+		var res SearchResult
+		for entry, err := range map[string]error{
+			"Validate":   tree.Validate(),
+			"SearchInto": eng.SearchInto(context.Background(), tree, opts, &res),
+		} {
+			if (err == nil) != tc.valid {
+				t.Errorf("%s, %s: error %v, want valid=%v", tc.name, entry, err, tc.valid)
+			}
+		}
 	}
 }
 

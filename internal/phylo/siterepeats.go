@@ -15,8 +15,10 @@ package phylo
 // match; a tip's class is its 4-bit observed state set, so the base case and
 // the inductive step both hold exactly — equal class implies equal kernel
 // inputs implies bit-identical output, including the underflow-rescaling
-// decisions. That makes the compressed evaluation byte-identical to the
-// uncompressed one (property-tested in incremental_test.go).
+// decisions. That makes the compressed evaluation byte-identical to running
+// every pattern through the loop, which the property tests in
+// siterepeats_test.go assert by switching the engine's unexported repOn field
+// off (export_test.go); nothing outside the tests does.
 //
 // Invalidation rule: class vectors depend only on subtree COMPOSITION, never
 // on branch lengths. InvalidateEdge therefore leaves them untouched, while
@@ -28,34 +30,6 @@ package phylo
 // All bookkeeping lives in flat engine-owned blocks (ensureBuffers) and the
 // pair table is generation-stamped, so steady-state searches rebuild classes
 // without allocating.
-
-// SetSiteRepeats toggles site-repeat compression. Engines default to on;
-// turning it off forces every pattern through the kernel loop (the reference
-// path the equivalence tests compare against). The compressed path
-// materializes full vectors, so turning repeats OFF needs no invalidation.
-// Turning them back ON discards all class state and forces a bottom-up
-// rebuild: class maintenance was suspended while off, so the version stamps
-// that normally certify classes as current can no longer be trusted.
-func (e *Engine) SetSiteRepeats(on bool) {
-	if e.repOn == on {
-		return
-	}
-	e.repOn = on
-	if on && e.lastTree != nil {
-		for i := range e.repDirty {
-			e.repDirty[i] = true
-			e.repBuiltL[i] = -1
-			e.repBuiltR[i] = -1
-		}
-		// The rebuild must run bottom-up over the whole tree (a parent's
-		// classes read its children's), so the next traversal may not skip
-		// clean subtrees.
-		e.InvalidateAll()
-	}
-}
-
-// SiteRepeatsEnabled reports whether site-repeat compression is on.
-func (e *Engine) SiteRepeatsEnabled() bool { return e.repOn }
 
 // repClassVec returns the class-id vector of an internal node.
 //

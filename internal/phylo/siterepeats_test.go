@@ -53,8 +53,8 @@ func TestSiteRepeatsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			off.SetSiteRepeats(false)
-			if on.SiteRepeatsEnabled() == off.SiteRepeatsEnabled() {
+			off.setSiteRepeats(false)
+			if on.repOn == off.repOn {
 				t.Fatal("engines do not differ in site-repeat mode")
 			}
 			rng := rand.New(rand.NewSource(271))
@@ -121,7 +121,7 @@ func TestSiteRepeatsMatchReference(t *testing.T) {
 // TestSiteRepeatsToggleMidSequence flips compression on and off WHILE a random
 // mutation sequence runs. Class maintenance is suspended during off periods,
 // so re-enabling must forget every version stamp and rebuild bottom-up
-// (SetSiteRepeats's forget-and-rebuild path); a missed rebuild shows up here
+// (setSiteRepeats's forget-and-rebuild path); a missed rebuild shows up here
 // as a logL divergence from the always-off reference.
 func TestSiteRepeatsToggleMidSequence(t *testing.T) {
 	for _, cfg := range incrementalConfigs(t) {
@@ -135,7 +135,7 @@ func TestSiteRepeatsToggleMidSequence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref.SetSiteRepeats(false)
+			ref.setSiteRepeats(false)
 			rng := rand.New(rand.NewSource(907))
 			tree, err := NewRandomTree(data.Names, rng)
 			if err != nil {
@@ -160,7 +160,7 @@ func TestSiteRepeatsToggleMidSequence(t *testing.T) {
 				case 2:
 					// Toggle mid-flight — the adversarial step. Half the
 					// toggles happen with dirty state pending.
-					tog.SetSiteRepeats(!tog.SiteRepeatsEnabled())
+					tog.setSiteRepeats(!tog.repOn)
 				default:
 					// No mutation: consecutive evaluations must also agree.
 				}
@@ -168,7 +168,7 @@ func TestSiteRepeatsToggleMidSequence(t *testing.T) {
 				want := ref.LogLikelihood(tree)
 				if got != want {
 					t.Fatalf("step %d (repeats=%v): toggled logL %v != reference %v (diff %g)",
-						step, tog.SiteRepeatsEnabled(), got, want, got-want)
+						step, tog.repOn, got, want, got-want)
 				}
 			}
 		})
@@ -212,7 +212,7 @@ func TestDegenerateInputsFiniteLogL(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng.SetSiteRepeats(repeats)
+				eng.setSiteRepeats(repeats)
 				tree, err := NewRandomTree(data.Names, rand.New(rand.NewSource(5)))
 				if err != nil {
 					t.Fatal(err)

@@ -1,16 +1,16 @@
 //cellmg:deterministic
 package phylo
 
-// This file implements the Engine's transition-matrix cache: the flattened
-// storage for P(b·rate) across all rate categories, keyed by branch length.
+// This file implements the transition-matrix cache: the flattened storage for
+// P(b·rate) across all rate categories, keyed by branch length.
 //
-// Motivation: the vector kernels walk the same tree over and over —
-// computeDown/computeOut traversals revisit every branch once per smoothing
-// pass. Recomputing exp(Q·b·rate) (an eigen-exponential for GTR) per visit
-// made matrix construction, not the per-pattern loops, the dominant cost.
-// Caching by branch length makes repeat visits free and keeps the steady-state
-// kernel loops allocation-free. (Makenewz needs no matrices: its Newton
-// iterates run against the per-edge sum table, see likelihood.go.)
+// Motivation: the vector kernel walks the same tree over and over — the down
+// and out traversals revisit every branch once per smoothing pass. Recomputing
+// exp(Q·b·rate) (an eigen-exponential for GTR) per visit made matrix
+// construction, not the per-pattern loops, the dominant cost. Caching by
+// branch length makes repeat visits free and keeps the steady-state kernel
+// loops allocation-free. (Makenewz needs no matrices: its Newton iterates run
+// against the per-edge sum table, see likelihood.go.)
 //
 // Layout: one flat []float64 of nCat*flatMatSize entries per branch length;
 // category r occupies [r*flatMatSize, (r+1)*flatMatSize), row-major [from*4+to].
@@ -21,13 +21,13 @@ package phylo
 // instead of being allocated per miss. Hitting the maxCacheEntries bound
 // clears the map (clear keeps the buckets, so refilling to the previous size
 // never grows them) and swaps the slab's arena sets, so all retired entries
-// become reusable at once while the handful of entry slices a kernel is
-// holding across the clear (Newview's left/right matrices, the outer-vector
-// kernel's sibling/parent pair) stay valid — they live in the other arena
-// set, which is not carved again until the NEXT overflow, thousands of
-// inserts away. The result: a search whose length stream replays (the steady
-// state of the benchmark and alloc-guard loops) allocates nothing, no matter
-// how many overflow cycles it goes through.
+// become reusable at once while an entry a caller is holding across the clear
+// (Newview holds its left child's matrices while it fetches the right's)
+// stays valid — it lives in the other arena set, which is not carved again
+// until the NEXT overflow, thousands of inserts away. The result: a search
+// whose length stream replays (the steady state of the benchmark and
+// alloc-guard loops) allocates nothing, no matter how many overflow cycles it
+// goes through.
 //
 // Invalidation: a branch length is the key, so changing a length simply stops
 // hitting its old entry — no explicit invalidation is needed for branch
@@ -80,50 +80,51 @@ func (s *transSlab) swap() {
 	s.used = 0
 }
 
-// initCache sets up the cache map, the entry slab and the scratch buffers
-// used when the cache is disabled.
-func (e *Engine) initCache() {
-	e.cacheOn = true
-	e.probs = make(map[float64][]float64)
-	e.probSlab = transSlab{entry: e.nCat * flatMatSize}
-	e.transScratch[0] = make([]float64, e.nCat*flatMatSize)
-	e.transScratch[1] = make([]float64, e.nCat*flatMatSize)
+// transCache serves the flattened per-category matrices of one model under
+// one set of category rates, by branch length.
+type transCache struct {
+	model Model
+	rates []float64
+	probs map[float64][]float64
+	slab  transSlab
 }
 
-// SetTransitionCache toggles the transition-matrix cache. Disabling it forces
-// every kernel invocation to recompute its matrices into scratch buffers —
-// the reference path the equivalence tests compare against. The engine
-// defaults to caching on.
-func (e *Engine) SetTransitionCache(on bool) {
-	if e.cacheOn == on {
-		return
+// reset drops every entry and binds the cache to the model and rates that
+// later misses are filled from.
+func (c *transCache) reset(model Model, rates []float64) {
+	*c = transCache{
+		model: model,
+		rates: rates,
+		probs: make(map[float64][]float64),
+		slab:  transSlab{entry: len(rates) * flatMatSize},
 	}
-	e.cacheOn = on
-	e.InvalidateTransitions()
 }
 
-// InvalidateTransitions drops every cached transition matrix, re-reads the
-// model's spectrum and marks every conditional vector stale. It must be called after mutating e.Model or
-// e.Rates in place: the conditional vectors were computed through the old
-// model's matrices, so the lazy traversals must not keep serving them
-// (branch-length changes, by contrast, need no invalidation because the
-// length itself is the cache key and optimizeEdge invalidates its updates).
-func (e *Engine) InvalidateTransitions() {
-	clear(e.probs)
-	e.probSlab.swap()
-	e.initSpectrum()
-	e.InvalidateAll()
+// get returns the matrices for a branch of length b. Repeat lookups of a
+// length are free; a miss carves its entry from the slab, so it allocates
+// only past the slab's high-water mark. The returned slice stays valid until
+// the second overflow after the call.
+//
+//cellmg:hotpath-safe -- allocates only while the cache slab grows cold; steady state guarded by alloc_test.go
+func (c *transCache) get(b float64) []float64 {
+	if p, ok := c.probs[b]; ok {
+		return p
+	}
+	if len(c.probs) >= maxCacheEntries {
+		clear(c.probs)
+		c.slab.swap()
+	}
+	p := c.slab.alloc()
+	fillTransition(p, c.model, c.rates, b)
+	c.probs[b] = p
+	return p
 }
 
-// CachedTransitions returns the number of distinct branch lengths currently
-// held by the probability cache (diagnostics and tests).
-func (e *Engine) CachedTransitions() int { return len(e.probs) }
-
-// fillTransition writes the flattened per-category probability matrices for a
-// branch of length b into dst (len nCat*flatMatSize).
-func (e *Engine) fillTransition(dst []float64, b float64) {
-	for r, rate := range e.Rates.Rates {
-		m := e.Model.Transition(b * rate)
+// fillTransition writes the flattened per-category probability matrices of a
+// branch of length b into dst (len(rates)*flatMatSize).
+func fillTransition(dst []float64, model Model, rates []float64, b float64) {
+	for r, rate := range rates {
+		m := model.Transition(b * rate)
 		o := r * flatMatSize
 		for i := 0; i < NumStates; i++ {
 			for j := 0; j < NumStates; j++ {
@@ -133,30 +134,15 @@ func (e *Engine) fillTransition(dst []float64, b float64) {
 	}
 }
 
-// transitionFlat returns the flattened per-category transition matrices for a
-// branch of length b. With the cache on, repeat lookups for the same length
-// are free and a miss carves its entry from the slab (allocating only past
-// the slab's high-water mark); with the cache off, the matrices are
-// recomputed into the engine-owned scratch buffer for the given slot (two
-// slots exist so Newview can hold its left and right matrices at the same
-// time).
-//
-//cellmg:hotpath-safe -- allocates only while the cache slab grows cold; steady state guarded by alloc_test.go
-func (e *Engine) transitionFlat(b float64, slot int) []float64 {
-	if e.cacheOn {
-		if p, ok := e.probs[b]; ok {
-			return p
-		}
-		if len(e.probs) >= maxCacheEntries {
-			clear(e.probs)
-			e.probSlab.swap()
-		}
-		p := e.probSlab.alloc()
-		e.fillTransition(p, b)
-		e.probs[b] = p
-		return p
-	}
-	dst := e.transScratch[slot]
-	e.fillTransition(dst, b)
-	return dst
+// InvalidateTransitions drops every cached transition matrix, re-reads the
+// model's spectrum and marks every conditional vector stale. It must be
+// called after mutating e.Model or e.Rates in place: the conditional vectors
+// were computed through the old model's matrices, so the lazy traversals must
+// not keep serving them (branch-length changes, by contrast, need no
+// invalidation because the length itself is the cache key and optimizeEdge
+// invalidates its updates).
+func (e *Engine) InvalidateTransitions() {
+	e.trans.reset(e.Model, e.Rates.Rates)
+	e.initSpectrum()
+	e.InvalidateAll()
 }

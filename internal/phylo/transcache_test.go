@@ -1,13 +1,12 @@
 package phylo
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// equivalenceCase is one (model, rates) configuration the cached and uncached
-// transition paths must agree on.
+// equivalenceCase is one (model, rates) configuration the cache must serve
+// exactly.
 type equivalenceCase struct {
 	name  string
 	model func(t *testing.T) Model
@@ -39,95 +38,64 @@ func equivalenceCases() []equivalenceCase {
 	}
 }
 
-// TestCachedTransitionsMatchUncached asserts that the transition-matrix cache
-// never changes a likelihood: on random trees over a simulated alignment, the
-// cached engine and an uncached engine (which recomputes every matrix from
-// the model per kernel call) must produce identical log-likelihoods. Both
-// paths fill the same flattened layout with the same arithmetic, so the match
-// is exact, not merely within tolerance.
+// TestCachedTransitionsMatchUncached asserts that the cache never changes a
+// matrix: over a stream of lengths that overflows maxCacheEntries twice —
+// new lengths interleaved with revisits, the way a search replays its tree's
+// branches — every entry get returns holds exactly the bits fillTransition
+// computes for that length from the model. That includes the entry a caller
+// is still holding while the next get clears the map and swaps the slab
+// (Newview holds its left matrices while it fetches the right ones).
 func TestCachedTransitionsMatchUncached(t *testing.T) {
-	_, aln, err := Simulate(SimulateOptions{Taxa: 14, Length: 600, Seed: 99, MeanBranchLength: 0.12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := Compress(aln)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range equivalenceCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			cached, err := NewEngine(data, tc.model(t), tc.rates(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			uncached, err := NewEngine(data, tc.model(t), tc.rates(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			uncached.SetTransitionCache(false)
-			for seed := int64(1); seed <= 3; seed++ {
-				tree, err := NewRandomTree(data.Names, rand.New(rand.NewSource(seed)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := uncached.LogLikelihood(tree)
-				got := cached.LogLikelihood(tree)
-				if math.IsNaN(got) || math.IsInf(got, 0) {
-					t.Fatalf("tree %d: non-finite likelihood %v", seed, got)
-				}
-				if math.Abs(got-want) > 1e-12 {
-					t.Errorf("tree %d: cached %v != uncached %v", seed, got, want)
-				}
-				if cached.CachedTransitions() == 0 {
-					t.Errorf("tree %d: cached engine did not populate its cache", seed)
-				}
-				if uncached.CachedTransitions() != 0 {
-					t.Errorf("tree %d: uncached engine grew a cache (%d entries)",
-						seed, uncached.CachedTransitions())
+			model, rates := tc.model(t), tc.rates(t).Rates
+			var c transCache
+			c.reset(model, rates)
+			fresh := make([]float64, len(rates)*flatMatSize)
+			check := func(what string, b float64, got []float64) {
+				t.Helper()
+				fillTransition(fresh, model, rates, b)
+				if !sameBits(got, fresh) {
+					t.Fatalf("%s: entry for length %v differs from a fresh fill", what, b)
 				}
 			}
-		})
-	}
-}
-
-// TestCachedBranchOptimizationMatchesUncached runs full Newton branch
-// optimization — the heaviest cache consumer, exercising the derivative cache
-// across many branch lengths — on both paths and requires identical resulting
-// likelihoods and branch lengths.
-func TestCachedBranchOptimizationMatchesUncached(t *testing.T) {
-	_, aln, err := Simulate(SimulateOptions{Taxa: 10, Length: 400, Seed: 3, MeanBranchLength: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := Compress(aln)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range equivalenceCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			cached, _ := NewEngine(data, tc.model(t), tc.rates(t))
-			uncached, _ := NewEngine(data, tc.model(t), tc.rates(t))
-			uncached.SetTransitionCache(false)
-
-			treeA, err := NewRandomTree(data.Names, rand.New(rand.NewSource(8)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			treeB := treeA.Clone()
-			llA := cached.OptimizeAllBranches(treeA, 3)
-			llB := uncached.OptimizeAllBranches(treeB, 3)
-			if math.Abs(llA-llB) > 1e-12 {
-				t.Errorf("optimized likelihoods differ: cached %v vs uncached %v", llA, llB)
-			}
-			edgesA, edgesB := treeA.Edges(), treeB.Edges()
-			if len(edgesA) != len(edgesB) {
-				t.Fatalf("edge counts differ: %d vs %d", len(edgesA), len(edgesB))
-			}
-			for i := range edgesA {
-				if edgesA[i].Length != edgesB[i].Length {
-					t.Errorf("edge %d: cached length %v != uncached %v",
-						i, edgesA[i].Length, edgesB[i].Length)
+			rng := rand.New(rand.NewSource(12))
+			var lengths []float64
+			var held []float64
+			var heldB float64
+			overflows, hits := 0, 0
+			for i := 0; overflows < 2 || i < 2*maxCacheEntries+100; i++ {
+				var b float64
+				if len(lengths) > 0 && rng.Intn(4) == 0 {
+					b = lengths[rng.Intn(len(lengths))]
+				} else {
+					b = MinBranchLength + rng.Float64()*2
+					lengths = append(lengths, b)
 				}
+				before := len(c.probs)
+				_, cached := c.probs[b]
+				p := c.get(b)
+				check("returned", b, p)
+				if cached {
+					hits++
+					if again := c.get(b); &again[0] != &p[0] {
+						t.Fatalf("repeat lookup of %v returned a different entry", b)
+					}
+				}
+				if len(c.probs) < before {
+					overflows++
+					lengths = lengths[:0] // revisit only lengths of the current cycle
+				}
+				if held != nil {
+					check("held across the next get", heldB, held)
+				}
+				held, heldB = p, b
+				if len(c.probs) > maxCacheEntries {
+					t.Fatalf("cache holds %d entries, bound %d", len(c.probs), maxCacheEntries)
+				}
+			}
+			if hits == 0 {
+				t.Fatal("the stream never revisited a cached length")
 			}
 		})
 	}
@@ -179,8 +147,8 @@ func TestBranchLengthChangeBypassesStaleEntry(t *testing.T) {
 		t.Errorf("restored tree: %v != original %v", got, ll0)
 	}
 	eng.InvalidateTransitions()
-	if eng.CachedTransitions() != 0 {
-		t.Errorf("InvalidateTransitions left %d entries", eng.CachedTransitions())
+	if n := len(eng.trans.probs); n != 0 {
+		t.Errorf("InvalidateTransitions left %d entries", n)
 	}
 	if got := eng.LogLikelihood(tree); got != ll0 {
 		t.Errorf("after flush: %v != original %v", got, ll0)
@@ -199,7 +167,7 @@ func TestCacheBoundIsEnforced(t *testing.T) {
 		b := 0.01 + float64(i)*1e-5
 		tree := twoTaxonTree(b, b/2)
 		eng.LogLikelihood(tree)
-		if n := eng.CachedTransitions(); n > maxCacheEntries {
+		if n := len(eng.trans.probs); n > maxCacheEntries {
 			t.Fatalf("cache grew to %d entries (bound %d)", n, maxCacheEntries)
 		}
 	}

@@ -153,56 +153,63 @@ func NewRandomTree(taxa []string, rng *rand.Rand) (*Tree, error) {
 }
 
 // Validate checks structural invariants: binary internal nodes, consistent
-// parent/child pointers, every taxon present exactly once, positive branch
-// lengths.
+// parent/child pointers, every taxon index present exactly once, named tips,
+// non-negative branch lengths, no unreachable nodes.
 func (t *Tree) Validate() error {
+	_, err := t.validate(nil, make([]bool, len(t.Taxa)))
+	return err
+}
+
+// validate is Validate on caller-owned scratch, so the check at the top of
+// every search allocates nothing: stack is the traversal stack, returned for
+// reuse, and seen holds one cleared mark per taxon.
+func (t *Tree) validate(stack []*Node, seen []bool) ([]*Node, error) {
 	if t.Root == nil {
-		return fmt.Errorf("phylo: tree has no root")
+		return stack, fmt.Errorf("phylo: tree has no root")
 	}
 	if t.Root.Parent != nil {
-		return fmt.Errorf("phylo: root has a parent")
+		return stack, fmt.Errorf("phylo: root has a parent")
 	}
-	seenTips := map[string]bool{}
-	var walk func(n *Node) error
-	var visited int
-	walk = func(n *Node) error {
+	stack = append(stack[:0], t.Root)
+	visited, tips := 0, 0
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		visited++
 		if n.IsTip() {
 			if n.Name == "" {
-				return fmt.Errorf("phylo: tip %d has no name", n.ID)
+				return stack, fmt.Errorf("phylo: tip %d has no name", n.ID)
 			}
-			if seenTips[n.Name] {
-				return fmt.Errorf("phylo: taxon %q appears twice", n.Name)
+			if n.Taxon < 0 || n.Taxon >= len(t.Taxa) {
+				return stack, fmt.Errorf("phylo: tip %q has taxon index %d outside [0,%d)", n.Name, n.Taxon, len(t.Taxa))
 			}
-			seenTips[n.Name] = true
-			return nil
+			if seen[n.Taxon] {
+				return stack, fmt.Errorf("phylo: taxon %q appears twice", n.Name)
+			}
+			seen[n.Taxon] = true
+			tips++
+			continue
 		}
 		if len(n.Children) != 2 {
-			return fmt.Errorf("phylo: internal node %d has %d children, want 2", n.ID, len(n.Children))
+			return stack, fmt.Errorf("phylo: internal node %d has %d children, want 2", n.ID, len(n.Children))
 		}
 		for _, c := range n.Children {
 			if c.Parent != n {
-				return fmt.Errorf("phylo: node %d has a child with a mismatched parent pointer", n.ID)
+				return stack, fmt.Errorf("phylo: node %d has a child with a mismatched parent pointer", n.ID)
 			}
 			if c.Length < 0 {
-				return fmt.Errorf("phylo: negative branch length on node %d", c.ID)
+				return stack, fmt.Errorf("phylo: negative branch length on node %d", c.ID)
 			}
-			if err := walk(c); err != nil {
-				return err
-			}
+			stack = append(stack, c)
 		}
-		return nil
 	}
-	if err := walk(t.Root); err != nil {
-		return err
-	}
-	if len(seenTips) != len(t.Taxa) {
-		return fmt.Errorf("phylo: tree covers %d taxa, want %d", len(seenTips), len(t.Taxa))
+	if tips != len(t.Taxa) {
+		return stack, fmt.Errorf("phylo: tree covers %d taxa, want %d", tips, len(t.Taxa))
 	}
 	if visited != len(t.Nodes) {
-		return fmt.Errorf("phylo: %d nodes reachable from the root, %d allocated", visited, len(t.Nodes))
+		return stack, fmt.Errorf("phylo: %d nodes reachable from the root, %d allocated", visited, len(t.Nodes))
 	}
-	return nil
+	return stack, nil
 }
 
 // Clone returns a deep copy of the tree (new Node objects, same IDs).
@@ -362,6 +369,9 @@ func ParseNewick(s string) (*Tree, error) {
 	}
 	sort.Slice(tips, func(i, j int) bool { return tips[i].Name < tips[j].Name })
 	for i, tip := range tips {
+		if i > 0 && tip.Name == tips[i-1].Name {
+			return nil, fmt.Errorf("phylo: taxon %q appears twice", tip.Name)
+		}
 		tip.ID = i
 		tip.Taxon = i
 		t.Taxa = append(t.Taxa, tip.Name)

@@ -108,6 +108,7 @@ func TestParseNewickErrors(t *testing.T) {
 		"(a:x,b:0.1);",     // bad branch length
 		"((a,b),(c,d));;x", // trailing garbage
 		"(,b);",            // empty name
+		"((a,a),b);",       // duplicate taxon
 	}
 	for _, s := range bad {
 		if _, err := ParseNewick(s); err == nil {

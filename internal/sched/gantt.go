@@ -22,20 +22,9 @@ func TraceGantt(opt Options, scheduler string, columns int) string {
 	tl := trace.New()
 	opt.Trace = tl.Record
 
-	var res Result
-	switch scheduler {
-	case "ppe-only":
-		res = RunPPEOnly(opt)
-	case "linux":
-		res = RunLinux(opt)
-	case "edtlp":
-		res = RunEDTLP(opt)
-	case "hybrid", "edtlp-llp":
-		res = RunStaticHybrid(opt)
-	case "mgps":
-		res = RunMGPS(opt)
-	default:
-		return fmt.Sprintf("unknown scheduler %q", scheduler)
+	res, err := Run(scheduler, opt)
+	if err != nil {
+		return err.Error()
 	}
 	header := fmt.Sprintf("activity chart (%s, %d bootstraps shortened to %d off-loads each):\n",
 		res.Scheduler, opt.Bootstraps, short.CallsPerBootstrap)

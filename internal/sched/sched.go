@@ -24,6 +24,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 
 	"cellmg/internal/cellsim"
 	"cellmg/internal/offload"
@@ -228,6 +229,33 @@ func (r *run) result(name string) Result {
 		}
 	}
 	return res
+}
+
+// Run executes the scheduler of the given name, in any letter case:
+// "ppe-only", "linux", "edtlp", "hybrid" (or "edtlp-llp"; "edtlp-llp(N)" also
+// sets opt.SPEsPerLoop to N) or "mgps" — the names the commands take plus
+// every name a Result.Scheduler carries.
+func Run(name string, opt Options) (Result, error) {
+	lower := strings.ToLower(name)
+	var width int
+	if _, err := fmt.Sscanf(lower, "edtlp-llp(%d)", &width); err == nil {
+		opt.SPEsPerLoop = width
+		lower = "hybrid"
+	}
+	switch lower {
+	case "ppe-only":
+		return RunPPEOnly(opt), nil
+	case "linux":
+		return RunLinux(opt), nil
+	case "edtlp":
+		return RunEDTLP(opt), nil
+	case "hybrid", "edtlp-llp":
+		return RunStaticHybrid(opt), nil
+	case "mgps":
+		return RunMGPS(opt), nil
+	default:
+		return Result{}, fmt.Errorf("sched: unknown scheduler %q", name)
+	}
 }
 
 // RunPPEOnly executes the workload entirely on the PPE (no off-loading at

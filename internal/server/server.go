@@ -98,8 +98,6 @@ type Options struct {
 	RetryBackoff time.Duration
 	// WALSyncInterval overrides the group-commit fsync pacing (default 2ms).
 	WALSyncInterval time.Duration
-	// WALSegmentBytes overrides the segment rotation threshold (default 8MiB).
-	WALSegmentBytes int64
 	// FaultInjector arms deterministic WAL faults — crash-recovery tests
 	// only; leave nil in production.
 	FaultInjector *faultinject.Injector
@@ -219,11 +217,10 @@ func Open(opts Options) (*Server, error) {
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
 	if opts.DataDir != "" {
 		st, recovered, err := openJobStore(walOptions{
-			dir:             opts.DataDir,
-			segmentMaxBytes: opts.WALSegmentBytes,
-			syncInterval:    opts.WALSyncInterval,
-			inj:             opts.FaultInjector,
-			onError:         func(op string) { s.prom.walErrors.With(op).Inc() },
+			dir:          opts.DataDir,
+			syncInterval: opts.WALSyncInterval,
+			inj:          opts.FaultInjector,
+			onError:      func(op string) { s.prom.walErrors.With(op).Inc() },
 		})
 		if err != nil {
 			s.rt.Close()

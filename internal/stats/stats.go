@@ -50,22 +50,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// GeometricMean returns the geometric mean of strictly positive samples; it
-// returns 0 if any sample is non-positive or the slice is empty.
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
 // Point is one measurement of a swept quantity.
 type Point struct {
 	X float64
@@ -95,15 +79,6 @@ func (s *Series) Y(x float64) (float64, bool) {
 	return 0, false
 }
 
-// Xs returns the X values in order.
-func (s *Series) Xs() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.X
-	}
-	return out
-}
-
 // Ys returns the Y values in X order.
 func (s *Series) Ys() []float64 {
 	out := make([]float64, len(s.Points))
@@ -111,32 +86,6 @@ func (s *Series) Ys() []float64 {
 		out[i] = p.Y
 	}
 	return out
-}
-
-// CrossoverX returns the smallest shared X at and beyond which this series is
-// never worse (<=) than other, and whether such a point exists. Experiments
-// use it to locate, e.g., where EDTLP overtakes the static hybrid schemes.
-func (s *Series) CrossoverX(other *Series) (float64, bool) {
-	type pair struct{ x, a, b float64 }
-	var shared []pair
-	for _, p := range s.Points {
-		if y, ok := other.Y(p.X); ok {
-			shared = append(shared, pair{p.X, p.Y, y})
-		}
-	}
-	for i := range shared {
-		all := true
-		for _, q := range shared[i:] {
-			if q.a > q.b {
-				all = false
-				break
-			}
-		}
-		if all {
-			return shared[i].x, true
-		}
-	}
-	return 0, false
 }
 
 // RelErr returns |a-b|/|b|, or +Inf when b is zero.

@@ -33,18 +33,6 @@ func TestSummarizeEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	if g := GeometricMean([]float64{1, 4, 16}); math.Abs(g-4) > 1e-9 {
-		t.Errorf("geomean = %v, want 4", g)
-	}
-	if GeometricMean(nil) != 0 {
-		t.Errorf("geomean of empty should be 0")
-	}
-	if GeometricMean([]float64{1, -2}) != 0 {
-		t.Errorf("geomean with non-positive values should be 0")
-	}
-}
-
 func TestPropertySummaryBounds(t *testing.T) {
 	f := func(xs []float64) bool {
 		for _, x := range xs {
@@ -68,8 +56,8 @@ func TestSeriesAddSortsAndLookups(t *testing.T) {
 	s.Add(8, 43.3)
 	s.Add(1, 28.5)
 	s.Add(4, 33.1)
-	if xs := s.Xs(); xs[0] != 1 || xs[1] != 4 || xs[2] != 8 {
-		t.Errorf("Xs = %v, want sorted", xs)
+	if p := s.Points; p[0].X != 1 || p[1].X != 4 || p[2].X != 8 {
+		t.Errorf("Points = %v, want sorted by X", p)
 	}
 	if ys := s.Ys(); ys[0] != 28.5 || ys[2] != 43.3 {
 		t.Errorf("Ys = %v", ys)
@@ -79,35 +67,6 @@ func TestSeriesAddSortsAndLookups(t *testing.T) {
 	}
 	if _, ok := s.Y(5); ok {
 		t.Errorf("Y(5) should not exist")
-	}
-}
-
-func TestCrossoverX(t *testing.T) {
-	edtlp := &Series{Name: "edtlp"}
-	hybrid := &Series{Name: "hybrid"}
-	for _, p := range []struct{ x, e, h float64 }{
-		{1, 28, 18}, {2, 29, 19}, {4, 33, 37}, {8, 43, 73}, {16, 86, 146},
-	} {
-		edtlp.Add(p.x, p.e)
-		hybrid.Add(p.x, p.h)
-	}
-	x, ok := edtlp.CrossoverX(hybrid)
-	if !ok || x != 4 {
-		t.Errorf("crossover = %v, %v; want 4 (EDTLP at least as good from 4 bootstraps on)", x, ok)
-	}
-	// The hybrid never dominates from any point onwards.
-	if _, ok := hybrid.CrossoverX(edtlp); ok {
-		t.Errorf("hybrid should not dominate EDTLP at the tail")
-	}
-}
-
-func TestCrossoverNoSharedPoints(t *testing.T) {
-	a := &Series{}
-	a.Add(1, 1)
-	b := &Series{}
-	b.Add(2, 1)
-	if _, ok := a.CrossoverX(b); ok {
-		t.Errorf("series without shared X values cannot cross")
 	}
 }
 

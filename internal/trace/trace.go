@@ -123,7 +123,9 @@ func (t *Timeline) Gantt(columns int) string {
 	}
 	colDur := float64(end) / float64(columns)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-*s  0%s%v\n", width, "component", strings.Repeat(" ", columns-len(fmt.Sprint(end))), end)
+	// A chart narrower than the printed makespan gets no header padding.
+	pad := max(0, columns-len(fmt.Sprint(end)))
+	fmt.Fprintf(&b, "%-*s  0%s%v\n", width, "component", strings.Repeat(" ", pad), end)
 	for _, c := range comps {
 		busy := make([]float64, columns)
 		for _, iv := range t.intervals {

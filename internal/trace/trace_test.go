@@ -54,13 +54,18 @@ func TestGanttShape(t *testing.T) {
 	tl := New()
 	tl.Record("spe0", 0, sim.Time(50*sim.Microsecond), "compute")
 	tl.Record("spe1", sim.Time(50*sim.Microsecond), sim.Time(100*sim.Microsecond), "compute")
-	out := tl.Gantt(10)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("gantt should have a header and two rows:\n%s", out)
-	}
-	if !strings.Contains(lines[1], "spe0") || !strings.Contains(lines[2], "spe1") {
-		t.Errorf("rows mislabelled:\n%s", out)
+	var out string
+	var lines []string
+	// 10 columns hold the printed makespan; 2 are narrower than it.
+	for _, columns := range []int{2, 10} {
+		out = tl.Gantt(columns)
+		lines = strings.Split(strings.TrimSpace(out), "\n")
+		if len(lines) != 3 {
+			t.Fatalf("gantt(%d) should have a header and two rows:\n%s", columns, out)
+		}
+		if !strings.Contains(lines[1], "spe0") || !strings.Contains(lines[2], "spe1") {
+			t.Errorf("gantt(%d) rows mislabelled:\n%s", columns, out)
+		}
 	}
 	// spe0 busy in the first half, idle in the second; spe1 the reverse.
 	row0 := lines[1]
