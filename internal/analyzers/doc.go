@@ -17,8 +17,8 @@
 //     makenewz with its buildSumTable, sumDerivatives and sumLogLik loops),
 //     the ParallelFor runner
 //     (internal/native) and the simulator's event path (internal/sim:
-//     schedule, RunUntil, the heap sifts, Delay, Sleep, block, Queue.Put/Get,
-//     Resource.Acquire/Release, Signal.FireValue/Wait) carry the annotation;
+//     schedule, RunUntil, the heap sifts, wake, block, Delay, Queue.Put/Get,
+//     Resource.Acquire/Release, Signal.Fire/Wait) carry the annotation;
 //     the testing.AllocsPerRun guards in each package's alloc_test.go verify
 //     the same property dynamically.
 //

@@ -324,20 +324,16 @@ func TestNotifyPPEAndSendPassLatencies(t *testing.T) {
 	done := sim.NewSignal(eng)
 	m.SPE(0).Submit(func(c *SPEContext) {
 		c.Compute(10 * sim.Microsecond)
-		c.NotifyPPEValue(sigPPE, "result")
-		c.SendPassValue(sigSPE, 42)
+		c.NotifyPPE(sigPPE)
+		c.SendPass(sigSPE)
 		speDoneAt = c.Now()
 	}, done)
 	eng.Spawn("ppe-waiter", func(p *sim.Proc) {
-		if v := sigPPE.Wait(p); v != "result" {
-			t.Errorf("PPE received %v, want result", v)
-		}
+		sigPPE.Wait(p)
 		ppeSawAt = p.Now()
 	})
 	m.SPE(1).Submit(func(c *SPEContext) {
-		if v := c.WaitSignal(sigSPE); v != 42 {
-			t.Errorf("worker SPE received %v, want 42", v)
-		}
+		c.WaitSignal(sigSPE)
 		passSeenAt = c.Now()
 	}, nil)
 	eng.Spawn("join", func(p *sim.Proc) { done.Wait(p) })
@@ -358,7 +354,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	// SPE 0 busy for 30us; let the clock advance to 60us; SPE 0 should be
 	// ~50% utilized, others 0.
 	m.SPE(0).Submit(func(c *SPEContext) { c.Compute(30 * sim.Microsecond) }, nil)
-	eng.Spawn("clock", func(p *sim.Proc) { p.Sleep(60 * sim.Microsecond) })
+	eng.Spawn("clock", func(p *sim.Proc) { p.Delay(60 * sim.Microsecond) })
 	eng.Run()
 	u := m.Utilization()
 	if u.SPEBusy[0] < 0.49 || u.SPEBusy[0] > 0.51 {

@@ -17,8 +17,19 @@
 //
 // Each SPE is one sim process serving its command queue forever, so whoever
 // builds a Machine closes its engine when the run is over (sim.Engine.Close).
-// Component names ("cellC.speS", "cellC.ppe") are built once per component;
-// with Machine.Trace unset an activity interval costs nothing beyond its Delay.
+// The model needs five things of the engine and uses nothing else: Delay
+// (every compute, DMA and switch interval), a Queue per SPE (its mailbox), a
+// Resource per PPE and per EIB (SMT contexts, concurrent transfers), Signals
+// fired after a latency (completion notifications and Pass structures carry
+// no payload here — the off-load runtime knows what it sent) and, one layer
+// up, the Condition schedulers wait on for free SPEs.
+//
+// Every interval a component counts as busy goes through one place per
+// component kind (PPE.charge; SPEContext.Compute and dma), which delays,
+// accounts and reports it to Machine.Trace, so a traced lane sums to the
+// component's BusyTime. Component names ("cellC.speS", "cellC.ppe") are built
+// once per component; with Machine.Trace unset an activity interval costs
+// nothing beyond its Delay.
 //
 // The hardware substrate exposed here is policy-free: packages offload and
 // sched implement the off-load runtime and the EDTLP/LLP/MGPS schedulers on

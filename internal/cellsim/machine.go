@@ -13,8 +13,11 @@ const SPEsPerCell = 8
 
 // TraceFunc receives one interval of activity on a machine component. It is
 // invoked after the interval has elapsed (end == current virtual time).
-// Components are named "cellC.speS" and "cellC.ppe"; kinds are "compute",
-// "dma" and "switch".
+// Components are named "cellC.speS" and "cellC.ppe"; kinds are "compute"
+// (SPU or PPE computation), "dma" (an MFC transfer, code shipping included)
+// and "switch" (a PPE context switch: user-level, kernel-level, or the resume
+// penalty of a switched-out process). Every interval a component counts as
+// busy is reported, so a lane's intervals sum to the component's BusyTime.
 type TraceFunc func(component string, start, end sim.Time, kind string)
 
 // Machine is a Cell blade: one or more Cell processors sharing main memory.
@@ -25,8 +28,8 @@ type Machine struct {
 	Cost  *CostModel
 	Cells []*Cell
 
-	// Trace, when non-nil, receives every compute and DMA interval; package
-	// trace turns the stream into utilization timelines and Gantt charts.
+	// Trace, when non-nil, receives every interval of activity; package trace
+	// turns the stream into utilization timelines and Gantt charts.
 	Trace TraceFunc
 }
 

@@ -13,7 +13,6 @@ import (
 // Compute / ContextSwitch / KernelSwitch to charge time.
 type PPE struct {
 	machine *Machine
-	cell    *Cell
 	name    string // "cellC.ppe", the component name in trace streams
 
 	contexts *sim.Resource // SMT hardware contexts
@@ -28,14 +27,10 @@ func newPPE(m *Machine, cell *Cell) *PPE {
 	name := fmt.Sprintf("cell%d.ppe", cell.Index)
 	return &PPE{
 		machine:  m,
-		cell:     cell,
 		name:     name,
 		contexts: sim.NewResource(m.Eng, name, m.Cost.PPEContexts),
 	}
 }
-
-// Cell returns the Cell this PPE belongs to.
-func (p *PPE) Cell() *Cell { return p.cell }
 
 // Contexts returns the number of SMT hardware contexts.
 func (p *PPE) Contexts() int { return p.machine.Cost.PPEContexts }
@@ -60,6 +55,16 @@ func (p *PPE) AcquireContext(proc *sim.Proc) { p.contexts.Acquire(proc, 1) }
 // ReleaseContext releases a context claimed with AcquireContext.
 func (p *PPE) ReleaseContext() { p.contexts.Release(1) }
 
+// charge occupies the calling context for d: the one place PPE time is
+// delayed, counted as busy and reported to the trace hook, so the traced PPE
+// lane always adds up to BusyTime.
+func (p *PPE) charge(proc *sim.Proc, d sim.Duration, kind string) {
+	start := proc.Now()
+	p.busy += d
+	proc.Delay(d)
+	p.machine.emit(p.name, start, proc.Now(), kind)
+}
+
 // Compute charges d of PPE computation to the calling process. If the other
 // SMT context is computing at the same time, the duration is stretched by
 // the SMT contention factor: the two hardware threads share the PPE's
@@ -73,33 +78,25 @@ func (p *PPE) Compute(proc *sim.Proc, d sim.Duration) {
 	if p.active > 0 && p.machine.Cost.SMTContention > 1.0 {
 		factor = p.machine.Cost.SMTContention
 	}
-	stretched := sim.Duration(float64(d) * factor)
 	p.active++
-	p.busy += stretched
-	start := proc.Now()
-	proc.Delay(stretched)
+	p.charge(proc, sim.Duration(float64(d)*factor), "compute")
 	p.active--
-	p.machine.emit(p.name, start, proc.Now(), "compute")
 }
 
 // ContextSwitch charges the cost of one voluntary user-level context switch
 // (switching between MPI processes in the EDTLP scheduler).
 func (p *PPE) ContextSwitch(proc *sim.Proc) {
 	p.switches++
-	p.busy += p.machine.Cost.ContextSwitch
-	proc.Delay(p.machine.Cost.ContextSwitch)
+	p.charge(proc, p.machine.Cost.ContextSwitch, "switch")
 }
 
 // Resume charges the indirect cost of bringing a switched-out MPI process
 // back onto a PPE context (cold caches/TLBs plus user-level scheduler
 // dispatch); see CostModel.ResumePenalty.
 func (p *PPE) Resume(proc *sim.Proc) {
-	d := p.machine.Cost.ResumePenalty
-	if d <= 0 {
-		return
+	if d := p.machine.Cost.ResumePenalty; d > 0 {
+		p.charge(proc, d, "switch")
 	}
-	p.busy += d
-	proc.Delay(d)
 }
 
 // KernelSwitch charges the cost of one involuntary kernel-level context
@@ -108,6 +105,5 @@ func (p *PPE) Resume(proc *sim.Proc) {
 // pollutes caches and TLBs.
 func (p *PPE) KernelSwitch(proc *sim.Proc) {
 	p.kernelSwitches++
-	p.busy += p.machine.Cost.KernelSwitch
-	proc.Delay(p.machine.Cost.KernelSwitch)
+	p.charge(proc, p.machine.Cost.KernelSwitch, "switch")
 }

@@ -31,7 +31,6 @@ type SPE struct {
 	busy         sim.Duration
 	tasksRun     int
 	moduleLoads  int
-	bytesDMA     int64
 	loadedModule string
 	moduleSize   int
 }
@@ -71,9 +70,6 @@ func (s *SPE) run(p *sim.Proc) {
 // Cell returns the Cell this SPE belongs to.
 func (s *SPE) Cell() *Cell { return s.cell }
 
-// Machine returns the blade this SPE belongs to.
-func (s *SPE) Machine() *Machine { return s.machine }
-
 // Submit enqueues a work item for the SPE; done, when non-nil, fires the
 // moment the item completes. The closure runs on the SPE's own simulated
 // process and may use every SPEContext primitive.
@@ -100,9 +96,6 @@ func (s *SPE) TasksRun() int { return s.tasksRun }
 // local store.
 func (s *SPE) ModuleLoads() int { return s.moduleLoads }
 
-// BytesDMA returns the total payload moved over the SPE's MFC.
-func (s *SPE) BytesDMA() int64 { return s.bytesDMA }
-
 // LoadedModule returns the name of the code module currently resident in the
 // local store ("" if none).
 func (s *SPE) LoadedModule() string { return s.loadedModule }
@@ -116,9 +109,6 @@ type SPEContext struct {
 	spe  *SPE
 	proc *sim.Proc
 }
-
-// SPE returns the element the code is running on.
-func (c *SPEContext) SPE() *SPE { return c.spe }
 
 // Now returns the current virtual time.
 func (c *SPEContext) Now() sim.Time { return c.proc.Now() }
@@ -145,7 +135,6 @@ func (c *SPEContext) dma(size int) {
 	eib.Acquire(c.proc, 1)
 	start := c.proc.Now()
 	c.spe.busy += d
-	c.spe.bytesDMA += int64(size)
 	c.proc.Delay(d)
 	eib.Release(1)
 	c.spe.machine.emit(c.spe.name, start, c.proc.Now(), "dma")
@@ -192,12 +181,6 @@ func (c *SPEContext) NotifyPPE(sig *sim.Signal) {
 	sig.FireAfter(c.spe.machine.Cost.SPEToPPESignal)
 }
 
-// NotifyPPEValue is NotifyPPE carrying a value for the waiter.
-func (c *SPEContext) NotifyPPEValue(sig *sim.Signal, v any) {
-	eng := c.spe.machine.Eng
-	eng.After(c.spe.machine.Cost.SPEToPPESignal, func() { sig.FireValue(v) })
-}
-
 // SendPass models the direct SPE-to-SPE delivery of a small Pass structure
 // (<= 128 bytes) into the target SPE's local store: an mfc_put of the
 // structure followed by the target noticing the updated signal word. The
@@ -207,12 +190,6 @@ func (c *SPEContext) SendPass(target *sim.Signal) {
 	target.FireAfter(c.spe.machine.Cost.SPEToSPESignal)
 }
 
-// SendPassValue is SendPass carrying a payload value.
-func (c *SPEContext) SendPassValue(target *sim.Signal, v any) {
-	eng := c.spe.machine.Eng
-	eng.After(c.spe.machine.Cost.SPEToSPESignal, func() { target.FireValue(v) })
-}
-
 // WaitSignal blocks the SPE until the signal fires (spinning on a signal word
 // in its local store). The waiting time is not charged as busy time.
-func (c *SPEContext) WaitSignal(sig *sim.Signal) any { return sig.Wait(c.proc) }
+func (c *SPEContext) WaitSignal(sig *sim.Signal) { sig.Wait(c.proc) }

@@ -20,7 +20,6 @@ package hostsim
 
 import (
 	"fmt"
-	"math"
 )
 
 // Machine describes a conventional shared-memory machine running the MPI
@@ -124,25 +123,6 @@ func (m *Machine) waveTime(jobs int) float64 {
 	return worst
 }
 
-// Throughput returns bootstraps per second in steady state (all contexts
-// busy).
-func (m *Machine) Throughput() float64 {
-	full := m.waveTime(m.Contexts())
-	if full == 0 {
-		return 0
-	}
-	return float64(m.Contexts()) / full
-}
-
-// Sweep returns RunBootstraps for every count in ns.
-func (m *Machine) Sweep(ns []int) []float64 {
-	out := make([]float64, len(ns))
-	for i, n := range ns {
-		out[i] = m.RunBootstraps(n)
-	}
-	return out
-}
-
 // DualXeonHT returns the comparison system of Section 5.6: two Intel Pentium 4
 // Xeon processors at 2 GHz with Hyper-Threading (2-way SMT each), i.e. four
 // hardware contexts on a 4-way SMP Dell PowerEdge 6650.
@@ -186,27 +166,4 @@ func Power5() *Machine {
 		SMTContention:    1.30,
 		MemoryContention: 1.0,
 	}
-}
-
-// CellReference returns a crude context-count-only model of the Cell itself
-// (one bootstrap per SPE, eight contexts). It exists only for sanity checks
-// and tests; the real Cell numbers come from the cellsim/sched simulation.
-func CellReference(bootstrapSeconds float64) *Machine {
-	return &Machine{
-		Name:             "Cell (reference)",
-		Sockets:          1,
-		CoresPerSocket:   8,
-		ThreadsPerCore:   1,
-		BootstrapSeconds: bootstrapSeconds,
-		SMTContention:    1.0,
-		MemoryContention: 1.0,
-	}
-}
-
-// RelativeError returns |a-b| / b.
-func RelativeError(a, b float64) float64 {
-	if b == 0 {
-		return math.Inf(1)
-	}
-	return math.Abs(a-b) / math.Abs(b)
 }

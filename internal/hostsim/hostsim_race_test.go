@@ -11,7 +11,7 @@ import (
 )
 
 func TestConcurrentSweepsOnSharedMachine(t *testing.T) {
-	machines := []*Machine{DualXeonHT(), Power5(), CellReference(28)}
+	machines := []*Machine{DualXeonHT(), Power5(), eightCore(28)}
 	counts := []int{1, 2, 4, 8, 16, 32, 64, 128}
 	for _, m := range machines {
 		m := m
@@ -19,9 +19,15 @@ func TestConcurrentSweepsOnSharedMachine(t *testing.T) {
 			if err := m.Validate(); err != nil {
 				t.Fatal(err)
 			}
+			sweep := func() []float64 {
+				out := make([]float64, len(counts))
+				for i, n := range counts {
+					out[i] = m.RunBootstraps(n)
+				}
+				return out
+			}
 			// Reference answers computed serially first.
-			want := m.Sweep(counts)
-			wantThroughput := m.Throughput()
+			want := sweep()
 
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
@@ -29,16 +35,12 @@ func TestConcurrentSweepsOnSharedMachine(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for rep := 0; rep < 50; rep++ {
-						got := m.Sweep(counts)
+						got := sweep()
 						for i := range counts {
 							if got[i] != want[i] {
-								t.Errorf("concurrent Sweep[%d] = %v, want %v", i, got[i], want[i])
+								t.Errorf("concurrent RunBootstraps(%d) = %v, want %v", counts[i], got[i], want[i])
 								return
 							}
-						}
-						if th := m.Throughput(); th != wantThroughput {
-							t.Errorf("concurrent Throughput = %v, want %v", th, wantThroughput)
-							return
 						}
 						m.Contexts()
 						m.Cores()

@@ -14,8 +14,14 @@
 //     parallelism     -> TaskContext.ParallelFor, which work-shares a loop
 //     across the worker group assigned to the task, with the master slice
 //     deliberately larger (the paper's purposeful load unbalancing)
-//   - MGPS            -> policy.MGPS observing off-load completions and
-//     choosing between one worker per task and ⌊workers/T⌋ workers per task
+//   - the scheduler's
+//     SPE bookkeeping -> one policy.Pool over the worker slots, the type the
+//     simulated Cell schedulers hold per Cell: it grants one worker per task
+//     (EDTLP), a fixed group (StaticLLP), or what the MGPS controller reads
+//     off this runtime's own off-load departures — ⌊workers/T⌋ workers per
+//     task when few streams are active. The runtime adds only what real
+//     threads need: the mutex the pool is called under and the sync.Cond
+//     submitters wait on until the pool can grant them.
 //
 // analysis.go is the parallel analysis driver. It owns only what is native —
 // a Submitter per task, OffloadContext, cancellation on the first failure,
@@ -112,11 +118,9 @@ type Runtime struct {
 	flight  *flight.Recorder
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	alloc   *policy.SPEAllocator
-	mgps    *policy.MGPS
-	static  policy.Decision
-	active  int // submitters with an off-load in flight or waiting for workers
+	cond    *sync.Cond   // signalled when workers return to the pool
+	pool    *policy.Pool // guarded by mu
+	active  int          // submitters with an off-load in flight or waiting for workers
 	closed  bool
 	nextSub int64
 
@@ -146,19 +150,15 @@ func New(opts Options) *Runtime {
 	if opts.SPEsPerLoop > opts.Workers {
 		opts.SPEsPerLoop = opts.Workers
 	}
-	r := &Runtime{
-		opts:   opts,
-		alloc:  policy.NewSPEAllocator(opts.Workers),
-		flight: opts.Flight,
-	}
+	r := &Runtime{opts: opts, flight: opts.Flight}
 	r.cond = sync.NewCond(&r.mu)
 	switch opts.Policy {
 	case StaticLLP:
-		r.static = policy.StaticLLPDecision(opts.SPEsPerLoop)
+		r.pool = policy.NewFixedPool(opts.Workers, policy.StaticLLPDecision(opts.SPEsPerLoop))
 	case MGPS:
-		r.mgps = policy.NewMGPS(policy.DefaultMGPSConfig(opts.Workers))
+		r.pool = policy.NewAdaptivePool(opts.Workers, policy.MGPSConfig{})
 	default:
-		r.static = policy.Decision{UseLLP: false, SPEsPerLoop: 1}
+		r.pool = policy.NewFixedPool(opts.Workers, policy.Decision{SPEsPerLoop: 1})
 	}
 	for i := 0; i < opts.Workers; i++ {
 		w := &worker{id: i, jobs: make(chan func())}
@@ -207,14 +207,7 @@ func (r *Runtime) Policy() PolicyKind { return r.opts.Policy }
 func (r *Runtime) Decision() policy.Decision {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.decisionLocked()
-}
-
-func (r *Runtime) decisionLocked() policy.Decision {
-	if r.mgps != nil {
-		return r.mgps.Current()
-	}
-	return r.static
+	return r.pool.Decision()
 }
 
 // Stats returns a snapshot of the runtime counters.
@@ -226,10 +219,7 @@ func (r *Runtime) Stats() Stats {
 		LoopsWorkShared: atomic.LoadInt64(&r.loopsWorkShared),
 		LoopsSerial:     atomic.LoadInt64(&r.loopsSerial),
 	}
-	if r.mgps != nil {
-		s.Switches = r.mgps.Switches()
-		s.Evaluations = r.mgps.Evaluations()
-	}
+	s.Evaluations, s.Switches = r.pool.Counts()
 	for _, w := range r.workers {
 		s.WorkerBusy = append(s.WorkerBusy, time.Duration(w.busy.Load()))
 	}
@@ -388,28 +378,13 @@ func (s *Submitter) OffloadContext(ctx context.Context, fn func(tc *TaskContext)
 		return fmt.Errorf("native: runtime is closed")
 	}
 	r.active++
-	// Acquire a worker group according to the decision in force, waiting if
-	// the pool is fully busy. The decision is re-read after every wait so an
-	// MGPS mode switch applies immediately.
+	// Acquire the worker group the pool grants this stream, waiting while it
+	// is too busy. The pool is asked again after every wait, so an MGPS mode
+	// switch applies immediately.
 	var group []int
 	for {
-		dec := r.decisionLocked()
-		want := 1
-		if dec.UseLLP {
-			want = dec.SPEsPerLoop
-			if want > r.opts.Workers {
-				want = r.opts.Workers
-			}
-		}
 		var ok bool
-		if want <= 1 {
-			var id int
-			id, ok = r.alloc.AcquireOne()
-			group = []int{id}
-		} else {
-			group, ok = r.alloc.AcquireGroup(want)
-		}
-		if ok {
+		if group, ok = r.pool.Acquire(s.id); ok {
 			break
 		}
 		// Check before waiting as well as after: a cancellation that fired
@@ -432,9 +407,6 @@ func (s *Submitter) OffloadContext(ctx context.Context, fn func(tc *TaskContext)
 			return fmt.Errorf("native: runtime closed while waiting for workers")
 		}
 	}
-	if r.mgps != nil {
-		r.mgps.RecordOffload(s.id, group[0])
-	}
 	r.mu.Unlock()
 	granted := time.Now()
 	r.flight.Span(r.flight.SubmitLane(s.id), flight.KindQueue, s.flow, qStart, int64(s.id), int64(len(group)))
@@ -455,22 +427,19 @@ func (s *Submitter) OffloadContext(ctx context.Context, fn func(tc *TaskContext)
 	atomic.AddInt64(&r.tasksRun, 1)
 
 	r.mu.Lock()
-	r.alloc.ReleaseGroup(group)
+	r.pool.Release(group)
 	r.active--
-	if r.mgps != nil {
-		waiting := r.active + 1 // tasks currently wanting workers, including the stream that just finished
-		evalsBefore := r.mgps.Evaluations()
-		dec, changed := r.mgps.RecordCompletion(s.id, waiting)
-		if r.flight != nil && r.mgps.Evaluations() != evalsBefore {
-			lane := r.flight.PolicyLane()
-			r.flight.Instant(lane, flight.KindEval, 0, int64(r.mgps.LastU()), int64(dec.SPEsPerLoop))
-			if changed {
-				llp := int64(0)
-				if dec.UseLLP {
-					llp = 1
-				}
-				r.flight.Instant(lane, flight.KindSwitch, 0, int64(dec.SPEsPerLoop), llp)
+	// Tasks currently wanting workers: everyone in flight or queued, plus the
+	// stream that just finished.
+	if ev, closed := r.pool.Depart(s.id, r.active+1); closed {
+		lane := r.flight.PolicyLane()
+		r.flight.Instant(lane, flight.KindEval, 0, int64(ev.U), int64(ev.Decision.SPEsPerLoop))
+		if ev.Changed {
+			llp := int64(0)
+			if ev.Decision.UseLLP {
+				llp = 1
 			}
+			r.flight.Instant(lane, flight.KindSwitch, 0, int64(ev.Decision.SPEsPerLoop), llp)
 		}
 	}
 	r.cond.Broadcast()

@@ -107,25 +107,6 @@ func (r *Runtime) moduleSize(name string) int {
 	return r.Config.ModuleCodeSize
 }
 
-// Preload ships the named module to each SPE ahead of time, so that the
-// first off-load does not pay t_code. It blocks the calling (PPE-side)
-// process until every SPE has the module resident.
-func (r *Runtime) Preload(p *sim.Proc, spes []*cellsim.SPE, module string) {
-	size := r.moduleSize(module)
-	signals := make([]*sim.Signal, len(spes))
-	for i, spe := range spes {
-		signals[i] = sim.NewSignal(r.Machine.Eng)
-		spe.Submit(func(c *cellsim.SPEContext) {
-			if err := c.LoadModule(module, size); err != nil {
-				panic(fmt.Sprintf("offload: preload failed: %v", err))
-			}
-		}, signals[i])
-	}
-	for _, s := range signals {
-		s.Wait(p)
-	}
-}
-
 // GranularityOK implements the EDTLP off-loading test of Section 5.2:
 // t_spe + t_code + 2*t_comm < t_ppe. codeResident states whether the serial
 // module is already loaded on the target SPE (t_code = 0 in that case).

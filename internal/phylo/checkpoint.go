@@ -279,38 +279,51 @@ func (c *Checkpoint) AppendBinary(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, sum)
 }
 
-// decoder is a bounds-checked little-endian reader over an encoded record.
-type decoder struct {
+// Decoder is a bounds-checked little-endian cursor over one encoded record
+// with a sticky error: after the first failure every read returns zero, so a
+// record is decoded straight through and Err checked once. It reads the
+// checkpoint and tree records here and the job server's WAL payloads, which
+// are built from the same primitives (uvarint, fixed u64, bool byte,
+// length-prefixed bytes).
+type Decoder struct {
 	data []byte
 	pos  int
 	err  error
 }
 
-func (d *decoder) fail(format string, args ...any) {
+// NewDecoder returns a decoder positioned at the start of data.
+func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
+
+// Err returns the first failure, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+func (d *Decoder) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf(format, args...)
 	}
 }
 
-func (d *decoder) uvarint() uint64 {
+// Uvarint reads one unsigned varint.
+func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.data[d.pos:])
 	if n <= 0 {
-		d.fail("phylo: truncated varint at offset %d", d.pos)
+		d.fail("truncated varint at offset %d", d.pos)
 		return 0
 	}
 	d.pos += n
 	return v
 }
 
-func (d *decoder) u64() uint64 {
+// U64 reads one fixed-width little-endian 64-bit value.
+func (d *Decoder) U64() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	if d.pos+8 > len(d.data) {
-		d.fail("phylo: truncated u64 at offset %d", d.pos)
+	if len(d.data)-d.pos < 8 {
+		d.fail("truncated u64 at offset %d", d.pos)
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.data[d.pos:])
@@ -318,14 +331,15 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
+func (d *Decoder) f64() float64 { return math.Float64frombits(d.U64()) }
 
-func (d *decoder) bool() bool {
+// Bool reads one byte as a flag.
+func (d *Decoder) Bool() bool {
 	if d.err != nil {
 		return false
 	}
 	if d.pos >= len(d.data) {
-		d.fail("phylo: truncated bool at offset %d", d.pos)
+		d.fail("truncated bool at offset %d", d.pos)
 		return false
 	}
 	v := d.data[d.pos]
@@ -333,48 +347,60 @@ func (d *decoder) bool() bool {
 	return v != 0
 }
 
-func (d *decoder) string(maxLen uint64) string {
-	n := d.uvarint()
+// Bytes reads a uvarint length and that many bytes, returned as a view of the
+// record. The length is compared in unsigned space, so no length a writer can
+// put in a varint reaches a slice expression unless the record holds it.
+func (d *Decoder) Bytes() []byte {
+	n := d.Uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
-	if n > maxLen || d.pos+int(n) > len(d.data) {
-		d.fail("phylo: string of %d bytes at offset %d exceeds record", n, d.pos)
-		return ""
+	if n > uint64(len(d.data)-d.pos) {
+		d.fail("%d bytes at offset %d exceed the record", n, d.pos)
+		return nil
 	}
-	s := string(d.data[d.pos : d.pos+int(n)])
+	b := d.data[d.pos : d.pos+int(n)]
 	d.pos += int(n)
-	return s
+	return b
+}
+
+func (d *Decoder) string(maxLen int) string {
+	b := d.Bytes()
+	if len(b) > maxLen {
+		d.fail("string of %d bytes before offset %d, limit %d", len(b), d.pos, maxLen)
+		return ""
+	}
+	return string(b)
 }
 
 // maxCheckpointNodes bounds decoded snapshot sizes so a corrupt length prefix
 // cannot provoke a huge allocation before the CRC is even checked.
 const maxCheckpointNodes = 1 << 22
 
-func (d *decoder) snapshot(s *TreeSnapshot) {
-	n := d.uvarint()
+func (d *Decoder) snapshot(s *TreeSnapshot) {
+	n := d.Uvarint()
 	if d.err != nil {
 		return
 	}
 	if n < 3 || n > maxCheckpointNodes {
-		d.fail("phylo: snapshot node count %d out of range", n)
+		d.fail("snapshot node count %d out of range", n)
 		return
 	}
 	s.parent = make([]int32, n)
 	s.child = make([]int32, 2*n)
 	s.length = make([]float64, n)
 	for i := range s.parent {
-		v := d.uvarint()
+		v := d.Uvarint()
 		if v > n {
-			d.fail("phylo: snapshot parent %d out of range", v)
+			d.fail("snapshot parent %d out of range", v)
 			return
 		}
 		s.parent[i] = int32(v) - 1
 	}
 	for i := range s.child {
-		v := d.uvarint()
+		v := d.Uvarint()
 		if v > n {
-			d.fail("phylo: snapshot child %d out of range", v)
+			d.fail("snapshot child %d out of range", v)
 			return
 		}
 		s.child[i] = int32(v) - 1
@@ -382,9 +408,9 @@ func (d *decoder) snapshot(s *TreeSnapshot) {
 	for i := range s.length {
 		s.length[i] = d.f64()
 	}
-	root := d.uvarint()
+	root := d.Uvarint()
 	if d.err == nil && root >= n {
-		d.fail("phylo: snapshot root %d out of range", root)
+		d.fail("snapshot root %d out of range", root)
 		return
 	}
 	s.root = int32(root)
@@ -414,25 +440,25 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{data: body}
-	if v := d.uvarint(); d.err == nil && v != CheckpointVersion {
+	d := NewDecoder(body)
+	if v := d.Uvarint(); d.err == nil && v != CheckpointVersion {
 		return nil, fmt.Errorf("phylo: checkpoint version %d, this binary reads only %d", v, CheckpointVersion)
 	}
 	c := &Checkpoint{}
-	c.Round = int(d.uvarint())
-	c.NNIEvaluated = int(d.uvarint())
-	c.NNIAccepted = int(d.uvarint())
+	c.Round = int(d.Uvarint())
+	c.NNIEvaluated = int(d.Uvarint())
+	c.NNIAccepted = int(d.Uvarint())
 	// Reserved: a checkpoint written by a speculative search of an earlier
 	// binary carries its counters here; they never influenced the search.
-	d.uvarint()
-	d.uvarint()
+	d.Uvarint()
+	d.Uvarint()
 	c.StartLogLik = d.f64()
 	c.Best = d.f64()
-	c.SmoothConverged = d.bool()
-	c.LastSweepImproved = d.bool()
-	c.Seed = int64(d.u64())
-	d.bool() // reserved: the site-repeat setting of the writing engine
-	c.ModelGTR = d.bool()
+	c.SmoothConverged = d.Bool()
+	c.LastSweepImproved = d.Bool()
+	c.Seed = int64(d.U64())
+	d.Bool() // reserved: the site-repeat setting of the writing engine
+	c.ModelGTR = d.Bool()
 	c.ModelName = d.string(1 << 10)
 	for i := range c.GTRRates {
 		c.GTRRates[i] = d.f64()
@@ -440,7 +466,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	for i := range c.GTRFreqs {
 		c.GTRFreqs[i] = d.f64()
 	}
-	nRates := d.uvarint()
+	nRates := d.Uvarint()
 	if d.err == nil && nRates > 1<<10 {
 		return nil, fmt.Errorf("phylo: checkpoint rate count %d out of range", nRates)
 	}
@@ -450,7 +476,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			c.Rates[i] = d.f64()
 		}
 	}
-	nTaxa := d.uvarint()
+	nTaxa := d.Uvarint()
 	if d.err == nil && nTaxa > maxCheckpointNodes {
 		return nil, fmt.Errorf("phylo: checkpoint taxon count %d out of range", nTaxa)
 	}
@@ -462,7 +488,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	d.snapshot(&c.Topo)
 	if d.err != nil {
-		return nil, d.err
+		return nil, fmt.Errorf("phylo: checkpoint: %w", d.err)
 	}
 	if d.pos != len(body) {
 		return nil, fmt.Errorf("phylo: %d trailing bytes after checkpoint", len(body)-d.pos)
@@ -498,11 +524,11 @@ func DecodeTreeBinary(data []byte) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{data: body}
-	if v := d.uvarint(); d.err == nil && v != CheckpointVersion {
+	d := NewDecoder(body)
+	if v := d.Uvarint(); d.err == nil && v != CheckpointVersion {
 		return nil, fmt.Errorf("phylo: tree record version %d, this binary reads only %d", v, CheckpointVersion)
 	}
-	nTaxa := d.uvarint()
+	nTaxa := d.Uvarint()
 	if d.err == nil && nTaxa > maxCheckpointNodes {
 		return nil, fmt.Errorf("phylo: tree record taxon count %d out of range", nTaxa)
 	}
@@ -516,7 +542,7 @@ func DecodeTreeBinary(data []byte) (*Tree, error) {
 	var snap TreeSnapshot
 	d.snapshot(&snap)
 	if d.err != nil {
-		return nil, d.err
+		return nil, fmt.Errorf("phylo: tree record: %w", d.err)
 	}
 	if d.pos != len(body) {
 		return nil, fmt.Errorf("phylo: %d trailing bytes after tree record", len(body)-d.pos)

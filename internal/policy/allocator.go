@@ -2,10 +2,10 @@ package policy
 
 import "fmt"
 
-// SPEAllocator tracks which SPEs are free and hands them out either one at a
-// time (EDTLP) or in contiguous groups for loop work-sharing (LLP). It is
-// deliberately simple bookkeeping shared by the simulator-backed schedulers
-// and the native runtime; all blocking/waiting is the caller's concern.
+// SPEAllocator tracks which SPEs are free and hands them out in groups: of
+// one for EDTLP, of several for loop work-sharing (LLP). It is deliberately
+// simple bookkeeping behind Pool; all blocking/waiting is the caller's
+// concern.
 type SPEAllocator struct {
 	free []bool
 	n    int
@@ -35,21 +35,6 @@ func (a *SPEAllocator) FreeCount() int {
 		}
 	}
 	return c
-}
-
-// IsFree reports whether the SPE with the given index is free.
-func (a *SPEAllocator) IsFree(i int) bool { return a.free[i] }
-
-// AcquireOne claims the lowest-indexed free SPE, reporting failure when all
-// are busy.
-func (a *SPEAllocator) AcquireOne() (int, bool) {
-	for i, f := range a.free {
-		if f {
-			a.free[i] = false
-			return i, true
-		}
-	}
-	return -1, false
 }
 
 // AcquireGroup claims k free SPEs (the lowest-indexed ones available),

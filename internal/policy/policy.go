@@ -1,13 +1,19 @@
 // Package policy contains the scheduling decision logic of the paper as pure,
-// substrate-independent code: the MGPS adaptive controller that switches
-// between event-driven task-level parallelism (EDTLP) and hybrid
-// task+loop-level parallelism (EDTLP-LLP), and the SPE allocation bookkeeping
-// both need.
+// substrate-independent code. Pool is the whole of it for one set of SPEs:
+// which SPEs are free, the parallelization mode in force (fixed for EDTLP and
+// static EDTLP-LLP, chosen by the MGPS controller otherwise), how many SPEs
+// the next off-load is therefore granted, and the window of off-load
+// departures from which MGPS sizes the grants after it.
 //
-// Nothing in this package knows about the simulator or about goroutines; the
-// same controller instance drives the simulated Cell schedulers in package
-// sched and the native Go runtime in package native. This mirrors the paper's
-// structure, where the contribution is the policy, not the substrate.
+// Nothing in this package knows about the simulator or about goroutines: the
+// simulated Cell schedulers in package sched (one Pool per Cell) and the
+// native Go runtime in package native (one Pool per runtime) drive the same
+// type through the same three calls — Acquire, Release, Depart. What stays
+// with the substrate is what only it can do: waiting (a sim.Condition there,
+// a sync.Cond here) until Acquire succeeds, and mutual exclusion — a Pool is
+// not safe for concurrent use, so native calls it under its lock while the
+// simulator, where one process runs at a time, needs none. This mirrors the
+// paper's structure, where the contribution is the policy, not the substrate.
 package policy
 
 import "fmt"
@@ -61,13 +67,23 @@ func DefaultMGPSConfig(numSPEs int) MGPSConfig {
 type MGPS struct {
 	cfg MGPSConfig
 
-	completions    int
-	procsInWindow  map[int]struct{}
-	spesUsedWindow map[int]struct{}
-	current        Decision
-	evaluations    int
-	switches       int
-	lastU          int
+	completions   int
+	procsInWindow map[int]struct{}
+	current       Decision
+	evaluations   int
+	switches      int
+}
+
+// Evaluation is what MGPS measured and decided when a window of departures
+// closed.
+type Evaluation struct {
+	// U is the degree of task-level parallelism the window showed: how many
+	// distinct processes off-loaded during it.
+	U int
+	// Decision is in force from this departure on.
+	Decision Decision
+	// Changed reports whether Decision differs from the one it replaces.
+	Changed bool
 }
 
 // NewMGPS creates a controller with the given configuration. Zero or negative
@@ -83,10 +99,9 @@ func NewMGPS(cfg MGPSConfig) *MGPS {
 		cfg.UThreshold = cfg.NumSPEs / 2
 	}
 	return &MGPS{
-		cfg:            cfg,
-		procsInWindow:  make(map[int]struct{}),
-		spesUsedWindow: make(map[int]struct{}),
-		current:        Decision{UseLLP: false, SPEsPerLoop: 1},
+		cfg:           cfg,
+		procsInWindow: make(map[int]struct{}),
+		current:       Decision{UseLLP: false, SPEsPerLoop: 1},
 	}
 }
 
@@ -102,61 +117,38 @@ func (m *MGPS) Evaluations() int { return m.evaluations }
 // Switches returns how many times the decision changed.
 func (m *MGPS) Switches() int { return m.switches }
 
-// RecordOffload notes that process procID off-loaded a task that will run on
-// SPE speID ("arrival" in the paper's terminology).
-func (m *MGPS) RecordOffload(procID, speID int) {
-	m.procsInWindow[procID] = struct{}{}
-	m.spesUsedWindow[speID] = struct{}{}
-}
+// RecordOffload notes that process procID off-loaded a task ("arrival" in the
+// paper's terminology).
+func (m *MGPS) RecordOffload(procID int) { m.procsInWindow[procID] = struct{}{} }
 
-// RecordCompletion notes that an off-loaded task of process procID finished
-// ("departure"). waitingTasks is the number of tasks currently wanting SPEs
-// (processes with an off-load in flight or about to issue one). It returns
-// the decision now in force and whether this departure changed it.
-func (m *MGPS) RecordCompletion(procID int, waitingTasks int) (Decision, bool) {
+// RecordDeparture notes that an off-loaded task of process procID finished.
+// waitingTasks is the number of tasks currently wanting SPEs (processes with
+// an off-load in flight or about to issue one). Every Window departures the
+// window closes: the second result is true and the first is its evaluation;
+// in between the decision in force stands and the results are zero.
+func (m *MGPS) RecordDeparture(procID int, waitingTasks int) (Evaluation, bool) {
 	m.procsInWindow[procID] = struct{}{}
 	m.completions++
 	if m.completions%m.cfg.Window != 0 {
-		return m.current, false
+		return Evaluation{}, false
 	}
 	m.evaluations++
 	u := len(m.procsInWindow)
-	m.lastU = u
 	prev := m.current
+	m.current = Decision{UseLLP: false, SPEsPerLoop: 1}
 	if u <= m.cfg.UThreshold {
-		t := waitingTasks
-		if t < 1 {
-			t = 1
+		per := m.cfg.NumSPEs / max(waitingTasks, 1)
+		if per > 1 {
+			m.current = Decision{UseLLP: true, SPEsPerLoop: per}
 		}
-		per := m.cfg.NumSPEs / t
-		if per < 1 {
-			per = 1
-		}
-		if per > m.cfg.NumSPEs {
-			per = m.cfg.NumSPEs
-		}
-		m.current = Decision{UseLLP: per > 1, SPEsPerLoop: per}
-	} else {
-		m.current = Decision{UseLLP: false, SPEsPerLoop: 1}
 	}
-	m.procsInWindow = make(map[int]struct{})
-	m.spesUsedWindow = make(map[int]struct{})
+	clear(m.procsInWindow)
 	changed := m.current != prev
 	if changed {
 		m.switches++
 	}
-	return m.current, changed
+	return Evaluation{U: u, Decision: m.current, Changed: changed}, true
 }
-
-// U returns the degree of task-level parallelism observed so far in the
-// current window (distinct processes that off-loaded).
-func (m *MGPS) U() int { return len(m.procsInWindow) }
-
-// LastU returns the degree of task-level parallelism measured by the most
-// recent window evaluation (0 before the first evaluation). The window maps
-// are reset after each evaluation, so this is the only place the measured U
-// survives — the flight recorder reads it to annotate mgps-eval instants.
-func (m *MGPS) LastU() int { return m.lastU }
 
 // StaticLLPDecision returns the decision used by the static EDTLP-LLP
 // schedulers of Figure 7: a fixed number of SPEs per parallel loop.

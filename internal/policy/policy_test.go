@@ -34,7 +34,7 @@ func simulateWindow(m *MGPS, nProcs, waiting int) (Decision, bool) {
 	var changed bool
 	for i := 0; i < w; i++ {
 		proc := i % nProcs
-		m.RecordOffload(proc, i%m.Config().NumSPEs)
+		m.RecordOffload(proc)
 		d, changed = m.RecordCompletion(proc, waiting)
 	}
 	return d, changed
@@ -116,7 +116,7 @@ func TestMGPSDeactivatesLLPWhenParallelismRises(t *testing.T) {
 func TestMGPSOnlyEvaluatesAtWindowBoundaries(t *testing.T) {
 	m := NewMGPS(DefaultMGPSConfig(8))
 	for i := 0; i < 7; i++ {
-		m.RecordOffload(0, 0)
+		m.RecordOffload(0)
 		if _, changed := m.RecordCompletion(0, 1); changed {
 			t.Fatalf("decision changed after %d completions, before the window boundary", i+1)
 		}
@@ -225,21 +225,21 @@ func TestAllocatorSingleAcquisition(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
-		id, ok := a.AcquireOne()
-		if !ok || seen[id] {
-			t.Fatalf("acquisition %d failed or returned duplicate %d", i, id)
+		g, ok := a.AcquireGroup(1)
+		if !ok || len(g) != 1 || seen[g[0]] {
+			t.Fatalf("acquisition %d failed or returned duplicate %v", i, g)
 		}
-		seen[id] = true
+		seen[g[0]] = true
 	}
-	if _, ok := a.AcquireOne(); ok {
+	if _, ok := a.AcquireGroup(1); ok {
 		t.Errorf("acquisition beyond capacity should fail")
 	}
 	a.Release(2)
-	if !a.IsFree(2) || a.FreeCount() != 1 {
+	if a.FreeCount() != 1 {
 		t.Errorf("release bookkeeping wrong")
 	}
-	if id, ok := a.AcquireOne(); !ok || id != 2 {
-		t.Errorf("re-acquisition returned %d, want 2", id)
+	if g, ok := a.AcquireGroup(1); !ok || g[0] != 2 {
+		t.Errorf("re-acquisition returned %v, want the released SPE 2", g)
 	}
 }
 
@@ -280,8 +280,8 @@ func TestAllocatorMisuse(t *testing.T) {
 		fn()
 	}
 	mustPanic("double release", func() { a.Release(0) })
-	id, _ := a.AcquireOne()
-	a.Release(id)
+	g, _ := a.AcquireGroup(1)
+	a.Release(g[0])
 	mustPanic("out of range", func() { a.Release(7) })
 	mustPanic("zero size", func() { NewSPEAllocator(0) })
 }
@@ -293,8 +293,8 @@ func TestPropertyAllocatorConservation(t *testing.T) {
 		var held []int
 		for _, acquire := range ops {
 			if acquire {
-				if id, ok := a.AcquireOne(); ok {
-					held = append(held, id)
+				if g, ok := a.AcquireGroup(1); ok {
+					held = append(held, g[0])
 				}
 			} else if len(held) > 0 {
 				a.Release(held[len(held)-1])

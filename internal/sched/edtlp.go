@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cellmg/internal/cellsim"
-	"cellmg/internal/policy"
 	"cellmg/internal/sim"
 	"cellmg/internal/workload"
 )
@@ -33,14 +32,6 @@ func (r *run) spawnEventDriven() {
 	}
 }
 
-// decision returns the parallelization mode in force for the next off-load.
-func (c *cellRun) decision() policy.Decision {
-	if c.mgps != nil {
-		return c.mgps.Current()
-	}
-	return c.static
-}
-
 // oversubscribed reports whether more MPI processes are multiplexed on this
 // Cell's PPE than it has hardware contexts, i.e. whether the user-level
 // scheduler actually has to switch between them.
@@ -48,36 +39,15 @@ func (c *cellRun) oversubscribed() bool {
 	return c.assigned > c.cell.PPE.Contexts()
 }
 
-// acquireSPEs claims the SPEs the current decision calls for, blocking until
-// they are available. The caller must not hold a PPE context (the EDTLP
-// scheduler blocks only SPE-side work, never a PPE hardware thread). The
-// decision is re-read after every wait so that an MGPS mode switch takes
-// effect immediately for queued off-loads.
-func (c *cellRun) acquireSPEs(sp *sim.Proc) []*cellsim.SPE {
+// acquireSPEs claims the SPEs the pool grants proc's next off-load, master
+// first, waiting while too few are free. The caller must not hold a PPE
+// context (the EDTLP scheduler blocks only SPE-side work, never a PPE
+// hardware thread). The pool is asked again after every wait, so an MGPS
+// mode switch takes effect immediately for queued off-loads.
+func (c *cellRun) acquireSPEs(sp *sim.Proc, proc *workload.Process) []int {
 	for {
-		dec := c.decision()
-		want := 1
-		if dec.UseLLP {
-			want = dec.SPEsPerLoop
-			if want > c.alloc.Size() {
-				want = c.alloc.Size()
-			}
-		}
-		var ids []int
-		var ok bool
-		if want <= 1 {
-			var id int
-			id, ok = c.alloc.AcquireOne()
-			ids = []int{id}
-		} else {
-			ids, ok = c.alloc.AcquireGroup(want)
-		}
-		if ok {
-			spes := make([]*cellsim.SPE, len(ids))
-			for i, id := range ids {
-				spes[i] = c.cell.SPEs[id]
-			}
-			return spes
+		if group, ok := c.pool.Acquire(proc.ID); ok {
+			return group
 		}
 		c.speFree.Wait(sp)
 	}
@@ -85,11 +55,23 @@ func (c *cellRun) acquireSPEs(sp *sim.Proc) []*cellsim.SPE {
 
 // releaseSPEs returns the SPEs of a completed off-load and wakes processes
 // waiting for SPEs.
-func (c *cellRun) releaseSPEs(spes []*cellsim.SPE) {
-	for _, s := range spes {
-		c.alloc.Release(s.Index)
-	}
+func (c *cellRun) releaseSPEs(group []int) {
+	c.pool.Release(group)
 	c.speFree.Notify()
+}
+
+// offload ships one invocation to the granted group: work-shared over all of
+// it when it is a loop group, serial on a lone SPE.
+func (c *cellRun) offload(group []int, step workload.Step) *sim.Signal {
+	rt, spes := c.parent.rt, c.cell.SPEs
+	if len(group) == 1 {
+		return rt.OffloadSerial(spes[group[0]], step.Fn, step.Scale)
+	}
+	workers := make([]*cellsim.SPE, len(group)-1)
+	for i, id := range group[1:] {
+		workers[i] = spes[id]
+	}
+	return rt.OffloadWorkShared(spes[group[0]], workers, step.Fn, step.Scale)
 }
 
 // runEventDriven executes one bootstrap process under the event-driven
@@ -103,9 +85,9 @@ func (c *cellRun) runEventDriven(sp *sim.Proc, proc *workload.Process) {
 	// its entire lifetime before touching the PPE (binding first avoids
 	// holding a PPE context while waiting for SPEs, which could starve the
 	// processes that already own groups).
-	var bound []*cellsim.SPE
+	var bound []int
 	if c.persistentGroups {
-		bound = c.acquireSPEs(sp)
+		bound = c.acquireSPEs(sp, proc)
 	}
 
 	holding := false
@@ -155,27 +137,15 @@ func (c *cellRun) runEventDriven(sp *sim.Proc, proc *workload.Process) {
 			ppe.Compute(sp, cost.PPEToSPESignal)
 			release(true)
 
-			spes := bound
-			if spes == nil {
-				spes = c.acquireSPEs(sp)
+			group := bound
+			if group == nil {
+				group = c.acquireSPEs(sp, proc)
 			}
-			dec := c.decision()
-			var done *sim.Signal
-			if (dec.UseLLP || c.persistentGroups) && len(spes) > 1 {
-				done = rt.OffloadWorkShared(spes[0], spes[1:], step.Fn, step.Scale)
-			} else {
-				done = rt.OffloadSerial(spes[0], step.Fn, step.Scale)
-			}
-			if c.mgps != nil {
-				c.mgps.RecordOffload(proc.ID, spes[0].Global)
-			}
-			done.Wait(sp)
+			c.offload(group, step).Wait(sp)
 			if bound == nil {
-				c.releaseSPEs(spes)
+				c.releaseSPEs(group)
 			}
-			if c.mgps != nil {
-				c.mgps.RecordCompletion(proc.ID, c.unfinished)
-			}
+			c.pool.Depart(proc.ID, c.unfinished)
 		}
 	}
 	release(false)

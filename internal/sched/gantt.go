@@ -11,8 +11,11 @@ import (
 // given number of columns. It is a visualization helper for cmd/mgps-sim and
 // the examples: the returned chart shows what every SPE and PPE was doing
 // over the (shortened) run — the reproduction of the behaviour sketched in
-// the paper's Figure 2.
+// the paper's Figure 2. What Run would refuse comes back as the error's text.
 func TraceGantt(opt Options, scheduler string, columns int) string {
+	if opt.Workload == nil {
+		return noWorkloadMsg
+	}
 	opt = opt.withDefaults()
 	short := opt.Workload.Clone()
 	if short.CallsPerBootstrap > 40 {

@@ -14,9 +14,12 @@
 //     every off-loaded task work-shares its loops across a fixed number of
 //     SPEs.
 //   - RunMGPS: the adaptive multigrain scheduler of Section 5.4/Figure 8 —
-//     EDTLP extended with the policy.MGPS controller that activates and
-//     throttles loop-level parallelism from the observed degree of task-level
-//     parallelism.
+//     EDTLP whose SPE grants follow the policy.MGPS controller, which
+//     activates and throttles loop-level parallelism from the observed degree
+//     of task-level parallelism.
+//
+// The three event-driven schedulers are one execution model (edtlp.go) over a
+// policy.Pool per Cell; they differ only in the pool each Cell is given.
 //
 // RunPPEOnly and the offload.Naive optimization level reproduce the Section
 // 5.1 off-loading ablation.
@@ -24,6 +27,7 @@ package sched
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cellmg/internal/cellsim"
@@ -125,20 +129,18 @@ type run struct {
 	finish  []sim.Duration
 }
 
-// cellRun is the per-Cell scheduling state: its own SPE allocator, run-queue
-// bookkeeping and (for MGPS) its own adaptive controller, mirroring the
-// paper's per-processor shared arena.
+// cellRun is the per-Cell scheduling state, mirroring the paper's
+// per-processor shared arena: the pool that decides which SPEs an off-load
+// gets, the condition processes wait on while it cannot grant them, and
+// run-queue bookkeeping.
 type cellRun struct {
 	parent  *run
 	cell    *cellsim.Cell
-	alloc   *policy.SPEAllocator
+	pool    *policy.Pool
 	speFree *sim.Condition
 	// procs assigned to this cell, and how many are still unfinished.
 	assigned   int
 	unfinished int
-	// static decision for EDTLP / static hybrid; nil mgps means static.
-	static policy.Decision
-	mgps   *policy.MGPS
 	// persistentGroups marks the static EDTLP-LLP scheme, where each MPI
 	// process binds its SPE group for its whole lifetime ("the PPEs can
 	// execute four or two concurrent bootstraps" with 2 or 4 SPEs per loop),
@@ -146,10 +148,12 @@ type cellRun struct {
 	persistentGroups bool
 }
 
+const noWorkloadMsg = "sched: Options.Workload is required"
+
 func newRun(opt Options) *run {
 	opt = opt.withDefaults()
 	if opt.Workload == nil {
-		panic("sched: Options.Workload is required")
+		panic(noWorkloadMsg)
 	}
 	if err := opt.Workload.Validate(); err != nil {
 		panic(fmt.Sprintf("sched: invalid workload: %v", err))
@@ -166,11 +170,12 @@ func newRun(opt Options) *run {
 	}
 	for _, c := range machine.Cells {
 		r.cells = append(r.cells, &cellRun{
-			parent:  r,
-			cell:    c,
-			alloc:   policy.NewSPEAllocator(cellsim.SPEsPerCell),
+			parent: r,
+			cell:   c,
+			// One SPE per off-load (EDTLP) unless the scheduler installs
+			// another pool before it spawns its processes.
+			pool:    policy.NewFixedPool(cellsim.SPEsPerCell, policy.Decision{SPEsPerLoop: 1}),
 			speFree: sim.NewCondition(eng),
-			static:  policy.Decision{UseLLP: false, SPEsPerLoop: 1},
 		})
 	}
 	return r
@@ -223,22 +228,26 @@ func (r *run) result(name string) Result {
 		res.ModuleLoads += spe.ModuleLoads()
 	}
 	for _, c := range r.cells {
-		if c.mgps != nil {
-			res.MGPSSwitches += c.mgps.Switches()
-			res.MGPSEvaluations += c.mgps.Evaluations()
-		}
+		evaluations, switches := c.pool.Counts()
+		res.MGPSEvaluations += evaluations
+		res.MGPSSwitches += switches
 	}
 	return res
 }
 
 // Run executes the scheduler of the given name, in any letter case:
 // "ppe-only", "linux", "edtlp", "hybrid" (or "edtlp-llp"; "edtlp-llp(N)" also
-// sets opt.SPEsPerLoop to N) or "mgps" — the names the commands take plus
-// every name a Result.Scheduler carries.
+// sets opt.SPEsPerLoop to N, a loop width from 2 to the SPEs of one Cell) or
+// "mgps" — the names the commands take plus every name a Result.Scheduler
+// carries. Anything else, a malformed or out-of-range width included, is an
+// unknown scheduler.
 func Run(name string, opt Options) (Result, error) {
 	lower := strings.ToLower(name)
-	var width int
-	if _, err := fmt.Sscanf(lower, "edtlp-llp(%d)", &width); err == nil {
+	if inner, ok := strings.CutPrefix(lower, "edtlp-llp("); ok {
+		width, _ := strconv.Atoi(strings.TrimSuffix(inner, ")"))
+		if lower != fmt.Sprintf("edtlp-llp(%d)", width) || width < 2 || width > cellsim.SPEsPerCell {
+			return Result{}, fmt.Errorf("sched: unknown scheduler %q", name)
+		}
 		opt.SPEsPerLoop = width
 		lower = "hybrid"
 	}
@@ -283,9 +292,6 @@ func RunLinux(opt Options) Result {
 // 7-9).
 func RunEDTLP(opt Options) Result {
 	r := newRun(opt)
-	for _, c := range r.cells {
-		c.static = policy.Decision{UseLLP: false, SPEsPerLoop: 1}
-	}
 	r.spawnEventDriven()
 	return r.complete("EDTLP")
 }
@@ -299,8 +305,8 @@ func RunStaticHybrid(opt Options) Result {
 	}
 	r := newRun(opt)
 	for _, c := range r.cells {
-		c.static = policy.StaticLLPDecision(r.opt.SPEsPerLoop)
-		c.persistentGroups = c.static.UseLLP
+		c.pool = policy.NewFixedPool(cellsim.SPEsPerCell, policy.StaticLLPDecision(r.opt.SPEsPerLoop))
+		c.persistentGroups = c.pool.Decision().UseLLP
 	}
 	r.spawnEventDriven()
 	return r.complete(fmt.Sprintf("EDTLP-LLP(%d)", r.opt.SPEsPerLoop))
@@ -310,11 +316,7 @@ func RunStaticHybrid(opt Options) Result {
 func RunMGPS(opt Options) Result {
 	r := newRun(opt)
 	for _, c := range r.cells {
-		cfg := r.opt.MGPS
-		if cfg.NumSPEs == 0 {
-			cfg = policy.DefaultMGPSConfig(cellsim.SPEsPerCell)
-		}
-		c.mgps = policy.NewMGPS(cfg)
+		c.pool = policy.NewAdaptivePool(cellsim.SPEsPerCell, r.opt.MGPS)
 	}
 	r.spawnEventDriven()
 	return r.complete("MGPS")

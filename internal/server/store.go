@@ -26,6 +26,7 @@ import (
 	"math"
 
 	"cellmg/internal/native"
+	"cellmg/internal/phylo"
 )
 
 // storedTask is a completed task replayed from the log.
@@ -85,10 +86,12 @@ func openJobStore(opts walOptions) (*jobStore, map[string]*recoveredJob, error) 
 func replayJobRecords(records []walRecord) (map[string]*recoveredJob, error) {
 	jobs := map[string]*recoveredJob{}
 	for i, rec := range records {
-		d := payloadReader{data: rec.payload}
-		id := d.str()
-		if d.err != nil {
-			return nil, fmt.Errorf("wal: record %d (%s): %v", i, rec.typ, d.err)
+		// Frame CRCs have already vouched for the bytes, so a failure here
+		// means a version-skewed or hand-edited log.
+		d := phylo.NewDecoder(rec.payload)
+		id := string(d.Bytes())
+		if d.Err() != nil {
+			return nil, fmt.Errorf("wal: record %d (%s): %v", i, rec.typ, d.Err())
 		}
 		j := jobs[id]
 		if rec.typ == recJobAccepted {
@@ -100,7 +103,7 @@ func replayJobRecords(records []walRecord) (map[string]*recoveredJob, error) {
 				tasks: map[native.TaskID]storedTask{},
 				ckpts: map[native.TaskID][]byte{},
 			}
-			if err := json.Unmarshal(d.bytes(), &j.spec); err != nil {
+			if err := json.Unmarshal(d.Bytes(), &j.spec); err != nil {
 				return nil, fmt.Errorf("wal: job %s spec: %v", id, err)
 			}
 			jobs[id] = j
@@ -111,25 +114,25 @@ func replayJobRecords(records []walRecord) (map[string]*recoveredJob, error) {
 		}
 		switch rec.typ {
 		case recJobStarted:
-			j.attempts = int(d.uvarint())
+			j.attempts = int(d.Uvarint())
 		case recCheckpoint:
-			key := native.TaskID{Bootstrap: d.bool(), Index: int(d.uvarint())}
-			enc := d.bytes()
-			if d.err == nil {
+			key := native.TaskID{Bootstrap: d.Bool(), Index: int(d.Uvarint())}
+			enc := d.Bytes()
+			if d.Err() == nil {
 				j.ckpts[key] = enc
 			}
 		case recTaskDone:
-			key := native.TaskID{Bootstrap: d.bool(), Index: int(d.uvarint())}
-			logLik := math.Float64frombits(d.u64())
-			tree := d.bytes()
-			if d.err == nil {
+			key := native.TaskID{Bootstrap: d.Bool(), Index: int(d.Uvarint())}
+			logLik := math.Float64frombits(d.U64())
+			tree := d.Bytes()
+			if d.Err() == nil {
 				j.tasks[key] = storedTask{logLik: logLik, tree: tree}
 				delete(j.ckpts, key) // the checkpoint is subsumed
 			}
 		case recJobFinished:
-			j.state = State(d.str())
-			j.errMsg = d.str()
-			if res := d.bytes(); d.err == nil && len(res) > 0 {
+			j.state = State(d.Bytes())
+			j.errMsg = string(d.Bytes())
+			if res := d.Bytes(); d.Err() == nil && len(res) > 0 {
 				j.result = &Result{}
 				if err := json.Unmarshal(res, j.result); err != nil {
 					return nil, fmt.Errorf("wal: job %s result: %v", id, err)
@@ -141,8 +144,8 @@ func replayJobRecords(records []walRecord) (map[string]*recoveredJob, error) {
 		case recJobCancelled:
 			j.state = StateCancelled
 		}
-		if d.err != nil {
-			return nil, fmt.Errorf("wal: record %d (%s): %v", i, rec.typ, d.err)
+		if d.Err() != nil {
+			return nil, fmt.Errorf("wal: record %d (%s): %v", i, rec.typ, d.Err())
 		}
 	}
 	return jobs, nil
@@ -277,76 +280,4 @@ func appendBool(dst []byte, v bool) []byte {
 func appendLenBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
-}
-
-// payloadReader decodes record payloads with sticky errors; frame CRCs have
-// already vouched for the bytes, so failures here mean a version-skewed or
-// hand-edited log.
-type payloadReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (d *payloadReader) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated %s at offset %d", what, d.pos)
-	}
-}
-
-func (d *payloadReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *payloadReader) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos+8 > len(d.data) {
-		d.fail("u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.data[d.pos:])
-	d.pos += 8
-	return v
-}
-
-func (d *payloadReader) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.pos >= len(d.data) {
-		d.fail("bool")
-		return false
-	}
-	v := d.data[d.pos]
-	d.pos++
-	return v != 0
-}
-
-func (d *payloadReader) str() string {
-	return string(d.bytes())
-}
-
-func (d *payloadReader) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if d.pos+int(n) > len(d.data) {
-		d.fail("bytes")
-		return nil
-	}
-	b := d.data[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	return b
 }

@@ -27,7 +27,7 @@ func steadyStateAllocs(eng *Engine, measuring *bool, step func(p *Proc)) float64
 // TestEventPathAllocationFree is the dynamic half of the //cellmg:hotpath
 // annotations in this package: in steady state a timed wake-up (queued behind
 // another process's event, so it takes the heap and a coroutine switch, not
-// the inline advance), a queue hand-off, a contended Resource.Use and a signal
+// the inline advance), a queue hand-off, a contended Resource hold and a signal
 // fired by a scheduled event allocate nothing.
 func TestEventPathAllocationFree(t *testing.T) {
 	var measuring bool
@@ -61,15 +61,20 @@ func TestEventPathAllocationFree(t *testing.T) {
 	t.Run("resource", func(t *testing.T) {
 		eng := NewEngine()
 		res := NewResource(eng, "res", 1)
+		hold := func(p *Proc) {
+			res.Acquire(p, 1)
+			p.Delay(2)
+			res.Release(1)
+		}
 		for i := 0; i < 3; i++ {
 			eng.Spawn("rival", func(p *Proc) {
 				for measuring {
-					res.Use(p, 1, 2)
+					hold(p)
 				}
 			})
 		}
-		if avg := steadyStateAllocs(eng, &measuring, func(p *Proc) { res.Use(p, 1, 2) }); avg != 0 {
-			t.Errorf("a contended Resource.Use allocates %.1f objects", avg)
+		if avg := steadyStateAllocs(eng, &measuring, hold); avg != 0 {
+			t.Errorf("a contended Resource hold allocates %.1f objects", avg)
 		}
 	})
 	t.Run("signal", func(t *testing.T) {

@@ -47,7 +47,9 @@ func BenchmarkResourceContention(b *testing.B) {
 	for i := 0; i < 4; i++ {
 		eng.Spawn("user", func(p *Proc) {
 			for j := 0; j < per; j++ {
-				res.Use(p, 1, Nanosecond)
+				res.Acquire(p, 1)
+				p.Delay(Nanosecond)
+				res.Release(1)
 			}
 		})
 	}

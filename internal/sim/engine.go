@@ -4,7 +4,6 @@ package sim
 import (
 	"fmt"
 	"iter"
-	"math"
 	"sort"
 )
 
@@ -56,47 +55,14 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 func (t Time) String() string { return Duration(t).String() }
 
-// DurationOf converts a floating point number of seconds to a Duration,
-// rounding to the nearest nanosecond.
-func DurationOf(seconds float64) Duration {
-	return Duration(math.Round(seconds * float64(Second)))
-}
-
 // event is one entry of the pending-event heap, held by value: the wake-up
-// of a process, the firing of a signal, or a callback. Only a callback can be
-// cancelled, so only a callback has storage outside the heap.
+// of a process or the firing of a signal. Nothing is ever cancelled, so an
+// event has no storage outside the heap.
 type event struct {
 	at   Time
 	seq  uint64
-	proc *Proc     // process to resume, or
-	sig  *Signal   // signal to fire (Signal.FireAfter), or
-	cb   *callback // function to run inline
-}
-
-// callback holds a scheduled function until it runs or is cancelled; either
-// way fn becomes nil.
-type callback struct{ fn func() }
-
-// EventHandle identifies a scheduled callback and allows it to be cancelled
-// before it fires.
-type EventHandle struct{ cb *callback }
-
-// Pending reports whether the event has not yet fired nor been cancelled.
-//
-//cellmg:hotpath
-func (h EventHandle) Pending() bool { return h.cb != nil && h.cb.fn != nil }
-
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired (or was already cancelled) is a no-op. Cancel reports whether the
-// event was still pending.
-//
-//cellmg:hotpath
-func (h EventHandle) Cancel() bool {
-	pending := h.Pending()
-	if pending {
-		h.cb.fn = nil
-	}
-	return pending
+	proc *Proc   // process to resume, or
+	sig  *Signal // signal to fire (Signal.FireAfter)
 }
 
 // before is the dispatch order: by time, then by scheduling order.
@@ -109,7 +75,7 @@ func (a *event) before(b *event) bool {
 // Engine owns the virtual clock, the event queue and all simulated processes.
 // An Engine must be created with NewEngine and is not safe for concurrent use
 // from multiple host goroutines: all interaction is expected to happen either
-// before Run is called or from within simulated processes and callbacks.
+// before Run is called or from within simulated processes.
 type Engine struct {
 	now    Time
 	limit  Time // the running RunUntil's limit
@@ -186,17 +152,6 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// At schedules fn to run inline at the absolute virtual time t. The callback
-// must not block on simulation primitives.
-func (e *Engine) At(t Time, fn func()) EventHandle {
-	cb := &callback{fn: fn}
-	e.schedule(event{at: t, cb: cb})
-	return EventHandle{cb}
-}
-
-// After schedules fn to run inline d after the current time.
-func (e *Engine) After(d Duration, fn func()) EventHandle { return e.At(e.now.Add(d), fn) }
-
 // stopped is what a suspended process panics with when Close ends it; the
 // wrapper installed by Spawn recovers it, and nothing else.
 type stopped struct{}
@@ -204,8 +159,7 @@ type stopped struct{}
 // Spawn creates a new process executing fn. The process starts at the current
 // virtual time, after all previously scheduled events for this instant.
 // Spawn may be called before Run (the process then starts at time zero) or at
-// any point during the simulation, including from other processes and
-// callbacks.
+// any point during the simulation, including from other processes.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn after engine shut down")
@@ -234,7 +188,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // primitive panics with a private value that unwinds the body (deferred
 // functions run, and must not touch simulation primitives), which Spawn's
 // wrapper recovers. Close is idempotent and must not be called from inside a
-// process or a callback; a closed engine can be read (Now, Live) but not run.
+// process; a closed engine can be read (Now, Live) but not run.
 func (e *Engine) Close() {
 	e.closed = true
 	for _, p := range e.procs {
@@ -254,12 +208,11 @@ func (e *Engine) Close() {
 // resources and signals to hand control back to a blocked process.
 //
 //cellmg:hotpath
-func (e *Engine) wake(p *Proc, reason any) {
+func (e *Engine) wake(p *Proc) {
 	if p.state != stateBlocked {
 		p.statePanic("woken while not blocked")
 	}
 	p.state = stateReady
-	p.wakeReason = reason
 	e.schedule(event{at: e.now, proc: p})
 }
 
@@ -281,27 +234,16 @@ func (e *Engine) RunUntil(limit Time) Time {
 			return e.now
 		}
 		ev := e.pop()
-		switch {
-		case ev.proc != nil:
-			e.now = ev.at
+		e.now = ev.at
+		if ev.proc != nil {
 			ev.proc.state = stateRunning
 			ev.proc.resume()
-		case ev.sig != nil:
-			e.now = ev.at
+		} else {
 			ev.sig.Fire()
-		case ev.cb.fn != nil: // nil: cancelled, and the clock does not move
-			fn := ev.cb.fn
-			ev.cb.fn = nil
-			e.now = ev.at
-			fn()
 		}
 	}
 	return e.now
 }
-
-// Quiesced reports whether the simulation has no pending events. If processes
-// are still alive at quiescence they are deadlocked (blocked forever).
-func (e *Engine) Quiesced() bool { return len(e.queue) == 0 }
 
 // Blocked returns the names of processes that are still blocked, sorted.
 // After Run returns, a non-empty result indicates a deadlock or processes

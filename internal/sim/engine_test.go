@@ -10,9 +10,6 @@ func TestClockStartsAtZero(t *testing.T) {
 	if eng.Now() != 0 {
 		t.Fatalf("new engine clock = %v, want 0", eng.Now())
 	}
-	if !eng.Quiesced() {
-		t.Fatalf("new engine should be quiesced")
-	}
 }
 
 func TestDelayAdvancesClock(t *testing.T) {
@@ -34,13 +31,16 @@ func TestDelayAdvancesClock(t *testing.T) {
 
 func TestBusyTimeAccounting(t *testing.T) {
 	eng := NewEngine()
-	var pp *Proc
-	pp = eng.Spawn("p", func(p *Proc) {
+	idle := NewSignal(eng)
+	pp := eng.Spawn("p", func(p *Proc) {
 		p.Delay(3 * Microsecond)
-		p.Sleep(10 * Microsecond) // idle, not busy
+		idle.FireAfter(10 * Microsecond)
+		idle.Wait(p) // waiting, not busy
 		p.Delay(2 * Microsecond)
 	})
-	eng.Run()
+	if final := eng.Run(); final != Time(15*Microsecond) {
+		t.Errorf("finished at %v, want 15us", final)
+	}
 	if pp.BusyTime() != 5*Microsecond {
 		t.Errorf("busy time = %v, want 5us", pp.BusyTime())
 	}
@@ -118,36 +118,6 @@ func TestSpawnDuringRun(t *testing.T) {
 	}
 }
 
-func TestCallbacksRunInline(t *testing.T) {
-	eng := NewEngine()
-	fired := make([]Time, 0, 2)
-	eng.At(Time(3*Microsecond), func() { fired = append(fired, eng.Now()) })
-	eng.After(9*Microsecond, func() { fired = append(fired, eng.Now()) })
-	eng.Run()
-	if len(fired) != 2 || fired[0] != Time(3*Microsecond) || fired[1] != Time(9*Microsecond) {
-		t.Errorf("callback fire times = %v", fired)
-	}
-}
-
-func TestEventCancellation(t *testing.T) {
-	eng := NewEngine()
-	ran := false
-	h := eng.At(Time(5*Microsecond), func() { ran = true })
-	if !h.Pending() {
-		t.Fatalf("handle should be pending before run")
-	}
-	if !h.Cancel() {
-		t.Fatalf("cancel should succeed on a pending event")
-	}
-	if h.Cancel() {
-		t.Fatalf("second cancel should report false")
-	}
-	eng.Run()
-	if ran {
-		t.Errorf("cancelled callback still ran")
-	}
-}
-
 func TestRunUntilStopsClock(t *testing.T) {
 	eng := NewEngine()
 	var reached []Time
@@ -186,22 +156,6 @@ func TestBlockedReportsDeadlockedProcesses(t *testing.T) {
 	}
 }
 
-func TestWaitUntilPastIsNoop(t *testing.T) {
-	eng := NewEngine()
-	var observed Time
-	eng.Spawn("p", func(p *Proc) {
-		p.Delay(10 * Microsecond)
-		p.WaitUntil(Time(3 * Microsecond)) // in the past
-		observed = p.Now()
-		p.WaitUntil(Time(25 * Microsecond))
-		observed = p.Now()
-	})
-	eng.Run()
-	if observed != Time(25*Microsecond) {
-		t.Errorf("observed = %v, want 25us", observed)
-	}
-}
-
 func TestDurationFormatting(t *testing.T) {
 	cases := []struct {
 		d    Duration
@@ -216,19 +170,6 @@ func TestDurationFormatting(t *testing.T) {
 		if got := c.d.String(); got != c.want {
 			t.Errorf("(%d).String() = %q, want %q", int64(c.d), got, c.want)
 		}
-	}
-}
-
-func TestDurationOfRoundTrip(t *testing.T) {
-	f := func(ms int16) bool {
-		if ms < 0 {
-			ms = -ms
-		}
-		d := DurationOf(float64(ms) / 1000.0)
-		return d == Duration(ms)*Millisecond
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -275,5 +216,5 @@ func TestSchedulingInPastPanics(t *testing.T) {
 			t.Errorf("scheduling an event in the past should panic")
 		}
 	}()
-	eng.At(Time(1*Microsecond), func() {})
+	NewSignal(eng).FireAfter(-Microsecond)
 }

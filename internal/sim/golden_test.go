@@ -15,14 +15,16 @@ import (
 // engine's dispatch sequence as process bodies see it — including the
 // wake-ups that never pass through the event queue.
 //
-// The mix: eight workers draw Delay (zero-length ones too), Yield, Queue.Put
-// / PutFront / GetTimeout, Resource.Use, a shared one-shot Signal fired by a
-// callback, Condition.Wait, a callback that is sometimes cancelled before it
-// fires, and Spawn (children two levels deep); a ticker notifies the
-// condition until every worker has exited and then ends the consumer, which
-// sits in the untimed Queue.Get; "long" sits in three long Delays so that
-// both RunUntil limits fall inside one. A second phase runs a single process
-// alone and stops RunUntil inside its Delay, then continues it.
+// The mix: eight workers draw Delay (zero-length ones too, which requeue the
+// process behind everything pending at that instant), Queue.Put and Get,
+// Resource.Acquire/Release of one or two of two units, a shared one-shot
+// Signal that gathers several waiters before its FireAfter event fires it,
+// Condition.Wait, and Spawn (children two levels deep); a ticker alternates
+// Notify and NotifyOne on the condition and feeds the queue until every
+// worker has exited, then ends the two consumers, which sit in Queue.Get;
+// "long" sits in three long Delays so that both RunUntil limits fall inside
+// one. A second phase runs a single process alone and stops RunUntil inside
+// its Delay, then continues it.
 func dispatchMix(seed int64) []string {
 	eng := NewEngine()
 	var log []string
@@ -41,45 +43,37 @@ func dispatchMix(seed int64) []string {
 		active++
 		return func(p *Proc) {
 			for i := 0; i < steps; i++ {
-				switch rng.Intn(11) {
+				switch rng.Intn(10) {
 				case 0, 1:
 					p.Delay(Duration(rng.Intn(4) * rng.Intn(1500)))
 					rec(name, "delay")
 				case 2:
-					p.Yield()
-					rec(name, "yield")
-				case 3:
+					p.Delay(0)
+					rec(name, "delay0")
+				case 3, 4:
 					q.Put(p.ID()*1000 + i)
 					rec(name, "put")
-				case 4:
-					q.PutFront(-(p.ID()*1000 + i))
-					rec(name, "putfront")
 				case 5:
-					v, ok := q.GetTimeout(p, Duration(rng.Intn(3000)))
-					rec(name, fmt.Sprintf("gettimeout %d %v", v, ok))
+					rec(name, fmt.Sprintf("get %d", q.Get(p)))
 				case 6:
-					res.Use(p, 1+rng.Intn(2), Duration(rng.Intn(2500)))
-					rec(name, "use")
+					n := 1 + rng.Intn(2)
+					res.Acquire(p, n)
+					rec(name, fmt.Sprintf("acquired %d", n))
+					p.Delay(Duration(rng.Intn(2500)))
+					res.Release(n)
+					rec(name, "released")
 				case 7:
 					if sig == nil || sig.Fired() {
-						s, v := NewSignal(eng), p.ID()*1000+i
-						sig = s
-						eng.After(Duration(rng.Intn(5000)), func() {
-							rec("callback", "fire")
-							s.FireValue(v)
-						})
+						sig = NewSignal(eng)
+						sig.FireAfter(Duration(rng.Intn(5000)))
+						rec(name, "fireafter")
 					}
-					rec(name, fmt.Sprintf("signal %v", sig.Wait(p)))
+					sig.Wait(p)
+					rec(name, "signal")
 				case 8:
 					cond.Wait(p)
 					rec(name, "cond")
 				case 9:
-					h := eng.After(Duration(rng.Intn(3000)), func() { rec("callback", name) })
-					if rng.Intn(2) == 0 {
-						p.Sleep(Duration(rng.Intn(2000)))
-						rec(name, fmt.Sprintf("cancel %v %v", h.Cancel(), h.Pending()))
-					}
-				case 10:
 					if depth < 2 {
 						child := fmt.Sprintf("%s.%d", name, i)
 						eng.Spawn(child, body(child, rand.New(rand.NewSource(rng.Int63())), 8, depth+1))
@@ -97,27 +91,31 @@ func dispatchMix(seed int64) []string {
 	}
 	eng.Spawn("ticker", func(p *Proc) {
 		for i := 0; active > 0; i++ {
-			p.Sleep(1500)
+			p.Delay(1500)
 			if i%3 == 2 {
 				rec("ticker", fmt.Sprintf("notifyone %v", cond.NotifyOne()))
 			} else {
 				cond.Notify()
 				rec("ticker", "notify")
 			}
+			q.Put(-i) // workers blocked in Get outnumber the workers' own puts
 		}
 		q.Put(stop)
+		q.Put(stop)
 	})
-	eng.Spawn("consumer", func(p *Proc) {
-		for {
-			v := q.Get(p)
-			if v == stop {
-				rec("consumer", "exit")
-				return
+	for _, name := range []string{"consumerA", "consumerB"} {
+		eng.Spawn(name, func(p *Proc) {
+			for {
+				v := q.Get(p)
+				if v == stop {
+					rec(name, "exit")
+					return
+				}
+				rec(name, fmt.Sprintf("get %d", v))
+				p.Delay(700)
 			}
-			rec("consumer", fmt.Sprintf("get %d", v))
-			p.Delay(700)
-		}
-	})
+		})
+	}
 	eng.Spawn("long", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			p.Delay(17000)
@@ -146,11 +144,13 @@ func dispatchMix(seed int64) []string {
 }
 
 // TestDispatchSequenceGolden holds the engine to testdata/dispatch_golden.txt,
-// which was written by this very function at 23bf8dd — the last commit where
-// every process was a goroutine resumed over a channel and every wake-up went
-// through the container/heap event queue. The coroutine hand-off, the inline
-// clock advance, the event heap and the ring buffers behind Queue, Resource
-// and Condition all have to reproduce it line for line.
+// which this very function wrote on an engine that still had three event
+// kinds (process, signal, cancellable callback), wake-ups that carried a
+// value, and Queue waiters with a timeout handle each: dispatchMix uses only
+// what both engines offer, so the file is that engine's dispatch order. The
+// two-kind event loop, the inline clock advance, the event heap and the ring
+// buffers behind Queue, Resource and Condition all have to reproduce it line
+// for line. A diff is a changed simulation — do not regenerate the file.
 func TestDispatchSequenceGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/dispatch_golden.txt")
 	if err != nil {
@@ -175,22 +175,24 @@ func TestDispatchSequenceGolden(t *testing.T) {
 func TestDelayQueuesBehindEqualTimeEvent(t *testing.T) {
 	eng := NewEngine()
 	var order []string
-	eng.At(5, func() { order = append(order, "callback@5") })
+	at5 := NewSignal(eng)
+	at5.FireAfter(5) // queued for t=5 before any process exists
 	eng.Spawn("first", func(p *Proc) {
 		p.Delay(5)
-		order = append(order, "first@5")
+		order = append(order, fmt.Sprintf("first@5 fired=%v", at5.Fired()))
 		p.Delay(3) // ends at 8, where second's wake-up is already queued
 		order = append(order, "first@8")
 	})
 	eng.Spawn("second", func(p *Proc) {
 		p.Delay(8)
 		order = append(order, "second@8")
-		eng.After(2, func() { order = append(order, "callback@10") })
-		p.Sleep(2) // scheduled after the callback for the same instant
-		order = append(order, "second@10")
+		at10 := NewSignal(eng)
+		at10.FireAfter(2)
+		p.Delay(2) // scheduled after the firing for the same instant
+		order = append(order, fmt.Sprintf("second@10 fired=%v", at10.Fired()))
 	})
 	eng.Run()
-	want := "callback@5 first@5 second@8 first@8 callback@10 second@10"
+	want := "first@5 fired=true second@8 first@8 second@10 fired=true"
 	if got := strings.Join(order, " "); got != want {
 		t.Errorf("order = %s, want %s", got, want)
 	}

@@ -54,115 +54,6 @@ func TestQueueWaitersServedInOrder(t *testing.T) {
 	}
 }
 
-func TestQueuePutFront(t *testing.T) {
-	eng := NewEngine()
-	q := NewQueue[int](eng, "q")
-	q.Put(1)
-	q.Put(2)
-	q.PutFront(0)
-	var got []int
-	eng.Spawn("c", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(p))
-		}
-	})
-	eng.Run()
-	if got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Errorf("got %v, want [0 1 2]", got)
-	}
-}
-
-func TestQueueTryGetAndDrainAndRemove(t *testing.T) {
-	eng := NewEngine()
-	q := NewQueue[int](eng, "q")
-	if _, ok := q.TryGet(); ok {
-		t.Fatalf("TryGet on empty queue should fail")
-	}
-	q.Put(10)
-	q.Put(20)
-	q.Put(30)
-	if v, ok := q.Remove(func(x int) bool { return x == 20 }); !ok || v != 20 {
-		t.Fatalf("Remove(20) = %v, %v", v, ok)
-	}
-	if _, ok := q.Remove(func(x int) bool { return x == 99 }); ok {
-		t.Fatalf("Remove of missing element should fail")
-	}
-	if v, ok := q.TryGet(); !ok || v != 10 {
-		t.Fatalf("TryGet = %v, %v, want 10", v, ok)
-	}
-	rest := q.Drain()
-	if len(rest) != 1 || rest[0] != 30 {
-		t.Fatalf("Drain = %v, want [30]", rest)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue should be empty after drain")
-	}
-}
-
-func TestQueueGetTimeoutExpires(t *testing.T) {
-	eng := NewEngine()
-	q := NewQueue[int](eng, "q")
-	var ok bool
-	var at Time
-	eng.Spawn("c", func(p *Proc) {
-		_, ok = q.GetTimeout(p, 50*Microsecond)
-		at = p.Now()
-	})
-	eng.Run()
-	if ok {
-		t.Errorf("timeout get should have failed")
-	}
-	if at != Time(50*Microsecond) {
-		t.Errorf("timed out at %v, want 50us", at)
-	}
-}
-
-func TestQueueGetTimeoutDelivers(t *testing.T) {
-	eng := NewEngine()
-	q := NewQueue[int](eng, "q")
-	var v int
-	var ok bool
-	eng.Spawn("c", func(p *Proc) { v, ok = q.GetTimeout(p, 50*Microsecond) })
-	eng.Spawn("p", func(p *Proc) {
-		p.Delay(10 * Microsecond)
-		q.Put(7)
-	})
-	final := eng.Run()
-	if !ok || v != 7 {
-		t.Errorf("GetTimeout = %v, %v, want 7, true", v, ok)
-	}
-	if final != Time(10*Microsecond) {
-		t.Errorf("simulation ended at %v, want 10us (timeout event should be cancelled)", final)
-	}
-}
-
-func TestQueueTimeoutThenLaterPut(t *testing.T) {
-	// After a timeout, the stale waiter entry must not steal a later item.
-	eng := NewEngine()
-	q := NewQueue[int](eng, "q")
-	var timedOut bool
-	var received int
-	eng.Spawn("impatient", func(p *Proc) {
-		_, ok := q.GetTimeout(p, 5*Microsecond)
-		timedOut = !ok
-	})
-	eng.Spawn("patient", func(p *Proc) {
-		p.Delay(6 * Microsecond)
-		received = q.Get(p)
-	})
-	eng.Spawn("producer", func(p *Proc) {
-		p.Delay(20 * Microsecond)
-		q.Put(42)
-	})
-	eng.Run()
-	if !timedOut {
-		t.Errorf("impatient consumer should have timed out")
-	}
-	if received != 42 {
-		t.Errorf("patient consumer received %d, want 42", received)
-	}
-}
-
 func TestResourceLimitsConcurrency(t *testing.T) {
 	eng := NewEngine()
 	res := NewResource(eng, "cpu", 2)
@@ -217,39 +108,6 @@ func TestResourceFIFONoStarvation(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	eng := NewEngine()
-	res := NewResource(eng, "r", 2)
-	if !res.TryAcquire(2) {
-		t.Fatalf("TryAcquire(2) on an idle resource should succeed")
-	}
-	if res.TryAcquire(1) {
-		t.Fatalf("TryAcquire beyond capacity should fail")
-	}
-	res.Release(1)
-	if res.Available() != 1 {
-		t.Fatalf("available = %d, want 1", res.Available())
-	}
-	if !res.TryAcquire(1) {
-		t.Fatalf("TryAcquire(1) should succeed after release")
-	}
-	res.Release(2)
-}
-
-func TestResourceUtilization(t *testing.T) {
-	eng := NewEngine()
-	res := NewResource(eng, "r", 1)
-	eng.Spawn("u", func(p *Proc) {
-		res.Use(p, 1, 30*Microsecond)
-		p.Sleep(10 * Microsecond)
-	})
-	eng.Run()
-	util := res.Utilization()
-	if util < 0.74 || util > 0.76 {
-		t.Errorf("utilization = %.3f, want 0.75", util)
-	}
-}
-
 func TestResourceZeroCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -271,14 +129,15 @@ func TestSignalBroadcastAndLatch(t *testing.T) {
 	}
 	eng.Spawn("firer", func(p *Proc) {
 		p.Delay(5 * Microsecond)
-		sig.FireValue("done")
+		sig.Fire()
 		sig.Fire() // second fire is a no-op
 	})
 	// A late waiter must pass straight through.
 	eng.Spawn("late", func(p *Proc) {
 		p.Delay(20 * Microsecond)
-		if v := sig.Wait(p); v != "done" {
-			t.Errorf("late waiter saw value %v, want done", v)
+		sig.Wait(p)
+		if p.Now() != Time(20*Microsecond) {
+			t.Errorf("late waiter held until %v", p.Now())
 		}
 		woken++
 	})
@@ -286,8 +145,8 @@ func TestSignalBroadcastAndLatch(t *testing.T) {
 	if woken != 4 {
 		t.Errorf("woken = %d, want 4", woken)
 	}
-	if !sig.Fired() || sig.Value() != "done" {
-		t.Errorf("signal state fired=%v value=%v", sig.Fired(), sig.Value())
+	if !sig.Fired() {
+		t.Errorf("signal not latched after Fire")
 	}
 }
 
@@ -322,55 +181,6 @@ func TestConditionNotifyAllAndOne(t *testing.T) {
 	}
 }
 
-func TestBarrierRendezvous(t *testing.T) {
-	eng := NewEngine()
-	bar := NewBarrier(eng, 3)
-	var releaseTimes []Time
-	delays := []Duration{5 * Microsecond, 10 * Microsecond, 20 * Microsecond}
-	for _, d := range delays {
-		d := d
-		eng.Spawn("party", func(p *Proc) {
-			p.Delay(d)
-			bar.Arrive(p)
-			releaseTimes = append(releaseTimes, p.Now())
-		})
-	}
-	eng.Run()
-	if bar.Rounds() != 1 {
-		t.Fatalf("rounds = %d, want 1", bar.Rounds())
-	}
-	for _, rt := range releaseTimes {
-		if rt != Time(20*Microsecond) {
-			t.Errorf("party released at %v, want 20us (all release when the last arrives)", rt)
-		}
-	}
-}
-
-func TestBarrierReusableAcrossRounds(t *testing.T) {
-	eng := NewEngine()
-	bar := NewBarrier(eng, 2)
-	count := 0
-	for i := 0; i < 2; i++ {
-		eng.Spawn("p", func(p *Proc) {
-			for r := 0; r < 4; r++ {
-				p.Delay(Microsecond)
-				bar.Arrive(p)
-				count++
-			}
-		})
-	}
-	eng.Run()
-	if bar.Rounds() != 4 {
-		t.Errorf("rounds = %d, want 4", bar.Rounds())
-	}
-	if count != 8 {
-		t.Errorf("count = %d, want 8", count)
-	}
-	if len(eng.Blocked()) != 0 {
-		t.Errorf("blocked = %v, want none", eng.Blocked())
-	}
-}
-
 // Property: an M/D/c-style system drains in ceil(n/c)*service time when all
 // jobs arrive at time zero — exercises Resource admission under many shapes.
 func TestPropertyResourceBatchDrainTime(t *testing.T) {
@@ -381,7 +191,11 @@ func TestPropertyResourceBatchDrainTime(t *testing.T) {
 		res := NewResource(eng, "srv", c)
 		const service = 10 * Microsecond
 		for i := 0; i < n; i++ {
-			eng.Spawn("job", func(p *Proc) { res.Use(p, 1, service) })
+			eng.Spawn("job", func(p *Proc) {
+				res.Acquire(p, 1)
+				p.Delay(service)
+				res.Release(1)
+			})
 		}
 		final := eng.Run()
 		waves := (n + c - 1) / c

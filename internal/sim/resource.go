@@ -12,10 +12,6 @@ type Resource struct {
 	capacity int
 	inUse    int
 	waiters  ring[resWaiter]
-
-	// Utilization accounting.
-	lastChange Time
-	busyArea   float64 // integral of inUse over time, unit: capacity·ns
 }
 
 type resWaiter struct {
@@ -28,38 +24,7 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: resource %q must have positive capacity", name))
 	}
-	return &Resource{eng: eng, name: name, capacity: capacity, lastChange: eng.now}
-}
-
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Available returns the number of units not currently held.
-func (r *Resource) Available() int { return r.capacity - r.inUse }
-
-// Waiting returns the number of processes blocked in Acquire.
-func (r *Resource) Waiting() int { return r.waiters.n }
-
-//cellmg:hotpath
-func (r *Resource) account() {
-	now := r.eng.now
-	r.busyArea += float64(r.inUse) * float64(now-r.lastChange)
-	r.lastChange = now
-}
-
-// Utilization returns the time-averaged fraction of capacity held between the
-// start of the simulation and the current virtual time (0 when no time has
-// elapsed).
-func (r *Resource) Utilization() float64 {
-	r.account()
-	elapsed := float64(r.eng.now)
-	if elapsed == 0 {
-		return 0
-	}
-	return r.busyArea / (elapsed * float64(r.capacity))
+	return &Resource{eng: eng, name: name, capacity: capacity}
 }
 
 // Acquire blocks the calling process until n units are available, then holds
@@ -76,30 +41,16 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		panic(fmt.Sprintf("sim: acquiring %d units from resource %q with capacity %d", n, r.name, r.capacity))
 	}
 	if r.waiters.n == 0 && r.inUse+n <= r.capacity {
-		r.account()
 		r.inUse += n
 		return
 	}
 	r.waiters.pushBack(resWaiter{p: p, n: n})
 	p.block()
-	// The releaser has already accounted and reserved our units.
-}
-
-// TryAcquire attempts to hold n units without blocking and reports success.
-func (r *Resource) TryAcquire(n int) bool {
-	if n <= 0 {
-		return true
-	}
-	if r.waiters.n > 0 || r.inUse+n > r.capacity {
-		return false
-	}
-	r.account()
-	r.inUse += n
-	return true
+	// The releaser has already reserved our units.
 }
 
 // Release returns n units to the resource and admits as many FIFO waiters as
-// now fit. It may be called from processes and engine callbacks.
+// now fit.
 //
 //cellmg:hotpath
 func (r *Resource) Release(n int) {
@@ -110,19 +61,10 @@ func (r *Resource) Release(n int) {
 		//cellmg:allow hotpathalloc -- formats on the way to a panic
 		panic(fmt.Sprintf("sim: releasing %d units to resource %q with only %d in use", n, r.name, r.inUse))
 	}
-	r.account()
 	r.inUse -= n
 	for r.waiters.n > 0 && r.inUse+r.waiters.at(0).n <= r.capacity {
 		w := r.waiters.popFront()
 		r.inUse += w.n
-		r.eng.wake(w.p, nil)
+		r.eng.wake(w.p)
 	}
-}
-
-// Use acquires n units, runs the process for d units of virtual time, and
-// releases them again. It is the common "occupy a server for a while" idiom.
-func (r *Resource) Use(p *Proc, n int, d Duration) {
-	r.Acquire(p, n)
-	p.Delay(d)
-	r.Release(n)
 }

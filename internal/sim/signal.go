@@ -8,7 +8,6 @@ package sim
 type Signal struct {
 	eng   *Engine
 	fired bool
-	value any
 	// Nearly every signal has exactly one waiter, which lives in the signal
 	// itself; only the others cost a slice.
 	first *Proc
@@ -21,52 +20,42 @@ func NewSignal(eng *Engine) *Signal { return &Signal{eng: eng} }
 // Fired reports whether Fire has been called.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Value returns the value passed to FireValue, or nil.
-func (s *Signal) Value() any { return s.value }
-
 // Fire marks the signal as fired and wakes every waiting process. Calling
 // Fire more than once is a no-op.
 //
 //cellmg:hotpath
-func (s *Signal) Fire() { s.FireValue(nil) }
-
-// FireAfter fires the signal d from now: After(d, s.Fire) without a closure,
-// a callback or a handle.
-func (s *Signal) FireAfter(d Duration) { s.eng.schedule(event{at: s.eng.now.Add(d), sig: s}) }
-
-// FireValue fires the signal carrying a value that waiters can retrieve with
-// Value.
-//
-//cellmg:hotpath
-func (s *Signal) FireValue(v any) {
+func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	s.value = v
 	if s.first != nil {
-		s.eng.wake(s.first, v)
+		s.eng.wake(s.first)
 	}
 	for _, p := range s.more {
-		s.eng.wake(p, v)
+		s.eng.wake(p)
 	}
 	s.first, s.more = nil, nil
 }
+
+// FireAfter fires the signal d from now; the firing is an event of its own,
+// so it needs no process, closure or handle.
+func (s *Signal) FireAfter(d Duration) { s.eng.schedule(event{at: s.eng.now.Add(d), sig: s}) }
 
 // Wait blocks the calling process until the signal fires. If it has already
 // fired, Wait returns immediately.
 //
 //cellmg:hotpath
-func (s *Signal) Wait(p *Proc) any {
+func (s *Signal) Wait(p *Proc) {
 	switch {
 	case s.fired:
-		return s.value
+		return
 	case s.first == nil:
 		s.first = p
 	default:
 		s.more = append(s.more, p) //cellmg:allow hotpathalloc -- the rare second waiter of a broadcast
 	}
-	return p.block()
+	p.block()
 }
 
 // Condition is a reusable wait/notify primitive: processes wait for the
@@ -103,46 +92,6 @@ func (c *Condition) NotifyOne() bool {
 	if c.waiters.n == 0 {
 		return false
 	}
-	c.eng.wake(c.waiters.popFront(), nil)
+	c.eng.wake(c.waiters.popFront())
 	return true
-}
-
-// Barrier blocks processes until a fixed number of parties have arrived, then
-// releases them all and resets for the next round. It models the join point
-// of a work-sharing construct.
-type Barrier struct {
-	eng     *Engine
-	parties int
-	arrived int
-	waiters []*Proc
-	rounds  int
-}
-
-// NewBarrier creates a barrier for the given number of parties (> 0).
-func NewBarrier(eng *Engine, parties int) *Barrier {
-	if parties <= 0 {
-		panic("sim: barrier needs at least one party")
-	}
-	return &Barrier{eng: eng, parties: parties}
-}
-
-// Rounds returns how many times the barrier has tripped.
-func (b *Barrier) Rounds() int { return b.rounds }
-
-// Arrive blocks the calling process until all parties have arrived. The last
-// arriving process does not block; it trips the barrier and wakes the others.
-func (b *Barrier) Arrive(p *Proc) {
-	b.arrived++
-	if b.arrived == b.parties {
-		b.arrived = 0
-		b.rounds++
-		ws := b.waiters
-		b.waiters = nil
-		for _, w := range ws {
-			b.eng.wake(w, nil)
-		}
-		return
-	}
-	b.waiters = append(b.waiters, p)
-	p.block()
 }

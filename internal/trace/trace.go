@@ -91,17 +91,6 @@ func (t *Timeline) Utilization(component string) float64 {
 	return float64(t.BusyTime(component)) / float64(end)
 }
 
-// KindBreakdown returns the busy time of a component split by activity kind.
-func (t *Timeline) KindBreakdown(component string) map[string]sim.Duration {
-	out := map[string]sim.Duration{}
-	for _, iv := range t.intervals {
-		if iv.Component == component {
-			out[iv.Kind] += iv.Duration()
-		}
-	}
-	return out
-}
-
 // Gantt renders an ASCII Gantt chart with the given number of columns.
 // Each row is one component; a column is marked '#' if the component was busy
 // for more than half of that column's time span, '+' if busy at all, and '.'
@@ -166,24 +155,6 @@ func (t *Timeline) Gantt(columns int) string {
 			}
 		}
 		fmt.Fprintf(&b, "  %5.1f%%\n", 100*t.Utilization(c))
-	}
-	return b.String()
-}
-
-// CSV renders the raw intervals as comma-separated values with a header, for
-// offline plotting.
-func (t *Timeline) CSV() string {
-	var b strings.Builder
-	b.WriteString("component,start_ns,end_ns,kind\n")
-	ivs := append([]Interval(nil), t.intervals...)
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Start != ivs[j].Start {
-			return ivs[i].Start < ivs[j].Start
-		}
-		return ivs[i].Component < ivs[j].Component
-	})
-	for _, iv := range ivs {
-		fmt.Fprintf(&b, "%s,%d,%d,%s\n", iv.Component, int64(iv.Start), int64(iv.End), iv.Kind)
 	}
 	return b.String()
 }

@@ -34,10 +34,6 @@ func TestRecordAndAccounting(t *testing.T) {
 	if u := tl.Utilization("spe1"); u != 1.0 {
 		t.Errorf("spe1 utilization = %v, want 1.0", u)
 	}
-	kinds := tl.KindBreakdown("spe0")
-	if kinds["compute"] != 10*sim.Microsecond || kinds["dma"] != 10*sim.Microsecond {
-		t.Errorf("kind breakdown = %v", kinds)
-	}
 }
 
 func TestEmptyTimeline(t *testing.T) {
@@ -77,25 +73,17 @@ func TestGanttShape(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	tl := New()
-	tl.Record("b", sim.Time(10), sim.Time(20), "dma")
-	tl.Record("a", sim.Time(0), sim.Time(5), "compute")
-	csv := tl.CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if lines[0] != "component,start_ns,end_ns,kind" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "a,0,5,compute") || !strings.HasPrefix(lines[2], "b,10,20,dma") {
-		t.Errorf("rows not sorted by start:\n%s", csv)
-	}
-}
-
 func TestIntegrationWithCellsimHook(t *testing.T) {
 	eng := sim.NewEngine()
 	m := cellsim.NewMachine(eng, cellsim.DefaultCostModel(), 1)
 	tl := New()
-	m.Trace = tl.Record
+	kinds := map[string]sim.Duration{} // SPE 0's busy time by activity kind
+	m.Trace = func(component string, start, end sim.Time, kind string) {
+		tl.Record(component, start, end, kind)
+		if component == "cell0.spe0" {
+			kinds[kind] += end.Sub(start)
+		}
+	}
 	m.SPE(0).Submit(func(c *cellsim.SPEContext) {
 		c.DMAGet(4096)
 		c.Compute(20 * sim.Microsecond)
@@ -115,7 +103,6 @@ func TestIntegrationWithCellsimHook(t *testing.T) {
 	if !strings.Contains(joined, "cell0.spe0") || !strings.Contains(joined, "cell0.ppe") {
 		t.Errorf("components = %v", comps)
 	}
-	kinds := tl.KindBreakdown("cell0.spe0")
 	if kinds["compute"] != 20*sim.Microsecond {
 		t.Errorf("spe compute time = %v, want 20us", kinds["compute"])
 	}

@@ -127,40 +127,6 @@ type Process struct {
 	Steps []Step
 }
 
-// OffloadCalls returns the number of off-loadable invocations in the process.
-func (p *Process) OffloadCalls() int {
-	n := 0
-	for _, s := range p.Steps {
-		if s.Kind == OffloadCall {
-			n++
-		}
-	}
-	return n
-}
-
-// TotalPPETime returns the sum of all PPE burst durations.
-func (p *Process) TotalPPETime() sim.Duration {
-	var d sim.Duration
-	for _, s := range p.Steps {
-		if s.Kind == PPECompute {
-			d += s.Duration
-		}
-	}
-	return d
-}
-
-// TotalSPETime returns the sum of the optimized serial SPE durations of all
-// off-loadable calls (i.e. the work an EDTLP schedule places on SPEs).
-func (p *Process) TotalSPETime() sim.Duration {
-	var d sim.Duration
-	for _, s := range p.Steps {
-		if s.Kind == OffloadCall {
-			d += sim.Duration(float64(s.Fn.SPETime) * s.Scale)
-		}
-	}
-	return d
-}
-
 // Config describes a workload: the mix of off-loadable functions, the PPE
 // gaps between them, and how many calls one bootstrap performs.
 type Config struct {
@@ -306,13 +272,6 @@ func (c *Config) MeanSPETime() sim.Duration {
 	return sim.Duration(total / weight)
 }
 
-// SPECoverage returns the fraction of a bootstrap's sequential time spent in
-// off-loadable functions (≈0.90 for RAxML on 42_SC).
-func (c *Config) SPECoverage() float64 {
-	spe := float64(c.MeanSPETime())
-	return spe / (spe + float64(c.MeanPPEGap))
-}
-
 // Validate checks the configuration for internal consistency.
 func (c *Config) Validate() error {
 	if len(c.Functions) == 0 {
@@ -400,36 +359,4 @@ func (c *Config) Job(n int) []*Process {
 		ps[i] = c.Bootstrap(i)
 	}
 	return ps
-}
-
-// Synthetic builds a simple single-function workload with uniform task
-// granularity; the ablation experiments use it to study scheduler behaviour
-// as a function of task length, loop coverage and loop trip count in
-// isolation from the RAxML mix.
-func Synthetic(name string, speTime, ppeGap sim.Duration, loopFraction float64, iterations, calls int) *Config {
-	fn := &FunctionSpec{
-		Class:            Newview,
-		Name:             name + "-kernel",
-		SPETime:          speTime,
-		NaiveSPETime:     speTime * 2,
-		PPETime:          sim.Duration(float64(speTime) * 1.4),
-		LoopIterations:   iterations,
-		LoopFraction:     loopFraction,
-		ReducePerWorker:  300 * sim.Nanosecond,
-		WorkerInputBytes: 2 * 1024,
-		InputBytes:       8 * 1024,
-		OutputBytes:      4 * 1024,
-		CodeSize:         64 * 1024,
-	}
-	return &Config{
-		Name:                  name,
-		Functions:             []*FunctionSpec{fn},
-		Mix:                   []float64{1},
-		MeanPPEGap:            ppeGap,
-		Jitter:                0,
-		CallsPerBootstrap:     calls,
-		RealCallsPerBootstrap: calls,
-		Seed:                  1,
-		ModuleCodeSize:        fn.CodeSize,
-	}
 }

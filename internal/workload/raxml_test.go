@@ -216,7 +216,7 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 }
 
 func TestSyntheticWorkload(t *testing.T) {
-	cfg := Synthetic("uniform", 50*sim.Microsecond, 5*sim.Microsecond, 0.5, 100, 200)
+	cfg := synthetic("uniform", 50*sim.Microsecond, 5*sim.Microsecond, 0.5, 100, 200)
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("synthetic config invalid: %v", err)
 	}
