@@ -5,6 +5,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 )
@@ -165,9 +166,13 @@ type PatternAlignment struct {
 	// States[taxon][pattern] is the 4-bit observed state set.
 	States [][]uint8
 	// Weights[pattern] is the number of original columns collapsed into the
-	// pattern.
+	// pattern — in a bootstrap replicate, the number of times the resample
+	// drew one of them, which is never 0: an undrawn pattern is not in the
+	// replicate (WithWeights).
 	Weights []float64
-	// SiteLength is the number of columns of the original alignment.
+	// SiteLength is the number of columns of the original alignment. A
+	// replicate keeps it (a resample draws that many columns) while its
+	// NumPatterns is smaller.
 	SiteLength int
 }
 
@@ -231,16 +236,54 @@ func (p *PatternAlignment) TotalWeight() float64 {
 	return s
 }
 
-// WithWeights returns a shallow copy of the pattern alignment using the given
-// per-pattern weights (the states are shared). It is how bootstrap replicates
-// are represented: same patterns, re-sampled weights.
+// WithWeights returns the pattern alignment re-weighted — how a bootstrap
+// replicate is represented: the patterns the weights keep (weight > 0), in
+// their original order, each with its new weight. A pattern of weight 0 adds
+// ±0 to every sum the engine takes over patterns, so it leaves the replicate
+// here, before any kernel runs over it, and not a bit of any result depends
+// on that. The copy owns its Weights and States (compacted column by column
+// into fresh slices; the original is never aliased) and shares the read-only
+// Names; SiteLength stays the original column count.
+//
+// The vector must have one finite, non-negative weight per pattern, at least
+// one of them positive; anything else is an error naming the first offender.
 func (p *PatternAlignment) WithWeights(weights []float64) (*PatternAlignment, error) {
 	if len(weights) != p.NumPatterns() {
 		return nil, fmt.Errorf("phylo: %d weights for %d patterns", len(weights), p.NumPatterns())
 	}
-	cp := *p
-	cp.Weights = append([]float64(nil), weights...)
-	return &cp, nil
+	kept := 0
+	for i, w := range weights {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("phylo: weight %d is %v, want a finite value >= 0", i, w)
+		}
+		if w > 0 {
+			kept++
+		}
+	}
+	if kept == 0 {
+		return nil, fmt.Errorf("phylo: no pattern has weight: all %d weights are zero", len(weights))
+	}
+	cp := &PatternAlignment{
+		Names:      p.Names,
+		States:     make([][]uint8, len(p.States)),
+		Weights:    make([]float64, 0, kept),
+		SiteLength: p.SiteLength,
+	}
+	for _, w := range weights {
+		if w > 0 {
+			cp.Weights = append(cp.Weights, w)
+		}
+	}
+	for t, row := range p.States {
+		states := make([]uint8, 0, kept)
+		for i, w := range weights {
+			if w > 0 {
+				states = append(states, row[i])
+			}
+		}
+		cp.States[t] = states
+	}
+	return cp, nil
 }
 
 // TaxonIndex returns the index of the named taxon, or -1.

@@ -2,6 +2,9 @@ package phylo
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -159,25 +162,135 @@ func TestCompressDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestWithWeights pins what a re-weighted copy is — the patterns of non-zero
+// weight, in order, column for column, owning everything it could be mutated
+// through — and what WithWeights refuses.
 func TestWithWeights(t *testing.T) {
-	aln, _ := ParsePhylip(strings.NewReader(samplePhylip))
-	pa, _ := Compress(aln)
-	w := make([]float64, pa.NumPatterns())
+	_, aln, err := Simulate(SimulateOptions{Taxa: 6, Length: 80, Seed: 3, MeanBranchLength: 0.15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, err := Compress(aln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nPat := pa.NumPatterns()
+	origWeights := append([]float64(nil), pa.Weights...)
+	origStates := make([][]uint8, len(pa.States))
+	for i, row := range pa.States {
+		origStates[i] = append([]uint8(nil), row...)
+	}
+	checkOriginal := func(when string) {
+		t.Helper()
+		for i, w := range origWeights {
+			if pa.Weights[i] != w {
+				t.Fatalf("%s: original weight %d changed", when, i)
+			}
+		}
+		for i, row := range origStates {
+			if !bytes.Equal(pa.States[i], row) {
+				t.Fatalf("%s: original states of taxon %d changed", when, i)
+			}
+		}
+	}
+
+	// Every third pattern undrawn, the rest with distinct weights.
+	w := make([]float64, nPat)
+	var kept []int
+	var total float64
 	for i := range w {
-		w[i] = 2
+		if i%3 != 1 {
+			w[i] = float64(i + 1)
+			total += w[i]
+			kept = append(kept, i)
+		}
 	}
 	re, err := pa.WithWeights(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.TotalWeight() != float64(2*pa.NumPatterns()) {
-		t.Errorf("reweighted total = %v", re.TotalWeight())
+	if re.NumPatterns() != len(kept) || re.NumTaxa() != pa.NumTaxa() {
+		t.Fatalf("replicate is %d taxa x %d patterns, want %d x %d", re.NumTaxa(), re.NumPatterns(), pa.NumTaxa(), len(kept))
 	}
-	if pa.Weights[0] == 2 && pa.Weights[1] == 2 && pa.Weights[len(pa.Weights)-1] == 2 {
-		t.Errorf("WithWeights must not mutate the original")
+	for j, i := range kept {
+		if re.Weights[j] != w[i] {
+			t.Errorf("survivor %d has weight %v, want pattern %d's %v", j, re.Weights[j], i, w[i])
+		}
+		for taxon := range pa.States {
+			if re.States[taxon][j] != pa.States[taxon][i] {
+				t.Errorf("survivor %d, taxon %d: state %#x, want pattern %d's %#x", j, taxon, re.States[taxon][j], i, pa.States[taxon][i])
+			}
+		}
 	}
-	if _, err := pa.WithWeights(w[:1]); err == nil {
-		t.Errorf("mismatched weight length should be rejected")
+	if re.TotalWeight() != total || re.SiteLength != pa.SiteLength {
+		t.Errorf("total weight %v (want %v), SiteLength %d (want %d)", re.TotalWeight(), total, re.SiteLength, pa.SiteLength)
+	}
+	if &re.Names[0] != &pa.Names[0] {
+		t.Error("Names should be shared with the original")
+	}
+	for j := range re.Weights {
+		re.Weights[j] = -1
+		for taxon := range re.States {
+			re.States[taxon][j] = 0xFF
+		}
+	}
+	checkOriginal("after mutating the copy")
+	w[0] = 99
+	if re.Weights[0] == 99 {
+		t.Error("the copy aliases the caller's weight vector")
+	}
+
+	// No zeros: nothing dropped, and still nothing aliased.
+	full, err := pa.WithWeights(origWeights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.NumPatterns() != nPat || full.TotalWeight() != pa.TotalWeight() {
+		t.Errorf("all-positive weights kept %d of %d patterns, total %v of %v", full.NumPatterns(), nPat, full.TotalWeight(), pa.TotalWeight())
+	}
+	for taxon, row := range full.States {
+		if !bytes.Equal(row, pa.States[taxon]) {
+			t.Errorf("all-positive weights changed the states of taxon %d", taxon)
+		}
+		row[0] ^= 0x0F
+	}
+	full.Weights[0]++
+	checkOriginal("after mutating the all-positive copy")
+
+	// with is the original weight vector with one entry replaced.
+	with := func(i int, v float64) []float64 {
+		out := append([]float64(nil), origWeights...)
+		out[i] = v
+		return out
+	}
+	for _, c := range []struct {
+		name    string
+		weights []float64
+		want    string
+	}{
+		{"short vector", origWeights[:1], "1 weights for"},
+		{"negative", with(2, -1), "weight 2 is -1"},
+		{"NaN", with(nPat-1, math.NaN()), fmt.Sprintf("weight %d is NaN", nPat-1)},
+		{"infinite", with(0, math.Inf(1)), "weight 0 is +Inf"},
+		{"all zero", make([]float64, nPat), "no pattern has weight"},
+	} {
+		got, err := pa.WithWeights(c.weights)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+		if got != nil {
+			t.Errorf("%s: a replicate came back with the error", c.name)
+		}
+	}
+	// BootstrapWeights of an alignment without weight is all zeros; Bootstrap
+	// must say so instead of handing NewEngine an empty alignment.
+	weightless := &PatternAlignment{Names: pa.Names, States: pa.States, Weights: make([]float64, nPat), SiteLength: pa.SiteLength}
+	if _, err := Bootstrap(weightless, rand.New(rand.NewSource(1))); err == nil || !strings.Contains(err.Error(), "no pattern has weight") {
+		t.Errorf("Bootstrap of a weightless alignment: error %v, want \"no pattern has weight\"", err)
+	}
+	if _, err := RunTask(context.Background(), weightless, NewJC69(), SingleRate(), AnalysisOptions{}, TaskID{Bootstrap: true}, nil, nil, nil); err == nil ||
+		!strings.Contains(err.Error(), "no pattern has weight") {
+		t.Errorf("bootstrap task on a weightless alignment: error %v, want \"no pattern has weight\"", err)
 	}
 }
 

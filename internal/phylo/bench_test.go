@@ -220,3 +220,47 @@ func BenchmarkSmallSearch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBootstrapSearch measures the unit the paper's workload repeats: one
+// bootstrap task through RunTask — resample, replicate, engine, search — on
+// the shape of bench/'s batch_bootstraps (10 taxa × 300 sites, JC69, default
+// search), cycling through that workload's 14 replicate ids. A replicate holds
+// only the patterns its resample drew, so next to the time it reports how many
+// that is (patterns/op) and as a share of the alignment's patterns (kept) —
+// the per-layer number behind batch_bootstraps' op_p50_ms.
+func BenchmarkBootstrapSearch(b *testing.B) {
+	so := phylo.DefaultSimulateOptions()
+	so.Taxa, so.Length, so.Seed = 10, 300, 1
+	_, aln, err := phylo.Simulate(so)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := phylo.Compress(aln)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := phylo.AnalysisOptions{Seed: 1, Search: phylo.DefaultSearchOptions()}
+	const replicates = 14
+	var kept [replicates]int
+	for id := range kept {
+		rng := rand.New(rand.NewSource(phylo.DeriveSeed(opts.Seed, phylo.SeedStreamBootstrapWeights, id)))
+		replicate, err := phylo.Bootstrap(data, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kept[id] = replicate.NumPatterns()
+	}
+	patterns := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := phylo.TaskID{Bootstrap: true, Index: i % replicates}
+		if _, err := phylo.RunTask(context.Background(), data, phylo.NewJC69(), phylo.SingleRate(), opts, id, nil, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		patterns += kept[id.Index]
+	}
+	mean := float64(patterns) / float64(b.N)
+	b.ReportMetric(mean, "patterns/op")
+	b.ReportMetric(mean/float64(data.NumPatterns()), "kept")
+}

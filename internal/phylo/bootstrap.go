@@ -46,8 +46,13 @@ func BootstrapWeights(p *PatternAlignment, rng *rand.Rand) []float64 {
 	return weights
 }
 
-// Bootstrap returns a pattern alignment whose weights are one bootstrap
-// resample of the original columns.
+// Bootstrap returns one bootstrap replicate of p: the patterns a resample of
+// the original columns drew, in their original order, weighted by how often
+// each was drawn (WithWeights — about a third of the patterns of a typical
+// alignment are never drawn and are not in the replicate, so every kernel
+// runs over the smaller pattern count). The replicate shares p's Names and
+// nothing else. An alignment of total weight 0 has nothing to draw from and
+// is an error.
 func Bootstrap(p *PatternAlignment, rng *rand.Rand) (*PatternAlignment, error) {
 	return p.WithWeights(BootstrapWeights(p, rng))
 }
@@ -135,11 +140,12 @@ func (o AnalysisOptions) Tasks() []TaskID {
 }
 
 // RunTask is the one task body behind every analysis driver: derive the
-// task's seeds, resample the pattern weights if it is a bootstrap, build the
-// engine and run the search. par is the loop-level executor for the engine's
-// pattern loops (nil = serial); resume, when non-nil, restarts the search
-// from that sweep-boundary checkpoint; checkpoint, when non-nil, receives
-// every sweep-boundary checkpoint (engine-owned: encode it inside the call).
+// task's seeds, replace the alignment by its replicate if it is a bootstrap
+// (Bootstrap: the drawn patterns only), build the engine and run the search.
+// par is the loop-level executor for the engine's pattern loops (nil =
+// serial); resume, when non-nil, restarts the search from that sweep-boundary
+// checkpoint; checkpoint, when non-nil, receives every sweep-boundary
+// checkpoint (engine-owned: encode it inside the call).
 //
 // All of the task's randomness — an inference's starting tree, a bootstrap's
 // column resample and starting tree — is seeded by DeriveSeed(opts.Seed,

@@ -10,12 +10,10 @@ package phylo
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 )
 
@@ -390,14 +388,7 @@ func TestSearchResumeByteIdentical(t *testing.T) {
 // there and a valid CRC.
 func legacyCheckpoint(t *testing.T, path string, lastRound int) []byte {
 	t.Helper()
-	text, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := hex.DecodeString(string(bytes.ReplaceAll(text, []byte("\n"), nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := readHexFile(t, path)
 	c, err := DecodeCheckpoint(enc)
 	if err != nil {
 		t.Fatalf("legacy checkpoint: %v", err)

@@ -19,9 +19,14 @@
 //     nearest-neighbour-interchange rounds), multiple inferences and
 //     non-parametric bootstrapping — as an analysis of independent tasks
 //     (TaskID: inference i or bootstrap j) with exactly one task body, RunTask
-//     (seed derivation, bootstrap weights, NewEngine, SearchContext), and one
-//     assembly step, AssembleAnalysis; RunAnalysis is the serial driver over
-//     the two and package native the parallel one;
+//     (seed derivation, the bootstrap replicate, NewEngine, SearchContext), and
+//     one assembly step, AssembleAnalysis; RunAnalysis is the serial driver
+//     over the two and package native the parallel one. A replicate holds
+//     only the patterns its resample drew, with their counts, in original
+//     order (PatternAlignment.WithWeights): an undrawn pattern adds ±0 to
+//     every sum over patterns, so dropping it before the engine is built
+//     moves no bit (replicate_test.go) and sizes the replicate's engine,
+//     kernels and memory by the ~2/3 that stay — RAxML's practice;
 //   - a sequence simulator used to generate synthetic alignments for tests,
 //     examples and benchmarks.
 //

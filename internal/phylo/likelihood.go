@@ -856,6 +856,11 @@ func (e *Engine) optimizeEdge(t *Tree, v *Node) bool {
 	e.buildSumTable(v)
 	old := v.Length
 	nb, before := e.makenewz(old)
+	if nb == old {
+		// Newton left the length where it was (pinned at a bound, or a zero
+		// step): the likelihood there is before itself, nothing to accept.
+		return false
+	}
 	if old < MinBranchLength {
 		// Newton started from the clamped length, not from old.
 		before = e.sumLogLik(old)

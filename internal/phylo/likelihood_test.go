@@ -3,6 +3,7 @@ package phylo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -373,6 +374,43 @@ func TestEdgeLogLikMatchesDerivativesBitForBit(t *testing.T) {
 				t.Fatalf("covered %d tip and %d inner edges", tips, inner)
 			}
 		})
+	}
+}
+
+// TestOptimizeEdgePinnedAtBoundCostsOnePass: two identical sequences want
+// distance 0, so Newton on an edge already at MinBranchLength steps below the
+// bound, is clamped back onto it and returns the length it was given. The
+// likelihood there is the one its first pass computed — optimizeEdge must not
+// spend a second pass re-deriving it, and must leave the length and every
+// invalidation mark alone.
+func TestOptimizeEdgePinnedAtBoundCostsOnePass(t *testing.T) {
+	data := twoTaxonData(t, "ACGTACGTAC", "ACGTACGTAC")
+	eng, err := NewEngine(data, NewJC69(), SingleRate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := twoTaxonTree(MinBranchLength, 0.05)
+	pinned := tree.Nodes[0]
+	ll := eng.LogLikelihood(tree)
+	eng.ensureOut(tree, pinned)
+
+	derivs, epoch, anyDirty := eng.Stats.DerivEvals, eng.treeEpoch, eng.anyDirty
+	dirty := append([]bool(nil), eng.downDirty...)
+	stamps := append([]uint64(nil), eng.outEpoch...)
+	if eng.optimizeEdge(tree, pinned) {
+		t.Error("a pinned edge reported a material change")
+	}
+	if got := eng.Stats.DerivEvals - derivs; got != 1 {
+		t.Errorf("pinned edge cost %d passes over the sum table, want 1", got)
+	}
+	if pinned.Length != MinBranchLength {
+		t.Errorf("pinned edge moved to %v", pinned.Length)
+	}
+	if eng.treeEpoch != epoch || eng.anyDirty != anyDirty || !slices.Equal(eng.downDirty, dirty) || !slices.Equal(eng.outEpoch, stamps) {
+		t.Error("a visit that changed nothing moved the engine's invalidation state")
+	}
+	if got := eng.LogLikelihood(tree); !sameFloat(got, ll) {
+		t.Errorf("logL %v after the visit, %v before", got, ll)
 	}
 }
 
