@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package cellsim
 
 import "cellmg/internal/sim"

@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package cellsim
 
 import (
@@ -48,7 +47,7 @@ func newSPE(m *Machine, cell *Cell, index int) *SPE {
 		Global:  cell.Index*SPEsPerCell + index,
 	}
 	s.name = fmt.Sprintf("cell%d.spe%d", cell.Index, index)
-	s.cmds = sim.NewQueue[speCommand](m.Eng, s.name+".cmds")
+	s.cmds = sim.NewQueue[speCommand](m.Eng)
 	m.Eng.Spawn(s.name, s.run)
 	return s
 }

@@ -1,5 +1,3 @@
-//cellmg:deterministic
-
 package flight
 
 import (

@@ -18,10 +18,11 @@
 // wraps, the oldest events are overwritten and counted as dropped — recording
 // never blocks on a reader and never allocates.
 //
-// The record path (Now, Span, Instant) is nil-safe and annotated
-// //cellmg:hotpath-safe: a disabled recorder is a nil *Recorder, and every
-// record call compiles down to a nil check. With the recorder enabled the
-// path is 0 allocs/op (guarded by testing.AllocsPerRun in flight_test.go).
+// The record path (Now, Span, Instant) is nil-safe: a disabled recorder is a
+// nil *Recorder, and every record call compiles down to a nil check. With the
+// recorder enabled the path is 0 allocs/op (TestRecordPathAllocs, and
+// native's TestParallelForWithFlightAllocationFree for the Span that
+// ParallelFor records).
 // Its cost relative to a traced workload is the benchmark's
 // flight.overhead_ratio (bench/, --trace 1); it was under the noise floor
 // when recorded at 251e336 and 2-8% once the kernels got faster (3f937be,
@@ -30,23 +31,14 @@
 // # Clock discipline
 //
 // Timestamps are nanoseconds since the recorder's construction, read from the
-// monotonic clock via time.Since. The repo's determinism contract
-// (//cellmg:deterministic, enforced by cellmg-lint) forbids wall-clock reads
-// in result-producing code; the flight recorder is the sanctioned exception.
-// flight.go is itself annotated //cellmg:deterministic so that no OTHER
-// nondeterministic input can creep into the record path, and its two clock
-// reads (the epoch anchor in New and the monotonic read in now) carry
-// explicit waivers:
-//
-//	//cellmg:allow determinism -- flight recorder clock authority: ...
-//
-// Callers in deterministic files (phylo, native's analysis driver) stay
-// lint-clean because they never read the clock themselves — they hand the
-// recorder pre-packed integers and the recorder stamps the time. Timestamps
-// flow only into traces and metrics, never into analysis results. The
-// hotpathalloc analyzer whitelists this package for the same reason: the
-// //cellmg:hotpath ParallelFor calls Span directly, and the record path's
-// allocation-freedom is guarded by its own AllocsPerRun tests.
+// monotonic clock via time.Since. Result-producing code must not read the
+// wall clock (the byte-identity tests and goldens of phylo, native and sched
+// are what fails when it does); the flight recorder is the sanctioned
+// exception, and its two clock reads are the epoch anchor in New and the
+// monotonic read in now. Callers in result-producing code (phylo, native's
+// analysis driver) never read the clock themselves — they hand the recorder
+// pre-packed integers and the recorder stamps the time. Timestamps flow only
+// into traces and metrics, never into analysis results.
 //
 // # Surfaces
 //

@@ -1,5 +1,3 @@
-//cellmg:deterministic
-
 package flight
 
 import (
@@ -131,7 +129,8 @@ func New(cfg Config) *Recorder {
 	}
 	n := cfg.Workers + 2 + cfg.Workers
 	r := &Recorder{
-		//cellmg:allow determinism -- flight recorder clock authority: the epoch anchors all monotonic timestamps; results never depend on it
+		// One of the recorder's two clock reads (doc.go, "Clock discipline"): the
+		// epoch anchors every timestamp; results never depend on it.
 		epoch:   time.Now(),
 		mask:    size - 1,
 		workers: cfg.Workers,
@@ -153,8 +152,6 @@ func New(cfg Config) *Recorder {
 
 // Enabled reports whether the recorder is live. It exists for call sites
 // that want to skip payload packing entirely when tracing is off.
-//
-//cellmg:hotpath-safe
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Workers returns the worker count the lane layout was built for (0 when
@@ -167,8 +164,6 @@ func (r *Recorder) Workers() int {
 }
 
 // WorkerLane returns the lane for pool worker i.
-//
-//cellmg:hotpath-safe
 func (r *Recorder) WorkerLane(i int) int {
 	if r == nil {
 		return 0
@@ -180,8 +175,6 @@ func (r *Recorder) WorkerLane(i int) int {
 }
 
 // PolicyLane returns the lane MGPS evaluation/switch instants are recorded on.
-//
-//cellmg:hotpath-safe
 func (r *Recorder) PolicyLane() int {
 	if r == nil {
 		return 0
@@ -190,8 +183,6 @@ func (r *Recorder) PolicyLane() int {
 }
 
 // JobLane returns the lane server job lifecycle spans are recorded on.
-//
-//cellmg:hotpath-safe
 func (r *Recorder) JobLane() int {
 	if r == nil {
 		return 0
@@ -201,8 +192,6 @@ func (r *Recorder) JobLane() int {
 
 // SubmitLane returns the submit-shard lane for submitter sub; submitters
 // hash onto the worker-count shards so concurrent streams rarely contend.
-//
-//cellmg:hotpath-safe
 func (r *Recorder) SubmitLane(sub int) int {
 	if r == nil {
 		return 0
@@ -214,8 +203,6 @@ func (r *Recorder) SubmitLane(sub int) int {
 }
 
 // Now returns the current recorder timestamp (0 when disabled).
-//
-//cellmg:hotpath-safe
 func (r *Recorder) Now() Time {
 	if r == nil {
 		return 0
@@ -223,16 +210,13 @@ func (r *Recorder) Now() Time {
 	return r.now()
 }
 
-//cellmg:hotpath-safe
 func (r *Recorder) now() Time {
-	//cellmg:allow determinism -- flight recorder clock authority: monotonic read feeds traces and metrics only, never analysis results
+	// The other clock read: monotonic, into traces and metrics only.
 	return Time(time.Since(r.epoch))
 }
 
 // Span records a completed span on lane: it started at start (from Now) and
 // ends now. No-op when the recorder is disabled.
-//
-//cellmg:hotpath-safe
 func (r *Recorder) Span(laneIdx int, kind Kind, id uint64, start Time, a, b int64) {
 	if r == nil {
 		return
@@ -250,8 +234,6 @@ func (r *Recorder) Span(laneIdx int, kind Kind, id uint64, start Time, a, b int6
 
 // Instant records a zero-duration event on lane at the current time. No-op
 // when the recorder is disabled.
-//
-//cellmg:hotpath-safe
 func (r *Recorder) Instant(laneIdx int, kind Kind, id uint64, a, b int64) {
 	if r == nil {
 		return
@@ -265,7 +247,6 @@ func (r *Recorder) Instant(laneIdx int, kind Kind, id uint64, a, b int64) {
 	})
 }
 
-//cellmg:hotpath-safe
 func (r *Recorder) put(laneIdx int, ev Event) {
 	if laneIdx < 0 || laneIdx >= len(r.lanes) {
 		laneIdx = 0

@@ -14,8 +14,6 @@
 // The single-thread bootstrap times are calibrated from Figure 10 and the
 // architectural ratios discussed in the paper; the calibration is documented
 // on each constructor.
-//
-//cellmg:deterministic
 package hostsim
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -269,6 +270,41 @@ func TestParallelAnalysisWithLLPExercisesWorkSharing(t *testing.T) {
 			t.Errorf("width %d: work-shared loops %d (want > 0), heavy loops %d (want 0)",
 				width, s.LoopsWorkShared, s.LoopsHeavy)
 		}
+	}
+
+	// The three loop bodies production work-shares, one at a time: this is what
+	// puts newviewBody, evaluateBody and sumTableBody on several goroutines
+	// under -race (CI runs this test by name there), so a fixture or threshold
+	// change that turned one serial fails here, not silently.
+	eng, err := phylo.NewEngine(data, gtr, gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := phylo.NewRandomTree(data.Names, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := tree.InternalEdges()[0]
+	err = rt.NewSubmitter().Offload(func(tc *TaskContext) {
+		eng.SetParallel(tc.ParallelFor)
+		eng.Refresh(tree)
+		for _, k := range []struct {
+			kernel string
+			run    func()
+		}{
+			{"newview", func() { eng.Newview(inner) }},
+			{"evaluate", func() { eng.EvaluateRoot(tree) }},
+			{"sum table", func() { eng.MakenewzEdge(inner) }},
+		} {
+			before := rt.Stats().LoopsWorkShared
+			k.run()
+			if rt.Stats().LoopsWorkShared == before {
+				t.Errorf("the %s loop over %d patterns ran serially on a group of %d", k.kernel, data.NumPatterns(), tc.GroupSize())
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	rt2 := New(Options{Workers: 4, Policy: StaticLLP, SPEsPerLoop: 2})

@@ -121,7 +121,8 @@ func TestParallelForDegenerateCases(t *testing.T) {
 	sub := rt.NewSubmitter()
 	err := sub.Offload(func(tc *TaskContext) {
 		calls := 0
-		//cellmg:allow parcapture -- zero-trip loop: the body must never run; the bare write is the tripwire that detects if it wrongly does
+		// Zero-trip loop: the body must never run; the bare write is the
+		// tripwire that detects if it wrongly does.
 		tc.ParallelFor(0, func(lo, hi int) { calls++ })
 		if calls != 0 {
 			t.Errorf("empty loop should not invoke the body")

@@ -315,8 +315,6 @@ func (tc *TaskContext) initLoopRunners() {
 // runShared claims grains of the current loop from the shared index until
 // none remain. It runs on every group slot, the master included (which joins
 // after finishing its inline share).
-//
-//cellmg:hotpath
 func (tc *TaskContext) runShared() {
 	n, g := tc.loopN, tc.loopGrain
 	for {
@@ -468,8 +466,6 @@ func (s *Submitter) OffloadContext(ctx context.Context, fn func(tc *TaskContext)
 //
 // It has the signature of phylo.ParallelFor, so it can be plugged directly
 // into a likelihood engine.
-//
-//cellmg:hotpath
 func (tc *TaskContext) ParallelFor(n int, body func(lo, hi int)) {
 	r := tc.rt
 	if n <= 0 {

@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package phylo
 
 import (

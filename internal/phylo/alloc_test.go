@@ -17,12 +17,7 @@ import (
 // buffer sized and the transition cache warm.
 func allocEngine(t *testing.T) (*phylo.Engine, *phylo.Tree) {
 	t.Helper()
-	return allocEngineFor(t, phylo.NewJC69(), phylo.SingleRate())
-}
-
-func allocEngineFor(t *testing.T, model phylo.Model, rates phylo.RateCategories) (*phylo.Engine, *phylo.Tree) {
-	t.Helper()
-	eng, tree, err := kernelEngine(model, rates)
+	eng, tree, err := kernelEngine(phylo.NewJC69(), phylo.SingleRate())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,44 +25,108 @@ func allocEngineFor(t *testing.T, model phylo.Model, rates phylo.RateCategories)
 	return eng, tree
 }
 
-func TestNewviewAllocationFree(t *testing.T) {
-	eng, tree := allocEngine(t)
-	node := kernelInternalNode(tree)
-	if node == nil {
-		t.Fatal("tree has no internal non-root node")
+// forEachKernelFixture runs a kernel guard on the paper-sized workload under
+// both models and on two inputs that reach the kernels' cold arms, so an
+// allocation there fails the same guard as one on the common path:
+// a 240-taxon tree is deep enough that newviewBody rescales, and zero_cherry
+// is the JC69 workload with both branches of one cherry at length 0 — P(0) is
+// the identity, so every pattern the two tips disagree on has likelihood
+// exactly zero and the ≤ 0 clamps of evaluateBody and sumDerivatives and
+// makenewz's lower bound run.
+func forEachKernelFixture(t *testing.T, guard func(t *testing.T, eng *phylo.Engine, tree *phylo.Tree)) {
+	jc, single, gtr, gamma := phylo.NewJC69(), phylo.SingleRate(), benchGTR(t), benchGamma4(t)
+	for _, f := range []struct {
+		name         string
+		model        phylo.Model
+		rates        phylo.RateCategories
+		taxa, length int
+		zeroCherry   bool
+	}{
+		{"JC69_single", jc, single, kernelTaxa, kernelLength, false},
+		{"GTR_gamma4", gtr, gamma, kernelTaxa, kernelLength, false},
+		{"rescaled_240_taxa", gtr, gamma, 240, 40, false},
+		{"zero_cherry", jc, single, kernelTaxa, kernelLength, true},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			eng, tree, err := fixtureEngine(f.taxa, f.length, f.model, f.rates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.zeroCherry {
+				collapseCherry(tree)
+			}
+			eng.Refresh(tree)
+			guard(t, eng, tree)
+		})
 	}
+}
+
+// collapseCherry sets both branches of the tree's first cherry to length 0 and
+// returns its two tips.
+func collapseCherry(tree *phylo.Tree) (a, b *phylo.Node) {
+	for _, n := range tree.Nodes {
+		if !n.IsTip() && n.Children[0].IsTip() && n.Children[1].IsTip() {
+			a, b = n.Children[0], n.Children[1]
+			a.Length, b.Length = 0, 0
+			break
+		}
+	}
+	return a, b
+}
+
+func TestNewviewAllocationFree(t *testing.T) {
+	forEachKernelFixture(t, func(t *testing.T, eng *phylo.Engine, tree *phylo.Tree) {
+		// Every node: inner and tip children, rescaled or not, and the tips
+		// themselves, which Newview leaves alone. Sibling rides along for its
+		// two nil results: the root's, and an only child's.
+		visit := func(n *phylo.Node) {
+			eng.Newview(n)
+			n.Sibling()
+		}
+		only := &phylo.Node{}
+		only.Parent = &phylo.Node{Children: []*phylo.Node{only}}
+		if avg := testing.AllocsPerRun(20, func() {
+			phylo.PostOrder(tree.Root, visit)
+			only.Sibling()
+		}); avg != 0 {
+			t.Errorf("Newview allocates %v per tree sweep in steady state, want 0", avg)
+		}
+	})
+	// An engine that has bound no tree has no repeat classes yet, so Newview
+	// runs the kernel over the full pattern range, not over representatives.
+	eng, tree, err := kernelEngine(phylo.NewJC69(), phylo.SingleRate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.EvaluateRoot(tree) // sizes the buffers, binds nothing
+	node := kernelInternalNode(tree)
 	if avg := testing.AllocsPerRun(100, func() { eng.Newview(node) }); avg != 0 {
-		t.Errorf("Newview allocates %v per call in steady state, want 0", avg)
+		t.Errorf("Newview allocates %v per call on an unbound engine, want 0", avg)
 	}
 }
 
 func TestEvaluateRootAllocationFree(t *testing.T) {
-	eng, tree := allocEngine(t)
-	if avg := testing.AllocsPerRun(100, func() { eng.EvaluateRoot(tree) }); avg != 0 {
-		t.Errorf("EvaluateRoot allocates %v per call in steady state, want 0", avg)
-	}
+	forEachKernelFixture(t, func(t *testing.T, eng *phylo.Engine, tree *phylo.Tree) {
+		if avg := testing.AllocsPerRun(100, func() { eng.EvaluateRoot(tree) }); avg != 0 {
+			t.Errorf("EvaluateRoot allocates %v per call in steady state, want 0", avg)
+		}
+	})
 }
 
 // TestMakenewzEdgeAllocationFree covers the sum-table build and the Newton
-// passes over it. Neither touches the transition cache, so there is nothing
-// to warm beyond the buffers Refresh sized.
+// passes over it, on every edge. Neither touches the transition cache, so
+// there is nothing to warm beyond the buffers Refresh sized.
 func TestMakenewzEdgeAllocationFree(t *testing.T) {
-	for _, cfg := range []struct {
-		name  string
-		model phylo.Model
-		rates phylo.RateCategories
-	}{
-		{"JC69_single", phylo.NewJC69(), phylo.SingleRate()},
-		{"GTR_gamma4", benchGTR(t), benchGamma4(t)},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			eng, tree := allocEngineFor(t, cfg.model, cfg.rates)
-			edge := tree.Edges()[len(tree.Edges())/2]
-			if avg := testing.AllocsPerRun(20, func() { eng.MakenewzEdge(edge) }); avg != 0 {
-				t.Errorf("MakenewzEdge allocates %v per call in steady state, want 0", avg)
+	forEachKernelFixture(t, func(t *testing.T, eng *phylo.Engine, tree *phylo.Tree) {
+		edges := tree.Edges()
+		if avg := testing.AllocsPerRun(5, func() {
+			for _, v := range edges {
+				eng.MakenewzEdge(v)
 			}
-		})
-	}
+		}); avg != 0 {
+			t.Errorf("MakenewzEdge allocates %v per tree sweep in steady state, want 0", avg)
+		}
+	})
 }
 
 // TestIncrementalEvaluationAllocationFree guards the new invalidation path:
@@ -92,6 +151,18 @@ func TestIncrementalEvaluationAllocationFree(t *testing.T) {
 		eng.LogLikelihood(tree)
 	}); avg != 0 {
 		t.Errorf("incremental invalidate+evaluate allocates %v per cycle, want 0", avg)
+	}
+	// The same cycle through the branch optimizer, from a collapsed cherry:
+	// Newton starts from the clamped length, so optimizeEdge scores the old one
+	// with sumLogLik, whose clamp the patterns of likelihood zero take.
+	a, b := collapseCherry(tree)
+	if avg := testing.AllocsPerRun(50, func() {
+		a.Length, b.Length = 0, 0
+		eng.InvalidateEdge(a)
+		eng.InvalidateEdge(b)
+		eng.OptimizeBranch(tree, a)
+	}); avg != 0 {
+		t.Errorf("optimizing a zero-length branch allocates %v per cycle, want 0", avg)
 	}
 }
 

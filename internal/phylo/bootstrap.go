@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package phylo
 
 import (
@@ -64,7 +63,6 @@ func SupportValues(reference *Tree, replicates []*Tree) map[string]float64 {
 	out := map[string]float64{}
 	refSplits := reference.Bipartitions()
 	if len(replicates) == 0 {
-		//cellmg:allow determinism -- map-to-map copy; output is itself a map, order cannot reach it
 		for s := range refSplits {
 			out[s] = 0
 		}
@@ -72,14 +70,12 @@ func SupportValues(reference *Tree, replicates []*Tree) map[string]float64 {
 	}
 	counts := map[string]int{}
 	for _, rep := range replicates {
-		//cellmg:allow determinism -- commutative counting; per-split tallies are order-independent
 		for s := range rep.Bipartitions() {
 			if refSplits[s] {
 				counts[s]++
 			}
 		}
 	}
-	//cellmg:allow determinism -- map-to-map transform; output is itself a map, order cannot reach it
 	for s := range refSplits {
 		out[s] = float64(counts[s]) / float64(len(replicates))
 	}

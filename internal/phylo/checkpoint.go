@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package phylo
 
 // Search checkpointing: a versioned, deterministic binary record of a tree

@@ -52,7 +52,12 @@ func fixtureAlignment(taxa, length int, seed int64) (*phylo.PatternAlignment, er
 // (eng.Refresh(tree) or a first LogLikelihood), so each benchmark controls
 // its own steady state.
 func kernelEngine(model phylo.Model, rates phylo.RateCategories) (*phylo.Engine, *phylo.Tree, error) {
-	data, err := fixtureAlignment(kernelTaxa, kernelLength, kernelDataSeed)
+	return fixtureEngine(kernelTaxa, kernelLength, model, rates)
+}
+
+// fixtureEngine is kernelEngine at other dimensions (same seeds).
+func fixtureEngine(taxa, length int, model phylo.Model, rates phylo.RateCategories) (*phylo.Engine, *phylo.Tree, error) {
+	data, err := fixtureAlignment(taxa, length, kernelDataSeed)
 	if err != nil {
 		return nil, nil, err
 	}

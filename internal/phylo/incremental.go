@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package phylo
 
 // This file implements incremental likelihood evaluation: dirty-node tracking
@@ -201,8 +200,6 @@ func (e *Engine) ensureOut(t *Tree, v *Node) {
 // left side, and the right side is out[u] through the transpose of u's
 // matrices (a column product written as the kernel's row product: the same
 // multiplications, added in the same order) or, at the root, the prior.
-//
-//cellmg:hotpath
 func (e *Engine) computeOutOne(u, v *Node) {
 	e.Stats.OutviewCalls++
 	a := &e.nvA
@@ -225,8 +222,6 @@ func (e *Engine) computeOutOne(u, v *Node) {
 
 // transposeFlat writes the per-category transposes of the flattened matrices
 // p into dst.
-//
-//cellmg:hotpath
 func transposeFlat(dst, p []float64) {
 	for m := 0; m < len(p); m += flatMatSize {
 		for i := 0; i < NumStates; i++ {

@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package phylo
 
 import (
@@ -229,32 +228,24 @@ func (e *Engine) SetParallel(p ParallelFor) {
 func (e *Engine) NumPatterns() int { return e.nPat }
 
 // downVec returns the subtree conditional vector of a node.
-//
-//cellmg:hotpath
 func (e *Engine) downVec(id int) []float64 {
 	o := id * e.vecLen
 	return e.clvDown[o : o+e.vecLen : o+e.vecLen]
 }
 
 // downScaleVec returns the per-pattern log scalers of a node's down vector.
-//
-//cellmg:hotpath
 func (e *Engine) downScaleVec(id int) []float64 {
 	o := id * e.nPat
 	return e.sclDown[o : o+e.nPat : o+e.nPat]
 }
 
 // outVec returns the outer conditional vector of a node.
-//
-//cellmg:hotpath
 func (e *Engine) outVec(id int) []float64 {
 	o := id * e.vecLen
 	return e.clvOut[o : o+e.vecLen : o+e.vecLen]
 }
 
 // outScaleVec returns the per-pattern log scalers of a node's out vector.
-//
-//cellmg:hotpath
 func (e *Engine) outScaleVec(id int) []float64 {
 	o := id * e.nPat
 	return e.sclOut[o : o+e.nPat : o+e.nPat]
@@ -337,8 +328,6 @@ type newviewArgs struct {
 // so the innermost statements are bounds-check-free. When uniq is non-nil the
 // loop runs over the site-repeat representative list instead of the full
 // pattern range (Newview copies the remaining patterns afterwards).
-//
-//cellmg:hotpath
 func (e *Engine) newviewBody(lo, hi int) {
 	a := &e.nvA
 	lv, rv := a.l.v, a.r.v
@@ -410,8 +399,6 @@ func (e *Engine) newviewBody(lo, hi int) {
 
 // store4 writes one category's four conditional likelihoods into d and
 // returns the running per-pattern maximum that decides rescaling.
-//
-//cellmg:hotpath
 func store4(d []float64, maxV, v0, v1, v2, v3 float64) float64 {
 	d[0], d[1], d[2], d[3] = v0, v1, v2, v3
 	if v0 > maxV {
@@ -433,8 +420,6 @@ func store4(d []float64, maxV, v0, v1, v2, v3 float64) float64 {
 // lookup table dst: for every rate category, observed state set and target
 // state s, the sum over the set's member states j of P[s][j]. Summation runs
 // in ascending j, matching the term order of the inner-child dot product.
-//
-//cellmg:hotpath
 func (e *Engine) fillTipTable(dst, p []float64) {
 	nCat := e.nCat
 	for r := 0; r < nCat; r++ {
@@ -459,8 +444,6 @@ func (e *Engine) fillTipTable(dst, p []float64) {
 // downSide makes s the subtree below c seen from c's parent: c's down vector
 // through P(c.Length), or for a tip the lookup table of its state sets,
 // expanded into tipTab[slot].
-//
-//cellmg:hotpath
 func (e *Engine) downSide(s *kernelSide, c *Node, slot int) {
 	p := e.trans.get(c.Length)
 	if c.IsTip() {
@@ -477,7 +460,12 @@ func (e *Engine) downSide(s *kernelSide, c *Node, slot int) {
 // site-repeat class runs through the loop body; the rest are copied
 // (siterepeats.go).
 //
-//cellmg:hotpath
+// Newview, EvaluateRoot and MakenewzEdge neither consult nor update the dirty
+// tracking of incremental.go. Outside this package they are for timing a
+// kernel in isolation: with the inputs unchanged since a Refresh (the result
+// is then the bits already there), or with a Refresh afterwards. Everything
+// else goes through LogLikelihood, Refresh, Optimize*, Search* and the
+// Invalidate* calls, or a later incremental evaluation returns stale values.
 func (e *Engine) Newview(n *Node) {
 	if n.IsTip() {
 		return
@@ -515,8 +503,6 @@ func (e *Engine) computeDown(t *Tree) {
 // epoch. out[u] and every down vector must be current. Branch optimization
 // does not call this: it repairs only the root-to-edge path it needs through
 // ensureOut (incremental.go).
-//
-//cellmg:hotpath
 func (e *Engine) computeOut(u *Node) {
 	for _, v := range u.Children {
 		e.computeOutOne(u, v)
@@ -548,8 +534,6 @@ type evaluateArgs struct {
 }
 
 // evaluateBody is the per-pattern loop of the evaluate() kernel.
-//
-//cellmg:hotpath
 func (e *Engine) evaluateBody(lo, hi int) {
 	a := &e.evalA
 	rootVec, rootScale := a.rootVec, a.rootScale
@@ -574,8 +558,6 @@ func (e *Engine) evaluateBody(lo, hi int) {
 
 // Evaluate computes the log-likelihood of the tree at the root — the paper's
 // evaluate() kernel. computeDown must have run first.
-//
-//cellmg:hotpath
 func (e *Engine) evaluateAtRoot(t *Tree) float64 {
 	e.Stats.EvaluateCalls++
 	root := t.Root
@@ -601,7 +583,8 @@ func (e *Engine) evaluateAtRoot(t *Tree) float64 {
 // EvaluateRoot exposes the evaluate() kernel on its own: it computes the
 // log-likelihood from the current root conditional vector without refreshing
 // anything. Refresh or LogLikelihood must have run on t first; calibration
-// uses it to time the kernel in isolation.
+// uses it to time the kernel in isolation, the only use outside this package
+// (see Newview).
 func (e *Engine) EvaluateRoot(t *Tree) float64 {
 	e.ensureBuffers(t)
 	return e.evaluateAtRoot(t)
@@ -649,8 +632,6 @@ func (e *Engine) initSpectrum() {
 // the model's eigenbasis and are multiplied there,
 // A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t]). A tip's second
 // factor is one row of tipInv, the same for every category.
-//
-//cellmg:hotpath
 func (e *Engine) sumTableBody(lo, hi int) {
 	n := e.sumNode
 	ov, oscale := e.outVec(n.ID), e.outScaleVec(n.ID)
@@ -701,8 +682,6 @@ func (e *Engine) sumTableBody(lo, hi int) {
 // or Refresh), into the sum table of the edge above v. Every pattern writes
 // its own slots, so the loop runs under the engine's ParallelFor like the
 // vector kernels and work-sharing cannot change a bit.
-//
-//cellmg:hotpath
 func (e *Engine) buildSumTable(v *Node) {
 	e.sumNode = v
 	e.par(e.nPat, e.sumFn)
@@ -713,8 +692,6 @@ func (e *Engine) buildSumTable(v *Node) {
 const expRow = 3 * NumStates
 
 // fillExpTab sets the diagonals for branch length b.
-//
-//cellmg:hotpath
 func (e *Engine) fillExpTab(b float64) []float64 {
 	ex := e.expTab
 	catWeight := 1.0 / float64(e.nCat)
@@ -731,8 +708,6 @@ func (e *Engine) fillExpTab(b float64) []float64 {
 // length b — RAxML's coreGTRGAMMA: per pattern and category a dozen
 // multiply-adds against the three diagonals. With wantLL it also returns the
 // log-likelihood: one math.Log per pattern, which only Newton iterate 0 uses.
-//
-//cellmg:hotpath
 func (e *Engine) sumDerivatives(b float64, wantLL bool) (ll, d1, d2 float64) {
 	e.Stats.DerivEvals++
 	ex := e.fillExpTab(b)
@@ -768,8 +743,6 @@ func (e *Engine) sumDerivatives(b float64, wantLL bool) (ll, d1, d2 float64) {
 // sumLogLik returns the log-likelihood with the edge whose sum table is
 // loaded set to length b — sumDerivatives' first result, bit for bit (same
 // diagonal, same accumulation order), without the derivative sums.
-//
-//cellmg:hotpath
 func (e *Engine) sumLogLik(b float64) float64 {
 	e.Stats.DerivEvals++
 	ex := e.fillExpTab(b)
@@ -798,8 +771,6 @@ func (e *Engine) sumLogLik(b float64) float64 {
 // kernel. It returns the optimized length and the log-likelihood at iterate
 // 0, which the first derivative pass computes anyway: the likelihood at start
 // itself unless start lies below MinBranchLength and was clamped.
-//
-//cellmg:hotpath
 func (e *Engine) makenewz(start float64) (b, ll0 float64) {
 	e.Stats.MakenewzCalls++
 	b = start
@@ -837,7 +808,8 @@ func (e *Engine) makenewz(start float64) (b, ll0 float64) {
 // MakenewzEdge exposes the makenewz() kernel on its own: it builds the sum
 // table of the edge above v from the current down/out vectors and returns the
 // Newton-optimized length without mutating the tree. Refresh must have run
-// first; calibration uses it to time the kernel in isolation.
+// first; calibration uses it to time the kernel in isolation, the only use
+// outside this package (see Newview).
 func (e *Engine) MakenewzEdge(v *Node) float64 {
 	e.buildSumTable(v)
 	nb, _ := e.makenewz(v.Length)

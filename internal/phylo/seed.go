@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package phylo
 
 // Seed derivation for multi-replicate analyses.

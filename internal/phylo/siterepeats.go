@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package phylo
 
 // This file implements site-repeat compression: alignment patterns whose data
@@ -32,16 +31,12 @@ package phylo
 // without allocating.
 
 // repClassVec returns the class-id vector of an internal node.
-//
-//cellmg:hotpath
 func (e *Engine) repClassVec(id int) []int32 {
 	o := id * e.nPat
 	return e.repClass[o : o+e.nPat : o+e.nPat]
 }
 
 // repSrcVec returns the representative-pattern vector of an internal node.
-//
-//cellmg:hotpath
 func (e *Engine) repSrcVec(id int) []int32 {
 	o := id * e.nPat
 	return e.repSrc[o : o+e.nPat : o+e.nPat]
@@ -61,9 +56,8 @@ func (e *Engine) childClasses(n *Node) (cls []int32, states []uint8, count int) 
 // classes. Class ids are assigned in first-occurrence pattern order, so the
 // result is deterministic. The dense pair table maps (left class, right
 // class) to the class id; it is generation-stamped so reuse across nodes
-// costs no clearing.
-//
-//cellmg:hotpath-safe -- allocates only when the pair-table scratch grows; steady state guarded by alloc_test.go
+// costs no clearing. It allocates only when the pair-table scratch grows;
+// TestSearchAllocationFree holds the steady state to zero.
 func (e *Engine) rebuildClasses(n *Node) {
 	lcls, lst, lcnt := e.childClasses(n.Children[0])
 	rcls, rst, rcnt := e.childClasses(n.Children[1])
@@ -124,8 +118,6 @@ func (e *Engine) rebuildClasses(n *Node) {
 // (cost proportional to the copies actually made, not to nPat). Runs serially
 // after the parallel kernel pass (representative slots are disjoint, copies
 // read settled data).
-//
-//cellmg:hotpath
 func (e *Engine) repCopy(n *Node) {
 	a := &e.nvA
 	dst, scale := a.dst, a.scale
@@ -168,8 +160,6 @@ func (e *Engine) repCopy(n *Node) {
 // rebuilding bumps this node's version, which transitively triggers the
 // ancestors' rebuilds. A full invalidation on an unchanged topology therefore
 // re-verifies every node in O(1) instead of re-deriving classes in O(nPat).
-//
-//cellmg:hotpath
 func (e *Engine) newviewRepeats(n *Node) {
 	id := n.ID
 	if e.repDirty[id] {

@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package phylo
 
 // This file implements the transition-matrix cache: the flattened storage for
@@ -104,8 +103,6 @@ func (c *transCache) reset(model Model, rates []float64) {
 // length are free; a miss carves its entry from the slab, so it allocates
 // only past the slab's high-water mark. The returned slice stays valid until
 // the second overflow after the call.
-//
-//cellmg:hotpath-safe -- allocates only while the cache slab grows cold; steady state guarded by alloc_test.go
 func (c *transCache) get(b float64) []float64 {
 	if p, ok := c.probs[b]; ok {
 		return p

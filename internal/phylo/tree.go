@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package phylo
 
 import (
@@ -33,13 +32,9 @@ type Node struct {
 }
 
 // IsTip reports whether the node is a leaf.
-//
-//cellmg:hotpath
 func (n *Node) IsTip() bool { return len(n.Children) == 0 }
 
 // Sibling returns the other child of this node's parent, or nil for the root.
-//
-//cellmg:hotpath
 func (n *Node) Sibling() *Node {
 	if n.Parent == nil {
 		return nil
@@ -243,8 +238,6 @@ func PostOrder(n *Node, fn func(*Node)) {
 
 // PreOrder invokes fn on every node below-and-including n in pre-order
 // (parents before children).
-//
-//cellmg:hotpath
 func PreOrder(n *Node, fn func(*Node)) {
 	fn(n)
 	for _, c := range n.Children {
@@ -431,7 +424,7 @@ func (t *Tree) Bipartitions() map[string]bool {
 			for _, name := range side {
 				inSide[name] = true
 			}
-			//cellmg:allow determinism -- collected keys are sorted immediately below
+			// Map order: the collected keys are sorted immediately below.
 			for name := range all {
 				if !inSide[name] {
 					other = append(other, name)
@@ -451,13 +444,11 @@ func RobinsonFoulds(a, b *Tree) int {
 	ba := a.Bipartitions()
 	bb := b.Bipartitions()
 	d := 0
-	//cellmg:allow determinism -- commutative count; the distance is order-independent
 	for s := range ba {
 		if !bb[s] {
 			d++
 		}
 	}
-	//cellmg:allow determinism -- commutative count; the distance is order-independent
 	for s := range bb {
 		if !ba[s] {
 			d++

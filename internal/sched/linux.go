@@ -43,8 +43,7 @@ func runKernelScheduled(r *run, procs []*workload.Process, ppeOnly bool) {
 	queues := map[ctxKey]*sim.Queue[*kernelProc]{}
 	for ci, c := range r.cells {
 		for ctx := 0; ctx < c.cell.PPE.Contexts(); ctx++ {
-			queues[ctxKey{ci, ctx}] = sim.NewQueue[*kernelProc](r.eng,
-				fmt.Sprintf("cell%d.ctx%d.runq", c.cell.Index, ctx))
+			queues[ctxKey{ci, ctx}] = sim.NewQueue[*kernelProc](r.eng)
 		}
 	}
 	perCellCount := make([]int, len(r.cells))

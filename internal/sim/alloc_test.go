@@ -24,27 +24,48 @@ func steadyStateAllocs(eng *Engine, measuring *bool, step func(p *Proc)) float64
 	return avg
 }
 
-// TestEventPathAllocationFree is the dynamic half of the //cellmg:hotpath
-// annotations in this package: in steady state a timed wake-up (queued behind
-// another process's event, so it takes the heap and a coroutine switch, not
-// the inline advance), a queue hand-off, a contended Resource hold and a signal
-// fired by a scheduled event allocate nothing.
+// TestEventPathAllocationFree is what keeps the event path allocation-free:
+// in steady state a timed wake-up (queued behind other processes' events, so it
+// takes the heap, both sift directions and a coroutine switch, not the inline
+// advance), a RunUntil that stops at its limit, a queue hand-off, a contended
+// Resource hold and a broadcast signal fired by a scheduled event allocate
+// nothing — the arms a steady simulation rarely takes included.
 func TestEventPathAllocationFree(t *testing.T) {
 	var measuring bool
 	t.Run("delay", func(t *testing.T) {
 		eng := NewEngine()
-		eng.Spawn("other", func(p *Proc) {
-			for measuring {
-				p.Delay(3)
+		for _, d := range []Duration{3, 5, 7, 11} {
+			eng.Spawn("other", func(p *Proc) {
+				for measuring {
+					p.Delay(d)
+				}
+			})
+		}
+		step := func(p *Proc) {
+			p.Delay(2)
+			p.Delay(-1) // a negative delay is a zero one
+		}
+		if avg := steadyStateAllocs(eng, &measuring, step); avg != 0 {
+			t.Errorf("Delay allocates %.1f objects per call", avg)
+		}
+	})
+	t.Run("limit", func(t *testing.T) {
+		eng := NewEngine()
+		defer eng.Close()
+		ticks := 0
+		eng.Spawn("ticker", func(p *Proc) {
+			for {
+				p.Delay(10)
+				ticks++
 			}
 		})
-		if avg := steadyStateAllocs(eng, &measuring, func(p *Proc) { p.Delay(2) }); avg != 0 {
-			t.Errorf("Delay allocates %.1f objects per call", avg)
+		if avg := testing.AllocsPerRun(200, func() { eng.RunUntil(eng.Now() + 5) }); avg != 0 || ticks != 100 {
+			t.Errorf("RunUntil allocates %.1f objects per 5 ns slice; %d ticks in 201 slices, want 100", avg, ticks)
 		}
 	})
 	t.Run("queue", func(t *testing.T) {
 		eng := NewEngine()
-		in, out := NewQueue[int](eng, "in"), NewQueue[int](eng, "out")
+		in, out := NewQueue[int](eng), NewQueue[int](eng)
 		eng.Spawn("echo", func(p *Proc) {
 			for {
 				out.Put(in.Get(p))
@@ -63,7 +84,9 @@ func TestEventPathAllocationFree(t *testing.T) {
 		res := NewResource(eng, "res", 1)
 		hold := func(p *Proc) {
 			res.Acquire(p, 1)
+			res.Acquire(p, 0) // no units, no wait
 			p.Delay(2)
+			res.Release(0)
 			res.Release(1)
 		}
 		for i := 0; i < 3; i++ {
@@ -80,13 +103,26 @@ func TestEventPathAllocationFree(t *testing.T) {
 	t.Run("signal", func(t *testing.T) {
 		eng := NewEngine()
 		signals := make([]Signal, 64+201) // warm-up + AllocsPerRun's own warm-up + 200 runs
+		// A second waiter costs its signal a slice (Signal.Wait's append), so
+		// each signal is handed room for one here: the guard is on everything
+		// around that append, Fire's loop over the extra waiters included.
+		room := make([]*Proc, len(signals))
+		also := NewQueue[*Signal](eng)
+		eng.Spawn("second", func(p *Proc) {
+			for {
+				also.Get(p).Wait(p)
+			}
+		})
 		next := 0
 		step := func(p *Proc) {
 			s := &signals[next]
-			s.eng = eng
+			s.eng, s.more = eng, room[next:next:next+1]
 			next++
+			also.Put(s)
 			s.FireAfter(5)
 			s.Wait(p)
+			s.Wait(p) // already fired
+			s.Fire()  // a second firing is a no-op
 		}
 		if avg := steadyStateAllocs(eng, &measuring, step); avg != 0 {
 			t.Errorf("a signal fire/wait allocates %.1f objects", avg)
@@ -100,7 +136,7 @@ func TestEventPathAllocationFree(t *testing.T) {
 func TestCloseStopsSuspendedProcesses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	eng := NewEngine()
-	q := NewQueue[int](eng, "never")
+	q := NewQueue[int](eng)
 	unwound := 0
 	eng.Spawn("server", func(p *Proc) {
 		defer func() { unwound++ }()

@@ -21,7 +21,7 @@ func BenchmarkEventDispatch(b *testing.B) {
 // simulated queue (two process wake-ups per item).
 func BenchmarkQueueHandoff(b *testing.B) {
 	eng := NewEngine()
-	q := NewQueue[int](eng, "bench")
+	q := NewQueue[int](eng)
 	eng.Spawn("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			q.Put(i)

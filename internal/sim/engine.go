@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package sim
 
 import (
@@ -66,8 +65,6 @@ type event struct {
 }
 
 // before is the dispatch order: by time, then by scheduling order.
-//
-//cellmg:hotpath
 func (a *event) before(b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
@@ -94,20 +91,16 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // schedule enqueues ev, stamped with the next sequence number.
-//
-//cellmg:hotpath
 func (e *Engine) schedule(ev event) {
 	if ev.at < e.now {
-		//cellmg:allow hotpathalloc -- formats on the way to a panic
 		panic(fmt.Sprintf("sim: scheduling event in the past (at=%v now=%v)", ev.at, e.now))
 	}
 	e.seq++
 	ev.seq = e.seq
-	e.queue = append(e.queue, ev) //cellmg:allow hotpathalloc -- grows to the peak of pending events, then never again
+	e.queue = append(e.queue, ev) // grows to the peak of pending events, then never again
 	e.siftUp(len(e.queue) - 1)
 }
 
-//cellmg:hotpath
 func (e *Engine) siftUp(i int) {
 	q := e.queue
 	ev := q[i]
@@ -123,8 +116,6 @@ func (e *Engine) siftUp(i int) {
 }
 
 // pop removes and returns the earliest event.
-//
-//cellmg:hotpath
 func (e *Engine) pop() event {
 	q := e.queue
 	top, n := q[0], len(q)-1
@@ -206,8 +197,6 @@ func (e *Engine) Close() {
 // wake schedules p to resume at the current virtual time (FIFO after events
 // already scheduled for this instant). It is the mechanism used by queues,
 // resources and signals to hand control back to a blocked process.
-//
-//cellmg:hotpath
 func (e *Engine) wake(p *Proc) {
 	if p.state != stateBlocked {
 		p.statePanic("woken while not blocked")
@@ -224,8 +213,6 @@ func (e *Engine) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 // queue drains earlier, the clock stops at the last dispatched event;
 // otherwise the clock is left at limit. A panic in a process body surfaces
 // here, in the caller's goroutine.
-//
-//cellmg:hotpath
 func (e *Engine) RunUntil(limit Time) Time {
 	e.limit = limit
 	for len(e.queue) > 0 {

@@ -68,7 +68,7 @@ func TestSameInstantFIFOOrder(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []string {
 		eng := NewEngine()
-		q := NewQueue[int](eng, "q")
+		q := NewQueue[int](eng)
 		var log []string
 		for i := 0; i < 3; i++ {
 			i := i
@@ -143,7 +143,7 @@ func TestRunUntilStopsClock(t *testing.T) {
 
 func TestBlockedReportsDeadlockedProcesses(t *testing.T) {
 	eng := NewEngine()
-	q := NewQueue[int](eng, "never-fed")
+	q := NewQueue[int](eng)
 	eng.Spawn("stuck", func(p *Proc) { q.Get(p) })
 	eng.Spawn("fine", func(p *Proc) { p.Delay(Microsecond) })
 	eng.Run()

@@ -31,7 +31,7 @@ func dispatchMix(seed int64) []string {
 	rec := func(who, what string) {
 		log = append(log, fmt.Sprintf("%d %s %s", int64(eng.Now()), who, what))
 	}
-	q := NewQueue[int](eng, "q")
+	q := NewQueue[int](eng)
 	res := NewResource(eng, "res", 2)
 	cond := NewCondition(eng)
 	var sig *Signal

@@ -7,7 +7,7 @@ import (
 
 func TestQueueFIFODelivery(t *testing.T) {
 	eng := NewEngine()
-	q := NewQueue[int](eng, "q")
+	q := NewQueue[int](eng)
 	var got []int
 	eng.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
@@ -30,7 +30,7 @@ func TestQueueFIFODelivery(t *testing.T) {
 
 func TestQueueWaitersServedInOrder(t *testing.T) {
 	eng := NewEngine()
-	q := NewQueue[string](eng, "q")
+	q := NewQueue[string](eng)
 	var winners []string
 	for _, name := range []string{"first", "second", "third"} {
 		name := name
@@ -214,7 +214,7 @@ func TestPropertyQueueExactlyOnceInOrder(t *testing.T) {
 			return true
 		}
 		eng := NewEngine()
-		q := NewQueue[int](eng, "q")
+		q := NewQueue[int](eng)
 		var got []int
 		eng.Spawn("producer", func(p *Proc) {
 			for i, g := range gaps {

@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package sim
 
 import "fmt"
@@ -45,23 +44,18 @@ func (p *Proc) Now() Time { return p.eng.now }
 // occupancy, so BusyTime doubles as a utilization counter.
 func (p *Proc) BusyTime() Duration { return p.busy }
 
-//cellmg:hotpath-safe -- never returns
 func (p *Proc) statePanic(what string) {
 	panic(fmt.Sprintf("sim: process %q %s (state=%d)", p.name, what, p.state))
 }
 
 // suspend hands control back to the engine until it resumes this process.
-//
-//cellmg:hotpath
 func (p *Proc) suspend() {
 	if !p.yield(struct{}{}) {
-		panic(stopped{}) //cellmg:allow hotpathalloc -- a zero-size value; taken once, when Close ends the process
+		panic(stopped{})
 	}
 }
 
 // block suspends the process until another entity wakes it via Engine.wake.
-//
-//cellmg:hotpath
 func (p *Proc) block() {
 	if p.state != stateRunning {
 		p.statePanic("blocks while not running")
@@ -76,8 +70,6 @@ func (p *Proc) block() {
 // limit, every queued event strictly later — the clock advances in place and
 // the process keeps running: no event, no switch, the same order (see the
 // package comment).
-//
-//cellmg:hotpath
 func (p *Proc) Delay(d Duration) {
 	e := p.eng
 	if p.state != stateRunning {

@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package sim
 
 // ring is a growable circular buffer, the FIFO behind Queue's items and the
@@ -11,10 +10,8 @@ type ring[T any] struct {
 	n    int
 }
 
-//cellmg:hotpath
 func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
 
-//cellmg:hotpath-safe -- allocates only while the ring grows to its peak; steady state guarded by alloc_test.go
 func (r *ring[T]) grow() {
 	buf := make([]T, max(4, 2*len(r.buf)))
 	for i := range r.n {
@@ -23,7 +20,6 @@ func (r *ring[T]) grow() {
 	r.buf, r.head = buf, 0
 }
 
-//cellmg:hotpath
 func (r *ring[T]) pushBack(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
@@ -32,7 +28,6 @@ func (r *ring[T]) pushBack(v T) {
 	*r.at(r.n - 1) = v
 }
 
-//cellmg:hotpath
 func (r *ring[T]) popFront() T {
 	var zero T
 	v := r.buf[r.head]
@@ -48,14 +43,13 @@ func (r *ring[T]) popFront() T {
 // available. Waiters are served in FIFO order.
 type Queue[T any] struct {
 	eng     *Engine
-	name    string
 	items   ring[T]
 	waiters ring[*Proc]
 }
 
 // NewQueue creates an empty queue bound to the engine.
-func NewQueue[T any](eng *Engine, name string) *Queue[T] {
-	return &Queue[T]{eng: eng, name: name}
+func NewQueue[T any](eng *Engine) *Queue[T] {
+	return &Queue[T]{eng: eng}
 }
 
 // Len returns the number of items currently buffered.
@@ -63,8 +57,6 @@ func (q *Queue[T]) Len() int { return q.items.n }
 
 // Put appends an item. If a process is blocked in Get, the oldest waiter is
 // woken and will receive this item (or an earlier buffered one) when it runs.
-//
-//cellmg:hotpath
 func (q *Queue[T]) Put(v T) {
 	q.items.pushBack(v)
 	if q.waiters.n > 0 {
@@ -74,8 +66,6 @@ func (q *Queue[T]) Put(v T) {
 
 // Get removes and returns the oldest item, blocking the calling process until
 // one is available.
-//
-//cellmg:hotpath
 func (q *Queue[T]) Get(p *Proc) T {
 	for q.items.n == 0 {
 		q.waiters.pushBack(p)

@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package sim
 
 import "fmt"
@@ -30,14 +29,11 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 // Acquire blocks the calling process until n units are available, then holds
 // them. Requests are honoured strictly in FIFO order, so a large request is
 // not starved by a stream of smaller ones.
-//
-//cellmg:hotpath
 func (r *Resource) Acquire(p *Proc, n int) {
 	if n <= 0 {
 		return
 	}
 	if n > r.capacity {
-		//cellmg:allow hotpathalloc -- formats on the way to a panic
 		panic(fmt.Sprintf("sim: acquiring %d units from resource %q with capacity %d", n, r.name, r.capacity))
 	}
 	if r.waiters.n == 0 && r.inUse+n <= r.capacity {
@@ -51,14 +47,11 @@ func (r *Resource) Acquire(p *Proc, n int) {
 
 // Release returns n units to the resource and admits as many FIFO waiters as
 // now fit.
-//
-//cellmg:hotpath
 func (r *Resource) Release(n int) {
 	if n <= 0 {
 		return
 	}
 	if n > r.inUse {
-		//cellmg:allow hotpathalloc -- formats on the way to a panic
 		panic(fmt.Sprintf("sim: releasing %d units to resource %q with only %d in use", n, r.name, r.inUse))
 	}
 	r.inUse -= n

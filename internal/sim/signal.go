@@ -1,4 +1,3 @@
-//cellmg:deterministic
 package sim
 
 // Signal is a one-shot broadcast event: processes block in Wait until Fire is
@@ -22,8 +21,6 @@ func (s *Signal) Fired() bool { return s.fired }
 
 // Fire marks the signal as fired and wakes every waiting process. Calling
 // Fire more than once is a no-op.
-//
-//cellmg:hotpath
 func (s *Signal) Fire() {
 	if s.fired {
 		return
@@ -44,8 +41,6 @@ func (s *Signal) FireAfter(d Duration) { s.eng.schedule(event{at: s.eng.now.Add(
 
 // Wait blocks the calling process until the signal fires. If it has already
 // fired, Wait returns immediately.
-//
-//cellmg:hotpath
 func (s *Signal) Wait(p *Proc) {
 	switch {
 	case s.fired:
@@ -53,7 +48,7 @@ func (s *Signal) Wait(p *Proc) {
 	case s.first == nil:
 		s.first = p
 	default:
-		s.more = append(s.more, p) //cellmg:allow hotpathalloc -- the rare second waiter of a broadcast
+		s.more = append(s.more, p) // the rare second waiter of a broadcast
 	}
 	p.block()
 }

@@ -119,7 +119,8 @@ func CalibrateNative(o CalibrateOptions) (*Calibration, error) {
 	// newview: post-order sweeps over every internal node.
 	cal.Timings[Newview] = timeKernel(Newview, o.Rounds, func() int {
 		for _, n := range internal {
-			//cellmg:allow invalidation -- kernel timing in isolation; inputs unchanged, so the recomputed vectors are bit-identical and tracking stays consistent
+			// Kernel timing in isolation: inputs unchanged, so the recomputed
+			// vectors are bit-identical and tracking stays consistent.
 			eng.Newview(n)
 		}
 		return len(internal)
@@ -127,7 +128,7 @@ func CalibrateNative(o CalibrateOptions) (*Calibration, error) {
 
 	// evaluate: the root evaluation alone.
 	cal.Timings[Evaluate] = timeKernel(Evaluate, o.Rounds, func() int {
-		//cellmg:allow invalidation -- kernel timing in isolation; read-only against vectors Refresh just settled
+		// Kernel timing in isolation: read-only against vectors Refresh just settled.
 		eng.EvaluateRoot(tree)
 		return 1
 	})
@@ -138,7 +139,8 @@ func CalibrateNative(o CalibrateOptions) (*Calibration, error) {
 	edges := tree.Edges()
 	cal.Timings[Makenewz] = timeKernel(Makenewz, o.Rounds, func() int {
 		for _, v := range edges {
-			//cellmg:allow invalidation -- kernel timing in isolation; MakenewzEdge never mutates the tree, and Refresh above settled every vector it reads
+			// Kernel timing in isolation: MakenewzEdge never mutates the tree,
+			// and Refresh above settled every vector it reads.
 			eng.MakenewzEdge(v)
 		}
 		return len(edges)
