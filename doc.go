@@ -13,8 +13,8 @@
 // models the Cell and regenerates the paper's evaluation from a calibrated
 // cost model. The native half (internal/phylo, internal/native) executes the
 // real likelihood kernels — newview(), evaluate(), makenewz() — under the
-// same EDTLP / static-LLP / MGPS policies on a goroutine worker pool, with a
-// per-engine transition-matrix cache and allocation-free kernel loops so the
+// same EDTLP / static-LLP / MGPS policies on a goroutine worker pool, with
+// per-node transition matrices and allocation-free kernel loops so the
 // scheduled unit of work is arithmetic, not garbage collection. It has the
 // paper's two grains and no others — one task per worker, and per-pattern
 // loops work-shared through a single ParallelFor; README.md, "Verdict on

@@ -150,10 +150,6 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// Enabled reports whether the recorder is live. It exists for call sites
-// that want to skip payload packing entirely when tracing is off.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Workers returns the worker count the lane layout was built for (0 when
 // disabled).
 func (r *Recorder) Workers() int {

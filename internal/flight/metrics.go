@@ -43,9 +43,8 @@ type metric struct {
 	help string
 	kind metricKind
 
-	// counter/gauge families: one series per label value (the empty label
-	// set is the "" key). Series are kept sorted by label value at write
-	// time for stable output.
+	// counter families: one series per label value, kept sorted by label
+	// value at write time for stable output.
 	labelKey string
 	mu       sync.Mutex
 	series   map[string]*Counter
@@ -102,13 +101,6 @@ func (r *Registry) register(m *metric) *metric {
 	r.byName[m.name] = m
 	r.metrics = append(r.metrics, m)
 	return m
-}
-
-// NewCounter registers a single-series counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	m := r.register(&metric{name: name, help: help, kind: kindCounter,
-		series: map[string]*Counter{"": {}}})
-	return m.series[""]
 }
 
 // CounterVec is a family of counter series keyed by one label.
@@ -252,14 +244,11 @@ func (m *metric) appendSamples(buf []byte) []byte {
 		sort.Strings(keys)
 		for _, k := range keys {
 			buf = append(buf, m.name...)
-			if m.labelKey != "" {
-				buf = append(buf, '{')
-				buf = append(buf, m.labelKey...)
-				buf = append(buf, `="`...)
-				buf = append(buf, escapeLabel(k)...)
-				buf = append(buf, `"}`...)
-			}
-			buf = append(buf, ' ')
+			buf = append(buf, '{')
+			buf = append(buf, m.labelKey...)
+			buf = append(buf, `="`...)
+			buf = append(buf, escapeLabel(k)...)
+			buf = append(buf, `"} `...)
 			buf = appendSample(buf, m.series[k].Value())
 			buf = append(buf, '\n')
 		}

@@ -8,7 +8,7 @@ import (
 
 func TestRegistryWriteText(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("cellmg_requests_total", "Total requests.")
+	c := r.NewCounterVec("cellmg_requests_total", "Total requests.", "code").With("200")
 	c.Inc()
 	c.Add(2)
 	vec := r.NewCounterVec("cellmg_jobs_total", "Jobs per tenant.", "tenant")
@@ -26,7 +26,7 @@ func TestRegistryWriteText(t *testing.T) {
 	}
 	want := `# HELP cellmg_requests_total Total requests.
 # TYPE cellmg_requests_total counter
-cellmg_requests_total 3
+cellmg_requests_total{code="200"} 3
 # HELP cellmg_jobs_total Jobs per tenant.
 # TYPE cellmg_jobs_total counter
 cellmg_jobs_total{tenant="alice"} 4
@@ -50,13 +50,13 @@ cellmg_latency_seconds_count 3
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("dup_total", "")
+	r.NewCounterVec("dup_total", "", "k")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.NewCounter("dup_total", "")
+	r.NewCounterVec("dup_total", "", "k")
 }
 
 func TestRegistryInvalidNamePanics(t *testing.T) {
@@ -66,7 +66,7 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 			t.Fatal("invalid metric name did not panic")
 		}
 	}()
-	r.NewCounter("9starts-with-digit", "")
+	r.NewCounterVec("9starts-with-digit", "", "k")
 }
 
 func TestRegistryHistogramBridge(t *testing.T) {
@@ -78,7 +78,7 @@ func TestRegistryHistogramBridge(t *testing.T) {
 	if got := r.Histogram("missing"); got != nil {
 		t.Fatal("Histogram() invented a metric")
 	}
-	r.NewCounter("cellmg_c_total", "")
+	r.NewCounterVec("cellmg_c_total", "", "k")
 	if got := r.Histogram("cellmg_c_total"); got != nil {
 		t.Fatal("Histogram() returned a non-histogram metric")
 	}
@@ -86,7 +86,7 @@ func TestRegistryHistogramBridge(t *testing.T) {
 
 func TestCounterNegativeAddIgnored(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("mono_total", "")
+	c := r.NewCounterVec("mono_total", "", "k").With("v")
 	c.Add(5)
 	c.Add(-3)
 	if got := c.Value(); got != 5 {

@@ -284,7 +284,7 @@ func TestParallelAnalysisWithLLPExercisesWorkSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := tree.InternalEdges()[0]
+	inner := tree.AppendNNIMoves(nil)[0].Edge
 	err = rt.NewSubmitter().Offload(func(tc *TaskContext) {
 		eng.SetParallel(tc.ParallelFor)
 		eng.Refresh(tree)

@@ -481,10 +481,10 @@ func (tc *TaskContext) ParallelFor(n int, body func(lo, hi int)) {
 	// round trip, so give it a slightly larger slice (the paper's purposeful
 	// load unbalancing).
 	masterShare := int(float64(n)/float64(workers)*(1+masterShareBonus)) + 1
-	if masterShare > n {
-		masterShare = n
-	}
 	rest := n - masterShare
+	// With workers ≥ 2 and n ≥ 2 the share is at most 0.525·n + 1 ≤ n, so rest
+	// is never negative; it is 0 only for the two-iteration loop, which the
+	// master runs whole.
 	if rest == 0 {
 		atomic.AddInt64(&r.loopsSerial, 1)
 		body(0, n)

@@ -284,13 +284,3 @@ func (p *PatternAlignment) WithWeights(weights []float64) (*PatternAlignment, er
 	}
 	return cp, nil
 }
-
-// TaxonIndex returns the index of the named taxon, or -1.
-func (p *PatternAlignment) TaxonIndex(name string) int {
-	for i, n := range p.Names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}

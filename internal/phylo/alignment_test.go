@@ -294,17 +294,6 @@ func TestWithWeights(t *testing.T) {
 	}
 }
 
-func TestTaxonIndex(t *testing.T) {
-	aln, _ := ParsePhylip(strings.NewReader(samplePhylip))
-	pa, _ := Compress(aln)
-	if pa.TaxonIndex("gamma") != 2 {
-		t.Errorf("TaxonIndex(gamma) = %d", pa.TaxonIndex("gamma"))
-	}
-	if pa.TaxonIndex("nonexistent") != -1 {
-		t.Errorf("missing taxon should return -1")
-	}
-}
-
 func TestAlignmentValidate(t *testing.T) {
 	good := &Alignment{Names: []string{"a", "b"}, Seqs: [][]byte{[]byte("ACGT"), []byte("ACGA")}}
 	if err := good.Validate(); err != nil {

@@ -1,8 +1,8 @@
 package phylo_test
 
 // This file is the allocation-regression guard for the likelihood hot path:
-// the three paper kernels must stay allocation-free in steady state (warm
-// buffers, warm transition cache), so a future change that reintroduces a
+// the three paper kernels must stay allocation-free in steady state, so a
+// future change that reintroduces a
 // per-call escape fails CI instead of silently eroding the PR 1 work. The
 // fixtures (fixtures_test.go) are the workloads the micro-benchmarks time.
 
@@ -13,8 +13,8 @@ import (
 	"cellmg/internal/phylo"
 )
 
-// allocEngine builds the shared paper-sized kernel workload with every
-// buffer sized and the transition cache warm.
+// allocEngine builds the shared paper-sized kernel workload, every vector
+// settled.
 func allocEngine(t *testing.T) (*phylo.Engine, *phylo.Tree) {
 	t.Helper()
 	eng, tree, err := kernelEngine(phylo.NewJC69(), phylo.SingleRate())
@@ -114,8 +114,7 @@ func TestEvaluateRootAllocationFree(t *testing.T) {
 }
 
 // TestMakenewzEdgeAllocationFree covers the sum-table build and the Newton
-// passes over it, on every edge. Neither touches the transition cache, so
-// there is nothing to warm beyond the buffers Refresh sized.
+// passes over it, on every edge.
 func TestMakenewzEdgeAllocationFree(t *testing.T) {
 	forEachKernelFixture(t, func(t *testing.T, eng *phylo.Engine, tree *phylo.Tree) {
 		edges := tree.Edges()
@@ -137,12 +136,6 @@ func TestIncrementalEvaluationAllocationFree(t *testing.T) {
 	edge := tree.Edges()[len(tree.Edges())/3]
 	eng.LogLikelihood(tree)
 	lengths := edgeFlipLengths
-	// Warm both branch-length cache entries the flip cycle touches.
-	for _, l := range lengths {
-		edge.Length = l
-		eng.InvalidateEdge(edge)
-		eng.LogLikelihood(tree)
-	}
 	i := 0
 	if avg := testing.AllocsPerRun(50, func() {
 		edge.Length = lengths[i%2]
@@ -168,10 +161,10 @@ func TestIncrementalEvaluationAllocationFree(t *testing.T) {
 
 // TestSearchAllocationFree pins the ENTIRE search path — move generation,
 // topology snapshot/restore, NNI apply/revert, branch smoothing, tree
-// validation, site-repeat class rebuilds and the transition-cache slab — at
-// zero allocations per full search once the engine's scratch is warm. This is
-// the headline guard of the 39k-allocs-per-search fix: before the arena
-// scratch and SearchInto, every search allocated ~39,000 times.
+// validation, site-repeat class rebuilds and the per-node transition
+// matrices — at zero allocations per full search once the engine's scratch is
+// warm. This is the headline guard of the 39k-allocs-per-search fix: before
+// the arena scratch and SearchInto, every search allocated ~39,000 times.
 func TestSearchAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full NNI searches are slow; skipped in -short mode")
@@ -192,10 +185,8 @@ func TestSearchAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Two warm searches: the first grows every scratch buffer and the cache
-	// slab high-water mark, the second confirms the sizes have settled before
-	// the guarded runs (AllocsPerRun adds one more warmup of its own).
-	run()
+	// One warm search grows every scratch buffer (AllocsPerRun adds one more
+	// warmup of its own); the per-node blocks were sized by NewEngine.
 	run()
 	if avg := testing.AllocsPerRun(3, run); avg != 0 {
 		t.Errorf("full NNI search allocates %v per run in steady state, want 0", avg)

@@ -18,7 +18,7 @@ import (
 
 // benchGTR returns a GTR model with non-trivial exchange rates, the
 // configuration whose transition matrices cost an eigen-exponential each —
-// what the transition cache exists to amortize.
+// what keeping each edge's matrices until its length changes amortizes.
 func benchGTR(b testing.TB) *phylo.GTR {
 	b.Helper()
 	g, err := phylo.NewGTR(
@@ -51,7 +51,7 @@ func benchNewview(b *testing.B, model phylo.Model, rates phylo.RateCategories) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng.LogLikelihood(tree) // populate buffers and the transition cache
+	eng.LogLikelihood(tree) // settle the vectors and every edge's matrices
 	node := kernelInternalNode(tree)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -68,8 +68,8 @@ func BenchmarkNewviewGamma4(b *testing.B) {
 }
 
 // BenchmarkNewviewGTRGamma4 is the update under the expensive model family,
-// whose matrices cost an eigen-exponential each on a cache miss; the timed
-// loop runs on hits.
+// whose matrices cost an eigen-exponential each when a length changes; the
+// timed loop changes none.
 func BenchmarkNewviewGTRGamma4(b *testing.B) {
 	benchNewview(b, benchGTR(b), benchGamma4(b))
 }
@@ -114,11 +114,6 @@ func BenchmarkEvaluateIncremental(b *testing.B) {
 	}
 	eng.LogLikelihood(tree)
 	edge := tree.Edges()[len(tree.Edges())/2]
-	for _, l := range edgeFlipLengths { // warm both cache entries
-		edge.Length = l
-		eng.InvalidateEdge(edge)
-		eng.LogLikelihood(tree)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -140,7 +135,7 @@ func benchMakenewz(b *testing.B, model phylo.Model, rates phylo.RateCategories) 
 		b.Fatal(err)
 	}
 	edge := tree.Edges()[len(tree.Edges())/2]
-	eng.OptimizeBranch(tree, edge) // converge the edge and warm the caches
+	eng.OptimizeBranch(tree, edge) // converge the edge
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -177,8 +172,8 @@ func BenchmarkBootstrapResample(b *testing.B) {
 // every iteration restores the same starting topology and invalidates the
 // engine, so each op is one full search over identical work — the
 // allocation-free steady state the search path guarantees (a cold warmup run
-// precedes the timer so N=1 measurements are not dominated by slab and
-// scratch growth).
+// precedes the timer so N=1 measurements are not dominated by scratch
+// growth).
 func BenchmarkSearchNNI(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		eng, tree, snap, err := searchEngine()
@@ -196,7 +191,7 @@ func BenchmarkSearchNNI(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		run() // warm scratch, slabs and the transition cache
+		run() // warm scratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -35,12 +35,14 @@
 // loops across workers — the Go analogue of the paper's loop-level
 // parallelism across SPEs.
 //
-// The kernels are engineered to be allocation-free in steady state: a
-// per-engine transition-matrix cache keyed by branch length (transCache,
-// transcache.go) serves flattened probability matrices to stride-indexed,
-// fully unrolled loop bodies that are created once per engine and fed
-// engine-owned argument blocks. Every entry the cache hands out equals a
-// fresh fill from the model bit for bit (transcache_test.go).
+// The kernels are engineered to be allocation-free in steady state: each
+// node's flattened probability matrices sit in the node's slot of one flat
+// block, tagged by the branch length they were filled for and refilled only
+// when the length differs (transCache, transcache.go), and feed
+// stride-indexed, fully unrolled loop bodies that are created once per engine
+// and fed engine-owned argument blocks. Every slot handed out equals a fresh
+// fill from the model bit for bit (transcache_test.go). The model and rates
+// are read when the engine is built; an engine is never re-pointed at others.
 //
 // # One vector kernel
 //
@@ -129,10 +131,10 @@
 //     so kernel-side reslicing keeps bounds-check elimination intact (verified
 //     with -gcflags=-d=ssa/check_bce: the unrolled 4-state bodies carry one
 //     slice-bound check per capped subslice and no per-element checks);
-//   - growth (ensureBuffers) copies old contents forward, so node vectors are
-//     stable across alignment-rebind but NOT across a growth event — kernels
-//     must re-fetch their subslices per call, which they do via the argument
-//     blocks.
+//   - every per-node block (these four, the transition matrices, the repeat
+//     classes, the dirty marks and epochs) is sized once, by NewEngine, for
+//     the 2·NumTaxa − 1 nodes of a binary tree over the alignment; nothing
+//     grows afterwards, and bindTree refuses a tree of another node count.
 //
 // Tips have no vectors. No kernel reads a tip's 0/1 indicator vector: for
 // the vector kernel a tip's transition matrix is expanded once per call into a nCat x 16 x 4 lookup table (fillTipTable), so the four

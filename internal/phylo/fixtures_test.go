@@ -28,9 +28,7 @@ const (
 )
 
 // edgeFlipLengths are the two branch lengths the incremental-evaluation
-// benchmarks alternate between; both must be warmed (assigned, invalidated
-// and evaluated once) before the timed loop so the transition cache hits
-// throughout.
+// benchmarks alternate between, so every cycle refills the edge's matrices.
 var edgeFlipLengths = [2]float64{0.05, 0.06}
 
 func fixtureAlignment(taxa, length int, seed int64) (*phylo.PatternAlignment, error) {
@@ -48,7 +46,7 @@ func fixtureAlignment(taxa, length int, seed int64) (*phylo.PatternAlignment, er
 }
 
 // kernelEngine builds the kernel-benchmark engine and its random starting
-// tree. The engine is cold: callers warm buffers and caches themselves
+// tree. The engine is cold: callers settle its vectors themselves
 // (eng.Refresh(tree) or a first LogLikelihood), so each benchmark controls
 // its own steady state.
 func kernelEngine(model phylo.Model, rates phylo.RateCategories) (*phylo.Engine, *phylo.Tree, error) {
@@ -111,5 +109,7 @@ func searchEngine() (*phylo.Engine, *phylo.Tree, *phylo.TreeSnapshot, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return eng, tree, tree.CaptureTopology(), nil
+	snap := &phylo.TreeSnapshot{}
+	tree.CaptureTopologyInto(snap)
+	return eng, tree, snap, nil
 }

@@ -1,5 +1,7 @@
 package phylo
 
+import "fmt"
+
 // This file implements incremental likelihood evaluation: dirty-node tracking
 // for the subtree ("down") conditional vectors, epoch-stamped on-demand
 // recomputation of the outer ("out") vectors, and local branch optimization
@@ -49,29 +51,30 @@ package phylo
 // fallbacks and are always safe. Binding a different *Tree to the engine
 // discards all tracked state automatically.
 
-// bindTree points the incremental state at t, sizing the tracking arrays and
-// discarding any state tracked for a previous tree. It is idempotent and
-// cheap when t is already bound.
+// bindTree points the incremental state at t, discarding any state tracked
+// for a previous tree. It is idempotent and cheap when t is already bound. A
+// tree whose node count is not the one the engine's blocks were sized for
+// (NewEngine) cannot be a tree over the engine's alignment: evaluating it is a
+// caller bug, reported here rather than as an index past a block.
 func (e *Engine) bindTree(t *Tree) {
-	e.ensureBuffers(t)
-	if e.lastTree == t && len(e.downDirty) >= len(t.Nodes) {
+	if e.lastTree == t {
 		return
 	}
-	n := len(t.Nodes)
-	if cap(e.downDirty) < n {
-		e.downDirty = make([]bool, n)
-		e.repDirty = make([]bool, n)
-		e.outEpoch = make([]uint64, n)
-		e.visitMark = make([]uint64, n)
-		e.edgeMark = make([]uint64, n)
+	if err := e.fits(t); err != nil {
+		panic(err)
 	}
-	e.downDirty = e.downDirty[:n]
-	e.repDirty = e.repDirty[:n]
-	e.outEpoch = e.outEpoch[:n]
-	e.visitMark = e.visitMark[:n]
-	e.edgeMark = e.edgeMark[:n]
 	e.lastTree = t
 	e.markAllDirty()
+}
+
+// fits reports whether t has the node count of a binary tree over the
+// engine's alignment.
+func (e *Engine) fits(t *Tree) error {
+	if want := len(e.downDirty); len(t.Nodes) != want {
+		return fmt.Errorf("phylo: tree has %d nodes, the engine's %d-taxon alignment takes trees of exactly %d",
+			len(t.Nodes), e.Data.NumTaxa(), want)
+	}
+	return nil
 }
 
 // markAllDirty forces the next traversal to recompute everything: every down
@@ -204,7 +207,7 @@ func (e *Engine) computeOutOne(u, v *Node) {
 	e.Stats.OutviewCalls++
 	a := &e.nvA
 	if u.Parent != nil {
-		transposeFlat(e.transT, e.trans.get(u.Length))
+		transposeFlat(e.transT, e.trans.get(u.ID, u.Length))
 		a.r = kernelSide{v: e.outVec(u.ID), scale: e.outScaleVec(u.ID), p: e.transT}
 	} else {
 		prior := e.Model.Frequencies()

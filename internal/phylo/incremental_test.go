@@ -86,7 +86,7 @@ func TestIncrementalMatchesFullRefresh(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0:
 					// Random NNI rearrangement, invalidated per the contract.
-					moves := tree.NNIMoves()
+					moves := tree.AppendNNIMoves(nil)
 					m := moves[rng.Intn(len(moves))]
 					m.Apply()
 					inc.InvalidateNode(m.Edge)
@@ -143,32 +143,6 @@ func TestInvalidateAllRepairsUnreportedMutations(t *testing.T) {
 	}
 }
 
-// TestInvalidateTransitionsDirtiesVectors pins the interplay between the
-// model-mutation contract and the lazy traversals: after swapping the model
-// in place, InvalidateTransitions alone must be enough — it has to stale the
-// conditional vectors too, or the lazy computeDown would keep serving
-// vectors computed under the old model.
-func TestInvalidateTransitionsDirtiesVectors(t *testing.T) {
-	_, aln, _ := Simulate(SimulateOptions{Taxa: 8, Length: 300, Seed: 21, MeanBranchLength: 0.1})
-	data, _ := Compress(aln)
-	eng, _ := NewEngine(data, NewJC69(), SingleRate())
-	tree, _ := NewRandomTree(data.Names, rand.New(rand.NewSource(2)))
-	eng.LogLikelihood(tree) // bind and settle everything under JC69
-
-	gtr, err := NewGTR([6]float64{1.5, 3, 0.7, 1.2, 4, 1}, Frequencies{0.28, 0.22, 0.24, 0.26})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Model = gtr
-	eng.InvalidateTransitions() // the documented contract — nothing else
-	got := eng.LogLikelihood(tree)
-
-	fresh, _ := NewEngine(data, gtr, SingleRate())
-	if want := fresh.LogLikelihood(tree); got != want {
-		t.Fatalf("after model swap + InvalidateTransitions: %v != fresh engine %v", got, want)
-	}
-}
-
 // TestCollectLocalEdgesQuartet checks the radius-1 neighborhood around a
 // proper internal edge is exactly the classic NNI quartet: the edge itself,
 // its two children, its sibling, and the parent's edge.
@@ -194,11 +168,11 @@ func TestCollectLocalEdgesQuartet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	internals := tree.InternalEdges()
-	if len(internals) == 0 {
+	moves := tree.AppendNNIMoves(nil)
+	if len(moves) == 0 {
 		t.Fatal("tree has no internal edge")
 	}
-	v := internals[0] // the (D,E) node: an internal edge away from the root
+	v := moves[0].Edge // the (D,E) node: an internal edge away from the root
 	got := eng.collectLocalEdges(tree, v, 1)
 	want := map[*Node]bool{
 		v:             true,
@@ -236,7 +210,7 @@ func TestOptimizeLocalAgreesWithAllBranches(t *testing.T) {
 	tree, _ := NewRandomTree(data.Names, rand.New(rand.NewSource(6)))
 	before := eng.LogLikelihood(tree)
 
-	v := tree.InternalEdges()[0]
+	v := tree.AppendNNIMoves(nil)[0].Edge
 	after := eng.OptimizeLocal(tree, v, 1, 3)
 	if after < before {
 		t.Errorf("OptimizeLocal worsened the likelihood: %v -> %v", before, after)
@@ -376,7 +350,7 @@ func TestStampsAndCleanMarksAreSound(t *testing.T) {
 					inc.InvalidateEdge(n)
 					op = "length"
 				case 1:
-					moves := tree.NNIMoves()
+					moves := tree.AppendNNIMoves(nil)
 					m := moves[rng.Intn(len(moves))]
 					m.Apply()
 					inc.InvalidateNode(m.Edge)
@@ -384,7 +358,7 @@ func TestStampsAndCleanMarksAreSound(t *testing.T) {
 				case 2:
 					// One search candidate, rejected: apply, score the
 					// neighborhood, revert topology and lengths.
-					moves := tree.NNIMoves()
+					moves := tree.AppendNNIMoves(nil)
 					m := moves[rng.Intn(len(moves))]
 					m.Apply()
 					inc.InvalidateNode(m.Edge)

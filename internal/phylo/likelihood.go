@@ -58,22 +58,25 @@ type KernelStats struct {
 // parallelism) with the per-pattern loops optionally work-shared through
 // ParallelFor (loop-level parallelism), mirroring the paper's two layers.
 //
-// The hot path is allocation-free in steady state: transition matrices are
-// served from a per-engine slab-backed cache keyed by branch length
-// (transCache), branch-length optimization reads none (one eigenbasis sum
-// table per edge visit, see buildSumTable), the kernel loop bodies are
-// persistent closures created once at construction, and every per-pattern
-// buffer is engine-owned and reused.
+// The hot path is allocation-free in steady state: each node's transition
+// matrices live in the node's slot of a flat block, refilled only when the
+// node's branch length changed (transCache), branch-length optimization reads
+// none (one eigenbasis sum table per edge visit, see buildSumTable), the
+// kernel loop bodies are persistent closures created once at construction,
+// and every per-pattern buffer is engine-owned and reused.
 // The whole tree search rides on the same contract (SearchInto is 0 allocs/op
-// after warmup, guarded by alloc_test.go). Mutating Model or Rates in place
-// requires InvalidateTransitions.
+// after warmup, guarded by alloc_test.go). Model and Rates are read at
+// construction and must not be mutated afterwards.
 //
 // Conditional-likelihood storage is structure-of-arrays: all per-node vectors
 // live in four flat engine-owned blocks (node-major; within a node,
 // pattern-major with the rate categories interleaved per pattern), so a
 // traversal streams through contiguous memory instead of chasing per-node
-// slice headers. Site-repeat compression (siterepeats.go) makes patterns with
-// identical data in a node's subtree share one kernel evaluation.
+// slice headers. Every per-node block is sized once, in NewEngine, for the
+// 2·NumTaxa − 1 nodes of a binary tree over the alignment; bindTree refuses a
+// tree of any other node count. Site-repeat compression (siterepeats.go)
+// makes patterns with identical data in a node's subtree share one kernel
+// evaluation.
 //
 // Likelihood evaluation is incremental (incremental.go): the engine tracks
 // which conditional vectors a tree mutation staled and traversals recompute
@@ -97,15 +100,14 @@ type Engine struct {
 	// full-capacity subslices, so the kernels' bounds checks resolve against
 	// the per-node vector length. Tips have no vectors: every kernel reads a
 	// tip's observed state sets through a lookup table (tipTab, tipInv).
-	clvDown []float64    // nodeCap * vecLen: subtree conditionals
-	sclDown []float64    // nodeCap * nPat: per-pattern log scalers
-	clvOut  []float64    // nodeCap * vecLen: conditionals of everything outside the subtree
-	sclOut  []float64    // nodeCap * nPat
-	nodeCap int          // nodes the blocks are sized for
+	clvDown []float64    // nodes * vecLen: subtree conditionals
+	sclDown []float64    // nodes * nPat: per-pattern log scalers
+	clvOut  []float64    // nodes * vecLen: conditionals of everything outside the subtree
+	sclOut  []float64    // nodes * nPat
 	siteBuf []float64    // per-pattern scratch for reductions
 	tipTab  [2][]float64 // per-call tip lookup tables, nCat*tipStates*NumStates each
 
-	trans      transCache // P(b·rate) per branch length (transcache.go)
+	trans      transCache // P(b·rate) per node (transcache.go)
 	transT     []float64  // the parent edge's matrices transposed, nCat*flatMatSize (computeOutOne)
 	rootStates []uint8    // nPat zeros: every pattern reads row 0 of the root-prior table
 
@@ -122,10 +124,10 @@ type Engine struct {
 
 	// Site-repeat compression (siterepeats.go).
 	repOn      bool
-	repClass   []int32  // nodeCap * nPat: per-node pattern class ids
-	repSrc     []int32  // nodeCap * nPat: representative pattern per pattern
-	repUniq    []int32  // nodeCap * nPat: representative list, first repCnt[id] entries
-	repDup     []int32  // nodeCap * nPat: duplicate list, first nPat-repCnt[id] entries
+	repClass   []int32  // nodes * nPat: per-node pattern class ids
+	repSrc     []int32  // nodes * nPat: representative pattern per pattern
+	repUniq    []int32  // nodes * nPat: representative list, first repCnt[id] entries
+	repDup     []int32  // nodes * nPat: duplicate list, first nPat-repCnt[id] entries
 	repCnt     []int32  // per node: number of classes
 	repDirty   []bool   // class vectors possibly stale (subtree composition changed)
 	repVer     []uint64 // per node: bumped whenever the node's classes are rebuilt
@@ -201,12 +203,42 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 		repOn:  true,
 	}
 	e.vecLen = e.nPat * e.stride
-	e.trans.reset(model, rates.Rates)
+	// A valid tree over the alignment (Tree.validate: binary internal nodes,
+	// every taxon once, no unreachable node) has exactly this many nodes, so
+	// every per-node block is sized here, once, outside any parallel region.
+	nodes := 2*data.NumTaxa() - 1
+	e.clvDown = make([]float64, nodes*e.vecLen)
+	e.sclDown = make([]float64, nodes*e.nPat)
+	e.clvOut = make([]float64, nodes*e.vecLen)
+	e.sclOut = make([]float64, nodes*e.nPat)
+	e.siteBuf = make([]float64, e.nPat)
+	e.sumTab = make([]float64, e.vecLen)
+	e.sumScale = make([]float64, e.nPat)
+	e.trans = newTransCache(model, rates.Rates, nodes)
 	e.transT = make([]float64, e.nCat*flatMatSize)
 	e.rootStates = make([]uint8, e.nPat)
 	e.initSpectrum()
 	e.tipTab[0] = make([]float64, e.nCat*tipStates*NumStates)
 	e.tipTab[1] = make([]float64, e.nCat*tipStates*NumStates)
+	e.repClass = make([]int32, nodes*e.nPat)
+	e.repSrc = make([]int32, nodes*e.nPat)
+	e.repUniq = make([]int32, nodes*e.nPat)
+	e.repDup = make([]int32, nodes*e.nPat)
+	e.repCnt = make([]int32, nodes)
+	e.repDirty = make([]bool, nodes)
+	e.repVer = make([]uint64, nodes)
+	e.repBuiltL = make([]int32, nodes)
+	e.repBuiltR = make([]int32, nodes)
+	for i := range e.repBuiltL {
+		e.repBuiltL[i], e.repBuiltR[i] = -1, -1
+	}
+	e.repBuiltLV = make([]uint64, nodes)
+	e.repBuiltRV = make([]uint64, nodes)
+	e.repFirst = make([]int32, e.nPat)
+	e.downDirty = make([]bool, nodes)
+	e.outEpoch = make([]uint64, nodes)
+	e.visitMark = make([]uint64, nodes)
+	e.edgeMark = make([]uint64, nodes)
 	e.nvFn = e.newviewBody
 	e.evalFn = e.evaluateBody
 	e.sumFn = e.sumTableBody
@@ -249,53 +281,6 @@ func (e *Engine) outVec(id int) []float64 {
 func (e *Engine) outScaleVec(id int) []float64 {
 	o := id * e.nPat
 	return e.sclOut[o : o+e.nPat : o+e.nPat]
-}
-
-// ensureBuffers sizes the per-node SoA blocks for the tree. Growth copies the
-// existing vectors over (the layout is node-major in both blocks), so resizing
-// never invalidates settled state.
-func (e *Engine) ensureBuffers(t *Tree) {
-	n := len(t.Nodes)
-	if n <= e.nodeCap && cap(e.siteBuf) >= e.nPat {
-		return
-	}
-	grow := func(old []float64, per int) []float64 {
-		nb := make([]float64, n*per)
-		copy(nb, old)
-		return nb
-	}
-	e.clvDown = grow(e.clvDown, e.vecLen)
-	e.sclDown = grow(e.sclDown, e.nPat)
-	e.clvOut = grow(e.clvOut, e.vecLen)
-	e.sclOut = grow(e.sclOut, e.nPat)
-	growI := func(old []int32, per int) []int32 {
-		nb := make([]int32, n*per)
-		copy(nb, old)
-		return nb
-	}
-	e.repClass = growI(e.repClass, e.nPat)
-	e.repSrc = growI(e.repSrc, e.nPat)
-	e.repUniq = growI(e.repUniq, e.nPat)
-	e.repDup = growI(e.repDup, e.nPat)
-	e.repCnt = append(e.repCnt, make([]int32, n-len(e.repCnt))...)
-	e.repVer = append(e.repVer, make([]uint64, n-len(e.repVer))...)
-	e.repBuiltLV = append(e.repBuiltLV, make([]uint64, n-len(e.repBuiltLV))...)
-	e.repBuiltRV = append(e.repBuiltRV, make([]uint64, n-len(e.repBuiltRV))...)
-	for len(e.repBuiltL) < n {
-		e.repBuiltL = append(e.repBuiltL, -1)
-		e.repBuiltR = append(e.repBuiltR, -1)
-	}
-	if len(e.repFirst) < e.nPat {
-		e.repFirst = make([]int32, e.nPat)
-	}
-	e.nodeCap = n
-	// Size the reduction buffer and the sum table here, outside any parallel
-	// region, so no work-shared chunk ever observes them growing.
-	if cap(e.siteBuf) < e.nPat {
-		e.siteBuf = make([]float64, e.nPat)
-		e.sumTab = make([]float64, e.vecLen)
-		e.sumScale = make([]float64, e.nPat)
-	}
 }
 
 // kernelSide is one of the two factors the vector kernel multiplies per
@@ -445,7 +430,7 @@ func (e *Engine) fillTipTable(dst, p []float64) {
 // through P(c.Length), or for a tip the lookup table of its state sets,
 // expanded into tipTab[slot].
 func (e *Engine) downSide(s *kernelSide, c *Node, slot int) {
-	p := e.trans.get(c.Length)
+	p := e.trans.get(c.ID, c.Length)
 	if c.IsTip() {
 		e.fillTipTable(e.tipTab[slot], p)
 		*s = kernelSide{states: e.Data.States[c.Taxon], tab: e.tipTab[slot]}
@@ -568,9 +553,9 @@ func (e *Engine) evaluateAtRoot(t *Tree) float64 {
 	a.catWeight = 1.0 / float64(e.nCat)
 
 	// Per-pattern contributions are written to disjoint slots of the
-	// pre-sized buffer (ensureBuffers), so the loop is safe under any
-	// ParallelFor executor; the final reduction is serial, mirroring the
-	// master-side reduction of the paper's work-sharing scheme.
+	// pre-sized buffer, so the loop is safe under any ParallelFor executor;
+	// the final reduction is serial, mirroring the master-side reduction of
+	// the paper's work-sharing scheme.
 	a.site = e.siteBuf[:e.nPat]
 	e.par(e.nPat, e.evalFn)
 	var sum float64
@@ -585,10 +570,7 @@ func (e *Engine) evaluateAtRoot(t *Tree) float64 {
 // anything. Refresh or LogLikelihood must have run on t first; calibration
 // uses it to time the kernel in isolation, the only use outside this package
 // (see Newview).
-func (e *Engine) EvaluateRoot(t *Tree) float64 {
-	e.ensureBuffers(t)
-	return e.evaluateAtRoot(t)
-}
+func (e *Engine) EvaluateRoot(t *Tree) float64 { return e.evaluateAtRoot(t) }
 
 // LogLikelihood returns the log-likelihood of the tree, recomputing only the
 // conditional vectors invalidated since the last evaluation (all of them the
@@ -725,12 +707,19 @@ func (e *Engine) sumDerivatives(b float64, wantLL bool) (ll, d1, d2 float64) {
 			l1 += a0*x[4] + a1*x[5] + a2*x[6] + a3*x[7]
 			l2 += a0*x[8] + a1*x[9] + a2*x[10] + a3*x[11]
 		}
-		if l0 <= 0 {
+		// A pattern of likelihood zero has no slope to follow (1/l0 would be
+		// +Inf and every derivative term NaN): it adds its clamped
+		// log-likelihood, as in sumLogLik, and no derivative.
+		clamped := l0 <= 0
+		if clamped {
 			l0 = math.SmallestNonzeroFloat64
 		}
 		w := weights[i]
 		if wantLL {
 			ll += w * (math.Log(l0) + scale[i])
+		}
+		if clamped {
+			continue
 		}
 		inv := 1 / l0
 		g := l1 * inv

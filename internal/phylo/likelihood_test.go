@@ -1,6 +1,7 @@
 package phylo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -411,6 +412,67 @@ func TestOptimizeEdgePinnedAtBoundCostsOnePass(t *testing.T) {
 	}
 	if got := eng.LogLikelihood(tree); !sameFloat(got, ll) {
 		t.Errorf("logL %v after the visit, %v before", got, ll)
+	}
+}
+
+// TestMakenewzFiniteOnZeroLikelihoodPatterns: with both branches of a cherry
+// at length 0, every pattern its two tips disagree on has likelihood exactly
+// zero whatever the length of any OTHER edge, so on those edges the clamp in
+// sumDerivatives is taken. Such a pattern has no slope — it contributes its
+// clamped log-likelihood and no derivative — so Newton must still return a
+// length inside the bounds and the optimizer a finite likelihood.
+func TestMakenewzFiniteOnZeroLikelihoodPatterns(t *testing.T) {
+	for _, cfg := range incrementalConfigs(t) {
+		t.Run(cfg.name, func(t *testing.T) {
+			_, aln, err := Simulate(SimulateOptions{Taxa: 8, Length: 200, Seed: 9, MeanBranchLength: 0.2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := Compress(aln)
+			eng, err := NewEngine(data, cfg.model, cfg.rates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, _ := NewRandomTree(data.Names, rand.New(rand.NewSource(2)))
+			var cherry *Node
+			for _, n := range tree.Nodes {
+				if !n.IsTip() && n.Parent != nil && n.Children[0].IsTip() && n.Children[1].IsTip() {
+					cherry = n
+					break
+				}
+			}
+			a, b := cherry.Children[0], cherry.Children[1]
+			if slices.Equal(data.States[a.Taxon], data.States[b.Taxon]) {
+				t.Fatal("the cherry's tips must disagree on some pattern")
+			}
+			a.Length, b.Length = 0, 0
+			eng.Refresh(tree)
+			eng.buildSumTable(cherry)
+			if ll, _, _ := eng.sumDerivatives(cherry.Length, true); !(ll < -700) {
+				t.Fatalf("logL %v: no pattern took the clamp", ll)
+			}
+			inBounds := func(what string, v float64) {
+				t.Helper()
+				if !(v >= MinBranchLength && v <= MaxBranchLength) {
+					t.Errorf("%s = %v, want a length in [%g, %g]", what, v, MinBranchLength, MaxBranchLength)
+				}
+			}
+			for _, v := range tree.Edges() {
+				if v == a || v == b {
+					continue
+				}
+				inBounds(fmt.Sprintf("MakenewzEdge(node %d)", v.ID), eng.MakenewzEdge(v))
+			}
+			for _, v := range tree.Edges() {
+				if v == a || v == b {
+					continue
+				}
+				if ll := eng.OptimizeBranch(tree, v); math.IsNaN(ll) || math.IsInf(ll, 0) {
+					t.Errorf("OptimizeBranch(node %d) returned logL %v", v.ID, ll)
+				}
+				inBounds(fmt.Sprintf("length of node %d after OptimizeBranch", v.ID), v.Length)
+			}
+		})
 	}
 }
 

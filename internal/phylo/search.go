@@ -167,15 +167,18 @@ func reportProgress(opts *SearchOptions, res *SearchResult, best float64) {
 // form of the search. Every piece of per-move and per-sweep
 // scratch — candidate length snapshots, the move list, the local edge sets,
 // traversal stacks, validation marks — lives on the engine and is reused, so
-// a steady-state search (warm transition cache, settled scratch capacities)
-// performs zero heap allocations; alloc_test.go pins that with an
-// AllocsPerRun guard. res is fully overwritten.
+// a steady-state search (settled scratch capacities) performs zero heap
+// allocations; alloc_test.go pins that with an AllocsPerRun guard. res is
+// fully overwritten.
 func (e *Engine) SearchInto(ctx context.Context, tree *Tree, opts SearchOptions, res *SearchResult) error {
 	if opts.SmoothingRounds <= 0 {
 		opts.SmoothingRounds = 1
 	}
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 1
+	}
+	if err := e.fits(tree); err != nil {
+		return err
 	}
 	if len(e.valSeen) < len(tree.Taxa) {
 		e.valSeen = make([]bool, len(tree.Taxa))

@@ -26,7 +26,7 @@ package phylo
 // down-dirty marking (incremental.go). Newview rebuilds a node's classes
 // lazily, right before using them.
 //
-// All bookkeeping lives in flat engine-owned blocks (ensureBuffers) and the
+// All bookkeeping lives in flat engine-owned blocks (NewEngine) and the
 // pair table is generation-stamped, so steady-state searches rebuild classes
 // without allocating.
 

@@ -87,7 +87,7 @@ func TestSiteRepeatsMatchReference(t *testing.T) {
 				var op string
 				switch rng.Intn(3) {
 				case 0:
-					moves := tree.NNIMoves()
+					moves := tree.AppendNNIMoves(nil)
 					m := moves[rng.Intn(len(moves))]
 					m.Apply()
 					on.InvalidateNode(m.Edge)
@@ -144,7 +144,7 @@ func TestSiteRepeatsToggleMidSequence(t *testing.T) {
 			for step := 0; step <= 40; step++ {
 				switch rng.Intn(4) {
 				case 0:
-					moves := tree.NNIMoves()
+					moves := tree.AppendNNIMoves(nil)
 					m := moves[rng.Intn(len(moves))]
 					m.Apply()
 					tog.InvalidateNode(m.Edge)

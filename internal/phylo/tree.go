@@ -83,19 +83,6 @@ func (t *Tree) Edges() []*Node {
 	return out
 }
 
-// InternalEdges returns the edges whose both endpoints are internal nodes
-// (the edges around which NNI rearrangements are defined). Edges incident to
-// the root node are excluded, since the root is a placement artifact.
-func (t *Tree) InternalEdges() []*Node {
-	var out []*Node
-	for _, n := range t.Nodes {
-		if n.Parent != nil && !n.IsTip() && n.Parent != t.Root {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // DefaultBranchLength is the starting branch length for new edges.
 const DefaultBranchLength = 0.1
 
@@ -465,15 +452,10 @@ type NNIMove struct {
 	ChildIndex int
 }
 
-// NNIMoves enumerates both NNI rearrangements around every internal edge.
-func (t *Tree) NNIMoves() []NNIMove {
-	return t.AppendNNIMoves(nil)
-}
-
 // AppendNNIMoves appends both NNI rearrangements around every internal edge
-// to buf and returns it — the allocation-free form of NNIMoves for callers
-// (the search) that reuse a buffer across sweeps. The enumeration order
-// matches NNIMoves (Tree.Nodes order).
+// (both endpoints internal; edges at the root excluded, the root being a
+// placement artifact) to buf and returns it, in Tree.Nodes order. The search
+// reuses one buffer across sweeps, so enumerating allocates nothing.
 func (t *Tree) AppendNNIMoves(buf []NNIMove) []NNIMove {
 	for _, n := range t.Nodes {
 		if n.Parent != nil && !n.IsTip() && n.Parent != t.Root {
@@ -496,19 +478,11 @@ type TreeSnapshot struct {
 	root   int32
 }
 
-// CaptureTopology records the tree's current topology and branch lengths.
-// The returned snapshot stays valid as long as the tree keeps the same node
-// set (IDs are stable across rearrangements).
-func (t *Tree) CaptureTopology() *TreeSnapshot {
-	s := &TreeSnapshot{}
-	t.CaptureTopologyInto(s)
-	return s
-}
-
-// CaptureTopologyInto is CaptureTopology writing into a caller-provided
-// snapshot, reusing its slices when they are large enough — the
-// allocation-free form for callers (the per-sweep checkpoint emission) that
-// re-capture into the same snapshot every sweep.
+// CaptureTopologyInto records the tree's current topology and branch lengths
+// in s, reusing its slices when they are large enough (the per-sweep
+// checkpoint emission re-captures into the same snapshot every sweep). The
+// snapshot stays valid as long as the tree keeps the same node set (IDs are
+// stable across rearrangements).
 func (t *Tree) CaptureTopologyInto(s *TreeSnapshot) {
 	n := len(t.Nodes)
 	if cap(s.parent) < n {

@@ -63,7 +63,7 @@ func TestCloneIsIndependentCopy(t *testing.T) {
 	}
 	// Mutating the clone must not affect the original.
 	cp.Edges()[0].Length = 42
-	moves := cp.NNIMoves()
+	moves := cp.AppendNNIMoves(nil)
 	moves[0].Apply()
 	if tree.Edges()[0].Length == 42 {
 		t.Errorf("branch length change leaked into the original")
@@ -162,7 +162,7 @@ func TestRobinsonFouldsKnownDistance(t *testing.T) {
 
 func TestNNIMovesEnumerateAndInvert(t *testing.T) {
 	tree, _ := NewRandomTree(taxaNames(10), rand.New(rand.NewSource(8)))
-	moves := tree.NNIMoves()
+	moves := tree.AppendNNIMoves(nil)
 	// An unrooted binary tree with n taxa has n-3 internal edges and two NNI
 	// moves per edge; the rooted representation hides one internal edge at
 	// the root, so allow for that.
@@ -189,7 +189,7 @@ func TestNNIMoveChangesTopology(t *testing.T) {
 	tree, _ := NewRandomTree(taxaNames(8), rand.New(rand.NewSource(4)))
 	original := tree.Clone()
 	changed := 0
-	for _, m := range tree.NNIMoves() {
+	for _, m := range tree.AppendNNIMoves(nil) {
 		m.Apply()
 		if RobinsonFoulds(tree, original) > 0 {
 			changed++
@@ -226,7 +226,7 @@ func TestPropertyNNIPreservesValidity(t *testing.T) {
 			return false
 		}
 		for _, raw := range moveIdx {
-			moves := tree.NNIMoves()
+			moves := tree.AppendNNIMoves(nil)
 			if len(moves) == 0 {
 				return false
 			}

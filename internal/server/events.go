@@ -9,8 +9,9 @@ import (
 )
 
 // Event is one entry of a job's progress stream. Events are totally ordered
-// per job by Seq; clients that reconnect replay the full history, so a
-// consumer never misses the terminal event.
+// per job by Seq. A stream is a cursor over the job's complete history
+// (EventLog.After), so a consumer never misses the terminal event however far
+// it falls behind, and a reconnecting one resumes after the last Seq it saw.
 type Event struct {
 	Seq  int            `json:"seq"`
 	Time time.Time      `json:"time"`
@@ -28,107 +29,64 @@ const (
 	EventCancelled = "cancelled"
 )
 
-// subscriberBuffer is the per-subscriber channel depth. A consumer that falls
-// further behind than this has events dropped (the history remains complete
-// and can be re-read by reconnecting); the producer never blocks on a slow
-// client, because it runs on a job-runner goroutine.
-const subscriberBuffer = 256
-
-// EventLog is an append-only, fan-out event history for one job. Append and
-// Subscribe are safe for concurrent use.
+// EventLog is the append-only event history of one job. Readers hold no
+// state in it: each is a cursor (After) that waits on the log's wake channel,
+// so the producer — a job-runner goroutine — never blocks on a slow client
+// and a stalled client costs only its own connection. Safe for concurrent
+// use.
 type EventLog struct {
 	mu     sync.Mutex
 	events []Event
-	subs   map[chan Event]struct{}
 	closed bool
+	wake   chan struct{} // closed, and unless the log is closed replaced, on every change
 }
 
 // NewEventLog returns an empty log.
 func NewEventLog() *EventLog {
-	return &EventLog{subs: map[chan Event]struct{}{}}
+	return &EventLog{wake: make(chan struct{})}
 }
 
-// Append records an event and fans it out to live subscribers. Appends after
-// Close are dropped (the job is terminal; nothing meaningful can follow).
+// Append records an event and wakes every waiting reader. Appends after Close
+// are dropped (the job is terminal; nothing meaningful can follow).
 func (l *EventLog) Append(typ string, data map[string]any) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return
 	}
-	ev := Event{Seq: len(l.events) + 1, Time: time.Now().UTC(), Type: typ, Data: data}
-	l.events = append(l.events, ev)
-	for ch := range l.subs {
-		select {
-		case ch <- ev:
-		default: // slow consumer: drop, history stays complete
-		}
-	}
+	l.events = append(l.events, Event{Seq: len(l.events) + 1, Time: time.Now().UTC(), Type: typ, Data: data})
+	close(l.wake)
+	l.wake = make(chan struct{})
 }
 
-// Close marks the log terminal and closes every subscriber channel. It is
-// called exactly once, after the job's terminal event has been appended.
+// Close marks the log terminal and wakes every waiting reader for the last
+// time. It is called after the job's terminal event has been appended.
 func (l *EventLog) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return
+	if !l.closed {
+		l.closed = true
+		close(l.wake)
 	}
-	l.closed = true
-	for ch := range l.subs {
-		close(ch)
-	}
-	l.subs = map[chan Event]struct{}{}
 }
 
-// Snapshot returns a copy of the history so far.
-func (l *EventLog) Snapshot() []Event {
+// After returns the events with sequence numbers above seq, the cursor to
+// pass next time, and a channel that is closed when the log changes again —
+// nil once the log is closed, when evs completes the history. Seqs are
+// 1-based and dense, so seq 0 reads everything; a seq outside the history is
+// clamped to it (the contract behind the SSE Last-Event-ID header: a
+// reconnecting client passes the last id it saw and receives only what it
+// missed). The returned events are shared with the log and never written
+// again.
+func (l *EventLog) After(seq int) (evs []Event, next int, more <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Event(nil), l.events...)
-}
-
-// Subscribe returns the history so far plus a channel of subsequent events.
-// The channel is closed when the log closes (job reached a terminal state) or
-// when the returned cancel function runs; cancel is idempotent and must be
-// called to release the subscription.
-func (l *EventLog) Subscribe() (replay []Event, live <-chan Event, cancel func()) {
-	return l.SubscribeFrom(0)
-}
-
-// SubscribeFrom is Subscribe with the replay starting after sequence number
-// afterSeq — the contract behind the SSE Last-Event-ID header: a reconnecting
-// client passes the last id it saw and receives only what it missed. Seqs are
-// 1-based and dense, so afterSeq 0 replays everything and an afterSeq at or
-// past the tail replays nothing.
-func (l *EventLog) SubscribeFrom(afterSeq int) (replay []Event, live <-chan Event, cancel func()) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if afterSeq < 0 {
-		afterSeq = 0
+	next = len(l.events)
+	seq = max(0, min(seq, next))
+	if !l.closed {
+		more = l.wake
 	}
-	if afterSeq > len(l.events) {
-		afterSeq = len(l.events)
-	}
-	replay = append([]Event(nil), l.events[afterSeq:]...)
-	ch := make(chan Event, subscriberBuffer)
-	if l.closed {
-		close(ch)
-		return replay, ch, func() {}
-	}
-	l.subs[ch] = struct{}{}
-	var once sync.Once
-	cancel = func() {
-		once.Do(func() {
-			l.mu.Lock()
-			if _, ok := l.subs[ch]; ok {
-				delete(l.subs, ch)
-				close(ch)
-			}
-			l.mu.Unlock()
-		})
-	}
-	return replay, ch, cancel
+	return l.events[seq:next:next], next, more
 }
 
 // writeSSE renders one event in text/event-stream framing.

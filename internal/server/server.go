@@ -858,24 +858,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	replay, live, cancel := j.events.SubscribeFrom(afterSeq)
-	defer cancel()
-	for _, ev := range replay {
-		if writeSSE(w, ev) != nil {
-			return
-		}
-	}
-	flusher.Flush()
 	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return // terminal event delivered, stream complete
-			}
+		evs, next, more := j.events.After(afterSeq)
+		for _, ev := range evs {
 			if writeSSE(w, ev) != nil {
 				return
 			}
-			flusher.Flush()
+		}
+		flusher.Flush()
+		if more == nil {
+			return // terminal event delivered, stream complete
+		}
+		afterSeq = next
+		select {
+		case <-more:
 		case <-r.Context().Done():
 			return
 		}

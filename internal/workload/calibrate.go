@@ -51,8 +51,8 @@ type Calibration struct {
 }
 
 // CalibrateNative builds a likelihood engine on a simulated alignment and
-// times the three kernels in steady state (buffers sized, transition cache
-// warm), mirroring how the paper profiles RAxML with gprof before deciding
+// times the three kernels in steady state (vectors and transition matrices
+// settled), mirroring how the paper profiles RAxML with gprof before deciding
 // what to off-load.
 func CalibrateNative(o CalibrateOptions) (*Calibration, error) {
 	if o.Taxa <= 0 {
@@ -95,7 +95,7 @@ func CalibrateNative(o CalibrateOptions) (*Calibration, error) {
 		return nil, fmt.Errorf("workload: calibration tree: %w", err)
 	}
 
-	// Warm up: size every buffer, fill the transition cache and settle the
+	// Warm up: fill every edge's transition matrices and settle the
 	// site-repeat classes so the timed sweeps measure the steady-state kernel
 	// cost, not first-touch setup. Refresh is the engine's full-recompute
 	// path; the timed sweeps below invoke the kernels directly
