@@ -26,7 +26,12 @@
 // Its cost relative to a traced workload is the benchmark's
 // flight.overhead_ratio (bench/, --trace 1); it was under the noise floor
 // when recorded at 251e336 and 2-8% once the kernels got faster (3f937be,
-// 02a9e70).
+// 02a9e70). Since a lone search work-shares its pattern loops — one every
+// 5 to 15 µs, 15,650 per single_search unit — a span per loop read 1.02-1.05
+// there and wrapped a worker's ring twice per sweep, so native records one
+// KindLoop span per sweep (per task outside a search) that covers the sweep's
+// work-shared loops and carries their trips; the MGPS window evaluations,
+// one per Workers loop departures, are still one instant each.
 //
 // # Clock discipline
 //

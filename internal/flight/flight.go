@@ -18,14 +18,17 @@ type Kind uint8
 const (
 	// KindNone marks an unused ring slot.
 	KindNone Kind = iota
-	// KindQueue is a span: a submitter waiting for a worker group
-	// (A = submitter ID, B = workers granted).
+	// KindQueue is a span: a submitter waiting for its master worker
+	// (A = submitter ID, B = workers granted: 1).
 	KindQueue
 	// KindKernel is a span: an off-loaded task body running on its master
-	// worker (A = submitter ID, B = workers in the group).
+	// worker (A = submitter ID, B = workers its widest loop ran on).
 	KindKernel
-	// KindLoop is a span: a work-shared ParallelFor on the master's lane
-	// (A = trip count, B = workers<<32 | grain).
+	// KindLoop is a span on the master's lane: the work-shared ParallelFor
+	// loops of one sweep of a search, or of one task outside a search, from
+	// the first one's start (A = their trips in total, B = workers<<32 |
+	// mean trips per share — "grain" in the exporters; one loop's n and n/g
+	// when the span holds one loop).
 	KindLoop
 	// KindSweep is an instant: one NNI search sweep finished
 	// (A = accepted<<32 | evaluated, B = math.Float64bits(logL)).

@@ -6,16 +6,18 @@ import (
 )
 
 // TestParallelForAllocationFree is the loop-level half of the allocation
-// guard: in steady state a ParallelFor must not allocate — the loop descriptor
-// lives in the TaskContext, the worker-side runner is one persistent closure,
-// and grain claiming is a bare atomic add. A regression here multiplies across
-// every per-pattern kernel loop of every task. The trip counts take every way
-// through the function: the paper's 228 patterns, a loop short enough for the
-// minimum grain, the one-trip and empty loops, and on a group of two the
-// two-trip loop whose master share leaves the other worker nothing.
+// guard: in steady state borrow → work-shared loop → return must not allocate
+// — the pool writes the borrowed workers into the context's own slice, a
+// share travels in the worker's mailbox, and the join is a counter. A
+// regression here multiplies across every per-pattern kernel loop of every
+// task. The trip counts take every way through the function: the paper's 228
+// patterns, a loop shorter than the group is wide (3 trips on 4 workers: two
+// are borrowed), the one-trip and empty loops, and on a group of two the
+// two-trip loop, one trip each.
 func TestParallelForAllocationFree(t *testing.T) {
-	parallelForAllocs(t, 4, 2, 228, 20, 1, 0)
-	parallelForAllocs(t, 2, 1, 228, 2)
+	needTwoProcessors(t)
+	parallelForAllocs(t, 4, 2, 228, 3, 1, 0)
+	parallelForAllocs(t, 2, 2, 228, 2)
 }
 
 // parallelForAllocs runs the loops of the given trip counts, shared of which
@@ -31,15 +33,12 @@ func parallelForAllocs(t *testing.T, group int, shared int64, trips ...int) {
 		round += int64(n)
 	}
 	err := rt.NewSubmitter().Offload(func(tc *TaskContext) {
-		if tc.GroupSize() != group {
-			t.Errorf("group size = %d, want %d", tc.GroupSize(), group)
-		}
 		loops := func() {
 			for _, n := range trips {
 				tc.ParallelFor(n, body)
 			}
 		}
-		loops() // warm: the descriptor and runner exist after this
+		loops() // warm: the helpers have been woken once and are spinning
 		avg = testing.AllocsPerRun(100, loops)
 	})
 	if err != nil {
@@ -56,10 +55,13 @@ func parallelForAllocs(t *testing.T, group int, shared int64, trips ...int) {
 }
 
 // TestParallelForAdaptiveBalancesIrregularLoops drives a loop whose cost is
-// wildly skewed toward the first iterations (the shape Gamma-category and
-// scaling-triggered patterns produce) and checks every index is still covered
-// exactly once under the grain-claiming scheduler.
+// wildly skewed toward the first iterations (the shape scaling-triggered
+// patterns produce). Shares are static, so the skew costs the first share's
+// worker time and everyone else a wait at the join — never coverage: every
+// index is still run exactly once, and a second loop right behind it finds
+// all seven helpers back in the pool.
 func TestParallelForAdaptiveBalancesIrregularLoops(t *testing.T) {
+	needTwoProcessors(t)
 	rt := New(Options{Workers: 8, Policy: StaticLLP, SPEsPerLoop: 8})
 	defer rt.Close()
 
@@ -79,6 +81,11 @@ func TestParallelForAdaptiveBalancesIrregularLoops(t *testing.T) {
 				atomic.AddInt32(&counts[i], 1)
 			}
 		})
+		var shares atomic.Int32
+		tc.ParallelFor(n, func(lo, hi int) { shares.Add(1) })
+		if shares.Load() != 8 {
+			t.Errorf("the loop after the skewed one ran as %d shares, want 8", shares.Load())
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +95,7 @@ func TestParallelForAdaptiveBalancesIrregularLoops(t *testing.T) {
 			t.Fatalf("index %d covered %d times, want exactly once", i, c)
 		}
 	}
-	if s := rt.Stats(); s.LoopsWorkShared != 1 {
-		t.Errorf("work-shared loops = %d, want 1", s.LoopsWorkShared)
+	if s := rt.Stats(); s.LoopsWorkShared != 2 {
+		t.Errorf("work-shared loops = %d, want 2", s.LoopsWorkShared)
 	}
 }

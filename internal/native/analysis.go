@@ -163,6 +163,7 @@ func RunAnalysisContext(ctx context.Context, rt *Runtime, data *phylo.PatternAli
 					lane := rec.WorkerLane(tc.Master())
 					prev := topts.Search.Progress
 					topts.Search.Progress = func(p phylo.SearchProgress) {
+						tc.flushLoopSpan()
 						rec.Instant(lane, flight.KindSweep, opts.FlightID,
 							int64(p.NNIAccepted)<<32|int64(p.NNIEvaluated),
 							int64(math.Float64bits(p.LogLikelihood)))

@@ -214,25 +214,20 @@ func TestParallelAnalysisDeterministicAcrossPolicies(t *testing.T) {
 	}
 }
 
+// TestParallelAnalysisWithLLPExercisesWorkSharing: GTR x Gamma4 on testData
+// (226 patterns x 16 values: past the engine's loop crossover) with workers
+// to borrow is the serial analysis bit for bit, loops work-shared; then each
+// of the four loop bodies production work-shares is shown to have been, one
+// kernel at a time; then the golden analyses under a width of 2.
 func TestParallelAnalysisWithLLPExercisesWorkSharing(t *testing.T) {
+	needTwoProcessors(t)
 	data := testData(t)
-	rt := New(Options{Workers: 4, Policy: StaticLLP, SPEsPerLoop: 4})
-	defer rt.Close()
 	opts := analysisOpts()
 	opts.Inferences = 1
 	opts.Bootstraps = 0
-	if _, err := RunAnalysis(rt, data, opts); err != nil {
-		t.Fatal(err)
-	}
-	s := rt.Stats()
-	if s.LoopsWorkShared == 0 {
-		t.Errorf("likelihood loops should have been work-shared, stats = %+v", s)
-	}
 
-	// GTR x Gamma4 on a few-pattern alignment (short loops, where a coarser
-	// dispatch grain would be tempting) with a real worker group: every node's
-	// pattern loop goes through the one ParallelFor, there is no other grain,
-	// and the result is the serial one bit for bit.
+	// Every pattern loop of every node goes through the one ParallelFor, there
+	// is no other grain, and the result is the serial one bit for bit.
 	gtr, err := phylo.NewGTR([6]float64{1.3, 3.2, 0.9, 1.1, 4.1, 1.0}, phylo.Frequencies{0.31, 0.19, 0.24, 0.26})
 	if err != nil {
 		t.Fatal(err)
@@ -240,9 +235,6 @@ func TestParallelAnalysisWithLLPExercisesWorkSharing(t *testing.T) {
 	gamma, err := phylo.DiscreteGamma(0.6, 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if data.NumPatterns() >= 2048 {
-		t.Fatalf("fixture has %d patterns, want a short pattern loop", data.NumPatterns())
 	}
 	opts.Model, opts.Rates = gtr, gamma
 	serial, err := phylo.RunAnalysis(data, gtr, gamma, phylo.AnalysisOptions{
@@ -272,10 +264,14 @@ func TestParallelAnalysisWithLLPExercisesWorkSharing(t *testing.T) {
 		}
 	}
 
-	// The three loop bodies production work-shares, one at a time: this is what
-	// puts newviewBody, evaluateBody and sumTableBody on several goroutines
-	// under -race (CI runs this test by name there), so a fixture or threshold
-	// change that turned one serial fails here, not silently.
+	// The loop bodies production work-shares, one kernel at a time: this is
+	// what puts newviewBody, evaluateBody, sumTableBody and newtonBody on
+	// several goroutines under -race (CI runs this test by name there), so a
+	// fixture or crossover change that turned one serial fails here, not
+	// silently. A task's loops are counted as it ends, so each kernel is its
+	// own off-load.
+	rt := New(Options{Workers: 4, Policy: StaticLLP, SPEsPerLoop: 4})
+	defer rt.Close()
 	eng, err := phylo.NewEngine(data, gtr, gamma)
 	if err != nil {
 		t.Fatal(err)
@@ -284,27 +280,35 @@ func TestParallelAnalysisWithLLPExercisesWorkSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.Refresh(tree)
 	inner := tree.AppendNNIMoves(nil)[0].Edge
-	err = rt.NewSubmitter().Offload(func(tc *TaskContext) {
-		eng.SetParallel(tc.ParallelFor)
-		eng.Refresh(tree)
-		for _, k := range []struct {
-			kernel string
-			run    func()
-		}{
-			{"newview", func() { eng.Newview(inner) }},
-			{"evaluate", func() { eng.EvaluateRoot(tree) }},
-			{"sum table", func() { eng.MakenewzEdge(inner) }},
-		} {
-			before := rt.Stats().LoopsWorkShared
-			k.run()
-			if rt.Stats().LoopsWorkShared == before {
-				t.Errorf("the %s loop over %d patterns ran serially on a group of %d", k.kernel, data.NumPatterns(), tc.GroupSize())
+	for _, k := range []struct {
+		kernel string
+		loops  int64 // work-shared loops the kernel must add at least
+		run    func()
+	}{
+		// One loop per inner node whose site-repeat classes are numerous
+		// enough to be past the crossover; the nodes next to the root are.
+		{"newview", 1, func() {
+			for _, n := range tree.Nodes {
+				eng.Newview(n)
 			}
+		}},
+		{"evaluate", 1, func() { eng.EvaluateRoot(tree) }},
+		// The sum table, then at least one Newton pass over it.
+		{"sum table and Newton terms", 2, func() { eng.MakenewzEdge(inner) }},
+	} {
+		before := rt.Stats().LoopsWorkShared
+		err := rt.NewSubmitter().Offload(func(tc *TaskContext) {
+			eng.SetParallel(tc.ParallelFor)
+			k.run()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		if got := rt.Stats().LoopsWorkShared - before; got < k.loops {
+			t.Errorf("%s over %d patterns: %d work-shared loops, want at least %d", k.kernel, data.NumPatterns(), got, k.loops)
+		}
 	}
 
 	rt2 := New(Options{Workers: 4, Policy: StaticLLP, SPEsPerLoop: 2})

@@ -12,6 +12,7 @@ import (
 // TestFlightRecordsOffloadLifecycle checks the runtime emits queue and
 // kernel spans (and loop spans under LLP) tagged with the submitter's flow.
 func TestFlightRecordsOffloadLifecycle(t *testing.T) {
+	needTwoProcessors(t)
 	rec := flight.New(flight.Config{Workers: 4, LaneEvents: 256})
 	rt := New(Options{Workers: 4, Policy: StaticLLP, SPEsPerLoop: 4, Flight: rec})
 	defer rt.Close()
@@ -44,24 +45,24 @@ func TestFlightRecordsOffloadLifecycle(t *testing.T) {
 			if ev.A != int64(1) { // first submitter id
 				t.Errorf("queue span submitter = %d", ev.A)
 			}
-			if ev.B != 4 {
-				t.Errorf("queue span workers = %d, want 4", ev.B)
+			if ev.B != 1 {
+				t.Errorf("queue span workers = %d, want 1: a task is granted its master", ev.B)
 			}
 		case flight.KindKernel:
 			kernels++
 			if ev.Dur <= 0 {
 				t.Errorf("kernel span has no duration: %+v", ev)
 			}
+			if ev.B != 4 {
+				t.Errorf("kernel span workers = %d, want 4: the task's widest loop", ev.B)
+			}
 		case flight.KindLoop:
 			loops++
 			if ev.A != 228 {
 				t.Errorf("loop span n = %d, want 228", ev.A)
 			}
-			if workers := ev.B >> 32; workers < 2 || workers > 4 {
-				t.Errorf("loop span workers = %d", workers)
-			}
-			if grain := ev.B & 0xffffffff; grain < 1 {
-				t.Errorf("loop span grain = %d", grain)
+			if workers, share := ev.B>>32, ev.B&0xffffffff; workers != 4 || share != 57 {
+				t.Errorf("loop span: %d workers, shares of %d; want 4 and 228/4 = 57", workers, share)
 			}
 		}
 	}
@@ -220,6 +221,7 @@ func TestFlightDoesNotPerturbDeterminism(t *testing.T) {
 // allocation guard to a recorder-enabled runtime: tracing a work-shared
 // loop must not allocate either.
 func TestParallelForWithFlightAllocationFree(t *testing.T) {
+	needTwoProcessors(t)
 	rec := flight.New(flight.Config{Workers: 4, LaneEvents: 64})
 	rt := New(Options{Workers: 4, Policy: StaticLLP, SPEsPerLoop: 4, Flight: rec})
 	defer rt.Close()

@@ -1,10 +1,13 @@
 package native
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cellmg/internal/stats"
 )
 
 func TestRuntimeDefaultsAndClose(t *testing.T) {
@@ -33,9 +36,6 @@ func TestOffloadRunsTaskAndCounts(t *testing.T) {
 	ran := false
 	if err := sub.Offload(func(tc *TaskContext) {
 		ran = true
-		if tc.GroupSize() != 1 {
-			t.Errorf("EDTLP task group size = %d, want 1", tc.GroupSize())
-		}
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -78,40 +78,75 @@ func TestTaskLevelParallelismUsesAllWorkers(t *testing.T) {
 	}
 }
 
+// TestStaticLLPGroupsAndParallelFor: under static EDTLP-LLP(4) a task holds
+// one worker, its master, and every loop of it borrows the three others the
+// decision adds while they are idle: the loop is cut into four contiguous
+// shares, the same four every time, covers every index once and counts as one
+// work-shared loop. The workers are lent, not held: all eight can be masters
+// at once, and then there is nobody to borrow from.
 func TestStaticLLPGroupsAndParallelFor(t *testing.T) {
+	needTwoProcessors(t)
 	rt := New(Options{Workers: 8, Policy: StaticLLP, SPEsPerLoop: 4})
 	defer rt.Close()
-	sub := rt.NewSubmitter()
 
-	var covered []bool
-	err := sub.Offload(func(tc *TaskContext) {
-		if tc.GroupSize() != 4 {
-			t.Errorf("group size = %d, want 4", tc.GroupSize())
+	var mu sync.Mutex
+	var rounds [2][][2]int
+	err := rt.NewSubmitter().Offload(func(tc *TaskContext) {
+		for r := range rounds {
+			tc.ParallelFor(1000, func(lo, hi int) {
+				mu.Lock()
+				rounds[r] = append(rounds[r], [2]int{lo, hi})
+				mu.Unlock()
+			})
 		}
-		covered = make([]bool, 1000)
-		var mu sync.Mutex
-		tc.ParallelFor(1000, func(lo, hi int) {
-			mu.Lock()
-			defer mu.Unlock()
-			for i := lo; i < hi; i++ {
-				if covered[i] {
-					t.Errorf("index %d covered twice", i)
-				}
-				covered[i] = true
-			}
-		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range covered {
-		if !c {
-			t.Fatalf("index %d not covered by ParallelFor", i)
+	want := [][2]int{{0, 250}, {250, 500}, {500, 750}, {750, 1000}}
+	for r := range rounds {
+		slices.SortFunc(rounds[r], func(a, b [2]int) int { return a[0] - b[0] })
+		if !slices.Equal(rounds[r], want) {
+			t.Errorf("loop %d ran as shares %v, want %v", r, rounds[r], want)
 		}
 	}
-	s := rt.Stats()
-	if s.LoopsWorkShared != 1 {
-		t.Errorf("work-shared loops = %d, want 1", s.LoopsWorkShared)
+	if s := rt.Stats(); s.LoopsWorkShared != 2 || s.LoopsSerial != 0 {
+		t.Errorf("loop accounting = %+v, want 2 work-shared", s)
+	}
+
+	// Eight tasks at once: each is granted a master (none waits for a group
+	// of four), and with every worker a master their loops run whole.
+	var started, release, looped sync.WaitGroup
+	started.Add(8)
+	release.Add(1)
+	looped.Add(8)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		sub := rt.NewSubmitter()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := sub.Offload(func(tc *TaskContext) {
+				started.Done()
+				release.Wait()
+				tc.ParallelFor(1000, func(lo, hi int) {
+					if lo != 0 || hi != 1000 {
+						t.Errorf("a loop was cut to [%d,%d) with no idle worker to lend", lo, hi)
+					}
+				})
+				looped.Done()
+				looped.Wait() // stay a master until every task has run its loop
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	started.Wait() // all eight bodies are running: eight masters on eight workers
+	release.Done()
+	wg.Wait()
+	if s := rt.Stats(); s.LoopsWorkShared != 2 || s.LoopsSerial != 8 {
+		t.Errorf("loop accounting = %+v, want 2 work-shared and 8 serial", s)
 	}
 }
 
@@ -165,35 +200,59 @@ func TestSerialLoopWhenGroupIsOne(t *testing.T) {
 	}
 }
 
+// TestMGPSAdaptsToLowTaskParallelism: two tasks on eight workers, each
+// issuing loops. Every loop is a departure, so after the first window of
+// eight (U = 2 <= 4) the controller decides EDTLP-LLP with 8/2 = 4 workers a
+// loop, and from then on each task's loops borrow idle workers — never more
+// than three while the other task is there.
 func TestMGPSAdaptsToLowTaskParallelism(t *testing.T) {
+	needTwoProcessors(t)
 	rt := New(Options{Workers: 8, Policy: MGPS})
 	defer rt.Close()
-	// Two submitters issuing many small tasks: after the first window the
-	// controller should grant 4 workers per task.
+	var collector stats.OffloadCollector
+	var arrived, both sync.WaitGroup // a task loops only once both are in, and leaves only when both are done
+	arrived.Add(2)
+	both.Add(2)
 	var wg sync.WaitGroup
 	for s := 0; s < 2; s++ {
-		sub := rt.NewSubmitter()
+		sub := rt.NewSubmitterWithSink(&collector)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				sub.Offload(func(tc *TaskContext) {
-					time.Sleep(time.Millisecond)
-				})
+			err := sub.Offload(func(tc *TaskContext) {
+				arrived.Done()
+				arrived.Wait()
+				var covered atomic.Int64
+				for i := 0; i < 200; i++ {
+					tc.ParallelFor(64, func(lo, hi int) { covered.Add(int64(hi - lo)) })
+				}
+				if covered.Load() != 200*64 {
+					t.Errorf("loops covered %d iterations, want %d", covered.Load(), 200*64)
+				}
+				both.Done()
+				both.Wait()
+			})
+			if err != nil {
+				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	dec := rt.Decision()
-	if !dec.UseLLP {
-		t.Errorf("MGPS with 2 submitters should have activated LLP, decision = %v", dec)
-	}
-	if dec.SPEsPerLoop < 2 || dec.SPEsPerLoop > 8 {
-		t.Errorf("SPEs per loop = %d out of range", dec.SPEsPerLoop)
-	}
 	s := rt.Stats()
-	if s.Evaluations == 0 {
-		t.Errorf("MGPS should have evaluated at least one window")
+	if s.Evaluations == 0 || s.Switches == 0 {
+		t.Errorf("MGPS evaluated %d windows and switched %d times over 400 loop departures", s.Evaluations, s.Switches)
+	}
+	if s.LoopsWorkShared == 0 {
+		t.Errorf("no loop borrowed a worker with six of eight idle, stats = %+v", s)
+	}
+	sum := collector.Summary()
+	if sum.Offloads != 2 || sum.WorkShared == 0 {
+		t.Errorf("off-load summary = %+v, want 2 off-loads with work-shared loops", sum)
+	}
+	// WorkersGranted adds each task's widest loop: at most 4 each while the
+	// two of them were there to share the eight.
+	if sum.WorkersGranted < 3 || sum.WorkersGranted > 8 {
+		t.Errorf("widest loops add to %d workers, want each task between 2 and 4", sum.WorkersGranted)
 	}
 }
 

@@ -7,21 +7,25 @@
 //
 //   - SPEs            -> pool workers (goroutines pinned to a logical slot)
 //   - MPI processes   -> Submitters (independent streams of off-loadable tasks)
-//   - off-loading     -> Submitter.Offload, which runs the task body on one
-//     worker while the submitting goroutine waits (EDTLP: waiting submitters
-//     cost nothing, so any number of them can feed the pool)
+//   - off-loading     -> two grains. Submitter.Offload runs a task body on
+//     one worker, its master, while the submitting goroutine waits (EDTLP:
+//     waiting submitters cost nothing, so any number of them can feed the
+//     pool). Inside the body every TaskContext.ParallelFor is an off-load in
+//     the paper's sense — one kernel call: it asks the pool for workers, its
+//     departure enters the MGPS window, and it gives the workers back
 //   - loop-level
-//     parallelism     -> TaskContext.ParallelFor, which work-shares a loop
-//     across the worker group assigned to the task, with the master slice
-//     deliberately larger (the paper's purposeful load unbalancing)
+//     parallelism     -> TaskContext.ParallelFor work-shares the loop over
+//     the master and the idle workers the pool lends it for the loop's
+//     duration, in static contiguous shares handed over through per-worker
+//     mailboxes the lent workers spin on for a bounded time
 //   - the scheduler's
 //     SPE bookkeeping -> one policy.Pool over the worker slots, the type the
-//     simulated Cell schedulers hold per Cell: it grants one worker per task
-//     (EDTLP), a fixed group (StaticLLP), or what the MGPS controller reads
-//     off this runtime's own off-load departures — ⌊workers/T⌋ workers per
-//     task when few streams are active. The runtime adds only what real
-//     threads need: the mutex the pool is called under and the sync.Cond
-//     submitters wait on until the pool can grant them.
+//     simulated Cell schedulers hold per Cell: a master per task, and per
+//     loop nothing more (EDTLP), up to a fixed group (StaticLLP), or what the
+//     MGPS controller reads off this runtime's own departures — ⌊workers/T⌋
+//     workers per loop when few streams are active. The runtime adds only
+//     what real threads need: the mutex the pool is called under and the
+//     sync.Cond submitters wait on until the pool can grant them a master.
 //
 // analysis.go is the parallel analysis driver. It owns only what is native —
 // a Submitter per task, OffloadContext, cancellation on the first failure,
@@ -50,10 +54,9 @@ type PolicyKind int
 const (
 	// EDTLP assigns exactly one worker per task (pure task-level parallelism).
 	EDTLP PolicyKind = iota
-	// StaticLLP assigns a fixed-size worker group to every task.
+	// StaticLLP lets every loop borrow up to a fixed-size worker group.
 	StaticLLP
-	// MGPS adapts between EDTLP and group assignment using the paper's
-	// controller.
+	// MGPS adapts between EDTLP and loop groups using the paper's controller.
 	MGPS
 )
 
@@ -92,7 +95,8 @@ type Options struct {
 	Workers int
 	// Policy selects the scheduling policy (default EDTLP).
 	Policy PolicyKind
-	// SPEsPerLoop is the fixed group size for StaticLLP (default 4).
+	// SPEsPerLoop is the fixed loop group size for StaticLLP, the master
+	// included (default 4).
 	SPEsPerLoop int
 	// Flight, when non-nil, records the runtime's off-load lifecycle (queue
 	// waits, kernel runs, work-shared loops) and MGPS policy decisions into
@@ -100,7 +104,9 @@ type Options struct {
 	Flight *flight.Recorder
 }
 
-// Stats is a snapshot of runtime counters.
+// Stats is a snapshot of runtime counters. A task's loops are counted in its
+// own context and added here as it ends: they are all there by the time its
+// Offload returns, and a running task's are not there yet.
 type Stats struct {
 	TasksRun        int64
 	LoopsWorkShared int64
@@ -115,26 +121,65 @@ type Stats struct {
 type Runtime struct {
 	opts    Options
 	workers []*worker
+	wg      sync.WaitGroup // the worker goroutines
 	flight  *flight.Recorder
+	// lends reports whether a loop can be work-shared at all: the policy can
+	// decide LLP, there is a second worker to lend and a second processor to
+	// run it on. Where it is false ParallelFor never touches the pool.
+	lends bool
 
 	mu      sync.Mutex
 	cond    *sync.Cond   // signalled when workers return to the pool
 	pool    *policy.Pool // guarded by mu
-	active  int          // submitters with an off-load in flight or waiting for workers
+	active  int          // submitters with a task in flight or waiting for a master
+	queued  int          // of those, the ones waiting
 	closed  bool
 	nextSub int64
 
+	// Counters, guarded by mu. A task counts its loops in its own context and
+	// adds them here as it ends, so no loop touches a shared cache line to be
+	// counted.
 	tasksRun        int64
 	loopsWorkShared int64
 	loopsSerial     int64
 }
 
+// worker is one pool slot's goroutine. Task bodies reach it through jobs; a
+// share of a work-shared loop reaches it through the mailbox (loop, lo, hi),
+// which it watches without sleeping for helperSpin after every share.
 type worker struct {
-	id   int
+	// jobs carries task bodies and, as a nil func, the wake-up of a parked
+	// worker whose mailbox was filled. Its one slot of buffer lets that
+	// wake-up be left without waiting for the worker to arrive at the receive.
 	jobs chan func()
-	busy atomic.Int64 // nanoseconds
-	wg   sync.WaitGroup
+	// The mailbox: body over [lo, hi) is this worker's share of a loop of
+	// task loop. The master writes body, lo and hi and then stores loop; the
+	// worker loads loop, takes the three and empties the mailbox before it
+	// runs them, so an idle worker refers to no loop body.
+	loop   atomic.Pointer[TaskContext]
+	body   func(lo, hi int)
+	lo, hi int
+	parked atomic.Bool  // blocked, or about to block, on jobs
+	busy   atomic.Int64 // nanoseconds inside task bodies and loop shares
+	_      [64]byte     // a worker's words are spun on: keep neighbours off its cache line
 }
+
+// helperSpin is how long a worker that has just run a loop share keeps
+// watching its mailbox before it parks on its channel. A search issues its
+// next loop within a few microseconds of the last, and handing a share to a
+// parked worker costs a futex wake-up — 7 to 60 µs against 0.7 spinning
+// (README, "Loop crossover": empty/parked and empty/spinning), more than the
+// 5 to 15 µs loop it would be sharing — so the bound covers the serial
+// stretches between loops (matrix fills, class rebuilds, an NNI move) and
+// still lets a helper nobody needs sleep within a scheduler tick. spinYield is how many looks at the mailbox
+// go between two calls of runtime.Gosched, where the spinning side also reads
+// the clock and polls for a task body: a yield takes about 0.2 µs on the
+// recording host and a look about 1.5 ns, so at one in 512 a share that
+// arrives finds the helper inside a yield one time in five.
+const (
+	helperSpin = 100 * time.Microsecond
+	spinYield  = 512
+)
 
 // New creates and starts a runtime.
 func New(opts Options) *Runtime {
@@ -151,6 +196,7 @@ func New(opts Options) *Runtime {
 		opts.SPEsPerLoop = opts.Workers
 	}
 	r := &Runtime{opts: opts, flight: opts.Flight}
+	r.lends = opts.Policy != EDTLP && opts.Workers > 1 && runtime.GOMAXPROCS(0) > 1
 	r.cond = sync.NewCond(&r.mu)
 	switch opts.Policy {
 	case StaticLLP:
@@ -160,21 +206,69 @@ func New(opts Options) *Runtime {
 	default:
 		r.pool = policy.NewFixedPool(opts.Workers, policy.Decision{SPEsPerLoop: 1})
 	}
+	r.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
-		w := &worker{id: i, jobs: make(chan func())}
-		w.wg.Add(1)
-		go w.run()
+		w := &worker{jobs: make(chan func(), 1)}
+		go w.run(&r.wg)
 		r.workers = append(r.workers, w)
 	}
 	return r
 }
 
-func (w *worker) run() {
-	defer w.wg.Done()
-	for job := range w.jobs {
-		start := time.Now()
-		job()
-		w.busy.Add(int64(time.Since(start)))
+// run is the worker's life: a loop share when the mailbox holds one, else a
+// task body from jobs — looked for without blocking while the spin bound of
+// the last share runs, blocked on otherwise.
+func (w *worker) run(wg *sync.WaitGroup) {
+	defer wg.Done()
+	var spinUntil time.Time // zero: no share since the last park, so park at once
+	for {
+		spinning := !spinUntil.IsZero()
+		tc := w.loop.Load()
+		for look := 1; tc == nil && spinning && look < spinYield; look++ {
+			tc = w.loop.Load()
+		}
+		if tc != nil {
+			// Empty the mailbox first: once pending drops the master may fill
+			// it again, and tc is no longer ours to touch.
+			body, lo, hi := w.body, w.lo, w.hi
+			w.body = nil
+			w.loop.Store(nil)
+			start := time.Now()
+			body(lo, hi)
+			tc.pending.Add(-1)
+			end := time.Now()
+			w.busy.Add(int64(end.Sub(start)))
+			spinUntil = end.Add(helperSpin)
+			continue
+		}
+		var job func()
+		ok := true
+		if !spinning {
+			// Announce, then look once more: a master that stored a loop before
+			// the announcement saw no reason to send a wake-up.
+			w.parked.Store(true)
+			if w.loop.Load() == nil {
+				job, ok = <-w.jobs
+			}
+			w.parked.Store(false)
+		} else {
+			runtime.Gosched()
+			if time.Now().After(spinUntil) {
+				spinUntil = time.Time{}
+			}
+			select {
+			case job, ok = <-w.jobs:
+			default:
+			}
+		}
+		if !ok {
+			return
+		}
+		if job != nil {
+			start := time.Now()
+			job()
+			w.busy.Add(int64(time.Since(start)))
+		}
 	}
 }
 
@@ -190,8 +284,8 @@ func (r *Runtime) Close() {
 	r.mu.Unlock()
 	for _, w := range r.workers {
 		close(w.jobs)
-		w.wg.Wait()
 	}
+	r.wg.Wait()
 }
 
 // Workers returns the pool size.
@@ -214,11 +308,7 @@ func (r *Runtime) Decision() policy.Decision {
 func (r *Runtime) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := Stats{
-		TasksRun:        atomic.LoadInt64(&r.tasksRun),
-		LoopsWorkShared: atomic.LoadInt64(&r.loopsWorkShared),
-		LoopsSerial:     atomic.LoadInt64(&r.loopsSerial),
-	}
+	s := Stats{TasksRun: r.tasksRun, LoopsWorkShared: r.loopsWorkShared, LoopsSerial: r.loopsSerial}
 	s.Evaluations, s.Switches = r.pool.Counts()
 	for _, w := range r.workers {
 		s.WorkerBusy = append(s.WorkerBusy, time.Duration(w.busy.Load()))
@@ -256,83 +346,67 @@ func (r *Runtime) NewSubmitterWithSink(sink stats.OffloadSink) *Submitter {
 // can be filtered down to one job's lifecycle.
 func (s *Submitter) SetFlow(id uint64) { s.flow = id }
 
-// TaskContext is passed to an off-loaded task body; it exposes the loop-level
-// parallelism of the worker group assigned to the task.
+// TaskContext is passed to an off-loaded task body; ParallelFor is its door
+// to loop-level parallelism.
 //
-// Work-shared loops are scheduled adaptively: the master keeps a statically
-// sized inline share (the paper's purposeful load unbalancing, compensating
-// for worker wake-up latency), and the remaining iterations are claimed in
-// small grains from an atomic shared index by whichever worker frees up
-// first. Static equal chunks assumed every iteration costs the same; the
-// per-pattern likelihood loops violate that (Gamma categories and
-// scaling-triggered patterns are several times dearer), which left workers
-// idle at the barrier. With grain claiming, the imbalance is bounded by one
-// grain instead of by the spread across whole chunks.
+// A task holds one worker, its master, for its whole life: the body runs on
+// it. Every ParallelFor is an off-load in the paper's sense — it asks the
+// pool for the idle workers the decision in force adds to a loop, hands each
+// a share, returns them as the loop ends and reports the departure the MGPS
+// window counts — so a lone task starts widening its loops two loops after it
+// became alone, and stops as soon as a second task wants a master.
 //
-// The loop plumbing is allocation-free in steady state: the loop descriptor
-// lives in the context and one persistent runner closure is shared by every
-// non-master slot, so work-sharing a loop enqueues a prebuilt func per
-// worker instead of allocating captures. ParallelFor calls are serial per
-// task (the master issues them), which makes reusing the descriptor and
-// WaitGroup safe.
+// Shares are static and contiguous: group slot j of g runs [j·n/g, (j+1)·n/g),
+// the borrowed workers the first slots in pool order and the master the last,
+// so the same loop length splits at the same indices every time and each core
+// re-reads the vector halves it wrote last. (Claiming grains from a shared
+// index balanced uneven iterations, but moved half of every vector between
+// cores on every loop; at 5–15 µs a loop that costs more than the imbalance
+// did.) The master takes the last slot because a sum taken in index order —
+// the engine's Newton sums — can then start from the first share's partial
+// result, one cache line, and continue over terms the master wrote itself.
+//
+// A borrowed worker receives its share through its mailbox, which it has been
+// spinning on since its last share if that was under helperSpin ago, and is
+// otherwise woken from its channel for; the master runs its own share and
+// then spins on pending. Nothing in the path allocates, and after the loop
+// no worker still refers to the loop body: a retained body would keep the
+// task's engine alive until the worker's next share. ParallelFor calls are
+// serial per task (the master issues them), which is what makes one pending
+// counter per context enough.
 type TaskContext struct {
 	rt     *Runtime
-	group  []int // worker slots held by this task; group[0] is the master
-	master int
+	proc   int    // the submitter's id: the process MGPS counts
+	master int    // worker slot the body runs on
 	flow   uint64 // flight-recorder flow id inherited from the submitter
 
-	loopBody  func(lo, hi int) // body of the loop currently being work-shared
-	loopWG    sync.WaitGroup
-	loopN     int64        // trip count of the current loop
-	loopGrain int64        // iterations claimed per grab
-	loopNext  atomic.Int64 // next unclaimed iteration index
-	runner    func()       // persistent worker-side runner
+	lent    []int        // the loop in flight's borrowed workers; capacity Workers-1, reused
+	pending atomic.Int32 // borrowed workers still inside their share
+
+	serial, shared int64 // loops run so far, added to the runtime's counters as the task ends
+	widest         int   // most workers any loop of the task ran on, the master included
+
+	// The work-shared loops since the last flushLoopSpan, for the flight
+	// recorder: when the first began, how many, their trips in total.
+	spanStart            flight.Time
+	spanLoops, spanTrips int64
 }
 
-// Grain sizing for the adaptive loop scheduler: the shared-pool iterations
-// are split into about grainsPerWorker grains per group slot (enough slack
-// for expensive grains to be compensated by cheap ones) but never fewer than
-// minLoopGrain iterations per grab (bounding the atomic-op overhead on the
-// paper-scale 228-pattern loops). masterShareBonus is the extra fraction of
-// a work-shared loop's iterations its master takes up front, to cover the
-// workers' wake-up latency.
-const (
-	grainsPerWorker  = 4
-	minLoopGrain     = 4
-	masterShareBonus = 0.05
-)
-
-// initLoopRunners builds the persistent runner closure shared by the
-// non-master group slots. It reads the current loop descriptor from the
-// context at execution time and claims grains until the loop is exhausted.
-func (tc *TaskContext) initLoopRunners() {
-	tc.runner = func() {
-		tc.runShared()
-		tc.loopWG.Done()
+// flushLoopSpan records the work-shared loops since the last flush as one
+// KindLoop span on the master's lane, from the first one's start to now. A
+// search issues such a loop every few microseconds — two clock reads and a
+// ring slot for each was 2 to 5 % of its time and wrapped the ring twice per
+// sweep — so the analysis driver flushes once per sweep and every task once
+// as it ends.
+func (tc *TaskContext) flushLoopSpan() {
+	if tc.spanLoops == 0 {
+		return
 	}
+	r := tc.rt
+	r.flight.Span(r.flight.WorkerLane(tc.master), flight.KindLoop, tc.flow, tc.spanStart,
+		tc.spanTrips, int64(tc.widest)<<32|tc.spanTrips/(tc.spanLoops*int64(tc.widest)))
+	tc.spanLoops, tc.spanTrips = 0, 0
 }
-
-// runShared claims grains of the current loop from the shared index until
-// none remain. It runs on every group slot, the master included (which joins
-// after finishing its inline share).
-func (tc *TaskContext) runShared() {
-	n, g := tc.loopN, tc.loopGrain
-	for {
-		lo := tc.loopNext.Add(g) - g
-		if lo >= n {
-			return
-		}
-		hi := lo + g
-		if hi > n {
-			hi = n
-		}
-		tc.loopBody(int(lo), int(hi))
-	}
-}
-
-// GroupSize returns the number of workers assigned to the task (1 when
-// loop-level parallelism is off).
-func (tc *TaskContext) GroupSize() int { return len(tc.group) }
 
 // Master returns the worker slot the task body runs on — the lane its
 // flight-recorder events belong to.
@@ -376,150 +450,167 @@ func (s *Submitter) OffloadContext(ctx context.Context, fn func(tc *TaskContext)
 		return fmt.Errorf("native: runtime is closed")
 	}
 	r.active++
-	// Acquire the worker group the pool grants this stream, waiting while it
-	// is too busy. The pool is asked again after every wait, so an MGPS mode
-	// switch applies immediately.
+	// Acquire the master worker, waiting while every worker is taken — by
+	// other tasks, or for a moment by their loops, which lend nothing further
+	// while anyone waits here.
 	var group []int
 	for {
 		var ok bool
-		if group, ok = r.pool.Acquire(s.id); ok {
+		if group, ok = r.pool.AcquireMaster(s.id); ok {
 			break
 		}
 		// Check before waiting as well as after: a cancellation that fired
 		// between the entry check and acquiring r.mu has already issued its
 		// broadcast, and sleeping now would miss it.
-		if err := ctx.Err(); err != nil {
+		err := ctx.Err()
+		if err == nil {
+			r.queued++
+			r.cond.Wait()
+			r.queued--
+			if err = ctx.Err(); err == nil && r.closed {
+				err = fmt.Errorf("native: runtime closed while waiting for workers")
+			}
+		}
+		if err != nil {
 			r.active--
 			r.mu.Unlock()
 			return err
-		}
-		r.cond.Wait()
-		if err := ctx.Err(); err != nil {
-			r.active--
-			r.mu.Unlock()
-			return err
-		}
-		if r.closed {
-			r.active--
-			r.mu.Unlock()
-			return fmt.Errorf("native: runtime closed while waiting for workers")
 		}
 	}
 	r.mu.Unlock()
 	granted := time.Now()
-	r.flight.Span(r.flight.SubmitLane(s.id), flight.KindQueue, s.flow, qStart, int64(s.id), int64(len(group)))
+	master := group[0]
+	r.flight.Span(r.flight.SubmitLane(s.id), flight.KindQueue, s.flow, qStart, int64(s.id), 1)
 
 	// Run the task body on the master worker.
-	tc := &TaskContext{rt: r, group: group, master: group[0], flow: s.flow}
-	if len(group) > 1 {
-		tc.initLoopRunners()
+	tc := &TaskContext{rt: r, proc: s.id, master: master, flow: s.flow, widest: 1}
+	if r.lends {
+		tc.lent = make([]int, 0, r.opts.Workers-1)
 	}
 	done := make(chan struct{})
-	r.workers[group[0]].jobs <- func() {
+	r.workers[master].jobs <- func() {
 		kStart := r.flight.Now()
 		fn(tc)
-		r.flight.Span(r.flight.WorkerLane(group[0]), flight.KindKernel, s.flow, kStart, int64(s.id), int64(len(group)))
+		tc.flushLoopSpan()
+		r.flight.Span(r.flight.WorkerLane(master), flight.KindKernel, s.flow, kStart, int64(s.id), int64(tc.widest))
 		close(done)
 	}
 	<-done
-	atomic.AddInt64(&r.tasksRun, 1)
 
 	r.mu.Lock()
 	r.pool.Release(group)
 	r.active--
+	r.tasksRun++
+	r.loopsSerial += tc.serial
+	r.loopsWorkShared += tc.shared
 	// Tasks currently wanting workers: everyone in flight or queued, plus the
 	// stream that just finished.
-	if ev, closed := r.pool.Depart(s.id, r.active+1); closed {
-		lane := r.flight.PolicyLane()
-		r.flight.Instant(lane, flight.KindEval, 0, int64(ev.U), int64(ev.Decision.SPEsPerLoop))
-		if ev.Changed {
-			llp := int64(0)
-			if ev.Decision.UseLLP {
-				llp = 1
-			}
-			r.flight.Instant(lane, flight.KindSwitch, 0, int64(ev.Decision.SPEsPerLoop), llp)
-		}
-	}
+	ev, closed := r.pool.Depart(s.id, r.active+1)
 	r.cond.Broadcast()
 	r.mu.Unlock()
+	r.recordEvaluation(ev, closed)
 
 	if s.sink != nil {
 		s.sink.RecordOffload(stats.OffloadEvent{
 			Submitter:  s.id,
 			QueueWait:  granted.Sub(enqueued),
 			Run:        time.Since(granted),
-			Workers:    len(group),
-			WorkShared: len(group) > 1,
+			Workers:    tc.widest,
+			WorkShared: tc.shared > 0,
 		})
 	}
 	return nil
 }
 
-// ParallelFor work-shares the loop body over the task's worker group. The
-// master worker (the one executing the task body) takes a slightly larger
-// inline share, compensating for the latency of waking the other workers —
-// the Go analogue of the paper's purposeful load unbalancing. The remaining
-// iterations are claimed in small grains from an atomic shared index by
-// master and workers alike, so irregular per-iteration costs self-balance
-// instead of leaving workers idle behind a static chunk split. With a
-// single-worker group the loop runs serially on the master.
+// recordEvaluation puts a closed MGPS window on the flight recorder's policy
+// lane.
+func (r *Runtime) recordEvaluation(ev policy.Evaluation, closed bool) {
+	if !closed || r.flight == nil {
+		return
+	}
+	lane := r.flight.PolicyLane()
+	r.flight.Instant(lane, flight.KindEval, 0, int64(ev.U), int64(ev.Decision.SPEsPerLoop))
+	if ev.Changed {
+		llp := int64(0)
+		if ev.Decision.UseLLP {
+			llp = 1
+		}
+		r.flight.Instant(lane, flight.KindSwitch, 0, int64(ev.Decision.SPEsPerLoop), llp)
+	}
+}
+
+// ParallelFor runs body over [0, n), work-shared with whatever idle workers
+// the pool lends this loop: none under EDTLP, while another task waits for a
+// master, or when they are all busy — the loop then runs whole on the master.
+// Otherwise see TaskContext for how the shares are cut and handed over. Every
+// loop long enough to be split is a departure in the MGPS window, shared or
+// not.
 //
 // It has the signature of phylo.ParallelFor, so it can be plugged directly
-// into a likelihood engine.
+// into a likelihood engine (which offers it only the loops past its
+// crossover).
 func (tc *TaskContext) ParallelFor(n int, body func(lo, hi int)) {
-	r := tc.rt
 	if n <= 0 {
 		return
 	}
-	if len(tc.group) <= 1 || n == 1 {
-		atomic.AddInt64(&r.loopsSerial, 1)
+	r := tc.rt
+	if n == 1 || !r.lends {
+		tc.serial++
 		body(0, n)
 		return
 	}
-	workers := len(tc.group)
-	// Master bonus: the master executes its share inline without a channel
-	// round trip, so give it a slightly larger slice (the paper's purposeful
-	// load unbalancing).
-	masterShare := int(float64(n)/float64(workers)*(1+masterShareBonus)) + 1
-	rest := n - masterShare
-	// With workers ≥ 2 and n ≥ 2 the share is at most 0.525·n + 1 ≤ n, so rest
-	// is never negative; it is 0 only for the two-iteration loop, which the
-	// master runs whole.
-	if rest == 0 {
-		atomic.AddInt64(&r.loopsSerial, 1)
+	r.mu.Lock()
+	helpers := r.pool.Borrow(tc.proc, tc.lent[:0:min(n-1, cap(tc.lent))], r.queued)
+	r.mu.Unlock()
+	if len(helpers) == 0 {
+		tc.serial++
 		body(0, n)
-		return
+	} else {
+		tc.shared++
+		tc.shareLoop(n, body, helpers)
 	}
-	atomic.AddInt64(&r.loopsWorkShared, 1)
-	loopStart := r.flight.Now()
+	r.mu.Lock()
+	r.pool.Release(helpers)
+	ev, closed := r.pool.Depart(tc.proc, r.active)
+	if r.queued > 0 && len(helpers) > 0 {
+		r.cond.Broadcast()
+	}
+	r.mu.Unlock()
+	r.recordEvaluation(ev, closed)
+}
 
-	grain := rest / (workers * grainsPerWorker)
-	if grain < minLoopGrain {
-		grain = minLoopGrain
+// shareLoop cuts [0, n) into one contiguous share per group slot, leaves each
+// helper's in its mailbox (waking the helper if it has parked), runs the
+// master's and waits for the helpers to finish theirs.
+func (tc *TaskContext) shareLoop(n int, body func(lo, hi int), helpers []int) {
+	r := tc.rt
+	g := len(helpers) + 1
+	tc.widest = max(tc.widest, g)
+	if r.flight != nil {
+		if tc.spanLoops == 0 {
+			tc.spanStart = r.flight.Now()
+		}
+		tc.spanLoops++
+		tc.spanTrips += int64(n)
 	}
-
-	// Publish the loop descriptor, then launch the persistent runner on the
-	// non-master slots (the channel send orders the stores before the
-	// worker's loads). Workers beyond the number of grains would find the
-	// pool already drained, so don't wake them at all.
-	tc.loopBody = body
-	tc.loopN = int64(n)
-	tc.loopGrain = int64(grain)
-	tc.loopNext.Store(int64(masterShare))
-	launch := (rest + grain - 1) / grain
-	if launch > workers-1 {
-		launch = workers - 1
+	tc.pending.Store(int32(len(helpers)))
+	for i, id := range helpers {
+		w := r.workers[id]
+		w.body, w.lo, w.hi = body, i*n/g, (i+1)*n/g
+		w.loop.Store(tc)
+		if w.parked.Load() {
+			select {
+			case w.jobs <- nil:
+			default: // something is already there to wake it
+			}
+		}
 	}
-	tc.loopWG.Add(launch)
-	for i := 1; i <= launch; i++ {
-		r.workers[tc.group[i]].jobs <- tc.runner
+	body((g-1)*n/g, n)
+	// The helpers' shares are as long as the one just run, so they are about
+	// done: spin, yielding now and then in case one of them has no processor.
+	for look := 1; tc.pending.Load() != 0; look++ {
+		if look%spinYield == 0 {
+			runtime.Gosched()
+		}
 	}
-	// Master share runs inline (we are already on the master worker), then
-	// the master joins the grain pool alongside the workers it woke.
-	body(0, masterShare)
-	tc.runShared()
-	tc.loopWG.Wait()
-	tc.loopBody = nil
-	r.flight.Span(r.flight.WorkerLane(tc.master), flight.KindLoop, tc.flow, loopStart,
-		int64(n), int64(launch+1)<<32|int64(grain))
 }

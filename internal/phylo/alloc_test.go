@@ -31,7 +31,7 @@ func allocEngine(t *testing.T) (*phylo.Engine, *phylo.Tree) {
 // a 240-taxon tree is deep enough that newviewBody rescales, and zero_cherry
 // is the JC69 workload with both branches of one cherry at length 0 — P(0) is
 // the identity, so every pattern the two tips disagree on has likelihood
-// exactly zero and the ≤ 0 clamps of evaluateBody and sumDerivatives and
+// exactly zero and the ≤ 0 clamps of evaluateBody and newtonBody and
 // makenewz's lower bound run.
 func forEachKernelFixture(t *testing.T, guard func(t *testing.T, eng *phylo.Engine, tree *phylo.Tree)) {
 	jc, single, gtr, gamma := phylo.NewJC69(), phylo.SingleRate(), benchGTR(t), benchGamma4(t)
@@ -147,7 +147,7 @@ func TestIncrementalEvaluationAllocationFree(t *testing.T) {
 	}
 	// The same cycle through the branch optimizer, from a collapsed cherry:
 	// Newton starts from the clamped length, so optimizeEdge scores the old one
-	// with sumLogLik, whose clamp the patterns of likelihood zero take.
+	// with the likelihood-only pass, whose clamp the patterns of likelihood zero take.
 	a, b := collapseCherry(tree)
 	if avg := testing.AllocsPerRun(50, func() {
 		a.Length, b.Length = 0, 0

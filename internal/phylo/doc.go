@@ -74,7 +74,7 @@
 //
 // next to the per-pattern log scaler. Every Newton iterate, the clamped-start
 // re-evaluation and the acceptance check then cost a dozen multiply-adds per
-// pattern and category (sumDerivatives / sumLogLik, RAxML's coreGTRGAMMA):
+// pattern and category (newtonPass over newtonBody, RAxML's coreGTRGAMMA):
 // Σ A·e, Σ A·λr·e and Σ A·(λr)²·e with e = exp(λ_k·r·b). The formulation this
 // replaced — a P(b) mat-vec per pattern, from Model.Transition alone — is the
 // test-only reference in likelihood_test.go.
@@ -164,14 +164,31 @@
 //
 // # Loop-level parallelism
 //
-// The engine has one parallel grain: the per-pattern loops of newview (down
-// and out vectors alike), evaluate and the sum-table build go through the
-// installed ParallelFor (the paper's LLP); the Newton reductions over the sum
-// table, traversals and the NNI sweep are serial. SetParallel is
-// a plain field write with a call-before-evaluation contract: install the
-// executor on the engine's goroutine before the evaluation or search it
-// should serve, never while one runs. Results are byte-identical under any
-// executor, because each pattern's output depends only on settled inputs.
+// The engine has one parallel grain, the per-pattern loop, and every one of
+// them is offered to the installed ParallelFor (the paper's LLP): newview
+// (down and out vectors alike), evaluate, the sum-table build and the Newton
+// passes over the table — the passes were serial until a profile of a lone
+// Gamma4 search put a third of its time there, and a helper that shared only
+// the other loops spent the gain moving its half of the table back and forth.
+// Traversals and the NNI sweep are serial. A loop is offered only when it is
+// long enough for two halves to beat one whole (loopCrossover, in values:
+// trips × categories × states, read off a recorded curve); below that the
+// executor never hears of it.
+//
+// Results are byte-identical under any executor and any partition. The
+// vector loops write each pattern's own slots from settled inputs. The two
+// reductions — evaluate's log-likelihood and the Newton sums — are defined as
+// the per-pattern terms added in ascending pattern order: the share that
+// starts at pattern 0 adds its terms as it computes them (an un-split loop is
+// that share alone, so the serial path never touches a buffer), every other
+// share stores its terms, and the engine's goroutine adds those behind the
+// first share's sums, in order (TestAnyPartitionSameBits: random cuts, chunks
+// started in reverse on separate goroutines, every vector, sum, optimized
+// length and a whole search against the serial engine).
+//
+// SetParallel is a plain field write with a call-before-evaluation contract:
+// install the executor on the engine's goroutine before the evaluation or
+// search it should serve, never while one runs.
 //
 // # Checkpointing
 //

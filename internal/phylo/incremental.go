@@ -219,7 +219,7 @@ func (e *Engine) computeOutOne(u, v *Node) {
 	e.downSide(&a.l, v.Sibling(), 0)
 	a.dst = e.outVec(v.ID)
 	a.scale = e.outScaleVec(v.ID)
-	e.par(e.nPat, e.nvFn)
+	e.loop(e.nPat, e.nvFn)
 	e.outEpoch[v.ID] = e.treeEpoch
 }
 

@@ -14,8 +14,16 @@ import (
 // parallelism across SPEs.
 type ParallelFor func(n int, body func(lo, hi int))
 
-// serialFor is the default executor.
-func serialFor(n int, body func(lo, hi int)) { body(0, n) }
+// loopCrossover is the loop size, in conditional-likelihood values (trips ×
+// categories × states), from which a per-pattern loop is offered to the
+// engine's ParallelFor; a shorter one runs in place and the executor never
+// hears of it. It is read off the recorded curve (README, "Loop crossover";
+// go test -bench LoopCrossover ./internal/native): the dearest loop per value,
+// newview, split in two beats its serial self from between 1,024 and 2,048
+// values, the cheapest, a Newton pass, draws at 2,048 and wins at 4,096 — this
+// is the size from which none of them loses. A Gamma4 alignment reaches it at
+// 128 patterns, a single-rate one at 512.
+const loopCrossover = 2048
 
 // Branch length bounds and Newton-Raphson parameters for Makenewz.
 const (
@@ -40,7 +48,7 @@ const tipStates = 1 << NumStates
 // the newview calls that settle a down vector and OutviewCalls those that
 // settle an out vector (same kernel, counted apart because the partial
 // traversals bound them separately); DerivEvals counts the passes over the sum
-// table (sumDerivatives and sumLogLik) inside a makenewz visit.
+// table (newtonPass) inside a makenewz visit.
 type KernelStats struct {
 	NewviewCalls  int
 	EvaluateCalls int
@@ -55,8 +63,12 @@ type KernelStats struct {
 //
 // An Engine is not safe for concurrent use by multiple goroutines; the
 // intended concurrency is one Engine per in-flight tree search (task-level
-// parallelism) with the per-pattern loops optionally work-shared through
-// ParallelFor (loop-level parallelism), mirroring the paper's two layers.
+// parallelism) with the per-pattern loops work-shared through ParallelFor
+// (loop-level parallelism), mirroring the paper's two layers. All five loops
+// are offered — newview for down and for out vectors, evaluate, the sum table
+// and the Newton passes — each when it is at least loopCrossover values long;
+// sums over patterns are always taken in ascending pattern order (see
+// newtonBody), which is why no partition can change a bit.
 //
 // The hot path is allocation-free in steady state: each node's transition
 // matrices live in the node's slot of a flat block, refilled only when the
@@ -87,9 +99,9 @@ type Engine struct {
 	Data  *PatternAlignment
 	Model Model
 	Rates RateCategories
-	Stats KernelStats
 
-	par    ParallelFor
+	par    ParallelFor // nil: every loop runs in place
+	offer  int         // loops of at least this many values go to par: loopCrossover (tests lower it)
 	nPat   int
 	nCat   int
 	stride int // nCat * NumStates values per pattern
@@ -104,7 +116,8 @@ type Engine struct {
 	sclDown []float64    // nodes * nPat: per-pattern log scalers
 	clvOut  []float64    // nodes * vecLen: conditionals of everything outside the subtree
 	sclOut  []float64    // nodes * nPat
-	siteBuf []float64    // per-pattern scratch for reductions
+	siteBuf []float64    // per-pattern scratch for evaluate's reduction
+	termBuf []float64    // 3*nPat: the Newton terms of a split pass, three per pattern (newtonBody)
 	tipTab  [2][]float64 // per-call tip lookup tables, nCat*tipStates*NumStates each
 
 	trans      transCache // P(b·rate) per node (transcache.go)
@@ -147,8 +160,10 @@ type Engine struct {
 	nvFn   func(lo, hi int)
 	evalFn func(lo, hi int)
 	sumFn  func(lo, hi int)
+	ntFn   func(lo, hi int)
 	nvA    newviewArgs
 	evalA  evaluateArgs
+	ntA    newtonArgs
 
 	// Incremental state (incremental.go): dirty-node tracking for the down
 	// vectors, epoch stamps for the out vectors, and scratch buffers for the
@@ -178,6 +193,11 @@ type Engine struct {
 	// SearchOptions.Checkpoint (checkpoint.go); its slices are refilled per
 	// emission so the hot-path emission allocates nothing.
 	ckpt Checkpoint
+
+	// Stats is bumped on every kernel call; it sits at the far end from the
+	// sizes and vector headers above, which the shares of a split loop read on
+	// other cores and must not find invalidated by a counter.
+	Stats KernelStats
 }
 
 // NewEngine creates a likelihood engine for the alignment, model and rate
@@ -196,7 +216,7 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 		Data:   data,
 		Model:  model,
 		Rates:  rates,
-		par:    serialFor,
+		offer:  loopCrossover,
 		nPat:   data.NumPatterns(),
 		nCat:   rates.Count(),
 		stride: rates.Count() * NumStates,
@@ -212,6 +232,7 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	e.clvOut = make([]float64, nodes*e.vecLen)
 	e.sclOut = make([]float64, nodes*e.nPat)
 	e.siteBuf = make([]float64, e.nPat)
+	e.termBuf = make([]float64, 3*e.nPat)
 	e.sumTab = make([]float64, e.vecLen)
 	e.sumScale = make([]float64, e.nPat)
 	e.trans = newTransCache(model, rates.Rates, nodes)
@@ -242,17 +263,25 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	e.nvFn = e.newviewBody
 	e.evalFn = e.evaluateBody
 	e.sumFn = e.sumTableBody
+	e.ntFn = e.newtonBody
 	return e, nil
 }
 
 // SetParallel installs a loop executor; nil restores serial execution. It is
 // a plain field write: call it on the engine's goroutine before the evaluation
 // or search it should apply to, never while one is running.
-func (e *Engine) SetParallel(p ParallelFor) {
-	if p == nil {
-		p = serialFor
+func (e *Engine) SetParallel(p ParallelFor) { e.par = p }
+
+// loop runs one per-pattern loop of n trips: through the executor when there
+// is one and the loop is long enough to split (loopCrossover), in place
+// otherwise. Every body writes only its own patterns' slots, so how the
+// executor cuts [0, n) cannot change a bit of any result.
+func (e *Engine) loop(n int, body func(lo, hi int)) {
+	if e.par == nil || n*e.stride < e.offer {
+		body(0, n)
+		return
 	}
-	e.par = p
+	e.par(n, body)
 }
 
 // NumPatterns returns the number of site patterns (the trip count of every
@@ -465,7 +494,7 @@ func (e *Engine) Newview(n *Node) {
 		e.newviewRepeats(n)
 		return
 	}
-	e.par(e.nPat, e.nvFn)
+	e.loop(e.nPat, e.nvFn)
 }
 
 // computeDown settles every stale subtree conditional vector with a lazy
@@ -557,7 +586,7 @@ func (e *Engine) evaluateAtRoot(t *Tree) float64 {
 	// the final reduction is serial, mirroring the master-side reduction of
 	// the paper's work-sharing scheme.
 	a.site = e.siteBuf[:e.nPat]
-	e.par(e.nPat, e.evalFn)
+	e.loop(e.nPat, e.evalFn)
 	var sum float64
 	for _, v := range a.site {
 		sum += v
@@ -666,7 +695,7 @@ func (e *Engine) sumTableBody(lo, hi int) {
 // vector kernels and work-sharing cannot change a bit.
 func (e *Engine) buildSumTable(v *Node) {
 	e.sumNode = v
-	e.par(e.nPat, e.sumFn)
+	e.loop(e.nPat, e.sumFn)
 }
 
 // expRow is the number of expTab entries per rate category: the diagonal
@@ -685,74 +714,165 @@ func (e *Engine) fillExpTab(b float64) []float64 {
 	return ex
 }
 
-// sumDerivatives returns the first and second derivatives of the
-// log-likelihood in the length of the edge whose sum table is loaded, at
-// length b — RAxML's coreGTRGAMMA: per pattern and category a dozen
-// multiply-adds against the three diagonals. With wantLL it also returns the
-// log-likelihood: one math.Log per pattern, which only Newton iterate 0 uses.
-func (e *Engine) sumDerivatives(b float64, wantLL bool) (ll, d1, d2 float64) {
-	e.Stats.DerivEvals++
-	ex := e.fillExpTab(b)
+// newtonArgs is the argument block of the Newton-pass loop body, and where the
+// share of the loop that starts at pattern 0 leaves its sums.
+type newtonArgs struct {
+	ex          []float64 // the diagonals of the iterate (fillExpTab)
+	logL, deriv bool      // which sums the pass wants
+	upTo        int       // ll, d1 and d2 cover patterns [0, upTo)
+	ll, d1, d2  float64
+}
+
+// newtonBody is the per-pattern loop of a pass over the sum table — RAxML's
+// coreGTRGAMMA: per pattern and category a dozen multiply-adds against the
+// three diagonals (four when only the likelihood is wanted), then the
+// pattern's three terms w·(log l₀ + scale), w·g and w·(l₂/l₀ − g²). A pattern
+// of likelihood zero has no slope to follow (1/l₀ would be +Inf and every
+// derivative term NaN): it adds its clamped log-likelihood and +0.0 twice,
+// which leaves a sum that started at +0.0 as it was.
+//
+// The sums are the terms added in ascending pattern order, and that order is
+// the result's bits. The call whose range starts at pattern 0 — the only call
+// of an un-split loop — adds its terms as it goes, in registers, and leaves
+// the sums in the argument block; any other stores its terms (termBuf) for
+// newtonPass to add behind those. Each term is rounded before it is added on
+// both paths — the conversions forbid a fused multiply-add where the hardware
+// has one — so the two agree wherever they run.
+func (e *Engine) newtonBody(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	a := &e.ntA
+	ex, logL := a.ex, a.logL
 	tab, scale, weights := e.sumTab, e.sumScale, e.Data.Weights
 	nCat, stride := e.nCat, e.stride
-	for i := 0; i < e.nPat; i++ {
-		base := i * stride
-		var l0, l1, l2 float64
-		for r := 0; r < nCat; r++ {
-			off := base + r*NumStates
-			a := tab[off : off+NumStates : off+NumStates]
-			x := ex[r*expRow : (r+1)*expRow : (r+1)*expRow]
-			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-			l0 += a0*x[0] + a1*x[1] + a2*x[2] + a3*x[3]
-			l1 += a0*x[4] + a1*x[5] + a2*x[6] + a3*x[7]
-			l2 += a0*x[8] + a1*x[9] + a2*x[10] + a3*x[11]
+	first := lo == 0
+	var ll, d1, d2 float64
+	switch {
+	case !a.deriv:
+		for i := lo; i < hi; i++ {
+			base := i * stride
+			var l0 float64
+			for r := 0; r < nCat; r++ {
+				off := base + r*NumStates
+				t := tab[off : off+NumStates : off+NumStates]
+				x := ex[r*expRow : r*expRow+NumStates : r*expRow+NumStates]
+				l0 += t[0]*x[0] + t[1]*x[1] + t[2]*x[2] + t[3]*x[3]
+			}
+			if l0 <= 0 {
+				l0 = math.SmallestNonzeroFloat64
+			}
+			tl := float64(weights[i] * (math.Log(l0) + scale[i]))
+			if first {
+				ll += tl
+			} else {
+				e.termBuf[3*i] = tl
+			}
 		}
-		// A pattern of likelihood zero has no slope to follow (1/l0 would be
-		// +Inf and every derivative term NaN): it adds its clamped
-		// log-likelihood, as in sumLogLik, and no derivative.
-		clamped := l0 <= 0
-		if clamped {
-			l0 = math.SmallestNonzeroFloat64
+	case first:
+		for i := 0; i < hi; i++ {
+			base := i * stride
+			var l0, l1, l2 float64
+			for r := 0; r < nCat; r++ {
+				off := base + r*NumStates
+				t := tab[off : off+NumStates : off+NumStates]
+				x := ex[r*expRow : (r+1)*expRow : (r+1)*expRow]
+				a0, a1, a2, a3 := t[0], t[1], t[2], t[3]
+				l0 += a0*x[0] + a1*x[1] + a2*x[2] + a3*x[3]
+				l1 += a0*x[4] + a1*x[5] + a2*x[6] + a3*x[7]
+				l2 += a0*x[8] + a1*x[9] + a2*x[10] + a3*x[11]
+			}
+			clamped := l0 <= 0
+			if clamped {
+				l0 = math.SmallestNonzeroFloat64
+			}
+			w := weights[i]
+			if logL {
+				ll += float64(w * (math.Log(l0) + scale[i]))
+			}
+			if clamped {
+				continue
+			}
+			inv := 1 / l0
+			g := l1 * inv
+			d1 += float64(w * g)
+			d2 += float64(w * (l2*inv - g*g))
 		}
-		w := weights[i]
-		if wantLL {
-			ll += w * (math.Log(l0) + scale[i])
+	default:
+		for i := lo; i < hi; i++ {
+			base := i * stride
+			var l0, l1, l2 float64
+			for r := 0; r < nCat; r++ {
+				off := base + r*NumStates
+				t := tab[off : off+NumStates : off+NumStates]
+				x := ex[r*expRow : (r+1)*expRow : (r+1)*expRow]
+				a0, a1, a2, a3 := t[0], t[1], t[2], t[3]
+				l0 += a0*x[0] + a1*x[1] + a2*x[2] + a3*x[3]
+				l1 += a0*x[4] + a1*x[5] + a2*x[6] + a3*x[7]
+				l2 += a0*x[8] + a1*x[9] + a2*x[10] + a3*x[11]
+			}
+			clamped := l0 <= 0
+			if clamped {
+				l0 = math.SmallestNonzeroFloat64
+			}
+			w := weights[i]
+			t := e.termBuf[3*i : 3*i+3 : 3*i+3]
+			t[0], t[1], t[2] = 0, 0, 0
+			if logL {
+				t[0] = float64(w * (math.Log(l0) + scale[i]))
+			}
+			if !clamped {
+				inv := 1 / l0
+				g := l1 * inv
+				t[1], t[2] = float64(w*g), float64(w*(l2*inv-g*g))
+			}
 		}
-		if clamped {
-			continue
+	}
+	if first {
+		a.ll, a.d1, a.d2, a.upTo = ll, d1, d2, hi
+	}
+}
+
+// newtonPass returns, for the edge whose sum table is loaded set to length b,
+// the log-likelihood (with logL; one math.Log per pattern, which only Newton
+// iterate 0 and the acceptance test want) and its first and second
+// derivatives in the length (with deriv). The likelihood has the same bits
+// with or without the derivatives: same diagonal, same accumulation order.
+func (e *Engine) newtonPass(b float64, logL, deriv bool) (ll, d1, d2 float64) {
+	e.Stats.DerivEvals++
+	a := &e.ntA
+	a.ex, a.logL, a.deriv = e.fillExpTab(b), logL, deriv
+	e.loop(e.nPat, e.ntFn)
+	// The first share's sums, then every later share's terms behind them.
+	ll, d1, d2 = a.ll, a.d1, a.d2
+	for i := a.upTo; i < e.nPat; i++ {
+		t := e.termBuf[3*i : 3*i+3 : 3*i+3]
+		ll += t[0]
+		if deriv { // a likelihood-only share stores no derivative terms
+			d1, d2 = d1+t[1], d2+t[2]
 		}
-		inv := 1 / l0
-		g := l1 * inv
-		d1 += w * g
-		d2 += w * (l2*inv - g*g)
 	}
 	return ll, d1, d2
 }
 
-// sumLogLik returns the log-likelihood with the edge whose sum table is
-// loaded set to length b — sumDerivatives' first result, bit for bit (same
-// diagonal, same accumulation order), without the derivative sums.
-func (e *Engine) sumLogLik(b float64) float64 {
-	e.Stats.DerivEvals++
-	ex := e.fillExpTab(b)
-	tab, scale, weights := e.sumTab, e.sumScale, e.Data.Weights
-	nCat, stride := e.nCat, e.stride
-	var ll float64
-	for i := 0; i < e.nPat; i++ {
-		base := i * stride
-		var l0 float64
-		for r := 0; r < nCat; r++ {
-			off := base + r*NumStates
-			a := tab[off : off+NumStates : off+NumStates]
-			x := ex[r*expRow : r*expRow+NumStates : r*expRow+NumStates]
-			l0 += a[0]*x[0] + a[1]*x[1] + a[2]*x[2] + a[3]*x[3]
-		}
-		if l0 <= 0 {
-			l0 = math.SmallestNonzeroFloat64
-		}
-		ll += weights[i] * (math.Log(l0) + scale[i])
+// LoopBody sets up one of the engine's per-pattern loops on the edge above the
+// inner node v of a Refreshed tree and returns its body, which any split of
+// [0, NumPatterns()) covers: "newview" fills v's down vector from its
+// children, "newton" is one derivative pass over the edge's sum table at
+// v.Length (its sums are dropped). It is there for the crossover benchmark of
+// internal/native, which times the bodies under its own executor at sizes the
+// engine would keep to itself (loopCrossover); nothing else calls it.
+func (e *Engine) LoopBody(kind string, v *Node) func(lo, hi int) {
+	if kind == "newton" {
+		e.buildSumTable(v)
+		e.ntA = newtonArgs{ex: e.fillExpTab(v.Length), deriv: true}
+		return e.ntFn
 	}
-	return ll
+	a := &e.nvA
+	e.downSide(&a.l, v.Children[0], 0)
+	e.downSide(&a.r, v.Children[1], 1)
+	a.dst, a.scale = e.downVec(v.ID), e.downScaleVec(v.ID)
+	return e.nvFn
 }
 
 // makenewz Newton-Raphson-optimizes the length of the edge whose sum table is
@@ -767,7 +887,7 @@ func (e *Engine) makenewz(start float64) (b, ll0 float64) {
 		b = MinBranchLength
 	}
 	for iter := 0; iter < newtonMaxIter; iter++ {
-		ll, d1, d2 := e.sumDerivatives(b, iter == 0)
+		ll, d1, d2 := e.newtonPass(b, iter == 0, true)
 		if iter == 0 {
 			ll0 = ll
 		}
@@ -824,9 +944,9 @@ func (e *Engine) optimizeEdge(t *Tree, v *Node) bool {
 	}
 	if old < MinBranchLength {
 		// Newton started from the clamped length, not from old.
-		before = e.sumLogLik(old)
+		before, _, _ = e.newtonPass(old, true, false)
 	}
-	after := e.sumLogLik(nb)
+	after, _, _ := e.newtonPass(nb, true, false)
 	if after <= before {
 		return false
 	}

@@ -361,10 +361,10 @@ func TestEdgeLogLikMatchesDerivativesBitForBit(t *testing.T) {
 				eng.buildSumTable(v)
 				for _, b := range []float64{v.Length, 0, 1e-9, MinBranchLength, 0.37, MaxBranchLength} {
 					before := eng.Stats.DerivEvals
-					want, _, _ := eng.sumDerivatives(b, true)
-					got := eng.sumLogLik(b)
+					want, _, _ := eng.newtonPass(b, true, true)
+					got, _, _ := eng.newtonPass(b, true, false)
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("edge above node %d at length %g: sumLogLik %v != sumDerivatives %v", v.ID, b, got, want)
+						t.Errorf("edge above node %d at length %g: likelihood-only pass %v != derivative pass %v", v.ID, b, got, want)
 					}
 					if n := eng.Stats.DerivEvals - before; n != 2 {
 						t.Errorf("two passes counted as %d DerivEvals", n)
@@ -418,7 +418,7 @@ func TestOptimizeEdgePinnedAtBoundCostsOnePass(t *testing.T) {
 // TestMakenewzFiniteOnZeroLikelihoodPatterns: with both branches of a cherry
 // at length 0, every pattern its two tips disagree on has likelihood exactly
 // zero whatever the length of any OTHER edge, so on those edges the clamp in
-// sumDerivatives is taken. Such a pattern has no slope — it contributes its
+// newtonBody is taken. Such a pattern has no slope — it contributes its
 // clamped log-likelihood and no derivative — so Newton must still return a
 // length inside the bounds and the optimizer a finite likelihood.
 func TestMakenewzFiniteOnZeroLikelihoodPatterns(t *testing.T) {
@@ -448,7 +448,7 @@ func TestMakenewzFiniteOnZeroLikelihoodPatterns(t *testing.T) {
 			a.Length, b.Length = 0, 0
 			eng.Refresh(tree)
 			eng.buildSumTable(cherry)
-			if ll, _, _ := eng.sumDerivatives(cherry.Length, true); !(ll < -700) {
+			if ll, _, _ := eng.newtonPass(cherry.Length, true, true); !(ll < -700) {
 				t.Fatalf("logL %v: no pattern took the clamp", ll)
 			}
 			inBounds := func(what string, v float64) {
@@ -540,7 +540,7 @@ func checkSumTableAgainstReference(t *testing.T, eng *Engine, tree *Tree) {
 		eng.buildSumTable(v)
 		for _, b := range []float64{MinBranchLength, 1e-3, 0.1, 1, MaxBranchLength} {
 			want := refEdgeLogLik(eng, v, b)
-			got, d1, d2 := eng.sumDerivatives(b, true)
+			got, d1, d2 := eng.newtonPass(b, true, true)
 			if math.Abs(got-want) > 1e-10*math.Abs(want) {
 				t.Errorf("node %d b=%g: sum-table logL %v, reference %v", v.ID, b, got, want)
 			}

@@ -183,11 +183,11 @@ func (e *Engine) newviewRepeats(n *Node) {
 	cnt := int(e.repCnt[id])
 	a := &e.nvA
 	if cnt >= e.nPat {
-		e.par(e.nPat, e.nvFn)
+		e.loop(e.nPat, e.nvFn)
 		return
 	}
 	a.uniq = e.repUniq[id*e.nPat : id*e.nPat+cnt]
-	e.par(cnt, e.nvFn)
+	e.loop(cnt, e.nvFn)
 	a.uniq = nil
 	e.repCopy(n)
 }

@@ -47,17 +47,20 @@ func (a *SPEAllocator) AcquireGroup(k int) ([]int, bool) {
 	if a.FreeCount() < k {
 		return nil, false
 	}
-	out := make([]int, 0, k)
-	for i, f := range a.free {
-		if f {
+	return a.AcquireUpTo(k, make([]int, 0, k)), true
+}
+
+// AcquireUpTo claims at most k free SPEs, lowest-indexed first, appends them
+// to into and returns it; fewer than k (or none) is not a failure.
+func (a *SPEAllocator) AcquireUpTo(k int, into []int) []int {
+	for i := 0; i < a.n && k > 0; i++ {
+		if a.free[i] {
 			a.free[i] = false
-			out = append(out, i)
-			if len(out) == k {
-				break
-			}
+			into = append(into, i)
+			k--
 		}
 	}
-	return out, true
+	return into
 }
 
 // Release returns a single SPE to the free pool.

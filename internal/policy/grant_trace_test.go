@@ -172,6 +172,20 @@ func TestGrantTraceMatchesParent(t *testing.T) {
 		got = append(got, "#### "+c.name)
 		got = append(got, grantScript(poolGranter{c.pool})...)
 	}
+	// The loop-grain lines, appended when Pool gained AcquireMaster and Borrow
+	// (the 1,614 lines above are the parent's, untouched): loopScript on the
+	// benchmark's two workers and on a Cell's eight, adaptive and static.
+	for _, c := range []struct {
+		name string
+		pool *Pool
+	}{
+		{"loop grain, adaptive, 2 SPEs", NewAdaptivePool(2, MGPSConfig{})},
+		{"loop grain, adaptive, 8 SPEs", NewAdaptivePool(8, MGPSConfig{})},
+		{"loop grain, fixed LLP(4), 8 SPEs", NewFixedPool(8, StaticLLPDecision(4))},
+	} {
+		got = append(got, "#### "+c.name)
+		got = append(got, loopScript(c.pool)...)
+	}
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if got[i] != want[i] {
 			t.Fatalf("line %d: got %q, parent wrote %q", i+1, got[i], want[i])

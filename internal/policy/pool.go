@@ -52,8 +52,40 @@ func (p *Pool) Acquire(proc int) ([]int, bool) {
 	return group, ok
 }
 
-// Release returns a granted group to the pool.
+// Release returns a granted group, a master or a loop's borrowed SPEs to the
+// pool.
 func (p *Pool) Release(group []int) { p.alloc.ReleaseGroup(group) }
+
+// AcquireMaster claims the one SPE a task of process proc runs on for its
+// whole life when its off-loads are the loops inside it (the native runtime:
+// a task cannot give its goroutine's worker back between kernel calls). Each
+// loop then asks Borrow for the rest of what the decision entitles it to. It
+// reports false while no SPE is free.
+func (p *Pool) AcquireMaster(proc int) ([]int, bool) {
+	master, ok := p.alloc.AcquireGroup(1)
+	if ok && p.mgps != nil {
+		p.mgps.RecordOffload(proc)
+	}
+	return master, ok
+}
+
+// Borrow lends one loop of process proc the idle SPEs the decision in force
+// adds to its master — SPEsPerLoop − 1 under LLP, none otherwise — appending
+// them to into, never past its capacity, and records the arrival. It takes
+// what is free and never waits; it lends nothing while queued tasks are
+// waiting for a master, so a returned SPE goes to a task before it goes to a
+// neighbour's next loop. The loop hands them back with Release and reports
+// its departure with Depart. Nothing is allocated: into is the caller's.
+func (p *Pool) Borrow(proc int, into []int, queued int) []int {
+	if p.mgps != nil {
+		p.mgps.RecordOffload(proc)
+	}
+	d := p.Decision()
+	if !d.UseLLP || queued > 0 {
+		return into
+	}
+	return p.alloc.AcquireUpTo(min(d.SPEsPerLoop-1, cap(into)-len(into)), into)
+}
 
 // Depart records that an off-load of process proc completed while waiting
 // tasks wanted SPEs (proc's own next one included). When that departure

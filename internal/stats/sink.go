@@ -8,22 +8,22 @@ import (
 )
 
 // OffloadEvent describes one completed off-load as seen by the native
-// runtime: how long the submitter queued for workers, how long the task body
-// ran, and how many workers the scheduling decision in force granted it.
+// runtime: how long the submitter queued for a worker, how long the task body
+// ran, and how many workers its loops were lent on top of its master.
 // Events are the unit of the per-job / per-tenant accounting the job server
 // exposes.
 type OffloadEvent struct {
 	// Submitter is the runtime-assigned id of the task stream.
 	Submitter int
-	// QueueWait is the time between the Offload call and the grant of a
-	// worker group (zero when the pool had a free worker immediately).
+	// QueueWait is the time between the Offload call and the grant of the
+	// task's master worker (zero when the pool had a free worker immediately).
 	QueueWait time.Duration
 	// Run is the wall-clock duration of the task body on its master worker.
 	Run time.Duration
-	// Workers is the size of the worker group granted to the task.
+	// Workers is the most workers any loop of the task ran on, the master
+	// included: 1 when no loop of it borrowed one.
 	Workers int
-	// WorkShared reports whether the decision in force granted the task
-	// loop-level parallelism (more than one worker).
+	// WorkShared reports whether any loop of the task was work-shared.
 	WorkShared bool
 }
 
