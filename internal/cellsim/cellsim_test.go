@@ -1,6 +1,7 @@
 package cellsim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +12,27 @@ func newTestMachine(t *testing.T, cells int) (*sim.Engine, *Machine) {
 	t.Helper()
 	eng := sim.NewEngine()
 	return eng, NewMachine(eng, DefaultCostModel(), cells)
+}
+
+func mustSubmit(t *testing.T, spe *SPE, done *sim.Signal, prog ...Op) {
+	t.Helper()
+	if err := spe.Submit(prog, done); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// firedAt spawns a process that waits for sig and records when it fired,
+// then calls then (if non-nil).
+func firedAt(eng *sim.Engine, sig *sim.Signal, then func()) *sim.Time {
+	var at sim.Time
+	eng.Spawn("waiter", func(p *sim.Proc) {
+		sig.Wait(p)
+		at = p.Now()
+		if then != nil {
+			then()
+		}
+	})
+	return &at
 }
 
 func TestDefaultCostModelMatchesPaperConstants(t *testing.T) {
@@ -110,26 +132,15 @@ func TestSPESubmitRunsFIFOAndSignalsCompletion(t *testing.T) {
 	spe := m.SPE(0)
 	var order []string
 	d1, d2 := sim.NewSignal(eng), sim.NewSignal(eng)
-	spe.Submit(func(c *SPEContext) {
-		c.Compute(10 * sim.Microsecond)
-		order = append(order, "a")
-	}, d1)
-	spe.Submit(func(c *SPEContext) {
-		c.Compute(5 * sim.Microsecond)
-		order = append(order, "b")
-	}, d2)
-	var doneAt [2]sim.Time
-	eng.Spawn("waiter", func(p *sim.Proc) {
-		d1.Wait(p)
-		doneAt[0] = p.Now()
-		d2.Wait(p)
-		doneAt[1] = p.Now()
-	})
+	mustSubmit(t, spe, d1, Compute(10*sim.Microsecond))
+	mustSubmit(t, spe, d2, Compute(5*sim.Microsecond))
+	at1 := firedAt(eng, d1, func() { order = append(order, "a") })
+	at2 := firedAt(eng, d2, func() { order = append(order, "b") })
 	eng.Run()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Errorf("execution order = %v, want [a b]", order)
 	}
-	if doneAt[0] != sim.Time(10*sim.Microsecond) || doneAt[1] != sim.Time(15*sim.Microsecond) {
+	if doneAt := [2]sim.Time{*at1, *at2}; doneAt[0] != sim.Time(10*sim.Microsecond) || doneAt[1] != sim.Time(15*sim.Microsecond) {
 		t.Errorf("completion times = %v, want [10us 15us]", doneAt)
 	}
 	if spe.TasksRun() != 2 {
@@ -146,8 +157,8 @@ func TestSPEBusyReflectsQueueAndExecution(t *testing.T) {
 	if spe.Busy() {
 		t.Fatalf("fresh SPE should be idle")
 	}
-	spe.Submit(func(c *SPEContext) { c.Compute(10 * sim.Microsecond) }, nil)
-	spe.Submit(func(c *SPEContext) { c.Compute(10 * sim.Microsecond) }, nil)
+	mustSubmit(t, spe, nil, Compute(10*sim.Microsecond))
+	mustSubmit(t, spe, nil, Compute(10*sim.Microsecond))
 	if !spe.Busy() || spe.QueueLength() != 2 {
 		t.Errorf("SPE with queued work should be busy (queue=%d)", spe.QueueLength())
 	}
@@ -161,27 +172,20 @@ func TestLoadModuleCachingAndCapacity(t *testing.T) {
 	eng, m := newTestMachine(t, 1)
 	spe := m.SPE(0)
 	moduleSize := 117 * 1024
-	var firstLoad, secondLoad sim.Duration
-	spe.Submit(func(c *SPEContext) {
-		start := c.Now()
-		if err := c.LoadModule("ml-kernels", moduleSize); err != nil {
-			t.Errorf("LoadModule: %v", err)
-		}
-		firstLoad = c.Now().Sub(start)
-	}, nil)
-	spe.Submit(func(c *SPEContext) {
-		start := c.Now()
-		if err := c.LoadModule("ml-kernels", moduleSize); err != nil {
-			t.Errorf("LoadModule: %v", err)
-		}
-		secondLoad = c.Now().Sub(start)
-	}, nil)
-	spe.Submit(func(c *SPEContext) {
-		if err := c.LoadModule("huge", 300*1024); err == nil {
-			t.Errorf("loading a module larger than the local store should fail")
-		}
-	}, nil)
+	d1, d2 := sim.NewSignal(eng), sim.NewSignal(eng)
+	mustSubmit(t, spe, d1, LoadModule(1, moduleSize))
+	mustSubmit(t, spe, d2, LoadModule(1, moduleSize))
+	// A module larger than the local store is refused when it is submitted,
+	// and nothing of its program is queued.
+	if err := spe.Submit([]Op{Compute(sim.Microsecond), LoadModule(2, 300*1024)}, nil); err == nil {
+		t.Errorf("loading a module larger than the local store should fail")
+	}
+	if spe.QueueLength() != 2 {
+		t.Errorf("queue length = %d after a refused program, want 2", spe.QueueLength())
+	}
+	at1, at2 := firedAt(eng, d1, nil), firedAt(eng, d2, nil)
 	eng.Run()
+	firstLoad, secondLoad := sim.Duration(*at1), at2.Sub(*at1)
 	if firstLoad == 0 {
 		t.Errorf("first module load should cost DMA time")
 	}
@@ -199,11 +203,7 @@ func TestLoadModuleCachingAndCapacity(t *testing.T) {
 func TestModuleReplacementChargesAgain(t *testing.T) {
 	eng, m := newTestMachine(t, 1)
 	spe := m.SPE(0)
-	spe.Submit(func(c *SPEContext) {
-		c.LoadModule("serial", 100*1024)
-		c.LoadModule("parallel", 120*1024)
-		c.LoadModule("serial", 100*1024)
-	}, nil)
+	mustSubmit(t, spe, nil, LoadModule(1, 100*1024), LoadModule(2, 120*1024), LoadModule(1, 100*1024))
 	eng.Run()
 	if spe.ModuleLoads() != 3 {
 		t.Errorf("module loads = %d, want 3 (switching versions re-ships code)", spe.ModuleLoads())
@@ -301,7 +301,7 @@ func TestEIBLimitsConcurrentDMA(t *testing.T) {
 	done := make([]*sim.Signal, 4)
 	for i := 0; i < 4; i++ {
 		done[i] = sim.NewSignal(eng)
-		m.SPE(i).Submit(func(c *SPEContext) { c.DMAGet(size) }, done[i])
+		mustSubmit(t, m.SPE(i), done[i], DMAGet(size))
 	}
 	eng.Spawn("join", func(p *sim.Proc) {
 		for _, d := range done {
@@ -320,24 +320,13 @@ func TestNotifyPPEAndSendPassLatencies(t *testing.T) {
 	cost := m.Cost
 	sigPPE := sim.NewSignal(eng)
 	sigSPE := sim.NewSignal(eng)
-	var speDoneAt, ppeSawAt, passSeenAt sim.Time
-	done := sim.NewSignal(eng)
-	m.SPE(0).Submit(func(c *SPEContext) {
-		c.Compute(10 * sim.Microsecond)
-		c.NotifyPPE(sigPPE)
-		c.SendPass(sigSPE)
-		speDoneAt = c.Now()
-	}, done)
-	eng.Spawn("ppe-waiter", func(p *sim.Proc) {
-		sigPPE.Wait(p)
-		ppeSawAt = p.Now()
-	})
-	m.SPE(1).Submit(func(c *SPEContext) {
-		c.WaitSignal(sigSPE)
-		passSeenAt = c.Now()
-	}, nil)
-	eng.Spawn("join", func(p *sim.Proc) { done.Wait(p) })
+	done, passSeen := sim.NewSignal(eng), sim.NewSignal(eng)
+	mustSubmit(t, m.SPE(0), done, Compute(10*sim.Microsecond), NotifyPPE(sigPPE), SendPass(sigSPE))
+	ppeSaw := firedAt(eng, sigPPE, nil)
+	mustSubmit(t, m.SPE(1), passSeen, WaitSignal(sigSPE))
+	speDone, passSeenBy := firedAt(eng, done, nil), firedAt(eng, passSeen, nil)
 	eng.Run()
+	speDoneAt, ppeSawAt, passSeenAt := *speDone, *ppeSaw, *passSeenBy
 	if speDoneAt != sim.Time(10*sim.Microsecond) {
 		t.Errorf("SPE should not stall on notification, done at %v", speDoneAt)
 	}
@@ -353,7 +342,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	eng, m := newTestMachine(t, 1)
 	// SPE 0 busy for 30us; let the clock advance to 60us; SPE 0 should be
 	// ~50% utilized, others 0.
-	m.SPE(0).Submit(func(c *SPEContext) { c.Compute(30 * sim.Microsecond) }, nil)
+	mustSubmit(t, m.SPE(0), nil, Compute(30*sim.Microsecond))
 	eng.Spawn("clock", func(p *sim.Proc) { p.Delay(60 * sim.Microsecond) })
 	eng.Run()
 	u := m.Utilization()
@@ -367,6 +356,30 @@ func TestUtilizationAccounting(t *testing.T) {
 	}
 	if u.MeanSPEBusy < 0.05 || u.MeanSPEBusy > 0.07 {
 		t.Errorf("mean SPE utilization = %.3f, want 0.0625", u.MeanSPEBusy)
+	}
+}
+
+// TestNewMachineStartsNoGoroutines: an SPE is a step process of the engine,
+// not a coroutine, so building a blade and running programs on every SPE
+// starts no goroutine.
+func TestNewMachineStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	eng, m := newTestMachine(t, 2)
+	defer eng.Close()
+	for _, spe := range m.AllSPEs() {
+		mustSubmit(t, spe, nil, LoadModule(1, 64*1024), KernelStartup(), DMAGet(4096), Compute(sim.Microsecond))
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines before NewMachine, %d after", before, after)
+	}
+	eng.Run()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines before NewMachine, %d after running a program on each SPE", before, after)
+	}
+	for _, spe := range m.AllSPEs() {
+		if spe.TasksRun() != 1 {
+			t.Errorf("SPE %d ran %d programs, want 1", spe.Global, spe.TasksRun())
+		}
 	}
 }
 

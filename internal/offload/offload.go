@@ -51,10 +51,10 @@ func (o OptLevel) String() string {
 	return "optimized"
 }
 
-// Module names used for the two SPE code versions.
+// The two SPE code versions.
 const (
-	SerialModule   = "ml-kernels-serial"
-	ParallelModule = "ml-kernels-parallel"
+	SerialModule cellsim.Module = iota + 1
+	ParallelModule
 )
 
 // parallelModuleOverhead is the relative code-size increase of the module
@@ -87,6 +87,10 @@ type Runtime struct {
 	PassHandlingCost sim.Duration
 
 	Stats Stats
+
+	// The master program and its join section under construction, reused by
+	// every work-shared off-load (SPE.Submit copies a program).
+	prog, joins []cellsim.Op
 }
 
 // NewRuntime creates an off-load runtime for the machine and workload.
@@ -100,8 +104,8 @@ func NewRuntime(m *cellsim.Machine, cfg *workload.Config, level OptLevel) *Runti
 	}
 }
 
-func (r *Runtime) moduleSize(name string) int {
-	if name == ParallelModule {
+func (r *Runtime) moduleSize(m cellsim.Module) int {
+	if m == ParallelModule {
 		return int(float64(r.Config.ModuleCodeSize) * parallelModuleOverhead)
 	}
 	return r.Config.ModuleCodeSize
@@ -135,20 +139,24 @@ func (r *Runtime) speTime(fn *workload.FunctionSpec, scale float64) sim.Duration
 // side once the result notification arrives.
 func (r *Runtime) OffloadSerial(spe *cellsim.SPE, fn *workload.FunctionSpec, scale float64) *sim.Signal {
 	r.Stats.SerialOffloads++
-	compute := r.speTime(fn, scale)
-	size := r.moduleSize(SerialModule)
 	done := sim.NewSignal(r.Machine.Eng)
-	spe.Submit(func(c *cellsim.SPEContext) {
-		if err := c.LoadModule(SerialModule, size); err != nil {
-			panic(fmt.Sprintf("offload: %v", err))
-		}
-		c.KernelStartup()
-		c.DMAGet(fn.InputBytes)
-		c.Compute(compute)
-		c.DMAPut(fn.OutputBytes)
-		c.NotifyPPE(done)
-	}, nil)
+	submit(spe, []cellsim.Op{
+		cellsim.LoadModule(SerialModule, r.moduleSize(SerialModule)),
+		cellsim.KernelStartup(),
+		cellsim.DMAGet(fn.InputBytes),
+		cellsim.Compute(r.speTime(fn, scale)),
+		cellsim.DMAPut(fn.OutputBytes),
+		cellsim.NotifyPPE(done),
+	})
 	return done
+}
+
+// submit hands prog to the SPE. A workload whose code module does not fit the
+// local store cannot be simulated, and panics here.
+func submit(spe *cellsim.SPE, prog []cellsim.Op) {
+	if err := spe.Submit(prog, nil); err != nil {
+		panic(fmt.Sprintf("offload: %v", err))
+	}
 }
 
 // loopSplit computes how many iterations the master and each worker execute.
@@ -191,11 +199,11 @@ func (r *Runtime) loopSplit(fn *workload.FunctionSpec, workers int) (master int,
 // the PPE side when the master commits the merged result.
 //
 // If workers is empty this degenerates to a serial off-load that merely uses
-// the parallel code module.
+// the parallel code module. The workers slice is not retained.
 func (r *Runtime) OffloadWorkShared(master *cellsim.SPE, workers []*cellsim.SPE, fn *workload.FunctionSpec, scale float64) *sim.Signal {
 	r.Stats.WorkSharedOffloads++
 	eng := r.Machine.Eng
-	size := r.moduleSize(ParallelModule)
+	load := cellsim.LoadModule(ParallelModule, r.moduleSize(ParallelModule))
 	done := sim.NewSignal(eng)
 
 	masterIters, workerIters := r.loopSplit(fn, len(workers))
@@ -207,56 +215,38 @@ func (r *Runtime) OffloadWorkShared(master *cellsim.SPE, workers []*cellsim.SPE,
 		serialTime = sim.Duration(float64(serialTime) * naiveFactor)
 	}
 
-	// Per-worker rendezvous signals.
-	starts := make([]*sim.Signal, len(workers))
-	results := make([]*sim.Signal, len(workers))
-	for i := range workers {
-		starts[i] = sim.NewSignal(eng)
-		results[i] = sim.NewSignal(eng)
-	}
-
-	// Worker side: wait for the Pass, fetch inputs, run the chunk, commit any
-	// bulk output of its share directly to memory and send the partial
-	// result (or completion notification) straight back to the master's
-	// local store.
 	workerOutput := 0
 	if len(workers) > 0 {
 		workerOutput = fn.OutputBytes / (len(workers) + 1)
 	}
-	for i, w := range workers {
-		w.Submit(func(c *cellsim.SPEContext) {
-			if err := c.LoadModule(ParallelModule, size); err != nil {
-				panic(fmt.Sprintf("offload: %v", err))
-			}
-			c.WaitSignal(starts[i])
-			c.DMAGet(fn.WorkerInputBytes)
-			c.Compute(sim.Duration(workerIters) * iterTime)
-			c.DMAPut(workerOutput)
-			c.SendPass(results[i])
-		}, nil)
-	}
+	reduce := r.PassHandlingCost + sim.Duration(float64(fn.ReducePerWorker)*scale)
 
-	// Master side: distribute, compute own (larger) share, join, reduce,
-	// commit, notify the PPE.
-	master.Submit(func(c *cellsim.SPEContext) {
-		if err := c.LoadModule(ParallelModule, size); err != nil {
-			panic(fmt.Sprintf("offload: %v", err))
-		}
-		c.KernelStartup()
-		c.DMAGet(fn.InputBytes)
-		for i := range workers {
-			c.Compute(r.MasterIssueCost) // issue the mfc_put of the Pass structure
-			c.SendPass(starts[i])
-		}
-		// Serial prologue/epilogue plus the master's loop share.
-		c.Compute(serialTime + sim.Duration(masterIters)*iterTime)
-		for i := range workers {
-			c.WaitSignal(results[i])
-			c.Compute(r.PassHandlingCost + sim.Duration(float64(fn.ReducePerWorker)*scale))
-		}
-		c.DMAPut(fn.OutputBytes - workerOutput*len(workers))
-		c.NotifyPPE(done)
-	}, nil)
+	// Worker side: wait for the Pass, fetch inputs, run the chunk, commit any
+	// bulk output of its share directly to memory and send the partial
+	// result (or completion notification) straight back to the master's
+	// local store. Master side: distribute (issue the mfc_put of each Pass
+	// structure), compute the serial prologue/epilogue plus its own (larger)
+	// loop share, join and reduce, commit, notify the PPE.
+	prog := append(r.prog[:0], load, cellsim.KernelStartup(), cellsim.DMAGet(fn.InputBytes))
+	joins := r.joins[:0]
+	for _, w := range workers {
+		start, result := sim.NewSignal(eng), sim.NewSignal(eng)
+		submit(w, []cellsim.Op{
+			load,
+			cellsim.WaitSignal(start),
+			cellsim.DMAGet(fn.WorkerInputBytes),
+			cellsim.Compute(sim.Duration(workerIters) * iterTime),
+			cellsim.DMAPut(workerOutput),
+			cellsim.SendPass(result),
+		})
+		prog = append(prog, cellsim.Compute(r.MasterIssueCost), cellsim.SendPass(start))
+		joins = append(joins, cellsim.WaitSignal(result), cellsim.Compute(reduce))
+	}
+	prog = append(prog, cellsim.Compute(serialTime+sim.Duration(masterIters)*iterTime))
+	prog = append(prog, joins...)
+	prog = append(prog, cellsim.DMAPut(fn.OutputBytes-workerOutput*len(workers)), cellsim.NotifyPPE(done))
+	submit(master, prog)
+	r.prog, r.joins = prog, joins
 	return done
 }
 

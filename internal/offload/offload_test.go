@@ -32,16 +32,14 @@ func waitFor(eng *sim.Engine, sig *sim.Signal) sim.Time {
 // preload ships the named module to each SPE ahead of time, so that a timed
 // off-load does not pay t_code, and blocks the calling (PPE-side) process
 // until every SPE has it resident.
-func preload(rt *Runtime, p *sim.Proc, spes []*cellsim.SPE, module string) {
-	size := rt.moduleSize(module)
+func preload(rt *Runtime, p *sim.Proc, spes []*cellsim.SPE, module cellsim.Module) {
+	load := []cellsim.Op{cellsim.LoadModule(module, rt.moduleSize(module))}
 	signals := make([]*sim.Signal, len(spes))
 	for i, spe := range spes {
 		signals[i] = sim.NewSignal(rt.Machine.Eng)
-		spe.Submit(func(c *cellsim.SPEContext) {
-			if err := c.LoadModule(module, size); err != nil {
-				panic(err)
-			}
-		}, signals[i])
+		if err := spe.Submit(load, signals[i]); err != nil {
+			panic(err)
+		}
 	}
 	for _, s := range signals {
 		s.Wait(p)
@@ -56,7 +54,7 @@ func TestPreloadMakesModuleResidentEverywhere(t *testing.T) {
 	eng.Run()
 	for _, spe := range m.AllSPEs() {
 		if spe.LoadedModule() != SerialModule {
-			t.Errorf("SPE %d module = %q, want %q", spe.Global, spe.LoadedModule(), SerialModule)
+			t.Errorf("SPE %d module = %d, want %d", spe.Global, spe.LoadedModule(), SerialModule)
 		}
 		if spe.ModuleLoads() != 1 {
 			t.Errorf("SPE %d module loads = %d, want 1", spe.Global, spe.ModuleLoads())
@@ -250,7 +248,7 @@ func TestWorkSharedCountsAndModules(t *testing.T) {
 	}
 	for _, spe := range spes {
 		if spe.LoadedModule() != ParallelModule {
-			t.Errorf("SPE %d should have the parallel module resident, has %q", spe.Global, spe.LoadedModule())
+			t.Errorf("SPE %d should have the parallel module resident, has %d", spe.Global, spe.LoadedModule())
 		}
 	}
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"cellmg/internal/cellsim"
 	"cellmg/internal/sim"
 	"cellmg/internal/workload"
 )
@@ -67,11 +66,11 @@ func (c *cellRun) offload(group []int, step workload.Step) *sim.Signal {
 	if len(group) == 1 {
 		return rt.OffloadSerial(spes[group[0]], step.Fn, step.Scale)
 	}
-	workers := make([]*cellsim.SPE, len(group)-1)
-	for i, id := range group[1:] {
-		workers[i] = spes[id]
+	c.workers = c.workers[:0]
+	for _, id := range group[1:] {
+		c.workers = append(c.workers, spes[id])
 	}
-	return rt.OffloadWorkShared(spes[group[0]], workers, step.Fn, step.Scale)
+	return rt.OffloadWorkShared(spes[group[0]], c.workers, step.Fn, step.Scale)
 }
 
 // runEventDriven executes one bootstrap process under the event-driven

@@ -146,6 +146,9 @@ type cellRun struct {
 	// execute four or two concurrent bootstraps" with 2 or 4 SPEs per loop),
 	// as opposed to MGPS, which acquires and releases SPEs per off-load.
 	persistentGroups bool
+	// workers is offload's scratch list of a group's worker SPEs, which
+	// OffloadWorkShared does not retain.
+	workers []*cellsim.SPE
 }
 
 const noWorkloadMsg = "sched: Options.Workload is required"
@@ -185,8 +188,9 @@ func newRun(opt Options) *run {
 func (r *run) cellFor(procID int) *cellRun { return r.cells[procID%len(r.cells)] }
 
 // complete runs the simulation to its end, reads the Result off the machine
-// and shuts the engine down: the SPE servers (and the kernel dispatchers) wait
-// for work forever, and only Close releases them and everything they pin.
+// and shuts the engine down: the kernel dispatchers (coroutines) and the SPEs
+// (step processes) wait for work forever, and only Close releases them and
+// everything they pin.
 func (r *run) complete(name string) Result {
 	r.eng.Run()
 	res := r.result(name)

@@ -350,10 +350,10 @@ func TestSweepMatchesGolden(t *testing.T) {
 }
 
 // TestSimulationLeavesNoGoroutines: a finished run must release its simulated
-// processes. The eight SPE servers of every Cell never return on their own —
-// they wait for the next command — so without an explicit engine shutdown each
-// run strands them, and everything they reference, for the life of the
-// program.
+// processes. The kernel dispatchers of RunLinux and RunPPEOnly never return on
+// their own — they wait on their run queues — so without an explicit engine
+// shutdown each run strands their coroutines, and everything they reference,
+// for the life of the program. (The SPEs are step processes and start none.)
 func TestSimulationLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	opt := Options{Workload: fastConfig(), Bootstraps: 3, SPEsPerLoop: 4}

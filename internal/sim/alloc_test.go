@@ -128,11 +128,116 @@ func TestEventPathAllocationFree(t *testing.T) {
 			t.Errorf("a signal fire/wait allocates %.1f objects", avg)
 		}
 	})
+
+	// The state-machine arms: step processes only, so a wake-up is a call.
+	t.Run("step sleep", func(t *testing.T) {
+		eng := NewEngine()
+		for _, d := range []Duration{2, 3, 5, 7} {
+			eng.SpawnStep("sleeper", func(p *Proc) {
+				for p.Sleep(d) {
+				}
+			})
+		}
+		if avg := steadyRunAllocs(eng, 50); avg != 0 {
+			t.Errorf("a queued Sleep allocates %.1f objects per 50 ns slice", avg)
+		}
+	})
+	t.Run("step await", func(t *testing.T) {
+		eng := NewEngine()
+		var sig Signal
+		armed := false
+		eng.SpawnStep("awaiter", func(p *Proc) {
+			for {
+				if !armed {
+					sig, armed = Signal{eng: eng}, true
+					sig.FireAfter(5)
+				}
+				if !sig.Await(p) {
+					return
+				}
+				armed = false
+			}
+		})
+		if avg := steadyRunAllocs(eng, 50); avg != 0 {
+			t.Errorf("a signal FireAfter/Await allocates %.1f objects per 50 ns slice", avg)
+		}
+	})
+	t.Run("step tryacquire", func(t *testing.T) {
+		eng := NewEngine()
+		res := NewResource(eng, "res", 1)
+		for i := 0; i < 4; i++ {
+			phase := 0
+			eng.SpawnStep("holder", func(p *Proc) {
+				for {
+					switch phase {
+					case 0:
+						phase = 1
+						if !res.TryAcquire(p, 1) {
+							return
+						}
+						fallthrough
+					case 1:
+						phase = 2
+						if !p.Sleep(2) {
+							return
+						}
+					}
+					res.Release(1)
+					phase = 0
+				}
+			})
+		}
+		if avg := steadyRunAllocs(eng, 50); avg != 0 {
+			t.Errorf("a contended TryAcquire allocates %.1f objects per 50 ns slice", avg)
+		}
+	})
+	t.Run("step tryget", func(t *testing.T) {
+		eng := NewEngine()
+		in, out := NewQueue[int](eng), NewQueue[int](eng)
+		eng.SpawnStep("echo", func(p *Proc) {
+			for {
+				v, ok := in.TryGet(p)
+				if !ok {
+					return
+				}
+				out.Put(v)
+			}
+		})
+		phase := 0
+		eng.SpawnStep("driver", func(p *Proc) {
+			for {
+				if phase == 0 {
+					in.Put(1)
+					phase = 1
+				}
+				if _, ok := out.TryGet(p); !ok {
+					return
+				}
+				phase = 0
+				if !p.Sleep(1) {
+					return
+				}
+			}
+		})
+		if avg := steadyRunAllocs(eng, 50); avg != 0 {
+			t.Errorf("a TryGet hand-off allocates %.1f objects per 50 ns slice", avg)
+		}
+	})
+}
+
+// steadyRunAllocs measures a simulation of step processes: it runs eng until
+// its heap and rings have reached their peak sizes, then counts what RunUntil
+// allocates over further slices of virtual time.
+func steadyRunAllocs(eng *Engine, slice Duration) float64 {
+	defer eng.Close()
+	eng.RunUntil(eng.Now().Add(64 * slice))
+	return testing.AllocsPerRun(200, func() { eng.RunUntil(eng.Now().Add(slice)) })
 }
 
 // TestCloseStopsSuspendedProcesses: Close unwinds every process that has not
-// returned — blocked forever, asleep, or never started — running its deferred
-// functions, leaves no coroutine behind, is idempotent, and makes Spawn panic.
+// returned — blocked forever, asleep, or never started, coroutine or state
+// machine — running a coroutine's deferred functions, leaves no coroutine
+// behind, is idempotent, and makes Spawn and SpawnStep panic.
 func TestCloseStopsSuspendedProcesses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	eng := NewEngine()
@@ -148,10 +253,24 @@ func TestCloseStopsSuspendedProcesses(t *testing.T) {
 		defer func() { unwound++ }()
 		p.Delay(Second)
 	})
+	eng.SpawnStep("step server", func(p *Proc) {
+		for {
+			if _, ok := q.TryGet(p); !ok {
+				return
+			}
+		}
+	})
+	eng.SpawnStep("step sleeper", func(p *Proc) {
+		if !p.Sleep(Second) {
+			return
+		}
+		t.Error("a step process asleep past the last RunUntil must never run again")
+	})
 	eng.RunUntil(10)
 	eng.Spawn("unstarted", func(p *Proc) { t.Error("a process spawned after the last RunUntil must never run") })
-	if eng.Live() != 3 {
-		t.Fatalf("live = %d before Close, want 3", eng.Live())
+	eng.SpawnStep("step unstarted", func(p *Proc) { t.Error("a step process spawned after the last RunUntil must never run") })
+	if eng.Live() != 6 {
+		t.Fatalf("live = %d before Close, want 6", eng.Live())
 	}
 	eng.Close()
 	eng.Close()
@@ -161,30 +280,55 @@ func TestCloseStopsSuspendedProcesses(t *testing.T) {
 	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("%d goroutines before the simulation, %d after Close", before, after)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Spawn on a closed engine should panic")
-		}
-	}()
-	eng.Spawn("late", func(p *Proc) {})
+	for name, spawn := range map[string]func(){
+		"Spawn":     func() { eng.Spawn("late", func(p *Proc) {}) },
+		"SpawnStep": func() { eng.SpawnStep("late", func(p *Proc) {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a closed engine should panic", name)
+				}
+			}()
+			spawn()
+		}()
+	}
 }
 
-// TestProcessPanicSurfacesInRun: a failure in a process body is not swallowed
-// by the wrapper that recovers Close's private unwinding value; it reaches the
+// TestProcessPanicSurfacesInRun: a failure in a process body or a step
+// function is not swallowed — by the wrapper that recovers Close's private
+// unwinding value, or by the engine that calls the step — and reaches the
 // goroutine that called Run, where it can be recovered.
 func TestProcessPanicSurfacesInRun(t *testing.T) {
-	eng := NewEngine()
-	defer eng.Close()
-	eng.Spawn("bystander", func(p *Proc) { p.Delay(Second) })
-	eng.Spawn("faulty", func(p *Proc) {
-		p.Delay(5)
-		panic("model bug")
-	})
-	defer func() {
-		if r := recover(); r != "model bug" {
-			t.Errorf("Run's caller recovered %v, want the process's own panic value", r)
+	for _, stepKind := range []bool{false, true} {
+		eng := NewEngine()
+		eng.Spawn("bystander", func(p *Proc) { p.Delay(Second) })
+		if stepKind {
+			slept := false
+			eng.SpawnStep("faulty", func(p *Proc) {
+				if !slept {
+					slept = true
+					if !p.Sleep(5) {
+						return
+					}
+				}
+				panic("model bug")
+			})
+		} else {
+			eng.Spawn("faulty", func(p *Proc) {
+				p.Delay(5)
+				panic("model bug")
+			})
 		}
-	}()
-	eng.Run()
-	t.Errorf("Run returned although a process panicked")
+		func() {
+			defer eng.Close()
+			defer func() {
+				if r := recover(); r != "model bug" {
+					t.Errorf("step process %v: Run's caller recovered %v, want the process's own panic value", stepKind, r)
+				}
+			}()
+			eng.Run()
+			t.Errorf("step process %v: Run returned although a process panicked", stepKind)
+		}()
+	}
 }

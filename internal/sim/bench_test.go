@@ -38,6 +38,36 @@ func BenchmarkQueueHandoff(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkStepQueueHandoff is BenchmarkQueueHandoff between two step
+// processes, the kind a simulated SPE is: every wake-up is a call, not a
+// coroutine switch.
+func BenchmarkStepQueueHandoff(b *testing.B) {
+	eng := NewEngine()
+	q := NewQueue[int](eng)
+	sent := 0
+	eng.SpawnStep("producer", func(p *Proc) {
+		for sent < b.N {
+			q.Put(sent)
+			sent++
+			if !p.Sleep(Nanosecond) {
+				return
+			}
+		}
+	})
+	got := 0
+	eng.SpawnStep("consumer", func(p *Proc) {
+		for got < b.N {
+			if _, ok := q.TryGet(p); !ok {
+				return
+			}
+			got++
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+}
+
 // BenchmarkResourceContention measures acquire/release cycles on a contended
 // resource with four processes sharing two slots.
 func BenchmarkResourceContention(b *testing.B) {

@@ -1,39 +1,44 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation engine.
 //
-// The engine advances a virtual clock and executes simulated processes. Each
-// process is a coroutine of the engine (iter.Pull): it runs until it blocks
-// on one of the five primitives — Delay, Queue.Put/Get,
-// Resource.Acquire/Release, Signal.Fire/FireAfter/Wait, Condition.Wait/Notify
-// — at which point control switches straight back to the engine, which
-// advances the clock to the next pending event and dispatches it. A switch
-// is the only way control moves, so exactly one of engine and processes
-// executes at any instant, on one host thread's worth of CPU, and neither
-// process code nor the primitives need host-level synchronization.
+// The engine advances a virtual clock and executes simulated processes of two
+// kinds. A coroutine process (Spawn) is a coroutine of the engine (iter.Pull)
+// that runs until it blocks on one of the five primitives — Delay,
+// Queue.Put/Get, Resource.Acquire/Release, Signal.Fire/FireAfter/Wait,
+// Condition.Wait/Notify — and switches straight back to the engine. A step
+// process (SpawnStep) is a state machine with no stack: the engine calls its
+// step function, which returns once a non-blocking half — Sleep,
+// Queue.TryGet, Resource.TryAcquire, Signal.Await — has parked it. A blocking
+// primitive is its half plus a suspend, so both kinds run one implementation
+// and wake in one order. Only one of engine and processes executes at any
+// instant, on one host thread's worth of CPU, and neither process code nor
+// the primitives need host-level synchronization.
 //
 // There are two kinds of event: the wake-up of a process (the engine switches
-// to it) and the firing of a signal scheduled by FireAfter (the engine fires
-// it inline, which queues a wake-up for each waiter). That is the whole
-// kernel: it holds what the Cell model executes and nothing else — no
-// function run inline by the engine, no event that can be withdrawn, no wait
-// that gives up, no value carried by a wake-up.
+// to the coroutine or calls the step function) and the firing of a signal
+// scheduled by FireAfter (the engine fires it inline, which queues a wake-up
+// for each waiter). That is the whole kernel: it holds what the Cell model
+// executes and nothing else — no event that runs anything but a process or a
+// signal, no event that can be withdrawn, no wait that gives up, no value
+// carried by a wake-up.
 // Events scheduled for the same virtual time are dispatched in FIFO order of
 // their creation, and all waiter queues are FIFO, so a simulation given the
 // same inputs always produces exactly the same schedule.
 //
-// One wake-up never reaches the event queue. When a process calls Delay and
-// nothing is queued at or before the time it asks for (and that time is
-// within RunUntil's limit), its own wake-up is necessarily the next event the
-// engine would dispatch: the clock is advanced in place, the sequence number
-// the event would have taken is spent, and the process keeps running. An
-// event already queued for that same instant was created earlier and must go
-// first, so then the wake-up is queued like any other — the shortcut changes
-// what the host does, never the order of the simulation.
+// One wake-up never reaches the event queue. When a process calls Delay (or
+// Sleep) and nothing is queued at or before the time it asks for (and that
+// time is within RunUntil's limit), its own wake-up is necessarily the next
+// event the engine would dispatch: the clock is advanced in place, the
+// sequence number the event would have taken is spent, and the process keeps
+// running. An event already queued for that same instant was created earlier
+// and must go first, so then the wake-up is queued like any other — the
+// shortcut changes what the host does, never the order of the simulation.
 //
-// A process that waits forever by design (a server looping on Queue.Get) is a
-// suspended coroutine that pins its stack and the engine. Engine.Close stops
-// every such process and drops the event queue; call it when the simulation
-// is over. A panic in a process body surfaces in the caller of Run.
+// A coroutine process that waits forever by design (a server looping on
+// Queue.Get) pins its stack and the engine; a step process pins only its
+// state. Engine.Close stops every such process and drops the event queue;
+// call it when the simulation is over. A panic in a process body or step
+// function surfaces in the caller of Run.
 //
 // The package is the substrate for the Cell Broadband Engine machine model in
 // package cellsim and the scheduler models in package sched, but it is fully

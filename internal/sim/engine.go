@@ -147,16 +147,12 @@ func (e *Engine) pop() event {
 // wrapper installed by Spawn recovers it, and nothing else.
 type stopped struct{}
 
-// Spawn creates a new process executing fn. The process starts at the current
-// virtual time, after all previously scheduled events for this instant.
-// Spawn may be called before Run (the process then starts at time zero) or at
-// any point during the simulation, including from other processes.
+// Spawn creates a new coroutine process executing fn. It starts at the current
+// virtual time, after all previously scheduled events for this instant. Spawn
+// may be called before Run (the process then starts at time zero) or at any
+// point during the simulation, including from other processes.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	if e.closed {
-		panic("sim: Spawn after engine shut down")
-	}
-	e.nextID++
-	p := &Proc{eng: e, name: name, id: e.nextID}
+	p := e.add(name, nil)
 	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
@@ -168,6 +164,21 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	})
+	return p
+}
+
+// SpawnStep creates a new step process, started as Spawn's would be. At its
+// start and at every wake-up the engine calls step, which keeps its own state
+// from call to call and returns once a non-blocking half has parked the
+// process; a call that returns without parking ends the process.
+func (e *Engine) SpawnStep(name string, step func(p *Proc)) *Proc { return e.add(name, step) }
+
+func (e *Engine) add(name string, step func(p *Proc)) *Proc {
+	if e.closed {
+		panic("sim: Spawn after engine shut down")
+	}
+	e.nextID++
+	p := &Proc{eng: e, name: name, id: e.nextID, step: step}
 	e.procs = append(e.procs, p)
 	e.live++
 	e.schedule(event{at: e.now, proc: p})
@@ -175,17 +186,19 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // Close ends the simulation and releases what the engine holds. Every process
-// that has not returned is stopped where it is suspended: its pending
-// primitive panics with a private value that unwinds the body (deferred
-// functions run, and must not touch simulation primitives), which Spawn's
-// wrapper recovers. Close is idempotent and must not be called from inside a
-// process; a closed engine can be read (Now, Live) but not run.
+// that has not returned is ended; a suspended coroutine is stopped where it
+// is: its pending primitive panics with a private value that unwinds the body
+// (deferred functions run, and must not touch simulation primitives), which
+// Spawn's wrapper recovers. Close is idempotent and must not be called from
+// inside a process; a closed engine can be read (Now, Live) but not run.
 func (e *Engine) Close() {
 	e.closed = true
 	for _, p := range e.procs {
 		if p.state != stateDone {
-			p.stop()
-			if p.state != stateDone { // never started: the wrapper did not run
+			if p.stop != nil {
+				p.stop()
+			}
+			if p.state != stateDone { // a step process, or never started: no wrapper ran
 				p.state = stateDone
 				e.live--
 			}
@@ -222,11 +235,17 @@ func (e *Engine) RunUntil(limit Time) Time {
 		}
 		ev := e.pop()
 		e.now = ev.at
-		if ev.proc != nil {
-			ev.proc.state = stateRunning
-			ev.proc.resume()
-		} else {
+		p := ev.proc
+		if p == nil {
 			ev.sig.Fire()
+			continue
+		}
+		p.state = stateRunning
+		if p.step == nil {
+			p.resume()
+		} else if p.step(p); p.state == stateRunning { // returned without parking: ended
+			p.state = stateDone
+			e.live--
 		}
 	}
 	return e.now

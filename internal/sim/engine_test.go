@@ -146,13 +146,21 @@ func TestBlockedReportsDeadlockedProcesses(t *testing.T) {
 	q := NewQueue[int](eng)
 	eng.Spawn("stuck", func(p *Proc) { q.Get(p) })
 	eng.Spawn("fine", func(p *Proc) { p.Delay(Microsecond) })
+	eng.SpawnStep("stuck step", func(p *Proc) { q.TryGet(p) })
+	slept := false
+	eng.SpawnStep("fine step", func(p *Proc) {
+		if !slept {
+			slept = true
+			p.Sleep(Microsecond)
+		}
+	})
 	eng.Run()
 	blocked := eng.Blocked()
-	if len(blocked) != 1 || blocked[0] != "stuck" {
-		t.Errorf("blocked = %v, want [stuck]", blocked)
+	if len(blocked) != 2 || blocked[0] != "stuck" || blocked[1] != "stuck step" {
+		t.Errorf("blocked = %v, want [stuck stuck step]", blocked)
 	}
-	if eng.Live() != 1 {
-		t.Errorf("live = %d, want 1", eng.Live())
+	if eng.Live() != 2 {
+		t.Errorf("live = %d, want 2", eng.Live())
 	}
 }
 

@@ -12,17 +12,17 @@ const (
 	stateDone
 )
 
-// Proc is a simulated process. Its body runs as a coroutine of the engine
-// (iter.Pull): RunUntil switches to it directly, it switches back when it
-// suspends, and exactly one of the two is ever executing, so process code
-// never needs host-level synchronization to protect simulation state.
-//
-// The blocking methods (Delay, block) must only be called from within the
-// process' own body.
+// Proc is a simulated process: a coroutine of the engine (Engine.Spawn) or a
+// state machine the engine calls (Engine.SpawnStep); see the package comment.
+// The blocking primitives (Delay, Wait, Acquire, Get) are for a coroutine's
+// body; their non-blocking halves (Sleep, Await, TryAcquire, TryGet), which
+// report false once they have parked the process, serve both kinds. Either
+// must only be called from within the process' own body or step function.
 type Proc struct {
 	eng    *Engine
 	name   string // for Engine.Blocked and panic messages
 	id     int
+	step   func(p *Proc)           // a step process' step function; nil for a coroutine
 	resume func() (struct{}, bool) // engine side: run the body until it suspends or returns
 	yield  func(struct{}) bool     // body side: suspend; false once Close has stopped the process
 	stop   func()
@@ -55,22 +55,22 @@ func (p *Proc) suspend() {
 	}
 }
 
-// block suspends the process until another entity wakes it via Engine.wake.
-func (p *Proc) block() {
+// park marks the process blocked; the caller has put it on a waiter list,
+// whose owner wakes it via Engine.wake.
+func (p *Proc) park() {
 	if p.state != stateRunning {
 		p.statePanic("blocks while not running")
 	}
 	p.state = stateBlocked
-	p.suspend()
 }
 
-// Delay advances the process by d units of virtual time, modelling the
-// process being busy for that long. Negative durations are treated as zero.
-// If the wake-up is what the engine would dispatch next — within RunUntil's
-// limit, every queued event strictly later — the clock advances in place and
-// the process keeps running: no event, no switch, the same order (see the
-// package comment).
-func (p *Proc) Delay(d Duration) {
+// Sleep is Delay's non-blocking half. If the wake-up d from now is what the
+// engine would dispatch next — within RunUntil's limit, every queued event
+// strictly later — the clock advances in place and Sleep reports true: the
+// process carries on, no event, no switch, the same order (see the package
+// comment). Otherwise the wake-up is queued, the process is parked until then
+// and Sleep reports false. Negative durations are treated as zero.
+func (p *Proc) Sleep(d Duration) bool {
 	e := p.eng
 	if p.state != stateRunning {
 		p.statePanic("delays while not running")
@@ -83,9 +83,17 @@ func (p *Proc) Delay(d Duration) {
 	if at <= e.limit && (len(e.queue) == 0 || e.queue[0].at > at) {
 		e.seq++
 		e.now = at
-		return
+		return true
 	}
 	p.state = stateReady
 	e.schedule(event{at: at, proc: p})
-	p.suspend()
+	return false
+}
+
+// Delay advances the process by d units of virtual time, modelling the
+// process being busy for that long.
+func (p *Proc) Delay(d Duration) {
+	if !p.Sleep(d) {
+		p.suspend()
+	}
 }

@@ -55,8 +55,9 @@ func NewQueue[T any](eng *Engine) *Queue[T] {
 // Len returns the number of items currently buffered.
 func (q *Queue[T]) Len() int { return q.items.n }
 
-// Put appends an item. If a process is blocked in Get, the oldest waiter is
-// woken and will receive this item (or an earlier buffered one) when it runs.
+// Put appends an item. If a process waits in Get or TryGet, the oldest waiter
+// is woken and will receive this item (or an earlier buffered one) when it
+// runs.
 func (q *Queue[T]) Put(v T) {
 	q.items.pushBack(v)
 	if q.waiters.n > 0 {
@@ -64,12 +65,27 @@ func (q *Queue[T]) Put(v T) {
 	}
 }
 
+// TryGet is Get's non-blocking half: it removes and returns the oldest item
+// with true, or, with the queue empty, parks the calling process as a waiter
+// and reports false. A woken waiter calls TryGet again: the item that woke it
+// may have been taken by a process that ran first.
+func (q *Queue[T]) TryGet(p *Proc) (T, bool) {
+	if q.items.n > 0 {
+		return q.items.popFront(), true
+	}
+	q.waiters.pushBack(p)
+	p.park()
+	var zero T
+	return zero, false
+}
+
 // Get removes and returns the oldest item, blocking the calling process until
 // one is available.
 func (q *Queue[T]) Get(p *Proc) T {
-	for q.items.n == 0 {
-		q.waiters.pushBack(p)
-		p.block()
+	for {
+		if v, ok := q.TryGet(p); ok {
+			return v
+		}
+		p.suspend()
 	}
-	return q.items.popFront()
 }

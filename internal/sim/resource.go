@@ -26,23 +26,33 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	return &Resource{eng: eng, name: name, capacity: capacity}
 }
 
-// Acquire blocks the calling process until n units are available, then holds
-// them. Requests are honoured strictly in FIFO order, so a large request is
-// not starved by a stream of smaller ones.
-func (r *Resource) Acquire(p *Proc, n int) {
+// TryAcquire is Acquire's non-blocking half: it takes n units and reports
+// true if they are free and nobody queues ahead, or else parks the calling
+// process as a waiter and reports false. Release reserves a waiter's units
+// before it wakes it, so a woken waiter holds them and must not ask again.
+func (r *Resource) TryAcquire(p *Proc, n int) bool {
 	if n <= 0 {
-		return
+		return true
 	}
 	if n > r.capacity {
 		panic(fmt.Sprintf("sim: acquiring %d units from resource %q with capacity %d", n, r.name, r.capacity))
 	}
 	if r.waiters.n == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
-		return
+		return true
 	}
 	r.waiters.pushBack(resWaiter{p: p, n: n})
-	p.block()
-	// The releaser has already reserved our units.
+	p.park()
+	return false
+}
+
+// Acquire blocks the calling process until n units are available, then holds
+// them. Requests are honoured strictly in FIFO order, so a large request is
+// not starved by a stream of smaller ones.
+func (r *Resource) Acquire(p *Proc, n int) {
+	if !r.TryAcquire(p, n) {
+		p.suspend()
+	}
 }
 
 // Release returns n units to the resource and admits as many FIFO waiters as

@@ -39,18 +39,28 @@ func (s *Signal) Fire() {
 // so it needs no process, closure or handle.
 func (s *Signal) FireAfter(d Duration) { s.eng.schedule(event{at: s.eng.now.Add(d), sig: s}) }
 
-// Wait blocks the calling process until the signal fires. If it has already
-// fired, Wait returns immediately.
-func (s *Signal) Wait(p *Proc) {
+// Await is Wait's non-blocking half: it reports true if the signal has
+// fired, or else parks the calling process as a waiter and reports false. A
+// woken waiter that asks again is answered true.
+func (s *Signal) Await(p *Proc) bool {
 	switch {
 	case s.fired:
-		return
+		return true
 	case s.first == nil:
 		s.first = p
 	default:
 		s.more = append(s.more, p) // the rare second waiter of a broadcast
 	}
-	p.block()
+	p.park()
+	return false
+}
+
+// Wait blocks the calling process until the signal fires. If it has already
+// fired, Wait returns immediately.
+func (s *Signal) Wait(p *Proc) {
+	if !s.Await(p) {
+		p.suspend()
+	}
 }
 
 // Condition is a reusable wait/notify primitive: processes wait for the
@@ -72,7 +82,8 @@ func (c *Condition) Waiting() int { return c.waiters.n }
 // includes it.
 func (c *Condition) Wait(p *Proc) {
 	c.waiters.pushBack(p)
-	p.block()
+	p.park()
+	p.suspend()
 }
 
 // Notify wakes every process currently waiting.

@@ -84,11 +84,10 @@ func TestIntegrationWithCellsimHook(t *testing.T) {
 			kinds[kind] += end.Sub(start)
 		}
 	}
-	m.SPE(0).Submit(func(c *cellsim.SPEContext) {
-		c.DMAGet(4096)
-		c.Compute(20 * sim.Microsecond)
-		c.DMAPut(4096)
-	}, nil)
+	prog := []cellsim.Op{cellsim.DMAGet(4096), cellsim.Compute(20 * sim.Microsecond), cellsim.DMAPut(4096)}
+	if err := m.SPE(0).Submit(prog, nil); err != nil {
+		t.Fatal(err)
+	}
 	eng.Spawn("ppe", func(p *sim.Proc) {
 		m.Cells[0].PPE.AcquireContext(p)
 		m.Cells[0].PPE.Compute(p, 5*sim.Microsecond)
