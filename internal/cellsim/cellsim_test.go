@@ -26,13 +26,35 @@ func mustSubmit(t *testing.T, spe *SPE, done *sim.Signal, prog ...Op) {
 func firedAt(eng *sim.Engine, sig *sim.Signal, then func()) *sim.Time {
 	var at sim.Time
 	eng.Spawn("waiter", func(p *sim.Proc) {
-		sig.Wait(p)
+		if !sig.Await(p) {
+			return
+		}
 		at = p.Now()
 		if then != nil {
 			then()
 		}
 	})
 	return &at
+}
+
+// computeOnPPE returns a step function that claims a context of ppe,
+// computes for d on it, releases it and calls done.
+func computeOnPPE(ppe *PPE, d sim.Duration, done func(p *sim.Proc)) func(p *sim.Proc) {
+	asked := false
+	var c Charge
+	return func(p *sim.Proc) {
+		if !asked {
+			asked = true
+			if !ppe.TryAcquireContext(p) {
+				return // woken holding the context
+			}
+		}
+		if !ppe.Compute(p, &c, d) {
+			return
+		}
+		ppe.ReleaseContext()
+		done(p)
+	}
 }
 
 func TestDefaultCostModelMatchesPaperConstants(t *testing.T) {
@@ -215,12 +237,7 @@ func TestPPESMTContention(t *testing.T) {
 	ppe := m.Cells[0].PPE
 	var soloEnd, pairEnd sim.Time
 	// Phase 1: one context computing alone for 100us.
-	eng.Spawn("solo", func(p *sim.Proc) {
-		ppe.AcquireContext(p)
-		ppe.Compute(p, 100*sim.Microsecond)
-		ppe.ReleaseContext()
-		soloEnd = p.Now()
-	})
+	eng.Spawn("solo", computeOnPPE(ppe, 100*sim.Microsecond, func(p *sim.Proc) { soloEnd = p.Now() }))
 	eng.Run()
 	if soloEnd != sim.Time(100*sim.Microsecond) {
 		t.Fatalf("solo compute finished at %v, want 100us", soloEnd)
@@ -231,14 +248,11 @@ func TestPPESMTContention(t *testing.T) {
 	m2 := NewMachine(eng2, DefaultCostModel(), 1)
 	ppe2 := m2.Cells[0].PPE
 	for i := 0; i < 2; i++ {
-		eng2.Spawn("pair", func(p *sim.Proc) {
-			ppe2.AcquireContext(p)
-			ppe2.Compute(p, 100*sim.Microsecond)
-			ppe2.ReleaseContext()
+		eng2.Spawn("pair", computeOnPPE(ppe2, 100*sim.Microsecond, func(p *sim.Proc) {
 			if p.Now() > sim.Time(pairEnd) {
 				pairEnd = p.Now()
 			}
-		})
+		}))
 	}
 	eng2.Run()
 	want := sim.Duration(float64(100*sim.Microsecond) * DefaultCostModel().SMTContention)
@@ -252,13 +266,24 @@ func TestPPEContextResourceLimitsParallelism(t *testing.T) {
 	ppe := m.Cells[0].PPE
 	running, maxRunning := 0, 0
 	for i := 0; i < 5; i++ {
+		phase := 0
 		eng.Spawn("mpi", func(p *sim.Proc) {
-			ppe.AcquireContext(p)
-			running++
-			if running > maxRunning {
-				maxRunning = running
+			if phase == 0 {
+				phase = 1
+				if !ppe.TryAcquireContext(p) {
+					return // woken holding the context
+				}
 			}
-			p.Delay(10 * sim.Microsecond)
+			if phase == 1 {
+				phase = 2
+				running++
+				if running > maxRunning {
+					maxRunning = running
+				}
+				if !p.Sleep(10 * sim.Microsecond) {
+					return
+				}
+			}
 			running--
 			ppe.ReleaseContext()
 		})
@@ -272,11 +297,15 @@ func TestPPEContextResourceLimitsParallelism(t *testing.T) {
 func TestContextSwitchAccounting(t *testing.T) {
 	eng, m := newTestMachine(t, 1)
 	ppe := m.Cells[0].PPE
+	var c Charge
+	switched := 0
 	eng.Spawn("sched", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			ppe.ContextSwitch(p)
+		for ; switched < 4; switched++ {
+			if !ppe.ContextSwitch(p, &c) {
+				return
+			}
 		}
-		ppe.KernelSwitch(p)
+		ppe.KernelSwitch(p, &c)
 	})
 	final := eng.Run()
 	if ppe.Switches() != 4 || ppe.KernelSwitches() != 1 {
@@ -303,9 +332,12 @@ func TestEIBLimitsConcurrentDMA(t *testing.T) {
 		done[i] = sim.NewSignal(eng)
 		mustSubmit(t, m.SPE(i), done[i], DMAGet(size))
 	}
+	joined := 0
 	eng.Spawn("join", func(p *sim.Proc) {
-		for _, d := range done {
-			d.Wait(p)
+		for ; joined < len(done); joined++ {
+			if !done[joined].Await(p) {
+				return
+			}
 		}
 		lastDone = p.Now()
 	})
@@ -343,7 +375,13 @@ func TestUtilizationAccounting(t *testing.T) {
 	// SPE 0 busy for 30us; let the clock advance to 60us; SPE 0 should be
 	// ~50% utilized, others 0.
 	mustSubmit(t, m.SPE(0), nil, Compute(30*sim.Microsecond))
-	eng.Spawn("clock", func(p *sim.Proc) { p.Delay(60 * sim.Microsecond) })
+	slept := false
+	eng.Spawn("clock", func(p *sim.Proc) {
+		if !slept {
+			slept = true
+			p.Sleep(60 * sim.Microsecond)
+		}
+	})
 	eng.Run()
 	u := m.Utilization()
 	if u.SPEBusy[0] < 0.49 || u.SPEBusy[0] > 0.51 {
@@ -359,9 +397,9 @@ func TestUtilizationAccounting(t *testing.T) {
 	}
 }
 
-// TestNewMachineStartsNoGoroutines: an SPE is a step process of the engine,
-// not a coroutine, so building a blade and running programs on every SPE
-// starts no goroutine.
+// TestNewMachineStartsNoGoroutines: an SPE is a step function the engine
+// calls, so building a blade and running programs on every SPE starts no
+// goroutine.
 func TestNewMachineStartsNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	eng, m := newTestMachine(t, 2)

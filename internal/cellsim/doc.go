@@ -15,23 +15,25 @@
 // documentation; every one of them can be overridden, which is how the
 // ablation experiments sweep them.
 //
-// Each SPE is one sim step process — a state machine, not a coroutine — that
-// executes the programs in its mailbox op by op, so a wake-up of an SPE is a
-// call. Whoever builds a Machine closes its engine when the run is over
-// (sim.Engine.Close). The model needs five things of the engine and uses
-// nothing else: Delay and Sleep (every compute, DMA and switch interval), a
-// Queue per SPE (its mailbox of ops), a Resource per PPE and per EIB (SMT
-// contexts, concurrent transfers), Signals fired after a latency (completion
-// notifications and Pass structures carry no payload here — the off-load
-// runtime knows what it sent) and, one layer up, the Condition schedulers
-// wait on for free SPEs.
+// Each SPE is one sim process — a state machine — that executes the programs
+// in its mailbox op by op, so a wake-up of an SPE is a call. Whoever builds a
+// Machine closes its engine when the run is over (sim.Engine.Close). The
+// model needs five things of the engine and uses nothing else: Sleep (every
+// compute, DMA and switch interval), a Queue per SPE (its mailbox of ops), a
+// Resource per PPE and per EIB (SMT contexts, concurrent transfers), Signals
+// fired after a latency (completion notifications and Pass structures carry
+// no payload here — the off-load runtime knows what it sent) and, one layer
+// up, the Condition schedulers park on for free SPEs.
 //
-// Every interval a component counts as busy goes through one place per
-// component kind (PPE.charge; SPE.occupy), which delays, accounts and reports
-// it to Machine.Trace, so a traced lane sums to the component's BusyTime.
-// Component names ("cellC.speS", "cellC.ppe") are built once per component;
-// with Machine.Trace unset an activity interval costs nothing beyond its
-// Delay.
+// Every interval a component counts as busy goes through one place,
+// Machine.occupy, which holds the component, accounts the time and reports it
+// to Machine.Trace, so a traced lane sums to the component's BusyTime. The
+// process being charged carries the interval across its waits in a Charge:
+// the SPE keeps one for the op in hand, and a PPE-side dispatcher passes its
+// own to PPE.Compute, ContextSwitch, Resume and KernelSwitch, which report
+// false while it is parked. Component names ("cellC.speS", "cellC.ppe") are
+// built once per component; with Machine.Trace unset an activity interval
+// costs nothing beyond its Sleep.
 //
 // The hardware substrate exposed here is policy-free: packages offload and
 // sched implement the off-load runtime and the EDTLP/LLP/MGPS schedulers on

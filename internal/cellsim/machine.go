@@ -32,11 +32,54 @@ type Machine struct {
 	Trace TraceFunc
 }
 
-// emit reports an activity interval to the trace hook, if any.
-func (m *Machine) emit(component string, start, end sim.Time, kind string) {
-	if m.Trace != nil && end > start {
-		m.Trace(component, start, end, kind)
+// lane is what a component that is charged time keeps: its trace name and
+// busy time.
+type lane struct {
+	name string
+	busy sim.Duration
+}
+
+// BusyTime returns the cumulative time charged to the component: the sum of
+// its traced intervals.
+func (l *lane) BusyTime() sim.Duration { return l.busy }
+
+// Charge is an interval a process is charging to a component, carried across
+// its waits. The zero value is an interval not begun; occupy resets it.
+type Charge struct {
+	phase uint8 // 0 not begun, 1 waiting for a resource unit, 2 occupied since start
+	start sim.Time
+}
+
+// occupy is the one place a component's time is charged: it holds l's
+// component for d (after taking a unit of res, when res is non-nil), counts d
+// as busy and reports the interval to the trace hook, so a traced lane adds
+// up to BusyTime. False means the process is parked; once woken it calls
+// again with the same Charge, lane and res (d is read only before the
+// interval begins), and the call that reports true has ended the interval.
+func (m *Machine) occupy(p *sim.Proc, c *Charge, l *lane, d sim.Duration, res *sim.Resource, kind string) bool {
+	switch c.phase {
+	case 0:
+		c.phase = 1
+		if res != nil && !res.TryAcquire(p, 1) {
+			return false
+		}
+		fallthrough
+	case 1:
+		c.start = p.Now()
+		l.busy += d
+		c.phase = 2
+		if !p.Sleep(d) {
+			return false
+		}
 	}
+	if res != nil {
+		res.Release(1)
+	}
+	if m.Trace != nil && p.Now() > c.start {
+		m.Trace(l.name, c.start, p.Now(), kind)
+	}
+	*c = Charge{}
+	return true
 }
 
 // Cell is one Cell Broadband Engine chip: a PPE, eight SPEs, and the EIB

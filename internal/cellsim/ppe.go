@@ -8,15 +8,16 @@ import (
 
 // PPE models the Power Processing Element of one Cell: a dual-thread (SMT)
 // PowerPC core. The PPE itself does not schedule anything; the scheduler
-// models in package sched run one dispatcher process per SMT context and use
-// Compute / ContextSwitch / KernelSwitch to charge time.
+// models in package sched run dispatcher processes on its SMT contexts and
+// charge time with Compute / ContextSwitch / Resume / KernelSwitch. Each
+// reports false while it has the process parked; the woken process calls
+// again with the same Charge, and that call reports true.
 type PPE struct {
 	machine *Machine
-	name    string // "cellC.ppe", the component name in trace streams
+	lane    // "cellC.ppe"; busy is cumulative context-occupied time
 
 	contexts *sim.Resource // SMT hardware contexts
 	active   int           // contexts currently executing Compute
-	busy     sim.Duration  // cumulative context-occupied compute time
 
 	switches       int // voluntary (user-level) context switches performed
 	kernelSwitches int // involuntary (kernel) context switches performed
@@ -26,16 +27,13 @@ func newPPE(m *Machine, cell *Cell) *PPE {
 	name := fmt.Sprintf("cell%d.ppe", cell.Index)
 	return &PPE{
 		machine:  m,
-		name:     name,
+		lane:     lane{name: name},
 		contexts: sim.NewResource(m.Eng, name, m.Cost.PPEContexts),
 	}
 }
 
 // Contexts returns the number of SMT hardware contexts.
 func (p *PPE) Contexts() int { return p.machine.Cost.PPEContexts }
-
-// BusyTime returns the cumulative compute time charged across all contexts.
-func (p *PPE) BusyTime() sim.Duration { return p.busy }
 
 // Switches returns the number of voluntary user-level context switches
 // charged with ContextSwitch.
@@ -45,64 +43,62 @@ func (p *PPE) Switches() int { return p.switches }
 // KernelSwitch.
 func (p *PPE) KernelSwitches() int { return p.kernelSwitches }
 
-// AcquireContext blocks the calling dispatcher process until an SMT hardware
-// context is free and claims it. Scheduler models that pin one dispatcher
-// process per context acquire once at start-up; models that multiplex more
-// software threads than contexts acquire/release around each burst.
-func (p *PPE) AcquireContext(proc *sim.Proc) { p.contexts.Acquire(proc, 1) }
+// TryAcquireContext claims a free SMT hardware context for the calling
+// process and reports true, or parks the process until it can have one; as
+// with sim.Resource.TryAcquire, the woken process holds the context.
+func (p *PPE) TryAcquireContext(proc *sim.Proc) bool { return p.contexts.TryAcquire(proc, 1) }
 
-// ReleaseContext releases a context claimed with AcquireContext.
+// ReleaseContext releases a context claimed with TryAcquireContext.
 func (p *PPE) ReleaseContext() { p.contexts.Release(1) }
 
-// charge occupies the calling context for d: the one place PPE time is
-// delayed, counted as busy and reported to the trace hook, so the traced PPE
-// lane always adds up to BusyTime.
-func (p *PPE) charge(proc *sim.Proc, d sim.Duration, kind string) {
-	start := proc.Now()
-	p.busy += d
-	proc.Delay(d)
-	p.machine.emit(p.name, start, proc.Now(), kind)
-}
-
 // Compute charges d of PPE computation to the calling process. If the other
-// SMT context is computing at the same time, the duration is stretched by
-// the SMT contention factor: the two hardware threads share the PPE's
-// in-order pipeline, so co-scheduled compute phases slow each other down.
-// The caller must already hold a hardware context.
-func (p *PPE) Compute(proc *sim.Proc, d sim.Duration) {
+// SMT context is computing when it begins, the duration is stretched by the
+// SMT contention factor: the two hardware threads share the PPE's in-order
+// pipeline, so co-scheduled compute phases slow each other down. The caller
+// must already hold a hardware context.
+func (p *PPE) Compute(proc *sim.Proc, c *Charge, d sim.Duration) bool {
 	if d <= 0 {
-		return
+		return true
 	}
-	factor := 1.0
-	if p.active > 0 && p.machine.Cost.SMTContention > 1.0 {
-		factor = p.machine.Cost.SMTContention
+	if c.phase == 0 {
+		if f := p.machine.Cost.SMTContention; p.active > 0 && f > 1.0 {
+			d = sim.Duration(float64(d) * f)
+		}
+		p.active++
 	}
-	p.active++
-	p.charge(proc, sim.Duration(float64(d)*factor), "compute")
+	if !p.machine.occupy(proc, c, &p.lane, d, nil, "compute") {
+		return false
+	}
 	p.active--
+	return true
 }
 
 // ContextSwitch charges the cost of one voluntary user-level context switch
 // (switching between MPI processes in the EDTLP scheduler).
-func (p *PPE) ContextSwitch(proc *sim.Proc) {
+func (p *PPE) ContextSwitch(proc *sim.Proc, c *Charge) bool {
+	if !p.machine.occupy(proc, c, &p.lane, p.machine.Cost.ContextSwitch, nil, "switch") {
+		return false
+	}
 	p.switches++
-	p.charge(proc, p.machine.Cost.ContextSwitch, "switch")
+	return true
 }
 
 // Resume charges the indirect cost of bringing a switched-out MPI process
 // back onto a PPE context (cold caches/TLBs plus user-level scheduler
 // dispatch); see CostModel.ResumePenalty.
-func (p *PPE) Resume(proc *sim.Proc) {
-	if d := p.machine.Cost.ResumePenalty; d > 0 {
-		p.charge(proc, d, "switch")
-	}
+func (p *PPE) Resume(proc *sim.Proc, c *Charge) bool {
+	d := p.machine.Cost.ResumePenalty
+	return d <= 0 || p.machine.occupy(proc, c, &p.lane, d, nil, "switch")
 }
 
 // KernelSwitch charges the cost of one involuntary kernel-level context
 // switch (quantum expiry under the native OS scheduler), which is more
 // expensive than the user-level switch because it crosses address spaces and
 // pollutes caches and TLBs.
-func (p *PPE) KernelSwitch(proc *sim.Proc) {
+func (p *PPE) KernelSwitch(proc *sim.Proc, c *Charge) bool {
+	if !p.machine.occupy(proc, c, &p.lane, p.machine.Cost.KernelSwitch, nil, "switch") {
+		return false
+	}
 	p.kernelSwitches++
-	p.charge(proc, p.machine.Cost.KernelSwitch, "switch")
+	return true
 }

@@ -23,19 +23,17 @@ type SPE struct {
 	Index  int
 	Global int
 
-	name    string // "cellC.speS", the component name in trace streams
+	lane    // "cellC.speS"; busy is time spent computing or moving data
 	mailbox *sim.Queue[Op]
 	pending int // programs submitted and not yet begun
 	running bool
 
-	// The op in hand, carried across the step calls its waits span: phase 0
-	// is none (read the next op), 1 not begun, 2 waiting for an EIB slot, 3
-	// occupied since start.
-	op    Op
-	phase int
-	start sim.Time
+	// The op in hand and the interval it is charging, carried across the
+	// step calls its waits span.
+	op     Op
+	inHand bool
+	charge Charge
 
-	busy         sim.Duration
 	tasksRun     int
 	moduleLoads  int
 	loadedModule Module
@@ -116,16 +114,16 @@ func newSPE(m *Machine, cell *Cell, index int) *SPE {
 	}
 	s.name = fmt.Sprintf("cell%d.spe%d", cell.Index, index)
 	s.mailbox = sim.NewQueue[Op](m.Eng)
-	m.Eng.SpawnStep(s.name, s.step)
+	m.Eng.Spawn(s.name, s.step)
 	return s
 }
 
 // step executes ops until one has to wait, and returns; the engine calls it
 // again when the wait is over.
 func (s *SPE) step(p *sim.Proc) {
-	cost := s.machine.Cost
+	m := s.machine
 	for {
-		if s.phase == 0 {
+		if !s.inHand {
 			op, ok := s.mailbox.TryGet(p)
 			if !ok {
 				return
@@ -134,11 +132,11 @@ func (s *SPE) step(p *sim.Proc) {
 				s.running = true
 				s.pending--
 			}
-			s.op, s.phase = op, 1
+			s.op, s.inHand = op, true
 		}
 		switch op := &s.op; op.kind {
 		case opLoad:
-			if s.phase == 1 {
+			if s.charge.phase == 0 { // not begun
 				if s.loadedModule == op.module {
 					break
 				}
@@ -147,15 +145,15 @@ func (s *SPE) step(p *sim.Proc) {
 			}
 			fallthrough
 		case opDMA:
-			if op.n > 0 && !s.occupy(p, cost.DMATime(int(op.n)), s.cell.EIB, "dma") {
+			if op.n > 0 && !m.occupy(p, &s.charge, &s.lane, m.Cost.DMATime(int(op.n)), s.cell.EIB, "dma") {
 				return
 			}
 		case opCompute:
-			if op.n > 0 && !s.occupy(p, sim.Duration(op.n), nil, "compute") {
+			if op.n > 0 && !m.occupy(p, &s.charge, &s.lane, sim.Duration(op.n), nil, "compute") {
 				return
 			}
 		case opKernelStartup:
-			if d := cost.SPEKernelStartup; d > 0 && !s.occupy(p, d, nil, "compute") {
+			if d := m.Cost.SPEKernelStartup; d > 0 && !m.occupy(p, &s.charge, &s.lane, d, nil, "compute") {
 				return
 			}
 		case opWait:
@@ -163,9 +161,9 @@ func (s *SPE) step(p *sim.Proc) {
 				return
 			}
 		case opNotifyPPE:
-			op.sig.FireAfter(cost.SPEToPPESignal)
+			op.sig.FireAfter(m.Cost.SPEToPPESignal)
 		case opSendPass:
-			op.sig.FireAfter(cost.SPEToSPESignal)
+			op.sig.FireAfter(m.Cost.SPEToSPESignal)
 		case opEnd:
 			s.running = false
 			s.tasksRun++
@@ -173,34 +171,8 @@ func (s *SPE) step(p *sim.Proc) {
 				op.sig.Fire()
 			}
 		}
-		s.phase = 0
+		s.inHand = false
 	}
-}
-
-// occupy is the one place SPE time is charged: it holds the SPE for d (and an
-// EIB slot, when eib is non-nil), counts it as busy and reports it to the
-// trace hook, so the traced SPE lane adds up to BusyTime. False means parked.
-func (s *SPE) occupy(p *sim.Proc, d sim.Duration, eib *sim.Resource, kind string) bool {
-	switch s.phase {
-	case 1:
-		s.phase = 2
-		if eib != nil && !eib.TryAcquire(p, 1) {
-			return false
-		}
-		fallthrough
-	case 2:
-		s.start = p.Now()
-		s.busy += d
-		s.phase = 3
-		if !p.Sleep(d) {
-			return false
-		}
-	}
-	if eib != nil {
-		eib.Release(1)
-	}
-	s.machine.emit(s.name, s.start, p.Now(), kind)
-	return true
 }
 
 // Cell returns the Cell this SPE belongs to.
@@ -231,10 +203,6 @@ func (s *SPE) Busy() bool { return s.running || s.pending > 0 }
 // QueueLength returns the number of programs waiting to run (not counting
 // the one currently running).
 func (s *SPE) QueueLength() int { return s.pending }
-
-// BusyTime returns the cumulative time the SPE spent computing or moving
-// data.
-func (s *SPE) BusyTime() sim.Duration { return s.busy }
 
 // TasksRun returns the number of completed programs.
 func (s *SPE) TasksRun() int { return s.tasksRun }

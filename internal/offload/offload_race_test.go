@@ -35,17 +35,17 @@ func TestConcurrentSimulationsShareNothing(t *testing.T) {
 			eng := sim.NewEngine()
 			m := cellsim.NewMachine(eng, cellsim.DefaultCostModel(), 1)
 			rt := NewRuntime(m, cfg, Optimized)
-			var last *sim.Signal
-			eng.Spawn("drv", func(p *sim.Proc) {
-				preload(rt, p, m.AllSPEs(), SerialModule)
-				for i, fn := range cfg.Functions {
-					rt.OffloadSerial(m.SPE(i%8), fn, 1.0).Wait(p)
-				}
-				spes := m.AllSPEs()[:4]
-				last = rt.OffloadWorkShared(spes[0], spes[1:], cfg.Functions[0], 1.0)
-				last.Wait(p)
-				results[g] = p.Now()
-			})
+			stages := []stage{func(sim.Time) []*sim.Signal { return preload(rt, m.AllSPEs(), SerialModule) }}
+			for i, fn := range cfg.Functions {
+				stages = append(stages, func(sim.Time) []*sim.Signal { return one(rt.OffloadSerial(m.SPE(i%8), fn, 1.0)) })
+			}
+			spes := m.AllSPEs()[:4]
+			stages = append(stages,
+				func(sim.Time) []*sim.Signal {
+					return one(rt.OffloadWorkShared(spes[0], spes[1:], cfg.Functions[0], 1.0))
+				},
+				func(now sim.Time) []*sim.Signal { results[g] = now; return nil })
+			drive(eng, stages...)
 			eng.Run()
 			if rt.Stats.SerialOffloads != len(cfg.Functions) {
 				t.Errorf("goroutine %d: serial off-loads = %d, want %d", g, rt.Stats.SerialOffloads, len(cfg.Functions))

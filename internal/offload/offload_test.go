@@ -17,22 +17,45 @@ func setup(t *testing.T) (*sim.Engine, *cellsim.Machine, *Runtime, *workload.Con
 	return eng, m, rt, cfg
 }
 
-// wait runs the engine inside a driver process waiting for the signal and
-// returns the completion time.
+// A stage is one step of a test's PPE-side driver: given the current time,
+// it submits work and returns the signals to wait for before the next stage.
+type stage = func(now sim.Time) []*sim.Signal
+
+// drive spawns a driver process that runs the stages in turn.
+func drive(eng *sim.Engine, stages ...stage) {
+	var pending []*sim.Signal
+	eng.Spawn("driver", func(p *sim.Proc) {
+		for {
+			for ; len(pending) > 0; pending = pending[1:] {
+				if !pending[0].Await(p) {
+					return
+				}
+			}
+			if len(stages) == 0 {
+				return
+			}
+			pending, stages = stages[0](p.Now()), stages[1:]
+		}
+	})
+}
+
+func one(sig *sim.Signal) []*sim.Signal { return []*sim.Signal{sig} }
+
+// waitFor runs the engine with a driver waiting for the signal and returns
+// the completion time.
 func waitFor(eng *sim.Engine, sig *sim.Signal) sim.Time {
 	var at sim.Time
-	eng.Spawn("driver", func(p *sim.Proc) {
-		sig.Wait(p)
-		at = p.Now()
-	})
+	drive(eng,
+		func(sim.Time) []*sim.Signal { return one(sig) },
+		func(now sim.Time) []*sim.Signal { at = now; return nil })
 	eng.Run()
 	return at
 }
 
 // preload ships the named module to each SPE ahead of time, so that a timed
-// off-load does not pay t_code, and blocks the calling (PPE-side) process
-// until every SPE has it resident.
-func preload(rt *Runtime, p *sim.Proc, spes []*cellsim.SPE, module cellsim.Module) {
+// off-load does not pay t_code; the driver waits for the signals it returns
+// until every SPE has the module resident.
+func preload(rt *Runtime, spes []*cellsim.SPE, module cellsim.Module) []*sim.Signal {
 	load := []cellsim.Op{cellsim.LoadModule(module, rt.moduleSize(module))}
 	signals := make([]*sim.Signal, len(spes))
 	for i, spe := range spes {
@@ -41,16 +64,12 @@ func preload(rt *Runtime, p *sim.Proc, spes []*cellsim.SPE, module cellsim.Modul
 			panic(err)
 		}
 	}
-	for _, s := range signals {
-		s.Wait(p)
-	}
+	return signals
 }
 
 func TestPreloadMakesModuleResidentEverywhere(t *testing.T) {
 	eng, m, rt, _ := setup(t)
-	eng.Spawn("ppe", func(p *sim.Proc) {
-		preload(rt, p, m.AllSPEs(), SerialModule)
-	})
+	drive(eng, func(sim.Time) []*sim.Signal { return preload(rt, m.AllSPEs(), SerialModule) })
 	eng.Run()
 	for _, spe := range m.AllSPEs() {
 		if spe.LoadedModule() != SerialModule {
@@ -114,12 +133,10 @@ func TestSecondOffloadSkipsCodeShipping(t *testing.T) {
 	first := rt.OffloadSerial(spe, fn, 1.0)
 	second := rt.OffloadSerial(spe, fn, 1.0)
 	var t1, t2 sim.Time
-	eng.Spawn("driver", func(p *sim.Proc) {
-		first.Wait(p)
-		t1 = p.Now()
-		second.Wait(p)
-		t2 = p.Now()
-	})
+	drive(eng,
+		func(sim.Time) []*sim.Signal { return one(first) },
+		func(now sim.Time) []*sim.Signal { t1 = now; return one(second) },
+		func(now sim.Time) []*sim.Signal { t2 = now; return nil })
 	eng.Run()
 	d1 := sim.Duration(t1)
 	d2 := t2.Sub(t1)
@@ -192,12 +209,14 @@ func TestWorkSharedFasterThanSerialForFewWorkers(t *testing.T) {
 	serialM := cellsim.NewMachine(serialEng, cellsim.DefaultCostModel(), 1)
 	serialRT := NewRuntime(serialM, cfg, Optimized)
 	var serialElapsed sim.Duration
-	serialEng.Spawn("drv", func(p *sim.Proc) {
-		preload(serialRT, p, []*cellsim.SPE{serialM.SPE(0)}, SerialModule)
-		start := p.Now()
-		serialRT.OffloadSerial(serialM.SPE(0), fn, 1.0).Wait(p)
-		serialElapsed = p.Now().Sub(start)
-	})
+	var serialStart sim.Time
+	drive(serialEng,
+		func(sim.Time) []*sim.Signal { return preload(serialRT, []*cellsim.SPE{serialM.SPE(0)}, SerialModule) },
+		func(now sim.Time) []*sim.Signal {
+			serialStart = now
+			return one(serialRT.OffloadSerial(serialM.SPE(0), fn, 1.0))
+		},
+		func(now sim.Time) []*sim.Signal { serialElapsed = now.Sub(serialStart); return nil })
 	serialEng.Run()
 
 	elapsedWith := func(workers int) sim.Duration {
@@ -205,13 +224,15 @@ func TestWorkSharedFasterThanSerialForFewWorkers(t *testing.T) {
 		m := cellsim.NewMachine(eng, cellsim.DefaultCostModel(), 1)
 		rt := NewRuntime(m, cfg, Optimized)
 		var elapsed sim.Duration
-		eng.Spawn("drv", func(p *sim.Proc) {
-			spes := m.AllSPEs()[:workers+1]
-			preload(rt, p, spes, ParallelModule)
-			start := p.Now()
-			rt.OffloadWorkShared(spes[0], spes[1:], fn, 1.0).Wait(p)
-			elapsed = p.Now().Sub(start)
-		})
+		var start sim.Time
+		spes := m.AllSPEs()[:workers+1]
+		drive(eng,
+			func(sim.Time) []*sim.Signal { return preload(rt, spes, ParallelModule) },
+			func(now sim.Time) []*sim.Signal {
+				start = now
+				return one(rt.OffloadWorkShared(spes[0], spes[1:], fn, 1.0))
+			},
+			func(now sim.Time) []*sim.Signal { elapsed = now.Sub(start); return nil })
 		eng.Run()
 		return elapsed
 	}
@@ -257,13 +278,10 @@ func TestSwitchingModulesChargesReplacement(t *testing.T) {
 	eng, m, rt, cfg := setup(t)
 	fn := cfg.Functions[2]
 	spe := m.SPE(0)
-	var sig *sim.Signal
-	eng.Spawn("drv", func(p *sim.Proc) {
-		rt.OffloadSerial(spe, fn, 1.0).Wait(p)
-		sig = rt.OffloadWorkShared(spe, nil, fn, 1.0)
-		sig.Wait(p)
-		rt.OffloadSerial(spe, fn, 1.0).Wait(p)
-	})
+	drive(eng,
+		func(sim.Time) []*sim.Signal { return one(rt.OffloadSerial(spe, fn, 1.0)) },
+		func(sim.Time) []*sim.Signal { return one(rt.OffloadWorkShared(spe, nil, fn, 1.0)) },
+		func(sim.Time) []*sim.Signal { return one(rt.OffloadSerial(spe, fn, 1.0)) })
 	eng.Run()
 	if spe.ModuleLoads() != 3 {
 		t.Errorf("module loads = %d, want 3 (serial -> parallel -> serial replacement)", spe.ModuleLoads())

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"cellmg/internal/cellsim"
 	"cellmg/internal/sim"
 	"cellmg/internal/workload"
 )
@@ -22,12 +23,8 @@ func (r *run) spawnEventDriven() {
 		cr.unfinished++
 	}
 	for _, p := range procs {
-		proc := p
-		cr := r.cellFor(p.ID)
-		r.eng.Spawn(fmt.Sprintf("mpi-%d", p.ID), func(sp *sim.Proc) {
-			cr.runEventDriven(sp, proc)
-			r.finish[proc.ID] = sim.Duration(sp.Now())
-		})
+		m := &mpiProc{c: r.cellFor(p.ID), proc: p}
+		r.eng.Spawn(fmt.Sprintf("mpi-%d", p.ID), m.step)
 	}
 }
 
@@ -38,18 +35,17 @@ func (c *cellRun) oversubscribed() bool {
 	return c.assigned > c.cell.PPE.Contexts()
 }
 
-// acquireSPEs claims the SPEs the pool grants proc's next off-load, master
-// first, waiting while too few are free. The caller must not hold a PPE
-// context (the EDTLP scheduler blocks only SPE-side work, never a PPE
-// hardware thread). The pool is asked again after every wait, so an MGPS
-// mode switch takes effect immediately for queued off-loads.
-func (c *cellRun) acquireSPEs(sp *sim.Proc, proc *workload.Process) []int {
-	for {
-		if group, ok := c.pool.Acquire(proc.ID); ok {
-			return group
-		}
-		c.speFree.Wait(sp)
+// acquireSPEs asks the pool for the SPEs of proc's next off-load, master
+// first, and parks sp until SPEs are released if it cannot grant them yet;
+// the woken process asks again, so an MGPS mode switch takes effect at once
+// for queued off-loads. The caller must not hold a PPE context (the EDTLP
+// scheduler blocks only SPE-side work, never a PPE hardware thread).
+func (c *cellRun) acquireSPEs(sp *sim.Proc, proc int) ([]int, bool) {
+	group, ok := c.pool.Acquire(proc)
+	if !ok {
+		c.speFree.Await(sp)
 	}
+	return group, ok
 }
 
 // releaseSPEs returns the SPEs of a completed off-load and wakes processes
@@ -73,83 +69,128 @@ func (c *cellRun) offload(group []int, step workload.Step) *sim.Signal {
 	return rt.OffloadWorkShared(spes[group[0]], c.workers, step.Fn, step.Scale)
 }
 
-// runEventDriven executes one bootstrap process under the event-driven
-// user-level scheduler.
-func (c *cellRun) runEventDriven(sp *sim.Proc, proc *workload.Process) {
-	ppe := c.cell.PPE
-	cost := c.parent.machine.Cost
-	rt := c.parent.rt
+// mpiState is where an MPI process is; it may park in any state but mpiStep.
+type mpiState uint8
 
-	// Under the static EDTLP-LLP scheme each process binds its SPE group for
-	// its entire lifetime before touching the PPE (binding first avoids
-	// holding a PPE context while waiting for SPEs, which could starve the
-	// processes that already own groups).
-	var bound []int
-	if c.persistentGroups {
-		bound = c.acquireSPEs(sp, proc)
-	}
+const (
+	mpiBind    mpiState = iota // static EDTLP-LLP: claim the group it keeps for life
+	mpiContext                 // claim a PPE context, pay for having been switched out
+	mpiStep                    // look at the next workload step
+	mpiCompute                 // PPE code, or an off-load that failed the granularity test
+	mpiSignal                  // the off-load request's PPE-side signalling cost
+	mpiSwitch                  // switch away, giving up the context
+	mpiGrant                   // claim SPEs for the off-load and submit it
+	mpiAwait                   // wait for the off-load to complete
+)
 
-	holding := false
-	first := true
-	acquire := func() {
-		if !holding {
-			ppe.AcquireContext(sp)
-			holding = true
-			// Resuming after having been switched out costs cold caches and
-			// TLBs when the PPE is oversubscribed with more MPI processes
-			// than hardware contexts.
-			if !first && c.oversubscribed() {
-				ppe.Resume(sp)
+// mpiProc is one bootstrap process under the event-driven user-level
+// scheduler, a step process of the engine.
+type mpiProc struct {
+	c     *cellRun
+	proc  *workload.Process
+	state mpiState
+	next  int // the step in hand
+
+	holding, resumed bool  // holds a PPE context; has held one before
+	bound, group     []int // the lifetime group (static EDTLP-LLP); this off-load's group
+	d                sim.Duration
+	charge           cellsim.Charge
+	done             *sim.Signal
+}
+
+func (m *mpiProc) step(sp *sim.Proc) {
+	c, ppe, rt := m.c, m.c.cell.PPE, m.c.parent.rt
+	var ok bool
+	for {
+		switch m.state {
+		case mpiBind:
+			// Binding first avoids holding a PPE context while waiting for
+			// SPEs, which could starve the processes that already own groups.
+			if c.persistentGroups {
+				if m.bound, ok = c.acquireSPEs(sp, m.proc.ID); !ok {
+					return
+				}
 			}
-			first = false
-		}
-	}
-	release := func(chargeSwitch bool) {
-		if holding {
-			if chargeSwitch && c.oversubscribed() {
-				ppe.ContextSwitch(sp)
+			m.state = mpiContext
+		case mpiContext:
+			if !m.holding {
+				m.holding = true
+				if !ppe.TryAcquireContext(sp) {
+					return // woken holding it
+				}
+			}
+			// Resuming after having been switched out costs cold caches and
+			// TLBs when the PPE is oversubscribed with more MPI processes than
+			// hardware contexts.
+			if m.resumed && c.oversubscribed() && !ppe.Resume(sp, &m.charge) {
+				return
+			}
+			m.resumed = true
+			m.state = mpiStep
+		case mpiStep:
+			if m.next == len(m.proc.Steps) {
+				if m.holding {
+					ppe.ReleaseContext()
+				}
+				if m.bound != nil {
+					c.releaseSPEs(m.bound)
+				}
+				c.unfinished--
+				c.parent.finish[m.proc.ID] = sim.Duration(sp.Now())
+				return
+			}
+			switch step := m.proc.Steps[m.next]; {
+			case !m.holding:
+				m.state = mpiContext
+			case step.Kind == workload.PPECompute:
+				m.d, m.state = step.Duration, mpiCompute
+			case !rt.GranularityOK(step.Fn, true):
+				// Tasks too fine to be worth shipping run on the PPE instead
+				// (the runtime keeps PPE versions of every off-loadable
+				// function for exactly this purpose).
+				m.d, m.state = rt.RunOnPPE(step.Fn, step.Scale), mpiCompute
+			default:
+				m.state = mpiSignal
+			}
+		case mpiCompute:
+			if !ppe.Compute(sp, &m.charge, m.d) {
+				return
+			}
+			m.next++
+			m.state = mpiStep
+		case mpiSignal:
+			// The off-load request: the scheduler charges the signalling cost
+			// on the PPE side, then switches to another MPI process while the
+			// SPEs work.
+			if !ppe.Compute(sp, &m.charge, c.parent.machine.Cost.PPEToSPESignal) {
+				return
+			}
+			m.state = mpiSwitch
+		case mpiSwitch:
+			if c.oversubscribed() && !ppe.ContextSwitch(sp, &m.charge) {
+				return
 			}
 			ppe.ReleaseContext()
-			holding = false
+			m.holding = false
+			m.state = mpiGrant
+		case mpiGrant:
+			if m.group = m.bound; m.group == nil {
+				if m.group, ok = c.acquireSPEs(sp, m.proc.ID); !ok {
+					return
+				}
+			}
+			m.done = c.offload(m.group, m.proc.Steps[m.next])
+			m.state = mpiAwait
+		case mpiAwait:
+			if !m.done.Await(sp) {
+				return
+			}
+			if m.bound == nil {
+				c.releaseSPEs(m.group)
+			}
+			c.pool.Depart(m.proc.ID, c.unfinished)
+			m.next++
+			m.state = mpiStep
 		}
 	}
-
-	acquire()
-	for _, step := range proc.Steps {
-		switch step.Kind {
-		case workload.PPECompute:
-			acquire()
-			ppe.Compute(sp, step.Duration)
-
-		case workload.OffloadCall:
-			acquire()
-			// Granularity test: tasks too fine to be worth shipping run on
-			// the PPE instead (the runtime keeps PPE versions of every
-			// off-loadable function for exactly this purpose).
-			if !rt.GranularityOK(step.Fn, true) {
-				ppe.Compute(sp, rt.RunOnPPE(step.Fn, step.Scale))
-				continue
-			}
-			// The off-load request: the scheduler charges the signalling
-			// cost on the PPE side, then switches to another MPI process
-			// while the SPEs work.
-			ppe.Compute(sp, cost.PPEToSPESignal)
-			release(true)
-
-			group := bound
-			if group == nil {
-				group = c.acquireSPEs(sp, proc)
-			}
-			c.offload(group, step).Wait(sp)
-			if bound == nil {
-				c.releaseSPEs(group)
-			}
-			c.pool.Depart(proc.ID, c.unfinished)
-		}
-	}
-	release(false)
-	if bound != nil {
-		c.releaseSPEs(bound)
-	}
-	c.unfinished--
 }

@@ -12,12 +12,10 @@ import (
 // sequence, the progress made so far, and the SPE its off-loads are bound to.
 type kernelProc struct {
 	proc *workload.Process
-	cell *cellRun
 	spe  *cellsim.SPE
 
 	stepIdx  int
 	consumed sim.Duration // portion of the current compute step already executed
-	done     bool
 }
 
 // runKernelScheduled models the paper's baseline: the MPI processes are
@@ -37,13 +35,14 @@ type kernelProc struct {
 // With ppeOnly set, off-loadable calls are executed on the PPE instead (the
 // starting point of Section 5.1).
 func runKernelScheduled(r *run, procs []*workload.Process, ppeOnly bool) {
-	// One run queue per PPE hardware context, like the kernel's per-CPU
-	// queues.
-	type ctxKey struct{ cell, ctx int }
-	queues := map[ctxKey]*sim.Queue[*kernelProc]{}
+	// One dispatcher with its own run queue per PPE hardware context, like
+	// the kernel's per-CPU queues.
+	dispatchers := make([][]*kernelDispatcher, len(r.cells))
 	for ci, c := range r.cells {
 		for ctx := 0; ctx < c.cell.PPE.Contexts(); ctx++ {
-			queues[ctxKey{ci, ctx}] = sim.NewQueue[*kernelProc](r.eng)
+			d := &kernelDispatcher{c: c, q: sim.NewQueue[*kernelProc](r.eng), ppeOnly: ppeOnly}
+			dispatchers[ci] = append(dispatchers[ci], d)
+			r.eng.Spawn(fmt.Sprintf("cell%d.kdispatch%d", ci, ctx), d.step)
 		}
 	}
 	perCellCount := make([]int, len(r.cells))
@@ -54,85 +53,121 @@ func runKernelScheduled(r *run, procs []*workload.Process, ppeOnly bool) {
 		ci := cr.cell.Index
 		seq := perCellCount[ci]
 		perCellCount[ci]++
-		kp := &kernelProc{
-			proc: p,
-			cell: cr,
-			spe:  cr.cell.SPEs[seq%cellsim.SPEsPerCell],
-		}
-		queues[ctxKey{ci, seq % cr.cell.PPE.Contexts()}].Put(kp)
-	}
-	for ci, c := range r.cells {
-		for ctx := 0; ctx < c.cell.PPE.Contexts(); ctx++ {
-			cr := c
-			q := queues[ctxKey{ci, ctx}]
-			r.eng.Spawn(fmt.Sprintf("cell%d.kdispatch%d", ci, ctx), func(sp *sim.Proc) {
-				r.kernelDispatcher(sp, cr, q, ppeOnly)
-			})
-		}
+		dispatchers[ci][seq%len(dispatchers[ci])].q.Put(&kernelProc{proc: p, spe: cr.cell.SPEs[seq%cellsim.SPEsPerCell]})
 	}
 }
 
-// kernelDispatcher is one PPE hardware context under the kernel scheduler:
-// it pops a process from the run queue and executes it until it finishes or
-// its quantum expires while other processes are runnable.
-func (r *run) kernelDispatcher(sp *sim.Proc, cr *cellRun, q *sim.Queue[*kernelProc], ppeOnly bool) {
-	cost := r.machine.Cost
-	ppe := cr.cell.PPE
-	for {
-		kp := q.Get(sp)
-		quantumEnd := sp.Now().Add(cost.KernelQuantum)
-		preempted := false
-		for !kp.done && !preempted {
-			step := kp.proc.Steps[kp.stepIdx]
-			switch {
-			case step.Kind == workload.PPECompute || ppeOnly:
-				// Both genuine PPE bursts and (in PPE-only mode) the PPE
-				// fallback versions of the likelihood functions are ordinary
-				// computation that the quantum can split.
-				total := step.Duration
-				if step.Kind == workload.OffloadCall {
-					total = sim.Duration(float64(step.Fn.PPETime) * step.Scale)
-					if kp.consumed == 0 {
-						r.rt.Stats.PPEExecutions++
-					}
-				}
-				remaining := total - kp.consumed
-				budget := quantumEnd.Sub(sp.Now())
-				if budget < remaining && q.Len() > 0 {
-					ppe.Compute(sp, budget)
-					kp.consumed += budget
-				} else {
-					ppe.Compute(sp, remaining)
-					kp.consumed = 0
-					kp.stepIdx++
-				}
+// kernelState is where a kernel dispatcher is; it may park in any state but
+// kernelRun and kernelNext.
+type kernelState uint8
 
-			default: // OffloadCall with off-loading enabled
-				ppe.Compute(sp, cost.PPEToSPESignal)
-				done := r.rt.OffloadSerial(kp.spe, step.Fn, step.Scale)
-				// The MPI process spin-waits on the completion mailbox while
-				// continuing to hold its hardware context: the off-loaded
-				// task is far shorter than the quantum, so the kernel never
-				// switches here — precisely the pathology EDTLP fixes.
-				done.Wait(sp)
+const (
+	kernelGet     kernelState = iota // take the next process off the run queue
+	kernelRun                        // look at the process' next step
+	kernelCompute                    // a compute slice, cut at the quantum
+	kernelOffload                    // signal an off-load, then spin-wait for it
+	kernelNext                       // the process finished, its quantum expired, or it runs on
+	kernelSwitch                     // quantum expired: involuntary switch
+)
+
+// kernelDispatcher is one PPE hardware context under the kernel scheduler, a
+// step process of the engine: it pops a process from its run queue and
+// executes it until it finishes or its quantum expires while other processes
+// are runnable.
+type kernelDispatcher struct {
+	c       *cellRun
+	q       *sim.Queue[*kernelProc]
+	ppeOnly bool
+
+	state      kernelState
+	kp         *kernelProc
+	quantumEnd sim.Time
+	d          sim.Duration
+	charge     cellsim.Charge
+	done       *sim.Signal // the off-load in flight
+}
+
+func (k *kernelDispatcher) step(sp *sim.Proc) {
+	r, ppe := k.c.parent, k.c.cell.PPE
+	cost := r.machine.Cost
+	for {
+		switch k.state {
+		case kernelGet:
+			kp, ok := k.q.TryGet(sp)
+			if !ok {
+				return
+			}
+			k.kp, k.quantumEnd = kp, sp.Now().Add(cost.KernelQuantum)
+			k.state = kernelRun
+		case kernelRun:
+			kp := k.kp
+			step := kp.proc.Steps[kp.stepIdx]
+			if step.Kind == workload.OffloadCall && !k.ppeOnly {
+				k.state = kernelOffload
+				continue
+			}
+			// Both genuine PPE bursts and (in PPE-only mode) the PPE fallback
+			// versions of the likelihood functions are ordinary computation
+			// that the quantum can split.
+			total := step.Duration
+			if step.Kind == workload.OffloadCall {
+				total = sim.Duration(float64(step.Fn.PPETime) * step.Scale)
+				if kp.consumed == 0 {
+					r.rt.Stats.PPEExecutions++
+				}
+			}
+			remaining := total - kp.consumed
+			if budget := k.quantumEnd.Sub(sp.Now()); budget < remaining && k.q.Len() > 0 {
+				k.d = budget
+				kp.consumed += budget
+			} else {
+				k.d = remaining
+				kp.consumed = 0
 				kp.stepIdx++
 			}
-
-			if kp.stepIdx >= len(kp.proc.Steps) {
-				kp.done = true
-				break
+			k.state = kernelCompute
+		case kernelCompute:
+			if !ppe.Compute(sp, &k.charge, k.d) {
+				return
 			}
-			if sp.Now() >= quantumEnd && q.Len() > 0 {
-				preempted = true
+			k.state = kernelNext
+		case kernelOffload:
+			if k.done == nil {
+				if !ppe.Compute(sp, &k.charge, cost.PPEToSPESignal) {
+					return
+				}
+				step := k.kp.proc.Steps[k.kp.stepIdx]
+				k.done = r.rt.OffloadSerial(k.kp.spe, step.Fn, step.Scale)
 			}
+			// The MPI process spin-waits on the completion mailbox while
+			// continuing to hold its hardware context: the off-loaded task is
+			// far shorter than the quantum, so the kernel never switches here
+			// — precisely the pathology EDTLP fixes.
+			if !k.done.Await(sp) {
+				return
+			}
+			k.done = nil
+			k.kp.stepIdx++
+			k.state = kernelNext
+		case kernelNext:
+			switch kp := k.kp; {
+			case kp.stepIdx >= len(kp.proc.Steps):
+				r.finish[kp.proc.ID] = sim.Duration(sp.Now())
+				k.c.unfinished--
+				k.state = kernelGet
+			case sp.Now() >= k.quantumEnd && k.q.Len() > 0:
+				k.state = kernelSwitch
+			default:
+				k.state = kernelRun
+			}
+		case kernelSwitch:
+			// Quantum expired with other runnable processes: involuntary
+			// switch.
+			if !ppe.KernelSwitch(sp, &k.charge) {
+				return
+			}
+			k.q.Put(k.kp)
+			k.state = kernelGet
 		}
-		if kp.done {
-			r.finish[kp.proc.ID] = sim.Duration(sp.Now())
-			kp.cell.unfinished--
-			continue
-		}
-		// Quantum expired with other runnable processes: involuntary switch.
-		ppe.KernelSwitch(sp)
-		q.Put(kp)
 	}
 }

@@ -188,9 +188,8 @@ func newRun(opt Options) *run {
 func (r *run) cellFor(procID int) *cellRun { return r.cells[procID%len(r.cells)] }
 
 // complete runs the simulation to its end, reads the Result off the machine
-// and shuts the engine down: the kernel dispatchers (coroutines) and the SPEs
-// (step processes) wait for work forever, and only Close releases them and
-// everything they pin.
+// and shuts the engine down: the kernel dispatchers and the SPEs wait for
+// work forever, and only Close ends them and drops what the engine holds.
 func (r *run) complete(name string) Result {
 	r.eng.Run()
 	res := r.result(name)

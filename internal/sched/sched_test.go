@@ -9,6 +9,7 @@ import (
 
 	"cellmg/internal/offload"
 	"cellmg/internal/policy"
+	"cellmg/internal/sim"
 	"cellmg/internal/workload"
 )
 
@@ -349,18 +350,28 @@ func TestSweepMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestSimulationLeavesNoGoroutines: a finished run must release its simulated
-// processes. The kernel dispatchers of RunLinux and RunPPEOnly never return on
-// their own — they wait on their run queues — so without an explicit engine
-// shutdown each run strands their coroutines, and everything they reference,
-// for the life of the program. (The SPEs are step processes and start none.)
+// TestSimulationLeavesNoGoroutines: no simulation runs a goroutine. Every
+// simulated process — SPE, MPI process, kernel dispatcher — is a step
+// function the engine calls, so the goroutine count sampled from the trace
+// hook during the run, and the count after it, equal the count before it.
+// The kernel dispatchers of RunLinux and RunPPEOnly never return on their own
+// — they park on their run queues — so the engine shutdown must also end
+// them.
 func TestSimulationLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
+	during := map[int]int{} // goroutine count → intervals it was seen at
 	opt := Options{Workload: fastConfig(), Bootstraps: 3, SPEsPerLoop: 4}
-	for _, run := range []func(Options) Result{RunEDTLP, RunStaticHybrid, RunMGPS, RunLinux, RunPPEOnly} {
-		run(opt)
+	opt.Trace = func(string, sim.Time, sim.Time, string) { during[runtime.NumGoroutine()]++ }
+	for _, name := range []string{"edtlp", "hybrid", "mgps", "linux", "ppe-only"} {
+		clear(during)
+		if _, err := Run(name, opt); err != nil {
+			t.Fatal(err)
+		}
+		if len(during) != 1 || during[before] == 0 {
+			t.Errorf("%s: %d goroutines before the run; goroutine counts during it (count: intervals) %v", name, before, during)
+		}
 		if after := runtime.NumGoroutine(); after != before {
-			t.Fatalf("%d goroutines before the run, %d after it", before, after)
+			t.Fatalf("%s: %d goroutines before the run, %d after it", name, before, after)
 		}
 	}
 }

@@ -2,14 +2,18 @@ package sim
 
 import "testing"
 
-// BenchmarkEventDispatch measures the raw cost of one timed event
-// (schedule + context hand-off), the unit everything in cellsim and sched is
-// built from.
+// BenchmarkEventDispatch measures the raw cost of one timed event (schedule
+// and wake-up), the unit everything in cellsim and sched is built from. A
+// lone process' Sleep is the next event, so this is the inline advance.
 func BenchmarkEventDispatch(b *testing.B) {
 	eng := NewEngine()
+	ticks := 0
 	eng.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Delay(Microsecond)
+		for ticks < b.N {
+			ticks++
+			if !p.Sleep(Microsecond) {
+				return
+			}
 		}
 	})
 	b.ReportAllocs()
@@ -18,34 +22,13 @@ func BenchmarkEventDispatch(b *testing.B) {
 }
 
 // BenchmarkQueueHandoff measures a producer/consumer hand-off through a
-// simulated queue (two process wake-ups per item).
+// simulated queue (two process wake-ups per item, each a call of a step
+// function).
 func BenchmarkQueueHandoff(b *testing.B) {
 	eng := NewEngine()
 	q := NewQueue[int](eng)
-	eng.Spawn("producer", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			q.Put(i)
-			p.Delay(Nanosecond)
-		}
-	})
-	eng.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			q.Get(p)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Run()
-}
-
-// BenchmarkStepQueueHandoff is BenchmarkQueueHandoff between two step
-// processes, the kind a simulated SPE is: every wake-up is a call, not a
-// coroutine switch.
-func BenchmarkStepQueueHandoff(b *testing.B) {
-	eng := NewEngine()
-	q := NewQueue[int](eng)
 	sent := 0
-	eng.SpawnStep("producer", func(p *Proc) {
+	eng.Spawn("producer", func(p *Proc) {
 		for sent < b.N {
 			q.Put(sent)
 			sent++
@@ -55,7 +38,7 @@ func BenchmarkStepQueueHandoff(b *testing.B) {
 		}
 	})
 	got := 0
-	eng.SpawnStep("consumer", func(p *Proc) {
+	eng.Spawn("consumer", func(p *Proc) {
 		for got < b.N {
 			if _, ok := q.TryGet(p); !ok {
 				return
@@ -75,11 +58,25 @@ func BenchmarkResourceContention(b *testing.B) {
 	res := NewResource(eng, "bench", 2)
 	per := b.N/4 + 1
 	for i := 0; i < 4; i++ {
+		left, phase := per, 0
 		eng.Spawn("user", func(p *Proc) {
-			for j := 0; j < per; j++ {
-				res.Acquire(p, 1)
-				p.Delay(Nanosecond)
+			for left > 0 {
+				switch phase {
+				case 0:
+					phase = 1
+					if !res.TryAcquire(p, 1) {
+						return // woken holding the unit
+					}
+					fallthrough
+				case 1:
+					phase = 2
+					if !p.Sleep(Nanosecond) {
+						return
+					}
+				}
 				res.Release(1)
+				phase = 0
+				left--
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"iter"
 	"sort"
 )
 
@@ -80,7 +79,6 @@ type Engine struct {
 	queue  []event // binary min-heap ordered by event.before
 	procs  []*Proc
 	live   int
-	nextID int
 	closed bool
 }
 
@@ -143,65 +141,32 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// stopped is what a suspended process panics with when Close ends it; the
-// wrapper installed by Spawn recovers it, and nothing else.
-type stopped struct{}
-
-// Spawn creates a new coroutine process executing fn. It starts at the current
-// virtual time, after all previously scheduled events for this instant. Spawn
-// may be called before Run (the process then starts at time zero) or at any
-// point during the simulation, including from other processes.
-func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := e.add(name, nil)
-	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			p.state = stateDone
-			e.live--
-			if r := recover(); r != nil && r != (stopped{}) {
-				panic(r) // a real failure: iter.Pull re-raises it in Run's caller
-			}
-		}()
-		fn(p)
-	})
-	return p
-}
-
-// SpawnStep creates a new step process, started as Spawn's would be. At its
-// start and at every wake-up the engine calls step, which keeps its own state
-// from call to call and returns once a non-blocking half has parked the
-// process; a call that returns without parking ends the process.
-func (e *Engine) SpawnStep(name string, step func(p *Proc)) *Proc { return e.add(name, step) }
-
-func (e *Engine) add(name string, step func(p *Proc)) *Proc {
+// Spawn creates a new process whose step function is step. It starts at the
+// current virtual time, after all previously scheduled events for this
+// instant: the engine calls step then and at every wake-up. Spawn may be
+// called before Run (the process then starts at time zero) or at any point
+// during the simulation, including from other processes.
+func (e *Engine) Spawn(name string, step func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn after engine shut down")
 	}
-	e.nextID++
-	p := &Proc{eng: e, name: name, id: e.nextID, step: step}
+	p := &Proc{eng: e, name: name, id: len(e.procs) + 1, step: step}
 	e.procs = append(e.procs, p)
 	e.live++
 	e.schedule(event{at: e.now, proc: p})
 	return p
 }
 
-// Close ends the simulation and releases what the engine holds. Every process
-// that has not returned is ended; a suspended coroutine is stopped where it
-// is: its pending primitive panics with a private value that unwinds the body
-// (deferred functions run, and must not touch simulation primitives), which
-// Spawn's wrapper recovers. Close is idempotent and must not be called from
-// inside a process; a closed engine can be read (Now, Live) but not run.
+// Close ends the simulation and releases what the engine holds: every process
+// that has not returned is ended where it is, and the event queue is dropped.
+// Close is idempotent and must not be called from inside a process; a closed
+// engine can be read (Now, Live) but not run.
 func (e *Engine) Close() {
 	e.closed = true
 	for _, p := range e.procs {
 		if p.state != stateDone {
-			if p.stop != nil {
-				p.stop()
-			}
-			if p.state != stateDone { // a step process, or never started: no wrapper ran
-				p.state = stateDone
-				e.live--
-			}
+			p.state = stateDone
+			e.live--
 		}
 	}
 	e.procs, e.queue = nil, nil
@@ -224,7 +189,7 @@ func (e *Engine) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil executes events with timestamps not exceeding limit. If the event
 // queue drains earlier, the clock stops at the last dispatched event;
-// otherwise the clock is left at limit. A panic in a process body surfaces
+// otherwise the clock is left at limit. A panic in a step function surfaces
 // here, in the caller's goroutine.
 func (e *Engine) RunUntil(limit Time) Time {
 	e.limit = limit
@@ -241,9 +206,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 			continue
 		}
 		p.state = stateRunning
-		if p.step == nil {
-			p.resume()
-		} else if p.step(p); p.state == stateRunning { // returned without parking: ended
+		if p.step(p); p.state == stateRunning { // returned without parking: ended
 			p.state = stateDone
 			e.live--
 		}

@@ -15,11 +15,11 @@ func TestClockStartsAtZero(t *testing.T) {
 func TestDelayAdvancesClock(t *testing.T) {
 	eng := NewEngine()
 	var end Time
-	eng.Spawn("p", func(p *Proc) {
-		p.Delay(5 * Microsecond)
-		p.Delay(7 * Microsecond)
-		end = p.Now()
-	})
+	script{
+		sleep(5 * Microsecond),
+		sleep(7 * Microsecond),
+		do(func(p *Proc) { end = p.Now() }),
+	}.spawn(eng, "p")
 	final := eng.Run()
 	if end != Time(12*Microsecond) {
 		t.Errorf("process observed end time %v, want 12us", end)
@@ -29,32 +29,14 @@ func TestDelayAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestBusyTimeAccounting(t *testing.T) {
-	eng := NewEngine()
-	idle := NewSignal(eng)
-	pp := eng.Spawn("p", func(p *Proc) {
-		p.Delay(3 * Microsecond)
-		idle.FireAfter(10 * Microsecond)
-		idle.Wait(p) // waiting, not busy
-		p.Delay(2 * Microsecond)
-	})
-	if final := eng.Run(); final != Time(15*Microsecond) {
-		t.Errorf("finished at %v, want 15us", final)
-	}
-	if pp.BusyTime() != 5*Microsecond {
-		t.Errorf("busy time = %v, want 5us", pp.BusyTime())
-	}
-}
-
 func TestSameInstantFIFOOrder(t *testing.T) {
 	eng := NewEngine()
 	var order []string
 	for _, name := range []string{"a", "b", "c", "d"} {
-		name := name
-		eng.Spawn(name, func(p *Proc) {
-			p.Delay(10 * Microsecond) // all wake at the same instant
-			order = append(order, name)
-		})
+		script{
+			sleep(10 * Microsecond), // all wake at the same instant
+			do(func(*Proc) { order = append(order, name) }),
+		}.spawn(eng, name)
 	}
 	eng.Run()
 	want := []string{"a", "b", "c", "d"}
@@ -71,18 +53,15 @@ func TestDeterministicReplay(t *testing.T) {
 		q := NewQueue[int](eng)
 		var log []string
 		for i := 0; i < 3; i++ {
-			i := i
-			eng.Spawn("producer", func(p *Proc) {
-				p.Delay(Duration(i+1) * Microsecond)
-				q.Put(i)
-			})
+			script{
+				sleep(Duration(i+1) * Microsecond),
+				do(func(*Proc) { q.Put(i) }),
+			}.spawn(eng, "producer")
 		}
 		for i := 0; i < 3; i++ {
-			i := i
-			eng.Spawn("consumer", func(p *Proc) {
-				v := q.Get(p)
-				log = append(log, string(rune('a'+i))+string(rune('0'+v)))
-			})
+			script{
+				take(q, func(v int) { log = append(log, string(rune('a'+i))+string(rune('0'+v))) }),
+			}.spawn(eng, "consumer")
 		}
 		eng.Run()
 		return log
@@ -104,14 +83,16 @@ func TestDeterministicReplay(t *testing.T) {
 func TestSpawnDuringRun(t *testing.T) {
 	eng := NewEngine()
 	var childRanAt Time
-	eng.Spawn("parent", func(p *Proc) {
-		p.Delay(4 * Microsecond)
-		eng.Spawn("child", func(c *Proc) {
-			c.Delay(1 * Microsecond)
-			childRanAt = c.Now()
-		})
-		p.Delay(10 * Microsecond)
-	})
+	script{
+		sleep(4 * Microsecond),
+		do(func(*Proc) {
+			script{
+				sleep(1 * Microsecond),
+				do(func(c *Proc) { childRanAt = c.Now() }),
+			}.spawn(eng, "child")
+		}),
+		sleep(10 * Microsecond),
+	}.spawn(eng, "parent")
 	eng.Run()
 	if childRanAt != Time(5*Microsecond) {
 		t.Errorf("child finished at %v, want 5us", childRanAt)
@@ -121,12 +102,11 @@ func TestSpawnDuringRun(t *testing.T) {
 func TestRunUntilStopsClock(t *testing.T) {
 	eng := NewEngine()
 	var reached []Time
-	eng.Spawn("p", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Delay(10 * Microsecond)
-			reached = append(reached, p.Now())
-		}
-	})
+	var ten script
+	for i := 0; i < 10; i++ {
+		ten = append(ten, sleep(10*Microsecond), do(func(p *Proc) { reached = append(reached, p.Now()) }))
+	}
+	ten.spawn(eng, "p")
 	final := eng.RunUntil(Time(35 * Microsecond))
 	if final != Time(35*Microsecond) {
 		t.Errorf("final time = %v, want 35us", final)
@@ -144,11 +124,11 @@ func TestRunUntilStopsClock(t *testing.T) {
 func TestBlockedReportsDeadlockedProcesses(t *testing.T) {
 	eng := NewEngine()
 	q := NewQueue[int](eng)
-	eng.Spawn("stuck", func(p *Proc) { q.Get(p) })
-	eng.Spawn("fine", func(p *Proc) { p.Delay(Microsecond) })
-	eng.SpawnStep("stuck step", func(p *Proc) { q.TryGet(p) })
+	script{take(q, func(int) {})}.spawn(eng, "stuck")
+	script{sleep(Microsecond)}.spawn(eng, "fine")
+	eng.Spawn("stuck step", func(p *Proc) { q.TryGet(p) })
 	slept := false
-	eng.SpawnStep("fine step", func(p *Proc) {
+	eng.Spawn("fine step", func(p *Proc) {
 		if !slept {
 			slept = true
 			p.Sleep(Microsecond)
@@ -197,15 +177,18 @@ func TestPropertyFinalClockIsMaxDelay(t *testing.T) {
 			if d > max {
 				max = d
 			}
-			eng.Spawn("p", func(p *Proc) {
-				prev := p.Now()
-				half := d / 2
-				p.Delay(half)
-				if p.Now() < prev {
-					monotonic = false
-				}
-				p.Delay(d - half)
-			})
+			var prev Time
+			half := d / 2
+			script{
+				do(func(p *Proc) { prev = p.Now() }),
+				sleep(half),
+				do(func(p *Proc) {
+					if p.Now() < prev {
+						monotonic = false
+					}
+				}),
+				sleep(d - half),
+			}.spawn(eng, "p")
 		}
 		final := eng.Run()
 		return monotonic && final == Time(max)
@@ -217,7 +200,7 @@ func TestPropertyFinalClockIsMaxDelay(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	eng := NewEngine()
-	eng.Spawn("p", func(p *Proc) { p.Delay(10 * Microsecond) })
+	script{sleep(10 * Microsecond)}.spawn(eng, "p")
 	eng.Run()
 	defer func() {
 		if recover() == nil {

@@ -9,17 +9,13 @@ func TestQueueFIFODelivery(t *testing.T) {
 	eng := NewEngine()
 	q := NewQueue[int](eng)
 	var got []int
-	eng.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			q.Put(i)
-			p.Delay(Microsecond)
-		}
-	})
-	eng.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, q.Get(p))
-		}
-	})
+	var producer, consumer script
+	for i := 0; i < 5; i++ {
+		producer = append(producer, do(func(*Proc) { q.Put(i) }), sleep(Microsecond))
+		consumer = append(consumer, take(q, func(v int) { got = append(got, v) }))
+	}
+	producer.spawn(eng, "producer")
+	consumer.spawn(eng, "consumer")
 	eng.Run()
 	for i, v := range got {
 		if v != i {
@@ -33,18 +29,16 @@ func TestQueueWaitersServedInOrder(t *testing.T) {
 	q := NewQueue[string](eng)
 	var winners []string
 	for _, name := range []string{"first", "second", "third"} {
-		name := name
-		eng.Spawn(name, func(p *Proc) {
-			v := q.Get(p)
-			winners = append(winners, name+":"+v)
-		})
+		script{take(q, func(v string) { winners = append(winners, name+":"+v) })}.spawn(eng, name)
 	}
-	eng.Spawn("producer", func(p *Proc) {
-		p.Delay(Microsecond)
-		q.Put("x")
-		q.Put("y")
-		q.Put("z")
-	})
+	script{
+		sleep(Microsecond),
+		do(func(*Proc) {
+			q.Put("x")
+			q.Put("y")
+			q.Put("z")
+		}),
+	}.spawn(eng, "producer")
 	eng.Run()
 	want := []string{"first:x", "second:y", "third:z"}
 	for i := range want {
@@ -59,16 +53,20 @@ func TestResourceLimitsConcurrency(t *testing.T) {
 	res := NewResource(eng, "cpu", 2)
 	inUse, maxInUse := 0, 0
 	for i := 0; i < 6; i++ {
-		eng.Spawn("user", func(p *Proc) {
-			res.Acquire(p, 1)
-			inUse++
-			if inUse > maxInUse {
-				maxInUse = inUse
-			}
-			p.Delay(10 * Microsecond)
-			inUse--
-			res.Release(1)
-		})
+		script{
+			acquire(res, 1),
+			do(func(*Proc) {
+				inUse++
+				if inUse > maxInUse {
+					maxInUse = inUse
+				}
+			}),
+			sleep(10 * Microsecond),
+			do(func(*Proc) {
+				inUse--
+				res.Release(1)
+			}),
+		}.spawn(eng, "user")
 	}
 	final := eng.Run()
 	if maxInUse != 2 {
@@ -83,25 +81,25 @@ func TestResourceFIFONoStarvation(t *testing.T) {
 	eng := NewEngine()
 	res := NewResource(eng, "bus", 4)
 	var order []string
-	eng.Spawn("hog", func(p *Proc) {
-		res.Acquire(p, 4)
-		p.Delay(10 * Microsecond)
-		res.Release(4)
-	})
-	eng.Spawn("big", func(p *Proc) {
-		p.Delay(Microsecond)
-		res.Acquire(p, 3)
-		order = append(order, "big")
-		p.Delay(5 * Microsecond)
-		res.Release(3)
-	})
-	eng.Spawn("small", func(p *Proc) {
-		p.Delay(2 * Microsecond)
-		res.Acquire(p, 1)
-		order = append(order, "small")
-		p.Delay(Microsecond)
-		res.Release(1)
-	})
+	script{
+		acquire(res, 4),
+		sleep(10 * Microsecond),
+		do(func(*Proc) { res.Release(4) }),
+	}.spawn(eng, "hog")
+	script{
+		sleep(Microsecond),
+		acquire(res, 3),
+		do(func(*Proc) { order = append(order, "big") }),
+		sleep(5 * Microsecond),
+		do(func(*Proc) { res.Release(3) }),
+	}.spawn(eng, "big")
+	script{
+		sleep(2 * Microsecond),
+		acquire(res, 1),
+		do(func(*Proc) { order = append(order, "small") }),
+		sleep(Microsecond),
+		do(func(*Proc) { res.Release(1) }),
+	}.spawn(eng, "small")
 	eng.Run()
 	if len(order) != 2 || order[0] != "big" {
 		t.Errorf("order = %v; FIFO admission should let the earlier large request in first", order)
@@ -122,25 +120,26 @@ func TestSignalBroadcastAndLatch(t *testing.T) {
 	sig := NewSignal(eng)
 	woken := 0
 	for i := 0; i < 3; i++ {
-		eng.Spawn("waiter", func(p *Proc) {
-			sig.Wait(p)
-			woken++
-		})
+		script{sig.Await, do(func(*Proc) { woken++ })}.spawn(eng, "waiter")
 	}
-	eng.Spawn("firer", func(p *Proc) {
-		p.Delay(5 * Microsecond)
-		sig.Fire()
-		sig.Fire() // second fire is a no-op
-	})
+	script{
+		sleep(5 * Microsecond),
+		do(func(*Proc) {
+			sig.Fire()
+			sig.Fire() // second fire is a no-op
+		}),
+	}.spawn(eng, "firer")
 	// A late waiter must pass straight through.
-	eng.Spawn("late", func(p *Proc) {
-		p.Delay(20 * Microsecond)
-		sig.Wait(p)
-		if p.Now() != Time(20*Microsecond) {
-			t.Errorf("late waiter held until %v", p.Now())
-		}
-		woken++
-	})
+	script{
+		sleep(20 * Microsecond),
+		sig.Await,
+		do(func(p *Proc) {
+			if p.Now() != Time(20*Microsecond) {
+				t.Errorf("late waiter held until %v", p.Now())
+			}
+			woken++
+		}),
+	}.spawn(eng, "late")
 	eng.Run()
 	if woken != 4 {
 		t.Errorf("woken = %d, want 4", woken)
@@ -155,26 +154,26 @@ func TestConditionNotifyAllAndOne(t *testing.T) {
 	cond := NewCondition(eng)
 	var woken []int
 	for i := 0; i < 3; i++ {
-		i := i
-		eng.Spawn("w", func(p *Proc) {
-			cond.Wait(p)
-			woken = append(woken, i)
-		})
+		script{wait(cond), do(func(*Proc) { woken = append(woken, i) })}.spawn(eng, "w")
 	}
-	eng.Spawn("notifier", func(p *Proc) {
-		p.Delay(Microsecond)
-		if cond.Waiting() != 3 {
-			t.Errorf("waiting = %d, want 3", cond.Waiting())
-		}
-		if !cond.NotifyOne() {
-			t.Errorf("NotifyOne should have woken a waiter")
-		}
-		p.Delay(Microsecond)
-		cond.Notify()
-		if cond.NotifyOne() {
-			t.Errorf("NotifyOne with no waiters should report false")
-		}
-	})
+	script{
+		sleep(Microsecond),
+		do(func(*Proc) {
+			if cond.Waiting() != 3 {
+				t.Errorf("waiting = %d, want 3", cond.Waiting())
+			}
+			if !cond.NotifyOne() {
+				t.Errorf("NotifyOne should have woken a waiter")
+			}
+		}),
+		sleep(Microsecond),
+		do(func(*Proc) {
+			cond.Notify()
+			if cond.NotifyOne() {
+				t.Errorf("NotifyOne with no waiters should report false")
+			}
+		}),
+	}.spawn(eng, "notifier")
 	eng.Run()
 	if len(woken) != 3 || woken[0] != 0 {
 		t.Errorf("woken = %v; the oldest waiter must be released first", woken)
@@ -191,11 +190,11 @@ func TestPropertyResourceBatchDrainTime(t *testing.T) {
 		res := NewResource(eng, "srv", c)
 		const service = 10 * Microsecond
 		for i := 0; i < n; i++ {
-			eng.Spawn("job", func(p *Proc) {
-				res.Acquire(p, 1)
-				p.Delay(service)
-				res.Release(1)
-			})
+			script{
+				acquire(res, 1),
+				sleep(service),
+				do(func(*Proc) { res.Release(1) }),
+			}.spawn(eng, "job")
 		}
 		final := eng.Run()
 		waves := (n + c - 1) / c
@@ -216,18 +215,13 @@ func TestPropertyQueueExactlyOnceInOrder(t *testing.T) {
 		eng := NewEngine()
 		q := NewQueue[int](eng)
 		var got []int
-		eng.Spawn("producer", func(p *Proc) {
-			for i, g := range gaps {
-				p.Delay(Duration(g) * Nanosecond)
-				q.Put(i)
-			}
-		})
-		eng.Spawn("consumer", func(p *Proc) {
-			for range gaps {
-				got = append(got, q.Get(p))
-				p.Delay(3 * Nanosecond)
-			}
-		})
+		var producer, consumer script
+		for i, g := range gaps {
+			producer = append(producer, sleep(Duration(g)*Nanosecond), do(func(*Proc) { q.Put(i) }))
+			consumer = append(consumer, take(q, func(v int) { got = append(got, v) }), sleep(3*Nanosecond))
+		}
+		producer.spawn(eng, "producer")
+		consumer.spawn(eng, "consumer")
 		eng.Run()
 		if len(got) != len(gaps) {
 			return false

@@ -37,10 +37,9 @@ func (r *ring[T]) popFront() T {
 	return v
 }
 
-// Queue is an unbounded FIFO queue of items of type T with blocking Get
-// semantics, usable as a mailbox or run queue between simulated processes.
-// Put never blocks; Get blocks the calling process until an item is
-// available. Waiters are served in FIFO order.
+// Queue is an unbounded FIFO queue of items of type T, usable as a mailbox or
+// run queue between simulated processes. Put never blocks; TryGet parks the
+// calling process while the queue is empty. Waiters are served in FIFO order.
 type Queue[T any] struct {
 	eng     *Engine
 	items   ring[T]
@@ -55,7 +54,7 @@ func NewQueue[T any](eng *Engine) *Queue[T] {
 // Len returns the number of items currently buffered.
 func (q *Queue[T]) Len() int { return q.items.n }
 
-// Put appends an item. If a process waits in Get or TryGet, the oldest waiter
+// Put appends an item. If a process waits in TryGet, the oldest waiter
 // is woken and will receive this item (or an earlier buffered one) when it
 // runs.
 func (q *Queue[T]) Put(v T) {
@@ -65,10 +64,10 @@ func (q *Queue[T]) Put(v T) {
 	}
 }
 
-// TryGet is Get's non-blocking half: it removes and returns the oldest item
-// with true, or, with the queue empty, parks the calling process as a waiter
-// and reports false. A woken waiter calls TryGet again: the item that woke it
-// may have been taken by a process that ran first.
+// TryGet removes and returns the oldest item with true, or, with the queue
+// empty, parks the calling process as a waiter and reports false. A woken
+// waiter calls TryGet again: the item that woke it may have been taken by a
+// process that ran first.
 func (q *Queue[T]) TryGet(p *Proc) (T, bool) {
 	if q.items.n > 0 {
 		return q.items.popFront(), true
@@ -77,15 +76,4 @@ func (q *Queue[T]) TryGet(p *Proc) (T, bool) {
 	p.park()
 	var zero T
 	return zero, false
-}
-
-// Get removes and returns the oldest item, blocking the calling process until
-// one is available.
-func (q *Queue[T]) Get(p *Proc) T {
-	for {
-		if v, ok := q.TryGet(p); ok {
-			return v
-		}
-		p.suspend()
-	}
 }

@@ -26,9 +26,10 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	return &Resource{eng: eng, name: name, capacity: capacity}
 }
 
-// TryAcquire is Acquire's non-blocking half: it takes n units and reports
-// true if they are free and nobody queues ahead, or else parks the calling
-// process as a waiter and reports false. Release reserves a waiter's units
+// TryAcquire takes n units and reports true if they are free and nobody
+// queues ahead, or else parks the calling process as a waiter and reports
+// false. Requests are honoured strictly in FIFO order, so a large request is
+// not starved by a stream of smaller ones. Release reserves a waiter's units
 // before it wakes it, so a woken waiter holds them and must not ask again.
 func (r *Resource) TryAcquire(p *Proc, n int) bool {
 	if n <= 0 {
@@ -44,15 +45,6 @@ func (r *Resource) TryAcquire(p *Proc, n int) bool {
 	r.waiters.pushBack(resWaiter{p: p, n: n})
 	p.park()
 	return false
-}
-
-// Acquire blocks the calling process until n units are available, then holds
-// them. Requests are honoured strictly in FIFO order, so a large request is
-// not starved by a stream of smaller ones.
-func (r *Resource) Acquire(p *Proc, n int) {
-	if !r.TryAcquire(p, n) {
-		p.suspend()
-	}
 }
 
 // Release returns n units to the resource and admits as many FIFO waiters as

@@ -1,7 +1,7 @@
 package sim
 
-// Signal is a one-shot broadcast event: processes block in Wait until Fire is
-// called, after which Wait returns immediately for all current and future
+// Signal is a one-shot broadcast event: processes park in Await until Fire is
+// called, after which Await reports true at once for all current and future
 // callers. It models completion notifications (a DMA transfer finished, an
 // off-loaded task completed).
 type Signal struct {
@@ -39,9 +39,9 @@ func (s *Signal) Fire() {
 // so it needs no process, closure or handle.
 func (s *Signal) FireAfter(d Duration) { s.eng.schedule(event{at: s.eng.now.Add(d), sig: s}) }
 
-// Await is Wait's non-blocking half: it reports true if the signal has
-// fired, or else parks the calling process as a waiter and reports false. A
-// woken waiter that asks again is answered true.
+// Await reports true if the signal has fired, or else parks the calling
+// process as a waiter and reports false. A woken waiter that asks again is
+// answered true.
 func (s *Signal) Await(p *Proc) bool {
 	switch {
 	case s.fired:
@@ -55,18 +55,10 @@ func (s *Signal) Await(p *Proc) bool {
 	return false
 }
 
-// Wait blocks the calling process until the signal fires. If it has already
-// fired, Wait returns immediately.
-func (s *Signal) Wait(p *Proc) {
-	if !s.Await(p) {
-		p.suspend()
-	}
-}
-
-// Condition is a reusable wait/notify primitive: processes wait for the
-// condition to be notified; each Notify wakes all processes waiting at that
-// moment and leaves the condition armed for future waiters. Unlike Signal it
-// never latches.
+// Condition is a reusable wait/notify primitive: processes park in Await
+// until the condition is notified; each Notify wakes all processes waiting at
+// that moment and leaves the condition armed for future waiters. Unlike
+// Signal it never latches.
 type Condition struct {
 	eng     *Engine
 	waiters ring[*Proc]
@@ -75,15 +67,14 @@ type Condition struct {
 // NewCondition creates a condition with no waiters.
 func NewCondition(eng *Engine) *Condition { return &Condition{eng: eng} }
 
-// Waiting returns the number of processes currently blocked in Wait.
+// Waiting returns the number of processes currently parked in Await.
 func (c *Condition) Waiting() int { return c.waiters.n }
 
-// Wait blocks the calling process until the next Notify or NotifyOne that
-// includes it.
-func (c *Condition) Wait(p *Proc) {
+// Await parks the calling process until the next Notify or NotifyOne that
+// includes it; the woken process carries on after the wait.
+func (c *Condition) Await(p *Proc) {
 	c.waiters.pushBack(p)
 	p.park()
-	p.suspend()
 }
 
 // Notify wakes every process currently waiting.

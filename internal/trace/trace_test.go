@@ -88,10 +88,19 @@ func TestIntegrationWithCellsimHook(t *testing.T) {
 	if err := m.SPE(0).Submit(prog, nil); err != nil {
 		t.Fatal(err)
 	}
+	ppe := m.Cells[0].PPE
+	asked := false
+	var c cellsim.Charge
 	eng.Spawn("ppe", func(p *sim.Proc) {
-		m.Cells[0].PPE.AcquireContext(p)
-		m.Cells[0].PPE.Compute(p, 5*sim.Microsecond)
-		m.Cells[0].PPE.ReleaseContext()
+		if !asked {
+			asked = true
+			if !ppe.TryAcquireContext(p) {
+				return // woken holding the context
+			}
+		}
+		if ppe.Compute(p, &c, 5*sim.Microsecond) {
+			ppe.ReleaseContext()
+		}
 	})
 	eng.Run()
 	if tl.Len() < 4 {
