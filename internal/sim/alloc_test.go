@@ -7,29 +7,35 @@ import (
 
 // TestEventPathAllocationFree is what keeps the event path allocation-free:
 // in steady state a timed wake-up (queued behind other processes' events, so
-// it takes the heap and both sift directions, not only the inline advance; a
-// negative Sleep among them), a RunUntil that stops at its limit, a broadcast
-// signal fired by a scheduled event (with a second waiter, an Await after the
-// firing and a second Fire), a contended Resource hold (with a zero-unit
-// TryAcquire and Release) and a queue hand-off allocate nothing — the arms a
-// steady simulation rarely takes included. A wake-up is a call of the step
-// function, so each arm measures whole slices of virtual time.
+// it takes the heap and both sift directions, not only the inline advance), a
+// RunUntil that stops at its limit, a queue hand-off, a contended Resource
+// hold and a signal fired by a scheduled event allocate nothing. A wake-up is
+// a call of the step function, so each arm measures whole slices of virtual
+// time. The step arms run each primitive on its common inputs; the other arms
+// add the ones a steady simulation rarely takes: a negative Sleep, a burst
+// that leaves a backlog in a queue, a zero-unit TryAcquire and Release
+// and a Release that admits two waiters at once, and a broadcast's second
+// waiter, an Await after the firing and a second Fire.
 func TestEventPathAllocationFree(t *testing.T) {
-	t.Run("step sleep", func(t *testing.T) {
+	t.Run("delay", func(t *testing.T) {
 		eng := NewEngine()
-		for _, d := range []Duration{2, 3, 5, 7} {
-			next := -d
-			eng.Spawn("sleeper", func(p *Proc) {
-				for {
-					next = -next // d, then -d: a negative sleep is a zero one
-					if !p.Sleep(next) {
-						return
-					}
+		for _, d := range []Duration{3, 5, 7, 11} {
+			eng.Spawn("other", func(p *Proc) {
+				for p.Sleep(d) {
 				}
 			})
 		}
+		next := Duration(-1)
+		eng.Spawn("sleeper", func(p *Proc) {
+			for {
+				next = 1 - next // 2, then -1: a negative sleep is a zero one
+				if !p.Sleep(next) {
+					return
+				}
+			}
+		})
 		if avg := steadyRunAllocs(eng, 50); avg != 0 {
-			t.Errorf("a queued Sleep allocates %.1f objects per 50 ns slice", avg)
+			t.Errorf("a negative Sleep among queued ones allocates %.1f objects per 50 ns slice", avg)
 		}
 	})
 	t.Run("limit", func(t *testing.T) {
@@ -49,7 +55,81 @@ func TestEventPathAllocationFree(t *testing.T) {
 			t.Errorf("RunUntil allocates %.1f objects per 5 ns slice; %d ticks in 201 slices, want 100", avg, ticks)
 		}
 	})
-	t.Run("step await", func(t *testing.T) {
+	t.Run("queue", func(t *testing.T) {
+		eng := NewEngine()
+		in, out := NewQueue[int](eng), NewQueue[int](eng)
+		eng.Spawn("echo", func(p *Proc) {
+			for {
+				v, ok := in.TryGet(p)
+				if !ok {
+					return
+				}
+				out.Put(v)
+			}
+		})
+		pending := 0
+		eng.Spawn("driver", func(p *Proc) {
+			for {
+				if pending == 0 {
+					// Three items at once: both queues hold a backlog, which
+					// the step arm's one item at a time never builds.
+					for v := range 3 {
+						in.Put(v)
+					}
+					pending = 3
+				}
+				for pending > 0 {
+					if _, ok := out.TryGet(p); !ok {
+						return
+					}
+					pending--
+				}
+				if !p.Sleep(1) {
+					return
+				}
+			}
+		})
+		if avg := steadyRunAllocs(eng, 50); avg != 0 {
+			t.Errorf("a burst through two queues allocates %.1f objects per 50 ns slice", avg)
+		}
+	})
+	t.Run("resource", func(t *testing.T) {
+		eng := NewEngine()
+		// Two units; a two-unit holder's Release admits both one-unit
+		// waiters queued behind it.
+		res := NewResource(eng, "res", 2)
+		for _, n := range []int{2, 1, 1, 2} {
+			phase := 0
+			eng.Spawn("holder", func(p *Proc) {
+				for {
+					switch phase {
+					case 0:
+						phase = 1
+						if !res.TryAcquire(p, n) {
+							return
+						}
+						fallthrough
+					case 1:
+						phase = 2
+						if !res.TryAcquire(p, 0) { // no units, no wait
+							t.Error("a zero-unit TryAcquire parked")
+							return
+						}
+						if !p.Sleep(2) {
+							return
+						}
+					}
+					res.Release(0)
+					res.Release(n)
+					phase = 0
+				}
+			})
+		}
+		if avg := steadyRunAllocs(eng, 50); avg != 0 {
+			t.Errorf("a contended two-unit Resource allocates %.1f objects per 50 ns slice", avg)
+		}
+	})
+	t.Run("signal", func(t *testing.T) {
 		eng := NewEngine()
 		// A second waiter costs its signal a slice (Await's append), so each
 		// signal is handed room for one here: the guard is on everything
@@ -98,6 +178,38 @@ func TestEventPathAllocationFree(t *testing.T) {
 			}
 		})
 		if avg := steadyRunAllocs(eng, 50); avg != 0 {
+			t.Errorf("a broadcast FireAfter/Await allocates %.1f objects per 50 ns slice", avg)
+		}
+	})
+	t.Run("step sleep", func(t *testing.T) {
+		eng := NewEngine()
+		for _, d := range []Duration{2, 3, 5, 7} {
+			eng.Spawn("sleeper", func(p *Proc) {
+				for p.Sleep(d) {
+				}
+			})
+		}
+		if avg := steadyRunAllocs(eng, 50); avg != 0 {
+			t.Errorf("a queued Sleep allocates %.1f objects per 50 ns slice", avg)
+		}
+	})
+	t.Run("step await", func(t *testing.T) {
+		eng := NewEngine()
+		var sig Signal
+		armed := false
+		eng.Spawn("awaiter", func(p *Proc) {
+			for {
+				if !armed {
+					sig, armed = Signal{eng: eng}, true
+					sig.FireAfter(5)
+				}
+				if !sig.Await(p) {
+					return
+				}
+				armed = false
+			}
+		})
+		if avg := steadyRunAllocs(eng, 50); avg != 0 {
 			t.Errorf("a signal FireAfter/Await allocates %.1f objects per 50 ns slice", avg)
 		}
 	})
@@ -117,15 +229,10 @@ func TestEventPathAllocationFree(t *testing.T) {
 						fallthrough
 					case 1:
 						phase = 2
-						if !res.TryAcquire(p, 0) { // no units, no wait
-							t.Error("a zero-unit TryAcquire parked")
-							return
-						}
 						if !p.Sleep(2) {
 							return
 						}
 					}
-					res.Release(0)
 					res.Release(1)
 					phase = 0
 				}
