@@ -259,3 +259,35 @@ func BenchmarkBootstrapSearch(b *testing.B) {
 	b.ReportMetric(mean, "patterns/op")
 	b.ReportMetric(mean/float64(data.NumPatterns()), "kept")
 }
+
+// BenchmarkSingleSearch measures one inference through RunTask, run serially,
+// on the shape of bench/'s single_search (14 taxa × 500 sites simulated under
+// four discrete-Gamma categories of shape 0.8, JC69, default search) — the
+// four-category kernels' per-layer number, as BootstrapSearch is the
+// single-rate ones'.
+func BenchmarkSingleSearch(b *testing.B) {
+	rates := benchGamma4(b)
+	so := phylo.DefaultSimulateOptions()
+	so.Taxa, so.Length, so.Seed, so.Rates = 14, 500, 2, rates
+	_, aln, err := phylo.Simulate(so)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := phylo.Compress(aln)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := phylo.AnalysisOptions{Seed: 2, Search: phylo.DefaultSearchOptions()}
+	var logL float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := phylo.RunTask(context.Background(), data, phylo.NewJC69(), rates, opts, phylo.TaskID{}, nil, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		logL = res.LogLik
+	}
+	b.ReportMetric(float64(data.NumPatterns()), "patterns")
+	b.ReportMetric(logL, "logL")
+}

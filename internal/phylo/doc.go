@@ -75,9 +75,12 @@
 // next to the per-pattern log scaler. Every Newton iterate, the clamped-start
 // re-evaluation and the acceptance check then cost a dozen multiply-adds per
 // pattern and category (newtonPass over newtonBody, RAxML's coreGTRGAMMA):
-// Σ A·e, Σ A·λr·e and Σ A·(λr)²·e with e = exp(λ_k·r·b). The formulation this
-// replaced — a P(b) mat-vec per pattern, from Model.Transition alone — is the
-// test-only reference in likelihood_test.go.
+// Σ A·e, Σ A·λr·e and Σ A·(λr)²·e with e = exp(λ_k·r·b). One and four
+// categories, the counts production builds, have their own bodies that keep e
+// in locals (newtonBody1, newtonBody4, sumTableBody1); any other count runs the
+// general ones, to the same bits. The formulation this replaced — a P(b)
+// mat-vec per pattern, from Model.Transition alone — is the test-only
+// reference in likelihood_test.go.
 //
 // # Incremental evaluation
 //
@@ -136,11 +139,13 @@
 //     the 2·NumTaxa − 1 nodes of a binary tree over the alignment; nothing
 //     grows afterwards, and bindTree refuses a tree of another node count.
 //
-// Tips have no vectors. No kernel reads a tip's 0/1 indicator vector: for
-// the vector kernel a tip's transition matrix is expanded once per call into a nCat x 16 x 4 lookup table (fillTipTable), so the four
-// dot products collapse to a single table-row read indexed by the tip's 4-bit
-// observed state set — RAxML's tip-case specialization — and the sum table of
-// a tip edge reads a constant 16-row table of V⁻¹ column sums (tipInv).
+// Tips have no vectors. No kernel reads a tip's 0/1 indicator vector: for the
+// vector kernel a tip's transition matrix is expanded once per call into an
+// nCat x 16 x 4 lookup table (fillTipTable, each set's row one add from a
+// smaller set's), so the four dot products collapse to a single table-row read
+// indexed by the tip's 4-bit observed state set — RAxML's tip-case
+// specialization — and the sum table of a tip edge reads a constant 16-row
+// table of V⁻¹ column sums (tipInv).
 //
 // # Site repeats
 //

@@ -3,6 +3,7 @@ package phylo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ParallelFor executes body over the index range [0, n), possibly splitting
@@ -264,6 +265,12 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	e.evalFn = e.evaluateBody
 	e.sumFn = e.sumTableBody
 	e.ntFn = e.newtonBody
+	switch e.nCat { // the category counts production builds (SingleRate, DiscreteGamma(…, 4))
+	case 1:
+		e.sumFn, e.ntFn = e.sumTableBody1, e.newtonBody1
+	case 4:
+		e.ntFn = e.newtonBody4
+	}
 	return e, nil
 }
 
@@ -433,24 +440,22 @@ func store4(d []float64, maxV, v0, v1, v2, v3 float64) float64 {
 // fillTipTable expands the flattened transition matrices p into the tip
 // lookup table dst: for every rate category, observed state set and target
 // state s, the sum over the set's member states j of P[s][j]. Summation runs
-// in ascending j, matching the term order of the inner-child dot product.
+// in ascending j, matching the term order of the inner-child dot product: a
+// set's row is the row of the set without its highest member j, plus P[s][j].
 func (e *Engine) fillTipTable(dst, p []float64) {
-	nCat := e.nCat
-	for r := 0; r < nCat; r++ {
+	for r := 0; r < e.nCat; r++ {
 		m := r * flatMatSize
 		pm := p[m : m+flatMatSize : m+flatMatSize]
-		for bits := 0; bits < tipStates; bits++ {
-			o := (m + bits) * NumStates
-			for s := 0; s < NumStates; s++ {
-				k := s * NumStates
-				var sum float64
-				for j := 0; j < NumStates; j++ {
-					if bits&(1<<uint(j)) != 0 {
-						sum += pm[k+j]
-					}
-				}
-				dst[o+s] = sum
-			}
+		tab := dst[m*NumStates : (m+tipStates)*NumStates : (m+tipStates)*NumStates]
+		clear(tab[:NumStates])
+		for set := 1; set < tipStates; set++ {
+			j := bits.Len8(uint8(set)) - 1
+			o, q := set*NumStates, (set&^(1<<j))*NumStates
+			row, rest := tab[o:o+NumStates:o+NumStates], tab[q:q+NumStates:q+NumStates]
+			row[0] = rest[0] + pm[j]
+			row[1] = rest[1] + pm[NumStates+j]
+			row[2] = rest[2] + pm[2*NumStates+j]
+			row[3] = rest[3] + pm[3*NumStates+j]
 		}
 	}
 }
@@ -642,17 +647,9 @@ func (e *Engine) initSpectrum() {
 // the conditional vectors at the two ends of the edge above sumNode move into
 // the model's eigenbasis and are multiplied there,
 // A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t]). A tip's second
-// factor is one row of tipInv, the same for every category.
+// factor is one row of tipInv, the same for every category (sumTableBody1 for one).
 func (e *Engine) sumTableBody(lo, hi int) {
-	n := e.sumNode
-	ov, oscale := e.outVec(n.ID), e.outScaleVec(n.ID)
-	var dv, dscale []float64
-	var st []uint8
-	if n.IsTip() {
-		st = e.Data.States[n.Taxon]
-	} else {
-		dv, dscale = e.downVec(n.ID), e.downScaleVec(n.ID)
-	}
+	ov, oscale, dv, dscale, st := e.sumSides()
 	tab, scale := e.sumTab, e.sumScale
 	v, w, tip := &e.specV, &e.specInv, &e.tipInv
 	nCat, stride := e.nCat, e.stride
@@ -687,6 +684,52 @@ func (e *Engine) sumTableBody(lo, hi int) {
 		}
 		scale[i] = sc + oscale[i]
 	}
+}
+
+// sumTableBody1 is sumTableBody without the category loop.
+func (e *Engine) sumTableBody1(lo, hi int) {
+	ov, oscale, dv, dscale, st := e.sumSides()
+	tab, scale := e.sumTab, e.sumScale
+	v, w, tip := &e.specV, &e.specInv, &e.tipInv
+	for i := lo; i < hi; i++ {
+		off := i * NumStates
+		var r0, r1, r2, r3 float64
+		if st != nil {
+			o := int(st[i]&(tipStates-1)) * NumStates
+			r0, r1, r2, r3 = tip[o], tip[o+1], tip[o+2], tip[o+3]
+		} else {
+			dw := dv[off : off+NumStates : off+NumStates]
+			d0, d1, d2, d3 := dw[0], dw[1], dw[2], dw[3]
+			r0 = w[0][0]*d0 + w[0][1]*d1 + w[0][2]*d2 + w[0][3]*d3
+			r1 = w[1][0]*d0 + w[1][1]*d1 + w[1][2]*d2 + w[1][3]*d3
+			r2 = w[2][0]*d0 + w[2][1]*d1 + w[2][2]*d2 + w[2][3]*d3
+			r3 = w[3][0]*d0 + w[3][1]*d1 + w[3][2]*d2 + w[3][3]*d3
+		}
+		ow := ov[off : off+NumStates : off+NumStates]
+		o0, o1, o2, o3 := ow[0], ow[1], ow[2], ow[3]
+		t := tab[off : off+NumStates : off+NumStates]
+		t[0] = (o0*v[0][0] + o1*v[1][0] + o2*v[2][0] + o3*v[3][0]) * r0
+		t[1] = (o0*v[0][1] + o1*v[1][1] + o2*v[2][1] + o3*v[3][1]) * r1
+		t[2] = (o0*v[0][2] + o1*v[1][2] + o2*v[2][2] + o3*v[3][2]) * r2
+		t[3] = (o0*v[0][3] + o1*v[1][3] + o2*v[2][3] + o3*v[3][3]) * r3
+		sc := 0.0
+		if dscale != nil {
+			sc += dscale[i]
+		}
+		scale[i] = sc + oscale[i]
+	}
+}
+
+// sumSides returns the two ends of the edge above sumNode: its out vector and
+// scalers, and its down vector and scalers or, for a tip, its state sets.
+func (e *Engine) sumSides() (ov, oscale, dv, dscale []float64, st []uint8) {
+	n := e.sumNode
+	if n.IsTip() {
+		st = e.Data.States[n.Taxon]
+	} else {
+		dv, dscale = e.downVec(n.ID), e.downScaleVec(n.ID)
+	}
+	return e.outVec(n.ID), e.outScaleVec(n.ID), dv, dscale, st
 }
 
 // buildSumTable folds down[v] and out[v], which must be current (ensureOut,
@@ -728,28 +771,23 @@ type newtonArgs struct {
 // three diagonals (four when only the likelihood is wanted), then the
 // pattern's three terms w·(log l₀ + scale), w·g and w·(l₂/l₀ − g²). A pattern
 // of likelihood zero has no slope to follow (1/l₀ would be +Inf and every
-// derivative term NaN): it adds its clamped log-likelihood and +0.0 twice,
-// which leaves a sum that started at +0.0 as it was.
+// derivative term NaN): it contributes its clamped log-likelihood and +0.0
+// twice, which leaves a sum that started at +0.0 as it was.
 //
 // The sums are the terms added in ascending pattern order, and that order is
-// the result's bits. The call whose range starts at pattern 0 — the only call
-// of an un-split loop — adds its terms as it goes, in registers, and leaves
-// the sums in the argument block; any other stores its terms (termBuf) for
-// newtonPass to add behind those. Each term is rounded before it is added on
-// both paths — the conversions forbid a fused multiply-add where the hardware
-// has one — so the two agree wherever they run.
+// the result's bits. This loop serves any share and category count and stores
+// its terms (termBuf) for newtonPass to add. For the counts production builds,
+// newtonBody1 and newtonBody4 add the share that starts at pattern 0 (an
+// un-split loop's only share) as they go, in registers, and leave the sums for
+// newtonPass to add the stored terms behind. Every body computes a pattern's
+// terms alike and rounds each before it is added (the conversions forbid a
+// fused multiply-add), so the bodies agree wherever they run.
 func (e *Engine) newtonBody(lo, hi int) {
-	if lo >= hi {
-		return
-	}
 	a := &e.ntA
 	ex, logL := a.ex, a.logL
 	tab, scale, weights := e.sumTab, e.sumScale, e.Data.Weights
 	nCat, stride := e.nCat, e.stride
-	first := lo == 0
-	var ll, d1, d2 float64
-	switch {
-	case !a.deriv:
+	if !a.deriv {
 		for i := lo; i < hi; i++ {
 			base := i * stride
 			var l0 float64
@@ -762,75 +800,141 @@ func (e *Engine) newtonBody(lo, hi int) {
 			if l0 <= 0 {
 				l0 = math.SmallestNonzeroFloat64
 			}
-			tl := float64(weights[i] * (math.Log(l0) + scale[i]))
-			if first {
-				ll += tl
-			} else {
-				e.termBuf[3*i] = tl
-			}
+			e.termBuf[3*i] = float64(weights[i] * (math.Log(l0) + scale[i]))
 		}
-	case first:
-		for i := 0; i < hi; i++ {
-			base := i * stride
-			var l0, l1, l2 float64
-			for r := 0; r < nCat; r++ {
-				off := base + r*NumStates
-				t := tab[off : off+NumStates : off+NumStates]
-				x := ex[r*expRow : (r+1)*expRow : (r+1)*expRow]
-				a0, a1, a2, a3 := t[0], t[1], t[2], t[3]
-				l0 += a0*x[0] + a1*x[1] + a2*x[2] + a3*x[3]
-				l1 += a0*x[4] + a1*x[5] + a2*x[6] + a3*x[7]
-				l2 += a0*x[8] + a1*x[9] + a2*x[10] + a3*x[11]
-			}
-			clamped := l0 <= 0
-			if clamped {
-				l0 = math.SmallestNonzeroFloat64
-			}
-			w := weights[i]
-			if logL {
-				ll += float64(w * (math.Log(l0) + scale[i]))
-			}
-			if clamped {
-				continue
-			}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		base := i * stride
+		var l0, l1, l2 float64
+		for r := 0; r < nCat; r++ {
+			off := base + r*NumStates
+			t := tab[off : off+NumStates : off+NumStates]
+			x := ex[r*expRow : (r+1)*expRow : (r+1)*expRow]
+			a0, a1, a2, a3 := t[0], t[1], t[2], t[3]
+			l0 += a0*x[0] + a1*x[1] + a2*x[2] + a3*x[3]
+			l1 += a0*x[4] + a1*x[5] + a2*x[6] + a3*x[7]
+			l2 += a0*x[8] + a1*x[9] + a2*x[10] + a3*x[11]
+		}
+		clamped := l0 <= 0
+		if clamped {
+			l0 = math.SmallestNonzeroFloat64
+		}
+		w := weights[i]
+		t := e.termBuf[3*i : 3*i+3 : 3*i+3]
+		t[0], t[1], t[2] = 0, 0, 0
+		if logL {
+			t[0] = float64(w * (math.Log(l0) + scale[i]))
+		}
+		if !clamped {
 			inv := 1 / l0
 			g := l1 * inv
-			d1 += float64(w * g)
-			d2 += float64(w * (l2*inv - g*g))
+			t[1], t[2] = float64(w*g), float64(w*(l2*inv-g*g))
 		}
-	default:
-		for i := lo; i < hi; i++ {
-			base := i * stride
-			var l0, l1, l2 float64
-			for r := 0; r < nCat; r++ {
-				off := base + r*NumStates
-				t := tab[off : off+NumStates : off+NumStates]
-				x := ex[r*expRow : (r+1)*expRow : (r+1)*expRow]
-				a0, a1, a2, a3 := t[0], t[1], t[2], t[3]
-				l0 += a0*x[0] + a1*x[1] + a2*x[2] + a3*x[3]
-				l1 += a0*x[4] + a1*x[5] + a2*x[6] + a3*x[7]
-				l2 += a0*x[8] + a1*x[9] + a2*x[10] + a3*x[11]
-			}
-			clamped := l0 <= 0
-			if clamped {
+	}
+}
+
+// newtonBody1 is newtonBody for one rate category: the first share holds the
+// twelve diagonals in locals (the first four for a likelihood-only pass).
+func (e *Engine) newtonBody1(lo, hi int) {
+	if lo > 0 || hi == 0 { // an empty share at 0 must not clear the first's sums
+		e.newtonBody(lo, hi)
+		return
+	}
+	a := &e.ntA
+	tab, scale, weights := e.sumTab, e.sumScale[:hi], e.Data.Weights[:hi]
+	x := a.ex[:expRow:expRow]
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	var ll, d1, d2 float64
+	if !a.deriv {
+		for i := 0; i < hi; i++ {
+			o := i * NumStates
+			t := tab[o : o+NumStates : o+NumStates]
+			var l0 float64
+			l0 += t[0]*x0 + t[1]*x1 + t[2]*x2 + t[3]*x3
+			if l0 <= 0 {
 				l0 = math.SmallestNonzeroFloat64
 			}
-			w := weights[i]
-			t := e.termBuf[3*i : 3*i+3 : 3*i+3]
-			t[0], t[1], t[2] = 0, 0, 0
-			if logL {
-				t[0] = float64(w * (math.Log(l0) + scale[i]))
-			}
-			if !clamped {
-				inv := 1 / l0
-				g := l1 * inv
-				t[1], t[2] = float64(w*g), float64(w*(l2*inv-g*g))
-			}
+			ll += float64(weights[i] * (math.Log(l0) + scale[i]))
 		}
+		a.ll, a.upTo = ll, hi
+		return
 	}
-	if first {
-		a.ll, a.d1, a.d2, a.upTo = ll, d1, d2, hi
+	x4, x5, x6, x7, x8, x9, x10, x11 := x[4], x[5], x[6], x[7], x[8], x[9], x[10], x[11]
+	logL := a.logL
+	for i := 0; i < hi; i++ {
+		o := i * NumStates
+		t := tab[o : o+NumStates : o+NumStates]
+		a0, a1, a2, a3 := t[0], t[1], t[2], t[3]
+		var l0, l1, l2 float64
+		l0 += a0*x0 + a1*x1 + a2*x2 + a3*x3
+		l1 += a0*x4 + a1*x5 + a2*x6 + a3*x7
+		l2 += a0*x8 + a1*x9 + a2*x10 + a3*x11
+		clamped := l0 <= 0
+		if clamped {
+			l0 = math.SmallestNonzeroFloat64
+		}
+		w := weights[i]
+		if logL {
+			ll += float64(w * (math.Log(l0) + scale[i]))
+		}
+		if clamped {
+			continue
+		}
+		inv := 1 / l0
+		g := l1 * inv
+		d1 += float64(w * g)
+		d2 += float64(w * (l2*inv - g*g))
 	}
+	a.ll, a.d1, a.d2, a.upTo = ll, d1, d2, hi
+}
+
+// newtonBody4 is newtonBody for four rate categories: the first share reads
+// the diagonals through one slice and its category loop is unrolled.
+func (e *Engine) newtonBody4(lo, hi int) {
+	if lo > 0 || hi == 0 { // an empty share at 0 must not clear the first's sums
+		e.newtonBody(lo, hi)
+		return
+	}
+	a := &e.ntA
+	tab, scale, weights := e.sumTab, e.sumScale[:hi], e.Data.Weights[:hi]
+	x := a.ex[: 4*expRow : 4*expRow]
+	logL, deriv := a.logL, a.deriv
+	var ll, d1, d2 float64
+	for i := 0; i < hi; i++ {
+		o := i * 16
+		t := tab[o : o+16 : o+16]
+		var l0 float64
+		l0 += t[0]*x[0] + t[1]*x[1] + t[2]*x[2] + t[3]*x[3]
+		l0 += t[4]*x[12] + t[5]*x[13] + t[6]*x[14] + t[7]*x[15]
+		l0 += t[8]*x[24] + t[9]*x[25] + t[10]*x[26] + t[11]*x[27]
+		l0 += t[12]*x[36] + t[13]*x[37] + t[14]*x[38] + t[15]*x[39]
+		clamped := l0 <= 0
+		if clamped {
+			l0 = math.SmallestNonzeroFloat64
+		}
+		w := weights[i]
+		if logL {
+			ll += float64(w * (math.Log(l0) + scale[i]))
+		}
+		if clamped || !deriv {
+			continue
+		}
+		var l1, l2 float64
+		l1 += t[0]*x[4] + t[1]*x[5] + t[2]*x[6] + t[3]*x[7]
+		l1 += t[4]*x[16] + t[5]*x[17] + t[6]*x[18] + t[7]*x[19]
+		l1 += t[8]*x[28] + t[9]*x[29] + t[10]*x[30] + t[11]*x[31]
+		l1 += t[12]*x[40] + t[13]*x[41] + t[14]*x[42] + t[15]*x[43]
+		l2 += t[0]*x[8] + t[1]*x[9] + t[2]*x[10] + t[3]*x[11]
+		l2 += t[4]*x[20] + t[5]*x[21] + t[6]*x[22] + t[7]*x[23]
+		l2 += t[8]*x[32] + t[9]*x[33] + t[10]*x[34] + t[11]*x[35]
+		l2 += t[12]*x[44] + t[13]*x[45] + t[14]*x[46] + t[15]*x[47]
+		inv := 1 / l0
+		g := l1 * inv
+		d1 += float64(w * g)
+		d2 += float64(w * (l2*inv - g*g))
+	}
+	a.ll, a.d1, a.d2, a.upTo = ll, d1, d2, hi
 }
 
 // newtonPass returns, for the edge whose sum table is loaded set to length b,
@@ -841,9 +945,10 @@ func (e *Engine) newtonBody(lo, hi int) {
 func (e *Engine) newtonPass(b float64, logL, deriv bool) (ll, d1, d2 float64) {
 	e.Stats.DerivEvals++
 	a := &e.ntA
-	a.ex, a.logL, a.deriv = e.fillExpTab(b), logL, deriv
+	*a = newtonArgs{ex: e.fillExpTab(b), logL: logL, deriv: deriv}
 	e.loop(e.nPat, e.ntFn)
-	// The first share's sums, then every later share's terms behind them.
+	// The first share's sums (none from newtonBody), then every stored term
+	// behind them.
 	ll, d1, d2 = a.ll, a.d1, a.d2
 	for i := a.upTo; i < e.nPat; i++ {
 		t := e.termBuf[3*i : 3*i+3 : 3*i+3]

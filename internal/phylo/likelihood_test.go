@@ -639,6 +639,78 @@ func TestSumTableMatchesTransitionReference(t *testing.T) {
 	})
 }
 
+// refTipTable is the per-member loop fillTipTable replaced: for every
+// category, state set and target state s, P[s][j] summed over the set's
+// members j in ascending order, from +0.0.
+func refTipTable(nCat int, p []float64) []float64 {
+	dst := make([]float64, nCat*tipStates*NumStates)
+	for r := 0; r < nCat; r++ {
+		m := r * flatMatSize
+		for set := 0; set < tipStates; set++ {
+			for s := 0; s < NumStates; s++ {
+				var sum float64
+				for j := 0; j < NumStates; j++ {
+					if set&(1<<j) != 0 {
+						sum += p[m+s*NumStates+j]
+					}
+				}
+				dst[(m+set)*NumStates+s] = sum
+			}
+		}
+	}
+	return dst
+}
+
+// TestTipTableMatchesPerMemberSums holds the subset fill of fillTipTable to
+// the per-member loop bit for bit for one, three and four categories, on
+// random matrices whose entries include -0.0, +0.0, subnormals and values of
+// every magnitude a sum can round on.
+func TestTipTableMatchesPerMemberSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	entry := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return 0
+		case 2:
+			return math.Float64frombits(uint64(rng.Int63n(1 << 52))) // subnormal
+		case 3:
+			return -math.Float64frombits(uint64(rng.Int63n(1 << 52)))
+		default:
+			return (rng.Float64() - 0.25) * math.Pow(2, float64(rng.Intn(80)-40))
+		}
+	}
+	negZero := false
+	for _, nCat := range []int{1, 3, 4} {
+		e := &Engine{nCat: nCat}
+		dst := make([]float64, nCat*tipStates*NumStates)
+		for trial := 0; trial < 500; trial++ {
+			p := make([]float64, nCat*flatMatSize)
+			for i := range p {
+				p[i] = entry()
+			}
+			if trial%2 == 1 {
+				for i := range dst {
+					dst[i] = math.NaN() // the fill must write every entry
+				}
+			}
+			e.fillTipTable(dst, p)
+			want := refTipTable(nCat, p)
+			for i := range want {
+				if !sameFloat(dst[i], want[i]) {
+					t.Fatalf("%d categories, trial %d: entry %d = %v (%#x), per-member sum %v (%#x)",
+						nCat, trial, i, dst[i], math.Float64bits(dst[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+			negZero = negZero || slices.ContainsFunc(p, func(v float64) bool { return v == 0 && math.Signbit(v) })
+		}
+	}
+	if !negZero {
+		t.Error("no matrix held -0.0; the signed-zero case covers nothing")
+	}
+}
+
 // BenchmarkOutview measures one outer-vector kernel on the 42_SC-sized input
 // of the kernel micro-benchmarks (bench_test.go), cycling over every edge so
 // tip and inner siblings and the root's prior all take their share. Each

@@ -38,59 +38,84 @@ func sameFloats(a, b []float64) bool {
 	return slices.EqualFunc(a, b, sameFloat)
 }
 
+// kernelCase is one engine configuration the kernel property tests run:
+// a model, rates, the alignment to simulate and whether the start tree gets a
+// cherry of two zero-length branches.
+type kernelCase struct {
+	name       string
+	model      Model
+	rates      RateCategories
+	sim        SimulateOptions
+	zeroCherry bool
+}
+
+// kernelCases are the four model × rate combinations, a 240-taxon tree deep
+// enough to rescale, and a zero-length cherry, whose disagreeing patterns have
+// likelihood zero and take the clamp of the Newton bodies.
+func kernelCases(t *testing.T) []kernelCase {
+	var cases []kernelCase
+	for i, ec := range equivalenceCases() {
+		cases = append(cases, kernelCase{name: ec.name, model: ec.model(t), rates: ec.rates(t),
+			sim: SimulateOptions{Taxa: 9 + i, Length: 160, Seed: int64(3 + i), MeanBranchLength: 0.12}})
+	}
+	deep := equivalenceCases()[3]
+	return append(cases,
+		kernelCase{name: "rescaled_240_taxa", model: deep.model(t), rates: deep.rates(t),
+			sim: SimulateOptions{Taxa: 240, Length: 40, Seed: 9, MeanBranchLength: 0.2}},
+		kernelCase{name: "zero_cherry", model: deep.model(t), rates: deep.rates(t), zeroCherry: true,
+			sim: SimulateOptions{Taxa: 8, Length: 200, Seed: 9, MeanBranchLength: 0.2}})
+}
+
+// build returns a serial engine over data and the case's start tree.
+func (c kernelCase) build(t *testing.T, data *PatternAlignment) (*Engine, *Tree) {
+	t.Helper()
+	eng, err := NewEngine(data, c.model, c.rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := NewRandomTree(data.Names, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.zeroCherry {
+		for _, n := range tree.Nodes {
+			if !n.IsTip() && n.Parent != nil && n.Children[0].IsTip() && n.Children[1].IsTip() {
+				n.Children[0].Length, n.Children[1].Length = 0, 0
+				break
+			}
+		}
+	}
+	return eng, tree
+}
+
 // TestAnyPartitionSameBits holds every per-pattern loop the engine offers its
 // executor — newview, the out-vector newview, evaluate, the sum table and the
 // Newton terms — to the serial engine bit for bit under partitionExecutor:
 // each conditional vector and scaler, the likelihood, every edge's sum table,
 // Newton sums and optimized length, and a whole search. The cases are the
-// four model × rate combinations, a 240-taxon tree deep enough to rescale, and
-// a cherry of two zero-length branches, whose disagreeing patterns have
-// likelihood zero and take the clamp of the Newton body. Run under -race it
-// is also what shows the bodies write only their own patterns' slots.
+// four model × rate combinations, a 240-taxon tree deep enough to rescale, a
+// cherry of two zero-length branches, whose disagreeing patterns have
+// likelihood zero and take the clamp of the Newton body, and three rate
+// categories, a count production never builds, whose engine runs the general
+// bodies split and un-split. Run under -race it is also what shows the bodies
+// write only their own patterns' slots.
 func TestAnyPartitionSameBits(t *testing.T) {
-	type partitionCase struct {
-		name       string
-		model      Model
-		rates      RateCategories
-		sim        SimulateOptions
-		zeroCherry bool
+	gamma3, err := DiscreteGamma(0.5, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var cases []partitionCase
-	for i, ec := range equivalenceCases() {
-		cases = append(cases, partitionCase{name: ec.name, model: ec.model(t), rates: ec.rates(t),
-			sim: SimulateOptions{Taxa: 9 + i, Length: 160, Seed: int64(3 + i), MeanBranchLength: 0.12}})
-	}
-	deep := equivalenceCases()[3]
-	cases = append(cases,
-		partitionCase{name: "rescaled_240_taxa", model: deep.model(t), rates: deep.rates(t),
-			sim: SimulateOptions{Taxa: 240, Length: 40, Seed: 9, MeanBranchLength: 0.2}},
-		partitionCase{name: "zero_cherry", model: deep.model(t), rates: deep.rates(t), zeroCherry: true,
-			sim: SimulateOptions{Taxa: 8, Length: 200, Seed: 9, MeanBranchLength: 0.2}})
+	cases := append(kernelCases(t), kernelCase{name: "JC69/gamma3", model: NewJC69(), rates: gamma3,
+		sim: SimulateOptions{Taxa: 10, Length: 160, Seed: 17, MeanBranchLength: 0.12}})
 
 	for ci, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			data := simulatedPatterns(t, c.sim)
 			split := 0
 			build := func(shared bool) (*Engine, *Tree) {
-				eng, err := NewEngine(data, c.model, c.rates)
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng, tree := c.build(t, data)
 				if shared {
 					eng.offer = 0
 					eng.SetParallel(partitionExecutor(rand.New(rand.NewSource(int64(ci))), &split))
-				}
-				tree, err := NewRandomTree(data.Names, rand.New(rand.NewSource(2)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if c.zeroCherry {
-					for _, n := range tree.Nodes {
-						if !n.IsTip() && n.Parent != nil && n.Children[0].IsTip() && n.Children[1].IsTip() {
-							n.Children[0].Length, n.Children[1].Length = 0, 0
-							break
-						}
-					}
 				}
 				return eng, tree
 			}
@@ -189,6 +214,73 @@ func TestAnyPartitionSameBits(t *testing.T) {
 			}
 			if math.IsNaN(wantRes.LogLikelihood) {
 				t.Error("the serial search returned NaN")
+			}
+		})
+	}
+}
+
+// TestCategoryKernelsMatchGeneral holds the loop bodies NewEngine picks for
+// one and four rate categories (newtonBody1, newtonBody4, sumTableBody1) to
+// the general ones bit for bit, on serial engines, where the first Newton
+// share is the whole range: every edge's sum table and scalers, the Newton
+// sums at four lengths with and without the likelihood and the derivatives,
+// the optimized length, and a whole search.
+func TestCategoryKernelsMatchGeneral(t *testing.T) {
+	for _, c := range kernelCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			data := simulatedPatterns(t, c.sim)
+			build := func(general bool) (*Engine, *Tree) {
+				eng, tree := c.build(t, data)
+				if general {
+					eng.useGeneralBodies()
+				}
+				return eng, tree
+			}
+			got, gotTree := build(false)
+			want, wantTree := build(true)
+			got.Refresh(gotTree)
+			want.Refresh(wantTree)
+			clamped := false
+			for i, v := range wantTree.Edges() {
+				gv := gotTree.Edges()[i]
+				got.buildSumTable(gv)
+				want.buildSumTable(v)
+				if !sameFloats(got.sumTab, want.sumTab) || !sameFloats(got.sumScale, want.sumScale) {
+					t.Errorf("edge above node %d: sum tables differ", v.ID)
+				}
+				for _, b := range []float64{v.Length, MinBranchLength, 0.37, MaxBranchLength} {
+					for _, f := range [][2]bool{{true, true}, {false, true}, {true, false}} {
+						gl, g1, g2 := got.newtonPass(b, f[0], f[1])
+						wl, w1, w2 := want.newtonPass(b, f[0], f[1])
+						if !sameFloat(gl, wl) || !sameFloat(g1, w1) || !sameFloat(g2, w2) {
+							t.Errorf("edge above node %d at %g (logL, deriv %v): sums (%v, %v, %v) specialised, (%v, %v, %v) general",
+								v.ID, b, f, gl, g1, g2, wl, w1, w2)
+						}
+						clamped = clamped || wl < -700
+					}
+				}
+				if a, b := got.MakenewzEdge(gv), want.MakenewzEdge(v); !sameFloat(a, b) {
+					t.Errorf("MakenewzEdge(node %d) = %v specialised, %v general", v.ID, a, b)
+				}
+			}
+			if c.zeroCherry && !clamped {
+				t.Error("no pattern took the clamp; the zero-likelihood case covers nothing")
+			}
+
+			var gotRes, wantRes SearchResult
+			got, gotTree = build(false)
+			want, wantTree = build(true)
+			opts := SearchOptions{SmoothingRounds: 2, MaxRounds: 2, Epsilon: 0.01}
+			if err := got.SearchInto(context.Background(), gotTree, opts, &gotRes); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.SearchInto(context.Background(), wantTree, opts, &wantRes); err != nil {
+				t.Fatal(err)
+			}
+			if !sameFloat(gotRes.LogLikelihood, wantRes.LogLikelihood) || gotRes.NNIAccepted != wantRes.NNIAccepted ||
+				!bytes.Equal(AppendTreeBinary(nil, gotRes.Tree), AppendTreeBinary(nil, wantRes.Tree)) {
+				t.Errorf("search: logL %v (%d moves) specialised, %v (%d moves) general, or the trees differ",
+					gotRes.LogLikelihood, gotRes.NNIAccepted, wantRes.LogLikelihood, wantRes.NNIAccepted)
 			}
 		})
 	}
