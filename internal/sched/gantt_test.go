@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -150,5 +151,42 @@ func TestHybridGanttShowsWiderSPEUsageThanEDTLP(t *testing.T) {
 	}
 	if hybridSPEs != 8 {
 		t.Errorf("EDTLP-LLP(4) with 2 bootstraps should keep all 8 SPEs busy, got %d", hybridSPEs)
+	}
+}
+
+// ganttCharts renders TraceGantt for every scheduler on one and two Cells at
+// 60 and 100 columns, each chart under a line naming its configuration.
+func ganttCharts() string {
+	cfg := workload.RAxML42SC()
+	var b strings.Builder
+	for _, cells := range []int{1, 2} {
+		for _, columns := range []int{60, 100} {
+			for _, s := range []string{"ppe-only", "linux", "edtlp", "hybrid", "mgps"} {
+				opt := Options{Workload: cfg, Bootstraps: 5, NumCells: cells, SPEsPerLoop: 4}
+				fmt.Fprintf(&b, "=== %s cells=%d columns=%d\n", s, cells, columns)
+				b.WriteString(TraceGantt(opt, s, columns))
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestTraceGanttMatchesGolden holds every chart ganttCharts renders to
+// testdata/gantt_golden.txt, written by this function at b0efb34, when the
+// interval recording and the chart lived in a package of their own. A diff
+// is a changed chart or a changed simulation — do not regenerate the file.
+func TestTraceGanttMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/gantt_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ganttCharts(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("chart line %d differs:\n got %q\nwant %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("charts have %d lines, golden has %d", len(gl), len(wl))
 	}
 }

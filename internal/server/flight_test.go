@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -212,6 +215,63 @@ func TestPrometheusAndJSONAgree(t *testing.T) {
 	if snap.Latencies["job_run"].MeanMS <= 0 {
 		t.Error("job_run mean is not positive after a completed job")
 	}
+
+	// With every tenant outcome present, the tenant counts agree series by
+	// series, and both surfaces expose exactly the keys they did when
+	// testdata/metrics_surface.txt was written at b0efb34 (the last commit
+	// that kept the tenant counts in a map of its own beside the registry).
+	rejectAndCancel(t, ts.URL)
+	_, body = get(t, ts.URL+"/metrics")
+	_, jb = get(t, ts.URL+"/v1/metrics")
+	snap = MetricsSnapshot{}
+	if err := json.Unmarshal(jb, &snap); err != nil {
+		t.Fatal(err)
+	}
+	assertTenantsMatchSeries(t, snap, string(body))
+	raw, err := os.ReadFile("testdata/metrics_surface.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if got := surfaceKeys(t, body, jb); !slices.Equal(got, want) {
+		t.Errorf("metrics surface changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// surfaceKeys lists what the two metrics surfaces expose, values left out:
+// every "# TYPE" line and series key of the /metrics text in exposition
+// order, then every key path of the /v1/metrics JSON, sorted.
+func surfaceKeys(t *testing.T, text, jsonBody []byte) []string {
+	t.Helper()
+	var keys []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(text), "\n"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "# TYPE "):
+			keys = append(keys, line)
+		case !strings.HasPrefix(line, "#"):
+			key, _, _ := strings.Cut(line, " ")
+			keys = append(keys, key)
+		}
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(jsonBody, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		paths = append(paths, prefix)
+		if m, ok := v.(map[string]any); ok {
+			for k, sub := range m {
+				walk(prefix+"."+k, sub)
+			}
+		}
+	}
+	for k, v := range doc {
+		walk(k, v)
+	}
+	sort.Strings(paths)
+	return append(keys, paths...)
 }
 
 // TestCancelQueuedJobClosesQueuedSpan: a job cancelled while still queued gets

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -446,6 +447,93 @@ func TestMetricsPerTenant(t *testing.T) {
 	aSt := getStatus(t, ts.URL, a.ID)
 	if aSt.Offloads.Offloads != 4 {
 		t.Errorf("job offloads = %d, want 4", aSt.Offloads.Offloads)
+	}
+
+	rejectAndCancel(t, ts.URL)
+	var snap2 MetricsSnapshot
+	_, jb := get(t, ts.URL+"/v1/metrics")
+	if err := json.Unmarshal(jb, &snap2); err != nil {
+		t.Fatal(err)
+	}
+	for tenant, want := range map[string][5]int{
+		"alice":   {1, 0, 1, 0, 0},
+		"bob":     {1, 0, 1, 0, 0},
+		"mallory": {1, 1, 0, 0, 0},
+		"dave":    {1, 0, 0, 0, 1},
+	} {
+		if got := tenantCounts(snap2.Tenants[tenant]); got != want {
+			t.Errorf("%s: submitted/rejected/completed/failed/cancelled = %v, want %v", tenant, got, want)
+		}
+	}
+	_, text := get(t, ts.URL+"/metrics")
+	assertTenantsMatchSeries(t, snap2, string(text))
+}
+
+// rejectAndCancel adds the two tenant outcomes a job run to completion never
+// produces: tenant "mallory" is only ever rejected (an unknown priority), and
+// tenant "dave" has a long job cancelled.
+func rejectAndCancel(t *testing.T, base string) {
+	t.Helper()
+	bad := smallSpec(90)
+	bad.Tenant, bad.Priority = "mallory", "urgent"
+	if _, code := submitCode(t, base, bad); code != http.StatusBadRequest {
+		t.Fatalf("unknown priority: status %d, want 400", code)
+	}
+	long := longSpec(91)
+	long.Tenant = "dave"
+	st := submit(t, base, long)
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+st.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := waitTerminal(t, base, st.ID, 30*time.Second); st.State != StateCancelled {
+		t.Fatalf("dave's job ended %s, want cancelled", st.State)
+	}
+}
+
+// tenantOutcomes names the five per-tenant counters, in TenantMetrics order.
+var tenantOutcomes = [5]string{"submitted", "rejected", "completed", "failed", "cancelled"}
+
+func tenantCounts(tm TenantMetrics) [5]int {
+	return [5]int{tm.Submitted, tm.Rejected, tm.Completed, tm.Failed, tm.Cancelled}
+}
+
+// assertTenantsMatchSeries holds every tenant's five counts in /v1/metrics to
+// its cellmg_jobs_*_total series in the /metrics text (a missing series is 0),
+// and every tenant with a series to a /v1/metrics entry.
+func assertTenantsMatchSeries(t *testing.T, snap MetricsSnapshot, text string) {
+	t.Helper()
+	series := map[string][5]int{}
+	for _, line := range strings.Split(text, "\n") {
+		key, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		for i, outcome := range tenantOutcomes {
+			tenant, ok := strings.CutPrefix(key, "cellmg_jobs_"+outcome+`_total{tenant="`)
+			if !ok {
+				continue
+			}
+			n, err := strconv.Atoi(value)
+			if err != nil {
+				t.Fatalf("series %s: %v", key, err)
+			}
+			c := series[strings.TrimSuffix(tenant, `"}`)]
+			c[i] = n
+			series[strings.TrimSuffix(tenant, `"}`)] = c
+		}
+	}
+	for tenant := range series {
+		if _, ok := snap.Tenants[tenant]; !ok {
+			t.Errorf("tenant %q has /metrics series but no /v1/metrics entry", tenant)
+		}
+	}
+	for tenant, tm := range snap.Tenants {
+		if got, want := tenantCounts(tm), series[tenant]; got != want {
+			t.Errorf("%s: /v1/metrics counts %v, /metrics series %v (%v)", tenant, got, want, tenantOutcomes)
+		}
 	}
 }
 
