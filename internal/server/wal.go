@@ -89,9 +89,9 @@ const (
 	// compaction rewrites little, large enough that a busy server rotates
 	// rarely.
 	defaultSegmentMaxBytes = 8 << 20
-	// defaultSyncInterval caps how long a buffered record may wait for its
-	// group fsync.
-	defaultSyncInterval = 2 * time.Millisecond
+	// syncInterval paces the syncer: at most one fsync per interval, so a
+	// buffered record waits at most this long for its group fsync.
+	syncInterval = 2 * time.Millisecond
 	// defaultFlushInterval bounds how long a record nobody waits on
 	// (checkpoints, task completions) may sit in the write buffer. Losing a
 	// crash's last flush window of those only costs recomputed work —
@@ -104,7 +104,6 @@ const (
 type walOptions struct {
 	dir             string
 	segmentMaxBytes int64
-	syncInterval    time.Duration
 	flushInterval   time.Duration
 	inj             *faultinject.Injector
 	// onError observes every degraded write/sync ("append" or "sync") —
@@ -115,9 +114,6 @@ type walOptions struct {
 func (o *walOptions) withDefaults() {
 	if o.segmentMaxBytes <= 0 {
 		o.segmentMaxBytes = defaultSegmentMaxBytes
-	}
-	if o.syncInterval <= 0 {
-		o.syncInterval = defaultSyncInterval
 	}
 	if o.flushInterval <= 0 {
 		o.flushInterval = defaultFlushInterval
@@ -141,6 +137,7 @@ type wal struct {
 	wantGen   uint64 // highest generation a caller is blocked waiting on
 	degraded  bool   // a write or sync error has occurred
 	closed    bool
+	syncing   bool // the syncer is fsyncing f outside the lock
 
 	wake       chan struct{} // nudges the syncer out of its lazy sleep
 	syncerDone chan struct{}
@@ -390,8 +387,16 @@ func (w *wal) appendGenerated(typ recType, payload []byte) (uint64, error) {
 }
 
 // rotateLocked closes the current segment (flushed and fsynced — a closed
-// segment is immutable and fully valid) and opens the next.
+// segment is immutable and fully valid) and opens the next. It first waits
+// out an fsync the syncer runs outside the lock, which closing the file under
+// it would fail; a Close or another rotation meanwhile leaves nothing to do.
 func (w *wal) rotateLocked() {
+	for w.syncing {
+		w.cond.Wait()
+	}
+	if w.closed || w.segSize < w.opts.segmentMaxBytes {
+		return
+	}
 	if err := w.bw.Flush(); err != nil {
 		w.noteError("append")
 	}
@@ -453,6 +458,7 @@ func (w *wal) syncer() {
 			continue
 		}
 		f := w.f
+		w.syncing = true
 		w.mu.Unlock()
 		// fsync outside the lock: appends keep buffering into the page cache
 		// while the disk flush runs — that is the batching.
@@ -467,6 +473,7 @@ func (w *wal) syncer() {
 			err = f.Sync()
 		}
 		w.mu.Lock()
+		w.syncing = false
 		if err != nil {
 			w.noteError("sync")
 		}
@@ -479,9 +486,9 @@ func (w *wal) syncer() {
 		// the pause while a durable waiter is already queued — its batch
 		// formed naturally during the fsync just finished, and delaying it
 		// only adds acceptance latency.
-		if w.opts.syncInterval > 0 && !w.closed && w.wantGen <= w.syncGen {
+		if !w.closed && w.wantGen <= w.syncGen {
 			w.mu.Unlock()
-			time.Sleep(w.opts.syncInterval)
+			time.Sleep(syncInterval)
 			w.mu.Lock()
 		}
 	}

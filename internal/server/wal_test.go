@@ -21,10 +21,9 @@ import (
 func openTestWAL(t *testing.T, dir string, inj *faultinject.Injector, onError func(string)) (*wal, []walRecord) {
 	t.Helper()
 	w, recs, err := openWAL(walOptions{
-		dir:          dir,
-		syncInterval: time.Millisecond,
-		inj:          inj,
-		onError:      onError,
+		dir:     dir,
+		inj:     inj,
+		onError: onError,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +71,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 
 func TestWALSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := openWAL(walOptions{dir: dir, segmentMaxBytes: 256, syncInterval: time.Millisecond})
+	w, _, err := openWAL(walOptions{dir: dir, segmentMaxBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +99,56 @@ func TestWALSegmentRotation(t *testing.T) {
 	}
 	for i, r := range recs {
 		if string(r.payload) != fmt.Sprintf("payload-%02d", i) {
+			t.Fatalf("record %d out of order: %q", i, r.payload)
+		}
+	}
+}
+
+// TestWALRotationDuringFsyncStaysHealthy: the syncer fsyncs the current
+// segment outside the lock, so an append that rotates the log meanwhile must
+// not close that file under it — a "file already closed" from the fsync would
+// degrade the log for the rest of the process.
+func TestWALRotationDuringFsyncStaysHealthy(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultinject.New(faultinject.Rule{Op: faultinject.OpWALSync,
+		Action: faultinject.Action{Stall: 200 * time.Millisecond}})
+	var errs atomic.Int32
+	w, _, err := openWAL(walOptions{dir: dir, segmentMaxBytes: 256, inj: inj,
+		onError: func(string) { errs.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := func(i int) []byte { return []byte(fmt.Sprintf("record-%02d-%s", i, bytes.Repeat([]byte{'x'}, 24))) }
+	if err := w.append(recCheckpoint, payload(0)); err != nil {
+		t.Fatal(err)
+	}
+	// The syncer has flushed record 0 and let go of the lock once the stall
+	// rule has fired; it stays in its fsync for the stall.
+	for deadline := time.Now().Add(5 * time.Second); !inj.Fired(0); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the syncer never reached its fsync")
+		}
+	}
+	const n = 20 // 20 frames of 45 bytes cross 256 bytes three times
+	for i := 1; i < n; i++ {
+		if err := w.append(recCheckpoint, payload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.sync(); err != nil || w.isDegraded() || errs.Load() != 0 {
+		t.Fatalf("rotation during an fsync degraded the log: sync error %v, degraded %v, onError called %d times",
+			err, w.isDegraded(), errs.Load())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, recs := openTestWAL(t, dir, nil, nil)
+	defer w2.Close()
+	if len(recs) != n {
+		t.Fatalf("replayed %d records, want %d", len(recs), n)
+	}
+	for i, r := range recs {
+		if !bytes.Equal(r.payload, payload(i)) {
 			t.Fatalf("record %d out of order: %q", i, r.payload)
 		}
 	}
@@ -157,7 +206,7 @@ func TestWALTornTailTruncatesReplay(t *testing.T) {
 
 func TestWALCorruptEarlierSegmentIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := openWAL(walOptions{dir: dir, segmentMaxBytes: 64, syncInterval: time.Millisecond})
+	w, _, err := openWAL(walOptions{dir: dir, segmentMaxBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
