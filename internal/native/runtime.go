@@ -90,8 +90,7 @@ func ParsePolicy(name string) (PolicyKind, error) {
 
 // Options configures a Runtime.
 type Options struct {
-	// Workers is the pool size; it defaults to 8 (the number of SPEs on a
-	// Cell) capped at GOMAXPROCS when that is smaller.
+	// Workers is the pool size (default DefaultWorkers).
 	Workers int
 	// Policy selects the scheduling policy (default EDTLP).
 	Policy PolicyKind
@@ -181,13 +180,14 @@ const (
 	spinYield  = 512
 )
 
+// DefaultWorkers is the pool size a zero Options.Workers selects: 8, the
+// number of SPEs on a Cell, capped at GOMAXPROCS when that is smaller.
+func DefaultWorkers() int { return min(8, runtime.GOMAXPROCS(0)) }
+
 // New creates and starts a runtime.
 func New(opts Options) *Runtime {
 	if opts.Workers <= 0 {
-		opts.Workers = 8
-		if p := runtime.GOMAXPROCS(0); p < opts.Workers {
-			opts.Workers = p
-		}
+		opts.Workers = DefaultWorkers()
 	}
 	if opts.SPEsPerLoop <= 0 {
 		opts.SPEsPerLoop = 4

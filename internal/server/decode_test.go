@@ -14,7 +14,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"cellmg/internal/phylo"
 )
@@ -156,7 +155,7 @@ func TestDecodersRejectTruncatedAndOversizedInput(t *testing.T) {
 // does not come up on a log it cannot read, and does not crash on it either.
 func TestOpenRejectsPoisonedLog(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := openWAL(walOptions{dir: dir, syncInterval: time.Millisecond})
+	w, _, err := openWAL(walOptions{dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,6 @@ func TestCrashRecoveryKillAtEveryRecordType(t *testing.T) {
 			srv, err := Open(Options{
 				Workers: 4, MaxConcurrent: 1,
 				DataDir: dir, FaultInjector: inj,
-				WALSyncInterval: time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -164,9 +163,8 @@ func TestCrashRecoveryKillAtEveryRecordType(t *testing.T) {
 			// Restart: a fresh server on the same dir, no faults.
 			srv2, err := Open(Options{
 				Workers: 4, MaxConcurrent: 2,
-				DataDir:         dir,
-				WALSyncInterval: time.Millisecond,
-				RetryBackoff:    5 * time.Millisecond,
+				DataDir:      dir,
+				RetryBackoff: 5 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -288,7 +286,7 @@ func TestDrainTimeoutCheckpointsAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := Open(Options{
 		Workers: 4, MaxConcurrent: 1,
-		DataDir: dir, WALSyncInterval: time.Millisecond,
+		DataDir:       dir,
 		FaultInjector: inj,
 	})
 	if err != nil {
@@ -320,9 +318,8 @@ func TestDrainTimeoutCheckpointsAndResumes(t *testing.T) {
 
 	srv2, err := Open(Options{
 		Workers: 4, MaxConcurrent: 2,
-		DataDir:         dir,
-		WALSyncInterval: time.Millisecond,
-		RetryBackoff:    5 * time.Millisecond,
+		DataDir:      dir,
+		RetryBackoff: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +357,6 @@ func TestWALFailureDegradesToInMemory(t *testing.T) {
 	srv, err := Open(Options{
 		Workers: 2, MaxConcurrent: 1,
 		DataDir: t.TempDir(), FaultInjector: inj,
-		WALSyncInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +391,7 @@ func (*testDiskError) Error() string { return "injected disk error" }
 // the server.
 func TestPoisonJobFailsAfterMaxAttempts(t *testing.T) {
 	dir := t.TempDir()
-	st, _, err := openJobStore(walOptions{dir: dir, syncInterval: time.Millisecond})
+	st, _, err := openJobStore(walOptions{dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,8 +405,7 @@ func TestPoisonJobFailsAfterMaxAttempts(t *testing.T) {
 
 	srv, err := Open(Options{
 		Workers: 2, DataDir: dir,
-		MaxJobAttempts:  3,
-		WALSyncInterval: time.Millisecond,
+		MaxJobAttempts: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +500,7 @@ func TestTerminalJobReleasesInputs(t *testing.T) {
 
 	dir := t.TempDir()
 	open := func() (*Server, *httptest.Server) {
-		srv, err := Open(Options{Workers: 2, MaxConcurrent: 1, DataDir: dir, WALSyncInterval: time.Millisecond})
+		srv, err := Open(Options{Workers: 2, MaxConcurrent: 1, DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

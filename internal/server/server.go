@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -96,8 +95,6 @@ type Options struct {
 	// crashed jobs (default 500ms): attempt n waits base<<(n-1), capped at
 	// 30s.
 	RetryBackoff time.Duration
-	// WALSyncInterval overrides the group-commit fsync pacing (default 2ms).
-	WALSyncInterval time.Duration
 	// FaultInjector arms deterministic WAL faults — crash-recovery tests
 	// only; leave nil in production.
 	FaultInjector *faultinject.Injector
@@ -105,13 +102,10 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	// The worker default mirrors native.New's: the flight recorder's lane
-	// layout must be sized before the runtime exists.
+	// The flight recorder's lanes are sized before the runtime exists, so
+	// the worker default is resolved here, by native's rule.
 	if out.Workers <= 0 {
-		out.Workers = 8
-		if p := runtime.GOMAXPROCS(0); p < out.Workers {
-			out.Workers = p
-		}
+		out.Workers = native.DefaultWorkers()
 	}
 	if out.QueueCapacity <= 0 {
 		out.QueueCapacity = 64
@@ -217,10 +211,9 @@ func Open(opts Options) (*Server, error) {
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
 	if opts.DataDir != "" {
 		st, recovered, err := openJobStore(walOptions{
-			dir:          opts.DataDir,
-			syncInterval: opts.WALSyncInterval,
-			inj:          opts.FaultInjector,
-			onError:      func(op string) { s.prom.walErrors.With(op).Inc() },
+			dir:     opts.DataDir,
+			inj:     opts.FaultInjector,
+			onError: func(op string) { s.prom.walErrors.With(op).Inc() },
 		})
 		if err != nil {
 			s.rt.Close()

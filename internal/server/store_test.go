@@ -7,14 +7,13 @@ package server
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"cellmg/internal/native"
 )
 
 func openTestStore(t *testing.T, dir string) (*jobStore, map[string]*recoveredJob) {
 	t.Helper()
-	st, jobs, err := openJobStore(walOptions{dir: dir, syncInterval: time.Millisecond})
+	st, jobs, err := openJobStore(walOptions{dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

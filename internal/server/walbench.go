@@ -8,7 +8,6 @@ package server
 
 import (
 	"testing"
-	"time"
 )
 
 // walBenchPayloadBytes sizes each benchmark record: a search checkpoint for
@@ -26,7 +25,7 @@ const walBenchPayloadBytes = 512
 // the caller to remove.
 func WALAppendBench(dir string) func(b *testing.B) {
 	return func(b *testing.B) {
-		w, _, err := openWAL(walOptions{dir: dir, syncInterval: time.Millisecond})
+		w, _, err := openWAL(walOptions{dir: dir})
 		if err != nil {
 			b.Fatal(err)
 		}
