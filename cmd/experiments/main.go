@@ -43,31 +43,14 @@ func main() {
 		}
 	}
 
-	runners := []struct {
-		id  string
-		run func(experiments.Config) experiments.Report
-	}{
-		{"E1", experiments.SPEOptimization},
-		{"E2", experiments.Table1},
-		{"E3", experiments.Table2},
-		{"E4", experiments.Figure7},
-		{"E5", experiments.Figure8},
-		{"E6", experiments.Figure9},
-		{"E7", experiments.Figure10},
-		{"E8", experiments.AblationSwitchCostQuantum},
-		{"E9", experiments.AblationMGPSWindow},
-		{"E10", experiments.AblationScaleInvariance},
-		{"E11", experiments.NativeCalibration},
-	}
-
 	var reports []experiments.Report
 	failed := 0
-	for _, r := range runners {
-		if len(wanted) > 0 && !wanted[r.id] {
+	for _, e := range experiments.Experiments {
+		if len(wanted) > 0 && !wanted[e.ID] {
 			continue
 		}
 		start := time.Now()
-		rep := r.run(cfg)
+		rep := e.Run(cfg)
 		fmt.Print(rep.String())
 		fmt.Printf("(%s took %v)\n\n", rep.ID, time.Since(start).Round(time.Millisecond))
 		if !rep.Passed() {

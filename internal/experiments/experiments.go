@@ -160,19 +160,24 @@ func claim(desc string, pass bool, detailFormat string, args ...any) Claim {
 	return Claim{Description: desc, Pass: pass, Detail: fmt.Sprintf(detailFormat, args...)}
 }
 
-// All runs every experiment in order.
-func All(cfg Config) []Report {
-	return []Report{
-		SPEOptimization(cfg),
-		Table1(cfg),
-		Table2(cfg),
-		Figure7(cfg),
-		Figure8(cfg),
-		Figure9(cfg),
-		Figure10(cfg),
-		AblationSwitchCostQuantum(cfg),
-		AblationMGPSWindow(cfg),
-		AblationScaleInvariance(cfg),
-		NativeCalibration(cfg),
-	}
+// Experiment is one entry of the suite: its report ID and the function that
+// runs it.
+type Experiment struct {
+	ID  string
+	Run func(Config) Report
+}
+
+// Experiments is the suite in report order, E1 to E11.
+var Experiments = []Experiment{
+	{"E1", SPEOptimization},
+	{"E2", Table1},
+	{"E3", Table2},
+	{"E4", Figure7},
+	{"E5", Figure8},
+	{"E6", Figure9},
+	{"E7", Figure10},
+	{"E8", AblationSwitchCostQuantum},
+	{"E9", AblationMGPSWindow},
+	{"E10", AblationScaleInvariance},
+	{"E11", NativeCalibration},
 }

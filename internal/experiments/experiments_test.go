@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -103,12 +104,15 @@ func TestAllRunsEveryExperimentOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite run skipped in -short mode")
 	}
-	reports := All(quick())
-	if len(reports) != 11 {
-		t.Fatalf("All returned %d reports, want 11", len(reports))
+	if len(Experiments) != 11 {
+		t.Fatalf("Experiments lists %d entries, want 11", len(Experiments))
 	}
 	ids := map[string]bool{}
-	for _, r := range reports {
+	for i, e := range Experiments {
+		r := e.Run(quick())
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want || r.ID != want {
+			t.Errorf("entry %d: listed as %s, reports as %s, want %s", i, e.ID, r.ID, want)
+		}
 		if ids[r.ID] {
 			t.Errorf("duplicate report ID %s", r.ID)
 		}
