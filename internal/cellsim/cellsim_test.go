@@ -437,3 +437,51 @@ func TestRoundTripSignal(t *testing.T) {
 		t.Errorf("RoundTripSignal should be the sum of the two one-way latencies")
 	}
 }
+
+func TestIntegrationWithCellsimHook(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewMachine(eng, DefaultCostModel(), 1)
+	intervals := 0                     // the intervals a chart would draw: longer than zero
+	comps := map[string]bool{}         // their components
+	kinds := map[string]sim.Duration{} // SPE 0's busy time by activity kind
+	m.Trace = func(component string, start, end sim.Time, kind string) {
+		if end > start {
+			intervals++
+			comps[component] = true
+		}
+		if component == "cell0.spe0" {
+			kinds[kind] += end.Sub(start)
+		}
+	}
+	prog := []Op{DMAGet(4096), Compute(20 * sim.Microsecond), DMAPut(4096)}
+	if err := m.SPE(0).Submit(prog, nil); err != nil {
+		t.Fatal(err)
+	}
+	ppe := m.Cells[0].PPE
+	asked := false
+	var c Charge
+	eng.Spawn("ppe", func(p *sim.Proc) {
+		if !asked {
+			asked = true
+			if !ppe.TryAcquireContext(p) {
+				return // woken holding the context
+			}
+		}
+		if ppe.Compute(p, &c, 5*sim.Microsecond) {
+			ppe.ReleaseContext()
+		}
+	})
+	eng.Run()
+	if intervals < 4 {
+		t.Fatalf("expected at least 4 intervals (2 DMA + 1 compute + 1 PPE), got %d", intervals)
+	}
+	if !comps["cell0.spe0"] || !comps["cell0.ppe"] {
+		t.Errorf("components = %v", comps)
+	}
+	if kinds["compute"] != 20*sim.Microsecond {
+		t.Errorf("spe compute time = %v, want 20us", kinds["compute"])
+	}
+	if kinds["dma"] == 0 {
+		t.Errorf("DMA intervals should be traced")
+	}
+}

@@ -27,8 +27,8 @@ type Machine struct {
 	Cost  *CostModel
 	Cells []*Cell
 
-	// Trace, when non-nil, receives every interval of activity; package trace
-	// turns the stream into utilization timelines and Gantt charts.
+	// Trace, when non-nil, receives every interval of activity; sched's
+	// TraceGantt turns the stream into an activity chart.
 	Trace TraceFunc
 }
 

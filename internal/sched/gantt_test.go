@@ -8,28 +8,112 @@ import (
 
 	"cellmg/internal/cellsim"
 	"cellmg/internal/policy"
-	"cellmg/internal/trace"
+	"cellmg/internal/sim"
 	"cellmg/internal/workload"
 )
+
+// busyTime sums a component's traced intervals.
+func (t *timeline) busyTime(component string) sim.Duration {
+	var d sim.Duration
+	for _, iv := range t.intervals {
+		if iv.component == component {
+			d += iv.end.Sub(iv.start)
+		}
+	}
+	return d
+}
+
+// utilization is busyTime over the makespan, the chart's percentage column.
+func (t *timeline) utilization(component string) float64 {
+	if t.end == 0 {
+		return 0
+	}
+	return float64(t.busyTime(component)) / float64(t.end)
+}
+
+func TestRecordAndAccounting(t *testing.T) {
+	tl := &timeline{}
+	tl.record("spe0", 0, sim.Time(10*sim.Microsecond), "compute")
+	tl.record("spe0", sim.Time(20*sim.Microsecond), sim.Time(30*sim.Microsecond), "dma")
+	tl.record("spe1", 0, sim.Time(40*sim.Microsecond), "compute")
+	tl.record("bogus", sim.Time(5), sim.Time(5), "compute") // zero length, ignored
+
+	if len(tl.intervals) != 3 {
+		t.Errorf("len = %d, want 3 (zero-length intervals dropped)", len(tl.intervals))
+	}
+	comps := tl.components()
+	if len(comps) != 2 || comps[0] != "spe0" || comps[1] != "spe1" {
+		t.Errorf("components = %v", comps)
+	}
+	if tl.end != sim.Time(40*sim.Microsecond) {
+		t.Errorf("end = %v", tl.end)
+	}
+	if tl.busyTime("spe0") != 20*sim.Microsecond {
+		t.Errorf("spe0 busy = %v", tl.busyTime("spe0"))
+	}
+	if u := tl.utilization("spe0"); u < 0.49 || u > 0.51 {
+		t.Errorf("spe0 utilization = %v, want 0.5", u)
+	}
+	if u := tl.utilization("spe1"); u != 1.0 {
+		t.Errorf("spe1 utilization = %v, want 1.0", u)
+	}
+}
+
+func TestEmptyTimeline(t *testing.T) {
+	tl := &timeline{}
+	if tl.end != 0 || tl.utilization("x") != 0 {
+		t.Errorf("empty timeline should report zeros")
+	}
+	if !strings.Contains(tl.gantt(10), "empty") {
+		t.Errorf("empty gantt should say so")
+	}
+}
+
+func TestGanttShape(t *testing.T) {
+	tl := &timeline{}
+	tl.record("spe0", 0, sim.Time(50*sim.Microsecond), "compute")
+	tl.record("spe1", sim.Time(50*sim.Microsecond), sim.Time(100*sim.Microsecond), "compute")
+	var out string
+	var lines []string
+	// 10 columns hold the printed makespan; 2 are narrower than it.
+	for _, columns := range []int{2, 10} {
+		out = tl.gantt(columns)
+		lines = strings.Split(strings.TrimSpace(out), "\n")
+		if len(lines) != 3 {
+			t.Fatalf("gantt(%d) should have a header and two rows:\n%s", columns, out)
+		}
+		if !strings.Contains(lines[1], "spe0") || !strings.Contains(lines[2], "spe1") {
+			t.Errorf("gantt(%d) rows mislabelled:\n%s", columns, out)
+		}
+	}
+	// spe0 busy in the first half, idle in the second; spe1 the reverse.
+	row0 := lines[1]
+	if !strings.Contains(row0, "#####") || !strings.Contains(row0, ".....") {
+		t.Errorf("spe0 row should be half busy, half idle: %q", row0)
+	}
+	if !strings.Contains(row0, "50.0%") {
+		t.Errorf("spe0 row should report 50%% utilization: %q", row0)
+	}
+}
 
 func TestTraceHookReceivesActivity(t *testing.T) {
 	cfg := workload.RAxML42SC()
 	cfg.CallsPerBootstrap = 20
-	tl := trace.New()
-	res := RunEDTLP(Options{Workload: cfg, Bootstraps: 2, Trace: tl.Record})
+	tl := &timeline{}
+	res := RunEDTLP(Options{Workload: cfg, Bootstraps: 2, Trace: tl.record})
 	if res.PaperSeconds <= 0 {
 		t.Fatalf("run produced no result")
 	}
-	if tl.Len() == 0 {
+	if len(tl.intervals) == 0 {
 		t.Fatalf("trace hook received no intervals")
 	}
-	comps := strings.Join(tl.Components(), " ")
+	comps := strings.Join(tl.components(), " ")
 	if !strings.Contains(comps, "cell0.spe0") || !strings.Contains(comps, "cell0.ppe") {
-		t.Errorf("trace components = %v", tl.Components())
+		t.Errorf("trace components = %v", tl.components())
 	}
 	// The traced SPE busy time must be consistent with the reported mean
 	// utilization (same machine, same run).
-	if tl.Utilization("cell0.spe0") <= 0 {
+	if tl.utilization("cell0.spe0") <= 0 {
 		t.Errorf("SPE0 should show activity in the trace")
 	}
 
@@ -49,19 +133,19 @@ func TestTraceHookReceivesActivity(t *testing.T) {
 			r.spawnEventDriven()
 		},
 	} {
-		tl := trace.New()
-		r := newRun(Options{Workload: cfg, Bootstraps: 5, NumCells: 2, Trace: tl.Record})
+		tl := &timeline{}
+		r := newRun(Options{Workload: cfg, Bootstraps: 5, NumCells: 2, Trace: tl.record})
 		start(r)
 		r.eng.Run()
 		switches := 0
 		for _, c := range r.machine.Cells {
-			if got, want := tl.BusyTime(fmt.Sprintf("cell%d.ppe", c.Index)), c.PPE.BusyTime(); got != want {
+			if got, want := tl.busyTime(fmt.Sprintf("cell%d.ppe", c.Index)), c.PPE.BusyTime(); got != want {
 				t.Errorf("%s: traced %v on cell%d.ppe, PPE.BusyTime() = %v", name, got, c.Index, want)
 			}
 			switches += c.PPE.Switches() + c.PPE.KernelSwitches()
 			for _, spe := range c.SPEs {
 				lane := fmt.Sprintf("cell%d.spe%d", c.Index, spe.Index)
-				if got, want := tl.BusyTime(lane), spe.BusyTime(); got != want {
+				if got, want := tl.busyTime(lane), spe.BusyTime(); got != want {
 					t.Errorf("%s: traced %v on %s, SPE.BusyTime() = %v", name, got, lane, want)
 				}
 			}
@@ -129,16 +213,16 @@ func TestHybridGanttShowsWiderSPEUsageThanEDTLP(t *testing.T) {
 	cfg := workload.RAxML42SC()
 	cfg.CallsPerBootstrap = 30
 	count := func(scheduler string) int {
-		tl := trace.New()
-		opt := Options{Workload: cfg, Bootstraps: 2, SPEsPerLoop: 4, Trace: tl.Record}
+		tl := &timeline{}
+		opt := Options{Workload: cfg, Bootstraps: 2, SPEsPerLoop: 4, Trace: tl.record}
 		if scheduler == "edtlp" {
 			RunEDTLP(opt)
 		} else {
 			RunStaticHybrid(opt)
 		}
 		busy := 0
-		for _, c := range tl.Components() {
-			if strings.Contains(c, "spe") && tl.BusyTime(c) > 0 {
+		for _, c := range tl.components() {
+			if strings.Contains(c, "spe") && tl.busyTime(c) > 0 {
 				busy++
 			}
 		}

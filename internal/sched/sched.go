@@ -23,6 +23,10 @@
 //
 // RunPPEOnly and the offload.Naive optimization level reproduce the Section
 // 5.1 off-loading ablation.
+//
+// TraceGantt draws what every SPE and PPE did during a shortened run as an
+// ASCII activity chart (the paper's Figure 2), from the intervals the
+// machine reports through Options.Trace (gantt.go).
 package sched
 
 import (
