@@ -51,8 +51,10 @@
 // exports Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing, with one named track per lane, counter tracks for the
 // MGPS degree and per-flow log-likelihood, and instants for policy switches.
-// Registry is a small Prometheus text-format registry (counters, gauges,
-// fixed-bucket histograms backed by stats.Histogram) the job server exposes
-// at GET /metrics; the same histogram instances feed the JSON percentiles in
-// /v1/metrics, so the two surfaces can never disagree.
+// Registry is a small Prometheus text-format registry (counters, gauges and
+// the package's own fixed-bucket Histogram: atomic, allocation-free to
+// observe, with interpolated quantiles) the job server exposes at
+// GET /metrics; the same histogram instances feed the JSON percentiles in
+// /v1/metrics, so the two surfaces can never disagree. The package imports
+// no other package of this module.
 package flight

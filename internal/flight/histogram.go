@@ -1,4 +1,4 @@
-package stats
+package flight
 
 import (
 	"math"
@@ -23,14 +23,14 @@ type Histogram struct {
 // must be finite, strictly increasing, and non-empty.
 func NewHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
-		panic("stats: histogram needs at least one bucket bound")
+		panic("flight: histogram needs at least one bucket bound")
 	}
 	for i, b := range bounds {
 		if math.IsNaN(b) || math.IsInf(b, 0) {
-			panic("stats: histogram bounds must be finite")
+			panic("flight: histogram bounds must be finite")
 		}
 		if i > 0 && b <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly increasing")
+			panic("flight: histogram bounds must be strictly increasing")
 		}
 	}
 	return &Histogram{

@@ -10,16 +10,13 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"cellmg/internal/stats"
 )
 
 // Registry is a small Prometheus-text-format metrics registry: counters,
-// gauges (as read functions), and fixed-bucket histograms backed by
-// stats.Histogram. It exists so the job server can expose GET /metrics
-// without a client-library dependency, and so the SAME histogram instances
-// can back both the Prometheus surface and the JSON percentiles in
-// /v1/metrics — the two can never drift apart.
+// gauges (as read functions), and fixed-bucket Histograms. It exists so the
+// job server can expose GET /metrics without a client-library dependency,
+// and so the SAME histogram instances can back both the Prometheus surface
+// and the JSON percentiles in /v1/metrics — the two can never drift apart.
 //
 // Metric and label names must match Prometheus conventions
 // ([a-zA-Z_:][a-zA-Z0-9_:]*); the registry panics on registration errors
@@ -50,7 +47,7 @@ type metric struct {
 	series   map[string]*Counter
 	read     func() float64 // gauge/counter callback form (single series)
 
-	hist *stats.Histogram
+	hist *Histogram
 }
 
 // Counter is a monotonically increasing counter series.
@@ -144,6 +141,17 @@ func (v *CounterVec) Sum(values ...string) float64 {
 	return total
 }
 
+// Values returns every series' count by label value, without creating any.
+func (v *CounterVec) Values() map[string]float64 {
+	v.m.mu.Lock()
+	defer v.m.mu.Unlock()
+	out := make(map[string]float64, len(v.m.series))
+	for value, c := range v.m.series {
+		out[value] = c.Value()
+	}
+	return out
+}
+
 // NewGaugeFunc registers a gauge whose value is read at scrape time.
 func (r *Registry) NewGaugeFunc(name, help string, read func() float64) {
 	r.register(&metric{name: name, help: help, kind: kindGauge, read: read})
@@ -156,8 +164,8 @@ func (r *Registry) NewCounterFunc(name, help string, read func() float64) {
 }
 
 // NewHistogram registers a histogram with the given upper bucket bounds.
-func (r *Registry) NewHistogram(name, help string, bounds []float64) *stats.Histogram {
-	h := stats.NewHistogram(bounds)
+func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
+	h := NewHistogram(bounds)
 	r.register(&metric{name: name, help: help, kind: kindHistogram, hist: h})
 	return h
 }
@@ -165,7 +173,7 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *stats.Hist
 // Histogram returns a registered histogram by name (nil if absent or not a
 // histogram) — the bridge the JSON metrics surface uses to quote the same
 // percentiles Prometheus sees.
-func (r *Registry) Histogram(name string) *stats.Histogram {
+func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.byName[name]

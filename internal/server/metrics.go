@@ -8,8 +8,9 @@ import (
 )
 
 // TenantMetrics aggregates everything one tenant has done to the server:
-// admission outcomes, queueing, and the runtime work its jobs' off-loads
-// consumed (via the per-job stats sinks).
+// admission outcomes (the cellmg_jobs_*_total series of /metrics), queueing,
+// and the runtime work its jobs' off-loads consumed (via the per-job stats
+// sinks).
 type TenantMetrics struct {
 	Submitted int `json:"submitted"`
 	Rejected  int `json:"rejected"`
@@ -46,7 +47,7 @@ type MetricsSnapshot struct {
 	JobsRunning int                      `json:"jobs_running"`
 	// Latencies summarizes the four latency histograms that also back the
 	// Prometheus /metrics endpoint, so the two surfaces agree by
-	// construction (see histogramNames for the key↔metric mapping).
+	// construction (latencyHistograms maps each key to its metric).
 	Latencies map[string]LatencySummary `json:"latencies"`
 	// Durability reports the write-ahead job log's health and what the last
 	// startup recovered; nil when the server runs without a data dir.
@@ -70,12 +71,13 @@ type DurabilityMetrics struct {
 	RecoveredCheckpoints int64 `json:"recovered_checkpoints"`
 }
 
-// metricsRegistry owns the per-tenant counters and mirrors every admission
-// outcome into the Prometheus registry, so the JSON and text surfaces count
-// from the same call sites.
+// metricsRegistry keeps the per-tenant facts the Prometheus registry has no
+// series for — the summed queue wait and the off-load summary — and reads
+// the five admission outcomes from the registry's counters, which count each
+// outcome once.
 type metricsRegistry struct {
 	mu      sync.Mutex
-	tenants map[string]*TenantMetrics
+	tenants map[string]*TenantMetrics // QueueWaitTotal and Offloads only
 	prom    *promMetrics
 }
 
@@ -83,51 +85,23 @@ func newMetricsRegistry(prom *promMetrics) *metricsRegistry {
 	return &metricsRegistry{tenants: map[string]*TenantMetrics{}, prom: prom}
 }
 
-func (m *metricsRegistry) tenant(name string) *TenantMetrics {
-	t, ok := m.tenants[name]
-	if !ok {
-		t = &TenantMetrics{}
-		m.tenants[name] = t
-	}
-	return t
-}
-
-func (m *metricsRegistry) jobSubmitted(tenant string) {
-	m.mu.Lock()
-	m.tenant(tenant).Submitted++
-	m.mu.Unlock()
-	m.prom.submitted.With(tenant).Inc()
-}
-
-func (m *metricsRegistry) jobRejected(tenant string) {
-	m.mu.Lock()
-	m.tenant(tenant).Rejected++
-	m.mu.Unlock()
-	m.prom.rejected.With(tenant).Inc()
-}
-
-// jobFinished folds a terminal job into its tenant's counters and observes
-// its queue wait and run duration into the latency histograms.
+// jobFinished folds a terminal job into its tenant's totals, counts its
+// outcome and observes its queue wait and run duration into the latency
+// histograms.
 func (m *metricsRegistry) jobFinished(j *Job) {
-	state := j.State()
 	wait := j.queueWait()
-	run := j.runDuration()
 	sum := j.collector.Summary()
 	m.mu.Lock()
-	t := m.tenant(j.Tenant)
-	switch state {
-	case StateDone:
-		t.Completed++
-	case StateFailed:
-		t.Failed++
-	case StateCancelled:
-		t.Cancelled++
+	t, ok := m.tenants[j.Tenant]
+	if !ok {
+		t = &TenantMetrics{}
+		m.tenants[j.Tenant] = t
 	}
 	t.QueueWaitTotal += wait
 	t.Offloads.Merge(sum)
 	m.mu.Unlock()
 
-	switch state {
+	switch j.State() {
 	case StateDone:
 		m.prom.completed.With(j.Tenant).Inc()
 	case StateFailed:
@@ -135,20 +109,31 @@ func (m *metricsRegistry) jobFinished(j *Job) {
 	case StateCancelled:
 		m.prom.cancelled.With(j.Tenant).Inc()
 	}
-	m.prom.jobQueueWait.ObserveSeconds(int64(wait))
-	if run > 0 {
+	m.prom.latency[jobQueueWait].ObserveSeconds(int64(wait))
+	if run := j.runDuration(); run > 0 {
 		// Jobs cancelled while queued never ran; only real runs are observed.
-		m.prom.jobRun.ObserveSeconds(int64(run))
+		m.prom.latency[jobRun].ObserveSeconds(int64(run))
 	}
 }
 
-// snapshot copies the per-tenant map.
+// snapshot builds the per-tenant section of /v1/metrics. Every tenant is
+// counted submitted before any outcome, so reading the outcomes first never
+// shows a tenant with more outcomes than submissions.
 func (m *metricsRegistry) snapshot() map[string]TenantMetrics {
+	p := m.prom
+	rejected, completed, failed, cancelled := p.rejected.Values(), p.completed.Values(), p.failed.Values(), p.cancelled.Values()
+	submitted := p.submitted.Values()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]TenantMetrics, len(m.tenants))
-	for name, t := range m.tenants {
-		out[name] = *t
+	out := make(map[string]TenantMetrics, len(submitted))
+	for name, n := range submitted {
+		var t TenantMetrics
+		if totals := m.tenants[name]; totals != nil {
+			t = *totals
+		}
+		t.Submitted, t.Rejected = int(n), int(rejected[name])
+		t.Completed, t.Failed, t.Cancelled = int(completed[name]), int(failed[name]), int(cancelled[name])
+		out[name] = t
 	}
 	return out
 }

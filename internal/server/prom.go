@@ -7,9 +7,9 @@ import (
 
 // promMetrics is the server's Prometheus-format surface (GET /metrics): a
 // flight.Registry holding admission counters per tenant, queue/runtime
-// gauges, and the four latency histograms. The SAME histogram instances
-// back the percentiles in the JSON /v1/metrics snapshot, so the two
-// surfaces always agree on what the server measured.
+// gauges, and the four latency histograms. The JSON /v1/metrics snapshot
+// quotes the SAME counters and histogram instances, so the two surfaces
+// always agree on what the server measured.
 type promMetrics struct {
 	reg *flight.Registry
 
@@ -23,20 +23,26 @@ type promMetrics struct {
 	recoveredJobsVec  *flight.CounterVec
 	recoveredTasksVec *flight.CounterVec
 
-	jobQueueWait *stats.Histogram
-	jobRun       *stats.Histogram
-	offloadWait  *stats.Histogram
-	offloadRun   *stats.Histogram
+	latency [numLatencies]*flight.Histogram
 }
 
-// histogramNames maps the JSON latency keys to the registered Prometheus
-// metric names — the explicit contract that /v1/metrics percentiles come
-// from the same data as /metrics.
-var histogramNames = map[string]string{
-	"job_queue_wait":     "cellmg_job_queue_wait_seconds",
-	"job_run":            "cellmg_job_run_seconds",
-	"offload_queue_wait": "cellmg_offload_queue_wait_seconds",
-	"offload_run":        "cellmg_offload_run_seconds",
+// The latency histograms, as indexes into latencyHistograms and
+// promMetrics.latency.
+const (
+	jobQueueWait = iota
+	jobRun
+	offloadQueueWait
+	offloadRun
+	numLatencies
+)
+
+// latencyHistograms names each latency histogram once: its key in the
+// /v1/metrics "latencies" map, its /metrics name and its help text.
+var latencyHistograms = [numLatencies]struct{ key, name, help string }{
+	jobQueueWait:     {"job_queue_wait", "cellmg_job_queue_wait_seconds", "Admission queue wait per finished job."},
+	jobRun:           {"job_run", "cellmg_job_run_seconds", "Run duration per finished job."},
+	offloadQueueWait: {"offload_queue_wait", "cellmg_offload_queue_wait_seconds", "Worker-group queue wait per off-loaded task."},
+	offloadRun:       {"offload_run", "cellmg_offload_run_seconds", "Kernel (task body) run time per off-loaded task."},
 }
 
 func newPromMetrics(s *Server) *promMetrics {
@@ -55,14 +61,9 @@ func newPromMetrics(s *Server) *promMetrics {
 		recoveredTasksVec: reg.NewCounterVec("cellmg_recovered_tasks_total",
 			"Per-task state replayed from the WAL at startup, by kind (done, checkpoint).", "kind"),
 	}
-	p.jobQueueWait = reg.NewHistogram(histogramNames["job_queue_wait"],
-		"Admission queue wait per finished job.", stats.DefaultLatencyBuckets())
-	p.jobRun = reg.NewHistogram(histogramNames["job_run"],
-		"Run duration per finished job.", stats.DefaultLatencyBuckets())
-	p.offloadWait = reg.NewHistogram(histogramNames["offload_queue_wait"],
-		"Worker-group queue wait per off-loaded task.", stats.DefaultLatencyBuckets())
-	p.offloadRun = reg.NewHistogram(histogramNames["offload_run"],
-		"Kernel (task body) run time per off-loaded task.", stats.DefaultLatencyBuckets())
+	for i, h := range latencyHistograms {
+		p.latency[i] = reg.NewHistogram(h.name, h.help, flight.DefaultLatencyBuckets())
+	}
 
 	reg.NewGaugeFunc("cellmg_draining", "1 while the server is draining (refusing new jobs).",
 		func() float64 {
@@ -108,8 +109,8 @@ type offloadSink struct{ p *promMetrics }
 
 // RecordOffload implements stats.OffloadSink.
 func (o offloadSink) RecordOffload(ev stats.OffloadEvent) {
-	o.p.offloadWait.ObserveSeconds(int64(ev.QueueWait))
-	o.p.offloadRun.ObserveSeconds(int64(ev.Run))
+	o.p.latency[offloadQueueWait].ObserveSeconds(int64(ev.QueueWait))
+	o.p.latency[offloadRun].ObserveSeconds(int64(ev.Run))
 }
 
 // LatencySummary is the JSON view of one latency histogram: count, mean and
@@ -123,7 +124,7 @@ type LatencySummary struct {
 	P99MS  float64 `json:"p99_ms"`
 }
 
-func summarize(h *stats.Histogram) LatencySummary {
+func summarize(h *flight.Histogram) LatencySummary {
 	const msPerS = 1e3
 	return LatencySummary{
 		Count:  h.Count(),
@@ -136,10 +137,9 @@ func summarize(h *stats.Histogram) LatencySummary {
 
 // latencies builds the /v1/metrics "latencies" map.
 func (p *promMetrics) latencies() map[string]LatencySummary {
-	return map[string]LatencySummary{
-		"job_queue_wait":     summarize(p.jobQueueWait),
-		"job_run":            summarize(p.jobRun),
-		"offload_queue_wait": summarize(p.offloadWait),
-		"offload_run":        summarize(p.offloadRun),
+	out := make(map[string]LatencySummary, numLatencies)
+	for i, h := range latencyHistograms {
+		out[h.key] = summarize(p.latency[i])
 	}
+	return out
 }

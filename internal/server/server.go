@@ -205,7 +205,8 @@ func Open(opts Options) (*Server, error) {
 		jobs:   map[string]*Job{},
 	}
 	// The Prometheus registry's gauges read live server state, so it is
-	// built after the runtime and queue exist; the tenant registry feeds it.
+	// built after the runtime and queue exist; the tenant registry reads its
+	// admission counters.
 	s.prom = newPromMetrics(s)
 	s.metrics = newMetricsRegistry(s.prom)
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
@@ -275,7 +276,7 @@ func (s *Server) recoverJobs(recovered map[string]*recoveredJob) {
 		s.prom.recoveredTasksVec.With("done").Add(float64(len(r.tasks)))
 		s.prom.recoveredTasksVec.With("checkpoint").Add(float64(len(r.ckpts)))
 		s.jobs[r.id] = j
-		s.metrics.jobSubmitted(j.Tenant)
+		s.prom.submitted.With(j.Tenant).Inc()
 		j.events.Append(EventQueued, map[string]any{
 			"tenant":    j.Tenant,
 			"priority":  j.Priority.String(),
@@ -294,9 +295,7 @@ func (s *Server) recoverJobs(recovered map[string]*recoveredJob) {
 func (s *Server) enqueueRecovered(j *Job) {
 	push := func() {
 		if err := s.queue.Push(j); err != nil {
-			if s.finishJob(j, StateFailed, nil, "recovery re-admission failed: "+err.Error()) {
-				s.flight.Span(s.flight.JobLane(), flight.KindJobQueued, j.flightID, j.flightQueued, int64(j.Priority), 0)
-			}
+			s.finishJob(j, StateFailed, nil, "recovery re-admission failed: "+err.Error())
 		}
 	}
 	backoff := time.Duration(0)
@@ -427,8 +426,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	tenant := spec.tenant()
 	reject := func(code int, msg string) *admissionError {
-		s.metrics.jobSubmitted(tenant)
-		s.metrics.jobRejected(tenant)
+		s.prom.submitted.With(tenant).Inc()
+		s.prom.rejected.With(tenant).Inc()
 		return &admissionError{code: code, msg: msg}
 	}
 	if _, err := ParsePriority(spec.Priority); err != nil {
@@ -486,7 +485,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	s.jobs[id] = j
 	s.mu.Unlock()
 
-	s.metrics.jobSubmitted(tenant)
+	s.prom.submitted.With(tenant).Inc()
 	// Durability point: the accepted record must be on disk before the job
 	// can produce any other record (a runner may pop it the instant Push
 	// returns) and before the 202 goes out — an acknowledged job that a
@@ -505,7 +504,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		"tasks":    j.total,
 	})
 	if err := s.queue.Push(j); err != nil {
-		s.metrics.jobRejected(tenant)
+		s.prom.rejected.With(tenant).Inc()
 		s.mu.Lock()
 		delete(s.jobs, id)
 		s.mu.Unlock()
@@ -529,8 +528,11 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 // funnels through so the WAL can never miss one. The order is fixed: win the
 // transition, append the record, and only then let Done() and the event
 // stream say so — whoever sees the job end can rely on its record having
-// been handed to the log.
+// been handed to the log. A job that ends without having run leaves the
+// queue here.
 func (s *Server) finishJob(j *Job, state State, result *Result, errMsg string) bool {
+	// A runner pops a job before starting it: one still queued here never runs.
+	queued := j.State() == StateQueued
 	if !j.settle(state, result, errMsg) {
 		return false
 	}
@@ -543,7 +545,17 @@ func (s *Server) finishJob(j *Job, state State, result *Result, errMsg string) b
 	}
 	j.announce()
 	s.retire(j)
+	if queued {
+		s.leftQueue(j)
+	}
 	return true
+}
+
+// leftQueue ends a job's job-queued span on the flight recorder's jobs lane:
+// its admission wait, from acceptance until a runner started it or it ended
+// without running.
+func (s *Server) leftQueue(j *Job) {
+	s.flight.Span(s.flight.JobLane(), flight.KindJobQueued, j.flightID, j.flightQueued, int64(j.Priority), 0)
 }
 
 // retire accounts a job that just reached a terminal state: its tenant
@@ -584,10 +596,7 @@ func (s *Server) Cancel(id string) (j *Job, found, cancelled bool) {
 		// finishJob records that in the WAL so the next replay does not
 		// resurrect it.
 		j.cancel()
-		if s.finishJob(j, StateCancelled, nil, "") {
-			s.flight.Span(s.flight.JobLane(), flight.KindJobQueued, j.flightID,
-				j.flightQueued, int64(j.Priority), 0)
-		}
+		s.finishJob(j, StateCancelled, nil, "")
 		return j, true, true
 	}
 	if j.State().Terminal() {
@@ -655,9 +664,7 @@ func (s *Server) runJob(j *Job) {
 	if !j.start() {
 		return // cancelled between Pop and here
 	}
-	// The admission wait becomes a span on the jobs lane the moment it ends.
-	s.flight.Span(s.flight.JobLane(), flight.KindJobQueued, j.flightID,
-		j.flightQueued, int64(j.Priority), 0)
+	s.leftQueue(j)
 	runStart := s.flight.Now()
 	s.running.Add(1)
 	defer s.running.Add(-1)
