@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,22 +125,9 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
-// Sum returns the total of the series with the given label values — of every
-// series when none is given — without creating any. It is how a JSON surface
-// quotes the counters Prometheus scrapes instead of keeping its own.
-func (v *CounterVec) Sum(values ...string) float64 {
-	v.m.mu.Lock()
-	defer v.m.mu.Unlock()
-	var total float64
-	for value, c := range v.m.series {
-		if len(values) == 0 || slices.Contains(values, value) {
-			total += c.Value()
-		}
-	}
-	return total
-}
-
 // Values returns every series' count by label value, without creating any.
+// It is how a JSON surface quotes the counters Prometheus scrapes instead of
+// keeping its own.
 func (v *CounterVec) Values() map[string]float64 {
 	v.m.mu.Lock()
 	defer v.m.mu.Unlock()

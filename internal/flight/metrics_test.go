@@ -46,6 +46,10 @@ cellmg_latency_seconds_count 3
 	if got := buf.String(); got != want {
 		t.Fatalf("text exposition drifted.\ngot:\n%s\nwant:\n%s", got, want)
 	}
+	// Values reads the series the exposition shows.
+	if got := vec.Values(); len(got) != 2 || got["alice"] != 4 || got["bob"] != 1 {
+		t.Errorf("Values() = %v, want alice 4, bob 1", got)
+	}
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {

@@ -614,14 +614,19 @@ func (s *Server) Metrics() MetricsSnapshot {
 	rs := s.rt.Stats()
 	var durability *DurabilityMetrics
 	if s.store != nil {
+		var walErrors float64
+		for _, n := range s.prom.walErrors.Values() {
+			walErrors += n
+		}
+		jobs, tasks := s.prom.recoveredJobsVec.Values(), s.prom.recoveredTasksVec.Values()
 		durability = &DurabilityMetrics{
 			DataDir:              s.opts.DataDir,
 			Draining:             s.draining.Load(),
 			Degraded:             s.store.wal.isDegraded(),
-			WALErrors:            int64(s.prom.walErrors.Sum()),
-			RecoveredJobs:        int64(s.prom.recoveredJobsVec.Sum("requeued", "failed")),
-			RecoveredTasks:       int64(s.prom.recoveredTasksVec.Sum("done")),
-			RecoveredCheckpoints: int64(s.prom.recoveredTasksVec.Sum("checkpoint")),
+			WALErrors:            int64(walErrors),
+			RecoveredJobs:        int64(jobs["requeued"] + jobs["failed"]),
+			RecoveredTasks:       int64(tasks["done"]),
+			RecoveredCheckpoints: int64(tasks["checkpoint"]),
 		}
 	}
 	return MetricsSnapshot{
