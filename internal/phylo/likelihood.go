@@ -149,10 +149,8 @@ type Engine struct {
 	repBuiltR  []int32
 	repBuiltLV []uint64 // child class versions the classes were built from
 	repBuiltRV []uint64
-	repFirst   []int32 // class -> first pattern, rebuild scratch
-	pairTab    []int32 // dense (leftClass, rightClass) -> class scratch
-	pairGen    []uint32
-	pairCur    uint32
+	pairTab    []pairSlot // (leftClass, rightClass) -> class, open addressing, > 2·nPat slots
+	pairCur    uint32     // generation stamp of the current rebuild
 
 	// Persistent kernel loop bodies and their argument blocks. The bodies are
 	// built once in NewEngine and fed engine-owned argument structs, so
@@ -256,7 +254,7 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	}
 	e.repBuiltLV = make([]uint64, nodes)
 	e.repBuiltRV = make([]uint64, nodes)
-	e.repFirst = make([]int32, e.nPat)
+	e.pairTab = make([]pairSlot, 1<<bits.Len(uint(2*e.nPat)))
 	e.downDirty = make([]bool, nodes)
 	e.outEpoch = make([]uint64, nodes)
 	e.visitMark = make([]uint64, nodes)
@@ -365,7 +363,7 @@ func (e *Engine) newviewBody(lo, hi int) {
 			i = int(uniq[j])
 		}
 		base := i * stride
-		maxV := 0.0
+		big := false
 		for r := 0; r < nCat; r++ {
 			off := base + r*NumStates
 			m := r * flatMatSize
@@ -397,7 +395,10 @@ func (e *Engine) newviewBody(lo, hi int) {
 				sr2 = qm[8]*r0 + qm[9]*r1 + qm[10]*r2 + qm[11]*r3
 				sr3 = qm[12]*r0 + qm[13]*r1 + qm[14]*r2 + qm[15]*r3
 			}
-			maxV = store4(dst[off:off+NumStates:off+NumStates], maxV, sl0*sr0, sl1*sr1, sl2*sr2, sl3*sr3)
+			v0, v1, v2, v3 := sl0*sr0, sl1*sr1, sl2*sr2, sl3*sr3
+			d := dst[off : off+NumStates : off+NumStates]
+			d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+			big = big || v0 >= scalingThreshold || v1 >= scalingThreshold || v2 >= scalingThreshold || v3 >= scalingThreshold
 		}
 		sc := 0.0
 		if lscale != nil {
@@ -406,35 +407,26 @@ func (e *Engine) newviewBody(lo, hi int) {
 		if rscale != nil {
 			sc += rscale[i]
 		}
-		// Rescale to avoid underflow on deep trees.
-		if maxV > 0 && maxV < scalingThreshold {
-			inv := 1 / maxV
-			for k := base; k < base+stride; k++ {
-				dst[k] *= inv
+		// Rescale against underflow: a pattern with no value >= the threshold
+		// divides by its maximum (v > maxV from 0 skips NaN and negatives).
+		if !big {
+			w := dst[base : base+stride : base+stride]
+			maxV := 0.0
+			for _, v := range w {
+				if v > maxV {
+					maxV = v
+				}
 			}
-			sc += math.Log(maxV)
+			if maxV > 0 {
+				inv := 1 / maxV
+				for k := range w {
+					w[k] *= inv
+				}
+				sc += math.Log(maxV)
+			}
 		}
 		scale[i] = sc
 	}
-}
-
-// store4 writes one category's four conditional likelihoods into d and
-// returns the running per-pattern maximum that decides rescaling.
-func store4(d []float64, maxV, v0, v1, v2, v3 float64) float64 {
-	d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-	if v0 > maxV {
-		maxV = v0
-	}
-	if v1 > maxV {
-		maxV = v1
-	}
-	if v2 > maxV {
-		maxV = v2
-	}
-	if v3 > maxV {
-		maxV = v3
-	}
-	return maxV
 }
 
 // fillTipTable expands the flattened transition matrices p into the tip

@@ -711,6 +711,132 @@ func TestTipTableMatchesPerMemberSums(t *testing.T) {
 	}
 }
 
+// refRescale is the rule newviewBody has to reproduce: the running maximum
+// over a pattern's values in storage order (v > maxV from 0, so NaN and
+// negatives never win), rescaling iff 0 < maxV < scalingThreshold. It returns
+// the stored values and the pattern's log scaler, starting from the children's
+// sum sc.
+func refRescale(vals []float64, sc float64) ([]float64, float64) {
+	out := slices.Clone(vals)
+	maxV := 0.0
+	for _, v := range vals {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	if maxV > 0 && maxV < scalingThreshold {
+		inv := 1 / maxV
+		for k := range out {
+			out[k] *= inv
+		}
+		sc += math.Log(maxV)
+	}
+	return out, sc
+}
+
+// TestNewviewRescaleEdges feeds newviewBody hand-written children whose
+// products are exactly the values of each case — one side a tip table whose
+// row for pattern i is case i, the other an inner vector of ones through
+// identity matrices with a log scaler — and compares dst and scale bit for
+// bit with refRescale. Every case is one pattern of the same call, so a flag
+// that leaked from one pattern into the next would show too. Two
+// reformulations of the threshold test fail this test and no other: v > T
+// in place of v >= T (the "exactly T" case) and a flag kept by
+// small = small && v < T (the NaN case, which it leaves unscaled).
+func TestNewviewRescaleEdges(t *testing.T) {
+	const T = scalingThreshold
+	const nCat, stride = 4, 4 * NumStates
+	fill := func(v float64) []float64 {
+		out := make([]float64, stride)
+		for k := range out {
+			out[k] = v
+		}
+		return out
+	}
+	with := func(vals []float64, at map[int]float64) []float64 {
+		for k, v := range at {
+			vals[k] = v
+		}
+		return vals
+	}
+	small := func() []float64 { // distinct values in (0, T), largest in category 0
+		out := make([]float64, stride)
+		for k := range out {
+			out[k] = T * math.Pow(0.5, float64(k+1)) * 1e-3
+		}
+		return out
+	}
+	cases := []struct {
+		name     string
+		vals     []float64
+		rescaled bool
+	}{
+		{"all in (0, T)", small(), true},
+		{"maximum exactly T", with(small(), map[int]float64{6: T}), false},
+		{"just below T", with(small(), map[int]float64{6: math.Nextafter(T, 0)}), true},
+		{"all zeros", fill(0), false},
+		{"only value >= T in the last category", with(small(), map[int]float64{stride - 1: 0.5}), false},
+		{"NaN among small values", with(small(), map[int]float64{0: math.NaN()}), true},
+		{"NaN among ordinary values", with(fill(0.25), map[int]float64{3: math.NaN()}), false},
+		{"+Inf among small values", with(small(), map[int]float64{9: math.Inf(1)}), false},
+		{"tiny negatives among small values", with(small(), map[int]float64{0: -1e-300, 5: -4e-310, 15: -1e-95}), true},
+		{"tiny negatives and zeros", with(fill(0), map[int]float64{2: -1e-300, 11: -5e-324}), false},
+		{"ordinary values", fill(0.125), false},
+	}
+	n := len(cases)
+	if n > tipStates {
+		t.Fatalf("%d cases, the tip table holds %d rows", n, tipStates)
+	}
+	tab := make([]float64, nCat*tipStates*NumStates)
+	states := make([]uint8, n)
+	for i, c := range cases {
+		states[i] = uint8(i)
+		for r := 0; r < nCat; r++ {
+			copy(tab[(r*flatMatSize+i)*NumStates:], c.vals[r*NumStates:(r+1)*NumStates])
+		}
+	}
+	ident := make([]float64, nCat*flatMatSize)
+	for r := 0; r < nCat; r++ {
+		for s := 0; s < NumStates; s++ {
+			ident[r*flatMatSize+s*NumStates+s] = 1
+		}
+	}
+	childScale := make([]float64, n)
+	for i := range childScale {
+		childScale[i] = 1.5 * float64(i+1)
+	}
+	table := kernelSide{states: states, tab: tab}
+	ones := make([]float64, n*stride)
+	for k := range ones {
+		ones[k] = 1
+	}
+	inner := kernelSide{v: ones, scale: childScale, p: ident}
+	for _, order := range []struct {
+		name string
+		l, r kernelSide
+	}{{"table×inner", table, inner}, {"inner×table", inner, table}} {
+		e := &Engine{nCat: nCat, stride: stride}
+		dst, scale := make([]float64, n*stride), make([]float64, n)
+		e.nvA = newviewArgs{l: order.l, r: order.r, dst: dst, scale: scale}
+		e.newviewBody(0, n)
+		for i, c := range cases {
+			want, wantSc := refRescale(c.vals, childScale[i])
+			if got := wantSc != childScale[i]; got != c.rescaled {
+				t.Fatalf("%s: the reference rule rescaled=%v, the case expects %v", c.name, got, c.rescaled)
+			}
+			got := dst[i*stride : (i+1)*stride]
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Errorf("%s, %s: dst[%d] = %v, want %v", order.name, c.name, k, got[k], want[k])
+				}
+			}
+			if math.Float64bits(scale[i]) != math.Float64bits(wantSc) {
+				t.Errorf("%s, %s: scale = %v, want %v", order.name, c.name, scale[i], wantSc)
+			}
+		}
+	}
+}
+
 // BenchmarkOutview measures one outer-vector kernel on the 42_SC-sized input
 // of the kernel micro-benchmarks (bench_test.go), cycling over every edge so
 // tip and inner siblings and the root's prior all take their share. Each

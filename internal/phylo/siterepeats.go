@@ -1,5 +1,7 @@
 package phylo
 
+import "math/bits"
+
 // This file implements site-repeat compression: alignment patterns whose data
 // is identical across every tip of a node's subtree have, by induction,
 // bit-identical conditional likelihood vectors at that node under ANY branch
@@ -44,33 +46,37 @@ func (e *Engine) repSrcVec(id int) []int32 {
 
 // childClasses returns the class description of a node viewed as a child:
 // either its class-id vector (internal node) or its observed state sets (tip,
-// where the 4-bit set IS the class), plus the number of distinct classes.
-func (e *Engine) childClasses(n *Node) (cls []int32, states []uint8, count int) {
+// where the 4-bit set IS the class).
+func (e *Engine) childClasses(n *Node) (cls []int32, states []uint8) {
 	if n.IsTip() {
-		return nil, e.Data.States[n.Taxon], tipStates
+		return nil, e.Data.States[n.Taxon]
 	}
-	return e.repClassVec(n.ID), nil, int(e.repCnt[n.ID])
+	return e.repClassVec(n.ID), nil
+}
+
+// pairSlot is one pair-table entry: (left class, right class), its rebuild's
+// generation stamp, and the class the pair maps to.
+type pairSlot struct {
+	key   uint64
+	gen   uint32
+	class int32
 }
 
 // rebuildClasses recomputes the repeat classes of n from its children's
 // classes. Class ids are assigned in first-occurrence pattern order, so the
-// result is deterministic. The dense pair table maps (left class, right
-// class) to the class id; it is generation-stamped so reuse across nodes
-// costs no clearing. It allocates only when the pair-table scratch grows;
-// TestSearchAllocationFree holds the steady state to zero.
+// result is deterministic. The pair table maps (left class, right class) to
+// the class id by linear probing; NewEngine sizes it to more than 2·nPat
+// slots, at most half full however many classes the children have (their
+// product can reach nPat²). Generation stamps make reuse across nodes free.
 func (e *Engine) rebuildClasses(n *Node) {
-	lcls, lst, lcnt := e.childClasses(n.Children[0])
-	rcls, rst, rcnt := e.childClasses(n.Children[1])
-	need := lcnt * rcnt
-	if cap(e.pairTab) < need {
-		e.pairTab = make([]int32, need)
-		e.pairGen = make([]uint32, need)
-	}
-	tab := e.pairTab[:need]
-	gen := e.pairGen[:need]
+	lcls, lst := e.childClasses(n.Children[0])
+	rcls, rst := e.childClasses(n.Children[1])
+	tab := e.pairTab
+	mask := len(tab) - 1
+	shift := bits.LeadingZeros64(uint64(mask))
 	e.pairCur++
 	if e.pairCur == 0 { // generation counter wrapped: stamps are ambiguous
-		clear(e.pairGen)
+		clear(tab)
 		e.pairCur = 1
 	}
 	g := e.pairCur
@@ -79,35 +85,36 @@ func (e *Engine) rebuildClasses(n *Node) {
 	src := e.repSrcVec(id)
 	uniq := e.repUniq[id*e.nPat : (id+1)*e.nPat]
 	dup := e.repDup[id*e.nPat : (id+1)*e.nPat]
-	first := e.repFirst
 	cnt := int32(0)
 	ndup := 0
 	for i := 0; i < e.nPat; i++ {
-		var lc, rc int
+		var lc, rc uint64
 		if lst != nil {
-			lc = int(lst[i])
+			lc = uint64(lst[i])
 		} else {
-			lc = int(lcls[i])
+			lc = uint64(lcls[i])
 		}
 		if rst != nil {
-			rc = int(rst[i])
+			rc = uint64(rst[i])
 		} else {
-			rc = int(rcls[i])
+			rc = uint64(rcls[i])
 		}
-		key := lc*rcnt + rc
-		if gen[key] != g {
-			gen[key] = g
-			tab[key] = cnt
-			first[cnt] = int32(i)
+		key := lc<<32 | rc
+		s := int(key * 0x9e3779b97f4a7c15 >> shift) // Fibonacci hashing: the product's top bits
+		for tab[s].gen == g && tab[s].key != key {
+			s = (s + 1) & mask
+		}
+		if tab[s].gen != g {
+			tab[s] = pairSlot{key: key, gen: g, class: cnt}
 			uniq[cnt] = int32(i)
 			cnt++
 		} else {
 			dup[ndup] = int32(i)
 			ndup++
 		}
-		c := tab[key]
+		c := tab[s].class
 		cls[i] = c
-		src[i] = first[c]
+		src[i] = uniq[c]
 	}
 	e.repCnt[id] = cnt
 }

@@ -1,6 +1,7 @@
 package phylo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -236,5 +237,58 @@ func TestDegenerateInputsFiniteLogL(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPairTableBoundedByPatterns holds the class-rebuild scratch to O(nPat).
+// On random data every pattern is its own class well below the root, so with
+// an 8|8 root split each root child has about nPat classes and a table
+// indexed by (left class, right class) would need about nPat² slots (9e6 at
+// 3,000 patterns; 6e8 for a 20 × 50,000 alignment a server accepts).
+func TestPairTableBoundedByPatterns(t *testing.T) {
+	const taxa, length = 16, 3000
+	rng := rand.New(rand.NewSource(11))
+	aln := &Alignment{}
+	for i := 0; i < taxa; i++ {
+		aln.Names = append(aln.Names, fmt.Sprintf("t%d", i))
+		row := make([]byte, length)
+		for j := range row {
+			row[j] = "ACGT"[rng.Intn(4)]
+		}
+		aln.Seqs = append(aln.Seqs, row)
+	}
+	data, err := Compress(aln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two balanced 8-taxon halves: ((((t0,t1),(t2,t3)),((t4,t5),(t6,t7))),(…t8–t15…));
+	half := func(k int) string {
+		return fmt.Sprintf("(((t%d:0.1,t%d:0.1):0.1,(t%d:0.1,t%d:0.1):0.1):0.1,((t%d:0.1,t%d:0.1):0.1,(t%d:0.1,t%d:0.1):0.1):0.1)",
+			k, k+1, k+2, k+3, k+4, k+5, k+6, k+7)
+	}
+	tree, err := ParseNewick("(" + half(0) + ":0.1," + half(8) + ":0.1);")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logL [2]float64
+	for k, repeats := range []bool{true, false} {
+		eng, err := NewEngine(data, NewJC69(), SingleRate())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.setSiteRepeats(repeats)
+		logL[k] = eng.LogLikelihood(tree)
+		if repeats {
+			nPat := data.NumPatterns()
+			if got := int(eng.repCnt[tree.Root.ID]); got < nPat/2 {
+				t.Fatalf("root has %d classes of %d patterns; the data no longer stresses the table", got, nPat)
+			}
+			if n := cap(eng.pairTab); n > 4*nPat {
+				t.Fatalf("pair table has %d slots for %d patterns, want at most %d", n, nPat, 4*nPat)
+			}
+		}
+	}
+	if logL[0] != logL[1] {
+		t.Fatalf("logL with repeats %v, without %v", logL[0], logL[1])
 	}
 }
