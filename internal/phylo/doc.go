@@ -66,20 +66,22 @@
 //
 // # Makenewz
 //
-// Makenewz is RAxML's two loops. One pass per edge visit (buildSumTable,
-// RAxML's sumGAMMA) moves down[v] and out[v] into the model's eigenbasis,
-// where P(b) = V·diag(exp(λ·r·b))·V⁻¹ is diagonal, and stores
+// Makenewz is RAxML's two loops. The first Newton pass of an edge visit
+// (firstPass) also moves down[v] and out[v] into the model's eigenbasis
+// (sumTableBody, RAxML's sumGAMMA), where P(b) = V·diag(exp(λ·r·b))·V⁻¹ is
+// diagonal, each share storing the rows it is about to read
 //
 //	A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t])
 //
-// next to the per-pattern log scaler. Every Newton iterate, the clamped-start
-// re-evaluation and the acceptance check then cost a dozen multiply-adds per
-// pattern and category (newtonPass over newtonBody, RAxML's coreGTRGAMMA):
-// Σ A·e, Σ A·λr·e and Σ A·(λr)²·e with e = exp(λ_k·r·b). One and four
-// categories, the counts production builds, have their own bodies that keep e
-// in locals (newtonBody1, newtonBody4, sumTableBody1); any other count runs the
-// general ones, to the same bits. The formulation this replaced — a P(b)
-// mat-vec per pattern, from Model.Transition alone — is the test-only
+// next to the per-pattern log scaler. Every Newton iterate then costs a dozen
+// multiply-adds per pattern and category (newtonPass over newtonBody, RAxML's
+// coreGTRGAMMA): Σ A·e, Σ A·λr·e and Σ A·(λr)²·e with e = exp(λ_k·r·b), and no
+// logarithm: only a length Newton moved gets an acceptance pass (acceptPass),
+// the likelihood at the old and the new length, two ln per pattern. One and
+// four categories, the counts production builds, have their own bodies that
+// keep e in locals (newtonBody1, newtonBody4, sumTableBody1); any other count
+// runs the general ones, to the same bits. The formulation this replaced — a
+// P(b) mat-vec per pattern, from Model.Transition alone — is the test-only
 // reference in likelihood_test.go.
 //
 // # Incremental evaluation
@@ -171,25 +173,26 @@
 //
 // The engine has one parallel grain, the per-pattern loop, and every one of
 // them is offered to the installed ParallelFor (the paper's LLP): newview
-// (down and out vectors alike), evaluate, the sum-table build and the Newton
-// passes over the table — the passes were serial until a profile of a lone
-// Gamma4 search put a third of its time there, and a helper that shared only
-// the other loops spent the gain moving its half of the table back and forth.
-// Traversals and the NNI sweep are serial. A loop is offered only when it is
-// long enough for two halves to beat one whole (loopCrossover, in values:
-// trips × categories × states, read off a recorded curve); below that the
-// executor never hears of it.
+// (down and out vectors alike), evaluate, the Newton passes over the sum
+// table (the first one building it) and the acceptance pass — the passes were
+// serial until a profile of a lone Gamma4 search put a third of its time
+// there, and a helper that shared only the other loops spent the gain moving
+// its half of the table back and forth. Traversals and the NNI sweep are
+// serial. A loop is offered only when it is long enough for two halves to
+// beat one whole (loopCrossover, in values: trips × categories × states, read
+// off a recorded curve); below that the executor never hears of it.
 //
 // Results are byte-identical under any executor and any partition. The
-// vector loops write each pattern's own slots from settled inputs. The two
-// reductions — evaluate's log-likelihood and the Newton sums — are defined as
-// the per-pattern terms added in ascending pattern order: the share that
-// starts at pattern 0 adds its terms as it computes them (an un-split loop is
-// that share alone, so the serial path never touches a buffer), every other
-// share stores its terms, and the engine's goroutine adds those behind the
-// first share's sums, in order (TestAnyPartitionSameBits: random cuts, chunks
-// started in reverse on separate goroutines, every vector, sum, optimized
-// length and a whole search against the serial engine).
+// vector loops write each pattern's own slots from settled inputs. The
+// reductions — evaluate's log-likelihood, the Newton and acceptance sums —
+// are defined as the per-pattern terms added in ascending pattern order: the
+// share that starts at pattern 0 adds its terms as it computes them (an
+// un-split loop is that share alone, so the serial path never touches a
+// buffer), every other share stores its terms, and the engine's goroutine
+// adds those behind the first share's sums, in order
+// (TestAnyPartitionSameBits: random cuts, chunks started in reverse on
+// separate goroutines, every vector, sum, optimized length and a whole search
+// against the serial engine, on amd64; elsewhere the Newton bodies may fuse).
 //
 // SetParallel is a plain field write with a call-before-evaluation contract:
 // install the executor on the engine's goroutine before the evaluation or

@@ -49,7 +49,8 @@ const tipStates = 1 << NumStates
 // the newview calls that settle a down vector and OutviewCalls those that
 // settle an out vector (same kernel, counted apart because the partial
 // traversals bound them separately); DerivEvals counts the passes over the sum
-// table (newtonPass) inside a makenewz visit.
+// table inside a makenewz visit: the Newton passes and, when Newton moved the
+// length, the acceptance pass.
 type KernelStats struct {
 	NewviewCalls  int
 	EvaluateCalls int
@@ -66,15 +67,16 @@ type KernelStats struct {
 // intended concurrency is one Engine per in-flight tree search (task-level
 // parallelism) with the per-pattern loops work-shared through ParallelFor
 // (loop-level parallelism), mirroring the paper's two layers. All five loops
-// are offered — newview for down and for out vectors, evaluate, the sum table
-// and the Newton passes — each when it is at least loopCrossover values long;
-// sums over patterns are always taken in ascending pattern order (see
-// newtonBody), which is why no partition can change a bit.
+// are offered — newview for down and for out vectors, evaluate, the Newton
+// passes (the first one building the sum table) and the acceptance pass —
+// each when it is at least loopCrossover values long; sums over patterns are
+// always taken in ascending pattern order (see newtonBody), which is why no
+// partition can change a bit.
 //
 // The hot path is allocation-free in steady state: each node's transition
 // matrices live in the node's slot of a flat block, refilled only when the
 // node's branch length changed (transCache), branch-length optimization reads
-// none (one eigenbasis sum table per edge visit, see buildSumTable), the
+// none (one eigenbasis sum table per edge visit, see sumTableBody), the
 // kernel loop bodies are persistent closures created once at construction,
 // and every per-pattern buffer is engine-owned and reused.
 // The whole tree search rides on the same contract (SearchInto is 0 allocs/op
@@ -118,7 +120,7 @@ type Engine struct {
 	clvOut  []float64    // nodes * vecLen: conditionals of everything outside the subtree
 	sclOut  []float64    // nodes * nPat
 	siteBuf []float64    // per-pattern scratch for evaluate's reduction
-	termBuf []float64    // 3*nPat: the Newton terms of a split pass, three per pattern (newtonBody)
+	termBuf []float64    // 2*nPat: the terms of a split pass over the sum table, two per pattern (sums)
 	tipTab  [2][]float64 // per-call tip lookup tables, nCat*tipStates*NumStates each
 
 	trans      transCache // P(b·rate) per node (transcache.go)
@@ -126,15 +128,15 @@ type Engine struct {
 	rootStates []uint8    // nPat zeros: every pattern reads row 0 of the root-prior table
 
 	// Spectral constants of Model × Rates (initSpectrum) and the per-edge sum
-	// table the Newton iterates of Makenewz run against (buildSumTable).
+	// table the Newton iterates of Makenewz run against (sumTableBody).
 	specV    Matrix                         // V[state][k]
 	specInv  Matrix                         // V⁻¹[k][state]
 	tipInv   [tipStates * NumStates]float64 // per observed state set: Σ_{t in set} V⁻¹[k][t]
 	lamRate  []float64                      // stride: eigen[k]·rate[r]
-	expTab   []float64                      // nCat*expRow: the diagonals of the current Newton iterate (fillExpTab)
+	expTab   []float64                      // nCat*expRow: the diagonals of the current pass (fillExpTab, acceptPass)
 	sumTab   []float64                      // vecLen: A[i,r,k]
 	sumScale []float64                      // nPat: down + out log scalers of the edge
-	sumNode  *Node                          // the edge buildSumTable is folding
+	sumNode  *Node                          // the edge whose sum table the passes build and read
 
 	// Site-repeat compression (siterepeats.go).
 	repOn      bool
@@ -156,13 +158,15 @@ type Engine struct {
 	// built once in NewEngine and fed engine-owned argument structs, so
 	// invoking a kernel allocates nothing (a fresh closure per call would
 	// escape to the heap on every traversal step).
-	nvFn   func(lo, hi int)
-	evalFn func(lo, hi int)
-	sumFn  func(lo, hi int)
-	ntFn   func(lo, hi int)
-	nvA    newviewArgs
-	evalA  evaluateArgs
-	ntA    newtonArgs
+	nvFn    func(lo, hi int)
+	evalFn  func(lo, hi int)
+	sumFn   func(lo, hi int)
+	ntFn    func(lo, hi int)
+	firstFn func(lo, hi int) // sumFn then ntFn over one share: makenewz's first pass
+	accFn   func(lo, hi int)
+	nvA     newviewArgs
+	evalA   evaluateArgs
+	ntA     newtonArgs
 
 	// Incremental state (incremental.go): dirty-node tracking for the down
 	// vectors, epoch stamps for the out vectors, and scratch buffers for the
@@ -231,7 +235,7 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	e.clvOut = make([]float64, nodes*e.vecLen)
 	e.sclOut = make([]float64, nodes*e.nPat)
 	e.siteBuf = make([]float64, e.nPat)
-	e.termBuf = make([]float64, 3*e.nPat)
+	e.termBuf = make([]float64, 2*e.nPat)
 	e.sumTab = make([]float64, e.vecLen)
 	e.sumScale = make([]float64, e.nPat)
 	e.trans = newTransCache(model, rates.Rates, nodes)
@@ -263,12 +267,14 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	e.evalFn = e.evaluateBody
 	e.sumFn = e.sumTableBody
 	e.ntFn = e.newtonBody
+	e.accFn = e.acceptBody
 	switch e.nCat { // the category counts production builds (SingleRate, DiscreteGamma(…, 4))
 	case 1:
 		e.sumFn, e.ntFn = e.sumTableBody1, e.newtonBody1
 	case 4:
 		e.ntFn = e.newtonBody4
 	}
+	e.firstFn = func(lo, hi int) { e.sumFn(lo, hi); e.ntFn(lo, hi) }
 	return e, nil
 }
 
@@ -422,7 +428,7 @@ func (e *Engine) newviewBody(lo, hi int) {
 				for k := range w {
 					w[k] *= inv
 				}
-				sc += math.Log(maxV)
+				sc += ln(maxV)
 			}
 		}
 		scale[i] = sc
@@ -563,7 +569,7 @@ func (e *Engine) evaluateBody(lo, hi int) {
 		if siteL <= 0 {
 			siteL = math.SmallestNonzeroFloat64
 		}
-		site[i] = weights[i] * (math.Log(siteL) + rootScale[i])
+		site[i] = weights[i] * (ln(siteL) + rootScale[i])
 	}
 }
 
@@ -635,11 +641,12 @@ func (e *Engine) initSpectrum() {
 	}
 }
 
-// sumTableBody is the per-pattern loop of buildSumTable — RAxML's sumGAMMA:
-// the conditional vectors at the two ends of the edge above sumNode move into
-// the model's eigenbasis and are multiplied there,
-// A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t]). A tip's second
-// factor is one row of tipInv, the same for every category (sumTableBody1 for one).
+// sumTableBody builds the sum table, share by share inside the first Newton
+// pass (firstPass) — RAxML's sumGAMMA: the conditional vectors at the two ends
+// of the edge above sumNode move into the model's eigenbasis and are
+// multiplied there, A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t]).
+// A tip's second factor is one row of tipInv, the same for every category
+// (sumTableBody1 for one). Every pattern writes its own slots.
 func (e *Engine) sumTableBody(lo, hi int) {
 	ov, oscale, dv, dscale, st := e.sumSides()
 	tab, scale := e.sumTab, e.sumScale
@@ -724,15 +731,6 @@ func (e *Engine) sumSides() (ov, oscale, dv, dscale []float64, st []uint8) {
 	return e.outVec(n.ID), e.outScaleVec(n.ID), dv, dscale, st
 }
 
-// buildSumTable folds down[v] and out[v], which must be current (ensureOut,
-// or Refresh), into the sum table of the edge above v. Every pattern writes
-// its own slots, so the loop runs under the engine's ParallelFor like the
-// vector kernels and work-sharing cannot change a bit.
-func (e *Engine) buildSumTable(v *Node) {
-	e.sumNode = v
-	e.loop(e.nPat, e.sumFn)
-}
-
 // expRow is the number of expTab entries per rate category: the diagonal
 // exp(λ_k·r·b)/nCat for the four k, then its λ_k·r and (λ_k·r)² multiples.
 const expRow = 3 * NumStates
@@ -749,53 +747,35 @@ func (e *Engine) fillExpTab(b float64) []float64 {
 	return ex
 }
 
-// newtonArgs is the argument block of the Newton-pass loop body, and where the
-// share of the loop that starts at pattern 0 leaves its sums.
+// newtonArgs is the argument block of the loop bodies over the sum table, and
+// where the share of the loop that starts at pattern 0 leaves its two sums.
 type newtonArgs struct {
-	ex          []float64 // the diagonals of the iterate (fillExpTab)
-	logL, deriv bool      // which sums the pass wants
-	upTo        int       // ll, d1 and d2 cover patterns [0, upTo)
-	ll, d1, d2  float64
+	ex     []float64 // the diagonals of the pass (fillExpTab, acceptPass)
+	upTo   int       // s1 and s2 cover patterns [0, upTo)
+	s1, s2 float64
 }
 
-// newtonBody is the per-pattern loop of a pass over the sum table — RAxML's
-// coreGTRGAMMA: per pattern and category a dozen multiply-adds against the
-// three diagonals (four when only the likelihood is wanted), then the
-// pattern's three terms w·(log l₀ + scale), w·g and w·(l₂/l₀ − g²). A pattern
-// of likelihood zero has no slope to follow (1/l₀ would be +Inf and every
-// derivative term NaN): it contributes its clamped log-likelihood and +0.0
-// twice, which leaves a sum that started at +0.0 as it was.
+// newtonBody is the per-pattern loop of a Newton pass over the sum table —
+// RAxML's coreGTRGAMMA: per pattern and category a dozen multiply-adds
+// against the three diagonals, then the pattern's two terms w·g and
+// w·(l₂/l₀ − g²), g = l₁/l₀. A pattern of likelihood zero has no slope to
+// follow (1/l₀ would be +Inf and both terms NaN): it contributes +0.0 twice,
+// which leaves a sum that started at +0.0 as it was.
 //
 // The sums are the terms added in ascending pattern order, and that order is
 // the result's bits. This loop serves any share and category count and stores
-// its terms (termBuf) for newtonPass to add. For the counts production builds,
+// its terms (termBuf) for sums to add. For the counts production builds,
 // newtonBody1 and newtonBody4 add the share that starts at pattern 0 (an
 // un-split loop's only share) as they go, in registers, and leave the sums for
-// newtonPass to add the stored terms behind. Every body computes a pattern's
-// terms alike and rounds each before it is added (the conversions forbid a
-// fused multiply-add), so the bodies agree wherever they run.
+// sums to add the stored terms behind. Every body computes a pattern's terms
+// alike and rounds each before it is added. On amd64, which fuses no
+// multiply-add, the bodies agree bit for bit (TestCategoryKernelsMatchGeneral,
+// TestAnyPartitionSameBits); elsewhere the products inside a term may fuse
+// differently per body.
 func (e *Engine) newtonBody(lo, hi int) {
-	a := &e.ntA
-	ex, logL := a.ex, a.logL
-	tab, scale, weights := e.sumTab, e.sumScale, e.Data.Weights
+	ex := e.ntA.ex
+	tab, weights := e.sumTab, e.Data.Weights
 	nCat, stride := e.nCat, e.stride
-	if !a.deriv {
-		for i := lo; i < hi; i++ {
-			base := i * stride
-			var l0 float64
-			for r := 0; r < nCat; r++ {
-				off := base + r*NumStates
-				t := tab[off : off+NumStates : off+NumStates]
-				x := ex[r*expRow : r*expRow+NumStates : r*expRow+NumStates]
-				l0 += t[0]*x[0] + t[1]*x[1] + t[2]*x[2] + t[3]*x[3]
-			}
-			if l0 <= 0 {
-				l0 = math.SmallestNonzeroFloat64
-			}
-			e.termBuf[3*i] = float64(weights[i] * (math.Log(l0) + scale[i]))
-		}
-		return
-	}
 	for i := lo; i < hi; i++ {
 		base := i * stride
 		var l0, l1, l2 float64
@@ -808,52 +788,31 @@ func (e *Engine) newtonBody(lo, hi int) {
 			l1 += a0*x[4] + a1*x[5] + a2*x[6] + a3*x[7]
 			l2 += a0*x[8] + a1*x[9] + a2*x[10] + a3*x[11]
 		}
-		clamped := l0 <= 0
-		if clamped {
-			l0 = math.SmallestNonzeroFloat64
+		t := e.termBuf[2*i : 2*i+2 : 2*i+2]
+		t[0], t[1] = 0, 0
+		if l0 <= 0 {
+			continue
 		}
 		w := weights[i]
-		t := e.termBuf[3*i : 3*i+3 : 3*i+3]
-		t[0], t[1], t[2] = 0, 0, 0
-		if logL {
-			t[0] = float64(w * (math.Log(l0) + scale[i]))
-		}
-		if !clamped {
-			inv := 1 / l0
-			g := l1 * inv
-			t[1], t[2] = float64(w*g), float64(w*(l2*inv-g*g))
-		}
+		inv := 1 / l0
+		g := l1 * inv
+		t[0], t[1] = float64(w*g), float64(w*(l2*inv-g*g))
 	}
 }
 
 // newtonBody1 is newtonBody for one rate category: the first share holds the
-// twelve diagonals in locals (the first four for a likelihood-only pass).
+// twelve diagonals in locals.
 func (e *Engine) newtonBody1(lo, hi int) {
 	if lo > 0 || hi == 0 { // an empty share at 0 must not clear the first's sums
 		e.newtonBody(lo, hi)
 		return
 	}
 	a := &e.ntA
-	tab, scale, weights := e.sumTab, e.sumScale[:hi], e.Data.Weights[:hi]
+	tab, weights := e.sumTab, e.Data.Weights[:hi]
 	x := a.ex[:expRow:expRow]
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	var ll, d1, d2 float64
-	if !a.deriv {
-		for i := 0; i < hi; i++ {
-			o := i * NumStates
-			t := tab[o : o+NumStates : o+NumStates]
-			var l0 float64
-			l0 += t[0]*x0 + t[1]*x1 + t[2]*x2 + t[3]*x3
-			if l0 <= 0 {
-				l0 = math.SmallestNonzeroFloat64
-			}
-			ll += float64(weights[i] * (math.Log(l0) + scale[i]))
-		}
-		a.ll, a.upTo = ll, hi
-		return
-	}
 	x4, x5, x6, x7, x8, x9, x10, x11 := x[4], x[5], x[6], x[7], x[8], x[9], x[10], x[11]
-	logL := a.logL
+	var d1, d2 float64
 	for i := 0; i < hi; i++ {
 		o := i * NumStates
 		t := tab[o : o+NumStates : o+NumStates]
@@ -862,23 +821,16 @@ func (e *Engine) newtonBody1(lo, hi int) {
 		l0 += a0*x0 + a1*x1 + a2*x2 + a3*x3
 		l1 += a0*x4 + a1*x5 + a2*x6 + a3*x7
 		l2 += a0*x8 + a1*x9 + a2*x10 + a3*x11
-		clamped := l0 <= 0
-		if clamped {
-			l0 = math.SmallestNonzeroFloat64
-		}
-		w := weights[i]
-		if logL {
-			ll += float64(w * (math.Log(l0) + scale[i]))
-		}
-		if clamped {
+		if l0 <= 0 {
 			continue
 		}
+		w := weights[i]
 		inv := 1 / l0
 		g := l1 * inv
 		d1 += float64(w * g)
 		d2 += float64(w * (l2*inv - g*g))
 	}
-	a.ll, a.d1, a.d2, a.upTo = ll, d1, d2, hi
+	a.s1, a.s2, a.upTo = d1, d2, hi
 }
 
 // newtonBody4 is newtonBody for four rate categories: the first share reads
@@ -889,10 +841,9 @@ func (e *Engine) newtonBody4(lo, hi int) {
 		return
 	}
 	a := &e.ntA
-	tab, scale, weights := e.sumTab, e.sumScale[:hi], e.Data.Weights[:hi]
+	tab, weights := e.sumTab, e.Data.Weights[:hi]
 	x := a.ex[: 4*expRow : 4*expRow]
-	logL, deriv := a.logL, a.deriv
-	var ll, d1, d2 float64
+	var d1, d2 float64
 	for i := 0; i < hi; i++ {
 		o := i * 16
 		t := tab[o : o+16 : o+16]
@@ -901,15 +852,7 @@ func (e *Engine) newtonBody4(lo, hi int) {
 		l0 += t[4]*x[12] + t[5]*x[13] + t[6]*x[14] + t[7]*x[15]
 		l0 += t[8]*x[24] + t[9]*x[25] + t[10]*x[26] + t[11]*x[27]
 		l0 += t[12]*x[36] + t[13]*x[37] + t[14]*x[38] + t[15]*x[39]
-		clamped := l0 <= 0
-		if clamped {
-			l0 = math.SmallestNonzeroFloat64
-		}
-		w := weights[i]
-		if logL {
-			ll += float64(w * (math.Log(l0) + scale[i]))
-		}
-		if clamped || !deriv {
+		if l0 <= 0 {
 			continue
 		}
 		var l1, l2 float64
@@ -921,35 +864,99 @@ func (e *Engine) newtonBody4(lo, hi int) {
 		l2 += t[4]*x[20] + t[5]*x[21] + t[6]*x[22] + t[7]*x[23]
 		l2 += t[8]*x[32] + t[9]*x[33] + t[10]*x[34] + t[11]*x[35]
 		l2 += t[12]*x[44] + t[13]*x[45] + t[14]*x[46] + t[15]*x[47]
+		w := weights[i]
 		inv := 1 / l0
 		g := l1 * inv
 		d1 += float64(w * g)
 		d2 += float64(w * (l2*inv - g*g))
 	}
-	a.ll, a.d1, a.d2, a.upTo = ll, d1, d2, hi
+	a.s1, a.s2, a.upTo = d1, d2, hi
 }
 
-// newtonPass returns, for the edge whose sum table is loaded set to length b,
-// the log-likelihood (with logL; one math.Log per pattern, which only Newton
-// iterate 0 and the acceptance test want) and its first and second
-// derivatives in the length (with deriv). The likelihood has the same bits
-// with or without the derivatives: same diagonal, same accumulation order.
-func (e *Engine) newtonPass(b float64, logL, deriv bool) (ll, d1, d2 float64) {
-	e.Stats.DerivEvals++
+// acceptBody is the per-pattern loop of the acceptance pass: the pattern's
+// likelihood at the two lengths whose diagonals acceptPass left in the first
+// two rows of each category's expTab, each raised to
+// math.SmallestNonzeroFloat64 where it is not positive, and its two terms
+// w·(ln l + scale). It sums as newtonBody1 does: the share at pattern 0 adds
+// its terms as it goes, any other stores them. Every product is rounded before
+// it is added, so no architecture fuses one.
+func (e *Engine) acceptBody(lo, hi int) {
 	a := &e.ntA
-	*a = newtonArgs{ex: e.fillExpTab(b), logL: logL, deriv: deriv}
-	e.loop(e.nPat, e.ntFn)
-	// The first share's sums (none from newtonBody), then every stored term
-	// behind them.
-	ll, d1, d2 = a.ll, a.d1, a.d2
-	for i := a.upTo; i < e.nPat; i++ {
-		t := e.termBuf[3*i : 3*i+3 : 3*i+3]
-		ll += t[0]
-		if deriv { // a likelihood-only share stores no derivative terms
-			d1, d2 = d1+t[1], d2+t[2]
+	ex := a.ex
+	tab, scale, weights := e.sumTab, e.sumScale, e.Data.Weights
+	nCat, stride := e.nCat, e.stride
+	first := lo == 0 && hi > 0 // an empty share at 0 must not clear the first's sums
+	var s1, s2 float64
+	for i := lo; i < hi; i++ {
+		base := i * stride
+		var l0, l1 float64
+		for r := 0; r < nCat; r++ {
+			off := base + r*NumStates
+			t := tab[off : off+NumStates : off+NumStates]
+			x := ex[r*expRow : r*expRow+2*NumStates : r*expRow+2*NumStates]
+			a0, a1, a2, a3 := t[0], t[1], t[2], t[3]
+			l0 += float64(a0*x[0]) + float64(a1*x[1]) + float64(a2*x[2]) + float64(a3*x[3])
+			l1 += float64(a0*x[4]) + float64(a1*x[5]) + float64(a2*x[6]) + float64(a3*x[7])
+		}
+		l0, l1 = max(l0, math.SmallestNonzeroFloat64), max(l1, math.SmallestNonzeroFloat64)
+		w, sc := weights[i], scale[i]
+		t0, t1 := float64(w*(ln(l0)+sc)), float64(w*(ln(l1)+sc))
+		if first {
+			s1, s2 = s1+t0, s2+t1
+		} else {
+			e.termBuf[2*i], e.termBuf[2*i+1] = t0, t1
 		}
 	}
-	return ll, d1, d2
+	if first {
+		a.s1, a.s2, a.upTo = s1, s2, hi
+	}
+}
+
+// sums runs body, a loop over the sum table, on every pattern and returns its
+// two sums: the first share's, then every term the other shares stored, added
+// behind them in pattern order (newtonBody's first share stores its terms
+// too). Each call is one DerivEvals pass.
+func (e *Engine) sums(body func(lo, hi int)) (s1, s2 float64) {
+	e.Stats.DerivEvals++
+	a := &e.ntA
+	a.upTo, a.s1, a.s2 = 0, 0, 0
+	e.loop(e.nPat, body)
+	s1, s2 = a.s1, a.s2
+	for i := a.upTo; i < e.nPat; i++ {
+		s1, s2 = s1+e.termBuf[2*i], s2+e.termBuf[2*i+1]
+	}
+	return s1, s2
+}
+
+// newtonPass returns the first and second derivatives in the length of the
+// log-likelihood of the edge whose sum table is loaded, set to length b.
+func (e *Engine) newtonPass(b float64) (d1, d2 float64) {
+	e.ntA.ex = e.fillExpTab(b)
+	return e.sums(e.ntFn)
+}
+
+// firstPass is newtonPass for the first iterate of a visit to the edge above
+// v: each share folds down[v] and out[v], which must be current (ensureOut, or
+// Refresh), into its own rows of the edge's sum table (sumFn) before it reads
+// them, so a visit spends no loop on the table alone.
+func (e *Engine) firstPass(v *Node, b float64) (d1, d2 float64) {
+	e.sumNode = v
+	e.ntA.ex = e.fillExpTab(b)
+	return e.sums(e.firstFn)
+}
+
+// acceptPass returns the log-likelihoods of the edge whose sum table is loaded
+// at lengths old and nb, from one pass (acceptBody). The diagonals are
+// fillExpTab's for each length.
+func (e *Engine) acceptPass(old, nb float64) (before, after float64) {
+	ex := e.expTab
+	catWeight := 1.0 / float64(e.nCat)
+	for j, lr := range e.lamRate {
+		o := j/NumStates*expRow + j%NumStates
+		ex[o], ex[o+NumStates] = catWeight*math.Exp(lr*old), catWeight*math.Exp(lr*nb)
+	}
+	e.ntA.ex = ex
+	return e.sums(e.accFn)
 }
 
 // LoopBody sets up one of the engine's per-pattern loops on the edge above the
@@ -961,8 +968,7 @@ func (e *Engine) newtonPass(b float64, logL, deriv bool) (ll, d1, d2 float64) {
 // engine would keep to itself (loopCrossover); nothing else calls it.
 func (e *Engine) LoopBody(kind string, v *Node) func(lo, hi int) {
 	if kind == "newton" {
-		e.buildSumTable(v)
-		e.ntA = newtonArgs{ex: e.fillExpTab(v.Length), deriv: true}
+		e.firstPass(v, v.Length) // builds the sum table, leaves v.Length's diagonals
 		return e.ntFn
 	}
 	a := &e.nvA
@@ -972,22 +978,16 @@ func (e *Engine) LoopBody(kind string, v *Node) func(lo, hi int) {
 	return e.nvFn
 }
 
-// makenewz Newton-Raphson-optimizes the length of the edge whose sum table is
-// loaded, starting from start — the iteration of the paper's makenewz()
-// kernel. It returns the optimized length and the log-likelihood at iterate
-// 0, which the first derivative pass computes anyway: the likelihood at start
-// itself unless start lies below MinBranchLength and was clamped.
-func (e *Engine) makenewz(start float64) (b, ll0 float64) {
+// makenewz Newton-Raphson-optimizes the length of the edge above v, starting
+// from its current length clamped to MinBranchLength, and builds the edge's
+// sum table in the first pass — the iteration of the paper's makenewz()
+// kernel. Every pass is derivative-only: the likelihood is optimizeEdge's
+// acceptance pass's business, and only when the length moved.
+func (e *Engine) makenewz(v *Node) float64 {
 	e.Stats.MakenewzCalls++
-	b = start
-	if b < MinBranchLength {
-		b = MinBranchLength
-	}
-	for iter := 0; iter < newtonMaxIter; iter++ {
-		ll, d1, d2 := e.newtonPass(b, iter == 0, true)
-		if iter == 0 {
-			ll0 = ll
-		}
+	b := max(v.Length, MinBranchLength)
+	d1, d2 := e.firstPass(v, b)
+	for iter := 1; ; iter++ {
 		var step float64
 		if d2 < 0 {
 			step = -d1 / d2
@@ -995,20 +995,13 @@ func (e *Engine) makenewz(start float64) (b, ll0 float64) {
 			// Not locally concave: take a damped gradient step.
 			step = math.Copysign(math.Min(0.1, math.Abs(d1)*1e-3), d1)
 		}
-		nb := b + step
-		if nb < MinBranchLength {
-			nb = MinBranchLength
-		}
-		if nb > MaxBranchLength {
-			nb = MaxBranchLength
-		}
-		if math.Abs(nb-b) < newtonTolerance {
-			b = nb
-			break
+		nb := min(max(b+step, MinBranchLength), MaxBranchLength)
+		if math.Abs(nb-b) < newtonTolerance || iter == newtonMaxIter {
+			return nb
 		}
 		b = nb
+		d1, d2 = e.newtonPass(b)
 	}
-	return b, ll0
 }
 
 // MakenewzEdge exposes the makenewz() kernel on its own: it builds the sum
@@ -1016,11 +1009,7 @@ func (e *Engine) makenewz(start float64) (b, ll0 float64) {
 // Newton-optimized length without mutating the tree. Refresh must have run
 // first; calibration uses it to time the kernel in isolation, the only use
 // outside this package (see Newview).
-func (e *Engine) MakenewzEdge(v *Node) float64 {
-	e.buildSumTable(v)
-	nb, _ := e.makenewz(v.Length)
-	return nb
-}
+func (e *Engine) MakenewzEdge(v *Node) float64 { return e.makenewz(v) }
 
 // optimizeEdge settles the conditional vectors the edge above v depends on
 // (a partial traversal: only the stale part of the root-to-v out path and the
@@ -1031,19 +1020,14 @@ func (e *Engine) MakenewzEdge(v *Node) float64 {
 // the length. It reports whether the length changed materially.
 func (e *Engine) optimizeEdge(t *Tree, v *Node) bool {
 	e.ensureOut(t, v)
-	e.buildSumTable(v)
 	old := v.Length
-	nb, before := e.makenewz(old)
+	nb := e.makenewz(v)
 	if nb == old {
 		// Newton left the length where it was (pinned at a bound, or a zero
-		// step): the likelihood there is before itself, nothing to accept.
+		// step): nothing to accept, so no likelihood is computed.
 		return false
 	}
-	if old < MinBranchLength {
-		// Newton started from the clamped length, not from old.
-		before, _, _ = e.newtonPass(old, true, false)
-	}
-	after, _, _ := e.newtonPass(nb, true, false)
+	before, after := e.acceptPass(old, nb)
 	if after <= before {
 		return false
 	}

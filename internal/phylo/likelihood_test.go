@@ -331,13 +331,13 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-// TestEdgeLogLikMatchesDerivativesBitForBit pins the contract the fused
-// Newton step rests on: the likelihood-only pass over the sum table returns
-// exactly the bits of the derivative pass's first result, on tip and inner
-// edges, at the edge's own length, at the bounds, and below MinBranchLength
-// (where optimizeEdge falls back to it for the unclamped "before"). Each call
-// is one DerivEvals pass.
-func TestEdgeLogLikMatchesDerivativesBitForBit(t *testing.T) {
+// TestAcceptanceSidesMatchBitForBit pins the contract optimizeEdge's one
+// acceptance pass rests on: its two sides compute one length's likelihood
+// alike, so acceptPass(b, b) returns before == after bit for bit, and
+// swapping its lengths swaps its results, on tip and inner edges, at the
+// edge's own length, at the bounds, and below MinBranchLength (where the
+// unclamped old length is "before"). Each call is one DerivEvals pass.
+func TestAcceptanceSidesMatchBitForBit(t *testing.T) {
 	for _, cfg := range incrementalConfigs(t) {
 		t.Run(cfg.name, func(t *testing.T) {
 			_, aln, err := Simulate(SimulateOptions{Taxa: 11, Length: 300, Seed: 23, MeanBranchLength: 0.15})
@@ -358,16 +358,19 @@ func TestEdgeLogLikMatchesDerivativesBitForBit(t *testing.T) {
 				} else {
 					inner++
 				}
-				eng.buildSumTable(v)
+				eng.firstPass(v, v.Length) // builds the edge's sum table
 				for _, b := range []float64{v.Length, 0, 1e-9, MinBranchLength, 0.37, MaxBranchLength} {
-					before := eng.Stats.DerivEvals
-					want, _, _ := eng.newtonPass(b, true, true)
-					got, _, _ := eng.newtonPass(b, true, false)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("edge above node %d at length %g: likelihood-only pass %v != derivative pass %v", v.ID, b, got, want)
+					passes := eng.Stats.DerivEvals
+					before, after := eng.acceptPass(b, b)
+					if !sameFloat(before, after) {
+						t.Errorf("edge above node %d at length %g: before %v != after %v", v.ID, b, before, after)
 					}
-					if n := eng.Stats.DerivEvals - before; n != 2 {
-						t.Errorf("two passes counted as %d DerivEvals", n)
+					x, y := eng.acceptPass(b, 0.05)
+					if y2, x2 := eng.acceptPass(0.05, b); !sameFloat(x, x2) || !sameFloat(y, y2) || !sameFloat(x, before) {
+						t.Errorf("edge above node %d at lengths %g, 0.05: (%v, %v), swapped (%v, %v)", v.ID, b, x, y, y2, x2)
+					}
+					if n := eng.Stats.DerivEvals - passes; n != 3 {
+						t.Errorf("three passes counted as %d DerivEvals", n)
 					}
 				}
 			}
@@ -380,9 +383,9 @@ func TestEdgeLogLikMatchesDerivativesBitForBit(t *testing.T) {
 
 // TestOptimizeEdgePinnedAtBoundCostsOnePass: two identical sequences want
 // distance 0, so Newton on an edge already at MinBranchLength steps below the
-// bound, is clamped back onto it and returns the length it was given. The
-// likelihood there is the one its first pass computed — optimizeEdge must not
-// spend a second pass re-deriving it, and must leave the length and every
+// bound, is clamped back onto it and returns the length it was given. There
+// is nothing to accept — optimizeEdge must spend no acceptance pass on it,
+// nor any pass but the first, and must leave the length and every
 // invalidation mark alone.
 func TestOptimizeEdgePinnedAtBoundCostsOnePass(t *testing.T) {
 	data := twoTaxonData(t, "ACGTACGTAC", "ACGTACGTAC")
@@ -395,11 +398,16 @@ func TestOptimizeEdgePinnedAtBoundCostsOnePass(t *testing.T) {
 	ll := eng.LogLikelihood(tree)
 	eng.ensureOut(tree, pinned)
 
+	accepts := 0
+	eng.accFn = func(lo, hi int) { accepts++; eng.acceptBody(lo, hi) }
 	derivs, epoch, anyDirty := eng.Stats.DerivEvals, eng.treeEpoch, eng.anyDirty
 	dirty := append([]bool(nil), eng.downDirty...)
 	stamps := append([]uint64(nil), eng.outEpoch...)
 	if eng.optimizeEdge(tree, pinned) {
 		t.Error("a pinned edge reported a material change")
+	}
+	if accepts != 0 {
+		t.Errorf("a pinned edge ran the acceptance body %d times", accepts)
 	}
 	if got := eng.Stats.DerivEvals - derivs; got != 1 {
 		t.Errorf("pinned edge cost %d passes over the sum table, want 1", got)
@@ -417,10 +425,11 @@ func TestOptimizeEdgePinnedAtBoundCostsOnePass(t *testing.T) {
 
 // TestMakenewzFiniteOnZeroLikelihoodPatterns: with both branches of a cherry
 // at length 0, every pattern its two tips disagree on has likelihood exactly
-// zero whatever the length of any OTHER edge, so on those edges the clamp in
-// newtonBody is taken. Such a pattern has no slope — it contributes its
-// clamped log-likelihood and no derivative — so Newton must still return a
-// length inside the bounds and the optimizer a finite likelihood.
+// zero whatever the length of any OTHER edge, so on those edges the clamps of
+// the Newton and acceptance bodies are taken. Such a pattern has no slope —
+// it contributes no derivative, and its clamped log-likelihood to the
+// acceptance pass — so Newton must still return a length inside the bounds
+// and the optimizer a finite likelihood.
 func TestMakenewzFiniteOnZeroLikelihoodPatterns(t *testing.T) {
 	for _, cfg := range incrementalConfigs(t) {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -447,8 +456,8 @@ func TestMakenewzFiniteOnZeroLikelihoodPatterns(t *testing.T) {
 			}
 			a.Length, b.Length = 0, 0
 			eng.Refresh(tree)
-			eng.buildSumTable(cherry)
-			if ll, _, _ := eng.newtonPass(cherry.Length, true, true); !(ll < -700) {
+			eng.firstPass(cherry, cherry.Length) // builds the edge's sum table
+			if ll, _ := eng.acceptPass(cherry.Length, 0.1); !(ll < -700) {
 				t.Fatalf("logL %v: no pattern took the clamp", ll)
 			}
 			inBounds := func(what string, v float64) {
@@ -521,12 +530,13 @@ func refEdgeLogLik(e *Engine, v *Node, b float64) float64 {
 }
 
 // checkSumTableAgainstReference holds every edge of the tree, at the bounds
-// and three lengths in between, to the reference: log-likelihood within 1e-10
-// relative, and both derivatives within 1e-6 of central (five-point)
-// differences of the reference's per-pattern likelihoods — L'/L and
-// L”/L − (L'/L)², summed with the pattern weights; the tolerance is relative
-// to the sums of the absolute per-pattern terms, so cancellation between
-// patterns neither loosens nor tightens it. The differences are taken per
+// and three lengths in between, to the reference: the acceptance pass's
+// log-likelihoods within 1e-10 relative (each length on both of its sides),
+// and the first pass's derivatives (the sum table rebuilt inside it at each
+// length) within 1e-6 of central (five-point) differences of the reference's
+// per-pattern likelihoods — L'/L and L”/L − (L'/L)², summed with the pattern
+// weights; the tolerance is relative to the sums of the absolute per-pattern
+// terms, so cancellation between patterns neither loosens nor tightens it. The differences are taken per
 // pattern because differencing the total log-likelihood loses |logL|·ε to
 // rounding. A second difference resolves L” against the ε-sized rounding of
 // P's entries only with a step near 1e-3, so it is skipped at MinBranchLength,
@@ -536,13 +546,16 @@ func refEdgeLogLik(e *Engine, v *Node, b float64) float64 {
 func checkSumTableAgainstReference(t *testing.T, eng *Engine, tree *Tree) {
 	t.Helper()
 	weights := eng.Data.Weights
+	lengths := []float64{MinBranchLength, 1e-3, 0.1, 1, MaxBranchLength}
 	for _, v := range tree.Edges() {
-		eng.buildSumTable(v)
-		for _, b := range []float64{MinBranchLength, 1e-3, 0.1, 1, MaxBranchLength} {
-			want := refEdgeLogLik(eng, v, b)
-			got, d1, d2 := eng.newtonPass(b, true, true)
-			if math.Abs(got-want) > 1e-10*math.Abs(want) {
-				t.Errorf("node %d b=%g: sum-table logL %v, reference %v", v.ID, b, got, want)
+		for k, b := range lengths {
+			d1, d2 := eng.firstPass(v, b)
+			c := lengths[(k+1)%len(lengths)]
+			before, after := eng.acceptPass(b, c)
+			for _, ll := range []struct{ b, got float64 }{{b, before}, {c, after}} {
+				if want := refEdgeLogLik(eng, v, ll.b); math.Abs(ll.got-want) > 1e-10*math.Abs(want) {
+					t.Errorf("node %d b=%g: sum-table logL %v, reference %v", v.ID, ll.b, ll.got, want)
+				}
 			}
 			ex := eng.fillExpTab(b)
 			for i := 0; i < eng.nPat; i++ {

@@ -1,0 +1,50 @@
+package phylo
+
+import "math"
+
+// ln is the natural logarithm the likelihood kernels take: math/log_amd64.s
+// step for step, in Go, so that every architecture computes the same bits.
+// math.Log is that assembly on amd64 and portable Go elsewhere, which the
+// compiler may fuse and which normalises subnormals; ln, like the assembly,
+// reads a subnormal's exponent field raw (ln(math.SmallestNonzeroFloat64) is
+// −709.09, as on amd64), and each product that meets a sum is rounded by an
+// explicit conversion, which the Go specification says forbids fusing it.
+func ln(x float64) float64 {
+	const (
+		hSqrt2 = 7.07106781186547524401e-01
+		ln2Hi  = 6.93147180369123816490e-01
+		ln2Lo  = 1.90821492927058770002e-10
+		l1     = 6.666666666666735130e-01
+		l2     = 3.999999999940941908e-01
+		l3     = 2.857142874366239149e-01
+		l4     = 2.222219843214978396e-01
+		l5     = 1.818357216161805012e-01
+		l6     = 1.531383769920937332e-01
+		l7     = 1.479819860511658591e-01
+	)
+	u := math.Float64bits(x)
+	switch {
+	case u<<1 == 0:
+		return math.Inf(-1)
+	case int64(u) < 0:
+		return math.NaN()
+	case u >= 0x7FF0000000000000: // +Inf or NaN
+		return x
+	}
+	// x = f1·2^k with f1 in (√2/2, √2].
+	f1 := math.Float64frombits(u&(1<<52-1) | 0x3FE0000000000000)
+	k := float64(int(u>>52) - 0x3FE)
+	if f1 <= hSqrt2 {
+		f1 += f1
+		k--
+	}
+	f := f1 - 1
+	s := f / (2 + f)
+	s2 := s * s
+	s4 := s2 * s2
+	t1 := float64(s2 * (l1 + float64(s4*(l3+float64(s4*(l5+float64(s4*l7)))))))
+	t2 := float64(s4 * (l2 + float64(s4*(l4+float64(s4*l6)))))
+	r := t1 + t2
+	hfsq := float64(0.5 * f * f)
+	return float64(k*ln2Hi) - ((hfsq - (float64(s*(hfsq+r)) + float64(k*ln2Lo))) - f)
+}

@@ -66,6 +66,39 @@ func kernelCases(t *testing.T) []kernelCase {
 			sim: SimulateOptions{Taxa: 8, Length: 200, Seed: 9, MeanBranchLength: 0.2}})
 }
 
+// sameSumPasses holds got's passes over the sum table of the edge above gv to
+// want's over the edge above v, bit for bit: the first pass at lengths[0],
+// which builds the table (compared too), a Newton pass at each other length,
+// an acceptance pass at each length and the next, and MakenewzEdge. It
+// reports whether a pattern took the clamp (an acceptance likelihood below
+// −700).
+func sameSumPasses(t *testing.T, got, want *Engine, gv, v *Node, lengths []float64) (clamped bool) {
+	t.Helper()
+	g1, g2 := got.firstPass(gv, lengths[0])
+	w1, w2 := want.firstPass(v, lengths[0])
+	if !sameFloats(got.sumTab, want.sumTab) || !sameFloats(got.sumScale, want.sumScale) {
+		t.Errorf("edge above node %d: sum tables differ", v.ID)
+	}
+	for k, b := range lengths {
+		if k > 0 {
+			g1, g2 = got.newtonPass(b)
+			w1, w2 = want.newtonPass(b)
+		}
+		c := lengths[(k+1)%len(lengths)]
+		gb, ga := got.acceptPass(b, c)
+		wb, wa := want.acceptPass(b, c)
+		if !sameFloat(g1, w1) || !sameFloat(g2, w2) || !sameFloat(gb, wb) || !sameFloat(ga, wa) {
+			t.Errorf("edge above node %d: derivatives at %g (%v, %v), logL at %g and %g (%v, %v); want (%v, %v), (%v, %v)",
+				v.ID, b, g1, g2, b, c, gb, ga, w1, w2, wb, wa)
+		}
+		clamped = clamped || wb < -700
+	}
+	if a, b := got.MakenewzEdge(gv), want.MakenewzEdge(v); !sameFloat(a, b) {
+		t.Errorf("MakenewzEdge(node %d) = %v, want %v", v.ID, a, b)
+	}
+	return clamped
+}
+
 // build returns a serial engine over data and the case's start tree.
 func (c kernelCase) build(t *testing.T, data *PatternAlignment) (*Engine, *Tree) {
 	t.Helper()
@@ -89,10 +122,12 @@ func (c kernelCase) build(t *testing.T, data *PatternAlignment) (*Engine, *Tree)
 }
 
 // TestAnyPartitionSameBits holds every per-pattern loop the engine offers its
-// executor — newview, the out-vector newview, evaluate, the sum table and the
-// Newton terms — to the serial engine bit for bit under partitionExecutor:
-// each conditional vector and scaler, the likelihood, every edge's sum table,
-// Newton sums and optimized length, and a whole search. The cases are the
+// executor — newview, the out-vector newview, evaluate, the first Newton pass
+// with the sum table it builds, the other Newton passes and the acceptance
+// pass — to the serial engine bit for bit under partitionExecutor: each
+// conditional vector and scaler, the likelihood, every edge's sum table,
+// Newton and acceptance sums and optimized length (sameSumPasses), and a
+// whole search. The cases are the
 // four model × rate combinations, a 240-taxon tree deep enough to rescale, a
 // cherry of two zero-length branches, whose disagreeing patterns have
 // likelihood zero and take the clamp of the Newton body, and three rate
@@ -167,26 +202,8 @@ func TestAnyPartitionSameBits(t *testing.T) {
 				if i%step != 0 {
 					continue
 				}
-				gv := gotTree.Edges()[i]
-				got.buildSumTable(gv)
-				want.buildSumTable(v)
-				if !sameFloats(got.sumTab, want.sumTab) || !sameFloats(got.sumScale, want.sumScale) {
-					t.Errorf("edge above node %d: sum tables differ", v.ID)
-				}
-				for _, b := range []float64{v.Length, MinBranchLength, 0.37} {
-					for _, deriv := range []bool{true, false} {
-						gl, g1, g2 := got.newtonPass(b, true, deriv)
-						wl, w1, w2 := want.newtonPass(b, true, deriv)
-						if !sameFloat(gl, wl) || !sameFloat(g1, w1) || !sameFloat(g2, w2) {
-							t.Errorf("edge above node %d at %g (deriv %v): sums (%v, %v, %v) partitioned, (%v, %v, %v) serial",
-								v.ID, b, deriv, gl, g1, g2, wl, w1, w2)
-						}
-						clamped = clamped || wl < -700
-					}
-				}
-				if a, b := got.MakenewzEdge(gv), want.MakenewzEdge(v); !sameFloat(a, b) {
-					t.Errorf("MakenewzEdge(node %d) = %v partitioned, %v serial", v.ID, a, b)
-				}
+				lengths := []float64{v.Length, MinBranchLength, 0.37}
+				clamped = sameSumPasses(t, got, want, gotTree.Edges()[i], v, lengths) || clamped
 			}
 			wasSplit("sum-table or Newton")
 			if c.zeroCherry && !clamped {
@@ -222,9 +239,10 @@ func TestAnyPartitionSameBits(t *testing.T) {
 // TestCategoryKernelsMatchGeneral holds the loop bodies NewEngine picks for
 // one and four rate categories (newtonBody1, newtonBody4, sumTableBody1) to
 // the general ones bit for bit, on serial engines, where the first Newton
-// share is the whole range: every edge's sum table and scalers, the Newton
-// sums at four lengths with and without the likelihood and the derivatives,
-// the optimized length, and a whole search.
+// share is the whole range: every edge's sum table and scalers as the first
+// pass builds them, the Newton sums at four lengths, the acceptance sums at
+// each length and the next, the optimized length (sameSumPasses), and a whole
+// search.
 func TestCategoryKernelsMatchGeneral(t *testing.T) {
 	for _, c := range kernelCases(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -242,26 +260,8 @@ func TestCategoryKernelsMatchGeneral(t *testing.T) {
 			want.Refresh(wantTree)
 			clamped := false
 			for i, v := range wantTree.Edges() {
-				gv := gotTree.Edges()[i]
-				got.buildSumTable(gv)
-				want.buildSumTable(v)
-				if !sameFloats(got.sumTab, want.sumTab) || !sameFloats(got.sumScale, want.sumScale) {
-					t.Errorf("edge above node %d: sum tables differ", v.ID)
-				}
-				for _, b := range []float64{v.Length, MinBranchLength, 0.37, MaxBranchLength} {
-					for _, f := range [][2]bool{{true, true}, {false, true}, {true, false}} {
-						gl, g1, g2 := got.newtonPass(b, f[0], f[1])
-						wl, w1, w2 := want.newtonPass(b, f[0], f[1])
-						if !sameFloat(gl, wl) || !sameFloat(g1, w1) || !sameFloat(g2, w2) {
-							t.Errorf("edge above node %d at %g (logL, deriv %v): sums (%v, %v, %v) specialised, (%v, %v, %v) general",
-								v.ID, b, f, gl, g1, g2, wl, w1, w2)
-						}
-						clamped = clamped || wl < -700
-					}
-				}
-				if a, b := got.MakenewzEdge(gv), want.MakenewzEdge(v); !sameFloat(a, b) {
-					t.Errorf("MakenewzEdge(node %d) = %v specialised, %v general", v.ID, a, b)
-				}
+				lengths := []float64{v.Length, MinBranchLength, 0.37, MaxBranchLength}
+				clamped = sameSumPasses(t, got, want, gotTree.Edges()[i], v, lengths) || clamped
 			}
 			if c.zeroCherry && !clamped {
 				t.Error("no pattern took the clamp; the zero-likelihood case covers nothing")
