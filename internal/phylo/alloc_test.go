@@ -146,8 +146,8 @@ func TestIncrementalEvaluationAllocationFree(t *testing.T) {
 		t.Errorf("incremental invalidate+evaluate allocates %v per cycle, want 0", avg)
 	}
 	// The same cycle through the branch optimizer, from a collapsed cherry:
-	// Newton starts from the clamped length, so optimizeEdge scores the old one
-	// with the likelihood-only pass, whose clamp the patterns of likelihood zero take.
+	// Newton starts from the clamped length, and the acceptance pass scores the
+	// old one, whose clamp the patterns of likelihood zero take.
 	a, b := collapseCherry(tree)
 	if avg := testing.AllocsPerRun(50, func() {
 		a.Length, b.Length = 0, 0
