@@ -62,7 +62,10 @@
 //     u is the root, a table side whose single row is the root prior.
 //
 // KernelStats counts the two apart (NewviewCalls, OutviewCalls) because the
-// partial traversals bound them separately.
+// partial traversals bound them separately. One category, the single-rate
+// search, has its own body (newviewBody1): both sides' matrices or tip tables
+// held in fixed-size arrays and the rescale test on the four products before
+// they are stored; it adds the same terms in the same order as newviewBody.
 //
 // # Makenewz
 //
@@ -77,7 +80,7 @@
 // multiply-adds per pattern and category (newtonPass over newtonBody, RAxML's
 // coreGTRGAMMA): Σ A·e, Σ A·λr·e and Σ A·(λr)²·e with e = exp(λ_k·r·b), and no
 // logarithm: only a length Newton moved gets an acceptance pass (acceptPass),
-// the likelihood at the old and the new length, two ln per pattern. One and
+// the likelihood at the old and the new length, one ln2 per pattern. One and
 // four categories, the counts production builds, have their own bodies that
 // keep e in locals (newtonBody1, newtonBody4, sumTableBody1); any other count
 // runs the general ones, to the same bits. The formulation this replaced — a

@@ -25,8 +25,10 @@ func (e *Engine) setSiteRepeats(on bool) {
 }
 
 // useGeneralBodies makes the engine run the loop bodies written for any
-// category count — the stored-terms Newton loop over the whole range and the
-// sum table with its category loop — instead of the ones NewEngine picked for
-// one or four categories: the reference TestCategoryKernelsMatchGeneral holds
-// those to.
-func (e *Engine) useGeneralBodies() { e.sumFn, e.ntFn = e.sumTableBody, e.newtonBody }
+// category count — newview, the stored-terms Newton loop over the whole range
+// and the sum table, each with its category loop — instead of the ones
+// NewEngine picked for one or four categories: the reference
+// TestCategoryKernelsMatchGeneral holds those to.
+func (e *Engine) useGeneralBodies() {
+	e.nvFn, e.sumFn, e.ntFn = e.newviewBody, e.sumTableBody, e.newtonBody
+}

@@ -270,7 +270,7 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	e.accFn = e.acceptBody
 	switch e.nCat { // the category counts production builds (SingleRate, DiscreteGamma(…, 4))
 	case 1:
-		e.sumFn, e.ntFn = e.sumTableBody1, e.newtonBody1
+		e.nvFn, e.sumFn, e.ntFn = e.newviewBody1, e.sumTableBody1, e.newtonBody1
 	case 4:
 		e.ntFn = e.newtonBody4
 	}
@@ -344,13 +344,14 @@ type newviewArgs struct {
 	uniq       []int32   // site-repeat representative patterns; nil (all) outside newviewRepeats
 }
 
-// newviewBody is the per-pattern loop of the newview() kernel, the one loop
-// every conditional vector comes out of: for every pattern and rate category
-// it multiplies the left and right sides state by state and rescales the
-// pattern when it nears underflow. Newview feeds it a node's two children;
-// computeOutOne feeds it the sibling subtree and the rest of the tree. The
-// 4-state inner products are fully unrolled; slices are hoisted per category
-// so the innermost statements are bounds-check-free. When uniq is non-nil the
+// newviewBody is the per-pattern loop of the newview() kernel, the loop every
+// conditional vector comes out of (newviewBody1 for one category): for every
+// pattern and rate category it multiplies the left and right sides state by
+// state and rescales the pattern when it nears underflow. Newview feeds it a
+// node's two children; computeOutOne feeds it the sibling subtree and the rest
+// of the tree. The 4-state inner products are fully unrolled, each product
+// rounded before it is added; slices are hoisted per category so the
+// innermost statements are bounds-check-free. When uniq is non-nil the
 // loop runs over the site-repeat representative list instead of the full
 // pattern range (Newview copies the remaining patterns afterwards).
 func (e *Engine) newviewBody(lo, hi int) {
@@ -382,10 +383,10 @@ func (e *Engine) newviewBody(lo, hi int) {
 				pm := pl[m : m+flatMatSize : m+flatMatSize]
 				lw := lv[off : off+NumStates : off+NumStates]
 				l0, l1, l2, l3 := lw[0], lw[1], lw[2], lw[3]
-				sl0 = pm[0]*l0 + pm[1]*l1 + pm[2]*l2 + pm[3]*l3
-				sl1 = pm[4]*l0 + pm[5]*l1 + pm[6]*l2 + pm[7]*l3
-				sl2 = pm[8]*l0 + pm[9]*l1 + pm[10]*l2 + pm[11]*l3
-				sl3 = pm[12]*l0 + pm[13]*l1 + pm[14]*l2 + pm[15]*l3
+				sl0 = float64(pm[0]*l0) + float64(pm[1]*l1) + float64(pm[2]*l2) + float64(pm[3]*l3)
+				sl1 = float64(pm[4]*l0) + float64(pm[5]*l1) + float64(pm[6]*l2) + float64(pm[7]*l3)
+				sl2 = float64(pm[8]*l0) + float64(pm[9]*l1) + float64(pm[10]*l2) + float64(pm[11]*l3)
+				sl3 = float64(pm[12]*l0) + float64(pm[13]*l1) + float64(pm[14]*l2) + float64(pm[15]*l3)
 			}
 			var sr0, sr1, sr2, sr3 float64
 			if rst != nil {
@@ -396,10 +397,10 @@ func (e *Engine) newviewBody(lo, hi int) {
 				qm := pr[m : m+flatMatSize : m+flatMatSize]
 				rw := rv[off : off+NumStates : off+NumStates]
 				r0, r1, r2, r3 := rw[0], rw[1], rw[2], rw[3]
-				sr0 = qm[0]*r0 + qm[1]*r1 + qm[2]*r2 + qm[3]*r3
-				sr1 = qm[4]*r0 + qm[5]*r1 + qm[6]*r2 + qm[7]*r3
-				sr2 = qm[8]*r0 + qm[9]*r1 + qm[10]*r2 + qm[11]*r3
-				sr3 = qm[12]*r0 + qm[13]*r1 + qm[14]*r2 + qm[15]*r3
+				sr0 = float64(qm[0]*r0) + float64(qm[1]*r1) + float64(qm[2]*r2) + float64(qm[3]*r3)
+				sr1 = float64(qm[4]*r0) + float64(qm[5]*r1) + float64(qm[6]*r2) + float64(qm[7]*r3)
+				sr2 = float64(qm[8]*r0) + float64(qm[9]*r1) + float64(qm[10]*r2) + float64(qm[11]*r3)
+				sr3 = float64(qm[12]*r0) + float64(qm[13]*r1) + float64(qm[14]*r2) + float64(qm[15]*r3)
 			}
 			v0, v1, v2, v3 := sl0*sr0, sl1*sr1, sl2*sr2, sl3*sr3
 			d := dst[off : off+NumStates : off+NumStates]
@@ -431,6 +432,90 @@ func (e *Engine) newviewBody(lo, hi int) {
 				sc += ln(maxV)
 			}
 		}
+		scale[i] = sc
+	}
+}
+
+// newviewBody1 is newviewBody for one rate category: each side's matrix or
+// tip table is copied once per call into a fixed-size array, and a pattern's
+// four products are rescaled before they are stored. Every sum, test and
+// rescale is newviewBody's, term for term.
+func (e *Engine) newviewBody1(lo, hi int) {
+	a := &e.nvA
+	var pl, pr [flatMatSize]float64
+	var tl, tr [tipStates * NumStates]float64
+	lv, rv, lst, rst := a.l.v, a.r.v, a.l.states, a.r.states
+	if lst != nil {
+		tl = [tipStates * NumStates]float64(a.l.tab)
+	} else {
+		pl = [flatMatSize]float64(a.l.p)
+	}
+	if rst != nil {
+		tr = [tipStates * NumStates]float64(a.r.tab)
+	} else {
+		pr = [flatMatSize]float64(a.r.p)
+	}
+	dst, scale, lscale, rscale, uniq := a.dst, a.scale, a.l.scale, a.r.scale, a.uniq
+	for j := lo; j < hi; j++ {
+		i := j
+		if uniq != nil {
+			i = int(uniq[j])
+		}
+		off := i * NumStates
+		var sl0, sl1, sl2, sl3 float64
+		if lst != nil {
+			o := int(lst[i]&(tipStates-1)) * NumStates
+			sl0, sl1, sl2, sl3 = tl[o], tl[o+1], tl[o+2], tl[o+3]
+		} else {
+			lw := lv[off : off+NumStates : off+NumStates]
+			l0, l1, l2, l3 := lw[0], lw[1], lw[2], lw[3]
+			sl0 = float64(pl[0]*l0) + float64(pl[1]*l1) + float64(pl[2]*l2) + float64(pl[3]*l3)
+			sl1 = float64(pl[4]*l0) + float64(pl[5]*l1) + float64(pl[6]*l2) + float64(pl[7]*l3)
+			sl2 = float64(pl[8]*l0) + float64(pl[9]*l1) + float64(pl[10]*l2) + float64(pl[11]*l3)
+			sl3 = float64(pl[12]*l0) + float64(pl[13]*l1) + float64(pl[14]*l2) + float64(pl[15]*l3)
+		}
+		var sr0, sr1, sr2, sr3 float64
+		if rst != nil {
+			o := int(rst[i]&(tipStates-1)) * NumStates
+			sr0, sr1, sr2, sr3 = tr[o], tr[o+1], tr[o+2], tr[o+3]
+		} else {
+			rw := rv[off : off+NumStates : off+NumStates]
+			r0, r1, r2, r3 := rw[0], rw[1], rw[2], rw[3]
+			sr0 = float64(pr[0]*r0) + float64(pr[1]*r1) + float64(pr[2]*r2) + float64(pr[3]*r3)
+			sr1 = float64(pr[4]*r0) + float64(pr[5]*r1) + float64(pr[6]*r2) + float64(pr[7]*r3)
+			sr2 = float64(pr[8]*r0) + float64(pr[9]*r1) + float64(pr[10]*r2) + float64(pr[11]*r3)
+			sr3 = float64(pr[12]*r0) + float64(pr[13]*r1) + float64(pr[14]*r2) + float64(pr[15]*r3)
+		}
+		v0, v1, v2, v3 := sl0*sr0, sl1*sr1, sl2*sr2, sl3*sr3
+		sc := 0.0
+		if lscale != nil {
+			sc += lscale[i]
+		}
+		if rscale != nil {
+			sc += rscale[i]
+		}
+		if !(v0 >= scalingThreshold || v1 >= scalingThreshold || v2 >= scalingThreshold || v3 >= scalingThreshold) {
+			maxV := 0.0 // v > maxV from 0, in storage order, as newviewBody runs it
+			if v0 > maxV {
+				maxV = v0
+			}
+			if v1 > maxV {
+				maxV = v1
+			}
+			if v2 > maxV {
+				maxV = v2
+			}
+			if v3 > maxV {
+				maxV = v3
+			}
+			if maxV > 0 {
+				inv := 1 / maxV
+				v0, v1, v2, v3 = v0*inv, v1*inv, v2*inv, v3*inv
+				sc += ln(maxV)
+			}
+		}
+		d := dst[off : off+NumStates : off+NumStates]
+		d[0], d[1], d[2], d[3] = v0, v1, v2, v3
 		scale[i] = sc
 	}
 }
@@ -900,7 +985,8 @@ func (e *Engine) acceptBody(lo, hi int) {
 		}
 		l0, l1 = max(l0, math.SmallestNonzeroFloat64), max(l1, math.SmallestNonzeroFloat64)
 		w, sc := weights[i], scale[i]
-		t0, t1 := float64(w*(ln(l0)+sc)), float64(w*(ln(l1)+sc))
+		ln0, ln1 := ln2(l0, l1)
+		t0, t1 := float64(w*(ln0+sc)), float64(w*(ln1+sc))
 		if first {
 			s1, s2 = s1+t0, s2+t1
 		} else {

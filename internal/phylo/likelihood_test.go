@@ -724,11 +724,11 @@ func TestTipTableMatchesPerMemberSums(t *testing.T) {
 	}
 }
 
-// refRescale is the rule newviewBody has to reproduce: the running maximum
-// over a pattern's values in storage order (v > maxV from 0, so NaN and
-// negatives never win), rescaling iff 0 < maxV < scalingThreshold. It returns
-// the stored values and the pattern's log scaler, starting from the children's
-// sum sc.
+// refRescale is the rule newviewBody and newviewBody1 have to reproduce: the
+// running maximum over a pattern's values in storage order (v > maxV from 0,
+// so NaN and negatives never win), rescaling iff 0 < maxV < scalingThreshold.
+// It returns the stored values and the pattern's log scaler, starting from the
+// children's sum sc.
 func refRescale(vals []float64, sc float64) ([]float64, float64) {
 	out := slices.Clone(vals)
 	maxV := 0.0
@@ -747,18 +747,19 @@ func refRescale(vals []float64, sc float64) ([]float64, float64) {
 	return out, sc
 }
 
-// TestNewviewRescaleEdges feeds newviewBody hand-written children whose
-// products are exactly the values of each case — one side a tip table whose
-// row for pattern i is case i, the other an inner vector of ones through
-// identity matrices with a log scaler — and compares dst and scale bit for
-// bit with refRescale. Every case is one pattern of the same call, so a flag
-// that leaked from one pattern into the next would show too. Two
-// reformulations of the threshold test fail this test and no other: v > T
-// in place of v >= T (the "exactly T" case) and a flag kept by
-// small = small && v < T (the NaN case, which it leaves unscaled).
-func TestNewviewRescaleEdges(t *testing.T) {
+// rescaleCase is one pattern of TestNewviewRescaleEdges: its stride values
+// and whether refRescale rescales them.
+type rescaleCase struct {
+	name     string
+	vals     []float64
+	rescaled bool
+}
+
+// rescaleCases returns the rescale edge cases for patterns of stride values.
+// They are written for 16 (four categories); at another stride each position
+// k moves to k·stride/16, the same place in the pattern.
+func rescaleCases(stride int) []rescaleCase {
 	const T = scalingThreshold
-	const nCat, stride = 4, 4 * NumStates
 	fill := func(v float64) []float64 {
 		out := make([]float64, stride)
 		for k := range out {
@@ -768,27 +769,23 @@ func TestNewviewRescaleEdges(t *testing.T) {
 	}
 	with := func(vals []float64, at map[int]float64) []float64 {
 		for k, v := range at {
-			vals[k] = v
+			vals[k*stride/16] = v
 		}
 		return vals
 	}
-	small := func() []float64 { // distinct values in (0, T), largest in category 0
+	small := func() []float64 { // distinct values in (0, T), largest first
 		out := make([]float64, stride)
 		for k := range out {
 			out[k] = T * math.Pow(0.5, float64(k+1)) * 1e-3
 		}
 		return out
 	}
-	cases := []struct {
-		name     string
-		vals     []float64
-		rescaled bool
-	}{
+	return []rescaleCase{
 		{"all in (0, T)", small(), true},
 		{"maximum exactly T", with(small(), map[int]float64{6: T}), false},
 		{"just below T", with(small(), map[int]float64{6: math.Nextafter(T, 0)}), true},
 		{"all zeros", fill(0), false},
-		{"only value >= T in the last category", with(small(), map[int]float64{stride - 1: 0.5}), false},
+		{"only value >= T in the last state", with(small(), map[int]float64{15: 0.5}), false},
 		{"NaN among small values", with(small(), map[int]float64{0: math.NaN()}), true},
 		{"NaN among ordinary values", with(fill(0.25), map[int]float64{3: math.NaN()}), false},
 		{"+Inf among small values", with(small(), map[int]float64{9: math.Inf(1)}), false},
@@ -796,55 +793,80 @@ func TestNewviewRescaleEdges(t *testing.T) {
 		{"tiny negatives and zeros", with(fill(0), map[int]float64{2: -1e-300, 11: -5e-324}), false},
 		{"ordinary values", fill(0.125), false},
 	}
-	n := len(cases)
-	if n > tipStates {
-		t.Fatalf("%d cases, the tip table holds %d rows", n, tipStates)
-	}
-	tab := make([]float64, nCat*tipStates*NumStates)
-	states := make([]uint8, n)
-	for i, c := range cases {
-		states[i] = uint8(i)
-		for r := 0; r < nCat; r++ {
-			copy(tab[(r*flatMatSize+i)*NumStates:], c.vals[r*NumStates:(r+1)*NumStates])
-		}
-	}
-	ident := make([]float64, nCat*flatMatSize)
-	for r := 0; r < nCat; r++ {
-		for s := 0; s < NumStates; s++ {
-			ident[r*flatMatSize+s*NumStates+s] = 1
-		}
-	}
-	childScale := make([]float64, n)
-	for i := range childScale {
-		childScale[i] = 1.5 * float64(i+1)
-	}
-	table := kernelSide{states: states, tab: tab}
-	ones := make([]float64, n*stride)
-	for k := range ones {
-		ones[k] = 1
-	}
-	inner := kernelSide{v: ones, scale: childScale, p: ident}
-	for _, order := range []struct {
+}
+
+// TestNewviewRescaleEdges feeds newviewBody at four categories and at one, and
+// newviewBody1, hand-written children whose products are exactly the values of
+// each case — one side a tip table whose row for pattern i is case i, the
+// other an inner vector of ones through identity matrices with a log scaler —
+// and compares dst and scale bit for bit with refRescale. Every case is one
+// pattern of the same call, so a flag that leaked from one pattern into the
+// next would show too. Two reformulations of either body's threshold test
+// fail this test and no other: v > T in place of v >= T (the "exactly T" case)
+// and a flag kept by small = small && v < T (the NaN case, which it leaves
+// unscaled).
+func TestNewviewRescaleEdges(t *testing.T) {
+	for _, body := range []struct {
 		name string
-		l, r kernelSide
-	}{{"table×inner", table, inner}, {"inner×table", inner, table}} {
-		e := &Engine{nCat: nCat, stride: stride}
-		dst, scale := make([]float64, n*stride), make([]float64, n)
-		e.nvA = newviewArgs{l: order.l, r: order.r, dst: dst, scale: scale}
-		e.newviewBody(0, n)
+		nCat int
+		fn   func(e *Engine, lo, hi int)
+	}{
+		{"newviewBody, 4 categories", 4, (*Engine).newviewBody},
+		{"newviewBody, 1 category", 1, (*Engine).newviewBody},
+		{"newviewBody1", 1, (*Engine).newviewBody1},
+	} {
+		nCat, stride := body.nCat, body.nCat*NumStates
+		cases := rescaleCases(stride)
+		n := len(cases)
+		if n > tipStates {
+			t.Fatalf("%d cases, the tip table holds %d rows", n, tipStates)
+		}
+		tab := make([]float64, nCat*tipStates*NumStates)
+		states := make([]uint8, n)
 		for i, c := range cases {
-			want, wantSc := refRescale(c.vals, childScale[i])
-			if got := wantSc != childScale[i]; got != c.rescaled {
-				t.Fatalf("%s: the reference rule rescaled=%v, the case expects %v", c.name, got, c.rescaled)
+			states[i] = uint8(i)
+			for r := 0; r < nCat; r++ {
+				copy(tab[(r*flatMatSize+i)*NumStates:], c.vals[r*NumStates:(r+1)*NumStates])
 			}
-			got := dst[i*stride : (i+1)*stride]
-			for k := range want {
-				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-					t.Errorf("%s, %s: dst[%d] = %v, want %v", order.name, c.name, k, got[k], want[k])
+		}
+		ident := make([]float64, nCat*flatMatSize)
+		for r := 0; r < nCat; r++ {
+			for s := 0; s < NumStates; s++ {
+				ident[r*flatMatSize+s*NumStates+s] = 1
+			}
+		}
+		childScale := make([]float64, n)
+		for i := range childScale {
+			childScale[i] = 1.5 * float64(i+1)
+		}
+		table := kernelSide{states: states, tab: tab}
+		ones := make([]float64, n*stride)
+		for k := range ones {
+			ones[k] = 1
+		}
+		inner := kernelSide{v: ones, scale: childScale, p: ident}
+		for _, order := range []struct {
+			name string
+			l, r kernelSide
+		}{{"table×inner", table, inner}, {"inner×table", inner, table}} {
+			e := &Engine{nCat: nCat, stride: stride}
+			dst, scale := make([]float64, n*stride), make([]float64, n)
+			e.nvA = newviewArgs{l: order.l, r: order.r, dst: dst, scale: scale}
+			body.fn(e, 0, n)
+			for i, c := range cases {
+				want, wantSc := refRescale(c.vals, childScale[i])
+				if got := wantSc != childScale[i]; got != c.rescaled {
+					t.Fatalf("%s: the reference rule rescaled=%v, the case expects %v", c.name, got, c.rescaled)
 				}
-			}
-			if math.Float64bits(scale[i]) != math.Float64bits(wantSc) {
-				t.Errorf("%s, %s: scale = %v, want %v", order.name, c.name, scale[i], wantSc)
+				got := dst[i*stride : (i+1)*stride]
+				for k := range want {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Errorf("%s, %s, %s: dst[%d] = %v, want %v", body.name, order.name, c.name, k, got[k], want[k])
+					}
+				}
+				if math.Float64bits(scale[i]) != math.Float64bits(wantSc) {
+					t.Errorf("%s, %s, %s: scale = %v, want %v", body.name, order.name, c.name, scale[i], wantSc)
+				}
 			}
 		}
 	}
@@ -866,6 +888,19 @@ func BenchmarkOutviewGamma4(b *testing.B) {
 }
 
 func benchOutview(b *testing.B, rates RateCategories) {
+	eng, tree := benchKernelEngine(b, rates)
+	edges := tree.Edges()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := edges[i%len(edges)]
+		eng.computeOutOne(v.Parent, v)
+	}
+}
+
+// benchKernelEngine returns a Refreshed JC69 engine over the 42_SC-sized input
+// of the kernel micro-benchmarks, and its tree.
+func benchKernelEngine(b *testing.B, rates RateCategories) (*Engine, *Tree) {
 	_, aln, err := Simulate(SimulateOptions{Taxa: 42, Length: 1167, Seed: 42, MeanBranchLength: 0.08})
 	if err != nil {
 		b.Fatal(err)
@@ -883,11 +918,36 @@ func benchOutview(b *testing.B, rates RateCategories) {
 		b.Fatal(err)
 	}
 	eng.Refresh(tree)
+	return eng, tree
+}
+
+// BenchmarkAcceptPass measures one acceptance pass, the closing pass of a
+// makenewz visit whose length moved, on the same input, cycling over every
+// edge: each edge's sum table is built once by its first pass and kept, and
+// the pass takes the likelihood at the edge's length and at twice it.
+func BenchmarkAcceptPass(b *testing.B) { benchAcceptPass(b, SingleRate()) }
+
+func BenchmarkAcceptPassGamma4(b *testing.B) {
+	rates, err := DiscreteGamma(0.8, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchAcceptPass(b, rates)
+}
+
+func benchAcceptPass(b *testing.B, rates RateCategories) {
+	eng, tree := benchKernelEngine(b, rates)
 	edges := tree.Edges()
+	tabs, scales := make([][]float64, len(edges)), make([][]float64, len(edges))
+	for k, v := range edges {
+		eng.firstPass(v, v.Length)
+		tabs[k], scales[k] = slices.Clone(eng.sumTab), slices.Clone(eng.sumScale)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := edges[i%len(edges)]
-		eng.computeOutOne(v.Parent, v)
+		k := i % len(edges)
+		eng.sumTab, eng.sumScale = tabs[k], scales[k]
+		eng.acceptPass(edges[k].Length, 2*edges[k].Length)
 	}
 }

@@ -40,6 +40,9 @@ func lnInputs() []float64 {
 // TestLogMatchesMathLog holds ln to math/log_amd64.s, which it copies: on
 // amd64 it equals math.Log bit for bit on every input of lnInputs, and on
 // every architecture its outputs hash to the digest committed from amd64.
+// Both results of ln2 equal ln's bit for bit: over lnInputs paired with the
+// stream reversed, so every input sits once in each position, and with each
+// special input on either side of an ordinary value.
 func TestLogMatchesMathLog(t *testing.T) {
 	xs := lnInputs()
 	out := make([]float64, len(xs))
@@ -48,6 +51,19 @@ func TestLogMatchesMathLog(t *testing.T) {
 		if runtime.GOARCH == "amd64" && math.Float64bits(out[i]) != math.Float64bits(math.Log(x)) {
 			t.Errorf("ln(%v) = %v (%#x), math.Log %v", x, out[i], math.Float64bits(x), math.Log(x))
 		}
+	}
+	pair := func(x, y, lx, ly float64) {
+		if a, b := ln2(x, y); math.Float64bits(a) != math.Float64bits(lx) || math.Float64bits(b) != math.Float64bits(ly) {
+			t.Errorf("ln2(%v, %v) = (%v, %v), ln gives (%v, %v)", x, y, a, b, lx, ly)
+		}
+	}
+	for i, j := 0, len(xs)-1; j >= 0; i, j = i+1, j-1 {
+		pair(xs[i], xs[j], out[i], out[j])
+	}
+	for _, s := range []float64{0, math.Copysign(0, -1), -1, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, 1e-310, math.MaxFloat64} {
+		pair(s, 0.3, ln(s), ln(0.3))
+		pair(0.3, s, ln(0.3), ln(s))
 	}
 	if got := digest(out); got != lnDigest {
 		t.Errorf("ln's outputs hash to %s on %s, want %s (amd64)", got, runtime.GOARCH, lnDigest)

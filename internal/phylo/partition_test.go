@@ -237,12 +237,12 @@ func TestAnyPartitionSameBits(t *testing.T) {
 }
 
 // TestCategoryKernelsMatchGeneral holds the loop bodies NewEngine picks for
-// one and four rate categories (newtonBody1, newtonBody4, sumTableBody1) to
-// the general ones bit for bit, on serial engines, where the first Newton
-// share is the whole range: every edge's sum table and scalers as the first
-// pass builds them, the Newton sums at four lengths, the acceptance sums at
-// each length and the next, the optimized length (sameSumPasses), and a whole
-// search.
+// one and four rate categories (newviewBody1, newtonBody1, newtonBody4,
+// sumTableBody1) to the general ones bit for bit, on serial engines, where the
+// first Newton share is the whole range: every down and out vector and scaler
+// after Refresh, every edge's sum table and scalers as the first pass builds
+// them, the Newton sums at four lengths, the acceptance sums at each length
+// and the next, the optimized length (sameSumPasses), and a whole search.
 func TestCategoryKernelsMatchGeneral(t *testing.T) {
 	for _, c := range kernelCases(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -258,6 +258,10 @@ func TestCategoryKernelsMatchGeneral(t *testing.T) {
 			want, wantTree := build(true)
 			got.Refresh(gotTree)
 			want.Refresh(wantTree)
+			if !sameFloats(got.clvDown, want.clvDown) || !sameFloats(got.sclDown, want.sclDown) ||
+				!sameFloats(got.clvOut, want.clvOut) || !sameFloats(got.sclOut, want.sclOut) {
+				t.Error("Refresh: the conditional vectors or their scalers differ")
+			}
 			clamped := false
 			for i, v := range wantTree.Edges() {
 				lengths := []float64{v.Length, MinBranchLength, 0.37, MaxBranchLength}
