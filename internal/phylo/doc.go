@@ -65,7 +65,13 @@
 // partial traversals bound them separately. One category, the single-rate
 // search, has its own body (newviewBody1): both sides' matrices or tip tables
 // held in fixed-size arrays and the rescale test on the four products before
-// they are stored; it adds the same terms in the same order as newviewBody.
+// they are stored. Four, the Gamma4 search, has newviewBody4, which picks a
+// loop once per call by its sides' kinds — newviewTable4 for a table and an
+// inner side in either order, newviewInner4 for two inner sides — each with
+// the count and stride as constants, reading the sides' storage through
+// three-index slices. Both add the same terms in the same order as
+// newviewBody, and every newview loop rescales through the one rare arm,
+// rescale.
 //
 // # Makenewz
 //
@@ -81,9 +87,11 @@
 // coreGTRGAMMA): Σ A·e, Σ A·λr·e and Σ A·(λr)²·e with e = exp(λ_k·r·b), and no
 // logarithm: only a length Newton moved gets an acceptance pass (acceptPass),
 // the likelihood at the old and the new length, one ln2 per pattern. One and
-// four categories, the counts production builds, have their own bodies that
-// keep e in locals (newtonBody1, newtonBody4, sumTableBody1); any other count
-// runs the general ones, to the same bits. The formulation this replaced — a
+// four categories, the counts production builds, have their own bodies
+// (newtonBody1 and sumTableBody1 without a category loop; newtonBody4 and
+// acceptBody4 with theirs unrolled, newtonBody4 serving every share of a split
+// pass, and sumTableBody4 taking the tip/inner branch outside it); any other
+// count runs the general ones, to the same bits. The formulation this replaced — a
 // P(b) mat-vec per pattern, from Model.Transition alone — is the test-only
 // reference in likelihood_test.go.
 //

@@ -25,10 +25,10 @@ func (e *Engine) setSiteRepeats(on bool) {
 }
 
 // useGeneralBodies makes the engine run the loop bodies written for any
-// category count — newview, the stored-terms Newton loop over the whole range
-// and the sum table, each with its category loop — instead of the ones
-// NewEngine picked for one or four categories: the reference
-// TestCategoryKernelsMatchGeneral holds those to.
+// category count — newview, the sum table, the stored-terms Newton loop over
+// the whole range and the acceptance pass, each with its category loop —
+// instead of the ones NewEngine picked for one or four categories: the
+// reference TestCategoryKernelsMatchGeneral holds those to.
 func (e *Engine) useGeneralBodies() {
-	e.nvFn, e.sumFn, e.ntFn = e.newviewBody, e.sumTableBody, e.newtonBody
+	e.nvFn, e.sumFn, e.ntFn, e.accFn = e.newviewBody, e.sumTableBody, e.newtonBody, e.acceptBody
 }

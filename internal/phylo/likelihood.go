@@ -272,7 +272,7 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	case 1:
 		e.nvFn, e.sumFn, e.ntFn = e.newviewBody1, e.sumTableBody1, e.newtonBody1
 	case 4:
-		e.ntFn = e.newtonBody4
+		e.nvFn, e.sumFn, e.ntFn, e.accFn = e.newviewBody4, e.sumTableBody4, e.newtonBody4, e.acceptBody4
 	}
 	e.firstFn = func(lo, hi int) { e.sumFn(lo, hi); e.ntFn(lo, hi) }
 	return e, nil
@@ -345,15 +345,15 @@ type newviewArgs struct {
 }
 
 // newviewBody is the per-pattern loop of the newview() kernel, the loop every
-// conditional vector comes out of (newviewBody1 for one category): for every
-// pattern and rate category it multiplies the left and right sides state by
-// state and rescales the pattern when it nears underflow. Newview feeds it a
-// node's two children; computeOutOne feeds it the sibling subtree and the rest
-// of the tree. The 4-state inner products are fully unrolled, each product
-// rounded before it is added; slices are hoisted per category so the
-// innermost statements are bounds-check-free. When uniq is non-nil the
-// loop runs over the site-repeat representative list instead of the full
-// pattern range (Newview copies the remaining patterns afterwards).
+// conditional vector comes out of (newviewBody1 for one category, newviewBody4
+// for four): for every pattern and rate category it multiplies the left and
+// right sides state by state and rescales the pattern when it nears underflow
+// (rescale). Newview feeds it a node's two children; computeOutOne feeds it
+// the sibling subtree and the rest of the tree. The 4-state inner products are
+// fully unrolled, each product rounded before it is added; slices are hoisted
+// per category so the innermost statements are bounds-check-free. When uniq is
+// non-nil the loop runs over the site-repeat representative list instead of
+// the full pattern range (Newview copies the remaining patterns afterwards).
 func (e *Engine) newviewBody(lo, hi int) {
 	a := &e.nvA
 	lv, rv := a.l.v, a.r.v
@@ -414,23 +414,133 @@ func (e *Engine) newviewBody(lo, hi int) {
 		if rscale != nil {
 			sc += rscale[i]
 		}
-		// Rescale against underflow: a pattern with no value >= the threshold
-		// divides by its maximum (v > maxV from 0 skips NaN and negatives).
 		if !big {
-			w := dst[base : base+stride : base+stride]
-			maxV := 0.0
-			for _, v := range w {
-				if v > maxV {
-					maxV = v
-				}
-			}
-			if maxV > 0 {
-				inv := 1 / maxV
-				for k := range w {
-					w[k] *= inv
-				}
-				sc += ln(maxV)
-			}
+			sc = rescale(dst[base:base+stride:base+stride], sc)
+		}
+		scale[i] = sc
+	}
+}
+
+// rescale is the rescale against underflow of a pattern none of whose stored
+// values w reached scalingThreshold: it divides w by its maximum (v > maxV from
+// 0, in storage order, so NaN and negatives never win) when that is positive,
+// and returns the pattern's log scaler sc plus the maximum's logarithm.
+func rescale(w []float64, sc float64) float64 {
+	maxV := 0.0
+	for _, v := range w {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	if maxV > 0 {
+		inv := 1 / maxV
+		for k := range w {
+			w[k] *= inv
+		}
+		sc += ln(maxV)
+	}
+	return sc
+}
+
+// newviewBody4 is newviewBody for four rate categories. It picks a loop once
+// per call by the kinds of its two sides: newviewTable4 for a table side and an
+// inner one, in either order (a product x·y is y·x bit for bit), newviewInner4
+// for two inner sides, and newviewBody for two table sides (a cherry, or a tip
+// beside the root under the prior), which multiply no matrix.
+func (e *Engine) newviewBody4(lo, hi int) {
+	a := &e.nvA
+	switch {
+	case a.l.states == nil && a.r.states == nil:
+		e.newviewInner4(lo, hi)
+	case a.r.states == nil:
+		e.newviewTable4(&a.l, &a.r, lo, hi)
+	case a.l.states == nil:
+		e.newviewTable4(&a.r, &a.l, lo, hi)
+	default:
+		e.newviewBody(lo, hi)
+	}
+}
+
+// newviewTable4 is newviewBody4's loop for the table side t and the inner side
+// in: the category count and the stride are constants, and every matrix, table
+// row and vector is a three-index slice of the side's own storage. The sums,
+// the threshold test and the rescale are newviewBody's, term for term. Only
+// the inner side has log scalers; the sum starts at 0 as newviewBody's does.
+func (e *Engine) newviewTable4(t, in *kernelSide, lo, hi int) {
+	a := &e.nvA
+	st, tab := t.states, t.tab[:4*tipStates*NumStates:4*tipStates*NumStates]
+	v, p, vscale := in.v, in.p[:4*flatMatSize:4*flatMatSize], in.scale
+	dst, scale, uniq := a.dst, a.scale, a.uniq
+	for j := lo; j < hi; j++ {
+		i := j
+		if uniq != nil {
+			i = int(uniq[j])
+		}
+		base := i * 16
+		w, d := v[base:base+16:base+16], dst[base:base+16:base+16]
+		o := int(st[i]&(tipStates-1)) * NumStates
+		big := false
+		for r := 0; r < 4; r++ {
+			pm := p[r*flatMatSize : r*flatMatSize+16 : r*flatMatSize+16]
+			x := w[r*NumStates : r*NumStates+4 : r*NumStates+4]
+			q := r*tipStates*NumStates + o
+			tr := tab[q : q+4 : q+4]
+			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+			s0 := float64(pm[0]*x0) + float64(pm[1]*x1) + float64(pm[2]*x2) + float64(pm[3]*x3)
+			s1 := float64(pm[4]*x0) + float64(pm[5]*x1) + float64(pm[6]*x2) + float64(pm[7]*x3)
+			s2 := float64(pm[8]*x0) + float64(pm[9]*x1) + float64(pm[10]*x2) + float64(pm[11]*x3)
+			s3 := float64(pm[12]*x0) + float64(pm[13]*x1) + float64(pm[14]*x2) + float64(pm[15]*x3)
+			v0, v1, v2, v3 := tr[0]*s0, tr[1]*s1, tr[2]*s2, tr[3]*s3
+			dr := d[r*NumStates : r*NumStates+4 : r*NumStates+4]
+			dr[0], dr[1], dr[2], dr[3] = v0, v1, v2, v3
+			big = big || v0 >= scalingThreshold || v1 >= scalingThreshold || v2 >= scalingThreshold || v3 >= scalingThreshold
+		}
+		sc := 0 + vscale[i]
+		if !big {
+			sc = rescale(d, sc)
+		}
+		scale[i] = sc
+	}
+}
+
+// newviewInner4 is newviewBody4's loop for two inner sides, written as
+// newviewTable4; the log scaler adds the left side's, then the right's.
+func (e *Engine) newviewInner4(lo, hi int) {
+	a := &e.nvA
+	lv, pl, lscale := a.l.v, a.l.p[:4*flatMatSize:4*flatMatSize], a.l.scale
+	rv, pr, rscale := a.r.v, a.r.p[:4*flatMatSize:4*flatMatSize], a.r.scale
+	dst, scale, uniq := a.dst, a.scale, a.uniq
+	for j := lo; j < hi; j++ {
+		i := j
+		if uniq != nil {
+			i = int(uniq[j])
+		}
+		base := i * 16
+		lw, rw, d := lv[base:base+16:base+16], rv[base:base+16:base+16], dst[base:base+16:base+16]
+		big := false
+		for r := 0; r < 4; r++ {
+			pm := pl[r*flatMatSize : r*flatMatSize+16 : r*flatMatSize+16]
+			qm := pr[r*flatMatSize : r*flatMatSize+16 : r*flatMatSize+16]
+			x := lw[r*NumStates : r*NumStates+4 : r*NumStates+4]
+			y := rw[r*NumStates : r*NumStates+4 : r*NumStates+4]
+			l0, l1, l2, l3 := x[0], x[1], x[2], x[3]
+			sl0 := float64(pm[0]*l0) + float64(pm[1]*l1) + float64(pm[2]*l2) + float64(pm[3]*l3)
+			sl1 := float64(pm[4]*l0) + float64(pm[5]*l1) + float64(pm[6]*l2) + float64(pm[7]*l3)
+			sl2 := float64(pm[8]*l0) + float64(pm[9]*l1) + float64(pm[10]*l2) + float64(pm[11]*l3)
+			sl3 := float64(pm[12]*l0) + float64(pm[13]*l1) + float64(pm[14]*l2) + float64(pm[15]*l3)
+			r0, r1, r2, r3 := y[0], y[1], y[2], y[3]
+			sr0 := float64(qm[0]*r0) + float64(qm[1]*r1) + float64(qm[2]*r2) + float64(qm[3]*r3)
+			sr1 := float64(qm[4]*r0) + float64(qm[5]*r1) + float64(qm[6]*r2) + float64(qm[7]*r3)
+			sr2 := float64(qm[8]*r0) + float64(qm[9]*r1) + float64(qm[10]*r2) + float64(qm[11]*r3)
+			sr3 := float64(qm[12]*r0) + float64(qm[13]*r1) + float64(qm[14]*r2) + float64(qm[15]*r3)
+			v0, v1, v2, v3 := sl0*sr0, sl1*sr1, sl2*sr2, sl3*sr3
+			dr := d[r*NumStates : r*NumStates+4 : r*NumStates+4]
+			dr[0], dr[1], dr[2], dr[3] = v0, v1, v2, v3
+			big = big || v0 >= scalingThreshold || v1 >= scalingThreshold || v2 >= scalingThreshold || v3 >= scalingThreshold
+		}
+		sc := 0 + lscale[i] + rscale[i]
+		if !big {
+			sc = rescale(d, sc)
 		}
 		scale[i] = sc
 	}
@@ -731,7 +841,8 @@ func (e *Engine) initSpectrum() {
 // of the edge above sumNode move into the model's eigenbasis and are
 // multiplied there, A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t]).
 // A tip's second factor is one row of tipInv, the same for every category
-// (sumTableBody1 for one). Every pattern writes its own slots.
+// (sumTableBody1 for one category, sumTableBody4 for four). Every pattern
+// writes its own slots.
 func (e *Engine) sumTableBody(lo, hi int) {
 	ov, oscale, dv, dscale, st := e.sumSides()
 	tab, scale := e.sumTab, e.sumScale
@@ -804,6 +915,51 @@ func (e *Engine) sumTableBody1(lo, hi int) {
 	}
 }
 
+// sumTableBody4 is sumTableBody for four rate categories: the tip/inner branch
+// is taken once per pattern, outside the category loop.
+func (e *Engine) sumTableBody4(lo, hi int) {
+	ov, oscale, dv, dscale, st := e.sumSides()
+	tab, scale := e.sumTab, e.sumScale
+	v, w, tip := &e.specV, &e.specInv, &e.tipInv
+	for i := lo; i < hi; i++ {
+		base := i * 16
+		ow, t := ov[base:base+16:base+16], tab[base:base+16:base+16]
+		if st != nil {
+			o := int(st[i]&(tipStates-1)) * NumStates
+			r0, r1, r2, r3 := tip[o], tip[o+1], tip[o+2], tip[o+3]
+			for r := 0; r < 4; r++ {
+				x, tr := ow[r*NumStates:r*NumStates+4:r*NumStates+4], t[r*NumStates:r*NumStates+4:r*NumStates+4]
+				o0, o1, o2, o3 := x[0], x[1], x[2], x[3]
+				tr[0] = (o0*v[0][0] + o1*v[1][0] + o2*v[2][0] + o3*v[3][0]) * r0
+				tr[1] = (o0*v[0][1] + o1*v[1][1] + o2*v[2][1] + o3*v[3][1]) * r1
+				tr[2] = (o0*v[0][2] + o1*v[1][2] + o2*v[2][2] + o3*v[3][2]) * r2
+				tr[3] = (o0*v[0][3] + o1*v[1][3] + o2*v[2][3] + o3*v[3][3]) * r3
+			}
+		} else {
+			dw := dv[base : base+16 : base+16]
+			for r := 0; r < 4; r++ {
+				y := dw[r*NumStates : r*NumStates+4 : r*NumStates+4]
+				d0, d1, d2, d3 := y[0], y[1], y[2], y[3]
+				r0 := w[0][0]*d0 + w[0][1]*d1 + w[0][2]*d2 + w[0][3]*d3
+				r1 := w[1][0]*d0 + w[1][1]*d1 + w[1][2]*d2 + w[1][3]*d3
+				r2 := w[2][0]*d0 + w[2][1]*d1 + w[2][2]*d2 + w[2][3]*d3
+				r3 := w[3][0]*d0 + w[3][1]*d1 + w[3][2]*d2 + w[3][3]*d3
+				x, tr := ow[r*NumStates:r*NumStates+4:r*NumStates+4], t[r*NumStates:r*NumStates+4:r*NumStates+4]
+				o0, o1, o2, o3 := x[0], x[1], x[2], x[3]
+				tr[0] = (o0*v[0][0] + o1*v[1][0] + o2*v[2][0] + o3*v[3][0]) * r0
+				tr[1] = (o0*v[0][1] + o1*v[1][1] + o2*v[2][1] + o3*v[3][1]) * r1
+				tr[2] = (o0*v[0][2] + o1*v[1][2] + o2*v[2][2] + o3*v[3][2]) * r2
+				tr[3] = (o0*v[0][3] + o1*v[1][3] + o2*v[2][3] + o3*v[3][3]) * r3
+			}
+		}
+		sc := 0.0
+		if dscale != nil {
+			sc += dscale[i]
+		}
+		scale[i] = sc + oscale[i]
+	}
+}
+
 // sumSides returns the two ends of the edge above sumNode: its out vector and
 // scalers, and its down vector and scalers or, for a tip, its state sets.
 func (e *Engine) sumSides() (ov, oscale, dv, dscale []float64, st []uint8) {
@@ -849,11 +1005,12 @@ type newtonArgs struct {
 //
 // The sums are the terms added in ascending pattern order, and that order is
 // the result's bits. This loop serves any share and category count and stores
-// its terms (termBuf) for sums to add. For the counts production builds,
-// newtonBody1 and newtonBody4 add the share that starts at pattern 0 (an
-// un-split loop's only share) as they go, in registers, and leave the sums for
-// sums to add the stored terms behind. Every body computes a pattern's terms
-// alike and rounds each before it is added. On amd64, which fuses no
+// its terms (termBuf) for sums to add. For the counts production builds, the
+// share that starts at pattern 0 (an un-split loop's only share) adds its
+// terms as it goes, in registers, and leaves the sums for sums to add the
+// stored terms behind: newtonBody1 runs that share and hands any other to this
+// loop, newtonBody4 runs every share itself. Every body computes a pattern's
+// terms alike and rounds each before it is added. On amd64, which fuses no
 // multiply-add, the bodies agree bit for bit (TestCategoryKernelsMatchGeneral,
 // TestAnyPartitionSameBits); elsewhere the products inside a term may fuse
 // differently per body.
@@ -918,18 +1075,16 @@ func (e *Engine) newtonBody1(lo, hi int) {
 	a.s1, a.s2, a.upTo = d1, d2, hi
 }
 
-// newtonBody4 is newtonBody for four rate categories: the first share reads
-// the diagonals through one slice and its category loop is unrolled.
+// newtonBody4 is newtonBody for four rate categories, its category loop
+// unrolled against the diagonals read through one slice. The share at pattern
+// 0 adds its terms in registers, as newtonBody1 does; any other stores them.
 func (e *Engine) newtonBody4(lo, hi int) {
-	if lo > 0 || hi == 0 { // an empty share at 0 must not clear the first's sums
-		e.newtonBody(lo, hi)
-		return
-	}
 	a := &e.ntA
-	tab, weights := e.sumTab, e.Data.Weights[:hi]
+	tab, weights, terms := e.sumTab, e.Data.Weights, e.termBuf
 	x := a.ex[: 4*expRow : 4*expRow]
+	first := lo == 0 && hi > 0 // an empty share at 0 must not clear the first's sums
 	var d1, d2 float64
-	for i := 0; i < hi; i++ {
+	for i := lo; i < hi; i++ {
 		o := i * 16
 		t := tab[o : o+16 : o+16]
 		var l0 float64
@@ -938,6 +1093,9 @@ func (e *Engine) newtonBody4(lo, hi int) {
 		l0 += t[8]*x[24] + t[9]*x[25] + t[10]*x[26] + t[11]*x[27]
 		l0 += t[12]*x[36] + t[13]*x[37] + t[14]*x[38] + t[15]*x[39]
 		if l0 <= 0 {
+			if !first {
+				terms[2*i], terms[2*i+1] = 0, 0
+			}
 			continue
 		}
 		var l1, l2 float64
@@ -952,10 +1110,16 @@ func (e *Engine) newtonBody4(lo, hi int) {
 		w := weights[i]
 		inv := 1 / l0
 		g := l1 * inv
-		d1 += float64(w * g)
-		d2 += float64(w * (l2*inv - g*g))
+		t1, t2 := float64(w*g), float64(w*(l2*inv-g*g))
+		if first {
+			d1, d2 = d1+t1, d2+t2
+		} else {
+			terms[2*i], terms[2*i+1] = t1, t2
+		}
 	}
-	a.s1, a.s2, a.upTo = d1, d2, hi
+	if first {
+		a.s1, a.s2, a.upTo = d1, d2, hi
+	}
 }
 
 // acceptBody is the per-pattern loop of the acceptance pass: the pattern's
@@ -983,6 +1147,41 @@ func (e *Engine) acceptBody(lo, hi int) {
 			l0 += float64(a0*x[0]) + float64(a1*x[1]) + float64(a2*x[2]) + float64(a3*x[3])
 			l1 += float64(a0*x[4]) + float64(a1*x[5]) + float64(a2*x[6]) + float64(a3*x[7])
 		}
+		l0, l1 = max(l0, math.SmallestNonzeroFloat64), max(l1, math.SmallestNonzeroFloat64)
+		w, sc := weights[i], scale[i]
+		ln0, ln1 := ln2(l0, l1)
+		t0, t1 := float64(w*(ln0+sc)), float64(w*(ln1+sc))
+		if first {
+			s1, s2 = s1+t0, s2+t1
+		} else {
+			e.termBuf[2*i], e.termBuf[2*i+1] = t0, t1
+		}
+	}
+	if first {
+		a.s1, a.s2, a.upTo = s1, s2, hi
+	}
+}
+
+// acceptBody4 is acceptBody for four rate categories, the category loop
+// unrolled; every product is rounded before it is added, as there.
+func (e *Engine) acceptBody4(lo, hi int) {
+	a := &e.ntA
+	x := a.ex[: 4*expRow : 4*expRow]
+	tab, scale, weights := e.sumTab, e.sumScale, e.Data.Weights
+	first := lo == 0 && hi > 0 // an empty share at 0 must not clear the first's sums
+	var s1, s2 float64
+	for i := lo; i < hi; i++ {
+		o := i * 16
+		t := tab[o : o+16 : o+16]
+		var l0, l1 float64
+		l0 += float64(t[0]*x[0]) + float64(t[1]*x[1]) + float64(t[2]*x[2]) + float64(t[3]*x[3])
+		l0 += float64(t[4]*x[12]) + float64(t[5]*x[13]) + float64(t[6]*x[14]) + float64(t[7]*x[15])
+		l0 += float64(t[8]*x[24]) + float64(t[9]*x[25]) + float64(t[10]*x[26]) + float64(t[11]*x[27])
+		l0 += float64(t[12]*x[36]) + float64(t[13]*x[37]) + float64(t[14]*x[38]) + float64(t[15]*x[39])
+		l1 += float64(t[0]*x[4]) + float64(t[1]*x[5]) + float64(t[2]*x[6]) + float64(t[3]*x[7])
+		l1 += float64(t[4]*x[16]) + float64(t[5]*x[17]) + float64(t[6]*x[18]) + float64(t[7]*x[19])
+		l1 += float64(t[8]*x[28]) + float64(t[9]*x[29]) + float64(t[10]*x[30]) + float64(t[11]*x[31])
+		l1 += float64(t[12]*x[40]) + float64(t[13]*x[41]) + float64(t[14]*x[42]) + float64(t[15]*x[43])
 		l0, l1 = max(l0, math.SmallestNonzeroFloat64), max(l1, math.SmallestNonzeroFloat64)
 		w, sc := weights[i], scale[i]
 		ln0, ln1 := ln2(l0, l1)

@@ -724,7 +724,7 @@ func TestTipTableMatchesPerMemberSums(t *testing.T) {
 	}
 }
 
-// refRescale is the rule newviewBody and newviewBody1 have to reproduce: the
+// refRescale is the rule every newview body has to reproduce: the
 // running maximum over a pattern's values in storage order (v > maxV from 0,
 // so NaN and negatives never win), rescaling iff 0 < maxV < scalingThreshold.
 // It returns the stored values and the pattern's log scaler, starting from the
@@ -745,6 +745,23 @@ func refRescale(vals []float64, sc float64) ([]float64, float64) {
 		sc += math.Log(maxV)
 	}
 	return out, sc
+}
+
+// throughIdentity returns what the vector kernel reads from an inner side
+// holding vals through identity matrices: per category and state s,
+// Σ_j I[s][j]·v[j] in ascending j. That is v[s], except that a NaN or an
+// infinity makes every other state of its category NaN (0·NaN, 0·Inf).
+func throughIdentity(vals []float64) []float64 {
+	out := make([]float64, len(vals))
+	for c := 0; c < len(vals); c += NumStates {
+		v := vals[c : c+NumStates]
+		for s := range v {
+			var row [NumStates]float64
+			row[s] = 1
+			out[c+s] = row[0]*v[0] + row[1]*v[1] + row[2]*v[2] + row[3]*v[3]
+		}
+	}
+	return out
 }
 
 // rescaleCase is one pattern of TestNewviewRescaleEdges: its stride values
@@ -795,16 +812,19 @@ func rescaleCases(stride int) []rescaleCase {
 	}
 }
 
-// TestNewviewRescaleEdges feeds newviewBody at four categories and at one, and
-// newviewBody1, hand-written children whose products are exactly the values of
-// each case — one side a tip table whose row for pattern i is case i, the
-// other an inner vector of ones through identity matrices with a log scaler —
-// and compares dst and scale bit for bit with refRescale. Every case is one
-// pattern of the same call, so a flag that leaked from one pattern into the
-// next would show too. Two reformulations of either body's threshold test
-// fail this test and no other: v > T in place of v >= T (the "exactly T" case)
-// and a flag kept by small = small && v < T (the NaN case, which it leaves
-// unscaled).
+// TestNewviewRescaleEdges feeds newviewBody at four categories and at one,
+// newviewBody1 and newviewBody4 hand-written children whose products are
+// exactly the values of each case, in three side orders: a tip table whose row
+// for pattern i is case i times an inner vector of ones through identity
+// matrices with a log scaler, the same the other way round, and, at four
+// categories, two inner sides with log scalers, the left holding the cases
+// (through the identity, where 0·NaN and 0·Inf spread NaN over the category:
+// throughIdentity). It compares dst and scale bit for bit with refRescale.
+// Every case is one pattern of the same call, so a flag that leaked from one
+// pattern into the next would show too. Two reformulations of any body's
+// threshold test fail this test and no other: v > T in place of v >= T (the
+// "exactly T" case) and a flag kept by small = small && v < T (the NaN case,
+// which it leaves unscaled).
 func TestNewviewRescaleEdges(t *testing.T) {
 	for _, body := range []struct {
 		name string
@@ -814,6 +834,7 @@ func TestNewviewRescaleEdges(t *testing.T) {
 		{"newviewBody, 4 categories", 4, (*Engine).newviewBody},
 		{"newviewBody, 1 category", 1, (*Engine).newviewBody},
 		{"newviewBody1", 1, (*Engine).newviewBody1},
+		{"newviewBody4", 4, (*Engine).newviewBody4},
 	} {
 		nCat, stride := body.nCat, body.nCat*NumStates
 		cases := rescaleCases(stride)
@@ -845,18 +866,37 @@ func TestNewviewRescaleEdges(t *testing.T) {
 			ones[k] = 1
 		}
 		inner := kernelSide{v: ones, scale: childScale, p: ident}
+		vals, rightScale := make([]float64, 0, n*stride), make([]float64, n)
+		for i, c := range cases {
+			vals = append(vals, c.vals...)
+			rightScale[i] = 0.25 * float64(i+1)
+		}
+		holder := kernelSide{v: vals, scale: childScale, p: ident}
 		for _, order := range []struct {
-			name string
-			l, r kernelSide
-		}{{"table×inner", table, inner}, {"inner×table", inner, table}} {
+			name    string
+			l, r    kernelSide
+			through func([]float64) []float64 // what the side holding the cases makes of them
+			rscale  []float64                 // the scalers added after childScale, if any
+		}{
+			{"table×inner", table, inner, slices.Clone[[]float64], nil},
+			{"inner×table", inner, table, slices.Clone[[]float64], nil},
+			{"inner×inner", holder, kernelSide{v: ones, scale: rightScale, p: ident}, throughIdentity, rightScale},
+		} {
+			if order.rscale != nil && nCat == 1 {
+				continue // one category: a case's NaN spreads over its whole pattern, leaving nothing to rescale
+			}
 			e := &Engine{nCat: nCat, stride: stride}
 			dst, scale := make([]float64, n*stride), make([]float64, n)
 			e.nvA = newviewArgs{l: order.l, r: order.r, dst: dst, scale: scale}
 			body.fn(e, 0, n)
 			for i, c := range cases {
-				want, wantSc := refRescale(c.vals, childScale[i])
-				if got := wantSc != childScale[i]; got != c.rescaled {
-					t.Fatalf("%s: the reference rule rescaled=%v, the case expects %v", c.name, got, c.rescaled)
+				sc := childScale[i]
+				if order.rscale != nil {
+					sc = childScale[i] + order.rscale[i]
+				}
+				want, wantSc := refRescale(order.through(c.vals), sc)
+				if got := wantSc != sc; got != c.rescaled {
+					t.Fatalf("%s, %s: the reference rule rescaled=%v, the case expects %v", order.name, c.name, got, c.rescaled)
 				}
 				got := dst[i*stride : (i+1)*stride]
 				for k := range want {

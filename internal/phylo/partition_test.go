@@ -237,12 +237,14 @@ func TestAnyPartitionSameBits(t *testing.T) {
 }
 
 // TestCategoryKernelsMatchGeneral holds the loop bodies NewEngine picks for
-// one and four rate categories (newviewBody1, newtonBody1, newtonBody4,
-// sumTableBody1) to the general ones bit for bit, on serial engines, where the
-// first Newton share is the whole range: every down and out vector and scaler
-// after Refresh, every edge's sum table and scalers as the first pass builds
-// them, the Newton sums at four lengths, the acceptance sums at each length
-// and the next, the optimized length (sameSumPasses), and a whole search.
+// one and four rate categories (newviewBody1, sumTableBody1, newtonBody1;
+// newviewBody4, sumTableBody4, newtonBody4, acceptBody4) to the general ones
+// bit for bit, on serial engines, where the first Newton share is the whole
+// range: every down and out vector and scaler after Refresh, every edge's sum
+// table and scalers as the first pass builds them, the Newton sums at four
+// lengths, the acceptance sums at each length and the next, the optimized
+// length (sameSumPasses), and a whole search. TestAnyPartitionSameBits holds
+// the shares past pattern 0 to the first.
 func TestCategoryKernelsMatchGeneral(t *testing.T) {
 	for _, c := range kernelCases(t) {
 		t.Run(c.name, func(t *testing.T) {
