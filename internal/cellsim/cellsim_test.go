@@ -190,6 +190,77 @@ func TestSPEBusyReflectsQueueAndExecution(t *testing.T) {
 	}
 }
 
+// TestSPERunsBackToBackProgramsInPlace: 1,000 programs run in submission
+// order. The first half keeps up to three waiting behind the running one, so
+// the SPE never idles; the second comes in bursts of one to three with gaps
+// the SPE idles in. QueueLength counts the programs not yet begun, Busy holds
+// while any is unfinished, and the op buffer the SPE runs them from stops
+// growing once it has held its largest backlog, idle or not.
+func TestSPERunsBackToBackProgramsInPlace(t *testing.T) {
+	eng, m := newTestMachine(t, 1)
+	defer eng.Close()
+	spe := m.SPE(0)
+	const programs = 1000
+	done := make([]*sim.Signal, programs)
+	for i := range done {
+		done[i] = sim.NewSignal(eng)
+	}
+	submitted, idleSubmits := 0, 0
+	var capAt [2]int // the buffer's capacity a quarter of the way in, and at the end
+	eng.Spawn("driver", func(p *sim.Proc) {
+		for round := 0; submitted < programs; round++ {
+			burst := 1 + round%3
+			gap := sim.Duration(3*burst - round%4) // at times too short to idle
+			if submitted < programs/2 {
+				burst, gap = 3-spe.QueueLength(), 1
+			}
+			for ; burst > 0 && submitted < programs; burst-- {
+				queued := spe.QueueLength()
+				if !spe.Busy() {
+					idleSubmits++
+				}
+				mustSubmit(t, spe, done[submitted], DMAGet(1024), Compute(sim.Duration(1+submitted%2)*sim.Microsecond))
+				submitted++
+				if spe.QueueLength() != queued+1 || !spe.Busy() {
+					t.Fatalf("after submitting program %d: queue %d (was %d), busy %v", submitted, spe.QueueLength(), queued, spe.Busy())
+				}
+			}
+			if capAt[0] == 0 && submitted >= programs/4 {
+				capAt[0] = cap(spe.ops)
+			}
+			if !p.Sleep(gap * sim.Microsecond) {
+				return
+			}
+		}
+		capAt[1] = cap(spe.ops)
+	})
+	next := 0
+	eng.Spawn("checker", func(p *sim.Proc) {
+		for ; next < programs; next++ {
+			if !done[next].Await(p) {
+				return
+			}
+			// Each program takes virtual time, so the SPE has at most begun
+			// the next one when this runs.
+			waiting := max(0, submitted-next-2)
+			if spe.TasksRun() != next+1 || spe.QueueLength() != waiting || spe.Busy() != (submitted > next+1) {
+				t.Fatalf("program %d done: %d run, queue %d, busy %v; want %d run, queue %d, busy %v",
+					next, spe.TasksRun(), spe.QueueLength(), spe.Busy(), next+1, waiting, submitted > next+1)
+			}
+		}
+	})
+	eng.Run()
+	if next != programs || spe.TasksRun() != programs || spe.Busy() {
+		t.Fatalf("%d of %d programs done in order, %d run, busy %v", next, programs, spe.TasksRun(), spe.Busy())
+	}
+	if idleSubmits < 10 {
+		t.Errorf("%d programs were submitted to an idle SPE; the test needs more", idleSubmits)
+	}
+	if capAt[0] == 0 || capAt[1] != capAt[0] {
+		t.Errorf("op buffer capacity %d a quarter of the way in, %d at the end; it should stop growing", capAt[0], capAt[1])
+	}
+}
+
 func TestLoadModuleCachingAndCapacity(t *testing.T) {
 	eng, m := newTestMachine(t, 1)
 	spe := m.SPE(0)

@@ -16,13 +16,16 @@
 // ablation experiments sweep them.
 //
 // Each SPE is one sim process — a state machine — that executes the programs
-// in its mailbox op by op, so a wake-up of an SPE is a call. Whoever builds a
+// submitted to it op by op, in place in its program buffer, so a wake-up of
+// an SPE is a call and an off-load copies each op once. Whoever builds a
 // Machine closes its engine when the run is over (sim.Engine.Close). The
 // model needs five things of the engine and uses nothing else: Sleep (every
-// compute, DMA and switch interval), a Queue per SPE (its mailbox of ops), a
+// compute, DMA and switch interval), a program buffer plus a Condition per
+// SPE (Submit appends a program and notifies the idle SPE parked there), a
 // Resource per PPE and per EIB (SMT contexts, concurrent transfers), Signals
 // fired after a latency (completion notifications and Pass structures carry
-// no payload here — the off-load runtime knows what it sent) and, one layer
+// no payload here — the off-load runtime knows what it sent, and whoever
+// issues an off-load rearms the same signals for the next) and, one layer
 // up, the Condition schedulers park on for free SPEs.
 //
 // Every interval a component counts as busy goes through one place,

@@ -14,7 +14,9 @@ import (
 // to it strictly in FIFO order, one op at a time: it reads the next op from
 // its mailbox, runs it, and moves on. This mirrors how the real runtime ships
 // a code module to the SPE once and then sends it kernel invocations through
-// its mailbox.
+// its mailbox. The mailbox is the SPE's program buffer: Submit appends a
+// program's ops, the SPE runs them where they lie, and it parks on a
+// Condition once it has run them all.
 type SPE struct {
 	machine *Machine
 	cell    *Cell
@@ -23,16 +25,18 @@ type SPE struct {
 	Index  int
 	Global int
 
-	lane    // "cellC.speS"; busy is time spent computing or moving data
-	mailbox *sim.Queue[Op]
+	lane // "cellC.speS"; busy is time spent computing or moving data
+
 	pending int // programs submitted and not yet begun
 	running bool
 
-	// The op in hand and the interval it is charging, carried across the
-	// step calls its waits span.
-	op     Op
-	inHand bool
-	charge Charge
+	// The submitted ops, ops[pc] being the one in hand; the condition the
+	// idle SPE waits on for the next Submit; and the interval the op in hand
+	// is charging, carried across the step calls its waits span.
+	ops       []Op
+	pc        int
+	submitted *sim.Condition
+	charge    Charge
 
 	tasksRun     int
 	moduleLoads  int
@@ -113,28 +117,27 @@ func newSPE(m *Machine, cell *Cell, index int) *SPE {
 		Global:  cell.Index*SPEsPerCell + index,
 	}
 	s.name = fmt.Sprintf("cell%d.spe%d", cell.Index, index)
-	s.mailbox = sim.NewQueue[Op](m.Eng)
+	s.submitted = sim.NewCondition(m.Eng)
 	m.Eng.Spawn(s.name, s.step)
 	return s
 }
 
 // step executes ops until one has to wait, and returns; the engine calls it
-// again when the wait is over.
+// again when the wait is over. With every submitted op run it empties the
+// buffer, keeping its storage for the next program, and parks until Submit.
 func (s *SPE) step(p *sim.Proc) {
 	m := s.machine
 	for {
-		if !s.inHand {
-			op, ok := s.mailbox.TryGet(p)
-			if !ok {
-				return
-			}
-			if !s.running {
-				s.running = true
-				s.pending--
-			}
-			s.op, s.inHand = op, true
+		if s.pc == len(s.ops) {
+			s.ops, s.pc = s.ops[:0], 0
+			s.submitted.Await(p)
+			return
 		}
-		switch op := &s.op; op.kind {
+		if !s.running {
+			s.running = true
+			s.pending--
+		}
+		switch op := &s.ops[s.pc]; op.kind {
 		case opLoad:
 			if s.charge.phase == 0 { // not begun
 				if s.loadedModule == op.module {
@@ -171,7 +174,7 @@ func (s *SPE) step(p *sim.Proc) {
 				op.sig.Fire()
 			}
 		}
-		s.inHand = false
+		s.pc++
 	}
 }
 
@@ -189,10 +192,13 @@ func (s *SPE) Submit(prog []Op, done *sim.Signal) error {
 		}
 	}
 	s.pending++
-	for _, op := range prog {
-		s.mailbox.Put(op)
+	// A busy SPE's run ops move to the front rather than the buffer growing,
+	// so it only ever holds the backlog; the op in hand moves with pc.
+	if s.pc > 0 && len(s.ops)+len(prog)+1 > cap(s.ops) {
+		s.ops, s.pc = s.ops[:copy(s.ops, s.ops[s.pc:])], 0
 	}
-	s.mailbox.Put(Op{kind: opEnd, sig: done})
+	s.ops = append(append(s.ops, prog...), Op{kind: opEnd, sig: done})
+	s.submitted.NotifyOne()
 	return nil
 }
 

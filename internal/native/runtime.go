@@ -453,10 +453,11 @@ func (s *Submitter) OffloadContext(ctx context.Context, fn func(tc *TaskContext)
 	// Acquire the master worker, waiting while every worker is taken — by
 	// other tasks, or for a moment by their loops, which lend nothing further
 	// while anyone waits here.
+	var grant [1]int
 	var group []int
 	for {
 		var ok bool
-		if group, ok = r.pool.AcquireMaster(s.id); ok {
+		if group, ok = r.pool.AcquireMaster(s.id, grant[:0]); ok {
 			break
 		}
 		// Check before waiting as well as after: a cancellation that fired

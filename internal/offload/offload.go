@@ -134,21 +134,36 @@ func (r *Runtime) speTime(fn *workload.FunctionSpec, scale float64) sim.Duration
 	return sim.Duration(float64(base) * scale)
 }
 
+// Flight is the signals of one off-load in flight, owned by whoever issues
+// it: Done, which fires on the PPE side once the result notification
+// arrives, and, for a work-shared loop, each worker's start and result Pass.
+// An MPI process or a kernel dispatcher has at most one off-load in flight,
+// so each owns one Flight, and every off-load rearms the signals it uses:
+// issuing an off-load allocates nothing once its Flight has served a loop as
+// wide.
+type Flight struct {
+	Done *sim.Signal
+	pass []*sim.Signal // worker w's start Pass, then its result Pass
+}
+
+// NewFlight creates the signals of one off-load in flight on eng.
+func NewFlight(eng *sim.Engine) *Flight { return &Flight{Done: sim.NewSignal(eng)} }
+
 // OffloadSerial submits one invocation of fn to the SPE using the serial
-// (non-work-shared) code version and returns a signal that fires on the PPE
-// side once the result notification arrives.
-func (r *Runtime) OffloadSerial(spe *cellsim.SPE, fn *workload.FunctionSpec, scale float64) *sim.Signal {
+// (non-work-shared) code version; f.Done fires on the PPE side once the
+// result notification arrives. The previous off-load of f must have
+// completed.
+func (r *Runtime) OffloadSerial(spe *cellsim.SPE, fn *workload.FunctionSpec, scale float64, f *Flight) {
 	r.Stats.SerialOffloads++
-	done := sim.NewSignal(r.Machine.Eng)
+	f.Done.Rearm()
 	submit(spe, []cellsim.Op{
 		cellsim.LoadModule(SerialModule, r.moduleSize(SerialModule)),
 		cellsim.KernelStartup(),
 		cellsim.DMAGet(fn.InputBytes),
 		cellsim.Compute(r.speTime(fn, scale)),
 		cellsim.DMAPut(fn.OutputBytes),
-		cellsim.NotifyPPE(done),
+		cellsim.NotifyPPE(f.Done),
 	})
-	return done
 }
 
 // submit hands prog to the SPE. A workload whose code module does not fit the
@@ -177,10 +192,13 @@ func (r *Runtime) loopSplit(fn *workload.FunctionSpec, workers int) (master int,
 	}
 	cost := r.Machine.Cost
 	// Mean worker start-up delay relative to the master's first iteration.
-	meanIssue := float64(r.MasterIssueCost) * float64(workers+1) / 2
+	// Each product that meets a sum is rounded (float64(...)), so no
+	// architecture fuses it and every one gets the same split; x / 2 is
+	// compiled as x * 0.5, a product too.
+	meanIssue := float64(float64(r.MasterIssueCost) * float64(workers+1) / 2)
 	delay := meanIssue + float64(cost.SPEToSPESignal) + float64(cost.DMATime(fn.WorkerInputBytes))
 	// Solve master*iter = delay + worker*iter subject to master + workers*worker = n.
-	m := (float64(n)*iter + float64(workers)*delay) / (float64(workers+1) * iter)
+	m := (float64(float64(n)*iter) + float64(float64(workers)*delay)) / (float64(workers+1) * iter)
 	master = int(m + 0.5)
 	if master > n {
 		master = n
@@ -195,16 +213,19 @@ func (r *Runtime) loopSplit(fn *workload.FunctionSpec, workers int) (master int,
 
 // OffloadWorkShared submits one invocation of fn whose parallel loop is
 // work-shared between a master SPE and the given worker SPEs, following the
-// Pass-structure protocol of Figures 4-6. It returns a signal that fires on
-// the PPE side when the master commits the merged result.
+// Pass-structure protocol of Figures 4-6; f.Done fires on the PPE side when
+// the master commits the merged result. The previous off-load of f must have
+// completed: its Pass signals are rearmed for this one.
 //
 // If workers is empty this degenerates to a serial off-load that merely uses
 // the parallel code module. The workers slice is not retained.
-func (r *Runtime) OffloadWorkShared(master *cellsim.SPE, workers []*cellsim.SPE, fn *workload.FunctionSpec, scale float64) *sim.Signal {
+func (r *Runtime) OffloadWorkShared(master *cellsim.SPE, workers []*cellsim.SPE, fn *workload.FunctionSpec, scale float64, f *Flight) {
 	r.Stats.WorkSharedOffloads++
-	eng := r.Machine.Eng
 	load := cellsim.LoadModule(ParallelModule, r.moduleSize(ParallelModule))
-	done := sim.NewSignal(eng)
+	f.Done.Rearm()
+	for len(f.pass) < 2*len(workers) {
+		f.pass = append(f.pass, sim.NewSignal(r.Machine.Eng))
+	}
 
 	masterIters, workerIters := r.loopSplit(fn, len(workers))
 	iterTime := sim.Duration(float64(fn.IterationTime()) * scale)
@@ -229,8 +250,10 @@ func (r *Runtime) OffloadWorkShared(master *cellsim.SPE, workers []*cellsim.SPE,
 	// loop share, join and reduce, commit, notify the PPE.
 	prog := append(r.prog[:0], load, cellsim.KernelStartup(), cellsim.DMAGet(fn.InputBytes))
 	joins := r.joins[:0]
-	for _, w := range workers {
-		start, result := sim.NewSignal(eng), sim.NewSignal(eng)
+	for i, w := range workers {
+		start, result := f.pass[2*i], f.pass[2*i+1]
+		start.Rearm()
+		result.Rearm()
 		submit(w, []cellsim.Op{
 			load,
 			cellsim.WaitSignal(start),
@@ -244,10 +267,9 @@ func (r *Runtime) OffloadWorkShared(master *cellsim.SPE, workers []*cellsim.SPE,
 	}
 	prog = append(prog, cellsim.Compute(serialTime+sim.Duration(masterIters)*iterTime))
 	prog = append(prog, joins...)
-	prog = append(prog, cellsim.DMAPut(fn.OutputBytes-workerOutput*len(workers)), cellsim.NotifyPPE(done))
+	prog = append(prog, cellsim.DMAPut(fn.OutputBytes-workerOutput*len(workers)), cellsim.NotifyPPE(f.Done))
 	submit(master, prog)
 	r.prog, r.joins = prog, joins
-	return done
 }
 
 // RunOnPPE returns the time one invocation takes when it is not off-loaded

@@ -37,12 +37,12 @@ func TestConcurrentSimulationsShareNothing(t *testing.T) {
 			rt := NewRuntime(m, cfg, Optimized)
 			stages := []stage{func(sim.Time) []*sim.Signal { return preload(rt, m.AllSPEs(), SerialModule) }}
 			for i, fn := range cfg.Functions {
-				stages = append(stages, func(sim.Time) []*sim.Signal { return one(rt.OffloadSerial(m.SPE(i%8), fn, 1.0)) })
+				stages = append(stages, func(sim.Time) []*sim.Signal { return one(serial(rt, m.SPE(i%8), fn)) })
 			}
 			spes := m.AllSPEs()[:4]
 			stages = append(stages,
 				func(sim.Time) []*sim.Signal {
-					return one(rt.OffloadWorkShared(spes[0], spes[1:], cfg.Functions[0], 1.0))
+					return one(workShared(rt, spes[0], spes[1:], cfg.Functions[0]))
 				},
 				func(now sim.Time) []*sim.Signal { results[g] = now; return nil })
 			drive(eng, stages...)

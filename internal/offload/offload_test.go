@@ -41,6 +41,20 @@ func drive(eng *sim.Engine, stages ...stage) {
 
 func one(sig *sim.Signal) []*sim.Signal { return []*sim.Signal{sig} }
 
+// serial and workShared issue one off-load at scale 1 on a Flight of its own
+// and return the Flight's done signal.
+func serial(rt *Runtime, spe *cellsim.SPE, fn *workload.FunctionSpec) *sim.Signal {
+	f := NewFlight(rt.Machine.Eng)
+	rt.OffloadSerial(spe, fn, 1.0, f)
+	return f.Done
+}
+
+func workShared(rt *Runtime, master *cellsim.SPE, workers []*cellsim.SPE, fn *workload.FunctionSpec) *sim.Signal {
+	f := NewFlight(rt.Machine.Eng)
+	rt.OffloadWorkShared(master, workers, fn, 1.0, f)
+	return f.Done
+}
+
 // waitFor runs the engine with a driver waiting for the signal and returns
 // the completion time.
 func waitFor(eng *sim.Engine, sig *sim.Signal) sim.Time {
@@ -109,7 +123,7 @@ func TestOffloadSerialTiming(t *testing.T) {
 	eng, m, rt, cfg := setup(t)
 	fn := cfg.Functions[0] // newview
 	spe := m.SPE(0)
-	done := rt.OffloadSerial(spe, fn, 1.0)
+	done := serial(rt, spe, fn)
 	at := waitFor(eng, done)
 	cost := m.Cost
 	want := cost.DMATime(rt.moduleSize(SerialModule)) + // first load ships the module
@@ -130,8 +144,8 @@ func TestSecondOffloadSkipsCodeShipping(t *testing.T) {
 	eng, m, rt, cfg := setup(t)
 	fn := cfg.Functions[2] // evaluate (shortest)
 	spe := m.SPE(0)
-	first := rt.OffloadSerial(spe, fn, 1.0)
-	second := rt.OffloadSerial(spe, fn, 1.0)
+	first := serial(rt, spe, fn)
+	second := serial(rt, spe, fn)
 	var t1, t2 sim.Time
 	drive(eng,
 		func(sim.Time) []*sim.Signal { return one(first) },
@@ -154,12 +168,12 @@ func TestNaiveOffloadSlower(t *testing.T) {
 	mO := cellsim.NewMachine(engO, cellsim.DefaultCostModel(), 1)
 	cfg := workload.RAxML42SC()
 	opt := NewRuntime(mO, cfg, Optimized)
-	atOpt := waitFor(engO, opt.OffloadSerial(mO.SPE(0), cfg.Functions[0], 1.0))
+	atOpt := waitFor(engO, serial(opt, mO.SPE(0), cfg.Functions[0]))
 
 	engN := sim.NewEngine()
 	mN := cellsim.NewMachine(engN, cellsim.DefaultCostModel(), 1)
 	naive := NewRuntime(mN, cfg, Naive)
-	atNaive := waitFor(engN, naive.OffloadSerial(mN.SPE(0), cfg.Functions[0], 1.0))
+	atNaive := waitFor(engN, serial(naive, mN.SPE(0), cfg.Functions[0]))
 
 	if atNaive <= atOpt {
 		t.Errorf("naive off-load (%v) should be slower than optimized (%v)", atNaive, atOpt)
@@ -214,7 +228,7 @@ func TestWorkSharedFasterThanSerialForFewWorkers(t *testing.T) {
 		func(sim.Time) []*sim.Signal { return preload(serialRT, []*cellsim.SPE{serialM.SPE(0)}, SerialModule) },
 		func(now sim.Time) []*sim.Signal {
 			serialStart = now
-			return one(serialRT.OffloadSerial(serialM.SPE(0), fn, 1.0))
+			return one(serial(serialRT, serialM.SPE(0), fn))
 		},
 		func(now sim.Time) []*sim.Signal { serialElapsed = now.Sub(serialStart); return nil })
 	serialEng.Run()
@@ -230,7 +244,7 @@ func TestWorkSharedFasterThanSerialForFewWorkers(t *testing.T) {
 			func(sim.Time) []*sim.Signal { return preload(rt, spes, ParallelModule) },
 			func(now sim.Time) []*sim.Signal {
 				start = now
-				return one(rt.OffloadWorkShared(spes[0], spes[1:], fn, 1.0))
+				return one(workShared(rt, spes[0], spes[1:], fn))
 			},
 			func(now sim.Time) []*sim.Signal { elapsed = now.Sub(start); return nil })
 		eng.Run()
@@ -262,7 +276,7 @@ func TestWorkSharedCountsAndModules(t *testing.T) {
 	eng, m, rt, cfg := setup(t)
 	fn := cfg.Functions[1]
 	spes := m.AllSPEs()[:4]
-	done := rt.OffloadWorkShared(spes[0], spes[1:], fn, 1.0)
+	done := workShared(rt, spes[0], spes[1:], fn)
 	waitFor(eng, done)
 	if rt.Stats.WorkSharedOffloads != 1 {
 		t.Errorf("work-shared off-load count = %d, want 1", rt.Stats.WorkSharedOffloads)
@@ -279,9 +293,9 @@ func TestSwitchingModulesChargesReplacement(t *testing.T) {
 	fn := cfg.Functions[2]
 	spe := m.SPE(0)
 	drive(eng,
-		func(sim.Time) []*sim.Signal { return one(rt.OffloadSerial(spe, fn, 1.0)) },
-		func(sim.Time) []*sim.Signal { return one(rt.OffloadWorkShared(spe, nil, fn, 1.0)) },
-		func(sim.Time) []*sim.Signal { return one(rt.OffloadSerial(spe, fn, 1.0)) })
+		func(sim.Time) []*sim.Signal { return one(serial(rt, spe, fn)) },
+		func(sim.Time) []*sim.Signal { return one(workShared(rt, spe, nil, fn)) },
+		func(sim.Time) []*sim.Signal { return one(serial(rt, spe, fn)) })
 	eng.Run()
 	if spe.ModuleLoads() != 3 {
 		t.Errorf("module loads = %d, want 3 (serial -> parallel -> serial replacement)", spe.ModuleLoads())

@@ -38,16 +38,14 @@ func (a *SPEAllocator) FreeCount() int {
 }
 
 // AcquireGroup claims k free SPEs (the lowest-indexed ones available),
-// returning their indices with the first element intended as the loop master.
-// It fails without claiming anything if fewer than k SPEs are free.
-func (a *SPEAllocator) AcquireGroup(k int) ([]int, bool) {
-	if k <= 0 {
+// appending their indices to into and returning it, the first appended
+// element intended as the loop master. It fails without claiming anything if
+// fewer than k SPEs are free.
+func (a *SPEAllocator) AcquireGroup(k int, into []int) ([]int, bool) {
+	if k <= 0 || a.FreeCount() < k {
 		return nil, false
 	}
-	if a.FreeCount() < k {
-		return nil, false
-	}
-	return a.AcquireUpTo(k, make([]int, 0, k)), true
+	return a.AcquireUpTo(k, into), true
 }
 
 // AcquireUpTo claims at most k free SPEs, lowest-indexed first, appends them

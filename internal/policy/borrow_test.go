@@ -59,7 +59,7 @@ func TestBorrowYieldsToQueuedMaster(t *testing.T) {
 				var got []int
 				switch s.op {
 				case "master":
-					got, _ = c.pool.AcquireMaster(s.proc)
+					got, _ = c.pool.AcquireMaster(s.proc, nil)
 				case "borrow":
 					got = c.pool.Borrow(s.proc, make([]int, 0, s.room), s.queued)
 				case "release":
@@ -79,7 +79,7 @@ func TestBorrowYieldsToQueuedMaster(t *testing.T) {
 // every Window-th time — is on the path of every 5 to 15 µs kernel loop.
 func TestBorrowAllocatesNothing(t *testing.T) {
 	p := NewAdaptivePool(8, MGPSConfig{})
-	master, _ := p.AcquireMaster(0)
+	master, _ := p.AcquireMaster(0, nil)
 	into := make([]int, 0, 7)
 	loop := func() {
 		helpers := p.Borrow(0, into, 0)
@@ -118,7 +118,7 @@ func loopScript(p *Pool) []string {
 		}
 	}
 	start := func(proc int) bool {
-		m, ok := p.AcquireMaster(proc)
+		m, ok := p.AcquireMaster(proc, nil)
 		if !ok {
 			rec("p%d waits for a master under %v", proc, p.Decision())
 			return false

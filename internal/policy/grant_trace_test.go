@@ -23,7 +23,7 @@ type granter interface {
 type poolGranter struct{ p *Pool }
 
 func (g poolGranter) decision() Decision             { return g.p.Decision() }
-func (g poolGranter) acquire(proc int) ([]int, bool) { return g.p.Acquire(proc) }
+func (g poolGranter) acquire(proc int) ([]int, bool) { return g.p.Acquire(proc, nil) }
 func (g poolGranter) release(group []int)            { g.p.Release(group) }
 func (g poolGranter) counts() (int, int)             { return g.p.Counts() }
 func (g poolGranter) depart(proc, waiting int) (int, Decision, bool, bool) {

@@ -225,46 +225,46 @@ func TestAllocatorSingleAcquisition(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
-		g, ok := a.AcquireGroup(1)
+		g, ok := a.AcquireGroup(1, nil)
 		if !ok || len(g) != 1 || seen[g[0]] {
 			t.Fatalf("acquisition %d failed or returned duplicate %v", i, g)
 		}
 		seen[g[0]] = true
 	}
-	if _, ok := a.AcquireGroup(1); ok {
+	if _, ok := a.AcquireGroup(1, nil); ok {
 		t.Errorf("acquisition beyond capacity should fail")
 	}
 	a.Release(2)
 	if a.FreeCount() != 1 {
 		t.Errorf("release bookkeeping wrong")
 	}
-	if g, ok := a.AcquireGroup(1); !ok || g[0] != 2 {
+	if g, ok := a.AcquireGroup(1, nil); !ok || g[0] != 2 {
 		t.Errorf("re-acquisition returned %v, want the released SPE 2", g)
 	}
 }
 
 func TestAllocatorGroups(t *testing.T) {
 	a := NewSPEAllocator(8)
-	g1, ok := a.AcquireGroup(4)
+	g1, ok := a.AcquireGroup(4, nil)
 	if !ok || len(g1) != 4 {
 		t.Fatalf("group acquisition failed: %v", g1)
 	}
-	g2, ok := a.AcquireGroup(4)
+	g2, ok := a.AcquireGroup(4, nil)
 	if !ok || len(g2) != 4 {
 		t.Fatalf("second group acquisition failed: %v", g2)
 	}
-	if _, ok := a.AcquireGroup(1); ok {
+	if _, ok := a.AcquireGroup(1, nil); ok {
 		t.Errorf("allocator should be exhausted")
 	}
 	// Failure must not leak partial claims.
 	a.ReleaseGroup(g2)
-	if _, ok := a.AcquireGroup(5); ok {
+	if _, ok := a.AcquireGroup(5, nil); ok {
 		t.Errorf("group of 5 should fail with only 4 free")
 	}
 	if a.FreeCount() != 4 {
 		t.Errorf("failed group acquisition leaked claims: free=%d, want 4", a.FreeCount())
 	}
-	if _, ok := a.AcquireGroup(0); ok {
+	if _, ok := a.AcquireGroup(0, nil); ok {
 		t.Errorf("empty group acquisition should fail")
 	}
 }
@@ -280,7 +280,7 @@ func TestAllocatorMisuse(t *testing.T) {
 		fn()
 	}
 	mustPanic("double release", func() { a.Release(0) })
-	g, _ := a.AcquireGroup(1)
+	g, _ := a.AcquireGroup(1, nil)
 	a.Release(g[0])
 	mustPanic("out of range", func() { a.Release(7) })
 	mustPanic("zero size", func() { NewSPEAllocator(0) })
@@ -293,7 +293,7 @@ func TestPropertyAllocatorConservation(t *testing.T) {
 		var held []int
 		for _, acquire := range ops {
 			if acquire {
-				if g, ok := a.AcquireGroup(1); ok {
+				if g, ok := a.AcquireGroup(1, nil); ok {
 					held = append(held, g[0])
 				}
 			} else if len(held) > 0 {

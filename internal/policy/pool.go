@@ -37,15 +37,16 @@ func (p *Pool) Decision() Decision {
 
 // Acquire claims the SPEs an off-load of process proc is entitled to under
 // the decision in force — one, or a loop group capped at the pool's size,
-// master first — and records the arrival. It reports false, claiming
-// nothing, while too few SPEs are free: the caller waits for a Release and
-// asks again, so a decision that changed in the meantime applies to it.
-func (p *Pool) Acquire(proc int) ([]int, bool) {
+// master first — appends them to into, and records the arrival. It reports
+// false, claiming nothing, while too few SPEs are free: the caller waits for
+// a Release and asks again, so a decision that changed in the meantime
+// applies to it. Nothing is allocated while into has room for the group.
+func (p *Pool) Acquire(proc int, into []int) ([]int, bool) {
 	want := 1
 	if d := p.Decision(); d.UseLLP && d.SPEsPerLoop > 1 {
 		want = min(d.SPEsPerLoop, p.alloc.Size())
 	}
-	group, ok := p.alloc.AcquireGroup(want)
+	group, ok := p.alloc.AcquireGroup(want, into)
 	if ok && p.mgps != nil {
 		p.mgps.RecordOffload(proc)
 	}
@@ -60,9 +61,9 @@ func (p *Pool) Release(group []int) { p.alloc.ReleaseGroup(group) }
 // whole life when its off-loads are the loops inside it (the native runtime:
 // a task cannot give its goroutine's worker back between kernel calls). Each
 // loop then asks Borrow for the rest of what the decision entitles it to. It
-// reports false while no SPE is free.
-func (p *Pool) AcquireMaster(proc int) ([]int, bool) {
-	master, ok := p.alloc.AcquireGroup(1)
+// reports false while no SPE is free. The master is appended to into.
+func (p *Pool) AcquireMaster(proc int, into []int) ([]int, bool) {
+	master, ok := p.alloc.AcquireGroup(1, into)
 	if ok && p.mgps != nil {
 		p.mgps.RecordOffload(proc)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cellmg/internal/cellsim"
+	"cellmg/internal/offload"
 	"cellmg/internal/sim"
 	"cellmg/internal/workload"
 )
@@ -23,7 +24,7 @@ func (r *run) spawnEventDriven() {
 		cr.unfinished++
 	}
 	for _, p := range procs {
-		m := &mpiProc{c: r.cellFor(p.ID), proc: p}
+		m := &mpiProc{c: r.cellFor(p.ID), proc: p, flight: offload.NewFlight(r.eng)}
 		r.eng.Spawn(fmt.Sprintf("mpi-%d", p.ID), m.step)
 	}
 }
@@ -36,12 +37,13 @@ func (c *cellRun) oversubscribed() bool {
 }
 
 // acquireSPEs asks the pool for the SPEs of proc's next off-load, master
-// first, and parks sp until SPEs are released if it cannot grant them yet;
-// the woken process asks again, so an MGPS mode switch takes effect at once
-// for queued off-loads. The caller must not hold a PPE context (the EDTLP
-// scheduler blocks only SPE-side work, never a PPE hardware thread).
-func (c *cellRun) acquireSPEs(sp *sim.Proc, proc int) ([]int, bool) {
-	group, ok := c.pool.Acquire(proc)
+// first, appended to into, and parks sp until SPEs are released if it cannot
+// grant them yet; the woken process asks again, so an MGPS mode switch takes
+// effect at once for queued off-loads. The caller must not hold a PPE context
+// (the EDTLP scheduler blocks only SPE-side work, never a PPE hardware
+// thread).
+func (c *cellRun) acquireSPEs(sp *sim.Proc, proc int, into []int) ([]int, bool) {
+	group, ok := c.pool.Acquire(proc, into)
 	if !ok {
 		c.speFree.Await(sp)
 	}
@@ -57,16 +59,17 @@ func (c *cellRun) releaseSPEs(group []int) {
 
 // offload ships one invocation to the granted group: work-shared over all of
 // it when it is a loop group, serial on a lone SPE.
-func (c *cellRun) offload(group []int, step workload.Step) *sim.Signal {
+func (c *cellRun) offload(group []int, step workload.Step, f *offload.Flight) {
 	rt, spes := c.parent.rt, c.cell.SPEs
 	if len(group) == 1 {
-		return rt.OffloadSerial(spes[group[0]], step.Fn, step.Scale)
+		rt.OffloadSerial(spes[group[0]], step.Fn, step.Scale, f)
+		return
 	}
 	c.workers = c.workers[:0]
 	for _, id := range group[1:] {
 		c.workers = append(c.workers, spes[id])
 	}
-	return rt.OffloadWorkShared(spes[group[0]], c.workers, step.Fn, step.Scale)
+	rt.OffloadWorkShared(spes[group[0]], c.workers, step.Fn, step.Scale, f)
 }
 
 // mpiState is where an MPI process is; it may park in any state but mpiStep.
@@ -95,7 +98,11 @@ type mpiProc struct {
 	bound, group     []int // the lifetime group (static EDTLP-LLP); this off-load's group
 	d                sim.Duration
 	charge           cellsim.Charge
-	done             *sim.Signal
+
+	// The storage bound and group hold their SPEs in, and the signals of the
+	// off-load in flight: an MPI process has at most one.
+	grant  [cellsim.SPEsPerCell]int
+	flight *offload.Flight
 }
 
 func (m *mpiProc) step(sp *sim.Proc) {
@@ -107,7 +114,7 @@ func (m *mpiProc) step(sp *sim.Proc) {
 			// Binding first avoids holding a PPE context while waiting for
 			// SPEs, which could starve the processes that already own groups.
 			if c.persistentGroups {
-				if m.bound, ok = c.acquireSPEs(sp, m.proc.ID); !ok {
+				if m.bound, ok = c.acquireSPEs(sp, m.proc.ID, m.grant[:0]); !ok {
 					return
 				}
 			}
@@ -175,14 +182,14 @@ func (m *mpiProc) step(sp *sim.Proc) {
 			m.state = mpiGrant
 		case mpiGrant:
 			if m.group = m.bound; m.group == nil {
-				if m.group, ok = c.acquireSPEs(sp, m.proc.ID); !ok {
+				if m.group, ok = c.acquireSPEs(sp, m.proc.ID, m.grant[:0]); !ok {
 					return
 				}
 			}
-			m.done = c.offload(m.group, m.proc.Steps[m.next])
+			c.offload(m.group, m.proc.Steps[m.next], m.flight)
 			m.state = mpiAwait
 		case mpiAwait:
-			if !m.done.Await(sp) {
+			if !m.flight.Done.Await(sp) {
 				return
 			}
 			if m.bound == nil {

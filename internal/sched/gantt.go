@@ -104,7 +104,7 @@ func (t *timeline) gantt(columns int) string {
 			busy += iv.end.Sub(iv.start)
 			s, e := float64(iv.start), float64(iv.end)
 			for col := int(s / colDur); col <= min(int(e/colDur), columns-1); col++ {
-				cs := float64(col) * colDur
+				cs := float64(float64(col) * colDur) // rounded: never fused with cs+colDur
 				if overlap := min(e, cs+colDur) - max(s, cs); overlap > 0 {
 					occupied[col] += overlap
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cellmg/internal/cellsim"
+	"cellmg/internal/offload"
 	"cellmg/internal/sim"
 	"cellmg/internal/workload"
 )
@@ -40,7 +41,7 @@ func runKernelScheduled(r *run, procs []*workload.Process, ppeOnly bool) {
 	dispatchers := make([][]*kernelDispatcher, len(r.cells))
 	for ci, c := range r.cells {
 		for ctx := 0; ctx < c.cell.PPE.Contexts(); ctx++ {
-			d := &kernelDispatcher{c: c, q: sim.NewQueue[*kernelProc](r.eng), ppeOnly: ppeOnly}
+			d := &kernelDispatcher{c: c, q: sim.NewQueue[*kernelProc](r.eng), ppeOnly: ppeOnly, flight: offload.NewFlight(r.eng)}
 			dispatchers[ci] = append(dispatchers[ci], d)
 			r.eng.Spawn(fmt.Sprintf("cell%d.kdispatch%d", ci, ctx), d.step)
 		}
@@ -84,7 +85,8 @@ type kernelDispatcher struct {
 	quantumEnd sim.Time
 	d          sim.Duration
 	charge     cellsim.Charge
-	done       *sim.Signal // the off-load in flight
+	flight     *offload.Flight // the off-load's signals, and whether it is in flight
+	offloaded  bool
 }
 
 func (k *kernelDispatcher) step(sp *sim.Proc) {
@@ -132,21 +134,22 @@ func (k *kernelDispatcher) step(sp *sim.Proc) {
 			}
 			k.state = kernelNext
 		case kernelOffload:
-			if k.done == nil {
+			if !k.offloaded {
 				if !ppe.Compute(sp, &k.charge, cost.PPEToSPESignal) {
 					return
 				}
 				step := k.kp.proc.Steps[k.kp.stepIdx]
-				k.done = r.rt.OffloadSerial(k.kp.spe, step.Fn, step.Scale)
+				r.rt.OffloadSerial(k.kp.spe, step.Fn, step.Scale, k.flight)
+				k.offloaded = true
 			}
 			// The MPI process spin-waits on the completion mailbox while
 			// continuing to hold its hardware context: the off-loaded task is
 			// far shorter than the quantum, so the kernel never switches here
 			// — precisely the pathology EDTLP fixes.
-			if !k.done.Await(sp) {
+			if !k.flight.Done.Await(sp) {
 				return
 			}
-			k.done = nil
+			k.offloaded = false
 			k.kp.stepIdx++
 			k.state = kernelNext
 		case kernelNext:

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cellmg/internal/offload"
@@ -375,3 +376,36 @@ func TestSimulationLeavesNoGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocationsDoNotGrowWithOffloads: under every scheduler a run's heap
+// allocations are its set-up's, not its off-loads'. Sixteen bootstraps at
+// 1,200 calls each allocate exactly what they do at 600: an SPE runs its
+// programs in place, every off-load rearms its issuer's signals, and a grant
+// fills its MPI process's own buffer. The collector is off while it counts:
+// a collection that a longer run happens to start allocates for itself.
+// Under the race detector the counts are not exact (race_test.go), so it
+// runs only without.
+func TestAllocationsDoNotGrowWithOffloads(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	for _, name := range []string{"ppe-only", "linux", "edtlp", "hybrid", "mgps"} {
+		allocs := func(calls int) float64 {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			cfg := workload.RAxML42SC()
+			cfg.CallsPerBootstrap = calls
+			opt := Options{Workload: cfg, Bootstraps: 16, SPEsPerLoop: 4}
+			return testing.AllocsPerRun(2, func() {
+				if _, err := Run(name, opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if short, long := allocs(600), allocs(1200); short != long {
+			t.Errorf("%s: %.0f allocations at 600 calls per bootstrap, %.0f at 1,200", name, short, long)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool

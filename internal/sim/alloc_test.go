@@ -9,13 +9,14 @@ import (
 // in steady state a timed wake-up (queued behind other processes' events, so
 // it takes the heap and both sift directions, not only the inline advance), a
 // RunUntil that stops at its limit, a queue hand-off, a contended Resource
-// hold and a signal fired by a scheduled event allocate nothing. A wake-up is
-// a call of the step function, so each arm measures whole slices of virtual
-// time. The step arms run each primitive on its common inputs; the other arms
-// add the ones a steady simulation rarely takes: a negative Sleep, a burst
-// that leaves a backlog in a queue, a zero-unit TryAcquire and Release
-// and a Release that admits two waiters at once, and a broadcast's second
-// waiter, an Await after the firing and a second Fire.
+// hold, a signal fired by a scheduled event and a rearmed one allocate
+// nothing. A wake-up is a call of the step function, so each arm measures
+// whole slices of virtual time. The step arms run each primitive on its
+// common inputs; the other arms add the ones a steady simulation rarely
+// takes: a negative Sleep, a burst that leaves a backlog in a queue, a
+// zero-unit TryAcquire and Release and a Release that admits two waiters at
+// once, a broadcast's second waiter, an Await after the firing and a second
+// Fire, and one signal rearmed for every firing.
 func TestEventPathAllocationFree(t *testing.T) {
 	t.Run("delay", func(t *testing.T) {
 		eng := NewEngine()
@@ -179,6 +180,29 @@ func TestEventPathAllocationFree(t *testing.T) {
 		})
 		if avg := steadyRunAllocs(eng, 50); avg != 0 {
 			t.Errorf("a broadcast FireAfter/Await allocates %.1f objects per 50 ns slice", avg)
+		}
+	})
+	t.Run("rearm", func(t *testing.T) {
+		eng := NewEngine()
+		// One signal for good, as an off-load's issuer keeps its done
+		// signal: rearmed, fired by a scheduled event, awaited.
+		sig := NewSignal(eng)
+		armed := false
+		eng.Spawn("owner", func(p *Proc) {
+			for {
+				if !armed {
+					sig.Rearm()
+					sig.FireAfter(5)
+					armed = true
+				}
+				if !sig.Await(p) {
+					return
+				}
+				armed = false
+			}
+		})
+		if avg := steadyRunAllocs(eng, 50); avg != 0 {
+			t.Errorf("a rearmed signal's FireAfter/Await allocates %.1f objects per 50 ns slice", avg)
 		}
 	})
 	t.Run("step sleep", func(t *testing.T) {

@@ -7,7 +7,9 @@
 // to call. Each primitive succeeds now and reports true, or parks the process
 // and reports false, and the step function then returns: Sleep,
 // Queue.TryGet, Resource.TryAcquire, Signal.Await and Condition.Await (beside
-// Put, Release, Fire/FireAfter and Notify, which never wait). A woken process
+// Put, Release, Fire/FireAfter and Notify, which never wait, and Rearm, with
+// which a signal's owner makes a fired signal unfired to use it again instead
+// of allocating another). A woken process
 // carries on where it parked, by each primitive's rule (see its comment). A
 // call that returns without parking ends the process. Only one of engine and
 // processes executes at any instant, no goroutine is started, and neither

@@ -149,6 +149,46 @@ func TestSignalBroadcastAndLatch(t *testing.T) {
 	}
 }
 
+// TestSignalRearm: a rearmed signal is unfired again, parks a new waiter and
+// wakes it when it fires again; rearming a signal a process waits on panics.
+func TestSignalRearm(t *testing.T) {
+	eng := NewEngine()
+	defer eng.Close()
+	sig := NewSignal(eng)
+	sig.FireAfter(5 * Microsecond)
+	var woke []Time
+	script{
+		sig.Await,
+		do(func(p *Proc) {
+			woke = append(woke, p.Now())
+			sig.Rearm()
+			if sig.Fired() {
+				t.Error("a rearmed signal reports fired")
+			}
+			sig.FireAfter(3 * Microsecond)
+		}),
+	}.spawn(eng, "owner")
+	script{
+		sleep(6 * Microsecond), // after the rearm: this Await parks
+		sig.Await,
+		do(func(p *Proc) { woke = append(woke, p.Now()) }),
+	}.spawn(eng, "next")
+	eng.Run()
+	if len(woke) != 2 || woke[0] != Time(5*Microsecond) || woke[1] != Time(8*Microsecond) {
+		t.Errorf("waiters passed at %v, want [5us 8us]", woke)
+	}
+
+	waited := NewSignal(eng)
+	script{waited.Await}.spawn(eng, "parked")
+	eng.Run()
+	defer func() {
+		if recover() == nil {
+			t.Error("Rearm with a process waiting should panic")
+		}
+	}()
+	waited.Rearm()
+}
+
 func TestConditionNotifyAllAndOne(t *testing.T) {
 	eng := NewEngine()
 	cond := NewCondition(eng)

@@ -3,7 +3,9 @@ package sim
 // Signal is a one-shot broadcast event: processes park in Await until Fire is
 // called, after which Await reports true at once for all current and future
 // callers. It models completion notifications (a DMA transfer finished, an
-// off-loaded task completed).
+// off-loaded task completed). The signal's owner may Rearm it once it has
+// fired and nobody waits on it, and use it for the next notification instead
+// of a new one.
 type Signal struct {
 	eng   *Engine
 	fired bool
@@ -33,6 +35,17 @@ func (s *Signal) Fire() {
 		s.eng.wake(p)
 	}
 	s.first, s.more = nil, nil
+}
+
+// Rearm makes the signal unfired again, so that its owner can reuse it for
+// the next notification without allocating one. It panics if a process is
+// waiting on the signal. A FireAfter still pending fires the rearmed signal:
+// the owner rearms only a signal whose firing it has seen.
+func (s *Signal) Rearm() {
+	if s.first != nil {
+		panic("sim: rearming a signal a process is waiting on")
+	}
+	s.fired = false
 }
 
 // FireAfter fires the signal d from now; the firing is an event of its own,

@@ -263,7 +263,7 @@ func (c *Config) ScaleFactor() float64 {
 func (c *Config) MeanSPETime() sim.Duration {
 	var total, weight float64
 	for i, f := range c.Functions {
-		total += c.Mix[i] * float64(f.SPETime)
+		total += float64(c.Mix[i] * float64(f.SPETime)) // rounded: never fused with the sum
 		weight += c.Mix[i]
 	}
 	if weight == 0 {
@@ -334,7 +334,11 @@ func (c *Config) Bootstrap(id int) *Process {
 		if c.Jitter <= 0 {
 			return 1
 		}
-		return 1 + c.Jitter*(2*rng.Float64()-1)
+		// Each product is rounded before its sum, so no architecture fuses
+		// them and every one draws the same workload; the draw is rounded
+		// too, or its own scaling (inlined from Float64) fuses with the
+		// doubling.
+		return 1 + float64(c.Jitter*(2*float64(rng.Float64())-1))
 	}
 	for call := 0; call < c.CallsPerBootstrap; call++ {
 		gap := sim.Duration(float64(c.MeanPPEGap) * jitter())
