@@ -265,11 +265,11 @@ func TestParallelAnalysisWithLLPExercisesWorkSharing(t *testing.T) {
 	}
 
 	// The loop bodies production work-shares, one kernel at a time: this is
-	// what puts newviewBody, evaluateBody, sumTableBody and newtonBody on
-	// several goroutines under -race (CI runs this test by name there), so a
-	// fixture or crossover change that turned one serial fails here, not
-	// silently. A task's loops are counted as it ends, so each kernel is its
-	// own off-load.
+	// what puts newviewBody4's loops, evaluateBody, sumTableBody4 and
+	// newtonBody4 on several goroutines under -race (CI runs this test by name
+	// there), so a fixture or crossover change that turned one serial fails
+	// here, not silently. A task's loops are counted as it ends, so each
+	// kernel is its own off-load.
 	rt := New(Options{Workers: 4, Policy: StaticLLP, SPEsPerLoop: 4})
 	defer rt.Close()
 	eng, err := phylo.NewEngine(data, gtr, gamma)

@@ -47,9 +47,9 @@
 // # One vector kernel
 //
 // As in RAxML, one newview serves both orientations of a conditional vector.
-// Its loop body (newviewBody) multiplies two sides per pattern, category and
-// state; a side is either a conditional vector seen through flattened
-// matrices (four row products) or one row of a lookup table. The set-ups:
+// Its loop body multiplies two sides per pattern, category and state; a side
+// is either a conditional vector seen through flattened matrices (four row
+// products) or one row of a lookup table. The set-ups:
 //
 //   - down[n], Newview: both sides are n's children — an inner child's down
 //     vector through P(child.Length), or a tip child's table (downSide);
@@ -62,38 +62,36 @@
 //     u is the root, a table side whose single row is the root prior.
 //
 // KernelStats counts the two apart (NewviewCalls, OutviewCalls) because the
-// partial traversals bound them separately. One category, the single-rate
-// search, has its own body (newviewBody1): both sides' matrices or tip tables
-// held in fixed-size arrays and the rescale test on the four products before
-// they are stored. Four, the Gamma4 search, has newviewBody4, which picks a
-// loop once per call by its sides' kinds — newviewTable4 for a table and an
-// inner side in either order, newviewInner4 for two inner sides — each with
-// the count and stride as constants, reading the sides' storage through
-// three-index slices. Both add the same terms in the same order as
-// newviewBody, and every newview loop rescales through the one rare arm,
-// rescale.
+// partial traversals bound them separately. An engine has one or four rate
+// categories, and every per-pattern loop one body per count. One category,
+// the single-rate search, runs newviewBody1: no category loop, and both
+// sides' matrices or tip tables held in fixed-size arrays. Four, the Gamma4
+// search, runs newviewBody4, which picks a loop once per call by its sides'
+// kinds — newviewTable4 for a table and an inner side in either order,
+// newviewInner4 for two inner sides, newviewTips4 for two tables — each with
+// the count and stride as constants. All add the same terms in the same order
+// and rescale through the one rare arm, rescale;
+// TestCategoryKernelsMatchGeneral holds them to a loop-form reference written
+// from the math (reference_test.go).
 //
 // # Makenewz
 //
 // Makenewz is RAxML's two loops. The first Newton pass of an edge visit
 // (firstPass) also moves down[v] and out[v] into the model's eigenbasis
-// (sumTableBody, RAxML's sumGAMMA), where P(b) = V·diag(exp(λ·r·b))·V⁻¹ is
-// diagonal, each share storing the rows it is about to read
+// (sumTableBody1 and sumTableBody4, RAxML's sumGAMMA), where
+// P(b) = V·diag(exp(λ·r·b))·V⁻¹ is diagonal, each share storing the rows it is
+// about to read
 //
 //	A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t])
 //
 // next to the per-pattern log scaler. Every Newton iterate then costs a dozen
-// multiply-adds per pattern and category (newtonPass over newtonBody, RAxML's
-// coreGTRGAMMA): Σ A·e, Σ A·λr·e and Σ A·(λr)²·e with e = exp(λ_k·r·b), and no
-// logarithm: only a length Newton moved gets an acceptance pass (acceptPass),
-// the likelihood at the old and the new length, one ln2 per pattern. One and
-// four categories, the counts production builds, have their own bodies
-// (newtonBody1 and sumTableBody1 without a category loop; newtonBody4 and
-// acceptBody4 with theirs unrolled, newtonBody4 serving every share of a split
-// pass, and sumTableBody4 taking the tip/inner branch outside it); any other
-// count runs the general ones, to the same bits. The formulation this replaced — a
-// P(b) mat-vec per pattern, from Model.Transition alone — is the test-only
-// reference in likelihood_test.go.
+// multiply-adds per pattern and category (newtonPass over newtonBody1 or
+// newtonBody4, RAxML's coreGTRGAMMA): Σ A·e, Σ A·λr·e and Σ A·(λr)²·e with
+// e = exp(λ_k·r·b), and no logarithm: only a length Newton moved gets an
+// acceptance pass (acceptPass over acceptBody1 or acceptBody4), the
+// likelihood at the old and the new length, one ln2 per pattern. The
+// formulation this replaced — a P(b) mat-vec per pattern, from
+// Model.Transition alone — is the test-only reference in likelihood_test.go.
 //
 // # Incremental evaluation
 //

@@ -24,11 +24,9 @@ func (e *Engine) setSiteRepeats(on bool) {
 	}
 }
 
-// useGeneralBodies makes the engine run the loop bodies written for any
-// category count — newview, the sum table, the stored-terms Newton loop over
-// the whole range and the acceptance pass, each with its category loop —
-// instead of the ones NewEngine picked for one or four categories: the
-// reference TestCategoryKernelsMatchGeneral holds those to.
+// useGeneralBodies makes the engine run the loop-form reference
+// (reference_test.go) in place of the bodies NewEngine picked by category
+// count: what TestCategoryKernelsMatchGeneral holds those to.
 func (e *Engine) useGeneralBodies() {
-	e.nvFn, e.sumFn, e.ntFn, e.accFn = e.newviewBody, e.sumTableBody, e.newtonBody, e.acceptBody
+	e.nvFn, e.sumFn, e.ntFn, e.accFn = e.refNewview, e.refSumTable, e.refNewton, e.refAccept
 }

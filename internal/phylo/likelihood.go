@@ -70,13 +70,13 @@ type KernelStats struct {
 // are offered — newview for down and for out vectors, evaluate, the Newton
 // passes (the first one building the sum table) and the acceptance pass —
 // each when it is at least loopCrossover values long; sums over patterns are
-// always taken in ascending pattern order (see newtonBody), which is why no
+// always taken in ascending pattern order (see newtonBody1), which is why no
 // partition can change a bit.
 //
 // The hot path is allocation-free in steady state: each node's transition
 // matrices live in the node's slot of a flat block, refilled only when the
 // node's branch length changed (transCache), branch-length optimization reads
-// none (one eigenbasis sum table per edge visit, see sumTableBody), the
+// none (one eigenbasis sum table per edge visit, see sumTableBody1), the
 // kernel loop bodies are persistent closures created once at construction,
 // and every per-pattern buffer is engine-owned and reused.
 // The whole tree search rides on the same contract (SearchInto is 0 allocs/op
@@ -128,7 +128,7 @@ type Engine struct {
 	rootStates []uint8    // nPat zeros: every pattern reads row 0 of the root-prior table
 
 	// Spectral constants of Model × Rates (initSpectrum) and the per-edge sum
-	// table the Newton iterates of Makenewz run against (sumTableBody).
+	// table the Newton iterates of Makenewz run against (sumTableBody1, sumTableBody4).
 	specV    Matrix                         // V[state][k]
 	specInv  Matrix                         // V⁻¹[k][state]
 	tipInv   [tipStates * NumStates]float64 // per observed state set: Σ_{t in set} V⁻¹[k][t]
@@ -204,7 +204,8 @@ type Engine struct {
 }
 
 // NewEngine creates a likelihood engine for the alignment, model and rate
-// categories.
+// categories: one (SingleRate, or an empty RateCategories) or four
+// (DiscreteGamma(…, 4)), the counts its loop bodies are written for.
 func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engine, error) {
 	if data == nil || data.NumPatterns() == 0 {
 		return nil, fmt.Errorf("phylo: engine needs a non-empty pattern alignment")
@@ -214,6 +215,9 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	}
 	if rates.Count() == 0 {
 		rates = SingleRate()
+	}
+	if n := rates.Count(); n != 1 && n != 4 {
+		return nil, fmt.Errorf("phylo: engine has kernels for 1 or 4 rate categories, not %d", n)
 	}
 	e := &Engine{
 		Data:   data,
@@ -263,14 +267,10 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	e.outEpoch = make([]uint64, nodes)
 	e.visitMark = make([]uint64, nodes)
 	e.edgeMark = make([]uint64, nodes)
-	e.nvFn = e.newviewBody
 	e.evalFn = e.evaluateBody
-	e.sumFn = e.sumTableBody
-	e.ntFn = e.newtonBody
-	e.accFn = e.acceptBody
 	switch e.nCat { // the category counts production builds (SingleRate, DiscreteGamma(…, 4))
 	case 1:
-		e.nvFn, e.sumFn, e.ntFn = e.newviewBody1, e.sumTableBody1, e.newtonBody1
+		e.nvFn, e.sumFn, e.ntFn, e.accFn = e.newviewBody1, e.sumTableBody1, e.newtonBody1, e.acceptBody1
 	case 4:
 		e.nvFn, e.sumFn, e.ntFn, e.accFn = e.newviewBody4, e.sumTableBody4, e.newtonBody4, e.acceptBody4
 	}
@@ -344,83 +344,6 @@ type newviewArgs struct {
 	uniq       []int32   // site-repeat representative patterns; nil (all) outside newviewRepeats
 }
 
-// newviewBody is the per-pattern loop of the newview() kernel, the loop every
-// conditional vector comes out of (newviewBody1 for one category, newviewBody4
-// for four): for every pattern and rate category it multiplies the left and
-// right sides state by state and rescales the pattern when it nears underflow
-// (rescale). Newview feeds it a node's two children; computeOutOne feeds it
-// the sibling subtree and the rest of the tree. The 4-state inner products are
-// fully unrolled, each product rounded before it is added; slices are hoisted
-// per category so the innermost statements are bounds-check-free. When uniq is
-// non-nil the loop runs over the site-repeat representative list instead of
-// the full pattern range (Newview copies the remaining patterns afterwards).
-func (e *Engine) newviewBody(lo, hi int) {
-	a := &e.nvA
-	lv, rv := a.l.v, a.r.v
-	lst, rst := a.l.states, a.r.states
-	ltab, rtab := a.l.tab, a.r.tab
-	pl, pr := a.l.p, a.r.p
-	dst, scale := a.dst, a.scale
-	lscale, rscale := a.l.scale, a.r.scale
-	uniq := a.uniq
-	nCat, stride := e.nCat, e.stride
-	for j := lo; j < hi; j++ {
-		i := j
-		if uniq != nil {
-			i = int(uniq[j])
-		}
-		base := i * stride
-		big := false
-		for r := 0; r < nCat; r++ {
-			off := base + r*NumStates
-			m := r * flatMatSize
-			var sl0, sl1, sl2, sl3 float64
-			if lst != nil {
-				o := (m + int(lst[i])) * NumStates
-				lt := ltab[o : o+NumStates : o+NumStates]
-				sl0, sl1, sl2, sl3 = lt[0], lt[1], lt[2], lt[3]
-			} else {
-				pm := pl[m : m+flatMatSize : m+flatMatSize]
-				lw := lv[off : off+NumStates : off+NumStates]
-				l0, l1, l2, l3 := lw[0], lw[1], lw[2], lw[3]
-				sl0 = float64(pm[0]*l0) + float64(pm[1]*l1) + float64(pm[2]*l2) + float64(pm[3]*l3)
-				sl1 = float64(pm[4]*l0) + float64(pm[5]*l1) + float64(pm[6]*l2) + float64(pm[7]*l3)
-				sl2 = float64(pm[8]*l0) + float64(pm[9]*l1) + float64(pm[10]*l2) + float64(pm[11]*l3)
-				sl3 = float64(pm[12]*l0) + float64(pm[13]*l1) + float64(pm[14]*l2) + float64(pm[15]*l3)
-			}
-			var sr0, sr1, sr2, sr3 float64
-			if rst != nil {
-				o := (m + int(rst[i])) * NumStates
-				rt := rtab[o : o+NumStates : o+NumStates]
-				sr0, sr1, sr2, sr3 = rt[0], rt[1], rt[2], rt[3]
-			} else {
-				qm := pr[m : m+flatMatSize : m+flatMatSize]
-				rw := rv[off : off+NumStates : off+NumStates]
-				r0, r1, r2, r3 := rw[0], rw[1], rw[2], rw[3]
-				sr0 = float64(qm[0]*r0) + float64(qm[1]*r1) + float64(qm[2]*r2) + float64(qm[3]*r3)
-				sr1 = float64(qm[4]*r0) + float64(qm[5]*r1) + float64(qm[6]*r2) + float64(qm[7]*r3)
-				sr2 = float64(qm[8]*r0) + float64(qm[9]*r1) + float64(qm[10]*r2) + float64(qm[11]*r3)
-				sr3 = float64(qm[12]*r0) + float64(qm[13]*r1) + float64(qm[14]*r2) + float64(qm[15]*r3)
-			}
-			v0, v1, v2, v3 := sl0*sr0, sl1*sr1, sl2*sr2, sl3*sr3
-			d := dst[off : off+NumStates : off+NumStates]
-			d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-			big = big || v0 >= scalingThreshold || v1 >= scalingThreshold || v2 >= scalingThreshold || v3 >= scalingThreshold
-		}
-		sc := 0.0
-		if lscale != nil {
-			sc += lscale[i]
-		}
-		if rscale != nil {
-			sc += rscale[i]
-		}
-		if !big {
-			sc = rescale(dst[base:base+stride:base+stride], sc)
-		}
-		scale[i] = sc
-	}
-}
-
 // rescale is the rescale against underflow of a pattern none of whose stored
 // values w reached scalingThreshold: it divides w by its maximum (v > maxV from
 // 0, in storage order, so NaN and negatives never win) when that is positive,
@@ -442,10 +365,10 @@ func rescale(w []float64, sc float64) float64 {
 	return sc
 }
 
-// newviewBody4 is newviewBody for four rate categories. It picks a loop once
+// newviewBody4 is newviewBody1 for four rate categories. It picks a loop once
 // per call by the kinds of its two sides: newviewTable4 for a table side and an
 // inner one, in either order (a product x·y is y·x bit for bit), newviewInner4
-// for two inner sides, and newviewBody for two table sides (a cherry, or a tip
+// for two inner sides, and newviewTips4 for two table sides (a cherry, or a tip
 // beside the root under the prior), which multiply no matrix.
 func (e *Engine) newviewBody4(lo, hi int) {
 	a := &e.nvA
@@ -457,15 +380,16 @@ func (e *Engine) newviewBody4(lo, hi int) {
 	case a.l.states == nil:
 		e.newviewTable4(&a.r, &a.l, lo, hi)
 	default:
-		e.newviewBody(lo, hi)
+		e.newviewTips4(lo, hi)
 	}
 }
 
 // newviewTable4 is newviewBody4's loop for the table side t and the inner side
 // in: the category count and the stride are constants, and every matrix, table
 // row and vector is a three-index slice of the side's own storage. The sums,
-// the threshold test and the rescale are newviewBody's, term for term. Only
-// the inner side has log scalers; the sum starts at 0 as newviewBody's does.
+// the threshold test and the rescale are newviewBody1's, term for term, per
+// category. Only the inner side has log scalers; the sum starts at 0 as
+// newviewBody1's does.
 func (e *Engine) newviewTable4(t, in *kernelSide, lo, hi int) {
 	a := &e.nvA
 	st, tab := t.states, t.tab[:4*tipStates*NumStates:4*tipStates*NumStates]
@@ -546,10 +470,17 @@ func (e *Engine) newviewInner4(lo, hi int) {
 	}
 }
 
-// newviewBody1 is newviewBody for one rate category: each side's matrix or
-// tip table is copied once per call into a fixed-size array, and a pattern's
-// four products are rescaled before they are stored. Every sum, test and
-// rescale is newviewBody's, term for term.
+// newviewBody1 is the per-pattern loop of the newview() kernel for one rate
+// category (newviewBody4 for four), the loop every conditional vector comes
+// out of: for every pattern it multiplies the left and right sides state by
+// state and rescales the pattern when none of its values reaches
+// scalingThreshold (rescale). Newview feeds it a node's two children;
+// computeOutOne feeds it the sibling subtree and the rest of the tree. Each
+// side's matrix or tip table is copied once per call into a fixed-size array;
+// the 4-state inner products are unrolled, each product rounded before it is
+// added. When uniq is non-nil the loop runs over the site-repeat
+// representative list instead of the full pattern range (Newview copies the
+// remaining patterns afterwards).
 func (e *Engine) newviewBody1(lo, hi int) {
 	a := &e.nvA
 	var pl, pr [flatMatSize]float64
@@ -604,28 +535,11 @@ func (e *Engine) newviewBody1(lo, hi int) {
 		if rscale != nil {
 			sc += rscale[i]
 		}
-		if !(v0 >= scalingThreshold || v1 >= scalingThreshold || v2 >= scalingThreshold || v3 >= scalingThreshold) {
-			maxV := 0.0 // v > maxV from 0, in storage order, as newviewBody runs it
-			if v0 > maxV {
-				maxV = v0
-			}
-			if v1 > maxV {
-				maxV = v1
-			}
-			if v2 > maxV {
-				maxV = v2
-			}
-			if v3 > maxV {
-				maxV = v3
-			}
-			if maxV > 0 {
-				inv := 1 / maxV
-				v0, v1, v2, v3 = v0*inv, v1*inv, v2*inv, v3*inv
-				sc += ln(maxV)
-			}
-		}
 		d := dst[off : off+NumStates : off+NumStates]
 		d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+		if !(v0 >= scalingThreshold || v1 >= scalingThreshold || v2 >= scalingThreshold || v3 >= scalingThreshold) {
+			sc = rescale(d, sc)
+		}
 		scale[i] = sc
 	}
 }
@@ -745,7 +659,8 @@ type evaluateArgs struct {
 	catWeight float64
 }
 
-// evaluateBody is the per-pattern loop of the evaluate() kernel.
+// evaluateBody is the per-pattern loop of the evaluate() kernel, for one rate
+// category and for four; no architecture fuses a product it rounds.
 func (e *Engine) evaluateBody(lo, hi int) {
 	a := &e.evalA
 	rootVec, rootScale := a.rootVec, a.rootScale
@@ -758,7 +673,7 @@ func (e *Engine) evaluateBody(lo, hi int) {
 		var siteL float64
 		for r := 0; r < nCat; r++ {
 			off := base + r*NumStates
-			siteL += f0*rootVec[off] + f1*rootVec[off+1] + f2*rootVec[off+2] + f3*rootVec[off+3]
+			siteL += float64(f0*rootVec[off]) + float64(f1*rootVec[off+1]) + float64(f2*rootVec[off+2]) + float64(f3*rootVec[off+3])
 		}
 		siteL *= catWeight
 		if siteL <= 0 {
@@ -836,52 +751,13 @@ func (e *Engine) initSpectrum() {
 	}
 }
 
-// sumTableBody builds the sum table, share by share inside the first Newton
-// pass (firstPass) — RAxML's sumGAMMA: the conditional vectors at the two ends
-// of the edge above sumNode move into the model's eigenbasis and are
-// multiplied there, A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t]).
-// A tip's second factor is one row of tipInv, the same for every category
-// (sumTableBody1 for one category, sumTableBody4 for four). Every pattern
+// sumTableBody1 builds the sum table for one rate category (sumTableBody4 for
+// four), share by share inside the first Newton pass (firstPass) — RAxML's
+// sumGAMMA: the conditional vectors at the two ends of the edge above sumNode
+// move into the model's eigenbasis and are multiplied there,
+// A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t]). A tip's second
+// factor is one row of tipInv, the same for every category. Every pattern
 // writes its own slots.
-func (e *Engine) sumTableBody(lo, hi int) {
-	ov, oscale, dv, dscale, st := e.sumSides()
-	tab, scale := e.sumTab, e.sumScale
-	v, w, tip := &e.specV, &e.specInv, &e.tipInv
-	nCat, stride := e.nCat, e.stride
-	for i := lo; i < hi; i++ {
-		base := i * stride
-		var r0, r1, r2, r3 float64
-		if st != nil {
-			o := int(st[i]&(tipStates-1)) * NumStates
-			r0, r1, r2, r3 = tip[o], tip[o+1], tip[o+2], tip[o+3]
-		}
-		for r := 0; r < nCat; r++ {
-			off := base + r*NumStates
-			if st == nil {
-				dw := dv[off : off+NumStates : off+NumStates]
-				d0, d1, d2, d3 := dw[0], dw[1], dw[2], dw[3]
-				r0 = w[0][0]*d0 + w[0][1]*d1 + w[0][2]*d2 + w[0][3]*d3
-				r1 = w[1][0]*d0 + w[1][1]*d1 + w[1][2]*d2 + w[1][3]*d3
-				r2 = w[2][0]*d0 + w[2][1]*d1 + w[2][2]*d2 + w[2][3]*d3
-				r3 = w[3][0]*d0 + w[3][1]*d1 + w[3][2]*d2 + w[3][3]*d3
-			}
-			ow := ov[off : off+NumStates : off+NumStates]
-			o0, o1, o2, o3 := ow[0], ow[1], ow[2], ow[3]
-			t := tab[off : off+NumStates : off+NumStates]
-			t[0] = (o0*v[0][0] + o1*v[1][0] + o2*v[2][0] + o3*v[3][0]) * r0
-			t[1] = (o0*v[0][1] + o1*v[1][1] + o2*v[2][1] + o3*v[3][1]) * r1
-			t[2] = (o0*v[0][2] + o1*v[1][2] + o2*v[2][2] + o3*v[3][2]) * r2
-			t[3] = (o0*v[0][3] + o1*v[1][3] + o2*v[2][3] + o3*v[3][3]) * r3
-		}
-		sc := 0.0
-		if dscale != nil {
-			sc += dscale[i]
-		}
-		scale[i] = sc + oscale[i]
-	}
-}
-
-// sumTableBody1 is sumTableBody without the category loop.
 func (e *Engine) sumTableBody1(lo, hi int) {
 	ov, oscale, dv, dscale, st := e.sumSides()
 	tab, scale := e.sumTab, e.sumScale
@@ -915,8 +791,8 @@ func (e *Engine) sumTableBody1(lo, hi int) {
 	}
 }
 
-// sumTableBody4 is sumTableBody for four rate categories: the tip/inner branch
-// is taken once per pattern, outside the category loop.
+// sumTableBody4 is sumTableBody1 for four rate categories: the tip/inner
+// branch is taken once per pattern, outside the category loop.
 func (e *Engine) sumTableBody4(lo, hi int) {
 	ov, oscale, dv, dscale, st := e.sumSides()
 	tab, scale := e.sumTab, e.sumScale
@@ -996,88 +872,59 @@ type newtonArgs struct {
 	s1, s2 float64
 }
 
-// newtonBody is the per-pattern loop of a Newton pass over the sum table —
-// RAxML's coreGTRGAMMA: per pattern and category a dozen multiply-adds
-// against the three diagonals, then the pattern's two terms w·g and
-// w·(l₂/l₀ − g²), g = l₁/l₀. A pattern of likelihood zero has no slope to
-// follow (1/l₀ would be +Inf and both terms NaN): it contributes +0.0 twice,
-// which leaves a sum that started at +0.0 as it was.
+// newtonBody1 is the per-pattern loop of a Newton pass over the sum table for
+// one rate category (newtonBody4 for four) — RAxML's coreGTRGAMMA: per pattern
+// a dozen multiply-adds against the three diagonals, held in locals, then the
+// pattern's two terms w·g and w·(l₂/l₀ − g²), g = l₁/l₀. A pattern of
+// likelihood zero has no slope to follow (1/l₀ would be +Inf and both terms
+// NaN): it contributes +0.0 twice, which leaves a sum that started at +0.0 as
+// it was.
 //
 // The sums are the terms added in ascending pattern order, and that order is
-// the result's bits. This loop serves any share and category count and stores
-// its terms (termBuf) for sums to add. For the counts production builds, the
-// share that starts at pattern 0 (an un-split loop's only share) adds its
-// terms as it goes, in registers, and leaves the sums for sums to add the
-// stored terms behind: newtonBody1 runs that share and hands any other to this
-// loop, newtonBody4 runs every share itself. Every body computes a pattern's
-// terms alike and rounds each before it is added. On amd64, which fuses no
-// multiply-add, the bodies agree bit for bit (TestCategoryKernelsMatchGeneral,
-// TestAnyPartitionSameBits); elsewhere the products inside a term may fuse
-// differently per body.
-func (e *Engine) newtonBody(lo, hi int) {
-	ex := e.ntA.ex
-	tab, weights := e.sumTab, e.Data.Weights
-	nCat, stride := e.nCat, e.stride
-	for i := lo; i < hi; i++ {
-		base := i * stride
-		var l0, l1, l2 float64
-		for r := 0; r < nCat; r++ {
-			off := base + r*NumStates
-			t := tab[off : off+NumStates : off+NumStates]
-			x := ex[r*expRow : (r+1)*expRow : (r+1)*expRow]
-			a0, a1, a2, a3 := t[0], t[1], t[2], t[3]
-			l0 += a0*x[0] + a1*x[1] + a2*x[2] + a3*x[3]
-			l1 += a0*x[4] + a1*x[5] + a2*x[6] + a3*x[7]
-			l2 += a0*x[8] + a1*x[9] + a2*x[10] + a3*x[11]
-		}
-		t := e.termBuf[2*i : 2*i+2 : 2*i+2]
-		t[0], t[1] = 0, 0
-		if l0 <= 0 {
-			continue
-		}
-		w := weights[i]
-		inv := 1 / l0
-		g := l1 * inv
-		t[0], t[1] = float64(w*g), float64(w*(l2*inv-g*g))
-	}
-}
-
-// newtonBody1 is newtonBody for one rate category: the first share holds the
-// twelve diagonals in locals.
+// the result's bits: the share that starts at pattern 0 (an un-split loop's
+// only share) adds its terms as it goes and leaves the sums, any other stores
+// them (termBuf) for sums to add behind. Every product that meets a sum is
+// rounded before it is added, so no architecture fuses one.
 func (e *Engine) newtonBody1(lo, hi int) {
-	if lo > 0 || hi == 0 { // an empty share at 0 must not clear the first's sums
-		e.newtonBody(lo, hi)
-		return
-	}
 	a := &e.ntA
-	tab, weights := e.sumTab, e.Data.Weights[:hi]
+	tab, weights, terms := e.sumTab, e.Data.Weights, e.termBuf
 	x := a.ex[:expRow:expRow]
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 	x4, x5, x6, x7, x8, x9, x10, x11 := x[4], x[5], x[6], x[7], x[8], x[9], x[10], x[11]
+	first := lo == 0 && hi > 0 // an empty share at 0 must not clear the first's sums
 	var d1, d2 float64
-	for i := 0; i < hi; i++ {
+	for i := lo; i < hi; i++ {
 		o := i * NumStates
 		t := tab[o : o+NumStates : o+NumStates]
 		a0, a1, a2, a3 := t[0], t[1], t[2], t[3]
 		var l0, l1, l2 float64
-		l0 += a0*x0 + a1*x1 + a2*x2 + a3*x3
-		l1 += a0*x4 + a1*x5 + a2*x6 + a3*x7
-		l2 += a0*x8 + a1*x9 + a2*x10 + a3*x11
+		l0 += float64(a0*x0) + float64(a1*x1) + float64(a2*x2) + float64(a3*x3)
+		l1 += float64(a0*x4) + float64(a1*x5) + float64(a2*x6) + float64(a3*x7)
+		l2 += float64(a0*x8) + float64(a1*x9) + float64(a2*x10) + float64(a3*x11)
 		if l0 <= 0 {
+			if !first {
+				terms[2*i], terms[2*i+1] = 0, 0
+			}
 			continue
 		}
 		w := weights[i]
 		inv := 1 / l0
 		g := l1 * inv
-		d1 += float64(w * g)
-		d2 += float64(w * (l2*inv - g*g))
+		t1, t2 := float64(w*g), float64(w*(float64(l2*inv)-float64(g*g)))
+		if first {
+			d1, d2 = d1+t1, d2+t2
+		} else {
+			terms[2*i], terms[2*i+1] = t1, t2
+		}
 	}
-	a.s1, a.s2, a.upTo = d1, d2, hi
+	if first {
+		a.s1, a.s2, a.upTo = d1, d2, hi
+	}
 }
 
-// newtonBody4 is newtonBody for four rate categories, its category loop
-// unrolled against the diagonals read through one slice. The share at pattern
-// 0 adds its terms in registers, as newtonBody1 does; any other stores them.
+// newtonBody4 is newtonBody1 for four rate categories, its category loop
+// unrolled against the diagonals read through one slice. Its products are not
+// rounded, so an architecture that fuses multiply-adds may fuse them.
 func (e *Engine) newtonBody4(lo, hi int) {
 	a := &e.ntA
 	tab, weights, terms := e.sumTab, e.Data.Weights, e.termBuf
@@ -1122,31 +969,26 @@ func (e *Engine) newtonBody4(lo, hi int) {
 	}
 }
 
-// acceptBody is the per-pattern loop of the acceptance pass: the pattern's
-// likelihood at the two lengths whose diagonals acceptPass left in the first
-// two rows of each category's expTab, each raised to
-// math.SmallestNonzeroFloat64 where it is not positive, and its two terms
-// w·(ln l + scale). It sums as newtonBody1 does: the share at pattern 0 adds
-// its terms as it goes, any other stores them. Every product is rounded before
-// it is added, so no architecture fuses one.
-func (e *Engine) acceptBody(lo, hi int) {
+// acceptBody1 is the per-pattern loop of the acceptance pass for one rate
+// category (acceptBody4 for four): the pattern's likelihood at the two lengths
+// whose diagonals acceptPass left in the first two rows of expTab, each raised
+// to math.SmallestNonzeroFloat64 where it is not positive, and its two terms
+// w·(ln l + scale). Its shares sum and store their terms as newtonBody1's do.
+// Every product is rounded before it is added, so no architecture fuses one.
+func (e *Engine) acceptBody1(lo, hi int) {
 	a := &e.ntA
-	ex := a.ex
+	x := a.ex[:expRow:expRow]
+	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
 	tab, scale, weights := e.sumTab, e.sumScale, e.Data.Weights
-	nCat, stride := e.nCat, e.stride
 	first := lo == 0 && hi > 0 // an empty share at 0 must not clear the first's sums
 	var s1, s2 float64
 	for i := lo; i < hi; i++ {
-		base := i * stride
+		o := i * NumStates
+		t := tab[o : o+NumStates : o+NumStates]
+		a0, a1, a2, a3 := t[0], t[1], t[2], t[3]
 		var l0, l1 float64
-		for r := 0; r < nCat; r++ {
-			off := base + r*NumStates
-			t := tab[off : off+NumStates : off+NumStates]
-			x := ex[r*expRow : r*expRow+2*NumStates : r*expRow+2*NumStates]
-			a0, a1, a2, a3 := t[0], t[1], t[2], t[3]
-			l0 += float64(a0*x[0]) + float64(a1*x[1]) + float64(a2*x[2]) + float64(a3*x[3])
-			l1 += float64(a0*x[4]) + float64(a1*x[5]) + float64(a2*x[6]) + float64(a3*x[7])
-		}
+		l0 += float64(a0*x0) + float64(a1*x1) + float64(a2*x2) + float64(a3*x3)
+		l1 += float64(a0*x4) + float64(a1*x5) + float64(a2*x6) + float64(a3*x7)
 		l0, l1 = max(l0, math.SmallestNonzeroFloat64), max(l1, math.SmallestNonzeroFloat64)
 		w, sc := weights[i], scale[i]
 		ln0, ln1 := ln2(l0, l1)
@@ -1162,7 +1004,7 @@ func (e *Engine) acceptBody(lo, hi int) {
 	}
 }
 
-// acceptBody4 is acceptBody for four rate categories, the category loop
+// acceptBody4 is acceptBody1 for four rate categories, the category loop
 // unrolled; every product is rounded before it is added, as there.
 func (e *Engine) acceptBody4(lo, hi int) {
 	a := &e.ntA
@@ -1199,8 +1041,8 @@ func (e *Engine) acceptBody4(lo, hi int) {
 
 // sums runs body, a loop over the sum table, on every pattern and returns its
 // two sums: the first share's, then every term the other shares stored, added
-// behind them in pattern order (newtonBody's first share stores its terms
-// too). Each call is one DerivEvals pass.
+// behind them in pattern order (all of them if no share left sums). Each call
+// is one DerivEvals pass.
 func (e *Engine) sums(body func(lo, hi int)) (s1, s2 float64) {
 	e.Stats.DerivEvals++
 	a := &e.ntA
@@ -1231,7 +1073,7 @@ func (e *Engine) firstPass(v *Node, b float64) (d1, d2 float64) {
 }
 
 // acceptPass returns the log-likelihoods of the edge whose sum table is loaded
-// at lengths old and nb, from one pass (acceptBody). The diagonals are
+// at lengths old and nb, from one pass (accFn). The diagonals are
 // fillExpTab's for each length.
 func (e *Engine) acceptPass(old, nb float64) (before, after float64) {
 	ex := e.expTab
@@ -1340,4 +1182,37 @@ func (e *Engine) OptimizeBranch(t *Tree, v *Node) float64 {
 func (e *Engine) OptimizeAllBranches(t *Tree, rounds int) float64 {
 	ll, _ := e.optimizeEdges(t, t.Nodes, rounds)
 	return ll
+}
+
+// newviewTips4 is newviewBody4's loop for two table sides: each category's
+// values are the two rows' entries multiplied state by state. Table sides have
+// no log scalers, so the pattern's log scaler starts at 0.
+func (e *Engine) newviewTips4(lo, hi int) {
+	a := &e.nvA
+	lst, ltab := a.l.states, a.l.tab[:4*tipStates*NumStates:4*tipStates*NumStates]
+	rst, rtab := a.r.states, a.r.tab[:4*tipStates*NumStates:4*tipStates*NumStates]
+	dst, scale, uniq := a.dst, a.scale, a.uniq
+	for j := lo; j < hi; j++ {
+		i := j
+		if uniq != nil {
+			i = int(uniq[j])
+		}
+		base := i * 16
+		d := dst[base : base+16 : base+16]
+		ol, or := int(lst[i]&(tipStates-1))*NumStates, int(rst[i]&(tipStates-1))*NumStates
+		big := false
+		for r := 0; r < 4; r++ {
+			q := r * tipStates * NumStates
+			x, y := ltab[q+ol:q+ol+4:q+ol+4], rtab[q+or:q+or+4:q+or+4]
+			v0, v1, v2, v3 := x[0]*y[0], x[1]*y[1], x[2]*y[2], x[3]*y[3]
+			dr := d[r*NumStates : r*NumStates+4 : r*NumStates+4]
+			dr[0], dr[1], dr[2], dr[3] = v0, v1, v2, v3
+			big = big || v0 >= scalingThreshold || v1 >= scalingThreshold || v2 >= scalingThreshold || v3 >= scalingThreshold
+		}
+		sc := 0.0
+		if !big {
+			sc = rescale(d, sc)
+		}
+		scale[i] = sc
+	}
 }

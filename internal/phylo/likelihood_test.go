@@ -329,6 +329,22 @@ func TestEngineValidation(t *testing.T) {
 	if eng.NumPatterns() != data.NumPatterns() {
 		t.Errorf("NumPatterns mismatch")
 	}
+	// The kernel bodies are written for one and four categories; any other
+	// count is refused by name.
+	for k := 1; k <= 5; k++ {
+		rates, err := DiscreteGamma(0.5, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewEngine(data, NewJC69(), rates)
+		if k == 1 || k == 4 {
+			if err != nil {
+				t.Errorf("%d rate categories refused: %v", k, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("not %d", k)) {
+			t.Errorf("%d rate categories: err = %v, want a refusal naming the count", k, err)
+		}
+	}
 }
 
 // TestAcceptanceSidesMatchBitForBit pins the contract optimizeEdge's one
@@ -399,7 +415,8 @@ func TestOptimizeEdgePinnedAtBoundCostsOnePass(t *testing.T) {
 	eng.ensureOut(tree, pinned)
 
 	accepts := 0
-	eng.accFn = func(lo, hi int) { accepts++; eng.acceptBody(lo, hi) }
+	body := eng.accFn
+	eng.accFn = func(lo, hi int) { accepts++; body(lo, hi) }
 	derivs, epoch, anyDirty := eng.Stats.DerivEvals, eng.treeEpoch, eng.anyDirty
 	dirty := append([]bool(nil), eng.downDirty...)
 	stamps := append([]uint64(nil), eng.outEpoch...)
@@ -812,14 +829,15 @@ func rescaleCases(stride int) []rescaleCase {
 	}
 }
 
-// TestNewviewRescaleEdges feeds newviewBody at four categories and at one,
-// newviewBody1 and newviewBody4 hand-written children whose products are
-// exactly the values of each case, in three side orders: a tip table whose row
-// for pattern i is case i times an inner vector of ones through identity
-// matrices with a log scaler, the same the other way round, and, at four
-// categories, two inner sides with log scalers, the left holding the cases
-// (through the identity, where 0·NaN and 0·Inf spread NaN over the category:
-// throughIdentity). It compares dst and scale bit for bit with refRescale.
+// TestNewviewRescaleEdges feeds newviewBody1 and newviewBody4 hand-written
+// children whose products are exactly the values of each case, in four side
+// orders: a tip table whose row for pattern i is case i times an inner vector
+// of ones through identity matrices with a log scaler, the same the other way
+// round, the case table times a table of ones (no log scaler: at four
+// categories, newviewTips4), and, at four categories, two inner sides with log
+// scalers, the left holding the cases (through the identity, where 0·NaN and
+// 0·Inf spread NaN over the category: throughIdentity). It compares dst and
+// scale bit for bit with refRescale, from the sides' log scalers added to 0.
 // Every case is one pattern of the same call, so a flag that leaked from one
 // pattern into the next would show too. Two reformulations of any body's
 // threshold test fail this test and no other: v > T in place of v >= T (the
@@ -831,8 +849,6 @@ func TestNewviewRescaleEdges(t *testing.T) {
 		nCat int
 		fn   func(e *Engine, lo, hi int)
 	}{
-		{"newviewBody, 4 categories", 4, (*Engine).newviewBody},
-		{"newviewBody, 1 category", 1, (*Engine).newviewBody},
 		{"newviewBody1", 1, (*Engine).newviewBody1},
 		{"newviewBody4", 4, (*Engine).newviewBody4},
 	} {
@@ -861,11 +877,12 @@ func TestNewviewRescaleEdges(t *testing.T) {
 			childScale[i] = 1.5 * float64(i+1)
 		}
 		table := kernelSide{states: states, tab: tab}
-		ones := make([]float64, n*stride)
+		ones := make([]float64, max(n*stride, len(tab)))
 		for k := range ones {
 			ones[k] = 1
 		}
 		inner := kernelSide{v: ones, scale: childScale, p: ident}
+		onesTable := kernelSide{states: states, tab: ones[:len(tab)]}
 		vals, rightScale := make([]float64, 0, n*stride), make([]float64, n)
 		for i, c := range cases {
 			vals = append(vals, c.vals...)
@@ -876,13 +893,13 @@ func TestNewviewRescaleEdges(t *testing.T) {
 			name    string
 			l, r    kernelSide
 			through func([]float64) []float64 // what the side holding the cases makes of them
-			rscale  []float64                 // the scalers added after childScale, if any
 		}{
-			{"table×inner", table, inner, slices.Clone[[]float64], nil},
-			{"inner×table", inner, table, slices.Clone[[]float64], nil},
-			{"inner×inner", holder, kernelSide{v: ones, scale: rightScale, p: ident}, throughIdentity, rightScale},
+			{"table×inner", table, inner, slices.Clone[[]float64]},
+			{"inner×table", inner, table, slices.Clone[[]float64]},
+			{"table×table", table, onesTable, slices.Clone[[]float64]},
+			{"inner×inner", holder, kernelSide{v: ones[:n*stride], scale: rightScale, p: ident}, throughIdentity},
 		} {
-			if order.rscale != nil && nCat == 1 {
+			if order.l.v != nil && order.r.v != nil && nCat == 1 {
 				continue // one category: a case's NaN spreads over its whole pattern, leaving nothing to rescale
 			}
 			e := &Engine{nCat: nCat, stride: stride}
@@ -890,9 +907,11 @@ func TestNewviewRescaleEdges(t *testing.T) {
 			e.nvA = newviewArgs{l: order.l, r: order.r, dst: dst, scale: scale}
 			body.fn(e, 0, n)
 			for i, c := range cases {
-				sc := childScale[i]
-				if order.rscale != nil {
-					sc = childScale[i] + order.rscale[i]
+				sc := 0.0
+				for _, side := range []kernelSide{order.l, order.r} {
+					if side.scale != nil {
+						sc += side.scale[i]
+					}
 				}
 				want, wantSc := refRescale(order.through(c.vals), sc)
 				if got := wantSc != sc; got != c.rescaled {

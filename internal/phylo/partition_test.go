@@ -127,22 +127,13 @@ func (c kernelCase) build(t *testing.T, data *PatternAlignment) (*Engine, *Tree)
 // pass — to the serial engine bit for bit under partitionExecutor: each
 // conditional vector and scaler, the likelihood, every edge's sum table,
 // Newton and acceptance sums and optimized length (sameSumPasses), and a
-// whole search. The cases are the
-// four model × rate combinations, a 240-taxon tree deep enough to rescale, a
-// cherry of two zero-length branches, whose disagreeing patterns have
-// likelihood zero and take the clamp of the Newton body, and three rate
-// categories, a count production never builds, whose engine runs the general
-// bodies split and un-split. Run under -race it is also what shows the bodies
-// write only their own patterns' slots.
+// whole search. The cases are the four model × rate combinations, a 240-taxon
+// tree deep enough to rescale, and a cherry of two zero-length branches, whose
+// disagreeing patterns have likelihood zero and take the clamp of the Newton
+// body. Run under -race it is also what shows the bodies write only their own
+// patterns' slots.
 func TestAnyPartitionSameBits(t *testing.T) {
-	gamma3, err := DiscreteGamma(0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := append(kernelCases(t), kernelCase{name: "JC69/gamma3", model: NewJC69(), rates: gamma3,
-		sim: SimulateOptions{Taxa: 10, Length: 160, Seed: 17, MeanBranchLength: 0.12}})
-
-	for ci, c := range cases {
+	for ci, c := range kernelCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			data := simulatedPatterns(t, c.sim)
 			split := 0
@@ -237,14 +228,15 @@ func TestAnyPartitionSameBits(t *testing.T) {
 }
 
 // TestCategoryKernelsMatchGeneral holds the loop bodies NewEngine picks for
-// one and four rate categories (newviewBody1, sumTableBody1, newtonBody1;
-// newviewBody4, sumTableBody4, newtonBody4, acceptBody4) to the general ones
-// bit for bit, on serial engines, where the first Newton share is the whole
-// range: every down and out vector and scaler after Refresh, every edge's sum
-// table and scalers as the first pass builds them, the Newton sums at four
-// lengths, the acceptance sums at each length and the next, the optimized
-// length (sameSumPasses), and a whole search. TestAnyPartitionSameBits holds
-// the shares past pattern 0 to the first.
+// one and four rate categories (newviewBody1, sumTableBody1, newtonBody1,
+// acceptBody1; newviewBody4 with its three loops, sumTableBody4, newtonBody4,
+// acceptBody4) to the loop-form reference of reference_test.go bit for bit, on
+// serial engines, where a body's first share is the whole range and the
+// reference stores every term: every down and out vector and scaler after
+// Refresh, every edge's sum table and scalers as the first pass builds them,
+// the Newton sums at four lengths, the acceptance sums at each length and the
+// next, the optimized length (sameSumPasses), and a whole search.
+// TestAnyPartitionSameBits holds the shares past pattern 0 to the first.
 func TestCategoryKernelsMatchGeneral(t *testing.T) {
 	for _, c := range kernelCases(t) {
 		t.Run(c.name, func(t *testing.T) {

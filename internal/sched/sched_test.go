@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"cellmg/internal/offload"
 	"cellmg/internal/policy"
@@ -357,9 +358,21 @@ func TestSweepMatchesGolden(t *testing.T) {
 // hook during the run, and the count after it, equal the count before it.
 // The kernel dispatchers of RunLinux and RunPPEOnly never return on their own
 // — they park on their run queues — so the engine shutdown must also end
-// them.
+// them. The previous test's runner may still be in its deferred completion
+// (testing.tRunner), runnable on another P, when this test starts, so
+// "before" is sampled once the count has stopped falling: it has held over
+// five 1 ms sleeps in a row (a sleep, unlike a yield, lets this P steal the
+// runner), within 100.
 func TestSimulationLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
+	for held, i := 0, 0; held < 5 && i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n < before {
+			before, held = n, 0
+		} else {
+			held++
+		}
+	}
 	during := map[int]int{} // goroutine count → intervals it was seen at
 	opt := Options{Workload: fastConfig(), Bootstraps: 3, SPEsPerLoop: 4}
 	opt.Trace = func(string, sim.Time, sim.Time, string) { during[runtime.NumGoroutine()]++ }
