@@ -8,6 +8,7 @@ package phylo_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"cellmg/internal/phylo"
@@ -190,5 +191,46 @@ func TestSearchAllocationFree(t *testing.T) {
 	run()
 	if avg := testing.AllocsPerRun(3, run); avg != 0 {
 		t.Errorf("full NNI search allocates %v per run in steady state, want 0", avg)
+	}
+}
+
+// TestNewEngineBytes holds what NewEngine allocates on a simulated 1,000 ×
+// 250 alignment: the down vectors and the site-repeat rows are kept for the
+// inner nodes only (tips are read through lookup tables), which put the
+// Gamma4 engine at ≈106 MB and the single-rate one at ≈33 MB. With a row for
+// every node they took 145.2 and 48.5 MB.
+func TestNewEngineBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 1,000-taxon engines; skipped in -short mode")
+	}
+	_, aln, err := phylo.Simulate(phylo.SimulateOptions{Taxa: 1000, Length: 250, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := phylo.Compress(aln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		rates phylo.RateCategories
+		maxMB float64
+	}{
+		{"single", phylo.SingleRate(), 35},
+		{"gamma4", benchGamma4(t), 110},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng, err := phylo.NewEngine(data, phylo.NewJC69(), c.rates)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(eng)
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > c.maxMB {
+			t.Errorf("%s: NewEngine allocated %.1f MB on %d patterns, want at most %.0f", c.name, mb, data.NumPatterns(), c.maxMB)
+		} else {
+			t.Logf("%s: NewEngine allocated %.1f MB on %d patterns", c.name, mb, data.NumPatterns())
+		}
 	}
 }

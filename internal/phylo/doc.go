@@ -132,13 +132,15 @@
 // # CLV storage layout
 //
 // All conditional likelihood vectors live in flat engine-owned blocks —
-// downward CLVs and scalers, outward CLVs and scalers — indexed by node ID: a
-// structure-of-arrays layout instead of the former per-node slice-of-slices.
-// The layout contract:
+// downward CLVs and scalers, outward CLVs and scalers: a structure-of-arrays
+// layout instead of the former per-node slice-of-slices. The layout contract:
 //
-//   - a node's vector occupies [id*vecLen, (id+1)*vecLen) of its block, where
-//     vecLen = nPat * stride and stride = nCat * NumStates; scaler vectors
-//     occupy [id*nPat, (id+1)*nPat);
+//   - a node's vector occupies row k = [k*vecLen, (k+1)*vecLen) of its block,
+//     where vecLen = nPat * stride and stride = nCat * NumStates; scaler
+//     vectors occupy [k*nPat, (k+1)*nPat). Out blocks have a row per node,
+//     k = ID; down blocks have one per inner node only, k = ID − NumTaxa
+//     (tips hold IDs [0, NumTaxa), inner nodes the rest: Tree.validate
+//     refuses any other numbering);
 //   - within a vector the order is pattern-major, category-interleaved:
 //     element (pattern i, category r, state s) sits at i*stride + r*NumStates + s;
 //   - accessors (downVec etc.) hand out full-capacity three-index subslices,
@@ -146,17 +148,19 @@
 //     with -gcflags=-d=ssa/check_bce: the unrolled 4-state bodies carry one
 //     slice-bound check per capped subslice and no per-element checks);
 //   - every per-node block (these four, the transition matrices, the repeat
-//     classes, the dirty marks and epochs) is sized once, by NewEngine, for
-//     the 2·NumTaxa − 1 nodes of a binary tree over the alignment; nothing
-//     grows afterwards, and bindTree refuses a tree of another node count.
+//     rows, the dirty marks and epochs) is sized once, by NewEngine, for the
+//     2·NumTaxa − 1 nodes of a binary tree over the alignment, or for its
+//     NumTaxa − 1 inner nodes (the down blocks and the per-pattern repeat
+//     rows); nothing grows afterwards, and bindTree refuses a tree of another
+//     node count.
 //
-// Tips have no vectors. No kernel reads a tip's 0/1 indicator vector: for the
-// vector kernel a tip's transition matrix is expanded once per call into an
-// nCat x 16 x 4 lookup table (fillTipTable, each set's row one add from a
-// smaller set's), so the four dot products collapse to a single table-row read
-// indexed by the tip's 4-bit observed state set — RAxML's tip-case
-// specialization — and the sum table of a tip edge reads a constant 16-row
-// table of V⁻¹ column sums (tipInv).
+// Tips have no down vectors. No kernel reads a tip's 0/1 indicator vector:
+// for the vector kernel a tip's transition matrix is expanded once per call
+// into an nCat x 16 x 4 lookup table (fillTipTable, each set's row one add
+// from a smaller set's), so the four dot products collapse to a single
+// table-row read indexed by the tip's 4-bit observed state set — RAxML's
+// tip-case specialization — and the sum table of a tip edge reads a constant
+// 16-row table of V⁻¹ column sums (tipInv).
 //
 // # Site repeats
 //
@@ -170,8 +174,12 @@
 //   - InvalidateEdge leaves class state untouched (lengths changed, classes
 //     cannot have);
 //   - InvalidateNode and InvalidateAll mark the affected nodes repeat-dirty,
-//     and a version-stamped check (newviewRepeats) rebuilds classes only for
-//     nodes whose children's identity or class version actually changed.
+//     and newviewRepeats rebuilds a repeat-dirty node's classes before it
+//     uses them.
+//
+// An inner node keeps three rows of nPat int32s: class ids, the
+// representative list and the duplicate list, 12 bytes per node-pattern;
+// a duplicate's representative is read as representatives[class].
 //
 // Compressed evaluation is byte-identical to running every pattern through
 // the kernel, which only the tests can make an engine do (property-tested in
@@ -201,7 +209,8 @@
 // adds those behind the first share's sums, in order
 // (TestAnyPartitionSameBits: random cuts, chunks started in reverse on
 // separate goroutines, every vector, sum, optimized length and a whole search
-// against the serial engine, on amd64; elsewhere the Newton bodies may fuse).
+// against the serial engine). No loop body fuses a product into a sum, so
+// the bits are amd64's on every architecture.
 //
 // SetParallel is a plain field write with a call-before-evaluation contract:
 // install the executor on the engine's goroutine before the evaluation or

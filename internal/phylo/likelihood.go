@@ -88,8 +88,9 @@ type KernelStats struct {
 // pattern-major with the rate categories interleaved per pattern), so a
 // traversal streams through contiguous memory instead of chasing per-node
 // slice headers. Every per-node block is sized once, in NewEngine, for the
-// 2·NumTaxa − 1 nodes of a binary tree over the alignment; bindTree refuses a
-// tree of any other node count. Site-repeat compression (siterepeats.go)
+// 2·NumTaxa − 1 nodes of a binary tree over the alignment, or for its inner
+// nodes where tips have no row; bindTree refuses a tree of any other node
+// count. Site-repeat compression (siterepeats.go)
 // makes patterns with identical data in a node's subtree share one kernel
 // evaluation.
 //
@@ -105,18 +106,20 @@ type Engine struct {
 
 	par    ParallelFor // nil: every loop runs in place
 	offer  int         // loops of at least this many values go to par: loopCrossover (tests lower it)
+	nTaxa  int         // taxa: tips hold IDs [0, nTaxa), inner nodes [nTaxa, 2·nTaxa−1)
 	nPat   int
 	nCat   int
 	stride int // nCat * NumStates values per pattern
 	vecLen int // nPat * stride: one conditional-likelihood vector
 
-	// SoA conditional-likelihood storage: one flat block per vector family,
-	// indexed by node ID. The accessors below (downVec/outVec/...) carve
-	// full-capacity subslices, so the kernels' bounds checks resolve against
-	// the per-node vector length. Tips have no vectors: every kernel reads a
-	// tip's observed state sets through a lookup table (tipTab, tipInv).
-	clvDown []float64    // nodes * vecLen: subtree conditionals
-	sclDown []float64    // nodes * nPat: per-pattern log scalers
+	// SoA conditional-likelihood storage: one flat block per vector family.
+	// The accessors below (downVec/outVec/...) carve full-capacity subslices,
+	// so the kernels' bounds checks resolve against the per-node vector
+	// length. Tips have no down vectors: every kernel reads a tip's observed
+	// state sets through a lookup table (tipTab, tipInv), so the down blocks
+	// hold inner nodes only, row ID − nTaxa. Out blocks hold every node.
+	clvDown []float64    // inner * vecLen: subtree conditionals
+	sclDown []float64    // inner * nPat: per-pattern log scalers
 	clvOut  []float64    // nodes * vecLen: conditionals of everything outside the subtree
 	sclOut  []float64    // nodes * nPat
 	siteBuf []float64    // per-pattern scratch for evaluate's reduction
@@ -138,21 +141,16 @@ type Engine struct {
 	sumScale []float64                      // nPat: down + out log scalers of the edge
 	sumNode  *Node                          // the edge whose sum table the passes build and read
 
-	// Site-repeat compression (siterepeats.go).
-	repOn      bool
-	repClass   []int32  // nodes * nPat: per-node pattern class ids
-	repSrc     []int32  // nodes * nPat: representative pattern per pattern
-	repUniq    []int32  // nodes * nPat: representative list, first repCnt[id] entries
-	repDup     []int32  // nodes * nPat: duplicate list, first nPat-repCnt[id] entries
-	repCnt     []int32  // per node: number of classes
-	repDirty   []bool   // class vectors possibly stale (subtree composition changed)
-	repVer     []uint64 // per node: bumped whenever the node's classes are rebuilt
-	repBuiltL  []int32  // child IDs the classes were built from (-1: never built)
-	repBuiltR  []int32
-	repBuiltLV []uint64 // child class versions the classes were built from
-	repBuiltRV []uint64
-	pairTab    []pairSlot // (leftClass, rightClass) -> class, open addressing, > 2·nPat slots
-	pairCur    uint32     // generation stamp of the current rebuild
+	// Site-repeat compression (siterepeats.go). The three rows are per inner
+	// node, row ID − nTaxa (repRow); the counts and marks are per node ID.
+	repOn    bool
+	repClass []int32    // inner * nPat: per-node pattern class ids
+	repUniq  []int32    // inner * nPat: representative list, first repCnt[id] entries
+	repDup   []int32    // inner * nPat: duplicate list, first nPat-repCnt[id] entries
+	repCnt   []int32    // per node: number of classes
+	repDirty []bool     // classes stale: the subtree's composition changed
+	pairTab  []pairSlot // (leftClass, rightClass) -> class, open addressing, > 2·nPat slots
+	pairCur  uint32     // generation stamp of the current rebuild
 
 	// Persistent kernel loop bodies and their argument blocks. The bodies are
 	// built once in NewEngine and fed engine-owned argument structs, so
@@ -224,18 +222,19 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 		Model:  model,
 		Rates:  rates,
 		offer:  loopCrossover,
+		nTaxa:  data.NumTaxa(),
 		nPat:   data.NumPatterns(),
 		nCat:   rates.Count(),
 		stride: rates.Count() * NumStates,
 		repOn:  true,
 	}
 	e.vecLen = e.nPat * e.stride
-	// A valid tree over the alignment (Tree.validate: binary internal nodes,
-	// every taxon once, no unreachable node) has exactly this many nodes, so
-	// every per-node block is sized here, once, outside any parallel region.
-	nodes := 2*data.NumTaxa() - 1
-	e.clvDown = make([]float64, nodes*e.vecLen)
-	e.sclDown = make([]float64, nodes*e.nPat)
+	// A valid tree over the alignment (Tree.validate: binary, every taxon once,
+	// tips numbered first, all reachable) has exactly this many nodes, so every
+	// per-node block is sized here, once, outside any parallel region.
+	nodes, inner := 2*e.nTaxa-1, e.nTaxa-1
+	e.clvDown = make([]float64, inner*e.vecLen)
+	e.sclDown = make([]float64, inner*e.nPat)
 	e.clvOut = make([]float64, nodes*e.vecLen)
 	e.sclOut = make([]float64, nodes*e.nPat)
 	e.siteBuf = make([]float64, e.nPat)
@@ -248,20 +247,11 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	e.initSpectrum()
 	e.tipTab[0] = make([]float64, e.nCat*tipStates*NumStates)
 	e.tipTab[1] = make([]float64, e.nCat*tipStates*NumStates)
-	e.repClass = make([]int32, nodes*e.nPat)
-	e.repSrc = make([]int32, nodes*e.nPat)
-	e.repUniq = make([]int32, nodes*e.nPat)
-	e.repDup = make([]int32, nodes*e.nPat)
+	e.repClass = make([]int32, inner*e.nPat)
+	e.repUniq = make([]int32, inner*e.nPat)
+	e.repDup = make([]int32, inner*e.nPat)
 	e.repCnt = make([]int32, nodes)
 	e.repDirty = make([]bool, nodes)
-	e.repVer = make([]uint64, nodes)
-	e.repBuiltL = make([]int32, nodes)
-	e.repBuiltR = make([]int32, nodes)
-	for i := range e.repBuiltL {
-		e.repBuiltL[i], e.repBuiltR[i] = -1, -1
-	}
-	e.repBuiltLV = make([]uint64, nodes)
-	e.repBuiltRV = make([]uint64, nodes)
 	e.pairTab = make([]pairSlot, 1<<bits.Len(uint(2*e.nPat)))
 	e.downDirty = make([]bool, nodes)
 	e.outEpoch = make([]uint64, nodes)
@@ -299,15 +289,16 @@ func (e *Engine) loop(n int, body func(lo, hi int)) {
 // parallel loop; 228 for the paper's 42_SC input).
 func (e *Engine) NumPatterns() int { return e.nPat }
 
-// downVec returns the subtree conditional vector of a node.
+// downVec returns the subtree conditional vector of an inner node.
 func (e *Engine) downVec(id int) []float64 {
-	o := id * e.vecLen
+	o := (id - e.nTaxa) * e.vecLen
 	return e.clvDown[o : o+e.vecLen : o+e.vecLen]
 }
 
-// downScaleVec returns the per-pattern log scalers of a node's down vector.
+// downScaleVec returns the per-pattern log scalers of an inner node's down
+// vector.
 func (e *Engine) downScaleVec(id int) []float64 {
-	o := id * e.nPat
+	o := (id - e.nTaxa) * e.nPat
 	return e.sclDown[o : o+e.nPat : o+e.nPat]
 }
 
@@ -757,7 +748,8 @@ func (e *Engine) initSpectrum() {
 // move into the model's eigenbasis and are multiplied there,
 // A[i,r,k] = (Σ_s out[s]·V[s][k]) · (Σ_t V⁻¹[k][t]·down[t]). A tip's second
 // factor is one row of tipInv, the same for every category. Every pattern
-// writes its own slots.
+// writes its own slots. Every product that meets a sum is rounded before it is
+// added, so no architecture fuses one.
 func (e *Engine) sumTableBody1(lo, hi int) {
 	ov, oscale, dv, dscale, st := e.sumSides()
 	tab, scale := e.sumTab, e.sumScale
@@ -771,18 +763,18 @@ func (e *Engine) sumTableBody1(lo, hi int) {
 		} else {
 			dw := dv[off : off+NumStates : off+NumStates]
 			d0, d1, d2, d3 := dw[0], dw[1], dw[2], dw[3]
-			r0 = w[0][0]*d0 + w[0][1]*d1 + w[0][2]*d2 + w[0][3]*d3
-			r1 = w[1][0]*d0 + w[1][1]*d1 + w[1][2]*d2 + w[1][3]*d3
-			r2 = w[2][0]*d0 + w[2][1]*d1 + w[2][2]*d2 + w[2][3]*d3
-			r3 = w[3][0]*d0 + w[3][1]*d1 + w[3][2]*d2 + w[3][3]*d3
+			r0 = float64(w[0][0]*d0) + float64(w[0][1]*d1) + float64(w[0][2]*d2) + float64(w[0][3]*d3)
+			r1 = float64(w[1][0]*d0) + float64(w[1][1]*d1) + float64(w[1][2]*d2) + float64(w[1][3]*d3)
+			r2 = float64(w[2][0]*d0) + float64(w[2][1]*d1) + float64(w[2][2]*d2) + float64(w[2][3]*d3)
+			r3 = float64(w[3][0]*d0) + float64(w[3][1]*d1) + float64(w[3][2]*d2) + float64(w[3][3]*d3)
 		}
 		ow := ov[off : off+NumStates : off+NumStates]
 		o0, o1, o2, o3 := ow[0], ow[1], ow[2], ow[3]
 		t := tab[off : off+NumStates : off+NumStates]
-		t[0] = (o0*v[0][0] + o1*v[1][0] + o2*v[2][0] + o3*v[3][0]) * r0
-		t[1] = (o0*v[0][1] + o1*v[1][1] + o2*v[2][1] + o3*v[3][1]) * r1
-		t[2] = (o0*v[0][2] + o1*v[1][2] + o2*v[2][2] + o3*v[3][2]) * r2
-		t[3] = (o0*v[0][3] + o1*v[1][3] + o2*v[2][3] + o3*v[3][3]) * r3
+		t[0] = (float64(o0*v[0][0]) + float64(o1*v[1][0]) + float64(o2*v[2][0]) + float64(o3*v[3][0])) * r0
+		t[1] = (float64(o0*v[0][1]) + float64(o1*v[1][1]) + float64(o2*v[2][1]) + float64(o3*v[3][1])) * r1
+		t[2] = (float64(o0*v[0][2]) + float64(o1*v[1][2]) + float64(o2*v[2][2]) + float64(o3*v[3][2])) * r2
+		t[3] = (float64(o0*v[0][3]) + float64(o1*v[1][3]) + float64(o2*v[2][3]) + float64(o3*v[3][3])) * r3
 		sc := 0.0
 		if dscale != nil {
 			sc += dscale[i]
@@ -806,26 +798,26 @@ func (e *Engine) sumTableBody4(lo, hi int) {
 			for r := 0; r < 4; r++ {
 				x, tr := ow[r*NumStates:r*NumStates+4:r*NumStates+4], t[r*NumStates:r*NumStates+4:r*NumStates+4]
 				o0, o1, o2, o3 := x[0], x[1], x[2], x[3]
-				tr[0] = (o0*v[0][0] + o1*v[1][0] + o2*v[2][0] + o3*v[3][0]) * r0
-				tr[1] = (o0*v[0][1] + o1*v[1][1] + o2*v[2][1] + o3*v[3][1]) * r1
-				tr[2] = (o0*v[0][2] + o1*v[1][2] + o2*v[2][2] + o3*v[3][2]) * r2
-				tr[3] = (o0*v[0][3] + o1*v[1][3] + o2*v[2][3] + o3*v[3][3]) * r3
+				tr[0] = (float64(o0*v[0][0]) + float64(o1*v[1][0]) + float64(o2*v[2][0]) + float64(o3*v[3][0])) * r0
+				tr[1] = (float64(o0*v[0][1]) + float64(o1*v[1][1]) + float64(o2*v[2][1]) + float64(o3*v[3][1])) * r1
+				tr[2] = (float64(o0*v[0][2]) + float64(o1*v[1][2]) + float64(o2*v[2][2]) + float64(o3*v[3][2])) * r2
+				tr[3] = (float64(o0*v[0][3]) + float64(o1*v[1][3]) + float64(o2*v[2][3]) + float64(o3*v[3][3])) * r3
 			}
 		} else {
 			dw := dv[base : base+16 : base+16]
 			for r := 0; r < 4; r++ {
 				y := dw[r*NumStates : r*NumStates+4 : r*NumStates+4]
 				d0, d1, d2, d3 := y[0], y[1], y[2], y[3]
-				r0 := w[0][0]*d0 + w[0][1]*d1 + w[0][2]*d2 + w[0][3]*d3
-				r1 := w[1][0]*d0 + w[1][1]*d1 + w[1][2]*d2 + w[1][3]*d3
-				r2 := w[2][0]*d0 + w[2][1]*d1 + w[2][2]*d2 + w[2][3]*d3
-				r3 := w[3][0]*d0 + w[3][1]*d1 + w[3][2]*d2 + w[3][3]*d3
+				r0 := float64(w[0][0]*d0) + float64(w[0][1]*d1) + float64(w[0][2]*d2) + float64(w[0][3]*d3)
+				r1 := float64(w[1][0]*d0) + float64(w[1][1]*d1) + float64(w[1][2]*d2) + float64(w[1][3]*d3)
+				r2 := float64(w[2][0]*d0) + float64(w[2][1]*d1) + float64(w[2][2]*d2) + float64(w[2][3]*d3)
+				r3 := float64(w[3][0]*d0) + float64(w[3][1]*d1) + float64(w[3][2]*d2) + float64(w[3][3]*d3)
 				x, tr := ow[r*NumStates:r*NumStates+4:r*NumStates+4], t[r*NumStates:r*NumStates+4:r*NumStates+4]
 				o0, o1, o2, o3 := x[0], x[1], x[2], x[3]
-				tr[0] = (o0*v[0][0] + o1*v[1][0] + o2*v[2][0] + o3*v[3][0]) * r0
-				tr[1] = (o0*v[0][1] + o1*v[1][1] + o2*v[2][1] + o3*v[3][1]) * r1
-				tr[2] = (o0*v[0][2] + o1*v[1][2] + o2*v[2][2] + o3*v[3][2]) * r2
-				tr[3] = (o0*v[0][3] + o1*v[1][3] + o2*v[2][3] + o3*v[3][3]) * r3
+				tr[0] = (float64(o0*v[0][0]) + float64(o1*v[1][0]) + float64(o2*v[2][0]) + float64(o3*v[3][0])) * r0
+				tr[1] = (float64(o0*v[0][1]) + float64(o1*v[1][1]) + float64(o2*v[2][1]) + float64(o3*v[3][1])) * r1
+				tr[2] = (float64(o0*v[0][2]) + float64(o1*v[1][2]) + float64(o2*v[2][2]) + float64(o3*v[3][2])) * r2
+				tr[3] = (float64(o0*v[0][3]) + float64(o1*v[1][3]) + float64(o2*v[2][3]) + float64(o3*v[3][3])) * r3
 			}
 		}
 		sc := 0.0
@@ -923,8 +915,8 @@ func (e *Engine) newtonBody1(lo, hi int) {
 }
 
 // newtonBody4 is newtonBody1 for four rate categories, its category loop
-// unrolled against the diagonals read through one slice. Its products are not
-// rounded, so an architecture that fuses multiply-adds may fuse them.
+// unrolled against the diagonals read through one slice. Every product that
+// meets a sum is rounded before it is added, so no architecture fuses one.
 func (e *Engine) newtonBody4(lo, hi int) {
 	a := &e.ntA
 	tab, weights, terms := e.sumTab, e.Data.Weights, e.termBuf
@@ -935,10 +927,10 @@ func (e *Engine) newtonBody4(lo, hi int) {
 		o := i * 16
 		t := tab[o : o+16 : o+16]
 		var l0 float64
-		l0 += t[0]*x[0] + t[1]*x[1] + t[2]*x[2] + t[3]*x[3]
-		l0 += t[4]*x[12] + t[5]*x[13] + t[6]*x[14] + t[7]*x[15]
-		l0 += t[8]*x[24] + t[9]*x[25] + t[10]*x[26] + t[11]*x[27]
-		l0 += t[12]*x[36] + t[13]*x[37] + t[14]*x[38] + t[15]*x[39]
+		l0 += float64(t[0]*x[0]) + float64(t[1]*x[1]) + float64(t[2]*x[2]) + float64(t[3]*x[3])
+		l0 += float64(t[4]*x[12]) + float64(t[5]*x[13]) + float64(t[6]*x[14]) + float64(t[7]*x[15])
+		l0 += float64(t[8]*x[24]) + float64(t[9]*x[25]) + float64(t[10]*x[26]) + float64(t[11]*x[27])
+		l0 += float64(t[12]*x[36]) + float64(t[13]*x[37]) + float64(t[14]*x[38]) + float64(t[15]*x[39])
 		if l0 <= 0 {
 			if !first {
 				terms[2*i], terms[2*i+1] = 0, 0
@@ -946,18 +938,18 @@ func (e *Engine) newtonBody4(lo, hi int) {
 			continue
 		}
 		var l1, l2 float64
-		l1 += t[0]*x[4] + t[1]*x[5] + t[2]*x[6] + t[3]*x[7]
-		l1 += t[4]*x[16] + t[5]*x[17] + t[6]*x[18] + t[7]*x[19]
-		l1 += t[8]*x[28] + t[9]*x[29] + t[10]*x[30] + t[11]*x[31]
-		l1 += t[12]*x[40] + t[13]*x[41] + t[14]*x[42] + t[15]*x[43]
-		l2 += t[0]*x[8] + t[1]*x[9] + t[2]*x[10] + t[3]*x[11]
-		l2 += t[4]*x[20] + t[5]*x[21] + t[6]*x[22] + t[7]*x[23]
-		l2 += t[8]*x[32] + t[9]*x[33] + t[10]*x[34] + t[11]*x[35]
-		l2 += t[12]*x[44] + t[13]*x[45] + t[14]*x[46] + t[15]*x[47]
+		l1 += float64(t[0]*x[4]) + float64(t[1]*x[5]) + float64(t[2]*x[6]) + float64(t[3]*x[7])
+		l1 += float64(t[4]*x[16]) + float64(t[5]*x[17]) + float64(t[6]*x[18]) + float64(t[7]*x[19])
+		l1 += float64(t[8]*x[28]) + float64(t[9]*x[29]) + float64(t[10]*x[30]) + float64(t[11]*x[31])
+		l1 += float64(t[12]*x[40]) + float64(t[13]*x[41]) + float64(t[14]*x[42]) + float64(t[15]*x[43])
+		l2 += float64(t[0]*x[8]) + float64(t[1]*x[9]) + float64(t[2]*x[10]) + float64(t[3]*x[11])
+		l2 += float64(t[4]*x[20]) + float64(t[5]*x[21]) + float64(t[6]*x[22]) + float64(t[7]*x[23])
+		l2 += float64(t[8]*x[32]) + float64(t[9]*x[33]) + float64(t[10]*x[34]) + float64(t[11]*x[35])
+		l2 += float64(t[12]*x[44]) + float64(t[13]*x[45]) + float64(t[14]*x[46]) + float64(t[15]*x[47])
 		w := weights[i]
 		inv := 1 / l0
 		g := l1 * inv
-		t1, t2 := float64(w*g), float64(w*(l2*inv-g*g))
+		t1, t2 := float64(w*g), float64(w*(float64(l2*inv)-float64(g*g)))
 		if first {
 			d1, d2 = d1+t1, d2+t2
 		} else {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -109,20 +110,22 @@ func TestInvalidTreesRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		corrupt func(tr *Tree)
-		valid   bool
+		want    string // a substring of both errors; "" for a valid tree
 	}{
-		{"intact", func(tr *Tree) {}, true},
-		{"no root", func(tr *Tree) { tr.Root = nil }, false},
-		{"root has a parent", func(tr *Tree) { tr.Root.Parent = tr.Nodes[0] }, false},
-		{"mismatched parent pointer", func(tr *Tree) { tr.Root.Children[0].Parent = nil }, false},
-		{"negative branch length", func(tr *Tree) { tr.Nodes[2].Length = -0.1 }, false},
-		{"unnamed tip", func(tr *Tree) { tr.Nodes[1].Name = "" }, false},
-		{"taxon index out of range", func(tr *Tree) { tr.Nodes[3].Taxon = len(tr.Taxa) }, false},
-		{"negative taxon index", func(tr *Tree) { tr.Nodes[3].Taxon = -1 }, false},
-		{"taxon twice", func(tr *Tree) { tr.Nodes[4].Taxon = tr.Nodes[5].Taxon }, false},
-		{"unary internal node", func(tr *Tree) { tr.Root.Children = tr.Root.Children[:1] }, false},
-		{"unreachable node", func(tr *Tree) { tr.Nodes = append(tr.Nodes, &Node{ID: len(tr.Nodes), Taxon: -1}) }, false},
-		{"intact again", func(tr *Tree) {}, true},
+		{"intact", func(tr *Tree) {}, ""},
+		{"no root", func(tr *Tree) { tr.Root = nil }, "tree has no root"},
+		{"root has a parent", func(tr *Tree) { tr.Root.Parent = tr.Nodes[0] }, "root has a parent"},
+		{"mismatched parent pointer", func(tr *Tree) { tr.Root.Children[0].Parent = nil }, "mismatched parent pointer"},
+		{"negative branch length", func(tr *Tree) { tr.Nodes[2].Length = -0.1 }, "negative branch length on node 2"},
+		{"unnamed tip", func(tr *Tree) { tr.Nodes[1].Name = "" }, "tip 1 has no name"},
+		{"taxon index out of range", func(tr *Tree) { tr.Nodes[3].Taxon = len(tr.Taxa) }, "taxon index 6 outside [0,6)"},
+		{"negative taxon index", func(tr *Tree) { tr.Nodes[3].Taxon = -1 }, "taxon index -1 outside [0,6)"},
+		{"taxon twice", func(tr *Tree) { tr.Nodes[4].Taxon = tr.Nodes[5].Taxon }, "appears twice"},
+		{"unary internal node", func(tr *Tree) { tr.Root.Children = tr.Root.Children[:1] }, "has 1 children, want 2"},
+		{"unreachable node", func(tr *Tree) { tr.Nodes = append(tr.Nodes, &Node{ID: len(tr.Nodes), Taxon: -1}) }, "nodes"},
+		{"tip ID outside the tips", func(tr *Tree) { tr.Nodes[2].ID = len(tr.Taxa) }, `tip "` + data.Names[2] + `" has ID 6 outside [0,6)`},
+		{"internal ID outside the inner nodes", func(tr *Tree) { tr.Nodes[len(tr.Taxa)+1].ID = 0 }, "internal node 0 has an ID outside [6,11)"},
+		{"intact again", func(tr *Tree) {}, ""},
 	} {
 		tree, err := NewRandomTree(data.Names, rand.New(rand.NewSource(1)))
 		if err != nil {
@@ -134,8 +137,11 @@ func TestInvalidTreesRejected(t *testing.T) {
 			"Validate":   tree.Validate(),
 			"SearchInto": eng.SearchInto(context.Background(), tree, opts, &res),
 		} {
-			if (err == nil) != tc.valid {
-				t.Errorf("%s, %s: error %v, want valid=%v", tc.name, entry, err, tc.valid)
+			if tc.want == "" && err != nil {
+				t.Errorf("%s, %s: error %v, want none", tc.name, entry, err)
+			}
+			if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("%s, %s: error %v, want one containing %q", tc.name, entry, err, tc.want)
 			}
 		}
 	}

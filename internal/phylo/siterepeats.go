@@ -11,7 +11,7 @@ import "math/bits"
 // and it composes with pattern compression: Compress dedupes globally
 // identical columns, repeats dedupe columns identical only within a subtree.
 //
-// Per internal node the engine keeps a class id per pattern (repClass). Two
+// Per inner node the engine keeps a class id per pattern (repClass). Two
 // patterns are in the same class iff their (left class, right class) pairs
 // match; a tip's class is its 4-bit observed state set, so the base case and
 // the inductive step both hold exactly — equal class implies equal kernel
@@ -25,23 +25,19 @@ import "math/bits"
 // on branch lengths. InvalidateEdge therefore leaves them untouched, while
 // InvalidateNode (an NNI changed which tips sit below the path nodes) and the
 // full invalidations mark the ancestor path repeat-dirty alongside the usual
-// down-dirty marking (incremental.go). Newview rebuilds a node's classes
-// lazily, right before using them.
+// down-dirty marking (incremental.go). Newview rebuilds a repeat-dirty node's
+// classes right before using them.
 //
-// All bookkeeping lives in flat engine-owned blocks (NewEngine) and the
-// pair table is generation-stamped, so steady-state searches rebuild classes
-// without allocating.
+// The state is three rows per inner node — class ids, representatives and
+// duplicates, 12 bytes per node-pattern — carved from flat engine-owned
+// blocks (NewEngine), and the pair table is generation-stamped, so
+// steady-state searches rebuild classes without allocating.
 
-// repClassVec returns the class-id vector of an internal node.
-func (e *Engine) repClassVec(id int) []int32 {
-	o := id * e.nPat
-	return e.repClass[o : o+e.nPat : o+e.nPat]
-}
-
-// repSrcVec returns the representative-pattern vector of an internal node.
-func (e *Engine) repSrcVec(id int) []int32 {
-	o := id * e.nPat
-	return e.repSrc[o : o+e.nPat : o+e.nPat]
+// repRow returns an inner node's row of one of the per-pattern repeat blocks
+// (repClass, repUniq, repDup).
+func (e *Engine) repRow(blk []int32, id int) []int32 {
+	o := (id - e.nTaxa) * e.nPat
+	return blk[o : o+e.nPat : o+e.nPat]
 }
 
 // childClasses returns the class description of a node viewed as a child:
@@ -51,7 +47,7 @@ func (e *Engine) childClasses(n *Node) (cls []int32, states []uint8) {
 	if n.IsTip() {
 		return nil, e.Data.States[n.Taxon]
 	}
-	return e.repClassVec(n.ID), nil
+	return e.repRow(e.repClass, n.ID), nil
 }
 
 // pairSlot is one pair-table entry: (left class, right class), its rebuild's
@@ -81,10 +77,7 @@ func (e *Engine) rebuildClasses(n *Node) {
 	}
 	g := e.pairCur
 	id := n.ID
-	cls := e.repClassVec(id)
-	src := e.repSrcVec(id)
-	uniq := e.repUniq[id*e.nPat : (id+1)*e.nPat]
-	dup := e.repDup[id*e.nPat : (id+1)*e.nPat]
+	cls, uniq, dup := e.repRow(e.repClass, id), e.repRow(e.repUniq, id), e.repRow(e.repDup, id)
 	cnt := int32(0)
 	ndup := 0
 	for i := 0; i < e.nPat; i++ {
@@ -112,32 +105,30 @@ func (e *Engine) rebuildClasses(n *Node) {
 			dup[ndup] = int32(i)
 			ndup++
 		}
-		c := tab[s].class
-		cls[i] = c
-		src[i] = uniq[c]
+		cls[i] = tab[s].class
 	}
 	e.repCnt[id] = cnt
 }
 
 // repCopy materializes the full destination vector from the representatives:
-// every duplicate pattern copies the conditional vector and scaler of its
-// class representative, walking the duplicate list built by rebuildClasses
-// (cost proportional to the copies actually made, not to nPat). Runs serially
-// after the parallel kernel pass (representative slots are disjoint, copies
-// read settled data).
+// every duplicate pattern i copies the conditional vector and scaler of its
+// class representative uniq[cls[i]], walking the duplicate list built by
+// rebuildClasses (cost proportional to the copies actually made, not to
+// nPat). Runs serially after the parallel kernel pass (representative slots
+// are disjoint, copies read settled data).
 func (e *Engine) repCopy(n *Node) {
 	a := &e.nvA
 	dst, scale := a.dst, a.scale
 	id := n.ID
-	src := e.repSrcVec(id)
+	cls, uniq := e.repRow(e.repClass, id), e.repRow(e.repUniq, id)
 	ndup := e.nPat - int(e.repCnt[id])
-	dup := e.repDup[id*e.nPat : id*e.nPat+ndup]
+	dup := e.repRow(e.repDup, id)[:ndup]
 	stride := e.stride
 	if stride == NumStates {
 		// Single rate category: 4 scalar moves beat a memmove call.
 		for _, di := range dup {
 			i := int(di)
-			si := int(src[i])
+			si := int(uniq[cls[i]])
 			d := dst[i*NumStates : i*NumStates+NumStates : i*NumStates+NumStates]
 			s := dst[si*NumStates : si*NumStates+NumStates : si*NumStates+NumStates]
 			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
@@ -146,7 +137,7 @@ func (e *Engine) repCopy(n *Node) {
 	} else {
 		for _, di := range dup {
 			i := int(di)
-			si := int(src[i])
+			si := int(uniq[cls[i]])
 			copy(dst[i*stride:(i+1)*stride], dst[si*stride:(si+1)*stride])
 			scale[i] = scale[si]
 		}
@@ -159,32 +150,15 @@ func (e *Engine) repCopy(n *Node) {
 // patterns only, then copy the duplicates. When every pattern is its own
 // class (near the root of diverse data) the plain full-range kernel runs.
 //
-// A repeat-dirty mark means the classes are POSSIBLY stale (the invalidation
-// paths mark conservatively — InvalidateAll cannot know whether the caller
-// changed the topology). The classes are a pure function of the children's
-// identities and class vectors, so the rebuild is skipped when the child IDs
-// and child class versions match the ones the classes were last built from;
-// rebuilding bumps this node's version, which transitively triggers the
-// ancestors' rebuilds. A full invalidation on an unchanged topology therefore
-// re-verifies every node in O(1) instead of re-deriving classes in O(nPat).
+// A repeat-dirty node always rebuilds. In a search the marks come from NNI
+// moves and their reverts, which change the children of the moved node and so
+// the inputs of every ancestor's classes; only a full invalidation on an
+// unchanged topology marks nodes whose classes still hold, and no search
+// issues one.
 func (e *Engine) newviewRepeats(n *Node) {
 	id := n.ID
 	if e.repDirty[id] {
-		l, r := n.Children[0], n.Children[1]
-		var lv, rv uint64
-		if !l.IsTip() {
-			lv = e.repVer[l.ID]
-		}
-		if !r.IsTip() {
-			rv = e.repVer[r.ID]
-		}
-		if int32(l.ID) != e.repBuiltL[id] || int32(r.ID) != e.repBuiltR[id] ||
-			lv != e.repBuiltLV[id] || rv != e.repBuiltRV[id] {
-			e.rebuildClasses(n)
-			e.repVer[id]++
-			e.repBuiltL[id], e.repBuiltR[id] = int32(l.ID), int32(r.ID)
-			e.repBuiltLV[id], e.repBuiltRV[id] = lv, rv
-		}
+		e.rebuildClasses(n)
 		e.repDirty[id] = false
 	}
 	cnt := int(e.repCnt[id])
@@ -193,7 +167,7 @@ func (e *Engine) newviewRepeats(n *Node) {
 		e.loop(e.nPat, e.nvFn)
 		return
 	}
-	a.uniq = e.repUniq[id*e.nPat : id*e.nPat+cnt]
+	a.uniq = e.repRow(e.repUniq, id)[:cnt]
 	e.loop(cnt, e.nvFn)
 	a.uniq = nil
 	e.repCopy(n)

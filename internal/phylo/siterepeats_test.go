@@ -121,9 +121,9 @@ func TestSiteRepeatsMatchReference(t *testing.T) {
 
 // TestSiteRepeatsToggleMidSequence flips compression on and off WHILE a random
 // mutation sequence runs. Class maintenance is suspended during off periods,
-// so re-enabling must forget every version stamp and rebuild bottom-up
-// (setSiteRepeats's forget-and-rebuild path); a missed rebuild shows up here
-// as a logL divergence from the always-off reference.
+// so re-enabling must rebuild every node's classes bottom-up (setSiteRepeats
+// marks them all repeat-dirty); a missed rebuild shows up here as a logL
+// divergence from the always-off reference.
 func TestSiteRepeatsToggleMidSequence(t *testing.T) {
 	for _, cfg := range incrementalConfigs(t) {
 		t.Run(cfg.name, func(t *testing.T) {

@@ -168,12 +168,18 @@ func (t *Tree) validate(stack []*Node, seen []bool) ([]*Node, error) {
 			if seen[n.Taxon] {
 				return stack, fmt.Errorf("phylo: taxon %q appears twice", n.Name)
 			}
+			if n.ID < 0 || n.ID >= len(t.Taxa) {
+				return stack, fmt.Errorf("phylo: tip %q has ID %d outside [0,%d)", n.Name, n.ID, len(t.Taxa))
+			}
 			seen[n.Taxon] = true
 			tips++
 			continue
 		}
 		if len(n.Children) != 2 {
 			return stack, fmt.Errorf("phylo: internal node %d has %d children, want 2", n.ID, len(n.Children))
+		}
+		if n.ID < len(t.Taxa) || n.ID >= 2*len(t.Taxa)-1 {
+			return stack, fmt.Errorf("phylo: internal node %d has an ID outside [%d,%d)", n.ID, len(t.Taxa), 2*len(t.Taxa)-1)
 		}
 		for _, c := range n.Children {
 			if c.Parent != n {
