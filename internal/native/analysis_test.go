@@ -287,8 +287,7 @@ func TestParallelAnalysisWithLLPExercisesWorkSharing(t *testing.T) {
 		loops  int64 // work-shared loops the kernel must add at least
 		run    func()
 	}{
-		// One loop per inner node whose site-repeat classes are numerous
-		// enough to be past the crossover; the nodes next to the root are.
+		// One loop per inner node, each over every pattern.
 		{"newview", 1, func() {
 			for _, n := range tree.Nodes {
 				eng.Newview(n)

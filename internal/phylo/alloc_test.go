@@ -93,8 +93,7 @@ func TestNewviewAllocationFree(t *testing.T) {
 			t.Errorf("Newview allocates %v per tree sweep in steady state, want 0", avg)
 		}
 	})
-	// An engine that has bound no tree has no repeat classes yet, so Newview
-	// runs the kernel over the full pattern range, not over representatives.
+	// Newview called directly on an engine that has bound no tree.
 	eng, tree, err := kernelEngine(phylo.NewJC69(), phylo.SingleRate())
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +161,10 @@ func TestIncrementalEvaluationAllocationFree(t *testing.T) {
 
 // TestSearchAllocationFree pins the ENTIRE search path — move generation,
 // topology snapshot/restore, NNI apply/revert, branch smoothing, tree
-// validation, site-repeat class rebuilds and the per-node transition
-// matrices — at zero allocations per full search once the engine's scratch is
-// warm. This is the headline guard of the 39k-allocs-per-search fix: before
-// the arena scratch and SearchInto, every search allocated ~39,000 times.
+// validation and the per-node transition matrices — at zero allocations per
+// full search once the engine's scratch is warm. This is the headline guard
+// of the 39k-allocs-per-search fix: before the arena scratch and SearchInto,
+// every search allocated ~39,000 times.
 func TestSearchAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full NNI searches are slow; skipped in -short mode")
@@ -195,10 +194,11 @@ func TestSearchAllocationFree(t *testing.T) {
 }
 
 // TestNewEngineBytes holds what NewEngine allocates on a simulated 1,000 ×
-// 250 alignment: the down vectors and the site-repeat rows are kept for the
-// inner nodes only (tips are read through lookup tables), which put the
-// Gamma4 engine at ≈106 MB and the single-rate one at ≈33 MB. With a row for
-// every node they took 145.2 and 48.5 MB.
+// 250 alignment: the down vectors are kept for the inner nodes only (tips are
+// read through lookup tables) and there are no site-repeat rows, which puts
+// the Gamma4 engine at ≈103 MB and the single-rate one at ≈30 MB. With the
+// repeat rows they took 106.1 and 33.4 MB; with a row for every node as well,
+// 145.2 and 48.5 MB.
 func TestNewEngineBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 1,000-taxon engines; skipped in -short mode")
@@ -216,8 +216,8 @@ func TestNewEngineBytes(t *testing.T) {
 		rates phylo.RateCategories
 		maxMB float64
 	}{
-		{"single", phylo.SingleRate(), 35},
-		{"gamma4", benchGamma4(t), 110},
+		{"single", phylo.SingleRate(), 32},
+		{"gamma4", benchGamma4(t), 105},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

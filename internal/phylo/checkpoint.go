@@ -6,13 +6,13 @@ package phylo
 // sites) conditional-likelihood vectors, which Refresh recomputes on load).
 //
 // The contract that makes exact resume possible is the one the property tests
-// of incremental_test.go and siterepeats_test.go assert: conditional
-// likelihoods recomputed from scratch off a tree are byte-identical to the
-// ones maintained incrementally, and every piece of search state that
-// influences the remaining computation is either in the checkpoint or a pure
-// function of it. A search resumed from a checkpoint
-// therefore produces bit-identical results — tree topology, branch-length
-// bits, log-likelihood bits, move counters — to the uninterrupted run.
+// of incremental_test.go assert: conditional likelihoods recomputed from
+// scratch off a tree are byte-identical to the ones maintained incrementally,
+// and every piece of search state that influences the remaining computation
+// is either in the checkpoint or a pure function of it. A search resumed from
+// a checkpoint therefore produces bit-identical results — tree topology,
+// branch-length bits, log-likelihood bits, move counters — to the
+// uninterrupted run.
 //
 // Versioning rule: CheckpointVersion is bumped on ANY change to the encoded
 // layout or to the search semantics the counters describe. Decoding rejects
@@ -256,7 +256,7 @@ func (c *Checkpoint) AppendBinary(dst []byte) []byte {
 	dst = appendBool(dst, c.SmoothConverged)
 	dst = appendBool(dst, c.LastSweepImproved)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Seed))
-	dst = appendBool(dst, true) // reserved: layout v1's site-repeat flag, which changes no result bit
+	dst = appendBool(dst, true) // reserved: layout v1's site-repeat flag, which changed no result bit
 	dst = appendBool(dst, c.ModelGTR)
 	dst = appendString(dst, c.ModelName)
 	for _, r := range c.GTRRates {
@@ -372,12 +372,29 @@ func (d *Decoder) string(maxLen int) string {
 	return string(b)
 }
 
-// maxCheckpointNodes bounds decoded snapshot sizes so a corrupt length prefix
-// cannot provoke a huge allocation before the CRC is even checked.
+// count reads a uvarint count of items encoded in at least per bytes each
+// and refuses one that the rest of the record cannot hold. The CRC guards
+// against corruption, not against a writer, who can compute it: what bounds
+// the arrays a count sizes is the record's own length.
+func (d *Decoder) count(per int, what string) uint64 {
+	n := d.Uvarint()
+	if d.err == nil && n > uint64(len(d.data)-d.pos)/uint64(per) {
+		d.fail("%s count %d at offset %d exceeds the record", what, n, d.pos)
+		return 0
+	}
+	return n
+}
+
+// maxCheckpointNodes bounds decoded snapshot and taxon counts, well inside
+// the int32 node indices a snapshot holds.
 const maxCheckpointNodes = 1 << 22
 
+// snapshotNodeBytes is the least a snapshot node is encoded in: parent and
+// two children as uvarints of one byte or more, and its length's 8 bytes.
+const snapshotNodeBytes = 3 + 8
+
 func (d *Decoder) snapshot(s *TreeSnapshot) {
-	n := d.Uvarint()
+	n := d.count(snapshotNodeBytes, "snapshot node")
 	if d.err != nil {
 		return
 	}
@@ -456,7 +473,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c.SmoothConverged = d.Bool()
 	c.LastSweepImproved = d.Bool()
 	c.Seed = int64(d.U64())
-	d.Bool() // reserved: the site-repeat setting of the writing engine
+	d.Bool() // reserved: the site-repeat setting of an engine that had one
 	c.ModelGTR = d.Bool()
 	c.ModelName = d.string(1 << 10)
 	for i := range c.GTRRates {
@@ -465,7 +482,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	for i := range c.GTRFreqs {
 		c.GTRFreqs[i] = d.f64()
 	}
-	nRates := d.Uvarint()
+	nRates := d.count(8, "rate")
 	if d.err == nil && nRates > 1<<10 {
 		return nil, fmt.Errorf("phylo: checkpoint rate count %d out of range", nRates)
 	}
@@ -475,7 +492,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			c.Rates[i] = d.f64()
 		}
 	}
-	nTaxa := d.Uvarint()
+	nTaxa := d.count(1, "taxon") // a name is a uvarint length, then its bytes
 	if d.err == nil && nTaxa > maxCheckpointNodes {
 		return nil, fmt.Errorf("phylo: checkpoint taxon count %d out of range", nTaxa)
 	}
@@ -527,7 +544,7 @@ func DecodeTreeBinary(data []byte) (*Tree, error) {
 	if v := d.Uvarint(); d.err == nil && v != CheckpointVersion {
 		return nil, fmt.Errorf("phylo: tree record version %d, this binary reads only %d", v, CheckpointVersion)
 	}
-	nTaxa := d.Uvarint()
+	nTaxa := d.count(1, "taxon")
 	if d.err == nil && nTaxa > maxCheckpointNodes {
 		return nil, fmt.Errorf("phylo: tree record taxon count %d out of range", nTaxa)
 	}

@@ -14,6 +14,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -33,7 +34,7 @@ func checkpointAlignment(t *testing.T) *PatternAlignment {
 }
 
 // newCheckpointEngine builds a fresh engine over data for one test config.
-func newCheckpointEngine(t *testing.T, data *PatternAlignment, gtr bool, gamma bool, repeats bool) *Engine {
+func newCheckpointEngine(t *testing.T, data *PatternAlignment, gtr bool, gamma bool) *Engine {
 	t.Helper()
 	var model Model = NewJC69()
 	if gtr {
@@ -55,7 +56,6 @@ func newCheckpointEngine(t *testing.T, data *PatternAlignment, gtr bool, gamma b
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.setSiteRepeats(repeats)
 	return eng
 }
 
@@ -129,16 +129,18 @@ func snapshotsEqual(a, b *TreeSnapshot) bool {
 func TestCheckpointCodecRoundTrip(t *testing.T) {
 	data := checkpointAlignment(t)
 	for _, cfg := range []struct {
-		name                string
-		gtr, gamma, repeats bool
+		name       string
+		gtr, gamma bool
 	}{
-		{"jc69_single_repeats", false, false, true},
-		{"jc69_gamma_norepeats", false, true, false},
-		{"gtr_single_norepeats", true, false, false},
-		{"gtr_gamma_repeats", true, true, true},
+		// The suffixes keep the test names stable: they name the site-repeat
+		// setting each case ran under before the engine lost it.
+		{"jc69_single_repeats", false, false},
+		{"jc69_gamma_norepeats", false, true},
+		{"gtr_single_norepeats", true, false},
+		{"gtr_gamma_repeats", true, true},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			eng := newCheckpointEngine(t, data, cfg.gtr, cfg.gamma, cfg.repeats)
+			eng := newCheckpointEngine(t, data, cfg.gtr, cfg.gamma)
 			var encoded [][]byte
 			opts := SearchOptions{
 				SmoothingRounds: 2, MaxRounds: 4, Epsilon: 0.01, Seed: 5,
@@ -190,7 +192,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 
 func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	data := checkpointAlignment(t)
-	eng := newCheckpointEngine(t, data, false, false, true)
+	eng := newCheckpointEngine(t, data, false, false)
 	var enc []byte
 	opts := SearchOptions{
 		SmoothingRounds: 2, MaxRounds: 2, Epsilon: 0.01, Seed: 5,
@@ -295,16 +297,16 @@ func TestTreeBinaryRoundTrip(t *testing.T) {
 func TestSearchResumeByteIdentical(t *testing.T) {
 	data := checkpointAlignment(t)
 	for _, cfg := range []struct {
-		name                string
-		gtr, gamma, repeats bool
-		legacy              string
+		name       string
+		gtr, gamma bool
+		legacy     string
 	}{
-		{"jc69_single_repeats", false, false, true, ""},
-		{"gtr_gamma_norepeats", true, true, false, ""},
-		{"jc69_single_speculative", false, false, true, "testdata/checkpoint_v1_spec4_round1.hex"},
+		{"jc69_single_repeats", false, false, ""}, // suffixes as in TestCheckpointCodecRoundTrip
+		{"gtr_gamma_norepeats", true, true, ""},
+		{"jc69_single_speculative", false, false, "testdata/checkpoint_v1_spec4_round1.hex"},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			eng := newCheckpointEngine(t, data, cfg.gtr, cfg.gamma, cfg.repeats)
+			eng := newCheckpointEngine(t, data, cfg.gtr, cfg.gamma)
 			var boundaries [][]byte
 			opts := SearchOptions{
 				SmoothingRounds: 3, MaxRounds: 8, Epsilon: 0.01, Seed: 9,
@@ -430,7 +432,7 @@ func reservedSlots(enc []byte) (start, end int, a, b uint64) {
 // of silently producing a non-reproducible search.
 func TestSearchResumeRejectsMismatch(t *testing.T) {
 	data := checkpointAlignment(t)
-	eng := newCheckpointEngine(t, data, false, false, true)
+	eng := newCheckpointEngine(t, data, false, false)
 	var enc []byte
 	opts := SearchOptions{
 		SmoothingRounds: 2, MaxRounds: 2, Epsilon: 0.01, Seed: 5,
@@ -447,11 +449,11 @@ func TestSearchResumeRejectsMismatch(t *testing.T) {
 	ropts.Checkpoint = nil
 	ropts.Resume = c
 
-	gtrEng := newCheckpointEngine(t, data, true, false, true)
+	gtrEng := newCheckpointEngine(t, data, true, false)
 	if _, err := gtrEng.Search(ropts); err == nil {
 		t.Error("resume under a different model must fail")
 	}
-	gammaEng := newCheckpointEngine(t, data, false, true, true)
+	gammaEng := newCheckpointEngine(t, data, false, true)
 	if _, err := gammaEng.Search(ropts); err == nil {
 		t.Error("resume under different rate categories must fail")
 	}
@@ -463,7 +465,7 @@ func TestSearchResumeRejectsMismatch(t *testing.T) {
 // search.
 func TestCheckpointEmissionAllocationFree(t *testing.T) {
 	data := checkpointAlignment(t)
-	eng := newCheckpointEngine(t, data, false, false, true)
+	eng := newCheckpointEngine(t, data, false, false)
 	var buf []byte
 	opts := SearchOptions{
 		SmoothingRounds: 2, MaxRounds: 3, Epsilon: 0.01, Seed: 5,
@@ -484,4 +486,128 @@ func TestCheckpointEmissionAllocationFree(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("checkpoint fill+encode allocates %v per emission in steady state, want 0", avg)
 	}
+}
+
+// frame wraps body in magic and body's crc32c, as AppendBinary and
+// AppendTreeBinary do: a record every check before the decoder's passes.
+func frame(magic [8]byte, body []byte) []byte {
+	rec := append(magic[:len(magic):len(magic)], body...)
+	return binary.LittleEndian.AppendUint32(rec, crc32.Checksum(body, crcTable))
+}
+
+// decodeAlloc runs decode and returns the bytes it allocated.
+func decodeAlloc(decode func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodersRefuseCountsPastTheRecord holds both decoders to sizing nothing
+// by a count the record could not hold. A tree record of version and taxon
+// count 2^22 (17 bytes), one of three one-letter taxa and snapshot node count
+// 2^22 (24 bytes), and checkpoints that carry the same counts, each with a
+// valid CRC, are refused having allocated less than 1 MB. Sized by their
+// counts, the tree record's arrays took 67 and 84 MB.
+func TestDecodersRefuseCountsPastTheRecord(t *testing.T) {
+	huge := binary.AppendUvarint(nil, maxCheckpointNodes)
+	taxa := append([]byte{1, 'a', 1, 'b', 1, 'c'}, huge...) // three taxa, then the node count
+	tree := append([]byte{CheckpointVersion}, huge...)
+	treeNodes := append([]byte{CheckpointVersion, 3}, taxa...)
+	// A checkpoint body up to its taxon count: without taxa and with an empty
+	// snapshot, the body ends in three zero bytes (taxon count, node count,
+	// root).
+	enc := (&Checkpoint{ModelName: "JC69", Rates: []float64{1}}).AppendBinary(nil)
+	head := enc[len(checkpointMagic) : len(enc)-4-3 : len(enc)-4-3]
+	ckpt := append(head, huge...)
+	ckptNodes := append(append(head, 3), taxa...)
+	decodeTree := func(b []byte) error { _, err := DecodeTreeBinary(b); return err }
+	decodeCkpt := func(b []byte) error { _, err := DecodeCheckpoint(b); return err }
+	for _, c := range []struct {
+		name   string
+		rec    []byte
+		decode func([]byte) error
+	}{
+		{"tree taxa", frame(treeMagic, tree), decodeTree},
+		{"tree snapshot nodes", frame(treeMagic, treeNodes), decodeTree},
+		{"checkpoint taxa", frame(checkpointMagic, ckpt), decodeCkpt},
+		{"checkpoint snapshot nodes", frame(checkpointMagic, ckptNodes), decodeCkpt},
+	} {
+		var err error
+		alloc := decodeAlloc(func() { err = c.decode(c.rec) })
+		if err == nil {
+			t.Errorf("%s: a %d-byte record decoded", c.name, len(c.rec))
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%s: refusing a %d-byte record allocated %d bytes, want under 1 MB", c.name, len(c.rec), alloc)
+		}
+	}
+	if n := len(frame(treeMagic, tree)); n != 17 {
+		t.Errorf("the taxon-count tree record is %d bytes, want 17", n)
+	}
+	if n := len(frame(treeMagic, treeNodes)); n != 24 {
+		t.Errorf("the node-count tree record is %d bytes, want 24", n)
+	}
+}
+
+// Bounds on what decoding a record of n bytes may allocate, success or not:
+// decodeAllocBase plus decodeAllocPerByte·n. A count is refused past what the
+// rest of the record holds, so every array is at most a small multiple of the
+// record: a taxon name is at least one byte and a 16-byte string header, a
+// snapshot node at least 11 bytes and 20 bytes of arrays plus, for a decoded
+// tree, its Node.
+const (
+	decodeAllocBase    = 64 << 10
+	decodeAllocPerByte = 64
+)
+
+// fuzzSeedBodies returns the bodies (magic and CRC cut off) of the committed
+// records: two checkpoints and a tree record, which ends the final fixture
+// ahead of its 8 logL bytes.
+func fuzzSeedBodies(f *testing.F) [][]byte {
+	body := func(rec []byte) []byte { return rec[len(treeMagic) : len(rec)-4] }
+	final := readHexFile(f, "testdata/bootstrap_task_s2b2_final.hex")
+	return [][]byte{
+		body(readHexFile(f, "testdata/checkpoint_v1_spec4_round1.hex")),
+		body(readHexFile(f, "testdata/bootstrap_task_s2b2_round1.hex")),
+		body(final[:len(final)-8]),
+	}
+}
+
+// fuzzDecode frames each fuzzed body with magic and a valid CRC, so mutations
+// reach the decoder, and checks that decoding neither panics nor allocates
+// past the bound above, and that a decoded value encodes to bytes that decode
+// to the same value again.
+func fuzzDecode[V any](f *testing.F, magic [8]byte, decode func([]byte) (V, error), encode func(V) []byte) {
+	for _, b := range fuzzSeedBodies(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := frame(magic, body)
+		var v V
+		var err error
+		if alloc := decodeAlloc(func() { v, err = decode(rec) }); alloc > decodeAllocBase+decodeAllocPerByte*uint64(len(rec)) {
+			t.Fatalf("decoding a %d-byte record allocated %d bytes", len(rec), alloc)
+		}
+		if err != nil {
+			return
+		}
+		enc := encode(v)
+		again, err := decode(enc)
+		if err != nil {
+			t.Fatalf("a decoded record re-encodes to bytes that do not decode: %v", err)
+		}
+		if !bytes.Equal(encode(again), enc) {
+			t.Fatal("a decoded record re-encoded and decoded again is not the same value")
+		}
+	})
+}
+
+func FuzzDecodeCheckpoint(f *testing.F) {
+	fuzzDecode(f, checkpointMagic, DecodeCheckpoint, func(c *Checkpoint) []byte { return c.AppendBinary(nil) })
+}
+
+func FuzzDecodeTreeBinary(f *testing.F) {
+	fuzzDecode(f, treeMagic, DecodeTreeBinary, func(t *Tree) []byte { return AppendTreeBinary(nil, t) })
 }

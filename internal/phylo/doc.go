@@ -147,12 +147,11 @@
 //     so kernel-side reslicing keeps bounds-check elimination intact (verified
 //     with -gcflags=-d=ssa/check_bce: the unrolled 4-state bodies carry one
 //     slice-bound check per capped subslice and no per-element checks);
-//   - every per-node block (these four, the transition matrices, the repeat
-//     rows, the dirty marks and epochs) is sized once, by NewEngine, for the
-//     2·NumTaxa − 1 nodes of a binary tree over the alignment, or for its
-//     NumTaxa − 1 inner nodes (the down blocks and the per-pattern repeat
-//     rows); nothing grows afterwards, and bindTree refuses a tree of another
-//     node count.
+//   - every per-node block (these four, the transition matrices, the dirty
+//     marks and epochs) is sized once, by NewEngine, for the 2·NumTaxa − 1
+//     nodes of a binary tree over the alignment, or for its NumTaxa − 1
+//     inner nodes (the down blocks); nothing grows afterwards, and bindTree
+//     refuses a tree of another node count.
 //
 // Tips have no down vectors. No kernel reads a tip's 0/1 indicator vector:
 // for the vector kernel a tip's transition matrix is expanded once per call
@@ -161,30 +160,6 @@
 // table-row read indexed by the tip's 4-bit observed state set — RAxML's
 // tip-case specialization — and the sum table of a tip edge reads a constant
 // 16-row table of V⁻¹ column sums (tipInv).
-//
-// # Site repeats
-//
-// Site-repeat compression (siterepeats.go, always on) exploits that alignment
-// patterns identical across every tip below a
-// node have bit-identical CLVs at that node regardless of branch lengths:
-// only one representative per repeat class runs the kernel, the rest are
-// copies. The invalidation rule extends the incremental contract above —
-// repeat classes depend only on subtree COMPOSITION, never on branch lengths:
-//
-//   - InvalidateEdge leaves class state untouched (lengths changed, classes
-//     cannot have);
-//   - InvalidateNode and InvalidateAll mark the affected nodes repeat-dirty,
-//     and newviewRepeats rebuilds a repeat-dirty node's classes before it
-//     uses them.
-//
-// An inner node keeps three rows of nPat int32s: class ids, the
-// representative list and the duplicate list, 12 bytes per node-pattern;
-// a duplicate's representative is read as representatives[class].
-//
-// Compressed evaluation is byte-identical to running every pattern through
-// the kernel, which only the tests can make an engine do (property-tested in
-// siterepeats_test.go across models, rate categories and switching
-// mid-sequence).
 //
 // # Loop-level parallelism
 //
@@ -243,7 +218,8 @@
 // misread: durability degrades to recomputation, never to wrong results.
 // Layout v1 has two reserved varint slots (written 0, read and discarded)
 // where earlier binaries stored speculation counters, and a reserved byte
-// (written 1) where they stored the site-repeat setting, which changes no
+// (written 1, read and discarded) where they stored the site-repeat setting
+// of an engine that could compress repeated patterns, which changed no
 // result bit; those checkpoints still
 // decode and resume — bit-identically on arithmetic they were cut from, and
 // to the same topology with logL equal to rounding since the sum table

@@ -78,13 +78,10 @@ func (e *Engine) fits(t *Tree) error {
 }
 
 // markAllDirty forces the next traversal to recompute everything: every down
-// vector is marked stale (and every site-repeat class vector with it — a full
-// invalidation may cover composition changes) and the epoch bump puts every
-// out stamp in the past.
+// vector is marked stale and the epoch bump puts every out stamp in the past.
 func (e *Engine) markAllDirty() {
 	for i := range e.downDirty {
 		e.downDirty[i] = true
-		e.repDirty[i] = true
 	}
 	e.anyDirty = true
 	e.treeEpoch++
@@ -103,22 +100,20 @@ func (e *Engine) InvalidateAll() {
 // InvalidateEdge records that the length of the edge above v changed: v's
 // strict ancestors' down vectors are stale (each folds v's subtree through
 // P(v.Length)), and so is every out vector except those on the root-to-v path
-// (v included), which read neither v.Length nor anything below v. Site-repeat
-// classes depend only on subtree composition, so they stay valid.
+// (v included), which read neither v.Length nor anything below v.
 func (e *Engine) InvalidateEdge(v *Node) {
 	if e.lastTree == nil || v == nil || v.Parent == nil {
 		return
 	}
 	e.advanceEpoch(v)
-	e.markAncestors(v.Parent, false)
+	e.markAncestors(v.Parent)
 }
 
 // InvalidateNode records that the children of n were reassigned among nodes
 // that were already inside n.Parent's subtree — what NNIMove.Apply does, and
 // the only composition change this call covers (after grafting a subtree from
 // elsewhere, use InvalidateAll). n's own down vector and those of all its
-// ancestors are stale, along with their site-repeat class vectors, which are
-// composition-derived. Everything that moved lies inside subtree(n.Parent),
+// ancestors are stale. Everything that moved lies inside subtree(n.Parent),
 // so the out vectors on the root-to-n.Parent path stay valid and all others
 // are stale; when n is the root no out vector survives.
 func (e *Engine) InvalidateNode(n *Node) {
@@ -126,7 +121,7 @@ func (e *Engine) InvalidateNode(n *Node) {
 		return
 	}
 	e.advanceEpoch(n.Parent)
-	e.markAncestors(n, true)
+	e.markAncestors(n)
 }
 
 // advanceEpoch stales every out stamp except the current ones on the
@@ -142,22 +137,18 @@ func (e *Engine) advanceEpoch(keep *Node) {
 	}
 }
 
-// markAncestors marks n and its ancestors down-dirty (and, for composition
-// changes, repeat-dirty), keeping both dirty sets upward-closed. The walk
-// stops early when it meets a node that already carries every mark being
-// propagated: its ancestors carry them too by the invariant.
-func (e *Engine) markAncestors(n *Node, composition bool) {
+// markAncestors marks n and its ancestors down-dirty, keeping the dirty set
+// upward-closed. The walk stops early at a node already marked: its ancestors
+// are marked too by the invariant.
+func (e *Engine) markAncestors(n *Node) {
 	for ; n != nil; n = n.Parent {
 		if n.IsTip() {
 			continue
 		}
-		if e.downDirty[n.ID] && (!composition || e.repDirty[n.ID]) {
+		if e.downDirty[n.ID] {
 			return
 		}
 		e.downDirty[n.ID] = true
-		if composition {
-			e.repDirty[n.ID] = true
-		}
 		e.anyDirty = true
 	}
 }

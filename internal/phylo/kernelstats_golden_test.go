@@ -12,8 +12,8 @@ import (
 // kernelStatsGolden pins the work of the three search shapes the per-layer
 // benchmarks time (BenchmarkBootstrapSearch, BenchmarkSingleSearch,
 // BenchmarkSmallSearch) at one worker: every KernelStats counter summed over
-// the shape's tasks, with NNI moves evaluated and accepted and sweeps run,
-// once with site repeats on (production) and once off. A change that claims
+// the shape's tasks, with NNI moves evaluated and accepted and sweeps run.
+// RepeatsCopied, always zero, is left out. A change that claims
 // "same work" leaves it byte-identical; one that changes work rewrites it in
 // its own diff (the failure prints the new text) and says why.
 const kernelStatsGolden = "testdata/kernel_stats_golden.txt"
@@ -63,7 +63,7 @@ func statsShapes(t *testing.T) (names []string, shapes [][]statsTask) {
 }
 
 // statsLine runs a shape's tasks serially and formats its summed counters.
-func statsLine(t *testing.T, name string, tasks []statsTask, repeats bool) string {
+func statsLine(t *testing.T, name string, tasks []statsTask) string {
 	var sum KernelStats
 	var evaluated, accepted, sweeps int
 	for _, task := range tasks {
@@ -71,7 +71,6 @@ func statsLine(t *testing.T, name string, tasks []statsTask, repeats bool) strin
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.setSiteRepeats(repeats)
 		res, err := eng.SearchContext(context.Background(), task.opts)
 		if err != nil {
 			t.Fatal(err)
@@ -82,25 +81,22 @@ func statsLine(t *testing.T, name string, tasks []statsTask, repeats bool) strin
 		sum.EvaluateCalls += s.EvaluateCalls
 		sum.MakenewzCalls += s.MakenewzCalls
 		sum.DerivEvals += s.DerivEvals
-		sum.RepeatsCopied += s.RepeatsCopied
 		evaluated += res.NNIEvaluated
 		accepted += res.NNIAccepted
 		sweeps += res.Rounds
 	}
-	return fmt.Sprintf("%s repeats=%v newview=%d outview=%d evaluate=%d makenewz=%d deriv_evals=%d repeats_copied=%d nni_evaluated=%d nni_accepted=%d sweeps=%d\n",
-		name, repeats, sum.NewviewCalls, sum.OutviewCalls, sum.EvaluateCalls, sum.MakenewzCalls,
-		sum.DerivEvals, sum.RepeatsCopied, evaluated, accepted, sweeps)
+	return fmt.Sprintf("%s newview=%d outview=%d evaluate=%d makenewz=%d deriv_evals=%d nni_evaluated=%d nni_accepted=%d sweeps=%d\n",
+		name, sum.NewviewCalls, sum.OutviewCalls, sum.EvaluateCalls, sum.MakenewzCalls,
+		sum.DerivEvals, evaluated, accepted, sweeps)
 }
 
 // TestKernelStatsMatchGolden holds the kernel and search counters of the
-// three shapes, with site repeats on and off, to kernelStatsGolden.
+// three shapes to kernelStatsGolden.
 func TestKernelStatsMatchGolden(t *testing.T) {
 	names, shapes := statsShapes(t)
 	var b strings.Builder
 	for i, tasks := range shapes {
-		for _, repeats := range []bool{true, false} {
-			b.WriteString(statsLine(t, names[i], tasks, repeats))
-		}
+		b.WriteString(statsLine(t, names[i], tasks))
 	}
 	got := b.String()
 	want, err := os.ReadFile(kernelStatsGolden)

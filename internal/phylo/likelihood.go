@@ -44,17 +44,16 @@ const tipStates = 1 << NumStates
 
 // KernelStats counts invocations of the three likelihood kernels — the
 // functions the paper off-loads to SPEs. The native runtime and the workload
-// calibration read them. RepeatsCopied counts per-pattern kernel evaluations
-// the site-repeat machinery replaced with a vector copy. NewviewCalls counts
-// the newview calls that settle a down vector and OutviewCalls those that
-// settle an out vector (same kernel, counted apart because the partial
-// traversals bound them separately); DerivEvals counts the passes over the sum
-// table inside a makenewz visit: the Newton passes and, when Newton moved the
-// length, the acceptance pass.
+// calibration read them. NewviewCalls counts the newview calls that settle a
+// down vector and OutviewCalls those that settle an out vector (same kernel,
+// counted apart because the partial traversals bound them separately);
+// DerivEvals counts the passes over the sum table inside a makenewz visit: the
+// Newton passes and, when Newton moved the length, the acceptance pass.
 type KernelStats struct {
 	NewviewCalls  int
 	EvaluateCalls int
 	MakenewzCalls int
+	// Always zero; retained for bench/, goes when it next revises its metric list.
 	RepeatsCopied int
 	OutviewCalls  int
 	DerivEvals    int
@@ -90,9 +89,7 @@ type KernelStats struct {
 // slice headers. Every per-node block is sized once, in NewEngine, for the
 // 2·NumTaxa − 1 nodes of a binary tree over the alignment, or for its inner
 // nodes where tips have no row; bindTree refuses a tree of any other node
-// count. Site-repeat compression (siterepeats.go)
-// makes patterns with identical data in a node's subtree share one kernel
-// evaluation.
+// count.
 //
 // Likelihood evaluation is incremental (incremental.go): the engine tracks
 // which conditional vectors a tree mutation staled and traversals recompute
@@ -140,17 +137,6 @@ type Engine struct {
 	sumTab   []float64                      // vecLen: A[i,r,k]
 	sumScale []float64                      // nPat: down + out log scalers of the edge
 	sumNode  *Node                          // the edge whose sum table the passes build and read
-
-	// Site-repeat compression (siterepeats.go). The three rows are per inner
-	// node, row ID − nTaxa (repRow); the counts and marks are per node ID.
-	repOn    bool
-	repClass []int32    // inner * nPat: per-node pattern class ids
-	repUniq  []int32    // inner * nPat: representative list, first repCnt[id] entries
-	repDup   []int32    // inner * nPat: duplicate list, first nPat-repCnt[id] entries
-	repCnt   []int32    // per node: number of classes
-	repDirty []bool     // classes stale: the subtree's composition changed
-	pairTab  []pairSlot // (leftClass, rightClass) -> class, open addressing, > 2·nPat slots
-	pairCur  uint32     // generation stamp of the current rebuild
 
 	// Persistent kernel loop bodies and their argument blocks. The bodies are
 	// built once in NewEngine and fed engine-owned argument structs, so
@@ -226,7 +212,6 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 		nPat:   data.NumPatterns(),
 		nCat:   rates.Count(),
 		stride: rates.Count() * NumStates,
-		repOn:  true,
 	}
 	e.vecLen = e.nPat * e.stride
 	// A valid tree over the alignment (Tree.validate: binary, every taxon once,
@@ -247,12 +232,6 @@ func NewEngine(data *PatternAlignment, model Model, rates RateCategories) (*Engi
 	e.initSpectrum()
 	e.tipTab[0] = make([]float64, e.nCat*tipStates*NumStates)
 	e.tipTab[1] = make([]float64, e.nCat*tipStates*NumStates)
-	e.repClass = make([]int32, inner*e.nPat)
-	e.repUniq = make([]int32, inner*e.nPat)
-	e.repDup = make([]int32, inner*e.nPat)
-	e.repCnt = make([]int32, nodes)
-	e.repDirty = make([]bool, nodes)
-	e.pairTab = make([]pairSlot, 1<<bits.Len(uint(2*e.nPat)))
 	e.downDirty = make([]bool, nodes)
 	e.outEpoch = make([]uint64, nodes)
 	e.visitMark = make([]uint64, nodes)
@@ -332,7 +311,6 @@ type kernelSide struct {
 type newviewArgs struct {
 	l, r       kernelSide
 	dst, scale []float64 // destination vectors
-	uniq       []int32   // site-repeat representative patterns; nil (all) outside newviewRepeats
 }
 
 // rescale is the rescale against underflow of a pattern none of whose stored
@@ -385,12 +363,8 @@ func (e *Engine) newviewTable4(t, in *kernelSide, lo, hi int) {
 	a := &e.nvA
 	st, tab := t.states, t.tab[:4*tipStates*NumStates:4*tipStates*NumStates]
 	v, p, vscale := in.v, in.p[:4*flatMatSize:4*flatMatSize], in.scale
-	dst, scale, uniq := a.dst, a.scale, a.uniq
-	for j := lo; j < hi; j++ {
-		i := j
-		if uniq != nil {
-			i = int(uniq[j])
-		}
+	dst, scale := a.dst, a.scale
+	for i := lo; i < hi; i++ {
 		base := i * 16
 		w, d := v[base:base+16:base+16], dst[base:base+16:base+16]
 		o := int(st[i]&(tipStates-1)) * NumStates
@@ -424,12 +398,8 @@ func (e *Engine) newviewInner4(lo, hi int) {
 	a := &e.nvA
 	lv, pl, lscale := a.l.v, a.l.p[:4*flatMatSize:4*flatMatSize], a.l.scale
 	rv, pr, rscale := a.r.v, a.r.p[:4*flatMatSize:4*flatMatSize], a.r.scale
-	dst, scale, uniq := a.dst, a.scale, a.uniq
-	for j := lo; j < hi; j++ {
-		i := j
-		if uniq != nil {
-			i = int(uniq[j])
-		}
+	dst, scale := a.dst, a.scale
+	for i := lo; i < hi; i++ {
 		base := i * 16
 		lw, rw, d := lv[base:base+16:base+16], rv[base:base+16:base+16], dst[base:base+16:base+16]
 		big := false
@@ -469,9 +439,7 @@ func (e *Engine) newviewInner4(lo, hi int) {
 // computeOutOne feeds it the sibling subtree and the rest of the tree. Each
 // side's matrix or tip table is copied once per call into a fixed-size array;
 // the 4-state inner products are unrolled, each product rounded before it is
-// added. When uniq is non-nil the loop runs over the site-repeat
-// representative list instead of the full pattern range (Newview copies the
-// remaining patterns afterwards).
+// added.
 func (e *Engine) newviewBody1(lo, hi int) {
 	a := &e.nvA
 	var pl, pr [flatMatSize]float64
@@ -487,12 +455,8 @@ func (e *Engine) newviewBody1(lo, hi int) {
 	} else {
 		pr = [flatMatSize]float64(a.r.p)
 	}
-	dst, scale, lscale, rscale, uniq := a.dst, a.scale, a.l.scale, a.r.scale, a.uniq
-	for j := lo; j < hi; j++ {
-		i := j
-		if uniq != nil {
-			i = int(uniq[j])
-		}
+	dst, scale, lscale, rscale := a.dst, a.scale, a.l.scale, a.r.scale
+	for i := lo; i < hi; i++ {
 		off := i * NumStates
 		var sl0, sl1, sl2, sl3 float64
 		if lst != nil {
@@ -573,9 +537,7 @@ func (e *Engine) downSide(s *kernelSide, c *Node, slot int) {
 
 // Newview computes the conditional likelihood vector of an internal node from
 // its two children — the paper's newview() kernel. The children's vectors
-// must already be up to date. Only the representative pattern of each
-// site-repeat class runs through the loop body; the rest are copied
-// (siterepeats.go).
+// must already be up to date.
 //
 // Newview, EvaluateRoot and MakenewzEdge neither consult nor update the dirty
 // tracking of incremental.go. Outside this package they are for timing a
@@ -593,10 +555,6 @@ func (e *Engine) Newview(n *Node) {
 	e.downSide(&a.r, n.Children[1], 1)
 	a.dst = e.downVec(n.ID)
 	a.scale = e.downScaleVec(n.ID)
-	if e.repOn && e.lastTree != nil {
-		e.newviewRepeats(n)
-		return
-	}
 	e.loop(e.nPat, e.nvFn)
 }
 
@@ -1183,12 +1141,8 @@ func (e *Engine) newviewTips4(lo, hi int) {
 	a := &e.nvA
 	lst, ltab := a.l.states, a.l.tab[:4*tipStates*NumStates:4*tipStates*NumStates]
 	rst, rtab := a.r.states, a.r.tab[:4*tipStates*NumStates:4*tipStates*NumStates]
-	dst, scale, uniq := a.dst, a.scale, a.uniq
-	for j := lo; j < hi; j++ {
-		i := j
-		if uniq != nil {
-			i = int(uniq[j])
-		}
+	dst, scale := a.dst, a.scale
+	for i := lo; i < hi; i++ {
 		base := i * 16
 		d := dst[base : base+16 : base+16]
 		ol, or := int(lst[i]&(tipStates-1))*NumStates, int(rst[i]&(tipStates-1))*NumStates

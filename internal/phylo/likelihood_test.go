@@ -502,6 +502,67 @@ func TestMakenewzFiniteOnZeroLikelihoodPatterns(t *testing.T) {
 	}
 }
 
+// TestDegenerateInputsFiniteLogL pins the finiteness contract negInf() relies
+// on (bootstrap.go): the evaluate kernel clamps per-site likelihoods to
+// math.SmallestNonzeroFloat64, so even adversarial inputs — all-gap columns,
+// minimum-length and extremely long branches — produce a finite
+// log-likelihood, never -Inf or NaN.
+func TestDegenerateInputsFiniteLogL(t *testing.T) {
+	gapRow := func(n int) []byte {
+		row := make([]byte, n)
+		for i := range row {
+			row[i] = '-'
+		}
+		return row
+	}
+	aln := &Alignment{
+		Names: []string{"t1", "t2", "t3", "t4", "t5"},
+		Seqs: [][]byte{
+			[]byte("ACGTACGT----NNNN"),
+			[]byte("ACGTTGCA----NNNN"),
+			[]byte("ACGTCCAA----NNNN"),
+			gapRow(16), // an entirely uninformative taxon
+			[]byte("ACGTGGTT----NNNN"),
+		},
+	}
+	if err := aln.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := Compress(aln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range incrementalConfigs(t) {
+		t.Run(cfg.name, func(t *testing.T) {
+			eng, err := NewEngine(data, cfg.model, cfg.rates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := NewRandomTree(data.Names, rand.New(rand.NewSource(5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Boundary branch lengths: clamp floor everywhere, then one
+			// branch stretched to effective saturation.
+			for _, n := range tree.Nodes {
+				if n.Parent != nil {
+					n.Length = MinBranchLength
+				}
+			}
+			edges := tree.Edges()
+			edges[len(edges)/2].Length = 50
+			eng.InvalidateAll()
+			logL := eng.LogLikelihood(tree)
+			if math.IsInf(logL, 0) || math.IsNaN(logL) {
+				t.Fatalf("degenerate input produced non-finite logL %v", logL)
+			}
+			if logL >= 0 {
+				t.Fatalf("logL %v is not a log-probability", logL)
+			}
+		})
+	}
+}
+
 // refSiteLikelihoods is the test-only reference the sum-table path is held
 // to: the per-pattern likelihoods of the tree with the edge above v set to
 // length b, formed the plain way — a P(b·rate) mat-vec per pattern and

@@ -74,8 +74,8 @@ func (JC69) Transition(t float64) Matrix {
 		t = 0
 	}
 	e := math.Exp(-4.0 / 3.0 * t)
-	same := 0.25 + 0.75*e
-	diff := 0.25 - 0.25*e
+	same := 0.25 + float64(0.75*e)
+	diff := 0.25 - float64(0.25*e)
 	var m Matrix
 	for i := 0; i < NumStates; i++ {
 		for j := 0; j < NumStates; j++ {
@@ -172,7 +172,7 @@ func (g *GTR) rateMatrix() Matrix {
 			if i == j {
 				continue
 			}
-			q[i][j] = ex[i][j] * f[j]
+			q[i][j] = float64(ex[i][j] * f[j])
 			rowSum += q[i][j]
 		}
 		q[i][i] = -rowSum
@@ -180,7 +180,7 @@ func (g *GTR) rateMatrix() Matrix {
 	// Normalize so that the expected substitution rate is 1.
 	var mu float64
 	for i := 0; i < NumStates; i++ {
-		mu -= f[i] * q[i][i]
+		mu -= float64(f[i] * q[i][i])
 	}
 	if mu <= 0 {
 		return q
@@ -244,7 +244,7 @@ func (g *GTR) Transition(t float64) (p Matrix) {
 		for j := 0; j < NumStates; j++ {
 			var s float64
 			for k := 0; k < NumStates; k++ {
-				s += g.v[i][k] * g.vInv[k][j] * e[k]
+				s += float64(g.v[i][k] * g.vInv[k][j] * e[k])
 			}
 			p[i][j] = s
 		}
@@ -269,7 +269,7 @@ func jacobiEigen(a Matrix) ([NumStates]float64, Matrix, error) {
 		var off float64
 		for i := 0; i < NumStates; i++ {
 			for j := i + 1; j < NumStates; j++ {
-				off += a[i][j] * a[i][j]
+				off += float64(a[i][j] * a[i][j])
 			}
 		}
 		if off < 1e-24 {
@@ -285,23 +285,23 @@ func jacobiEigen(a Matrix) ([NumStates]float64, Matrix, error) {
 					continue
 				}
 				theta := (a[q][q] - a[p][p]) / (2 * a[p][q])
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				for i := 0; i < NumStates; i++ {
 					aip, aiq := a[i][p], a[i][q]
-					a[i][p] = c*aip - s*aiq
-					a[i][q] = s*aip + c*aiq
+					a[i][p] = float64(c*aip) - float64(s*aiq)
+					a[i][q] = float64(s*aip) + float64(c*aiq)
 				}
 				for i := 0; i < NumStates; i++ {
 					api, aqi := a[p][i], a[q][i]
-					a[p][i] = c*api - s*aqi
-					a[q][i] = s*api + c*aqi
+					a[p][i] = float64(c*api) - float64(s*aqi)
+					a[q][i] = float64(s*api) + float64(c*aqi)
 				}
 				for i := 0; i < NumStates; i++ {
 					vip, viq := v[i][p], v[i][q]
-					v[i][p] = c*vip - s*viq
-					v[i][q] = s*vip + c*viq
+					v[i][p] = float64(c*vip) - float64(s*viq)
+					v[i][q] = float64(s*vip) + float64(c*viq)
 				}
 			}
 		}
@@ -381,13 +381,13 @@ func regularizedGammaP(a, x float64) float64 {
 		del := sum
 		for n := 0; n < 500; n++ {
 			ap++
-			del *= x / ap
+			del = float64(del * (x / ap))
 			sum += del
 			if math.Abs(del) < math.Abs(sum)*1e-15 {
 				break
 			}
 		}
-		return sum * math.Exp(-x+a*math.Log(x)-lgamma(a))
+		return sum * math.Exp(-x+float64(a*math.Log(x))-lgamma(a))
 	}
 	// Continued fraction for Q(a, x) = 1 - P(a, x).
 	const tiny = 1e-300
@@ -398,7 +398,7 @@ func regularizedGammaP(a, x float64) float64 {
 	for i := 1; i < 500; i++ {
 		an := -float64(i) * (float64(i) - a)
 		b += 2
-		d = an*d + b
+		d = float64(an*d) + b
 		if math.Abs(d) < tiny {
 			d = tiny
 		}
@@ -407,13 +407,13 @@ func regularizedGammaP(a, x float64) float64 {
 			c = tiny
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < 1e-15 {
 			break
 		}
 	}
-	q := math.Exp(-x+a*math.Log(x)-lgamma(a)) * h
+	q := float64(math.Exp(-x+float64(a*math.Log(x))-lgamma(a)) * h)
 	return 1 - q
 }
 

@@ -32,11 +32,8 @@ func (e *Engine) refSide(k *kernelSide, i, r, s int) float64 {
 
 // refNewview multiplies the sides; a pattern under scalingThreshold rescales.
 func (e *Engine) refNewview(lo, hi int) {
-	for j := lo; j < hi; j++ {
-		a, i := &e.nvA, j
-		if a.uniq != nil {
-			i = int(a.uniq[j])
-		}
+	a := &e.nvA
+	for i := lo; i < hi; i++ {
 		d, big := a.dst[i*e.stride:(i+1)*e.stride], false
 		for r := 0; r < e.nCat; r++ {
 			for s := 0; s < NumStates; s++ {

@@ -95,14 +95,13 @@ func CalibrateNative(o CalibrateOptions) (*Calibration, error) {
 		return nil, fmt.Errorf("workload: calibration tree: %w", err)
 	}
 
-	// Warm up: fill every edge's transition matrices and settle the
-	// site-repeat classes so the timed sweeps measure the steady-state kernel
-	// cost, not first-touch setup. Refresh is the engine's full-recompute
-	// path; the timed sweeps below invoke the kernels directly
-	// (Newview/EvaluateRoot/MakenewzEdge), which bypasses the incremental
-	// dirty tracking entirely — every timed call does real per-pattern work
-	// even though the tree never changes. The calibration deliberately times
-	// the SHIPPED kernel configuration (site repeats and tip tables on):
+	// Warm up: fill every edge's transition matrices so the timed sweeps
+	// measure the steady-state kernel cost, not first-touch setup. Refresh is
+	// the engine's full-recompute path; the timed sweeps below invoke the
+	// kernels directly (Newview/EvaluateRoot/MakenewzEdge), which bypasses the
+	// incremental dirty tracking entirely — every timed call does real
+	// per-pattern work even though the tree never changes. The calibration
+	// deliberately times the SHIPPED kernel configuration (tip tables on):
 	// faster kernels shift the modeled EDTLP gains downward via Amdahl's law,
 	// which is why E11 makes its claims at fixed, rescaled off-load lengths.
 	eng.Refresh(tree)
