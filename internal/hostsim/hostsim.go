@@ -66,9 +66,10 @@ func (m *Machine) Validate() error {
 func (m *Machine) contentionFactor(busyOnCore, totalBusy int) float64 {
 	f := 1.0
 	if m.ThreadsPerCore > 1 && busyOnCore > 1 {
-		// Linear interpolation between 1 (alone) and SMTContention (full).
+		// Linear interpolation between 1 (alone) and SMTContention (full),
+		// the product rounded so that no architecture fuses it into the sum.
 		frac := float64(busyOnCore-1) / float64(m.ThreadsPerCore-1)
-		f *= 1 + frac*(m.SMTContention-1)
+		f *= 1 + float64(frac*(m.SMTContention-1))
 	}
 	if totalBusy >= m.Cores() && m.MemoryContention > 1 {
 		f *= m.MemoryContention

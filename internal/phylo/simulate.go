@@ -65,7 +65,7 @@ func Simulate(opts SimulateOptions) (*Tree, *Alignment, error) {
 		return nil, nil, err
 	}
 	for _, n := range tree.Edges() {
-		n.Length = opts.MeanBranchLength * (0.5 + rng.Float64())
+		n.Length = opts.MeanBranchLength * (0.5 + float64(rng.Float64()))
 	}
 
 	freqs := model.Frequencies()

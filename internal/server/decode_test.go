@@ -114,6 +114,7 @@ func TestDecodersRejectTruncatedAndOversizedInput(t *testing.T) {
 			return err
 		}},
 		{"wal started: no attempt count", replay(recJobStarted, appendStr(nil, "j-000001"))},
+		{"wal started: attempt count 2^63", replay(recJobStarted, append(appendStr(nil, "j-000001"), poison...))},
 		{"wal checkpoint: length 2^63", replay(recCheckpoint, task(poison...))},
 		{"wal checkpoint: length one past the payload", replay(recCheckpoint, task(1))},
 		{"wal task_done: half a float", replay(recTaskDone, task(0, 0, 0, 0))},

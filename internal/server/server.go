@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/big"
 	"net/http"
 	"sort"
 	"strconv"
@@ -454,6 +455,13 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if n := spec.tasks(); n > s.opts.MaxTasksPerJob {
 		return nil, reject(http.StatusUnprocessableEntity,
 			fmt.Sprintf("job has %d tasks, limit is %d", n, s.opts.MaxTasksPerJob))
+	}
+	// A simulated alignment is sized before it is built: a request of a few
+	// bytes may not allocate its taxa × length cells only to be refused.
+	if sim := spec.Simulate; sim != nil && sim.Taxa > 0 && sim.Length > s.opts.MaxAlignmentCells/sim.Taxa {
+		cells := new(big.Int).Mul(big.NewInt(int64(sim.Taxa)), big.NewInt(int64(sim.Length)))
+		return nil, reject(http.StatusUnprocessableEntity,
+			fmt.Sprintf("alignment has %d cells, limit is %d", cells, s.opts.MaxAlignmentCells))
 	}
 	data, err := spec.buildAlignment()
 	if err != nil {

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -381,6 +383,35 @@ func TestAdmissionErrors(t *testing.T) {
 	tm := snap.Tenants["default"]
 	if tm.Rejected != len(cases) || tm.Submitted != len(cases) {
 		t.Errorf("default tenant metrics after %d rejections: %+v", len(cases), tm)
+	}
+}
+
+// TestSimulateSpecSizedBeforeSimulating: a simulate spec over the cell cap is
+// refused from its two numbers, with the error an over-cap alignment gets.
+// Admission that simulated 3 × 20,000,000 first allocated 124 MB to do so.
+func TestSimulateSpecSizedBeforeSimulating(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	for _, c := range []struct {
+		taxa, length int
+		want         string
+	}{
+		{3, 20_000_000, "alignment has 60000000 cells, limit is 1048576"},
+		{1 << 40, 1 << 40, "alignment has 1208925819614629174706176 cells, limit is 1048576"},
+	} {
+		spec := smallSpec(1)
+		spec.Simulate = &SimulateSpec{Taxa: c.taxa, Length: c.length, Seed: 1}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := s.Submit(spec)
+		runtime.ReadMemStats(&after)
+		var ae *admissionError
+		if !errors.As(err, &ae) || ae.code != http.StatusUnprocessableEntity || ae.msg != c.want {
+			t.Fatalf("%d × %d: Submit returned %v, want 422 %q", c.taxa, c.length, err, c.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%d × %d: refusing the spec allocated %d bytes", c.taxa, c.length, got)
+		}
 	}
 }
 

@@ -13,11 +13,12 @@ package server
 // exact float64 bits — because recovery promises byte-identical results and
 // Newick's fixed-precision formatting would break that.
 //
-// Compaction happens at open: after replay, the records still needed (those
-// of incomplete jobs, with only the LATEST checkpoint per task) are
-// rewritten into the fresh segment and all older segments are deleted.
-// Terminal jobs leave the log entirely; their results live in the server's
-// bounded in-memory retention, same as before this file existed.
+// Compaction happens at open, and only there: after replay, the records
+// still needed (those of incomplete jobs, with only the LATEST checkpoint per
+// task) are rewritten into the fresh segment, and once it is synced all
+// older segments are deleted (a crash between leaves duplicates, which replay
+// folds). Terminal jobs leave the log entirely; their results live in the
+// server's bounded in-memory retention, same as before this file existed.
 
 import (
 	"encoding/binary"
@@ -40,6 +41,7 @@ type recoveredJob struct {
 	id       string
 	seq      int // replay order of the accepted record, for deterministic re-enqueue
 	spec     JobSpec
+	accepted []byte // the job_accepted payload, which compaction rewrites as is
 	attempts int
 	state    State // terminal state, or StateQueued if incomplete
 	errMsg   string
@@ -99,7 +101,7 @@ func replayJobRecords(records []walRecord) (map[string]*recoveredJob, error) {
 				continue // duplicate accept (compaction replay); first wins
 			}
 			j = &recoveredJob{
-				id: id, seq: i, state: StateQueued,
+				id: id, seq: i, state: StateQueued, accepted: rec.payload,
 				tasks: map[native.TaskID]storedTask{},
 				ckpts: map[native.TaskID][]byte{},
 			}
@@ -114,7 +116,9 @@ func replayJobRecords(records []walRecord) (map[string]*recoveredJob, error) {
 		}
 		switch rec.typ {
 		case recJobStarted:
-			j.attempts = int(d.Uvarint())
+			if j.attempts = int(d.Uvarint()); j.attempts < 0 {
+				return nil, fmt.Errorf("wal: job %s: attempt count out of range", id)
+			}
 		case recCheckpoint:
 			key := native.TaskID{Bootstrap: d.Bool(), Index: int(d.Uvarint())}
 			enc := d.Bytes()
@@ -151,15 +155,16 @@ func replayJobRecords(records []walRecord) (map[string]*recoveredJob, error) {
 	return jobs, nil
 }
 
-// compact rewrites the live subset of the replayed state into the current
-// (fresh) segment and deletes the older ones. Only incomplete jobs survive;
-// per task, only the completion or the latest checkpoint.
+// compact rewrites the live subset of the replayed state into the log's
+// fresh segment, syncs it, and deletes the older ones. Only incomplete jobs
+// survive; per task, only the completion or the latest checkpoint.
 func (st *jobStore) compact(jobs map[string]*recoveredJob) error {
 	for _, j := range sortedRecoveredJobs(jobs) {
 		if !j.incomplete() {
 			continue
 		}
-		if err := st.jobAccepted(j.id, j.spec); err != nil {
+		// The sync below covers every rewritten accept at once.
+		if err := st.wal.append(recJobAccepted, j.accepted); err != nil {
 			return err
 		}
 		if j.attempts > 0 {
@@ -175,7 +180,7 @@ func (st *jobStore) compact(jobs map[string]*recoveredJob) error {
 	if err := st.wal.sync(); err != nil {
 		return err
 	}
-	return st.wal.dropSegmentsBefore()
+	return st.wal.dropOlderSegments()
 }
 
 // sortedRecoveredJobs orders jobs by original acceptance for deterministic

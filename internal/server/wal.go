@@ -1,9 +1,8 @@
 package server
 
-// Write-ahead log: an append-only sequence of CRC-framed records across
-// numbered segment files, with group-commit fsync batching. The job store
-// (store.go) defines what the records mean; this file only knows how to
-// frame, batch, rotate, and replay them.
+// Write-ahead log: an append-only sequence of CRC-framed records with
+// group-commit fsync batching. The job store (store.go) defines what the
+// records mean; this file only knows how to frame, batch and replay them.
 //
 // Frame layout, little-endian:
 //
@@ -11,6 +10,10 @@ package server
 //	│ u32 len │ u32 crc32c  │ u8 typ │  payload  │
 //	└─────────┴─────────────┴────────┴───────────┘
 //	   len = 1 + len(payload)   crc over typ+payload
+//
+// Segments: each open replays the numbered segment files in order, then
+// appends to one fresh segment until Close. The store compacts into it and
+// deletes the older ones at open, so between restarts the log only grows.
 //
 // Durability model: append() buffers the frame and returns; a dedicated
 // syncer goroutine flushes and fsyncs, so N appends racing one disk flush
@@ -20,14 +23,16 @@ package server
 //
 // Failure model: a write or fsync error marks the log degraded and bumps the
 // error counter, but appends keep succeeding in memory — the server keeps
-// serving (the issue's "degrade to in-memory-only" contract) and merely
+// serving (the "degrade to in-memory-only" contract) and merely
 // loses durability until the operator intervenes. Replay tolerates a torn
-// final frame (the expected residue of a crash mid-write) by stopping at the
-// first bad frame of the last segment.
+// tail (the expected residue of a crash mid-write): it stops at the tail and
+// truncates the segment there, so every segment but the newest is whole and
+// a bad frame anywhere else is corruption.
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -85,10 +90,6 @@ const (
 	walSegmentGlob    = "wal-*.log"
 	// walHeaderSize is the per-frame overhead: length, crc, type byte.
 	walHeaderSize = 9
-	// defaultSegmentMaxBytes rotates segments at 8 MiB — small enough that
-	// compaction rewrites little, large enough that a busy server rotates
-	// rarely.
-	defaultSegmentMaxBytes = 8 << 20
 	// syncInterval paces the syncer: at most one fsync per interval, so a
 	// buffered record waits at most this long for its group fsync.
 	syncInterval = 2 * time.Millisecond
@@ -102,19 +103,15 @@ const (
 
 // walOptions configures openWAL.
 type walOptions struct {
-	dir             string
-	segmentMaxBytes int64
-	flushInterval   time.Duration
-	inj             *faultinject.Injector
+	dir           string
+	flushInterval time.Duration
+	inj           *faultinject.Injector
 	// onError observes every degraded write/sync ("append" or "sync") —
 	// wired to cellmg_wal_errors_total.
 	onError func(op string)
 }
 
 func (o *walOptions) withDefaults() {
-	if o.segmentMaxBytes <= 0 {
-		o.segmentMaxBytes = defaultSegmentMaxBytes
-	}
 	if o.flushInterval <= 0 {
 		o.flushInterval = defaultFlushInterval
 	}
@@ -122,14 +119,13 @@ func (o *walOptions) withDefaults() {
 
 // wal is the framed append-only log.
 type wal struct {
-	opts walOptions
+	opts     walOptions
+	segIndex int      // the segment appended to; every lower one was replayed
+	f        *os.File // that segment, open until Close
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signals the syncer; broadcast on sync completion
-	f        *os.File
 	bw       *bufio.Writer
-	segIndex int
-	segSize  int64
 	frameBuf []byte // reused frame scratch, guarded by mu
 
 	appendGen uint64 // generations appended to the buffer
@@ -137,16 +133,16 @@ type wal struct {
 	wantGen   uint64 // highest generation a caller is blocked waiting on
 	degraded  bool   // a write or sync error has occurred
 	closed    bool
-	syncing   bool // the syncer is fsyncing f outside the lock
 
 	wake       chan struct{} // nudges the syncer out of its lazy sleep
 	syncerDone chan struct{}
 }
 
-// openWAL replays every record in dir (creating it if needed), then opens a
-// fresh segment for appends and starts the syncer. The replayed records are
-// returned in log order; compaction (store.go) decides which survive into
-// the new segment before the old ones are deleted.
+// openWAL replays every segment in dir (creating it if needed), cutting off
+// a torn tail, then opens a fresh segment for this log's appends and starts
+// the syncer. The replayed records are returned in log order; compaction
+// (store.go) decides which survive into the new segment before the old ones
+// are deleted.
 func openWAL(opts walOptions) (*wal, []walRecord, error) {
 	opts.withDefaults()
 	if err := os.MkdirAll(opts.dir, 0o755); err != nil {
@@ -166,29 +162,28 @@ func openWAL(opts walOptions) (*wal, []walRecord, error) {
 		records = append(records, recs...)
 		nextIndex = seg.index + 1
 	}
-	w := &wal{opts: opts, segIndex: nextIndex, wake: make(chan struct{}, 1), syncerDone: make(chan struct{})}
-	w.cond = sync.NewCond(&w.mu)
-	if err := w.openSegmentLocked(); err != nil {
-		return nil, nil, err
+	path := filepath.Join(opts.dir, fmt.Sprintf(walSegmentPattern, nextIndex))
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
+	w := &wal{opts: opts, segIndex: nextIndex, f: f, bw: bufio.NewWriterSize(f, 1<<16),
+		wake: make(chan struct{}, 1), syncerDone: make(chan struct{})}
+	w.cond = sync.NewCond(&w.mu)
 	go w.syncer()
 	return w, records, nil
 }
 
-// dropSegmentsBefore deletes every segment older than the current one — the
-// destructive half of compaction, called by the store once the live records
-// have been rewritten into the current segment and synced.
-func (w *wal) dropSegmentsBefore() error {
-	w.mu.Lock()
-	cur := w.segIndex
-	dir := w.opts.dir
-	w.mu.Unlock()
-	segs, err := walSegments(dir)
+// dropOlderSegments deletes every segment older than the one this log
+// appends to — the destructive half of compaction, called by the store once
+// the live records have been rewritten into that segment and synced.
+func (w *wal) dropOlderSegments() error {
+	segs, err := walSegments(w.opts.dir)
 	if err != nil {
 		return err
 	}
 	for _, seg := range segs {
-		if seg.index < cur {
+		if seg.index < w.segIndex {
 			if err := os.Remove(seg.path); err != nil {
 				return fmt.Errorf("wal: compaction: %w", err)
 			}
@@ -220,10 +215,14 @@ func walSegments(dir string) ([]walSegment, error) {
 	return segs, nil
 }
 
-// readWALSegment replays one segment. A malformed frame in the final segment
-// is the torn tail of a crash and truncates the replay there; in any earlier
-// segment it is corruption and an error (an earlier segment was closed
-// cleanly, so a bad frame cannot be a torn write).
+// readWALSegment replays one segment and cuts off its torn tail, if any:
+// the file is truncated to its last whole frame and fsynced before the
+// records are returned, so only the newest segment is ever torn. There a
+// crash mid-write leaves the tail, and a malformed frame ends the replay. In
+// an earlier segment a malformed frame is corruption and an error — unless
+// it is a final frame cut short by the end of the file, which logs written
+// before replay cut torn tails can hold (a start that crashed after
+// compacting into a newer segment, before deleting this one).
 func readWALSegment(path string, last bool) ([]walRecord, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -234,15 +233,47 @@ func readWALSegment(path string, last bool) ([]walRecord, error) {
 	for off < len(data) {
 		rec, n, ok := parseWALFrame(data[off:])
 		if !ok {
-			if last {
-				return records, nil // torn tail: everything before it is good
+			if !last && !cutShort(data[off:]) {
+				return nil, fmt.Errorf("wal: corrupt frame at %s:%d", filepath.Base(path), off)
 			}
-			return nil, fmt.Errorf("wal: corrupt frame at %s:%d", filepath.Base(path), off)
+			if err := truncateSynced(path, int64(off)); err != nil {
+				return nil, err
+			}
+			break
 		}
 		records = append(records, rec)
 		off += n
 	}
 	return records, nil
+}
+
+// cutShort reports whether data begins with a frame the end of the file cut
+// short: too few bytes for its header, or for the length the header gives.
+func cutShort(data []byte) bool {
+	return len(data) < walHeaderSize || int(binary.LittleEndian.Uint32(data)) > len(data)-8
+}
+
+// truncateSynced cuts the file at path to size bytes and fsyncs it.
+func truncateSynced(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err == nil {
+		err = errors.Join(f.Truncate(size), f.Sync(), f.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("wal: cutting torn tail: %w", err)
+	}
+	return nil
+}
+
+// appendWALFrame appends one frame holding typ and payload to dst.
+func appendWALFrame(dst []byte, typ recType, payload []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc patched below
+	dst = append(dst, byte(typ))
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+8:], walCRC))
+	return dst
 }
 
 // parseWALFrame decodes one frame from the head of data. ok=false means the
@@ -263,24 +294,6 @@ func parseWALFrame(data []byte) (walRecord, int, bool) {
 	payload := make([]byte, length-1)
 	copy(payload, body[1:])
 	return walRecord{typ: recType(body[0]), payload: payload}, 8 + int(length), true
-}
-
-// openSegmentLocked creates the next segment file. Callers hold mu or have
-// exclusive access.
-func (w *wal) openSegmentLocked() error {
-	path := filepath.Join(w.opts.dir, fmt.Sprintf(walSegmentPattern, w.segIndex))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	w.f = f
-	if w.bw == nil {
-		w.bw = bufio.NewWriterSize(f, 1<<16)
-	} else {
-		w.bw.Reset(f)
-	}
-	w.segSize = 0
-	return nil
 }
 
 // noteError marks the log degraded and feeds the error counter.
@@ -354,12 +367,7 @@ func (w *wal) appendGenerated(typ recType, payload []byte) (uint64, error) {
 		// syscall, so the record itself is lost along with everything after.
 		return w.appendGen, nil
 	}
-	frame := w.frameBuf[:0]
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(1+len(payload)))
-	frame = frame[:8] // crc patched below
-	frame = append(frame, byte(typ))
-	frame = append(frame, payload...)
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], walCRC))
+	frame := appendWALFrame(w.frameBuf[:0], typ, payload)
 	w.frameBuf = frame
 
 	if act.TornBytes > 0 {
@@ -376,42 +384,9 @@ func (w *wal) appendGenerated(typ recType, payload []byte) (uint64, error) {
 		w.noteError("append")
 		return w.appendGen, fmt.Errorf("wal: %w", err)
 	}
-	w.segSize += int64(len(frame))
 	w.appendGen++
-	gen := w.appendGen
-	if w.segSize >= w.opts.segmentMaxBytes {
-		w.rotateLocked()
-	}
 	w.cond.Broadcast() // wake the syncer
-	return gen, nil
-}
-
-// rotateLocked closes the current segment (flushed and fsynced — a closed
-// segment is immutable and fully valid) and opens the next. It first waits
-// out an fsync the syncer runs outside the lock, which closing the file under
-// it would fail; a Close or another rotation meanwhile leaves nothing to do.
-func (w *wal) rotateLocked() {
-	for w.syncing {
-		w.cond.Wait()
-	}
-	if w.closed || w.segSize < w.opts.segmentMaxBytes {
-		return
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.noteError("append")
-	}
-	if err := w.f.Sync(); err != nil {
-		w.noteError("sync")
-	}
-	_ = w.f.Close()
-	w.syncGen = w.appendGen // everything so far is on disk
-	w.segIndex++
-	if err := w.openSegmentLocked(); err != nil {
-		w.noteError("append")
-		// Keep the old writer targetting a closed file: subsequent writes
-		// fail and are counted, which is the degraded mode.
-	}
-	w.cond.Broadcast()
+	return w.appendGen, nil
 }
 
 // syncer is the group-commit loop: it sleeps until records are buffered,
@@ -457,11 +432,10 @@ func (w *wal) syncer() {
 			w.cond.Broadcast()
 			continue
 		}
-		f := w.f
-		w.syncing = true
 		w.mu.Unlock()
 		// fsync outside the lock: appends keep buffering into the page cache
-		// while the disk flush runs — that is the batching.
+		// while the disk flush runs — that is the batching. Close waits for
+		// this goroutine before it closes the file.
 		act, dead := w.opts.inj.At(faultinject.OpWALSync, "")
 		if act.Stall > 0 {
 			time.Sleep(act.Stall)
@@ -470,10 +444,9 @@ func (w *wal) syncer() {
 		if act.Err != nil {
 			err = act.Err
 		} else if !dead {
-			err = f.Sync()
+			err = w.f.Sync()
 		}
 		w.mu.Lock()
-		w.syncing = false
 		if err != nil {
 			w.noteError("sync")
 		}

@@ -1,6 +1,6 @@
 package server
 
-// WAL unit tests: framing, replay, rotation, torn tails, group commit, and
+// WAL unit tests: framing, replay, torn tails, group commit, and
 // the degraded mode entered on injected write/sync failures. Crash-recovery
 // at the job level lives in recovery_test.go; these tests stay below the
 // store, on raw records.
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,88 +70,65 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWALSegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	w, _, err := openWAL(walOptions{dir: dir, segmentMaxBytes: 256})
-	if err != nil {
+// writeSegment writes recs, framed, as segment index of dir, followed by the
+// raw bytes of tail (a torn frame, say): a segment as any build of the log
+// would have left it.
+func writeSegment(t *testing.T, dir string, index int, recs []walRecord, tail []byte) string {
+	t.Helper()
+	var data []byte
+	for _, r := range recs {
+		data = appendWALFrame(data, r.typ, r.payload)
+	}
+	path := filepath.Join(dir, fmt.Sprintf(walSegmentPattern, index))
+	if err := os.WriteFile(path, append(data, tail...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	const n = 50
-	for i := 0; i < n; i++ {
-		if err := w.append(recCheckpoint, []byte(fmt.Sprintf("payload-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := walSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("expected rotation to produce several segments, got %d", len(segs))
-	}
+	return path
+}
 
-	w2, recs := openTestWAL(t, dir, nil, nil)
-	defer w2.Close()
-	if len(recs) != n {
-		t.Fatalf("replayed %d records across segments, want %d", len(recs), n)
+// numbered returns n checkpoint records whose payloads count from first.
+func numbered(first, n int) []walRecord {
+	recs := make([]walRecord, n)
+	for i := range recs {
+		recs[i] = walRecord{typ: recCheckpoint, payload: []byte(fmt.Sprintf("payload-%02d", first+i))}
+	}
+	return recs
+}
+
+// TestWALReplaysWholeSegmentsInOrder: a data dir holding several segments —
+// as a log that switched files while running left it, down to a torn tail in
+// the newest — replays every record in segment order, cuts only the torn
+// tail, and appends to a segment after all of them.
+func TestWALReplaysWholeSegmentsInOrder(t *testing.T) {
+	dir := t.TempDir()
+	writeSegment(t, dir, 3, numbered(0, 5), nil)
+	writeSegment(t, dir, 4, numbered(5, 5), nil)
+	torn := appendWALFrame(nil, recCheckpoint, []byte("lost"))[:7]
+	newest := writeSegment(t, dir, 5, numbered(10, 5), torn)
+
+	w, recs := openTestWAL(t, dir, nil, nil)
+	defer w.Close()
+	if len(recs) != 15 {
+		t.Fatalf("replayed %d records across segments, want 15", len(recs))
 	}
 	for i, r := range recs {
 		if string(r.payload) != fmt.Sprintf("payload-%02d", i) {
 			t.Fatalf("record %d out of order: %q", i, r.payload)
 		}
 	}
-}
-
-// TestWALRotationDuringFsyncStaysHealthy: the syncer fsyncs the current
-// segment outside the lock, so an append that rotates the log meanwhile must
-// not close that file under it — a "file already closed" from the fsync would
-// degrade the log for the rest of the process.
-func TestWALRotationDuringFsyncStaysHealthy(t *testing.T) {
-	dir := t.TempDir()
-	inj := faultinject.New(faultinject.Rule{Op: faultinject.OpWALSync,
-		Action: faultinject.Action{Stall: 200 * time.Millisecond}})
-	var errs atomic.Int32
-	w, _, err := openWAL(walOptions{dir: dir, segmentMaxBytes: 256, inj: inj,
-		onError: func(string) { errs.Add(1) }})
+	fi, err := os.Stat(newest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := func(i int) []byte { return []byte(fmt.Sprintf("record-%02d-%s", i, bytes.Repeat([]byte{'x'}, 24))) }
-	if err := w.append(recCheckpoint, payload(0)); err != nil {
+	if want := int64(5 * (walHeaderSize + len("payload-10"))); fi.Size() != want {
+		t.Fatalf("newest segment is %d bytes, want %d: its torn tail was not cut", fi.Size(), want)
+	}
+	segs, err := walSegments(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The syncer has flushed record 0 and let go of the lock once the stall
-	// rule has fired; it stays in its fsync for the stall.
-	for deadline := time.Now().Add(5 * time.Second); !inj.Fired(0); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the syncer never reached its fsync")
-		}
-	}
-	const n = 20 // 20 frames of 45 bytes cross 256 bytes three times
-	for i := 1; i < n; i++ {
-		if err := w.append(recCheckpoint, payload(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.sync(); err != nil || w.isDegraded() || errs.Load() != 0 {
-		t.Fatalf("rotation during an fsync degraded the log: sync error %v, degraded %v, onError called %d times",
-			err, w.isDegraded(), errs.Load())
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2, recs := openTestWAL(t, dir, nil, nil)
-	defer w2.Close()
-	if len(recs) != n {
-		t.Fatalf("replayed %d records, want %d", len(recs), n)
-	}
-	for i, r := range recs {
-		if !bytes.Equal(r.payload, payload(i)) {
-			t.Fatalf("record %d out of order: %q", i, r.payload)
-		}
+	if len(segs) != 4 || segs[3].index != 6 || w.segIndex != 6 {
+		t.Fatalf("segments %+v, appending to %d: want 3..5 kept and 6 fresh", segs, w.segIndex)
 	}
 }
 
@@ -202,42 +180,45 @@ func TestWALTornTailTruncatesReplay(t *testing.T) {
 	if len(recs) != 1 || string(recs[0].payload) != "before" {
 		t.Fatalf("replay after torn tail: got %d records, want just the pre-torn one", len(recs))
 	}
+	// The replay cut the torn bytes off, so the segment is whole again.
+	fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf(walSegmentPattern, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(walHeaderSize + len("before")); fi.Size() != want {
+		t.Fatalf("torn segment is %d bytes, want %d: its torn tail was not cut", fi.Size(), want)
+	}
 }
 
+// TestWALCorruptEarlierSegmentIsFatal: replay cuts a torn tail off the
+// newest segment only, so every earlier segment is whole and a frame that
+// fails its CRC there is corruption, not the residue of a crash.
 func TestWALCorruptEarlierSegmentIsFatal(t *testing.T) {
-	dir := t.TempDir()
-	w, _, err := openWAL(walOptions{dir: dir, segmentMaxBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := w.append(recCheckpoint, bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := walSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 2 {
-		t.Fatalf("need at least 2 segments, got %d", len(segs))
-	}
-	// Flip a payload byte in the FIRST segment: that segment was closed
-	// cleanly, so a bad CRC there is corruption, not a torn tail.
-	path := segs[0].path
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := openWAL(walOptions{dir: dir}); err == nil {
-		t.Fatal("corrupt non-final segment must fail the open")
+	frameLen := len(appendWALFrame(nil, recCheckpoint, []byte("payload-00")))
+	for _, c := range []struct {
+		name string
+		off  int // byte of segment 0 to flip
+	}{
+		{"middle frame", frameLen + walHeaderSize},
+		{"final frame", 3*frameLen - 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			first := writeSegment(t, dir, 0, numbered(0, 3), nil)
+			writeSegment(t, dir, 1, numbered(3, 3), nil)
+			data, err := os.ReadFile(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[c.off] ^= 0xFF
+			if err := os.WriteFile(first, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = openWAL(walOptions{dir: dir})
+			if err == nil || !strings.Contains(err.Error(), "corrupt frame at wal-000000.log") {
+				t.Fatalf("corrupt non-final segment opened: %v", err)
+			}
+		})
 	}
 }
 
