@@ -65,7 +65,6 @@ func main() {
 		maxConcurrent = flag.Int("max-concurrent", 4, "jobs admitted to the runtime at once")
 		maxTasks      = flag.Int("max-tasks", 256, "per-job cap on inferences+bootstraps")
 		flightOn      = flag.Bool("flight", false, "enable the flight recorder (GET /v1/trace, /v1/jobs/{id}/trace)")
-		flightEvents  = flag.Int("flight-events", 0, "flight recorder ring capacity per lane (0 = default 4096)")
 		pprofAddr     = flag.String("pprof", "", "listen address for net/http/pprof (e.g. 127.0.0.1:6060; empty = disabled)")
 		dataDir       = flag.String("data-dir", "", "directory for the write-ahead job log; enables crash recovery (empty = in-memory only)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for jobs to finish or checkpoint before exiting")
@@ -92,16 +91,15 @@ func main() {
 	}
 
 	srv, err := server.Open(server.Options{
-		Workers:          *workers,
-		Policy:           pol,
-		SPEsPerLoop:      *loopWidth,
-		QueueCapacity:    *queueCap,
-		MaxConcurrent:    *maxConcurrent,
-		MaxTasksPerJob:   *maxTasks,
-		Flight:           *flightOn,
-		FlightLaneEvents: *flightEvents,
-		DataDir:          *dataDir,
-		MaxJobAttempts:   *maxAttempts,
+		Workers:        *workers,
+		Policy:         pol,
+		SPEsPerLoop:    *loopWidth,
+		QueueCapacity:  *queueCap,
+		MaxConcurrent:  *maxConcurrent,
+		MaxTasksPerJob: *maxTasks,
+		Flight:         *flightOn,
+		DataDir:        *dataDir,
+		MaxJobAttempts: *maxAttempts,
 	})
 	if err != nil {
 		log.Fatalf("cellmg-serve: opening job store: %v", err)

@@ -153,9 +153,9 @@ func bestOf(s *stats.Series) float64 {
 	return best
 }
 
-// AblationScaleInvariance (E10 support) verifies the methodological point of
-// DESIGN.md: scaling the number of off-loads per bootstrap (the knob that
-// keeps simulations fast) does not change the headline ratios.
+// AblationScaleInvariance (E10) verifies the harness's methodological point:
+// scaling the number of off-loads per bootstrap (the knob that keeps
+// simulations fast) does not change the headline ratios.
 func AblationScaleInvariance(cfg Config) Report {
 	base := cfg.effectiveWorkload()
 	scales := []int{60, 120, 300}

@@ -1,12 +1,12 @@
 // Package experiments defines one reproduction harness per table and figure
-// of the paper's evaluation (Section 5), plus the ablations called out in
-// DESIGN.md. Each experiment runs the scheduler models from package sched
-// (and, for Figure 10, the host models from package hostsim) on the RAxML
-// 42_SC workload model, formats its results in the same layout as the paper,
-// and checks the paper's qualitative claims, reporting each as a pass/fail
-// Claim.
+// of the paper's evaluation (Section 5), plus three ablations and a
+// calibration against this host's kernels. Each experiment runs the scheduler
+// models from package sched on the RAxML 42_SC workload model (Figure 10 adds
+// calibrated models of its two comparison machines), formats its results in
+// the same layout as the paper, and checks the paper's qualitative claims,
+// reporting each as a pass/fail Claim.
 //
-// The cmd/experiments binary runs everything and emits EXPERIMENTS.md; this
+// The cmd/experiments binary runs everything and prints the reports; this
 // package's tests assert every claim, and the benchmark's sim_sweep workload
 // (bench/) times the simulator underneath.
 package experiments
@@ -21,22 +21,15 @@ import (
 
 // Config controls how heavy the reproduction runs are.
 type Config struct {
-	// Workload is the task-graph model; nil selects workload.RAxML42SC.
-	Workload *workload.Config
 	// Quick trims the number of off-loads per bootstrap and the sweep points
-	// so the whole suite runs in seconds; the full configuration is used by
-	// cmd/experiments for the recorded EXPERIMENTS.md numbers.
+	// so the whole suite runs in a fraction of the full configuration's time.
 	Quick bool
 }
 
-// effectiveWorkload returns the workload to simulate, applying the Quick
-// scaling if requested.
+// effectiveWorkload returns the 42_SC workload to simulate, applying the
+// Quick scaling if requested.
 func (c Config) effectiveWorkload() *workload.Config {
-	base := c.Workload
-	if base == nil {
-		base = workload.RAxML42SC()
-	}
-	cfg := base.Clone()
+	cfg := workload.RAxML42SC()
 	if c.Quick && cfg.CallsPerBootstrap > 150 {
 		cfg.CallsPerBootstrap = 150
 	}
@@ -119,38 +112,6 @@ func (r Report) String() string {
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
-// Markdown renders the report as a markdown section for EXPERIMENTS.md.
-func (r Report) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "## %s — %s\n\n", r.ID, r.Title)
-	for _, t := range r.Tables {
-		b.WriteString(t.Markdown())
-		b.WriteString("\n")
-	}
-	for _, s := range r.Series {
-		fmt.Fprintf(&b, "**%s**:", s.Name)
-		for _, p := range s.Points {
-			fmt.Fprintf(&b, " (%g → %.1f s)", p.X, p.Y)
-		}
-		b.WriteString("\n\n")
-	}
-	if len(r.Claims) > 0 {
-		b.WriteString("Claims:\n\n")
-		for _, c := range r.Claims {
-			mark := "✅"
-			if !c.Pass {
-				mark = "❌"
-			}
-			fmt.Fprintf(&b, "- %s %s — %s\n", mark, c.Description, c.Detail)
-		}
-		b.WriteString("\n")
-	}
-	for _, n := range r.Notes {
-		fmt.Fprintf(&b, "> %s\n\n", n)
 	}
 	return b.String()
 }

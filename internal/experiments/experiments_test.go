@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,10 +26,6 @@ func checkReport(t *testing.T, r Report) {
 	txt := r.String()
 	if !strings.Contains(txt, r.ID) {
 		t.Errorf("%s: String() should mention the experiment ID", r.ID)
-	}
-	md := r.Markdown()
-	if !strings.Contains(md, "## "+r.ID) {
-		t.Errorf("%s: Markdown() should contain a section header", r.ID)
 	}
 }
 
@@ -76,6 +73,28 @@ func TestFigure10Report(t *testing.T) {
 	checkReport(t, r)
 	if len(r.Series) != 3 {
 		t.Errorf("Figure 10 should produce Cell, Xeon and Power5 series")
+	}
+}
+
+// Figure 10 draws one panel over both sweeps, which share their boundary
+// count; each count must be one table row and one point of each series.
+func TestFigure10CountsStrictlyIncrease(t *testing.T) {
+	for _, cfg := range []Config{{Quick: true}, {}} {
+		r := Figure10(cfg)
+		for _, s := range r.Series {
+			for i := 1; i < len(s.Points); i++ {
+				if s.Points[i].X <= s.Points[i-1].X {
+					t.Errorf("quick=%v: series %s has %g after %g", cfg.Quick, s.Name, s.Points[i].X, s.Points[i-1].X)
+				}
+			}
+		}
+		rows := r.Tables[0].Rows
+		for i := 1; i < len(rows); i++ {
+			prev, _ := strconv.Atoi(rows[i-1][0])
+			if cur, _ := strconv.Atoi(rows[i][0]); cur <= prev {
+				t.Errorf("quick=%v: table row %d bootstraps after %d", cfg.Quick, cur, prev)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"cellmg/internal/hostsim"
 	"cellmg/internal/sched"
 	"cellmg/internal/stats"
 )
@@ -221,24 +221,77 @@ func Figure9(cfg Config) Report {
 	}
 }
 
+// host is one of Section 5.6's conventional machines running the MPI version
+// of RAxML. Its bootstraps are independent, so its time is governed by the
+// single-thread seconds of one 42_SC bootstrap, the number of hardware
+// contexts, and smt, the slow-down of a bootstrap that shares its core with
+// an SMT sibling. This is the first-order model package cellsim uses for the
+// PPE.
+type host struct {
+	name                  string
+	cores, threadsPerCore int
+	single, smt           float64
+}
+
+// seconds returns the wall-clock seconds of n identical bootstraps under the
+// MPI master-worker scheme: they fill the hardware contexts in waves, spread
+// across the cores before doubling up on SMT siblings, and each wave lasts as
+// long as its slowest bootstrap.
+func (h host) seconds(n int) float64 {
+	contexts := h.cores * h.threadsPerCore
+	total := 0.0
+	for remaining := n; remaining > 0; remaining -= contexts {
+		t := h.single
+		if min(remaining, contexts) > h.cores {
+			// Rounded, so that no architecture fuses the product into the sum.
+			t = float64(h.single * h.smt)
+		}
+		total += t
+	}
+	return total
+}
+
+// dualXeon is the comparison system of Section 5.6: two Intel Pentium 4 Xeon
+// processors at 2 GHz with Hyper-Threading (2-way SMT each), i.e. four
+// hardware contexts on a 4-way SMP Dell PowerEdge 6650.
+//
+// Calibration: Figure 10(a) places the Xeon system near 180 s at 16
+// bootstraps and Figure 10(b) near 1400 s at 128; with four contexts and
+// Pentium 4's notoriously weak Hyper-Threading gains on floating-point code
+// (we use a 1.6x co-residence slow-down), that corresponds to a single-thread
+// bootstrap time of about 28 s — essentially the same as the optimized
+// Cell PPE+SPE pipeline, which matches the observation that one Xeon core and
+// one SPE-accelerated bootstrap are comparable.
+var dualXeon = host{name: "2x Intel Xeon (HT)", cores: 2, threadsPerCore: 2, single: 28, smt: 1.6}
+
+// power5 is the IBM Power5 comparison system of Section 5.6: one dual-core
+// processor at 1.6 GHz with two SMT threads per core (four contexts, 36 MB
+// of L3).
+//
+// Calibration: the paper reports that the Cell is 5-10% faster than the
+// Power5 once eight or more bootstraps are run, and about on par below that.
+// With the Cell completing 128 bootstraps in roughly 690-700 paper-seconds,
+// the Power5 must sustain ~0.17 bootstraps/s, which with four contexts and a
+// 1.3x SMT co-residence slow-down corresponds to a single-thread bootstrap
+// time of about 18 s.
+var power5 = host{name: "IBM Power5", cores: 2, threadsPerCore: 2, single: 18, smt: 1.3}
+
 // Figure10 reproduces Figure 10: RAxML on the Cell (with MGPS) versus the
 // dual-Xeon and Power5 comparison systems.
 func Figure10(cfg Config) Report {
 	wl := cfg.effectiveWorkload()
-	counts := append(append([]int{}, cfg.sweepSmall()...), cfg.sweepLarge()...)
-	xeon := hostsim.DualXeonHT()
-	power5 := hostsim.Power5()
-
+	// One panel over both sweeps, which share their boundary count.
+	counts := slices.Compact(append(cfg.sweepSmall(), cfg.sweepLarge()...))
 	cell := &stats.Series{Name: "Cell (MGPS)"}
-	xeonS := &stats.Series{Name: xeon.Name}
-	p5S := &stats.Series{Name: power5.Name}
+	xeonS := &stats.Series{Name: dualXeon.name}
+	p5S := &stats.Series{Name: power5.name}
 	tab := stats.NewTable("Figure 10 — cross-platform comparison (seconds)",
 		"bootstraps", "Cell (MGPS)", "Intel Xeon (2 procs, HT)", "IBM Power5")
 	for _, n := range counts {
 		c := sched.RunMGPS(sched.Options{Workload: wl, Bootstraps: n})
 		cell.Add(float64(n), c.PaperSeconds)
-		xe := xeon.RunBootstraps(n)
-		p5 := power5.RunBootstraps(n)
+		xe := dualXeon.seconds(n)
+		p5 := power5.seconds(n)
 		xeonS.Add(float64(n), xe)
 		p5S.Add(float64(n), p5)
 		tab.AddRowf(n, c.PaperSeconds, xe, p5)
@@ -248,6 +301,8 @@ func Figure10(cfg Config) Report {
 	cellLarge, _ := cell.Y(largeCount)
 	xeonLarge, _ := xeonS.Y(largeCount)
 	p5Large, _ := p5S.Y(largeCount)
+	cellOne, _ := cell.Y(1)
+	p5One, _ := p5S.Y(1)
 
 	// Power5 comparison at >= 8 bootstraps: Cell 5-10% faster. We evaluate it
 	// at bootstrap counts that are multiples of the Power5's four hardware
@@ -287,14 +342,10 @@ func Figure10(cfg Config) Report {
 			claim("the Cell is modestly (5-10%) faster than the Power5 once >= 8 bootstraps run",
 				pass8, "%s", detail8),
 			claim("below 8 bootstraps the Power5 is competitive with (or faster than) the Cell",
-				func() bool {
-					c1, _ := cell.Y(1)
-					p1, _ := p5S.Y(1)
-					return p1 < c1*1.15
-				}(), "1 bootstrap: Cell %.1fs vs Power5 %.1fs", func() float64 { v, _ := cell.Y(1); return v }(), func() float64 { v, _ := p5S.Y(1); return v }()),
+				p5One < cellOne*1.15, "1 bootstrap: Cell %.1fs vs Power5 %.1fs", cellOne, p5One),
 		},
 		Notes: []string{
-			"Xeon and Power5 times come from the calibrated hostsim models (Section 5.6 hardware is unavailable); the Cell times come from the full scheduler simulation.",
+			"Xeon and Power5 times come from calibrated models of the two machines (Section 5.6 hardware is unavailable); the Cell times come from the full scheduler simulation.",
 			"The paper's '4x faster than the Xeon system' headline is quoted for the low-bootstrap-count regime of Figure 10(a); over the full sweep the figure itself shows roughly a 2x gap, which is what the reproduction targets.",
 		},
 	}

@@ -22,9 +22,9 @@ var (
 	paperTable2 = map[int]float64{1: 28.71, 2: 20.83, 3: 19.37, 4: 18.28, 5: 18.10, 6: 20.52, 7: 18.27, 8: 24.4}
 )
 
-// SPEOptimization reproduces the Section 5.1 off-loading story (experiment E1
-// in DESIGN.md): running one bootstrap entirely on the PPE, with naive
-// off-loading, and with optimized off-loading.
+// SPEOptimization reproduces the Section 5.1 off-loading story (experiment
+// E1): running one bootstrap entirely on the PPE, with naive off-loading, and
+// with optimized off-loading.
 func SPEOptimization(cfg Config) Report {
 	wl := cfg.effectiveWorkload()
 	ppeOnly := sched.RunPPEOnly(sched.Options{Workload: wl, Bootstraps: 1})

@@ -79,8 +79,6 @@ type Options struct {
 	// surface is always on; only tracing is gated (it holds per-lane ring
 	// buffers in memory).
 	Flight bool
-	// FlightLaneEvents overrides the per-lane ring capacity (default 4096).
-	FlightLaneEvents int
 
 	// DataDir, when set, enables the write-ahead job store: accepted jobs,
 	// per-task completions and search checkpoints are logged there, and Open
@@ -191,7 +189,7 @@ func Open(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	var rec *flight.Recorder
 	if opts.Flight {
-		rec = flight.New(flight.Config{Workers: opts.Workers, LaneEvents: opts.FlightLaneEvents})
+		rec = flight.New(flight.Config{Workers: opts.Workers})
 	}
 	s := &Server{
 		opts: opts,

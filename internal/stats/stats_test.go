@@ -111,15 +111,3 @@ func TestTableRowPaddingAndTruncation(t *testing.T) {
 		t.Errorf("long row should be truncated: %v", tb.Rows[1])
 	}
 }
-
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("Fig", "x", "y")
-	tb.AddRowf(1, 2.0)
-	md := tb.Markdown()
-	if !strings.Contains(md, "### Fig") || !strings.Contains(md, "| x | y |") || !strings.Contains(md, "| 1 | 2.00 |") {
-		t.Errorf("markdown rendering wrong:\n%s", md)
-	}
-	if !strings.Contains(md, "| --- | --- |") {
-		t.Errorf("markdown separator missing:\n%s", md)
-	}
-}

@@ -29,10 +29,6 @@ type CalibrateOptions struct {
 	// Rounds is the number of full sweeps each kernel is timed over
 	// (default 3). More rounds cost proportionally more time.
 	Rounds int
-	// Model and Rates select the substitution model (defaults: JC69, single
-	// rate category).
-	Model phylo.Model
-	Rates phylo.RateCategories
 }
 
 // KernelTiming is the measured steady-state cost of one likelihood kernel.
@@ -50,10 +46,10 @@ type Calibration struct {
 	Length   int
 }
 
-// CalibrateNative builds a likelihood engine on a simulated alignment and
-// times the three kernels in steady state (vectors and transition matrices
-// settled), mirroring how the paper profiles RAxML with gprof before deciding
-// what to off-load.
+// CalibrateNative builds a JC69, single-rate likelihood engine on a simulated
+// alignment and times the three kernels in steady state (vectors and
+// transition matrices settled), mirroring how the paper profiles RAxML with
+// gprof before deciding what to off-load.
 func CalibrateNative(o CalibrateOptions) (*Calibration, error) {
 	if o.Taxa <= 0 {
 		o.Taxa = 42
@@ -67,14 +63,6 @@ func CalibrateNative(o CalibrateOptions) (*Calibration, error) {
 	if o.Rounds <= 0 {
 		o.Rounds = 3
 	}
-	model := o.Model
-	if model == nil {
-		model = phylo.NewJC69()
-	}
-	rates := o.Rates
-	if rates.Count() == 0 {
-		rates = phylo.SingleRate()
-	}
 
 	_, aln, err := phylo.Simulate(phylo.SimulateOptions{
 		Taxa: o.Taxa, Length: o.Length, Seed: o.Seed, MeanBranchLength: 0.08,
@@ -86,7 +74,7 @@ func CalibrateNative(o CalibrateOptions) (*Calibration, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: calibration alignment: %w", err)
 	}
-	eng, err := phylo.NewEngine(data, model, rates)
+	eng, err := phylo.NewEngine(data, phylo.NewJC69(), phylo.SingleRate())
 	if err != nil {
 		return nil, fmt.Errorf("workload: calibration engine: %w", err)
 	}
