@@ -10,6 +10,8 @@
 //	experiments -quick          # trimmed sweeps
 //	experiments -only E2,E5     # just Table 1 and Figure 8
 //
+// An -only ID the suite does not have exits 2, naming the valid IDs.
+//
 // A traced native MGPS run of the workload the suite models is
 // `raxml-go -taxa 16 -length 600 -bootstraps 8 -trace out.json`.
 package main
@@ -18,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"cellmg/internal/experiments"
@@ -31,20 +32,14 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := experiments.Config{Quick: *quick}
-	wanted := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		id = strings.TrimSpace(id)
-		if id != "" {
-			wanted[strings.ToUpper(id)] = true
-		}
+	selected, err := experiments.Select(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
 	}
-
+	cfg := experiments.Config{Quick: *quick}
 	failed := 0
-	for _, e := range experiments.Experiments {
-		if len(wanted) > 0 && !wanted[e.ID] {
-			continue
-		}
+	for _, e := range selected {
 		start := time.Now()
 		rep := e.Run(cfg)
 		fmt.Print(rep.String())

@@ -13,6 +13,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"cellmg/internal/stats"
@@ -141,4 +143,36 @@ var Experiments = []Experiment{
 	{"E9", AblationMGPSWindow},
 	{"E10", AblationScaleInvariance},
 	{"E11", NativeCalibration},
+}
+
+// Select returns the experiments a comma-separated ID list names, in report
+// order; IDs are matched case-insensitively and blank entries are ignored, so
+// an empty list selects the whole suite. An ID the suite does not have is an
+// error naming the valid ones: a mistyped selection must not run nothing and
+// pass.
+func Select(only string) ([]Experiment, error) {
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
+			wanted[id] = true
+		}
+	}
+	if len(wanted) == 0 {
+		return Experiments, nil
+	}
+	var out []Experiment
+	var valid []string
+	for _, e := range Experiments {
+		valid = append(valid, e.ID)
+		if wanted[e.ID] {
+			out = append(out, e)
+			delete(wanted, e.ID)
+		}
+	}
+	if len(wanted) > 0 {
+		unknown := slices.Sorted(maps.Keys(wanted))
+		return nil, fmt.Errorf("unknown experiment ID(s) %s; valid IDs are %s",
+			strings.Join(unknown, ", "), strings.Join(valid, ", "))
+	}
+	return out, nil
 }

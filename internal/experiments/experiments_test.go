@@ -169,3 +169,35 @@ func TestClaimFormatting(t *testing.T) {
 		t.Errorf("report with a failing claim should not pass")
 	}
 }
+
+func TestSelect(t *testing.T) {
+	ids := func(es []Experiment) string {
+		var out []string
+		for _, e := range es {
+			out = append(out, e.ID)
+		}
+		return strings.Join(out, ",")
+	}
+	for _, c := range []struct{ only, want string }{
+		{"", "E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,E11"},
+		{" , ", "E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,E11"},
+		{"E5,E2", "E2,E5"},
+		{"e7, E1,e7", "E1,E7"},
+		{"E11", "E11"},
+	} {
+		got, err := Select(c.only)
+		if err != nil || ids(got) != c.want {
+			t.Errorf("Select(%q) = %s, %v; want %s", c.only, ids(got), err, c.want)
+		}
+	}
+	for _, only := range []string{"E71", "E1,E12", "E0", "Figure8", "E1;E2"} {
+		got, err := Select(only)
+		if err == nil {
+			t.Errorf("Select(%q) = %s, want an error", only, ids(got))
+			continue
+		}
+		if !strings.Contains(err.Error(), "E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11") {
+			t.Errorf("Select(%q) error %q does not name the valid IDs", only, err)
+		}
+	}
+}

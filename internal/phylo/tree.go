@@ -240,28 +240,27 @@ func PreOrder(n *Node, fn func(*Node)) {
 
 // Newick renders the tree in Newick format with branch lengths.
 func (t *Tree) Newick() string {
-	var b strings.Builder
+	var b []byte
 	var write func(n *Node)
 	write = func(n *Node) {
 		if n.IsTip() {
-			b.WriteString(n.Name)
+			b = append(b, n.Name...)
 		} else {
-			b.WriteByte('(')
+			b = append(b, '(')
 			for i, c := range n.Children {
 				if i > 0 {
-					b.WriteByte(',')
+					b = append(b, ',')
 				}
 				write(c)
 			}
-			b.WriteByte(')')
+			b = append(b, ')')
 		}
 		if n.Parent != nil {
-			fmt.Fprintf(&b, ":%.6f", n.Length)
+			b = strconv.AppendFloat(append(b, ':'), n.Length, 'f', 6, 64)
 		}
 	}
 	write(t.Root)
-	b.WriteByte(';')
-	return b.String()
+	return string(append(b, ';')) // a copy of exact size, not the buffer's slack
 }
 
 // ParseNewick parses a Newick string with branch lengths into a Tree. Only

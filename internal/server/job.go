@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -206,6 +207,30 @@ type Result struct {
 	Support       map[string]float64 `json:"support,omitempty"`
 }
 
+// encodeResult is the form a job holds its result in: the JSON the status
+// serves, exact size. A result JSON cannot carry (a NaN log-likelihood) is
+// held as none.
+func encodeResult(r *Result) []byte {
+	if r == nil {
+		return nil
+	}
+	enc, _ := json.Marshal(r)
+	return enc
+}
+
+// decodeResult inverts encodeResult. Encoding the decoded Result again gives
+// the same bytes: every float64 round-trips through its shortest decimal.
+func decodeResult(enc []byte) *Result {
+	if enc == nil {
+		return nil
+	}
+	r := &Result{}
+	if json.Unmarshal(enc, r) != nil {
+		return nil
+	}
+	return r
+}
+
 // ResultFromAnalysis converts the native result to its wire form.
 func ResultFromAnalysis(res *native.AnalysisResult) *Result {
 	out := &Result{
@@ -232,12 +257,9 @@ type Job struct {
 	Priority Priority
 	Spec     JobSpec
 
-	data      *phylo.PatternAlignment
-	events    *EventLog
-	collector *stats.OffloadCollector
-	runCtx    context.Context
-	cancel    func() // cancels runCtx
-	done      chan struct{}
+	data   *phylo.PatternAlignment
+	events *EventLog
+	done   chan struct{}
 
 	// flightID tags the job's events in the runtime flight recorder (0 when
 	// the recorder is off); flightQueued is the recorder timestamp of
@@ -252,14 +274,22 @@ type Job struct {
 	skipTasks map[native.TaskID]storedTask
 	resumes   map[native.TaskID][]byte
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// The run machinery, which release drops once the job is terminal: the
+	// run context and its cancel, and the off-load collector, whose summary
+	// is then frozen into offloads.
+	runCtx    context.Context
+	cancel    context.CancelFunc
+	collector *stats.OffloadCollector
+	offloads  stats.OffloadSummary
+
 	state     State
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
 	completed int
 	total     int
-	result    *Result
+	result    []byte // encodeResult of the outcome; nil without a result
 	errMsg    string
 }
 
@@ -293,6 +323,14 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Status builds a consistent snapshot.
 func (j *Job) Status(now time.Time) JobStatus {
+	st, result := j.status(now)
+	st.Result = decodeResult(result)
+	return st
+}
+
+// status is Status without the result, which it returns in its held form:
+// decoding it is left to the callers that serve it.
+func (j *Job) status(now time.Time) (JobStatus, []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
@@ -304,8 +342,7 @@ func (j *Job) Status(now time.Time) JobStatus {
 		Completed:   j.completed,
 		Total:       j.total,
 		Error:       j.errMsg,
-		Result:      j.result,
-		Offloads:    j.collector.Summary(),
+		Offloads:    j.offloadsLocked(),
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -321,19 +358,58 @@ func (j *Job) Status(now time.Time) JobStatus {
 			st.RunMS = float64(j.finished.Sub(j.started)) / float64(time.Millisecond)
 		}
 	}
-	return st
+	return st, j.result
+}
+
+// offloadsLocked returns the job's off-load summary: live while it has a
+// collector, frozen once released.
+func (j *Job) offloadsLocked() stats.OffloadSummary {
+	if j.collector != nil {
+		return j.collector.Summary()
+	}
+	return j.offloads
+}
+
+// offloadSummary is offloadsLocked for callers that do not hold j.mu.
+func (j *Job) offloadSummary() stats.OffloadSummary {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.offloadsLocked()
+}
+
+// cancelRun cancels the job's run context; once the job is released there is
+// none, and it does nothing.
+func (j *Job) cancelRun() {
+	j.mu.Lock()
+	cancel := j.cancel
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
 }
 
 // release drops what nothing reads again once the job is terminal: the
 // compressed alignment, the inline sequences it was built from (the WAL keeps
-// the accepted spec for as long as it needs it), and the run context's
-// registration as a child of the server's base context.
+// the accepted spec for as long as it needs it), the recovery state a resumed
+// run read, and the run machinery — the run context (cancelled first, so its
+// registration as a child of the server's base context goes too) and the
+// off-load collector, whose summary it freezes. What stays is what a client
+// can still ask for: the status, the result and the event history.
 func (j *Job) release() {
 	j.mu.Lock()
+	cancel := j.cancel
 	j.data = nil
 	j.Spec.Sequences = nil
+	j.skipTasks, j.resumes = nil, nil
+	j.runCtx, j.cancel = nil, nil
+	if j.collector != nil {
+		j.offloads = j.collector.Summary()
+		j.collector = nil
+	}
 	j.mu.Unlock()
-	j.cancel()
+	if cancel != nil {
+		cancel()
+	}
 }
 
 // runDuration returns how long the job ran (0 if it never started or has not
@@ -361,24 +437,24 @@ func (j *Job) queueWait() time.Duration {
 	return j.started.Sub(j.submitted)
 }
 
-// start moves a queued job to running; it reports false if the job was
-// cancelled first.
-func (j *Job) start() bool {
+// start moves a queued job to running and returns its run context and
+// off-load collector; it reports false if the job was cancelled first.
+func (j *Job) start() (context.Context, *stats.OffloadCollector, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return false
+		return nil, nil, false
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	return true
+	return j.runCtx, j.collector, true
 }
 
 // settle moves a running (or, for cancellation, queued) job into a terminal
 // state and records its outcome. It reports false, changing nothing, if the
 // job is already terminal. The caller announces the transition afterwards —
 // once whatever must be durable before anyone can observe the end is.
-func (j *Job) settle(state State, result *Result, errMsg string) bool {
+func (j *Job) settle(state State, result []byte, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -391,12 +467,9 @@ func (j *Job) settle(state State, result *Result, errMsg string) bool {
 	return true
 }
 
-// announce publishes a settled job's end: the terminal event, the end of the
-// event stream, and Done().
-func (j *Job) announce() {
-	j.mu.Lock()
-	state, result, errMsg := j.state, j.result, j.errMsg
-	j.mu.Unlock()
+// announce publishes the end settle recorded: the terminal event, the end of
+// the event stream, and Done().
+func (j *Job) announce(state State, result *Result, errMsg string) {
 	switch state {
 	case StateDone:
 		j.events.Append(EventDone, map[string]any{"best_log_lik": result.BestLogLik})

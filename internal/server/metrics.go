@@ -90,7 +90,7 @@ func newMetricsRegistry(prom *promMetrics) *metricsRegistry {
 // histograms.
 func (m *metricsRegistry) jobFinished(j *Job) {
 	wait := j.queueWait()
-	sum := j.collector.Summary()
+	sum := j.offloadSummary()
 	m.mu.Lock()
 	t, ok := m.tenants[j.Tenant]
 	if !ok {

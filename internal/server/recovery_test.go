@@ -10,8 +10,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -69,12 +73,10 @@ func referenceResult(t *testing.T, spec JobSpec) []byte {
 	return enc
 }
 
+// resultJSON is the job's result as its status serves it.
 func resultJSON(t *testing.T, j *Job) []byte {
 	t.Helper()
-	j.mu.Lock()
-	res := j.result
-	j.mu.Unlock()
-	enc, err := json.Marshal(res)
+	enc, err := json.Marshal(j.Status(time.Now()).Result)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +382,100 @@ func TestWALFailureDegradesToInMemory(t *testing.T) {
 	}
 }
 
+// replayCopy replays a copy of the data dir's log as it stands — what a
+// process killed at this instant would restart from — and returns the jobs
+// it would recover.
+func replayCopy(t *testing.T, dir string) map[string]*recoveredJob {
+	t.Helper()
+	segs, err := walSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := t.TempDir()
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, filepath.Base(seg.path)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, jobs := openTestStore(t, cp)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// replayedState names what a replay made of a job: absent, incomplete or its
+// terminal state.
+func replayedState(r *recoveredJob) string {
+	switch {
+	case r == nil:
+		return "absent"
+	case r.incomplete():
+		return "incomplete"
+	}
+	return string(r.state)
+}
+
+// TestCancelRecordDurableBeforeAnswer: a job the client was told was refused
+// or cancelled must never run after a crash. Two paths write job_cancelled
+// for an accepted job and answer at once: Submit when the queue refuses the
+// job after its accepted record is durable, and Cancel of a queued job. Right
+// after each answers, a replay of the log as it stands must hold the job as
+// cancelled, not incomplete. The refusal is staged by stalling the second
+// accepted record while a third job takes the one queue slot.
+func TestCancelRecordDurableBeforeAnswer(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultinject.New(faultinject.Rule{
+		Op: faultinject.OpWALAppend, Tag: "job_accepted", After: 1,
+		Action: faultinject.Action{Stall: 300 * time.Millisecond},
+	})
+	srv, err := Open(Options{
+		Workers: 2, MaxConcurrent: 1, QueueCapacity: 1,
+		DataDir: dir, FaultInjector: inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	running, err := srv.Submit(longSpec(81))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for running.State() != StateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	refused := make(chan error, 1)
+	go func() {
+		_, err := srv.Submit(smallSpec(82)) // j-000002: stalls in its accepted record
+		refused <- err
+	}()
+	for !inj.Fired(0) {
+		time.Sleep(time.Millisecond)
+	}
+	queued, err := srv.Submit(smallSpec(83)) // j-000003: takes the queue's one slot
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ae *admissionError
+	if err := <-refused; !errors.As(err, &ae) || ae.code != http.StatusTooManyRequests {
+		t.Fatalf("the stalled submission got %v, want a 429 refusal", err)
+	}
+	if r := replayCopy(t, dir)["j-000002"]; r == nil || r.state != StateCancelled {
+		t.Errorf("right after the refusal, replay holds the refused job as %s, want cancelled", replayedState(r))
+	}
+	if _, _, cancelled := srv.Cancel(queued.ID); !cancelled {
+		t.Fatal("queued job was not cancellable")
+	}
+	if r := replayCopy(t, dir)[queued.ID]; r == nil || r.state != StateCancelled {
+		t.Errorf("right after the cancel, replay holds the queued job as %s, want cancelled", replayedState(r))
+	}
+	srv.Cancel(running.ID)
+}
+
 var errTestDisk = &testDiskError{}
 
 type testDiskError struct{}
@@ -481,11 +577,54 @@ func sseEvents(t *testing.T, base, id string, after int) []string {
 	return ids
 }
 
-// TestTerminalJobReleasesInputs: a finished job keeps only what is read
-// again — its inline sequences and its run context are released at retire —
-// and everything a client can still ask of it answers as before: the status,
-// an SSE replay resumed with Last-Event-ID, and the job restored from the WAL
-// by the next incarnation.
+// released waits until retire has released j — the terminal state is visible
+// a moment before retire runs — and reports what the job still holds of its
+// inputs and run machinery, empty when it holds none.
+func released(t *testing.T, j *Job) string {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		j.mu.Lock()
+		ctx := j.runCtx
+		j.mu.Unlock()
+		if ctx == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still holds its run context a minute after it ended", j.ID)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var held []string
+	if j.Spec.Sequences != nil {
+		held = append(held, fmt.Sprintf("%d inline sequences", len(j.Spec.Sequences)))
+	}
+	if j.data != nil {
+		held = append(held, "its alignment")
+	}
+	if j.cancel != nil {
+		held = append(held, "its run context's cancel")
+	}
+	if j.collector != nil {
+		held = append(held, "its off-load collector")
+	}
+	if j.skipTasks != nil || j.resumes != nil {
+		held = append(held, fmt.Sprintf("recovery maps (%d tasks, %d checkpoints)", len(j.skipTasks), len(j.resumes)))
+	}
+	return strings.Join(held, ", ")
+}
+
+// TestTerminalJobReleasesInputs: a finished job keeps only what a client can
+// still ask for. At retire its inline sequences, its alignment, its run
+// context, its off-load collector and — on a job recovered from the WAL — the
+// replayed task outcomes and checkpoints are released, and everything a
+// client can still ask of it answers as before: the status (byte for byte,
+// off-load summary included), an SSE replay resumed with Last-Event-ID, and
+// the job restored from the WAL by the next incarnation. The second job's
+// finished record is lost to a simulated kill, so the next incarnation
+// recovers it with both tasks done and finishes it from them.
 func TestTerminalJobReleasesInputs(t *testing.T) {
 	_, aln, err := phylo.Simulate(phylo.SimulateOptions{Taxa: 6, Length: 120, Seed: 5, MeanBranchLength: 0.1})
 	if err != nil {
@@ -499,48 +638,65 @@ func TestTerminalJobReleasesInputs(t *testing.T) {
 	want := referenceResult(t, spec)
 
 	dir := t.TempDir()
-	open := func() (*Server, *httptest.Server) {
-		srv, err := Open(Options{Workers: 2, MaxConcurrent: 1, DataDir: dir})
+	open := func(inj *faultinject.Injector) (*Server, *httptest.Server) {
+		srv, err := Open(Options{Workers: 2, MaxConcurrent: 1, DataDir: dir, FaultInjector: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return srv, httptest.NewServer(srv.Handler())
 	}
-	srv, ts := open()
-	id := submit(t, ts.URL, spec).ID
-	st := waitTerminal(t, ts.URL, id, time.Minute)
-	if st.State != StateDone {
-		t.Fatalf("job finished %s: %s", st.State, st.Error)
+	// checkReleased holds a terminal job to the contract above; before is
+	// its status body as first read once terminal.
+	checkReleased := func(srv *Server, ts *httptest.Server, id string, before []byte) {
+		t.Helper()
+		j, _ := srv.Job(id)
+		if held := released(t, j); held != "" {
+			t.Errorf("%s: released job still holds %s", id, held)
+		}
+		if got := resultJSON(t, j); !bytes.Equal(got, want) {
+			t.Errorf("%s: status result of the released job differs from the reference run", id)
+		}
+		if _, after := get(t, ts.URL+"/v1/jobs/"+id); !bytes.Equal(after, before) {
+			t.Errorf("%s: status changed at release:\nbefore %s\n after %s", id, before, after)
+		}
+		all := sseEvents(t, ts.URL, id, 0)
+		if len(all) < 3 {
+			t.Fatalf("%s: event replay of the released job has %d events", id, len(all))
+		}
+		if got := sseEvents(t, ts.URL, id, 2); !slices.Equal(got, all[2:]) {
+			t.Errorf("%s: replay after event 2 = %v, want %v", id, got, all[2:])
+		}
 	}
-	// The terminal state is visible a moment before retire runs; the run
-	// context's cancellation is the last thing retire's release does.
-	j, _ := srv.Job(id)
-	select {
-	case <-j.runCtx.Done():
-	case <-time.After(time.Minute):
-		t.Fatal("done job's run context is still registered with the server's base context")
-	}
-	j.mu.Lock()
-	seqs, data := j.Spec.Sequences, j.data
-	j.mu.Unlock()
-	if seqs != nil || data != nil {
-		t.Errorf("done job still holds its input: %d inline sequences, alignment %v", len(seqs), data != nil)
+	// terminalBody waits for the job to end and returns its first terminal
+	// status body, read before or after release, whichever comes first.
+	terminalBody := func(ts *httptest.Server, id string) []byte {
+		t.Helper()
+		if st := waitTerminal(t, ts.URL, id, time.Minute); st.State != StateDone {
+			t.Fatalf("job %s finished %s: %s", id, st.State, st.Error)
+		}
+		_, body := get(t, ts.URL+"/v1/jobs/"+id)
+		return body
 	}
 
-	if got := resultJSON(t, j); !bytes.Equal(got, want) {
-		t.Error("status result of the released job differs from the reference run")
+	inj := faultinject.New(faultinject.Rule{
+		Op: faultinject.OpWALAppend, Tag: "job_finished", After: 1,
+		Action: faultinject.Action{Kill: true},
+	})
+	srv, ts := open(inj)
+	id := submit(t, ts.URL, spec).ID
+	checkReleased(srv, ts, id, terminalBody(ts, id))
+	if st := getStatus(t, ts.URL, id); st.Offloads.Offloads == 0 {
+		t.Error("released job's status reports no off-loads: the collector's summary was not kept")
 	}
-	all := sseEvents(t, ts.URL, id, 0)
-	if len(all) < 3 {
-		t.Fatalf("event replay of the released job has %d events", len(all))
-	}
-	if got := sseEvents(t, ts.URL, id, 2); !slices.Equal(got, all[2:]) {
-		t.Errorf("replay after event 2 = %v, want %v", got, all[2:])
+	lost := submit(t, ts.URL, spec).ID
+	terminalBody(ts, lost)
+	if !inj.Dead() {
+		t.Fatal("the second job's finished record was never written; the kill never fired")
 	}
 	ts.Close()
 	srv.Close()
 
-	srv2, ts2 := open()
+	srv2, ts2 := open(nil)
 	defer srv2.Close()
 	defer ts2.Close()
 	st2 := getStatus(t, ts2.URL, id)
@@ -554,4 +710,8 @@ func TestTerminalJobReleasesInputs(t *testing.T) {
 	if j2, _ := srv2.Job(id); j2.Spec.Sequences != nil {
 		t.Error("job restored from the WAL holds its inline sequences again")
 	}
+	if d := srv2.Metrics().Durability; d == nil || d.RecoveredTasks != int64(spec.tasks()) {
+		t.Fatalf("the lost job was not recovered with its %d tasks done: %+v", spec.tasks(), d)
+	}
+	checkReleased(srv2, ts2, lost, terminalBody(ts2, lost))
 }

@@ -325,8 +325,8 @@ func (s *Server) enqueueRecovered(j *Job) {
 func (s *Server) restoreTerminal(r *recoveredJob, state State, errMsg string, result *Result, outcome string) {
 	j := s.newJob(r.id, r.spec, nil)
 	s.jobs[r.id] = j
-	j.settle(state, result, errMsg)
-	j.announce()
+	j.settle(state, encodeResult(result), errMsg)
+	j.announce(state, result, errMsg)
 	j.release()
 	s.finished = append(s.finished, r.id)
 	s.prom.recoveredJobsVec.With(outcome).Inc()
@@ -514,10 +514,11 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.mu.Lock()
 		delete(s.jobs, id)
 		s.mu.Unlock()
-		j.cancel()
+		j.release()
 		if s.store != nil {
-			// The accepted record is already durable; neutralize it so the
-			// next replay does not resurrect a job the client saw rejected.
+			// The accepted record is already durable; neutralize it, durably
+			// too, before the client hears of the rejection, so no replay
+			// resurrects a job the client saw refused.
 			s.store.jobCancelled(id)
 		}
 		code := http.StatusServiceUnavailable
@@ -539,17 +540,18 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 func (s *Server) finishJob(j *Job, state State, result *Result, errMsg string) bool {
 	// A runner pops a job before starting it: one still queued here never runs.
 	queued := j.State() == StateQueued
-	if !j.settle(state, result, errMsg) {
+	enc := encodeResult(result)
+	if !j.settle(state, enc, errMsg) {
 		return false
 	}
 	if s.store != nil {
 		if state == StateCancelled {
 			s.store.jobCancelled(j.ID)
 		} else {
-			s.store.jobFinished(j.ID, state, errMsg, result)
+			s.store.jobFinished(j.ID, state, errMsg, enc)
 		}
 	}
-	j.announce()
+	j.announce(state, result, errMsg)
 	s.retire(j)
 	if queued {
 		s.leftQueue(j)
@@ -564,12 +566,12 @@ func (s *Server) leftQueue(j *Job) {
 	s.flight.Span(s.flight.JobLane(), flight.KindJobQueued, j.flightID, j.flightQueued, int64(j.Priority), 0)
 }
 
-// retire accounts a job that just reached a terminal state: its tenant
-// metrics are folded in, its inputs and run context are released, and the
+// retire accounts a job that just reached a terminal state: its inputs and
+// run machinery are released, its tenant metrics are folded in, and the
 // table of finished jobs is trimmed to MaxFinishedJobs (oldest evicted first).
 func (s *Server) retire(j *Job) {
-	s.metrics.jobFinished(j)
 	j.release()
+	s.metrics.jobFinished(j)
 	s.mu.Lock()
 	s.finished = append(s.finished, j.ID)
 	for len(s.finished) > s.opts.MaxFinishedJobs {
@@ -599,9 +601,8 @@ func (s *Server) Cancel(id string) (j *Job, found, cancelled bool) {
 		// Still queued: it will never reach a runner, finish it here. Its
 		// queued span ends now and no job-run span will ever exist. This is
 		// also where a recovered-but-not-yet-resumed job gets cancelled, and
-		// finishJob records that in the WAL so the next replay does not
-		// resurrect it.
-		j.cancel()
+		// finishJob records that in the WAL, durably before the answer, so
+		// no replay resurrects it.
 		s.finishJob(j, StateCancelled, nil, "")
 		return j, true, true
 	}
@@ -611,7 +612,7 @@ func (s *Server) Cancel(id string) (j *Job, found, cancelled bool) {
 	// Running (or about to run): cancelling the context aborts its searches
 	// at the next NNI evaluation and frees queued submitters immediately;
 	// the runner records the terminal state.
-	j.cancel()
+	j.cancelRun()
 	return j, true, true
 }
 
@@ -672,7 +673,8 @@ func (s *Server) runner() {
 }
 
 func (s *Server) runJob(j *Job) {
-	if !j.start() {
+	ctx, collector, ok := j.start()
+	if !ok {
 		return // cancelled between Pop and here
 	}
 	s.leftQueue(j)
@@ -709,16 +711,16 @@ func (s *Server) runJob(j *Job) {
 	}
 	// The per-job collector and the global off-load histograms see the same
 	// event stream; the flow id keys this job's spans in the shared trace.
-	opts.Sink = stats.TeeSink{j.collector, offloadSink{p: s.prom}}
+	opts.Sink = stats.TeeSink{collector, offloadSink{p: s.prom}}
 	opts.FlightID = j.flightID
 	opts.Observer = &jobObserver{job: j, store: s.store}
 
-	res, err := native.RunAnalysisContext(j.runCtx, s.rt, j.data, opts)
+	res, err := native.RunAnalysisContext(ctx, s.rt, j.data, opts)
 	switch {
 	case err == nil:
 		finish(StateDone, ResultFromAnalysis(res), "")
 	case errors.Is(err, errDrainAbort) ||
-		(errors.Is(err, context.Canceled) && errors.Is(context.Cause(j.runCtx), errDrainAbort)):
+		(errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), errDrainAbort)):
 		// Drain abort: deliberately NOT finished. The job stays incomplete
 		// in the WAL with its checkpoints and completed tasks intact; the
 		// next incarnation re-enqueues and resumes it.
@@ -809,8 +811,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	out := make([]JobStatus, 0, len(jobs))
 	for _, j := range jobs {
-		st := j.Status(now)
-		st.Result = nil // listings stay small; fetch the job for the result
+		st, _ := j.status(now) // listings stay small; fetch the job for the result
 		out = append(out, st)
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -870,11 +871,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	for {
-		evs, next, more := j.events.After(afterSeq)
-		for _, ev := range evs {
-			if writeSSE(w, ev) != nil {
-				return
-			}
+		frames, next, more := j.events.After(afterSeq)
+		if _, err := w.Write(frames); err != nil {
+			return
 		}
 		flusher.Flush()
 		if more == nil {

@@ -243,12 +243,9 @@ func (st *jobStore) taskDone(id string, task native.TaskID, logLik float64, tree
 	_ = st.wal.append(recTaskDone, p)
 }
 
-// jobFinished records the terminal state (done or failed) with the result.
-func (st *jobStore) jobFinished(id string, state State, errMsg string, res *Result) {
-	var resJSON []byte
-	if res != nil {
-		resJSON, _ = json.Marshal(res)
-	}
+// jobFinished records the terminal state (done or failed) with the result's
+// JSON (encodeResult; nil for none).
+func (st *jobStore) jobFinished(id string, state State, errMsg string, resJSON []byte) {
 	var p []byte
 	p = appendStr(p, id)
 	p = appendStr(p, string(state))
@@ -257,12 +254,15 @@ func (st *jobStore) jobFinished(id string, state State, errMsg string, res *Resu
 	_ = st.wal.append(recJobFinished, p)
 }
 
-// jobCancelled records a cancellation — including of a recovered job that
-// never got re-admitted, so the next replay does not resurrect it.
+// jobCancelled durably records a cancellation — including of a recovered job
+// that never got re-admitted, and of an accepted one the queue then refused —
+// so no replay resurrects a job whose client was told it was cancelled or
+// refused. A degraded log does not fail the cancellation; the error counter
+// records the exposure.
 func (st *jobStore) jobCancelled(id string) {
 	var p []byte
 	p = appendStr(p, id)
-	_ = st.wal.append(recJobCancelled, p)
+	_ = st.wal.appendDurable(recJobCancelled, p)
 }
 
 // Close flushes and closes the underlying log.

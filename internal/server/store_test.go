@@ -43,7 +43,7 @@ func writeStoreFixture(t testing.TB, st *jobStore) JobSpec {
 		t.Fatal(err)
 	}
 	st.jobStarted("j-000001", 1)
-	st.jobFinished("j-000001", StateDone, "", &Result{BestLogLik: -1.5, BestTree: "(a,b);"})
+	st.jobFinished("j-000001", StateDone, "", encodeResult(&Result{BestLogLik: -1.5, BestTree: "(a,b);"}))
 
 	// Job B: cancelled — must not survive either.
 	if err := st.jobAccepted("j-000002", specB); err != nil {
